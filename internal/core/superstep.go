@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -108,13 +107,12 @@ func (rs *runState) buildSuperstepJob(ss int64) (*hyracks.JobSpec, error) {
 	if rs.job.GroupBy == pregel.HashSortGroupBy {
 		gbKind = operators.HashSortGroupBy
 	}
-	comb := &msgCombiner{job: rs.job}
 	spec.AddOp(&hyracks.OperatorDesc{
 		ID:         "gb-local",
 		Partitions: p,
 		Locations:  locs,
 		NewRuntime: func(tc *hyracks.TaskContext) (hyracks.PushRuntime, error) {
-			return operators.NewGroupByRuntime(tc, gbKind, comb), nil
+			return operators.NewGroupByRuntime(tc, gbKind, newMsgCombiner(rs.job)), nil
 		},
 	})
 	spec.Connect(&hyracks.ConnectorDesc{From: "compute", FromPort: portMsgs, To: "gb-local", Type: hyracks.OneToOne})
@@ -132,7 +130,7 @@ func (rs *runState) buildSuperstepJob(ss int64) (*hyracks.JobSpec, error) {
 		Partitions: p,
 		Locations:  locs,
 		NewRuntime: func(tc *hyracks.TaskContext) (hyracks.PushRuntime, error) {
-			return operators.NewGroupByRuntime(tc, recvKind, comb), nil
+			return operators.NewGroupByRuntime(tc, recvKind, newMsgCombiner(rs.job)), nil
 		},
 	})
 	spec.Connect(&hyracks.ConnectorDesc{
@@ -188,33 +186,72 @@ func (rs *runState) buildSuperstepJob(ss int64) (*hyracks.JobSpec, error) {
 // Message payloads are encoded lists; without a user combiner, lists for
 // the same destination are concatenated (the default "gather into a
 // list" combine of the paper's footnote 4).
+//
+// One msgCombiner serves one group-by task: it decodes into message
+// Values it keeps, and every accumulator owns its payload, so that a
+// combine is Unmarshal, Combine and Marshal over the old payload with no
+// allocation, and never a write into the frame the payload came from.
 type msgCombiner struct {
-	job *pregel.Job
+	codec   *pregel.Codec
+	combine pregel.Combiner
+	// av and bv are the decoded lists of the accumulator and of the
+	// tuple folded into it, reused from Add to Add.
+	av, bv []pregel.Value
+	// arena is the unused tail of the chunk payload copies are cut from,
+	// chunk the size of the next one.
+	arena []byte
+	chunk int
 }
 
+// Chunks double from minArenaChunk, so that a task with a message or two
+// (most tasks of a sparse superstep) allocates next to nothing, up to
+// maxArenaChunk: a few thousand message payloads per allocation.
+const (
+	minArenaChunk = 256
+	maxArenaChunk = 64 << 10
+)
+
+func newMsgCombiner(job *pregel.Job) *msgCombiner {
+	return &msgCombiner{codec: &job.Codec, combine: job.Combiner}
+}
+
+// First keeps t's header and key and gives the accumulator a payload of
+// its own, with no spare capacity: what Add appends goes elsewhere.
 func (c *msgCombiner) First(t tuple.Tuple) tuple.Tuple {
-	return tuple.Tuple{t[0], t[1]}
+	n := len(t[1])
+	if n > len(c.arena) {
+		c.chunk = min(max(2*c.chunk, minArenaChunk), maxArenaChunk)
+		c.arena = make([]byte, max(n, c.chunk))
+	}
+	copy(c.arena, t[1])
+	t[1], c.arena = c.arena[:n:n], c.arena[n:]
+	return t
 }
 
 func (c *msgCombiner) Add(acc, t tuple.Tuple) tuple.Tuple {
-	if c.job.Combiner == nil {
+	if c.combine == nil {
 		acc[1] = pregel.AppendMsgLists(acc[1], t[1])
 		return acc
 	}
-	av, err := c.job.Codec.DecodeMsgList(acc[1])
+	var err error
+	if c.av, err = c.codec.DecodeMsgListInto(c.av, acc[1]); err == nil {
+		c.bv, err = c.codec.DecodeMsgListInto(c.bv, t[1])
+	}
 	if err != nil {
 		panic(fmt.Sprintf("pregelix: corrupt message list: %v", err))
 	}
-	bv, err := c.job.Codec.DecodeMsgList(t[1])
-	if err != nil {
-		panic(fmt.Sprintf("pregelix: corrupt message list: %v", err))
+	var m pregel.Value
+	for _, list := range [2][]pregel.Value{c.av, c.bv} {
+		for _, x := range list {
+			if m == nil {
+				m = x
+			} else {
+				m = c.combine.Combine(m, x)
+			}
+		}
 	}
-	all := append(av, bv...)
-	m := all[0]
-	for _, x := range all[1:] {
-		m = c.job.Combiner.Combine(m, x)
-	}
-	acc[1] = pregel.EncodeMsgList(m)
+	// Everything was decoded above, so the old payload can be overwritten.
+	acc[1] = pregel.AppendMsgList(acc[1][:0], m)
 	return acc
 }
 
@@ -515,7 +552,7 @@ func (c *computeSource) run(ctx context.Context) error {
 			return err
 		}
 		defer vidScan.close()
-		merged := newChooseMergeSource(msgs, vidScan)
+		merged := operators.NewChooseMerge(msgs, vidScan)
 		if err := operators.ProbeJoinLeftOuter(merged, ps.vertexIdx, emit); err != nil {
 			return err
 		}
@@ -661,6 +698,8 @@ type computeCtx struct {
 	agg        pregel.Value
 	vertexSent int
 	err        error
+
+	msgBuf []byte // SendMessage's encoding buffer; EmitFields copies out of it
 }
 
 func (c *computeCtx) Superstep() int64   { return c.ss }
@@ -684,7 +723,8 @@ func (c *computeCtx) Config(key string) string { return c.rs.job.Config[key] }
 func (c *computeCtx) SendMessage(to pregel.VertexID, m pregel.Value) {
 	var vid [8]byte
 	binary.BigEndian.PutUint64(vid[:], uint64(to))
-	if err := c.src.EmitFields(portMsgs, vid[:], pregel.EncodeMsgList(m)); err != nil && c.err == nil {
+	c.msgBuf = pregel.AppendMsgList(c.msgBuf[:0], m)
+	if err := c.src.EmitFields(portMsgs, vid[:], c.msgBuf); err != nil && c.err == nil {
 		c.err = err
 	}
 	c.vertexSent++
@@ -761,70 +801,5 @@ func (s *vidSource) Next() (tuple.Tuple, error) {
 func (s *vidSource) close() {
 	if s.cur != nil {
 		s.cur.Close()
-	}
-}
-
-// chooseMergeSource merges the Msg stream with the Vid stream by vid,
-// preferring the Msg tuple on ties — the Merge(choose()) operator of the
-// left-outer-join plan.
-type chooseMergeSource struct {
-	a, b     operators.TupleSource
-	at, bt   tuple.Tuple
-	ae, be   error
-	prefetch bool
-}
-
-func newChooseMergeSource(a, b operators.TupleSource) *chooseMergeSource {
-	return &chooseMergeSource{a: a, b: b}
-}
-
-func (m *chooseMergeSource) Next() (tuple.Tuple, error) {
-	if !m.prefetch {
-		m.at, m.ae = m.a.Next()
-		m.bt, m.be = m.b.Next()
-		m.prefetch = true
-	}
-	for {
-		switch {
-		case m.ae == nil && m.be == nil:
-			cmp := bytes.Compare(m.at[0], m.bt[0])
-			switch {
-			case cmp == 0:
-				t := m.at
-				m.at, m.ae = m.a.Next()
-				m.bt, m.be = m.b.Next()
-				return t, nil
-			case cmp < 0:
-				t := m.at
-				m.at, m.ae = m.a.Next()
-				return t, nil
-			default:
-				t := m.bt
-				m.bt, m.be = m.b.Next()
-				return t, nil
-			}
-		case m.ae == nil:
-			if m.be != io.EOF {
-				return nil, m.be
-			}
-			t := m.at
-			m.at, m.ae = m.a.Next()
-			return t, nil
-		case m.be == nil:
-			if m.ae != io.EOF {
-				return nil, m.ae
-			}
-			t := m.bt
-			m.bt, m.be = m.b.Next()
-			return t, nil
-		default:
-			if m.ae != io.EOF {
-				return nil, m.ae
-			}
-			if m.be != io.EOF {
-				return nil, m.be
-			}
-			return nil, io.EOF
-		}
 	}
 }

@@ -71,33 +71,48 @@ func (b *Budget) Allocate(n int64) error {
 	if n < 0 {
 		return fmt.Errorf("memory: negative allocation %d", n)
 	}
+	if full, used := b.charge(n); full != nil {
+		return fmt.Errorf("%w: budget %q used %d + %d > cap %d",
+			ErrOutOfMemory, full.name, used, n, full.capacity)
+	}
+	return nil
+}
+
+// charge charges n bytes to b and its ancestors, or to none of them: it
+// returns the budget that has no room (nil when all had) and what that
+// budget had in use.
+func (b *Budget) charge(n int64) (full *Budget, used int64) {
 	if b.parent != nil {
-		if err := b.parent.Allocate(n); err != nil {
-			return err
+		if full, used = b.parent.charge(n); full != nil {
+			return full, used
 		}
 	}
 	b.mu.Lock()
 	if b.capacity > 0 && b.used+n > b.capacity {
+		used = b.used
 		b.mu.Unlock()
 		if b.parent != nil {
 			b.parent.Release(n)
 		}
-		return fmt.Errorf("%w: budget %q used %d + %d > cap %d",
-			ErrOutOfMemory, b.name, b.used, n, b.capacity)
+		return b, used
 	}
 	b.used += n
 	if b.used > b.peak {
 		b.peak = b.used
 	}
 	b.mu.Unlock()
-	return nil
+	return nil, 0
 }
 
-// TryAllocate reports whether n bytes fit, charging them if so. It is a
-// convenience for spill decisions: operators that can spill call
-// TryAllocate and switch to disk when it returns false.
+// TryAllocate reports whether n bytes fit, charging them if so. It is
+// what spill decisions call: per new key in a hash group-by under
+// pressure, per frame in a sort, so a refusal builds no error.
 func (b *Budget) TryAllocate(n int64) bool {
-	return b.Allocate(n) == nil
+	if n < 0 {
+		return false
+	}
+	full, _ := b.charge(n)
+	return full == nil
 }
 
 // Release returns n bytes to the budget. Releasing more than allocated is

@@ -118,3 +118,27 @@ func TestTryAllocate(t *testing.T) {
 		t.Fatal("should not fit")
 	}
 }
+
+// A refusal is the common answer under memory pressure (every new key of
+// a hash group-by asks), so it must not build an error to throw away.
+func TestTryAllocateRefusalDoesNotAllocate(t *testing.T) {
+	root := NewBudget("root", 10)
+	child := root.Child("child", 100)
+	if !child.TryAllocate(10) {
+		t.Fatal("should fit")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if child.TryAllocate(1) { // refused by the parent
+			t.Fatal("should not fit")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("refused TryAllocate allocated %v times", allocs)
+	}
+	if root.Used() != 10 || child.Used() != 10 {
+		t.Fatalf("refusal changed usage: root %d child %d", root.Used(), child.Used())
+	}
+	if err := child.Allocate(1); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("Allocate: want ErrOutOfMemory, got %v", err)
+	}
+}

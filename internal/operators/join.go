@@ -112,55 +112,51 @@ func ProbeJoinLeftOuter(in TupleSource, idx storage.Index, emit JoinEmitter) err
 // the Merge(choose()) operator of the left-outer-join plan: a is the
 // combined Msg stream, b the Vid null-message stream, so a vertex that is
 // both live and addressed is processed once with its real messages.
-func ChooseMerge(a, b TupleSource, emit func(tuple.Tuple) error) error {
-	at, aerr := a.Next()
-	bt, berr := b.Next()
-	for {
-		switch {
-		case aerr == nil && berr == nil:
-			c := bytes.Compare(at[0], bt[0])
-			switch {
-			case c == 0:
-				if err := emit(at); err != nil {
-					return err
-				}
-				at, aerr = a.Next()
-				bt, berr = b.Next()
-			case c < 0:
-				if err := emit(at); err != nil {
-					return err
-				}
-				at, aerr = a.Next()
-			default:
-				if err := emit(bt); err != nil {
-					return err
-				}
-				bt, berr = b.Next()
-			}
-		case aerr == nil:
-			if berr != io.EOF {
-				return berr
-			}
-			if err := emit(at); err != nil {
-				return err
-			}
-			at, aerr = a.Next()
-		case berr == nil:
-			if aerr != io.EOF {
-				return aerr
-			}
-			if err := emit(bt); err != nil {
-				return err
-			}
-			bt, berr = b.Next()
-		default:
-			if aerr != io.EOF {
-				return aerr
-			}
-			if berr != io.EOF {
-				return berr
-			}
-			return nil
-		}
+type ChooseMerge struct {
+	a, b       TupleSource
+	at, bt     tuple.Tuple
+	aerr, berr error
+	started    bool
+}
+
+// NewChooseMerge returns the merge of a and b as a TupleSource.
+func NewChooseMerge(a, b TupleSource) *ChooseMerge {
+	return &ChooseMerge{a: a, b: b}
+}
+
+// Next returns the next tuple of the merged stream, or io.EOF once both
+// inputs have ended.
+func (m *ChooseMerge) Next() (tuple.Tuple, error) {
+	if !m.started {
+		m.at, m.aerr = m.a.Next()
+		m.bt, m.berr = m.b.Next()
+		m.started = true
 	}
+	// An input that failed ends the merge with its error; one that has
+	// ended lets the other through.
+	if m.aerr != nil && m.aerr != io.EOF {
+		return nil, m.aerr
+	}
+	if m.berr != nil && m.berr != io.EOF {
+		return nil, m.berr
+	}
+	if m.aerr != nil && m.berr != nil {
+		return nil, io.EOF
+	}
+	// Take from the input with the smaller key, from both when the keys
+	// are equal (a's tuple wins), from the other when one has ended.
+	takeA, takeB := m.berr != nil, m.aerr != nil
+	if !takeA && !takeB {
+		c := bytes.Compare(m.at[0], m.bt[0])
+		takeA, takeB = c <= 0, c >= 0
+	}
+	t := m.bt
+	if takeA {
+		t = m.at
+		m.at, m.aerr = m.a.Next()
+	}
+	if takeB {
+		m.bt, m.berr = m.b.Next()
+	}
+	return t, nil
 }

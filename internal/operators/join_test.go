@@ -2,6 +2,7 @@ package operators
 
 import (
 	"fmt"
+	"io"
 	"path/filepath"
 	"testing"
 
@@ -125,6 +126,22 @@ func TestProbeJoinLeftOuter(t *testing.T) {
 	}
 }
 
+// drainSource reads src to its end.
+func drainSource(t *testing.T, src TupleSource) []tuple.Tuple {
+	t.Helper()
+	var out []tuple.Tuple
+	for {
+		tp, err := src.Next()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, tp)
+	}
+}
+
 func TestChooseMergePrefersFirstSource(t *testing.T) {
 	msg := NewSliceSource([]tuple.Tuple{
 		{tuple.EncodeUint64(2), []byte("m2")},
@@ -136,12 +153,8 @@ func TestChooseMergePrefersFirstSource(t *testing.T) {
 		{tuple.EncodeUint64(5), nil},
 	})
 	var got []string
-	err := ChooseMerge(msg, vid, func(t tuple.Tuple) error {
-		got = append(got, fmt.Sprintf("%d:%s", tuple.DecodeUint64(t[0]), t[1]))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, tp := range drainSource(t, NewChooseMerge(msg, vid)) {
+		got = append(got, fmt.Sprintf("%d:%s", tuple.DecodeUint64(tp[0]), tp[1]))
 	}
 	want := []string{"1:", "2:m2", "4:m4", "5:"}
 	if len(got) != len(want) {
@@ -186,15 +199,9 @@ func TestFOJAndLOJAgreeOnLiveSet(t *testing.T) {
 			vidTuples = append(vidTuples, tuple.Tuple{tuple.EncodeUint64(v), nil})
 		}
 	}
-	var merged []tuple.Tuple
-	if err := ChooseMerge(msgsFor(msgVids...), NewSliceSource(vidTuples), func(t tuple.Tuple) error {
-		merged = append(merged, t)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	merged := NewChooseMerge(msgsFor(msgVids...), NewSliceSource(vidTuples))
 	lojSet := map[string]bool{}
-	err = ProbeJoinLeftOuter(NewSliceSource(merged), idx, func(vid, msg, vertex []byte) error {
+	err = ProbeJoinLeftOuter(merged, idx, func(vid, msg, vertex []byte) error {
 		v := tuple.DecodeUint64(vid)
 		lojSet[fmt.Sprintf("%d/%v", v, msg != nil)] = true
 		return nil

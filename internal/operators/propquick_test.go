@@ -96,14 +96,7 @@ func TestChooseMergeQuick(t *testing.T) {
 		}
 		at, akeys := mk('a')
 		bt, bkeys := mk('b')
-		var got []tuple.Tuple
-		err := ChooseMerge(NewSliceSource(at), NewSliceSource(bt), func(tp tuple.Tuple) error {
-			got = append(got, tp)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := drainSource(t, NewChooseMerge(NewSliceSource(at), NewSliceSource(bt)))
 		union := map[uint64]bool{}
 		for k := range akeys {
 			union[k] = true

@@ -1,6 +1,7 @@
 package pregel
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -197,6 +198,38 @@ func TestMsgListRoundTripAndAppend(t *testing.T) {
 	got, err = c.DecodeMsgList(nil)
 	if err != nil || got != nil {
 		t.Fatalf("nil: %v %v", got, err)
+	}
+}
+
+// The reusing forms: AppendMsgList encodes into the buffer it is given,
+// and DecodeMsgListInto decodes into the Values it is given, whether the
+// new list is longer or shorter than the last.
+func TestMsgListReuse(t *testing.T) {
+	c := testCodec()
+	a, b, d := Double(1), Double(2), Double(3)
+	buf := make([]byte, 0, 64)
+	three := AppendMsgList(buf, &a, &b, &d)
+	if &three[0] != &buf[:1][0] {
+		t.Fatal("AppendMsgList left a buffer with room unused")
+	}
+	if want := EncodeMsgList(&a, &b, &d); !bytes.Equal(three, want) {
+		t.Fatalf("AppendMsgList encodes %x, EncodeMsgList %x", three, want)
+	}
+	vals, err := c.DecodeMsgListInto(nil, three)
+	if err != nil || len(vals) != 3 {
+		t.Fatalf("three: %v %v", vals, err)
+	}
+	kept := vals[0]
+	vals, err = c.DecodeMsgListInto(vals, EncodeMsgList(&d))
+	if err != nil || len(vals) != 1 || *vals[0].(*Double) != 3 {
+		t.Fatalf("one after three: %v %v", vals, err)
+	}
+	if vals[0] != kept {
+		t.Fatal("DecodeMsgListInto made a Value where it had one")
+	}
+	vals, err = c.DecodeMsgListInto(vals, three)
+	if err != nil || len(vals) != 3 || *vals[0].(*Double) != 1 || *vals[2].(*Double) != 3 {
+		t.Fatalf("three after one: %v %v", vals, err)
 	}
 }
 

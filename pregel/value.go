@@ -21,7 +21,9 @@ import (
 type Value interface {
 	// Marshal appends the encoded value to dst and returns the result.
 	Marshal(dst []byte) []byte
-	// Unmarshal decodes the value from data.
+	// Unmarshal decodes the value from data, replacing whatever the
+	// receiver held (the engine decodes into values it reuses) and
+	// copying what it keeps: data is only valid during the call.
 	Unmarshal(data []byte) error
 }
 

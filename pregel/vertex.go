@@ -152,38 +152,61 @@ func (c *Codec) DecodeVertex(id VertexID, data []byte) (*Vertex, error) {
 // message is a one-element list.
 
 // EncodeMsgList serializes messages into one payload.
-func EncodeMsgList(msgs ...Value) []byte {
-	buf := appendU32(nil, uint32(len(msgs)))
+func EncodeMsgList(msgs ...Value) []byte { return AppendMsgList(nil, msgs...) }
+
+// AppendMsgList appends the encoded list of msgs to dst and returns the
+// result; with a reused dst the hot paths (one send, one combine) encode
+// without allocating.
+func AppendMsgList(dst []byte, msgs ...Value) []byte {
+	dst = appendU32(dst, uint32(len(msgs)))
 	for _, m := range msgs {
-		b := MarshalValue(m)
-		buf = appendU32(buf, uint32(len(b)))
-		buf = append(buf, b...)
+		at := len(dst)
+		dst = appendU32(dst, 0)
+		if m != nil {
+			dst = m.Marshal(dst)
+		}
+		binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
 	}
-	return buf
+	return dst
 }
 
-// AppendMsgLists concatenates two encoded message lists (the default
-// no-combiner behaviour: gather all messages for a destination).
+// AppendMsgLists appends the messages of list b to list a (the default
+// no-combiner behaviour: gather all messages for a destination). Like
+// append it writes into a's spare capacity, so a must be a list the
+// caller owns, and gathering a long list takes amortized linear time.
 func AppendMsgLists(a, b []byte) []byte {
-	na := binary.LittleEndian.Uint32(a)
-	nb := binary.LittleEndian.Uint32(b)
-	out := appendU32(nil, na+nb)
-	out = append(out, a[4:]...)
-	out = append(out, b[4:]...)
-	return out
+	n := binary.LittleEndian.Uint32(a) + binary.LittleEndian.Uint32(b)
+	a = append(a, b[4:]...)
+	binary.LittleEndian.PutUint32(a, n)
+	return a
 }
 
 // DecodeMsgList deserializes a message payload with the codec.
 func (c *Codec) DecodeMsgList(data []byte) ([]Value, error) {
+	return c.DecodeMsgListInto(nil, data)
+}
+
+// DecodeMsgListInto is DecodeMsgList into dst[:0]: it decodes into the
+// Values dst already holds (up to its capacity) and creates only the
+// missing ones, so a caller that keeps dst between calls decodes
+// without allocating. The Values of an earlier call are overwritten.
+func (c *Codec) DecodeMsgListInto(dst []Value, data []byte) ([]Value, error) {
+	have := dst[:cap(dst)]
+	dst = dst[:0]
 	if len(data) == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	if len(data) < 4 {
 		return nil, fmt.Errorf("pregel: message list too short")
 	}
 	n := int(binary.LittleEndian.Uint32(data))
+	if n > (len(data)-4)/4 { // every message has a 4-byte header
+		return nil, fmt.Errorf("pregel: message list of %d bytes claims %d messages", len(data), n)
+	}
+	if n > cap(dst) {
+		dst = make([]Value, 0, n)
+	}
 	off := 4
-	out := make([]Value, 0, n)
 	for i := 0; i < n; i++ {
 		if off+4 > len(data) {
 			return nil, fmt.Errorf("pregel: message %d header overruns", i)
@@ -193,14 +216,19 @@ func (c *Codec) DecodeMsgList(data []byte) ([]Value, error) {
 		if off+l > len(data) {
 			return nil, fmt.Errorf("pregel: message %d overruns", i)
 		}
-		m := c.NewMessage()
+		var m Value
+		if i < len(have) && have[i] != nil {
+			m = have[i]
+		} else {
+			m = c.NewMessage()
+		}
 		if err := m.Unmarshal(data[off : off+l]); err != nil {
 			return nil, err
 		}
 		off += l
-		out = append(out, m)
+		dst = append(dst, m)
 	}
-	return out, nil
+	return dst, nil
 }
 
 func appendU32(dst []byte, v uint32) []byte {
