@@ -2,9 +2,11 @@ package main
 
 // Shared cluster test harness. Two layers:
 //
-//   - startTestCluster: an in-process coordinator plus worker goroutines
-//     behind an httptest server, for API-surface tests that don't need
-//     process isolation (scale_test.go).
+//   - newTestServer / startTestCluster: the server over each backend —
+//     the single-process runtime, and an in-process coordinator plus
+//     worker goroutines — behind an httptest server, for API-surface
+//     tests that don't need process isolation. serveBackends lists both
+//     for the tests that must hold on either (serve_test.go).
 //   - startProcCluster: real `pregelix serve` / `pregelix worker` OS
 //     processes on loopback, for the e2e and chaos tests. The binary is
 //     built once per test run. Every listener is OS-assigned: the serve
@@ -246,9 +248,41 @@ func (c *procCluster) adoptServe(p *procServe) { c.serve = p }
 
 // ---- in-process harnesses ----
 
+// serveBackends are the two engines every conformance test runs
+// against, behind the one server. tune, when non-nil, adjusts the
+// server (queue bound, retention, state dir) before it takes requests.
+var serveBackends = []struct {
+	name  string
+	start func(t *testing.T, tune func(*server)) string
+	// statsKeys is the engine's own section of GET /stats.
+	statsKeys []string
+	// scaleCode is what GET /scale answers.
+	scaleCode int
+}{
+	{
+		name: "single",
+		start: func(t *testing.T, tune func(*server)) string {
+			// One slot, so a second job provably waits in the queue.
+			ts, _ := newTestServer(t, 1, tune)
+			return ts.URL
+		},
+		statsKeys: []string{"scheduler", "queued", "running", "cluster"},
+		scaleCode: http.StatusNotFound,
+	},
+	{
+		name: "cluster",
+		start: func(t *testing.T, tune func(*server)) string {
+			ts, _ := startTestCluster(t, 2, tune)
+			return ts.URL
+		},
+		statsKeys: []string{"workers", "standbys", "nodes", "recovery", "rebalance", "adaptive"},
+		scaleCode: http.StatusOK,
+	},
+}
+
 // newTestServer boots the single-process serve stack (simulated
 // runtime + JobManager) behind an httptest server.
-func newTestServer(t *testing.T) (*httptest.Server, *core.JobManager) {
+func newTestServer(t *testing.T, maxConcurrent int, tune func(*server)) (*httptest.Server, *core.JobManager) {
 	t.Helper()
 	rt, err := core.NewRuntime(core.Options{
 		BaseDir: t.TempDir(),
@@ -257,21 +291,42 @@ func newTestServer(t *testing.T) (*httptest.Server, *core.JobManager) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := core.NewJobManager(rt, core.JobManagerOptions{MaxConcurrentJobs: 2})
-	ts := httptest.NewServer(newServer(m))
+	m := core.NewJobManager(rt, core.JobManagerOptions{MaxConcurrentJobs: maxConcurrent})
+	s := newServer(localBackend{m})
+	if tune != nil {
+		tune(s)
+	}
+	ts := httptest.NewServer(s)
 	t.Cleanup(func() {
 		ts.Close()
+		cancelAllJobs(s)
 		m.Close()
 		rt.Close()
 	})
 	return ts, m
 }
 
+// cancelAllJobs cancels whatever a test left queued or running and
+// waits for it to end, so closing the engine does not wait for a
+// 100000-iteration job and no job outlives (and logs into) its test.
+func cancelAllJobs(s *server) {
+	jobs := s.snapshot()
+	for _, j := range jobs {
+		j.cancel()
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for _, j := range jobs {
+		for !j.terminal() && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
 // startTestCluster boots an in-process coordinator plus worker
-// goroutines and wraps them in the cluster HTTP server, so cluster API
-// endpoints are exercised against a real (single-address-space)
-// cluster without process-spawn cost.
-func startTestCluster(t *testing.T, workers int) (*httptest.Server, *core.Coordinator) {
+// goroutines and wraps them in the server, so the cluster backend is
+// exercised against a real (single-address-space) cluster without
+// process-spawn cost.
+func startTestCluster(t *testing.T, workers int, tune func(*server)) (*httptest.Server, *core.Coordinator) {
 	t.Helper()
 	coord, err := core.NewCoordinator(core.CoordinatorConfig{
 		ListenAddr: "127.0.0.1:0",
@@ -302,8 +357,15 @@ func startTestCluster(t *testing.T, workers int) (*httptest.Server, *core.Coordi
 	if err := coord.WaitReady(readyCtx); err != nil {
 		t.Fatalf("cluster never became ready: %v", err)
 	}
-	ts := httptest.NewServer(newClusterServer(coord))
-	t.Cleanup(ts.Close)
+	s := newServer(newClusterBackend(coord, ""))
+	if tune != nil {
+		tune(s)
+	}
+	ts := httptest.NewServer(s)
+	t.Cleanup(func() {
+		ts.Close()
+		cancelAllJobs(s)
+	})
 	return ts, coord
 }
 

@@ -20,7 +20,7 @@ import (
 // POST /scale drains a worker; and the refusal paths (unknown worker,
 // last worker, bad body) answer with clean HTTP errors.
 func TestScaleEndpoint(t *testing.T) {
-	ts, coord := startTestCluster(t, 2)
+	ts, coord := startTestCluster(t, 2, nil)
 
 	var sv scaleView
 	getJSON(t, ts.URL+"/scale", &sv)
@@ -68,7 +68,7 @@ func TestScaleEndpoint(t *testing.T) {
 	}
 
 	// The same event log rides /stats.
-	var stats clusterStatsView
+	stats := statsView{clusterStats: &clusterStats{}}
 	getJSON(t, ts.URL+"/stats", &stats)
 	if len(stats.Rebalance) == 0 {
 		t.Fatalf("stats carry no rebalance events: %+v", stats)

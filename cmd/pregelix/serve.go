@@ -7,28 +7,29 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
 
-	"pregelix/internal/delta"
-
 	"pregelix/internal/core"
+	"pregelix/internal/delta"
 	"pregelix/internal/hyracks"
 	"pregelix/internal/tuple"
 	"pregelix/pregel"
 	"pregelix/pregel/algorithms"
 )
 
-// serveMain runs the multi-tenant serving mode: one shared simulated
-// cluster, an admission-controlled JobManager, and an HTTP API for
-// concurrent job submission, status polling, cancellation, file
-// transfer and cluster metrics.
+// serveMain runs the always-on serving mode: one HTTP server and job
+// table over one engine — the single-process runtime under admission
+// control, or with -workers N a coordinator scheduling every job across
+// `pregelix worker` processes (backend.go).
 func serveMain(args []string) {
 	fs := flag.NewFlagSet("pregelix serve", flag.ExitOnError)
 	var (
@@ -55,6 +56,21 @@ func serveMain(args []string) {
 		fatal(err)
 	}
 
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	shutdown := make(chan struct{})
+	go func() {
+		<-stop
+		close(shutdown)
+	}()
+
+	var (
+		be     backend
+		lease  *core.Lease
+		banner string
+		// maxLive bounds queued plus running jobs (0 = unbounded).
+		maxLive = *maxQueued
+	)
 	if *workers > 0 {
 		// Cluster mode: machines come from the registered workers, jobs
 		// run one at a time across the whole cluster, and files live in
@@ -72,103 +88,207 @@ func serveMain(args []string) {
 		if *standbyCC && *stateDir == "" {
 			fatal(errors.New("pregelix serve: -standby-cc requires -state-dir (the lease lives there)"))
 		}
-		serveCluster(clusterOptions{
-			listen:        *listen,
-			workers:       *workers,
-			partitions:    *partitions,
-			ram:           *ram,
-			clusterListen: *clusterListen,
-			maxQueued:     *maxQueued,
-			replaceWait:   *replaceWait,
-			stateDir:      *stateDir,
-			standby:       *standbyCC,
-			leaseInterval: *leaseInterval,
-			adaptive:      *adaptive,
+		if *stateDir != "" {
+			if lease = holdLease(*stateDir, *standbyCC, *leaseInterval, shutdown); lease == nil {
+				return
+			}
+			defer lease.Release()
+		}
+		coord, err := core.NewCoordinator(core.CoordinatorConfig{
+			ListenAddr:        *clusterListen,
+			Workers:           *workers,
+			PartitionsPerNode: *partitions,
+			RAMBytes:          *ram,
+			ReplaceWait:       *replaceWait,
+			StateDir:          *stateDir,
+			Adaptive:          core.AdaptiveOptions{Enabled: *adaptive},
+			Logf: func(format string, args ...any) {
+				fmt.Fprintf(os.Stderr, "pregelix "+format+"\n", args...)
+			},
 		})
-		return
-	}
-	if *stateDir != "" || *standbyCC {
-		fatal(errors.New("pregelix serve: -state-dir and -standby-cc require cluster mode (-workers N)"))
-	}
-	if *adaptive {
-		fatal(errors.New("pregelix serve: -adaptive requires cluster mode (-workers N); the single-process runtime replans per superstep already"))
-	}
-
-	dir := *baseDir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "pregelix-serve-")
 		if err != nil {
 			fatal(err)
 		}
-		defer os.RemoveAll(dir)
+		defer coord.Close()
+		be = newClusterBackend(coord, *stateDir)
+		banner = fmt.Sprintf("cluster mode — waiting for %d workers on %s", *workers, coord.Addr())
+	} else {
+		if *stateDir != "" || *standbyCC {
+			fatal(errors.New("pregelix serve: -state-dir and -standby-cc require cluster mode (-workers N)"))
+		}
+		if *adaptive {
+			fatal(errors.New("pregelix serve: -adaptive requires cluster mode (-workers N); the single-process runtime replans per superstep already"))
+		}
+		dir := *baseDir
+		if dir == "" {
+			dir, err = os.MkdirTemp("", "pregelix-serve-")
+			if err != nil {
+				fatal(err)
+			}
+			defer os.RemoveAll(dir)
+		}
+		rt, err := core.NewRuntime(core.Options{
+			BaseDir:           dir,
+			Nodes:             *nodes,
+			PartitionsPerNode: *partitions,
+			NodeConfig:        hyracks.NodeConfig{RAMBytes: *ram},
+			Compress:          mode,
+		})
+		if err != nil {
+			fatal(err)
+		}
+		defer rt.Close()
+		m := core.NewJobManager(rt, core.JobManagerOptions{MaxConcurrentJobs: *maxConcurrent})
+		defer m.Close()
+		be = localBackend{m}
+		if maxLive > 0 {
+			maxLive += *maxConcurrent
+		}
+		banner = fmt.Sprintf("%d machines, %d concurrent jobs", *nodes, *maxConcurrent)
 	}
-	rt, err := core.NewRuntime(core.Options{
-		BaseDir:           dir,
-		Nodes:             *nodes,
-		PartitionsPerNode: *partitions,
-		NodeConfig:        hyracks.NodeConfig{RAMBytes: *ram},
-		Compress:          mode,
-	})
+
+	s := newServer(be)
+	s.maxLive, s.stateDir = maxLive, *stateDir
+	resume := s.loadState()
+
+	// Bind explicitly so -listen :0 works and the printed address is the
+	// real one (the process test harness parses this line).
+	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		fatal(err)
 	}
-	defer rt.Close()
-
-	m := core.NewJobManager(rt, core.JobManagerOptions{
-		MaxConcurrentJobs: *maxConcurrent,
-		MaxQueuedJobs:     *maxQueued,
-	})
-	srv := &http.Server{Addr: *listen, Handler: newServer(m)}
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	srv := &http.Server{Handler: s}
 	go func() {
-		<-stop
+		<-shutdown
 		fmt.Fprintln(os.Stderr, "pregelix serve: draining")
-		m.Close()
 		srv.Close()
 	}()
+	if lease != nil {
+		renewDone := make(chan struct{})
+		defer close(renewDone)
+		go func() {
+			tick := time.NewTicker(lease.Interval() / 2)
+			defer tick.Stop()
+			for {
+				select {
+				case <-renewDone:
+					return
+				case <-tick.C:
+				}
+				if err := lease.Renew(); err != nil {
+					fmt.Fprintf(os.Stderr, "pregelix serve: coordinator lease lost (%v) — stepping down\n", err)
+					srv.Close()
+					return
+				}
+			}
+		}()
+	}
+	if *stateDir != "" {
+		go s.resumeRestored(resume)
+	}
 
-	fmt.Fprintf(os.Stderr, "pregelix serve: %d machines, %d concurrent jobs, listening on %s\n",
-		*nodes, *maxConcurrent, *listen)
-	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+	fmt.Fprintf(os.Stderr, "pregelix serve: %s, HTTP on %s\n", banner, ln.Addr())
+	if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 		fatal(err)
 	}
 }
 
-// server is the HTTP API over one shared JobManager. It is separate
-// from serveMain so tests can drive it through httptest.
-type server struct {
-	m   *core.JobManager
-	mux *http.ServeMux
-
-	// dmu guards the per-job streaming-ingest state: the submission
-	// request kept for rebuilding the program on each delta refresh, and
-	// the mutation tracker (journal + background refresher).
-	dmu    sync.Mutex
-	reqs   map[int64]jobRequest
-	deltas map[int64]*deltaTracker
+// holdLease guards coordinatorship of stateDir with a lease file: the
+// primary renews it, a standby parks here until the record lapses, and
+// a fenced zombie steps down when Renew fails. It returns nil when a
+// standby was told to stop before the lease came its way.
+func holdLease(stateDir string, standby bool, interval time.Duration, shutdown <-chan struct{}) *core.Lease {
+	if err := os.MkdirAll(stateDir, 0o755); err != nil {
+		fatal(err)
+	}
+	leasePath := filepath.Join(stateDir, "cc.lease")
+	host, _ := os.Hostname()
+	holder := fmt.Sprintf("%s/%d", host, os.Getpid())
+	if standby {
+		fmt.Fprintf(os.Stderr, "pregelix serve: standby — watching coordinator lease %s\n", leasePath)
+		lease, err := core.WaitForLease(shutdown, leasePath, holder, interval)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "pregelix serve: standby stopped: %v\n", err)
+			return nil
+		}
+		fmt.Fprintf(os.Stderr, "pregelix serve: lease acquired (epoch %d) — assuming coordinator role\n", lease.Epoch())
+		return lease
+	}
+	lease, err := core.AcquireLease(leasePath, holder, interval)
+	if errors.Is(err, core.ErrLeaseHeld) {
+		// A coordinator that was SIGKILLed leaves a fresh-looking
+		// record behind; a restart should wait out the staleness
+		// window (3 renewal intervals), not fail. A genuinely live
+		// holder keeps renewing and keeps us parked — which is the
+		// mutual exclusion working.
+		fmt.Fprintf(os.Stderr, "pregelix serve: %v — waiting for it to lapse\n", err)
+		lease, err = core.WaitForLease(shutdown, leasePath, holder, interval)
+	}
+	if err != nil {
+		fatal(err)
+	}
+	return lease
 }
 
-func newServer(m *core.JobManager) *server {
+// maxRetainedJobs is how many finished jobs the table keeps; queued and
+// running jobs are never evicted.
+const maxRetainedJobs = 1024
+
+// server is the HTTP API and the job table. Everything that runs,
+// stores or reads a graph sits behind its backend.
+type server struct {
+	be  backend
+	mux *http.ServeMux
+	// maxLive bounds queued plus running jobs (0 = unbounded).
+	maxLive int
+	// retain is maxRetainedJobs, lowered by tests.
+	retain int
+	// stateDir, when set, backs the table with disk (serve_state.go) so
+	// a controller restart resumes it; saveMu serializes the writes.
+	stateDir string
+	saveMu   sync.Mutex
+
+	mu     sync.Mutex
+	jobs   map[int64]*job
+	order  []int64
+	nextID int64
+
+	// trackerMu serializes opening a job's ingest tracker.
+	trackerMu sync.Mutex
+}
+
+func newServer(be backend) *server {
 	s := &server{
-		m:      m,
+		be:     be,
 		mux:    http.NewServeMux(),
-		reqs:   make(map[int64]jobRequest),
-		deltas: make(map[int64]*deltaTracker),
+		retain: maxRetainedJobs,
+		jobs:   make(map[int64]*job),
 	}
 	s.mux.HandleFunc("/jobs", s.handleJobs)
 	s.mux.HandleFunc("/jobs/", s.handleJob)
 	s.mux.HandleFunc("/files/", s.handleFiles)
 	s.mux.HandleFunc("/stats", s.handleStats)
-	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
+	s.mux.HandleFunc("/scale", s.handleScale)
+	s.mux.HandleFunc("/healthz", s.handleHealth)
 	return s
 }
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+
+// handleHealth answers 503 until the engine can run jobs. In cluster
+// mode a lost worker is recoverable — the next job submission repairs
+// the topology (standby adoption or redistribution over survivors), and
+// a running checkpointed job rolls back and resumes on its own — so
+// only a cluster that cannot run anything (every worker gone, no
+// standby parked) reports unhealthy. GET /stats carries the
+// recovery-event log for the partial-failure picture.
+func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
+	if err := s.be.health(); err != nil {
+		httpError(w, http.StatusServiceUnavailable, "%v", err)
+		return
+	}
+	fmt.Fprintln(w, "ok")
+}
 
 // jobRequest is the POST /jobs submission body.
 type jobRequest struct {
@@ -200,6 +320,109 @@ type jobRequest struct {
 	Epsilon float64 `json:"epsilon"`
 	// K is the core order for kcore (0 = default 3).
 	K int `json:"k"`
+}
+
+// job is one row of the table: a submission followed from the queue to
+// its sealed, refreshable result.
+type job struct {
+	id int64
+	// spec/req are the submission as posted and as parsed, kept so the
+	// workers, a restarted controller and every delta refresh rebuild
+	// the same program.
+	spec []byte
+	req  jobRequest
+	// ctx is the submission's lifetime; DELETE cancels it whether the
+	// job is queued, running or waiting to be resumed.
+	ctx    context.Context
+	cancel context.CancelFunc
+	// name is the execution name the backend assigned at admission; the
+	// first sealed result version carries it.
+	name string
+
+	mu        sync.Mutex
+	state     string // queued | running | done | failed | canceled
+	errText   string
+	stats     *core.JobStats
+	opMem     int64
+	submitted time.Time
+	started   time.Time
+	finished  time.Time
+	// liveSupersteps tracks progress while the job runs (fed by the
+	// coordinator's per-superstep callback), so pollers — and the
+	// fault-injection harness timing its kills — see movement before the
+	// final stats land.
+	liveSupersteps int64
+	// deltaVersion is the latest sealed streaming-ingest version, kept
+	// here (and persisted) so a restarted controller chains the next
+	// refresh from it rather than from the original job name.
+	deltaVersion string
+	// tracker is the mutation journal and background refresher, opened
+	// by the first POST /jobs/{id}/mutations.
+	tracker *deltaTracker
+}
+
+func (j *job) progress(ss int64) {
+	j.mu.Lock()
+	j.liveSupersteps = ss
+	j.mu.Unlock()
+}
+
+// begin marks the job as holding an execution slot, with the
+// operator-memory carve it runs under (0 = the nodes' whole budget).
+func (j *job) begin(opMem int64) {
+	j.mu.Lock()
+	j.state, j.started, j.opMem = "running", time.Now(), opMem
+	j.mu.Unlock()
+}
+
+func (j *job) finish(stats *core.JobStats, err error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.finished = time.Now()
+	j.stats = stats
+	switch {
+	case err == nil:
+		j.state = "done"
+	case errors.Is(err, context.Canceled):
+		j.state = "canceled"
+		j.errText = err.Error()
+	default:
+		j.state = "failed"
+		j.errText = err.Error()
+	}
+}
+
+func (j *job) terminal() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state != "queued" && j.state != "running"
+}
+
+// sealed reports the version queries should read, or the state of a job
+// that has no sealed result yet.
+func (j *job) sealed() (version, state string) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.versionLocked(), j.state
+}
+
+// versionLocked is the job's current sealed version — the latest delta
+// seal if there is one, else the job's own, "" until it is done. A job
+// restored as "done" has no stats but its sealed result is still
+// queryable, so this goes by the state. The caller holds j.mu.
+func (j *job) versionLocked() string {
+	switch {
+	case j.state != "done":
+		return ""
+	case j.tracker != nil:
+		return j.tracker.currentVersion()
+	case j.deltaVersion != "":
+		// A restored controller may not have re-opened the tracker yet;
+		// the registry's last sealed delta version routes queries until
+		// it does.
+		return j.deltaVersion
+	}
+	return j.name
 }
 
 // jobView is the status representation returned by the job endpoints.
@@ -246,89 +469,164 @@ type jobView struct {
 	DeltaError string `json:"deltaError,omitempty"`
 }
 
-// fillNetwork sums a job's connector traffic into the view.
-func (v *jobView) fillNetwork(stats *core.JobStats) {
-	for _, ss := range stats.SuperstepStats {
-		v.NetworkBytes += ss.NetworkBytes
-		v.NetworkWireBytes += ss.NetworkWireBytes
-		v.NetworkWireRawBytes += ss.NetworkWireRawBytes
-	}
-	if v.NetworkWireBytes > 0 {
-		v.CompressionRatio = float64(v.NetworkWireRawBytes) / float64(v.NetworkWireBytes)
-	}
-}
-
-func (s *server) view(h *core.JobHandle) jobView {
-	st := h.Status()
+// view is the job's status as the job endpoints report it.
+func (j *job) view() jobView {
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	v := jobView{
-		ID:          st.ID,
-		Name:        h.Name(),
-		State:       st.State.String(),
-		Error:       st.Err,
-		OperatorMem: st.OperatorMem,
-		QueueWaitMS: float64(st.QueueWait) / float64(time.Millisecond),
-		RunTimeMS:   float64(st.RunTime) / float64(time.Millisecond),
+		ID:          j.id,
+		Name:        j.name,
+		State:       j.state,
+		Error:       j.errText,
+		OperatorMem: j.opMem,
+		Supersteps:  j.liveSupersteps,
 	}
-	if stats, err := h.Result(); stats != nil {
-		v.Supersteps = stats.Supersteps
-		v.Messages = stats.TotalMessages
-		v.Vertices = stats.FinalState.NumVertices
-		v.Checkpoints = stats.Checkpoints
-		v.Recoveries = stats.Recoveries
-		v.fillNetwork(stats)
-		v.Version = h.Name()
-	} else if err != nil && v.Error == "" {
-		v.Error = err.Error()
+	// Whatever clock has not stopped yet runs to now; a job restored
+	// from a previous controller's registry has no clocks at all.
+	end := j.finished
+	if end.IsZero() {
+		end = time.Now()
 	}
-	if d := s.delta(h.ID()); d != nil {
-		v.Version, v.DeltaSeq, v.Refreshing, v.DeltaError = d.status()
+	switch {
+	case !j.started.IsZero():
+		v.QueueWaitMS = float64(j.started.Sub(j.submitted)) / float64(time.Millisecond)
+		v.RunTimeMS = float64(end.Sub(j.started)) / float64(time.Millisecond)
+	case !j.submitted.IsZero():
+		v.QueueWaitMS = float64(end.Sub(j.submitted)) / float64(time.Millisecond)
+	}
+	if j.stats != nil {
+		v.Supersteps = j.stats.Supersteps
+		v.Messages = j.stats.TotalMessages
+		v.Vertices = j.stats.FinalState.NumVertices
+		v.Checkpoints = j.stats.Checkpoints
+		v.Recoveries = j.stats.Recoveries
+		v.Rebalances = j.stats.Rebalances
+		var n networkView
+		n.add(j.stats)
+		v.NetworkBytes, v.NetworkWireBytes, v.NetworkWireRawBytes = n.PayloadBytes, n.WireBytes, n.WireRawBytes
+		v.CompressionRatio = n.ratio()
+	}
+	v.Version = j.versionLocked()
+	if j.tracker != nil {
+		v.Version, v.DeltaSeq, v.Refreshing, v.DeltaError = j.tracker.status()
 	}
 	return v
 }
 
-// delta returns the job's ingest tracker, nil if no mutations were ever
-// posted against it.
-func (s *server) delta(id int64) *deltaTracker {
-	s.dmu.Lock()
-	defer s.dmu.Unlock()
-	return s.deltas[id]
+// snapshot lists the table in submission order.
+func (s *server) snapshot() []*job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	jobs := make([]*job, 0, len(s.order))
+	for _, id := range s.order {
+		jobs = append(jobs, s.jobs[id])
+	}
+	return jobs
 }
+
+// errNoInput marks a submission the engine refuses because its input
+// was never uploaded: the client's mistake (400), unlike a full or
+// closing engine (503).
+var errNoInput = errors.New("input not uploaded")
 
 func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 		out := []jobView{} // [] rather than null when no jobs exist
-		for _, h := range s.m.Jobs() {
-			out = append(out, s.view(h))
+		for _, j := range s.snapshot() {
+			out = append(out, j.view())
 		}
 		writeJSON(w, http.StatusOK, out)
 	case http.MethodPost:
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
 		var req jobRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.Unmarshal(body, &req); err != nil {
 			httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 			return
 		}
-		job, err := buildServeJob(&req)
+		pj, err := buildServeJob(&req)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		// The job outlives the HTTP request, so it must not run under
 		// the request context.
-		h, err := s.m.Submit(context.Background(), job)
+		ctx, cancel := context.WithCancel(context.Background())
+		j := &job{spec: body, req: req, ctx: ctx, cancel: cancel, state: "queued", submitted: time.Now()}
+		s.mu.Lock()
+		if s.maxLive > 0 {
+			if live := s.liveLocked(); live >= s.maxLive {
+				s.mu.Unlock()
+				cancel()
+				httpError(w, http.StatusServiceUnavailable, "job queue full: %d jobs in flight", live)
+				return
+			}
+		}
+		j.id = s.nextID + 1
+		run, err := s.be.admit(j, pj, false)
 		if err != nil {
-			httpError(w, http.StatusServiceUnavailable, "%v", err)
+			s.mu.Unlock()
+			cancel()
+			code := http.StatusServiceUnavailable
+			if errors.Is(err, errNoInput) {
+				code = http.StatusBadRequest
+			}
+			httpError(w, code, "%v", err)
 			return
 		}
-		// Keep the request so a later delta refresh can rebuild the same
-		// program against the sealed result.
-		s.dmu.Lock()
-		s.reqs[h.ID()] = req
-		s.dmu.Unlock()
-		writeJSON(w, http.StatusAccepted, s.view(h))
+		s.nextID = j.id
+		s.jobs[j.id] = j
+		s.order = append(s.order, j.id)
+		s.mu.Unlock()
+		s.saveState()
+
+		go s.run(j, run)
+		writeJSON(w, http.StatusAccepted, j.view())
 	default:
 		httpError(w, http.StatusMethodNotAllowed, "GET or POST /jobs")
 	}
+}
+
+// liveLocked counts queued and running jobs; the caller holds s.mu.
+func (s *server) liveLocked() int {
+	live := 0
+	for _, j := range s.jobs {
+		if !j.terminal() {
+			live++
+		}
+	}
+	return live
+}
+
+// run carries an admitted job to its terminal state, then trims the
+// table: only the newest s.retain finished jobs stay listed, queryable
+// and persisted.
+func (s *server) run(j *job, run func() (*core.JobStats, error)) {
+	j.finish(run())
+	j.cancel()
+	s.mu.Lock()
+	finished := 0
+	for _, id := range s.order {
+		if s.jobs[id].terminal() {
+			finished++
+		}
+	}
+	kept := s.order[:0]
+	for _, id := range s.order {
+		if finished > s.retain && s.jobs[id].terminal() {
+			delete(s.jobs, id)
+			finished--
+			continue
+		}
+		kept = append(kept, id)
+	}
+	s.order = kept
+	s.mu.Unlock()
+	s.saveState()
 }
 
 func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -338,25 +636,27 @@ func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad job id %q", idStr)
 		return
 	}
-	h := s.m.Job(id)
-	if h == nil {
+	s.mu.Lock()
+	j := s.jobs[id]
+	s.mu.Unlock()
+	if j == nil {
 		httpError(w, http.StatusNotFound, "no job %d", id)
 		return
 	}
 	if sub == "mutations" {
-		s.handleMutations(w, r, h)
+		s.handleMutations(w, r, j)
 		return
 	}
 	if sub != "" {
-		s.handleJobQuery(w, r, h, sub)
+		s.handleJobQuery(w, r, j, sub)
 		return
 	}
 	switch r.Method {
 	case http.MethodGet:
-		writeJSON(w, http.StatusOK, s.view(h))
+		writeJSON(w, http.StatusOK, j.view())
 	case http.MethodDelete:
-		h.Cancel()
-		writeJSON(w, http.StatusOK, s.view(h))
+		j.cancel()
+		writeJSON(w, http.StatusOK, j.view())
 	default:
 		httpError(w, http.StatusMethodNotAllowed, "GET or DELETE /jobs/{id}")
 	}
@@ -368,110 +668,22 @@ func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 //	GET /jobs/{id}/topk?by=value&k=N     — global top-k by vertex value
 //	GET /jobs/{id}/neighbors/{vid}?hops=K — k-hop neighborhood expansion
 //
-// Answers come straight from the job's retained partition B-trees (no
+// Answers come straight from the job's sealed partition B-trees (no
 // dump read); a query row's "line" field is byte-identical to the row
 // the dump would have written. Only the latest successful run of a job
 // name is queryable — a re-submission seals a new result version and
-// retires this one once in-flight queries drain.
-func (s *server) handleJobQuery(w http.ResponseWriter, r *http.Request, h *core.JobHandle, sub string) {
+// retires this one once in-flight queries drain — and delta refreshes
+// advance the version under the same job id.
+func (s *server) handleJobQuery(w http.ResponseWriter, r *http.Request, j *job, sub string) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "GET /jobs/{id}/{vertices|topk|neighbors}")
 		return
 	}
-	if stats, err := h.Result(); stats == nil || err != nil {
-		httpError(w, http.StatusConflict, "job %d has no queryable result (state %s)", h.ID(), h.State())
+	version, state := j.sealed()
+	if version == "" {
+		httpError(w, http.StatusConflict, "job %d has no queryable result (state %s)", j.id, state)
 		return
 	}
-	// Delta refreshes advance the sealed version under the same job id;
-	// always serve from the latest seal.
-	version := h.Name()
-	if d := s.delta(h.ID()); d != nil {
-		version = d.currentVersion()
-	}
-	serveQuery(w, r, sub, storeQuerier{s.m.Runtime().Queries(), version})
-}
-
-// handleMutations is the streaming-ingest endpoint: POST NDJSON
-// mutation lines against a completed job. The batch is journaled
-// durably (202 + its sequence number), then a background refresher
-// clones the sealed partitions, applies every outstanding batch and
-// runs delta supersteps until convergence; queries keep answering from
-// the pre-delta version until the refreshed result seals. 409 until the
-// base job has a sealed result to mutate.
-func (s *server) handleMutations(w http.ResponseWriter, r *http.Request, h *core.JobHandle) {
-	if stats, err := h.Result(); stats == nil || err != nil {
-		httpError(w, http.StatusConflict, "job %d has no sealed result to mutate (state %s)", h.ID(), h.State())
-		return
-	}
-	s.dmu.Lock()
-	d := s.deltas[h.ID()]
-	if d == nil {
-		req, ok := s.reqs[h.ID()]
-		if !ok {
-			s.dmu.Unlock()
-			httpError(w, http.StatusConflict, "job %d predates this server instance", h.ID())
-			return
-		}
-		store := core.DFSStore(s.m.Runtime().DFS)
-		refresh := func(fromVersion, name string, seq uint64, muts []delta.Mutation) error {
-			job, err := buildServeJob(&req)
-			if err != nil {
-				return err
-			}
-			dh, err := s.m.SubmitDelta(context.Background(), job, fromVersion, seq, muts)
-			if err != nil {
-				return err
-			}
-			_, err = dh.Wait(context.Background())
-			return err
-		}
-		var err error
-		d, err = newDeltaTracker(store, fmt.Sprintf("/delta/j%d", h.ID()), h.Name(), refresh)
-		if err != nil {
-			s.dmu.Unlock()
-			httpError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		s.deltas[h.ID()] = d
-	}
-	s.dmu.Unlock()
-	serveMutations(w, r, d)
-}
-
-// querier abstracts the two query backends the HTTP layer serves from:
-// the single-process runtime's QueryStore and the cluster coordinator's
-// fan-out path. The version is bound in by the caller.
-type querier interface {
-	Point(vid uint64) (core.VertexQueryResult, error)
-	TopK(k int) ([]core.TopKEntry, error)
-	KHop(source uint64, hops int) (*core.KHopResult, error)
-}
-
-// storeQuerier serves one result version from the single-process
-// runtime's QueryStore.
-type storeQuerier struct {
-	s       *core.QueryStore
-	version string
-}
-
-func (q storeQuerier) Point(vid uint64) (core.VertexQueryResult, error) {
-	out, err := q.s.Point(q.version, []uint64{vid})
-	if err != nil {
-		return core.VertexQueryResult{}, err
-	}
-	return out[0], nil
-}
-
-func (q storeQuerier) TopK(k int) ([]core.TopKEntry, error) {
-	return q.s.TopK(q.version, k)
-}
-
-func (q storeQuerier) KHop(source uint64, hops int) (*core.KHopResult, error) {
-	return q.s.KHop(q.version, source, hops)
-}
-
-// serveQuery routes one query sub-path against a version-bound querier.
-func serveQuery(w http.ResponseWriter, r *http.Request, sub string, q querier) {
 	writeQueryErr := func(err error) {
 		if errors.Is(err, core.ErrNoResult) {
 			httpError(w, http.StatusNotFound, "%v", err)
@@ -486,7 +698,7 @@ func serveQuery(w http.ResponseWriter, r *http.Request, sub string, q querier) {
 			httpError(w, http.StatusBadRequest, "bad vertex id %q", strings.TrimPrefix(sub, "vertices/"))
 			return
 		}
-		res, err := q.Point(vid)
+		res, err := s.be.QueryVertex(r.Context(), version, vid)
 		if err != nil {
 			writeQueryErr(err)
 			return
@@ -510,7 +722,7 @@ func serveQuery(w http.ResponseWriter, r *http.Request, sub string, q querier) {
 			}
 			k = n
 		}
-		entries, err := q.TopK(k)
+		entries, err := s.be.QueryTopK(r.Context(), version, k)
 		if err != nil {
 			writeQueryErr(err)
 			return
@@ -531,7 +743,7 @@ func serveQuery(w http.ResponseWriter, r *http.Request, sub string, q querier) {
 			}
 			hops = n
 		}
-		res, err := q.KHop(vid, hops)
+		res, err := s.be.QueryKHop(r.Context(), version, vid, hops)
 		if err != nil {
 			writeQueryErr(err)
 			return
@@ -546,32 +758,87 @@ func serveQuery(w http.ResponseWriter, r *http.Request, sub string, q querier) {
 	}
 }
 
-// handleFiles moves graph/result files in and out of the cluster DFS.
+// handleMutations is the streaming-ingest endpoint: POST NDJSON
+// mutation lines against a completed job. The batch is journaled
+// durably (202 + its sequence number), then a background refresher
+// clones the sealed partitions, applies every outstanding batch and
+// runs delta supersteps until convergence; queries keep answering from
+// the pre-delta version until the refreshed result seals. 409 until the
+// base job has a sealed result to mutate.
+func (s *server) handleMutations(w http.ResponseWriter, r *http.Request, j *job) {
+	if version, state := j.sealed(); version == "" {
+		httpError(w, http.StatusConflict, "job %d has no sealed result to mutate (state %s)", j.id, state)
+		return
+	}
+	d, err := s.trackerFor(j)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	serveMutations(w, r, d)
+}
+
+// trackerFor returns the job's ingest tracker, opening it on first use.
+// The opened tracker resumes the version chain from the engine's
+// re-adopted catalog when it names a chained version of this job, then
+// from the persisted registry, then from the job name — so a refresh
+// after a controller restart clones the latest sealed version instead
+// of re-deriving everything from the original result.
+func (s *server) trackerFor(j *job) (*deltaTracker, error) {
+	s.trackerMu.Lock()
+	defer s.trackerMu.Unlock()
+	j.mu.Lock()
+	d, ver := j.tracker, j.name
+	if j.deltaVersion != "" {
+		ver = j.deltaVersion
+	}
+	j.mu.Unlock()
+	if d != nil {
+		return d, nil
+	}
+	if v, ok := s.be.LatestVersion(j.name); ok && (v == j.name || strings.HasPrefix(v, j.name+"@d")) {
+		ver = v
+	}
+	refresh := func(fromVersion, name string, seq uint64, muts []delta.Mutation) error {
+		req := j.req
+		pj, err := buildServeJob(&req)
+		if err != nil {
+			return err
+		}
+		return s.be.refresh(j.spec, pj, fromVersion, name, seq, muts)
+	}
+	d, err := newDeltaTracker(s.be.DeltaStore(), fmt.Sprintf("/delta/j%d", j.id), ver, refresh)
+	if err != nil {
+		return nil, err
+	}
+	d.onSeal = func(version string, seq uint64) {
+		j.mu.Lock()
+		j.deltaVersion = version
+		j.mu.Unlock()
+		s.saveState()
+	}
+	j.mu.Lock()
+	j.tracker = d
+	j.mu.Unlock()
+	return d, nil
+}
+
+// handleFiles moves graph inputs in and job outputs out of the engine.
 func (s *server) handleFiles(w http.ResponseWriter, r *http.Request) {
 	path := strings.TrimPrefix(r.URL.Path, "/files")
 	if path == "" || path == "/" {
-		httpError(w, http.StatusBadRequest, "missing DFS path")
+		httpError(w, http.StatusBadRequest, "missing file path")
 		return
 	}
-	dfs := s.m.Runtime().DFS
 	switch r.Method {
 	case http.MethodPut, http.MethodPost:
-		wr, err := dfs.Create(path)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		if _, err := io.Copy(wr, r.Body); err != nil {
-			httpError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		if err := wr.Close(); err != nil {
+		if err := s.be.putFile(path, r.Body); err != nil {
 			httpError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 		writeJSON(w, http.StatusCreated, map[string]string{"path": path})
 	case http.MethodGet:
-		data, err := dfs.ReadFile(path)
+		data, err := s.be.getFile(path)
 		if err != nil {
 			httpError(w, http.StatusNotFound, "%v", err)
 			return
@@ -583,13 +850,67 @@ func (s *server) handleFiles(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// statsView is the GET /stats payload: scheduler counters plus the
-// statistics collector's per-machine snapshot.
+// scaleView is the GET /scale payload: the live worker→nodes topology
+// plus the elasticity log. Scaling out needs no API call — starting
+// another `pregelix worker` against the cluster controller triggers the
+// rebalance — so POST /scale only carries drain requests.
+type scaleView struct {
+	Workers  []core.WorkerInfo     `json:"workers"`
+	Standbys int                   `json:"standbys"`
+	Events   []core.RebalanceEvent `json:"events"`
+}
+
+// handleScale serves the elasticity API of an engine that has one: GET
+// returns the topology and rebalance log; POST {"drain": "<worker
+// addr>"} asks the cluster to gracefully retire a worker (its
+// partitions migrate out at the next superstep or job boundary, then it
+// is released).
+func (s *server) handleScale(w http.ResponseWriter, r *http.Request) {
+	view := s.be.scale()
+	if view == nil {
+		http.NotFound(w, r)
+		return
+	}
+	switch r.Method {
+	case http.MethodGet:
+		writeJSON(w, http.StatusOK, view)
+	case http.MethodPost:
+		var req struct {
+			Drain string `json:"drain"`
+		}
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+			return
+		}
+		if req.Drain == "" {
+			httpError(w, http.StatusBadRequest, `missing "drain" (scale-out needs no API call: start another pregelix worker)`)
+			return
+		}
+		if err := s.be.Drain(req.Drain); err != nil {
+			httpError(w, http.StatusConflict, "%v", err)
+			return
+		}
+		writeJSON(w, http.StatusAccepted, map[string]string{"draining": req.Drain})
+	default:
+		httpError(w, http.StatusMethodNotAllowed, "GET or POST /scale")
+	}
+}
+
+// statsView is the GET /stats payload. Jobs, Manager and Network are
+// summed over the job table; the rest is the engine's own, so each
+// backend fills the one section it has and the other is left out.
 type statsView struct {
-	Scheduler hyracks.SchedulerStats `json:"scheduler"`
-	Queued    int                    `json:"queued"`
-	Running   int                    `json:"running"`
-	Manager   struct {
+	*localStats
+	*clusterStats
+	Jobs struct {
+		Total    int `json:"total"`
+		Queued   int `json:"queued"`
+		Running  int `json:"running"`
+		Done     int `json:"done"`
+		Failed   int `json:"failed"`
+		Canceled int `json:"canceled"`
+	} `json:"jobs"`
+	Manager struct {
 		TotalSupersteps int64   `json:"totalSupersteps"`
 		TotalMessages   int64   `json:"totalMessages"`
 		TotalRunTimeMS  float64 `json:"totalRunTimeMs"`
@@ -597,14 +918,42 @@ type statsView struct {
 	// Network aggregates connector traffic over all finished jobs:
 	// payload frame bytes vs post-compression socket bytes (wire is zero
 	// when every stream stayed in process).
-	Network networkView       `json:"network"`
-	Cluster core.ClusterStats `json:"cluster"`
+	Network networkView `json:"network"`
 }
 
-// networkView is the payload-vs-wire traffic summary shared by both
-// serve modes' /stats payloads. CompressionRatio compares the socket
-// traffic against what it would have cost uncompressed (1.0 under
-// -compress=off); payload bytes also count process-local streams.
+// localStats is the single-process engine's share of GET /stats:
+// admission counters (refreshes hold tickets too) and the statistics
+// collector's per-machine snapshot.
+type localStats struct {
+	Scheduler hyracks.SchedulerStats `json:"scheduler"`
+	Queued    int                    `json:"queued"`
+	Running   int                    `json:"running"`
+	Cluster   core.ClusterStats      `json:"cluster"`
+}
+
+// clusterStats is the coordinator's share of GET /stats.
+type clusterStats struct {
+	Workers int `json:"workers"`
+	// Standbys counts parked replacement workers awaiting adoption.
+	Standbys int      `json:"standbys"`
+	Nodes    []string `json:"nodes"`
+	// Recovery is the coordinator's failure-handling log: worker losses
+	// and the repairs (standby adoption, node redistribution) that
+	// followed.
+	Recovery []core.RecoveryEvent `json:"recovery"`
+	// Rebalance is the coordinator's elasticity log: workers joining
+	// with partitions migrated onto them, graceful drains, refusals.
+	Rebalance []core.RebalanceEvent `json:"rebalance"`
+	// Adaptive is the runtime-stats feedback log (-adaptive only): join
+	// plan switches, hot-partition splits and straggler reliefs, in
+	// commit order.
+	Adaptive []core.AdaptiveEvent `json:"adaptive"`
+}
+
+// networkView is the payload-vs-wire traffic summary of a job or of the
+// whole table. CompressionRatio compares the socket traffic against
+// what it would have cost uncompressed (1.0 under -compress=off);
+// payload bytes also count process-local streams.
 type networkView struct {
 	PayloadBytes     int64   `json:"payloadBytes"`
 	WireBytes        int64   `json:"wireBytes"`
@@ -613,9 +962,6 @@ type networkView struct {
 }
 
 func (n *networkView) add(stats *core.JobStats) {
-	if stats == nil {
-		return
-	}
 	for _, ss := range stats.SuperstepStats {
 		n.PayloadBytes += ss.NetworkBytes
 		n.WireBytes += ss.NetworkWireBytes
@@ -623,29 +969,40 @@ func (n *networkView) add(stats *core.JobStats) {
 	}
 }
 
-func (n *networkView) finish() {
-	if n.WireBytes > 0 {
-		n.CompressionRatio = float64(n.WireRawBytes) / float64(n.WireBytes)
+func (n *networkView) ratio() float64 {
+	if n.WireBytes == 0 {
+		return 0
 	}
+	return float64(n.WireRawBytes) / float64(n.WireBytes)
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	ms := s.m.Stats()
-	out := statsView{
-		Scheduler: ms.Scheduler,
-		Queued:    ms.QueuedNow,
-		Running:   ms.RunningNow,
-		Cluster:   s.m.Runtime().CollectStats(),
-	}
-	out.Manager.TotalSupersteps = ms.TotalSupersteps
-	out.Manager.TotalMessages = ms.TotalMessages
-	out.Manager.TotalRunTimeMS = float64(ms.TotalRunTime) / float64(time.Millisecond)
-	for _, h := range s.m.Jobs() {
-		if stats, _ := h.Result(); stats != nil {
-			out.Network.add(stats)
+	var out statsView
+	s.be.engineStats(&out)
+	for _, j := range s.snapshot() {
+		out.Jobs.Total++
+		j.mu.Lock()
+		switch j.state {
+		case "queued":
+			out.Jobs.Queued++
+		case "running":
+			out.Jobs.Running++
+		case "done":
+			out.Jobs.Done++
+		case "failed":
+			out.Jobs.Failed++
+		case "canceled":
+			out.Jobs.Canceled++
 		}
+		if j.stats != nil {
+			out.Manager.TotalSupersteps += j.stats.Supersteps
+			out.Manager.TotalMessages += j.stats.TotalMessages
+			out.Manager.TotalRunTimeMS += float64(j.stats.RunDuration) / float64(time.Millisecond)
+			out.Network.add(j.stats)
+		}
+		j.mu.Unlock()
 	}
-	out.Network.finish()
+	out.Network.CompressionRatio = out.Network.ratio()
 	writeJSON(w, http.StatusOK, out)
 }
 

@@ -1,22 +1,22 @@
 package main
 
-// Controller durability for cluster mode. With -state-dir set the
+// Controller durability. With -state-dir set (cluster mode only) the
 // controller keeps its soft state in the same shared directory the
 // coordinator's hard state lives in, so a restarted (or standby
 // takeover) `pregelix serve` process resumes where the dead one
 // stopped:
 //
-//	<state-dir>/jobs.json   job registry: id, name, spec, state,
+//	<state-dir>/jobs.json   the job table: id, name, spec, state,
 //	                        latest sealed delta version
-//	<state-dir>/files/      uploaded inputs and captured outputs,
-//	                        one file per path (URL-escaped names)
+//	<state-dir>/files/      uploaded inputs and captured outputs
+//	                        (clusterBackend, backend.go)
 //
 // (The coordinator itself owns <state-dir>/ckpt/, catalog.json and
 // cc.lease — see internal/core/coordinator_state.go and lease.go.)
 //
 // Restore order matters: loadState runs before the HTTP listener opens
-// so pollers never see a half-loaded registry, while resumeRestored —
-// which re-submits in-flight jobs with Resume set and re-opens delta
+// so pollers never see a half-loaded table, while resumeRestored —
+// which re-submits in-flight jobs with resume set and re-opens delta
 // trackers with unapplied journal batches — waits in the background for
 // the workers to rejoin first.
 
@@ -24,14 +24,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/url"
 	"os"
 	"path/filepath"
-	"strings"
+
+	"pregelix/internal/core"
 )
 
-// persistedJob is one registry row: everything needed to re-run, resume
-// or re-serve the job after a controller restart. Live counters (stats,
+// persistedJob is one table row: everything needed to re-run, resume or
+// re-serve the job after a controller restart. Live counters (stats,
 // progress) are not persisted — a resumed run regenerates them, and a
 // done job's sealed result survives on the workers.
 type persistedJob struct {
@@ -49,22 +49,30 @@ type persistedRegistry struct {
 	Jobs   []persistedJob `json:"jobs"`
 }
 
-func (s *clusterServer) jobsPath() string {
-	if s.stateDir == "" {
-		return ""
+// writeFileAtomic replaces path with data through a rename, so a crash
+// mid-write leaves the previous contents. Best-effort: callers treat a
+// failed write as a lost update, not an error.
+func writeFileAtomic(path string, data []byte) {
+	tmp := path + ".tmp"
+	if os.WriteFile(tmp, data, 0o644) == nil {
+		os.Rename(tmp, path)
 	}
-	return filepath.Join(s.stateDir, "jobs.json")
 }
 
-// saveState snapshots the job registry to the state dir. Called on
-// every registry transition (submission, completion, delta seal);
-// best-effort, like the coordinator's catalog — a lost write costs a
-// re-run of the affected job after the next restart, not correctness.
-func (s *clusterServer) saveState() {
-	path := s.jobsPath()
-	if path == "" {
+// saveState snapshots the job table to the state dir. Called on every
+// table transition (submission, completion and the eviction it may
+// bring, delta seal); best-effort, like the coordinator's catalog — a
+// lost write costs a re-run of the affected job after the next restart,
+// not correctness.
+func (s *server) saveState() {
+	if s.stateDir == "" {
 		return
 	}
+	// One writer at a time, snapshot included: a job's completion and the
+	// next submission save concurrently, and the later snapshot must be
+	// the one left on disk.
+	s.saveMu.Lock()
+	defer s.saveMu.Unlock()
 	s.mu.Lock()
 	reg := persistedRegistry{NextID: s.nextID, Jobs: make([]persistedJob, 0, len(s.order))}
 	for _, id := range s.order {
@@ -82,59 +90,22 @@ func (s *clusterServer) saveState() {
 		j.mu.Unlock()
 	}
 	s.mu.Unlock()
-	data, err := json.Marshal(reg)
-	if err != nil {
-		return
-	}
-	tmp := path + ".tmp"
-	if os.WriteFile(tmp, data, 0o644) == nil {
-		os.Rename(tmp, path)
+	if data, err := json.Marshal(reg); err == nil {
+		writeFileAtomic(filepath.Join(s.stateDir, "jobs.json"), data)
 	}
 }
 
-// saveFile persists one uploaded or captured file under files/.
-func (s *clusterServer) saveFile(path string, data []byte) {
-	if s.stateDir == "" {
-		return
-	}
-	dir := filepath.Join(s.stateDir, "files")
-	if os.MkdirAll(dir, 0o755) != nil {
-		return
-	}
-	name := filepath.Join(dir, url.PathEscape(path))
-	tmp := name + ".tmp"
-	if os.WriteFile(tmp, data, 0o644) == nil {
-		os.Rename(tmp, name)
-	}
-}
-
-// loadState restores the file store and job registry from the state
-// dir, returning the jobs that were still in flight when the previous
-// controller died. Runs single-threaded before the HTTP server starts,
-// so it touches the maps without locks. In-flight jobs come back as
-// "queued" with a live cancel context; resumeRestored re-submits them
-// once the cluster assembles.
-func (s *clusterServer) loadState() []*clusterJob {
+// loadState restores the job table from the state dir, returning the
+// jobs that were still in flight when the previous controller died.
+// Runs single-threaded before the HTTP server starts, so it touches the
+// table without locks. In-flight jobs come back as "queued" with a live
+// cancel context; resumeRestored re-submits them once the cluster
+// assembles.
+func (s *server) loadState() []*job {
 	if s.stateDir == "" {
 		return nil
 	}
-	filesDir := filepath.Join(s.stateDir, "files")
-	entries, _ := os.ReadDir(filesDir)
-	for _, e := range entries {
-		if e.IsDir() || strings.HasSuffix(e.Name(), ".tmp") {
-			continue
-		}
-		path, err := url.PathUnescape(e.Name())
-		if err != nil {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(filesDir, e.Name()))
-		if err != nil {
-			continue
-		}
-		s.files[path] = data
-	}
-	data, err := os.ReadFile(s.jobsPath())
+	data, err := os.ReadFile(filepath.Join(s.stateDir, "jobs.json"))
 	if err != nil {
 		return nil
 	}
@@ -143,30 +114,25 @@ func (s *clusterServer) loadState() []*clusterJob {
 		return nil
 	}
 	s.nextID = reg.NextID
-	var resume []*clusterJob
+	var resume []*job
 	for _, pj := range reg.Jobs {
-		j := &clusterJob{
+		j := &job{
 			id:           pj.ID,
 			name:         pj.Name,
 			spec:         pj.Spec,
 			req:          pj.Req,
 			cancel:       func() {},
-			done:         make(chan struct{}),
 			state:        pj.State,
 			errText:      pj.Error,
 			deltaVersion: pj.DeltaVersion,
 		}
-		switch pj.State {
-		case "queued", "running":
+		if pj.State == "queued" || pj.State == "running" {
 			// In flight when the old controller died: re-queue for a
 			// resumed run (from the last checkpoint manifest when the job
 			// checkpoints, from scratch otherwise).
 			j.state, j.errText = "queued", ""
-			ctx, cancel := context.WithCancel(context.Background())
-			j.resumeCtx, j.cancel = ctx, cancel
+			j.ctx, j.cancel = context.WithCancel(context.Background())
 			resume = append(resume, j)
-		default:
-			close(j.done)
 		}
 		s.jobs[j.id] = j
 		s.order = append(s.order, j.id)
@@ -178,53 +144,34 @@ func (s *clusterServer) loadState() []*clusterJob {
 }
 
 // resumeRestored finishes the restore once the cluster has reassembled:
-// it re-submits the jobs the dead controller left in flight (Resume set,
+// it re-submits the jobs the dead controller left in flight (resume set,
 // so a checkpointed run continues from its last committed manifest) and
 // re-opens delta trackers whose journals may hold unapplied batches.
-func (s *clusterServer) resumeRestored(resume []*clusterJob) {
-	if err := s.coord.WaitReady(context.Background()); err != nil {
+func (s *server) resumeRestored(resume []*job) {
+	if err := s.be.WaitReady(context.Background()); err != nil {
 		return
 	}
 	for _, j := range resume {
 		req := j.req
-		job, err := buildServeJob(&req)
-		if err != nil {
-			s.finishRestored(j, err)
-			continue
+		var run func() (*core.JobStats, error)
+		pj, err := buildServeJob(&req)
+		if err == nil {
+			run, err = s.be.admit(j, pj, true)
 		}
-		s.mu.Lock()
-		input, ok := s.files[req.Input]
-		s.mu.Unlock()
-		if !ok {
-			s.finishRestored(j, fmt.Errorf("input %q lost across controller restart", req.Input))
-			continue
+		if err != nil {
+			failed := err
+			run = func() (*core.JobStats, error) { return nil, failed }
 		}
 		// Synchronous: restored jobs re-run in their original submission
 		// order before contending with new submissions for the slot.
-		s.runJob(j.resumeCtx, j, j.spec, job, req, input, true)
+		s.run(j, run)
 	}
-	s.restoreTrackers()
-}
-
-func (s *clusterServer) finishRestored(j *clusterJob, err error) {
-	j.finish(nil, err)
-	close(j.done)
-	s.saveState()
-}
-
-// restoreTrackers re-opens the streaming-ingest tracker of every done
-// job that has a delta journal, then kicks each so batches journaled
-// but not yet applied when the old controller died get folded in
-// without waiting for the next mutation to arrive.
-func (s *clusterServer) restoreTrackers() {
-	s.mu.Lock()
-	jobs := make([]*clusterJob, 0, len(s.order))
-	for _, id := range s.order {
-		jobs = append(jobs, s.jobs[id])
-	}
-	s.mu.Unlock()
-	store := s.coord.DeltaStore()
-	for _, j := range jobs {
+	// Re-open the ingest tracker of every done job that has a delta
+	// journal, then kick each so batches journaled but not yet applied
+	// when the old controller died get folded in without waiting for
+	// the next mutation to arrive.
+	store := s.be.DeltaStore()
+	for _, j := range s.snapshot() {
 		j.mu.Lock()
 		state, sealed := j.state, j.deltaVersion != ""
 		j.mu.Unlock()

@@ -113,13 +113,14 @@
 //
 //	go run ./cmd/pregelix -algorithm pagerank -input graph.txt
 //
-// Multi-tenant serving mode (concurrent job submissions over HTTP
-// against one shared simulated cluster):
+// Serving mode is one HTTP server, job table, delta tracker and set of
+// query routes (cmd/pregelix) over either engine; only the backend
+// behind them differs. Concurrent job submissions against one shared
+// simulated cluster:
 //
 //	go run ./cmd/pregelix serve -listen 127.0.0.1:8080 -max-concurrent 2
 //
-// Multi-process cluster mode (separate worker processes, frame shuffle
-// over TCP):
+// The same API over separate worker processes, frame shuffle over TCP:
 //
 //	go run ./cmd/pregelix serve -listen 127.0.0.1:8080 -workers 2 -cluster-listen 127.0.0.1:9090
 //	go run ./cmd/pregelix worker -cc 127.0.0.1:9090 -nodes 2   # twice

@@ -111,7 +111,8 @@ func TestSec76CountsLines(t *testing.T) {
 	if total < 5000 {
 		t.Fatalf("implausibly low total LoC: %d", total)
 	}
-	if byModule["internal/core (pregelix)"] == 0 || byModule["internal/hyracks (engine)"] == 0 {
+	if byModule["internal/core (pregelix)"] == 0 || byModule["internal/hyracks (engine)"] == 0 ||
+		byModule["cmd/pregelix (serving tier)"] == 0 {
 		t.Fatalf("missing module counts: %v", byModule)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"time"
 
 	"pregelix/internal/core"
@@ -14,6 +15,7 @@ import (
 	"pregelix/internal/hyracks"
 	"pregelix/internal/tuple"
 	"pregelix/internal/wire"
+	"pregelix/pregel"
 	"pregelix/pregel/algorithms"
 )
 
@@ -33,7 +35,7 @@ type compressRun struct {
 	stats   *core.JobStats
 	payload int64 // connector payload bytes, before compression
 	wire    int64 // socket bytes, post-compression, headers included
-	ckpt    int64 // checkpoint image bytes on the DFS
+	ckpt    int64 // image bytes of one checkpoint on the DFS
 }
 
 // runCompressedPageRank runs one checkpointing PageRank over loopback
@@ -82,23 +84,38 @@ func (o *Options) runCompressedPageRank(ctx context.Context, name string, g *gra
 	if err := rt.DFS.WriteFile(job.InputPath, buf.Bytes()); err != nil {
 		return out, err
 	}
+	// The runtime reclaims a job's checkpoints when it returns, so the
+	// superstep-2 checkpoint is sized from inside superstep 3.
+	inner := job.Program
+	var once sync.Once
+	var sizeErr error
+	job.Program = pregel.ProgramFunc(func(pctx pregel.Context, v *pregel.Vertex, msgs []pregel.Value) error {
+		if pctx.Superstep() == 3 {
+			once.Do(func() {
+				for _, path := range rt.DFS.List("/pregelix/" + name + "/ckpt/") {
+					if !strings.Contains(path, "/vertex-p") && !strings.Contains(path, "/msg-p") {
+						continue
+					}
+					n, err := rt.DFS.Size(path)
+					if err != nil {
+						sizeErr = err
+					}
+					out.ckpt += n
+				}
+			})
+		}
+		return inner.Compute(pctx, v, msgs)
+	})
 	out.stats, err = rt.Run(ctx, job)
+	if err == nil {
+		err = sizeErr
+	}
 	if err != nil {
 		return out, err
 	}
 	for _, ss := range out.stats.SuperstepStats {
 		out.payload += ss.NetworkBytes
 		out.wire += ss.NetworkWireBytes
-	}
-	for _, path := range rt.DFS.List("/pregelix/" + name + "/ckpt/") {
-		if !strings.Contains(path, "/vertex-p") && !strings.Contains(path, "/msg-p") {
-			continue
-		}
-		n, err := rt.DFS.Size(path)
-		if err != nil {
-			return out, err
-		}
-		out.ckpt += n
 	}
 	return out, nil
 }

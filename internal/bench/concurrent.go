@@ -86,32 +86,30 @@ func (o *Options) runConcRung(ctx context.Context, g *graphgen.Graph, conc, slot
 	m := core.NewJobManager(rt, core.JobManagerOptions{MaxConcurrentJobs: slots})
 	defer m.Close()
 	start := time.Now()
+	var handles []*core.JobHandle
 	for j := 0; j < conc; j++ {
 		job := o.jobFor(PageRank, fmt.Sprintf("conc-c%d-j%d", conc, j))
 		job.InputPath, job.OutputPath = "/in/conc", ""
-		if _, err := m.Submit(ctx, job); err != nil {
+		h, err := m.Submit(ctx, job)
+		if err != nil {
 			return out, err
 		}
+		handles = append(handles, h)
 	}
-	allStats, err := m.WaitAll(ctx)
-	if err != nil {
-		return out, err
-	}
-	out.makespan = time.Since(start)
-	out.jobsPerHour = float64(conc) / out.makespan.Hours()
-	for _, js := range allStats {
-		if js == nil {
-			continue
+	var totalWait time.Duration
+	for _, h := range handles {
+		js, err := h.Wait(ctx)
+		if err != nil {
+			return out, fmt.Errorf("job %s: %w", h.Name(), err)
 		}
 		out.supersteps += js.Supersteps
 		for _, ss := range js.SuperstepStats {
 			out.ioBytes += ss.IOBytes
 		}
+		totalWait += h.Status().QueueWait
 	}
-	var totalWait time.Duration
-	for _, st := range m.Scheduler().Snapshot() {
-		totalWait += st.QueueWait
-	}
+	out.makespan = time.Since(start)
+	out.jobsPerHour = float64(conc) / out.makespan.Hours()
 	out.avgQueueWait = totalWait / time.Duration(conc)
 	out.peakRunning = m.Scheduler().Stats().PeakRunning
 	return out, nil

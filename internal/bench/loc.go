@@ -25,6 +25,7 @@ func CountLines() ([]ModuleLines, error) {
 		{"pregel (user API)", "pregel"},
 		{"pregel/algorithms", "pregel/algorithms"},
 		{"internal/core (pregelix)", "internal/core"},
+		{"cmd/pregelix (serving tier)", "cmd/pregelix"},
 		{"internal/hyracks (engine)", "internal/hyracks"},
 		{"internal/operators", "internal/operators"},
 		{"internal/storage", "internal/storage"},

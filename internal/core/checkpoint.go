@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strconv"
 
+	"pregelix/internal/dfs"
 	"pregelix/internal/hyracks"
 	"pregelix/internal/storage"
 	"pregelix/internal/tuple"
@@ -245,6 +246,14 @@ func (rs *runState) latestCheckpoint() (*checkpointManifest, error) {
 		return nil, fmt.Errorf("core: no usable checkpoint for job %s", rs.job.Name)
 	}
 	return m, nil
+}
+
+// removeJobFiles reclaims everything a finished job left under its DFS
+// prefix: checkpoint images, manifests and the global-state file.
+func removeJobFiles(fs *dfs.FileSystem, job string) {
+	for _, path := range fs.List("/pregelix/" + job + "/") {
+		fs.Remove(path)
+	}
 }
 
 // manifestReader is the slice of dfs.FileSystem manifest discovery

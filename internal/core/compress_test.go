@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"pregelix/internal/hyracks"
 	"pregelix/internal/tuple"
 	"pregelix/internal/wire"
+	"pregelix/pregel"
 	"pregelix/pregel/algorithms"
 )
 
@@ -99,7 +101,10 @@ func TestCompressedCheckpointRecovery(t *testing.T) {
 	const iterations = 6
 	want := referenceValues(t, algorithms.NewPageRankJob("pr", "", "", iterations), g)
 
-	ckptBytes := func(rt *Runtime, jobName string) int64 {
+	// The runtime reclaims a job's checkpoints when it returns, so both
+	// runs size (and the compressed run inspects) the superstep-2
+	// checkpoint from inside superstep 3.
+	ckptBytes := func(rt *Runtime, jobName string, inspect func(path string)) int64 {
 		var total int64
 		for _, path := range rt.DFS.List("/pregelix/" + jobName + "/ckpt/") {
 			if !strings.Contains(path, "/vertex-p") && !strings.Contains(path, "/msg-p") {
@@ -107,14 +112,27 @@ func TestCompressedCheckpointRecovery(t *testing.T) {
 			}
 			n, err := rt.DFS.Size(path)
 			if err != nil {
-				t.Fatal(err)
+				t.Error(err)
 			}
 			total += n
+			if inspect != nil {
+				inspect(path)
+			}
 		}
 		if total == 0 {
-			t.Fatalf("job %s left no checkpoint images", jobName)
+			t.Errorf("job %s has no checkpoint images at superstep 3", jobName)
 		}
 		return total
+	}
+	atSuperstep3 := func(job *pregel.Job, fn func()) {
+		inner := job.Program
+		var once sync.Once
+		job.Program = pregel.ProgramFunc(func(ctx pregel.Context, v *pregel.Vertex, msgs []pregel.Value) error {
+			if ctx.Superstep() == 3 {
+				once.Do(fn)
+			}
+			return inner.Compute(ctx, v, msgs)
+		})
 	}
 
 	// Baseline: uncompressed checkpoints, no failure.
@@ -123,10 +141,11 @@ func TestCompressedCheckpointRecovery(t *testing.T) {
 	putGraph(t, offRT, "/in/g", g)
 	offJob := algorithms.NewPageRankJob("pr-ckpt-off", "/in/g", "/out/off", iterations)
 	offJob.CheckpointEvery = 2
+	var offBytes int64
+	atSuperstep3(offJob, func() { offBytes = ckptBytes(offRT, "pr-ckpt-off", nil) })
 	if _, err := offRT.Run(context.Background(), offJob); err != nil {
 		t.Fatal(err)
 	}
-	offBytes := ckptBytes(offRT, "pr-ckpt-off")
 
 	// Compressed checkpoints with a node failure after the checkpoint:
 	// recovery must reload from the compressed images.
@@ -143,6 +162,24 @@ func TestCompressedCheckpointRecovery(t *testing.T) {
 	putGraph(t, autoRT, "/in/g", g)
 	autoJob := algorithms.NewPageRankJob("pr-ckpt-auto", "/in/g", "/out/auto", iterations)
 	autoJob.CheckpointEvery = 2
+	// The vertex images must be in the compressed stream format...
+	var autoBytes int64
+	var sawVertex bool
+	atSuperstep3(autoJob, func() {
+		autoBytes = ckptBytes(autoRT, "pr-ckpt-auto", func(path string) {
+			if !strings.Contains(path, "/vertex-p") {
+				return
+			}
+			sawVertex = true
+			data, err := autoRT.DFS.ReadFile(path)
+			if err != nil {
+				t.Error(err)
+			}
+			if len(data) >= 4 && !bytes.Equal(data[:4], []byte("PGXC")) {
+				t.Errorf("%s does not start with the frame-stream magic", path)
+			}
+		})
+	})
 	triggered := false
 	autoJob.Program = &failAfterProgram{
 		inner:     autoJob.Program,
@@ -158,27 +195,10 @@ func TestCompressedCheckpointRecovery(t *testing.T) {
 		t.Fatalf("triggered=%v recoveries=%d", triggered, stats.Recoveries)
 	}
 	compareValues(t, readOutputValues(t, autoRT, "/out/auto"), want, "pagerank-after-compressed-recovery")
-
-	// The vertex images must be in the compressed stream format...
-	var sawVertex bool
-	for _, path := range autoRT.DFS.List("/pregelix/pr-ckpt-auto/ckpt/") {
-		if !strings.Contains(path, "/vertex-p") {
-			continue
-		}
-		sawVertex = true
-		data, err := autoRT.DFS.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(data) >= 4 && !bytes.Equal(data[:4], []byte("PGXC")) {
-			t.Fatalf("%s does not start with the frame-stream magic", path)
-		}
-	}
 	if !sawVertex {
 		t.Fatal("no vertex images found in the compressed checkpoint")
 	}
 	// ...and meaningfully smaller than the uncompressed baseline.
-	autoBytes := ckptBytes(autoRT, "pr-ckpt-auto")
 	if autoBytes >= offBytes {
 		t.Fatalf("compressed checkpoints take %d bytes, uncompressed %d", autoBytes, offBytes)
 	}

@@ -1447,9 +1447,7 @@ func (c *Coordinator) removeCheckpoints(name string) {
 	if closed {
 		return
 	}
-	for _, path := range c.ckpt.List("/pregelix/" + name + "/") {
-		c.ckpt.Remove(path)
-	}
+	removeJobFiles(c.ckpt, name)
 }
 
 // recoverJob is the distributed failure manager (the cluster analog of

@@ -4,18 +4,15 @@ package core
 // clones a sealed version's partitions locally, applies the mutations,
 // arms the dirty frontier and reuses the ordinary superstep loop (with
 // its checkpoint/recovery machinery) until convergence, then seals the
-// refreshed clone as the base job's new query version. The JobManager
-// wraps that in admission control so refreshes queue behind — and are
-// resource-isolated from — ordinary submissions.
+// refreshed clone as the base job's new query version.
+// JobManager.SubmitDelta puts that under admission control.
 
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"time"
 
 	"pregelix/internal/delta"
-	"pregelix/internal/hyracks"
 	"pregelix/internal/tuple"
 	"pregelix/pregel"
 )
@@ -42,6 +39,7 @@ func (r *Runtime) deltaRefresh(ctx context.Context, job *pregel.Job, fromVersion
 		return nil, err
 	}
 	defer src.release()
+	defer removeJobFiles(r.DFS, job.Name)
 
 	start := time.Now()
 	rs := &runState{
@@ -115,84 +113,4 @@ func (r *Runtime) deltaRefresh(ctx context.Context, job *pregel.Job, fromVersion
 	// the base job's queries atomically switch to the new values.
 	r.retainResults(rs)
 	return rs.stats, nil
-}
-
-// SubmitDelta enqueues a delta refresh of the sealed version
-// fromVersion under the manager's admission control. job must be the
-// same program the sealed run executed (Name is overwritten); seq names
-// the refreshed version "<fromVersion>@d<seq>" — callers pass the last
-// journal sequence the drained run covers, so version names record
-// exactly how much of the mutation stream each seal reflects.
-func (m *JobManager) SubmitDelta(ctx context.Context, job *pregel.Job, fromVersion string, seq uint64, muts []delta.Mutation) (*JobHandle, error) {
-	if err := job.Validate(); err != nil {
-		return nil, err
-	}
-	if len(muts) == 0 {
-		return nil, fmt.Errorf("core: delta refresh of %s: no mutations", fromVersion)
-	}
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil, hyracks.ErrSchedulerClosed
-	}
-	ticket, err := m.sched.Submit(job.Name)
-	if err != nil {
-		m.mu.Unlock()
-		return nil, err
-	}
-
-	tenantJob := *job
-	tenantJob.Name = fmt.Sprintf("%s@d%d", fromVersion, seq)
-	jobCtx, cancel := context.WithCancel(ctx)
-	h := &JobHandle{
-		id:     ticket.ID(),
-		name:   tenantJob.Name,
-		ticket: ticket,
-		cancel: cancel,
-		done:   make(chan struct{}),
-	}
-	m.handles[h.id] = h
-	m.order = append(m.order, h.id)
-	m.wg.Add(1)
-	m.mu.Unlock()
-
-	go m.runDelta(jobCtx, h, &tenantJob, fromVersion, muts)
-	return h, nil
-}
-
-// runDelta drives one delta refresh through admission, execution,
-// release and scratch cleanup — the refresh analog of runJob.
-func (m *JobManager) runDelta(ctx context.Context, h *JobHandle, job *pregel.Job, fromVersion string, muts []delta.Mutation) {
-	defer m.wg.Done()
-	defer close(h.done)
-	defer h.cancel()
-
-	stopWatch := make(chan struct{})
-	defer close(stopWatch)
-	go func() {
-		select {
-		case <-h.ticket.Done():
-			h.cancel()
-		case <-stopWatch:
-		}
-	}()
-
-	if err := h.ticket.Await(ctx); err != nil {
-		h.finish(nil, err)
-		return
-	}
-
-	runDir := filepath.Join("jobs", fmt.Sprintf("j%d", h.id))
-	stats, err := m.rt.deltaRefresh(ctx, job, fromVersion, muts, tenancy{
-		opMem:  h.ticket.OperatorMem(),
-		runDir: runDir,
-	})
-	h.ticket.Release(err)
-	if !m.rt.Queries().Retained(job.Name) {
-		for _, n := range m.rt.Cluster.Nodes() {
-			n.RemoveJobDir(runDir)
-		}
-	}
-	h.finish(stats, err)
-	m.evictFinished()
 }

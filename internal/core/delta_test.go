@@ -213,6 +213,9 @@ func TestRuntimeDeltaRefreshPageRankAdditions(t *testing.T) {
 	if v2 != v1+"@d1" {
 		t.Fatalf("delta version %q, want %q", v2, v1+"@d1")
 	}
+	if left := rt.DFS.List("/pregelix/"); len(left) != 0 {
+		t.Fatalf("finished job and refresh left DFS state behind: %v", left)
+	}
 
 	// From-scratch on the mutated graph, same program.
 	putGraph(t, rt, "/in/g2", mg)

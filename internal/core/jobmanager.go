@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
-	"time"
 
+	"pregelix/internal/delta"
 	"pregelix/internal/hyracks"
 	"pregelix/pregel"
 )
@@ -23,47 +23,25 @@ type JobManager struct {
 	rt    *Runtime
 	sched *hyracks.JobScheduler
 
-	mu      sync.Mutex
-	handles map[int64]*JobHandle
-	order   []int64
-	retain  int // terminal jobs kept visible (<0 = unlimited)
-	closed  bool
-	wg      sync.WaitGroup
+	mu     sync.Mutex
+	closed bool
+	wg     sync.WaitGroup
 }
 
 // JobManagerOptions bounds the manager's admission control.
 type JobManagerOptions struct {
 	// MaxConcurrentJobs bounds in-flight jobs (default 2).
 	MaxConcurrentJobs int
-	// MaxQueuedJobs bounds the admission queue (<=0 = unlimited).
-	MaxQueuedJobs int
-	// OperatorMemPerJob overrides the per-job operator-memory carve
-	// (0 = node budget / MaxConcurrentJobs).
-	OperatorMemPerJob int64
-	// RetainFinishedJobs bounds how many terminal jobs stay visible in
-	// Jobs()/Job() and the scheduler snapshot, so a long-running serve
-	// instance does not grow without bound (0 = default 1024, <0 =
-	// unlimited). Callers holding a JobHandle keep full access to its
-	// results after eviction.
-	RetainFinishedJobs int
 }
 
 // NewJobManager creates a multi-tenant manager over the runtime's
 // cluster.
 func NewJobManager(rt *Runtime, opts JobManagerOptions) *JobManager {
-	retain := opts.RetainFinishedJobs
-	if retain == 0 {
-		retain = 1024
-	}
 	return &JobManager{
 		rt: rt,
 		sched: hyracks.NewJobScheduler(rt.Cluster, hyracks.AdmissionConfig{
 			MaxConcurrentJobs: opts.MaxConcurrentJobs,
-			MaxQueuedJobs:     opts.MaxQueuedJobs,
-			OperatorMemPerJob: opts.OperatorMemPerJob,
 		}),
-		handles: make(map[int64]*JobHandle),
-		retain:  retain,
 	}
 }
 
@@ -77,11 +55,12 @@ func (m *JobManager) Runtime() *Runtime { return m.rt }
 // JobHandle tracks one submitted job. Wait blocks for completion;
 // Cancel aborts the job whether queued or mid-superstep.
 type JobHandle struct {
-	id     int64
-	name   string
-	ticket *hyracks.JobTicket
-	cancel context.CancelFunc
-	done   chan struct{}
+	id       int64
+	name     string
+	ticket   *hyracks.JobTicket
+	cancel   context.CancelFunc
+	admitted chan struct{}
+	done     chan struct{}
 
 	mu    sync.Mutex
 	stats *JobStats
@@ -101,6 +80,11 @@ func (h *JobHandle) State() hyracks.JobState { return h.ticket.State() }
 
 // Status returns the scheduler's view of the job.
 func (h *JobHandle) Status() hyracks.JobStatus { return h.ticket.Status() }
+
+// Admitted is closed when the job leaves the admission queue and starts
+// running. A job canceled while queued never gets there: select on Done
+// as well.
+func (h *JobHandle) Admitted() <-chan struct{} { return h.admitted }
 
 // Done is closed when the job reaches a terminal state.
 func (h *JobHandle) Done() <-chan struct{} { return h.done }
@@ -142,8 +126,39 @@ func (h *JobHandle) Result() (*JobStats, error) {
 // Submit enqueues a job for execution and returns immediately. The
 // job's Name is qualified with the submission id so concurrent (or
 // repeated) submissions of the same job never share DFS global-state
-// paths or node-local scratch directories.
+// paths or node-local scratch directories. The finished job's partition
+// indexes are sealed into the runtime's query store.
 func (m *JobManager) Submit(ctx context.Context, job *pregel.Job) (*JobHandle, error) {
+	return m.submit(ctx, job,
+		func(id int64) string { return fmt.Sprintf("%s@j%d", job.Name, id) },
+		func(ctx context.Context, job *pregel.Job, ten tenancy) (*JobStats, error) {
+			ten.retain = true
+			stats, _, err := m.rt.run(ctx, job, nil, true, ten)
+			return stats, err
+		})
+}
+
+// SubmitDelta enqueues a delta refresh of the sealed version
+// fromVersion under the same admission control, so refreshes queue
+// behind — and are resource-isolated from — ordinary submissions. job
+// must be the same program the sealed run executed (Name is
+// overwritten); seq names the refreshed version "<fromVersion>@d<seq>"
+// — callers pass the last journal sequence the drained run covers, so
+// version names record exactly how much of the mutation stream each
+// seal reflects.
+func (m *JobManager) SubmitDelta(ctx context.Context, job *pregel.Job, fromVersion string, seq uint64, muts []delta.Mutation) (*JobHandle, error) {
+	return m.submit(ctx, job,
+		func(int64) string { return fmt.Sprintf("%s@d%d", fromVersion, seq) },
+		func(ctx context.Context, job *pregel.Job, ten tenancy) (*JobStats, error) {
+			return m.rt.deltaRefresh(ctx, job, fromVersion, muts, ten)
+		})
+}
+
+// submit is the one path every unit of work takes: a scheduler ticket,
+// the execution name derived from its id, and a goroutine that carries
+// the work through admission, run and cleanup.
+func (m *JobManager) submit(ctx context.Context, job *pregel.Job, name func(id int64) string,
+	run func(context.Context, *pregel.Job, tenancy) (*JobStats, error)) (*JobHandle, error) {
 	if err := job.Validate(); err != nil {
 		return nil, err
 	}
@@ -159,33 +174,36 @@ func (m *JobManager) Submit(ctx context.Context, job *pregel.Job) (*JobHandle, e
 	}
 
 	tenantJob := *job // shallow copy; the runtime never mutates the job
-	tenantJob.Name = fmt.Sprintf("%s@j%d", job.Name, ticket.ID())
+	tenantJob.Name = name(ticket.ID())
 	jobCtx, cancel := context.WithCancel(ctx)
 	h := &JobHandle{
-		id:     ticket.ID(),
-		name:   tenantJob.Name,
-		ticket: ticket,
-		cancel: cancel,
-		done:   make(chan struct{}),
+		id:       ticket.ID(),
+		name:     tenantJob.Name,
+		ticket:   ticket,
+		cancel:   cancel,
+		admitted: make(chan struct{}),
+		done:     make(chan struct{}),
 	}
-	m.handles[h.id] = h
-	m.order = append(m.order, h.id)
 	m.wg.Add(1)
 	m.mu.Unlock()
 
-	go m.runJob(jobCtx, h, &tenantJob)
+	go m.run(jobCtx, h, &tenantJob, run)
 	return h, nil
 }
 
-// runJob drives one submission through admission, execution, release
-// and scratch cleanup.
-func (m *JobManager) runJob(ctx context.Context, h *JobHandle, job *pregel.Job) {
+// run drives one submission through admission, execution, release and
+// scratch cleanup.
+func (m *JobManager) run(ctx context.Context, h *JobHandle, job *pregel.Job,
+	run func(context.Context, *pregel.Job, tenancy) (*JobStats, error)) {
 	defer m.wg.Done()
 	defer close(h.done)
 	defer h.cancel()
+	// The handle outlives the scheduler's record of the ticket, so a
+	// long-lived server does not accumulate one per job ever run.
+	defer m.sched.Forget(h.id)
 
-	// A Cancel on the ticket (serve endpoint, scheduler Close) must
-	// interrupt the running supersteps.
+	// A Cancel on the ticket (scheduler Close) must interrupt the
+	// running supersteps.
 	stopWatch := make(chan struct{})
 	defer close(stopWatch)
 	go func() {
@@ -200,13 +218,10 @@ func (m *JobManager) runJob(ctx context.Context, h *JobHandle, job *pregel.Job) 
 		h.finish(nil, err)
 		return
 	}
+	close(h.admitted)
 
 	runDir := filepath.Join("jobs", fmt.Sprintf("j%d", h.id))
-	stats, err := m.rt.runManaged(ctx, job, tenancy{
-		opMem:  h.ticket.OperatorMem(),
-		runDir: runDir,
-		retain: true,
-	})
+	stats, err := run(ctx, job, tenancy{opMem: h.ticket.OperatorMem(), runDir: runDir})
 	h.ticket.Release(err)
 	// Reclaim the job's isolated scratch directory on every node — unless
 	// the run sealed its indexes into the query tier, in which case the
@@ -219,112 +234,12 @@ func (m *JobManager) runJob(ctx context.Context, h *JobHandle, job *pregel.Job) 
 		}
 	}
 	h.finish(stats, err)
-	m.evictFinished()
-}
-
-// evictFinished drops the oldest terminal jobs beyond the retention
-// bound from the manager's history and the scheduler's ticket map.
-// Handles already held by callers remain fully usable.
-func (m *JobManager) evictFinished() {
-	if m.retain < 0 {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	terminal := 0
-	for _, id := range m.order {
-		if m.handles[id].State().Terminal() {
-			terminal++
-		}
-	}
-	if terminal <= m.retain {
-		return
-	}
-	kept := m.order[:0]
-	for _, id := range m.order {
-		if terminal > m.retain && m.handles[id].State().Terminal() {
-			delete(m.handles, id)
-			m.sched.Forget(id)
-			terminal--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	m.order = kept
 }
 
 func (h *JobHandle) finish(stats *JobStats, err error) {
 	h.mu.Lock()
 	h.stats, h.err = stats, err
 	h.mu.Unlock()
-}
-
-// Job returns the handle with the given id, or nil.
-func (m *JobManager) Job(id int64) *JobHandle {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.handles[id]
-}
-
-// Jobs returns all handles in submission order.
-func (m *JobManager) Jobs() []*JobHandle {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]*JobHandle, 0, len(m.order))
-	for _, id := range m.order {
-		out = append(out, m.handles[id])
-	}
-	return out
-}
-
-// WaitAll blocks until every job submitted so far has finished (or ctx
-// expires) and returns their stats in submission order along with the
-// first job error encountered (canceled jobs report their cancellation
-// error).
-func (m *JobManager) WaitAll(ctx context.Context) ([]*JobStats, error) {
-	var firstErr error
-	var all []*JobStats
-	for _, h := range m.Jobs() {
-		stats, err := h.Wait(ctx)
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("job %s: %w", h.Name(), err)
-		}
-		if ctx.Err() != nil {
-			return all, ctx.Err()
-		}
-		all = append(all, stats)
-	}
-	return all, firstErr
-}
-
-// ManagerStats aggregates the manager's view across all submissions.
-type ManagerStats struct {
-	Scheduler       hyracks.SchedulerStats
-	QueuedNow       int
-	RunningNow      int
-	TotalSupersteps int64
-	TotalMessages   int64
-	TotalRunTime    time.Duration
-}
-
-// Stats aggregates scheduler counters with per-job runtime statistics
-// of finished jobs.
-func (m *JobManager) Stats() ManagerStats {
-	out := ManagerStats{
-		Scheduler:  m.sched.Stats(),
-		QueuedNow:  m.sched.QueueLen(),
-		RunningNow: m.sched.Running(),
-	}
-	for _, h := range m.Jobs() {
-		stats, _ := h.Result()
-		if stats == nil {
-			continue
-		}
-		out.TotalSupersteps += stats.Supersteps
-		out.TotalMessages += stats.TotalMessages
-		out.TotalRunTime += stats.RunDuration
-	}
-	return out
 }
 
 // Close stops accepting submissions, cancels queued jobs, and waits for

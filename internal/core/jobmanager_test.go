@@ -44,6 +44,17 @@ func newGatedJob(name string, arrived func(), gate <-chan struct{}) *pregel.Job 
 	}
 }
 
+// waitAll blocks until every handle's job has finished and fails the
+// test on the first job error.
+func waitAll(t *testing.T, handles []*JobHandle) {
+	t.Helper()
+	for _, h := range handles {
+		if _, err := h.Wait(context.Background()); err != nil {
+			t.Fatalf("job %s: %v", h.Name(), err)
+		}
+	}
+}
+
 // TestJobManagerFourJobsRunConcurrently is the acceptance scenario: six
 // jobs submitted against one shared cluster with a 4-slot admission
 // bound; four run concurrently (all provably mid-superstep at the same
@@ -94,9 +105,7 @@ func TestJobManagerFourJobsRunConcurrently(t *testing.T) {
 	}
 
 	close(gate)
-	if _, err := m.WaitAll(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	waitAll(t, handles)
 	for _, h := range handles {
 		if st := h.State(); st != hyracks.JobDone {
 			t.Fatalf("job %s finished in state %v", h.Name(), st)
@@ -134,14 +143,15 @@ func TestJobManagerResultsMatchSequential(t *testing.T) {
 
 	m := NewJobManager(rt, JobManagerOptions{MaxConcurrentJobs: 2})
 	defer m.Close()
+	var handles []*JobHandle
 	for _, w := range workloads {
-		if _, err := m.Submit(context.Background(), w.mk(w.name, "/out/"+w.name)); err != nil {
+		h, err := m.Submit(context.Background(), w.mk(w.name, "/out/"+w.name))
+		if err != nil {
 			t.Fatal(err)
 		}
+		handles = append(handles, h)
 	}
-	if _, err := m.WaitAll(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	waitAll(t, handles)
 
 	for _, w := range workloads {
 		want := referenceValues(t, w.mk(w.name, ""), g)
@@ -271,9 +281,7 @@ func TestJobManagerFairnessFIFO(t *testing.T) {
 		}
 		handles = append(handles, h)
 	}
-	if _, err := m.WaitAll(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	waitAll(t, handles)
 	var prev time.Time
 	for i, h := range handles {
 		st := h.Status()
@@ -285,6 +293,11 @@ func TestJobManagerFairnessFIFO(t *testing.T) {
 				i, st.StartedAt, prev)
 		}
 		prev = st.StartedAt
+	}
+	// The handles above answered from their tickets although the
+	// scheduler forgot each one as its job finished.
+	if snap := m.Scheduler().Snapshot(); len(snap) != 0 {
+		t.Fatalf("scheduler still holds %d finished tickets", len(snap))
 	}
 }
 
@@ -399,64 +412,5 @@ func TestJobManagerCloseRejectsSubmit(t *testing.T) {
 	if _, err := m.Submit(context.Background(),
 		algorithms.NewConnectedComponentsJob("post-close", "/in/shared", "")); !errors.Is(err, hyracks.ErrSchedulerClosed) {
 		t.Fatalf("submit after close: %v, want ErrSchedulerClosed", err)
-	}
-}
-
-// TestJobManagerRetention checks terminal jobs beyond the retention
-// bound are evicted from the visible history (and scheduler snapshot)
-// while held handles keep their results.
-func TestJobManagerRetention(t *testing.T) {
-	rt := newTestRuntime(t, 2)
-	defer rt.Close()
-	g := graphgen.Webmap(60, 3, 37)
-	putGraph(t, rt, "/in/shared", g)
-
-	m := NewJobManager(rt, JobManagerOptions{MaxConcurrentJobs: 1, RetainFinishedJobs: 3})
-	defer m.Close()
-
-	var handles []*JobHandle
-	for i := 0; i < 8; i++ {
-		h, err := m.Submit(context.Background(),
-			algorithms.NewConnectedComponentsJob(fmt.Sprintf("ret-%d", i), "/in/shared", ""))
-		if err != nil {
-			t.Fatal(err)
-		}
-		handles = append(handles, h)
-	}
-	for _, h := range handles {
-		if _, err := h.Wait(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Eviction runs on each completion; after draining, at most the
-	// retention bound remains visible.
-	if got := len(m.Jobs()); got > 3 {
-		t.Fatalf("history holds %d jobs, retention bound is 3", got)
-	}
-	if snap := m.Scheduler().Snapshot(); len(snap) > 3 {
-		t.Fatalf("scheduler snapshot holds %d tickets, want <= 3", len(snap))
-	}
-	// Evicted handles held by the caller still expose their results.
-	stats, err := handles[0].Result()
-	if err != nil || stats == nil || stats.Supersteps == 0 {
-		t.Fatalf("evicted handle lost its result: stats=%v err=%v", stats, err)
-	}
-	if m.Job(handles[0].ID()) != nil {
-		t.Fatalf("evicted job still visible via Job()")
-	}
-	// Unlimited retention keeps everything.
-	m2 := NewJobManager(rt, JobManagerOptions{MaxConcurrentJobs: 2, RetainFinishedJobs: -1})
-	defer m2.Close()
-	for i := 0; i < 4; i++ {
-		if _, err := m2.Submit(context.Background(),
-			algorithms.NewConnectedComponentsJob(fmt.Sprintf("unl-%d", i), "/in/shared", "")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := m2.WaitAll(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(m2.Jobs()); got != 4 {
-		t.Fatalf("unlimited retention lost jobs: %d", got)
 	}
 }

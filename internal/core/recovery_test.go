@@ -62,6 +62,31 @@ func TestCheckpointRecoveryAfterNodeFailure(t *testing.T) {
 	compareValues(t, got, want, "pagerank-after-recovery")
 }
 
+// TestRunReclaimsJobDFSState checks a finished run leaves nothing under
+// its DFS prefix — checkpoint images, manifests and the global-state
+// file only serve recovery inside the run — while its output stays.
+func TestRunReclaimsJobDFSState(t *testing.T) {
+	rt := newTestRuntime(t, 2)
+	defer rt.Close()
+	putGraph(t, rt, "/in/g", graphgen.Webmap(120, 3, 5))
+
+	job := algorithms.NewPageRankJob("pr-reclaim", "/in/g", "/out/pr", 5)
+	job.CheckpointEvery = 2
+	stats, err := rt.Run(context.Background(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Checkpoints == 0 {
+		t.Fatal("no checkpoints recorded")
+	}
+	if left := rt.DFS.List("/pregelix/pr-reclaim/"); len(left) != 0 {
+		t.Fatalf("finished run left %d DFS files behind: %v", len(left), left)
+	}
+	if !rt.DFS.Exists("/out/pr") {
+		t.Fatal("the sweep took the job's output with it")
+	}
+}
+
 func TestRecoveryWithLeftOuterJoinPlan(t *testing.T) {
 	rt := newTestRuntime(t, 3)
 	defer rt.Close()

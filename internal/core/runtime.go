@@ -347,13 +347,6 @@ type tenancy struct {
 	retain bool
 }
 
-// runManaged executes a job under the admission scheduler's resource
-// carve with isolated node-local scratch directories.
-func (r *Runtime) runManaged(ctx context.Context, job *pregel.Job, ten tenancy) (*JobStats, error) {
-	stats, _, err := r.run(ctx, job, nil, true, ten)
-	return stats, err
-}
-
 // RunPipeline executes compatible contiguous jobs with pipelining
 // (Section 5.6): only the first job loads from DFS and only the last
 // dumps; intermediate Vertex state stays in the partition indexes,
@@ -382,6 +375,9 @@ func (r *Runtime) run(ctx context.Context, job *pregel.Job, carried []*partition
 	if err := job.Validate(); err != nil {
 		return nil, nil, err
 	}
+	// Checkpoints and the global-state file only serve recovery inside
+	// this run; nothing reads them once it returns.
+	defer removeJobFiles(r.DFS, job.Name)
 	start := time.Now()
 	rs := &runState{
 		rt:     r,
