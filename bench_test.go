@@ -203,8 +203,7 @@ func BenchmarkTupleRoundTrip(b *testing.B) {
 }
 
 // BenchmarkFrameAppend measures the packed-frame write path: packing
-// (vid, payload) tuples into a frame buffer in place. Compare with
-// BenchmarkFrameAppendBoxed, the seed's boxed representation.
+// (vid, payload) tuples into a frame buffer in place.
 func BenchmarkFrameAppend(b *testing.B) {
 	f := tuple.NewFrame()
 	app := tuple.NewFrameAppender(f)
@@ -220,31 +219,10 @@ func BenchmarkFrameAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkFrameAppendBoxed is the boxed-tuple baseline for
-// BenchmarkFrameAppend: one Tuple header plus encoded key per append,
-// batched in a []Tuple frame that is reallocated at each flush (the
-// seed's transport representation).
-func BenchmarkFrameAppendBoxed(b *testing.B) {
-	frame := make([]tuple.Tuple, 0, 64)
-	bytes := 0
-	v := make([]byte, 16)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		t := tuple.Tuple{tuple.EncodeUint64(42), v}
-		frame = append(frame, t)
-		if bytes += t.Size(); bytes >= tuple.DefaultFrameSize {
-			frame = make([]tuple.Tuple, 0, 64)
-			bytes = 0
-		}
-	}
-	_ = frame
-}
-
 // BenchmarkMessagePath drives the packed message hot path through a real
 // dataflow job: source -> m-to-n hash partitioning -> sort group-by ->
 // frame-packing sink. allocs/op at N=100k tuples per op is the PR2
-// acceptance metric; BenchmarkMessagePathBoxed is the seed baseline.
+// acceptance metric (bounded by internal/bench's TestMessagePathAllocRatio).
 func BenchmarkMessagePath(b *testing.B) {
 	cluster, err := hyracks.NewCluster(b.TempDir(), 4, hyracks.NodeConfig{})
 	if err != nil {
@@ -255,17 +233,6 @@ func BenchmarkMessagePath(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := bench.RunPackedMessagePath(ctx, cluster, 100_000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMessagePathBoxed runs the same logical pipeline built from
-// the seed's boxed tuples (see internal/bench/framepath.go).
-func BenchmarkMessagePathBoxed(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunBoxedMessagePath(100_000); err != nil {
 			b.Fatal(err)
 		}
 	}

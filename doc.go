@@ -50,8 +50,13 @@
 // from the checkpointed superstep; application errors are forwarded to
 // the user, never retried.
 //
-// Both execution shapes implement this. In a single process the failure
-// manager blacklists the failed simulated machine and reloads onto the
+// Both execution shapes implement this under one superstep driver
+// (internal/core/jobrun.go): the join choice, the global-state fold, the
+// halt rule, the statistics, the checkpoint cadence and the
+// rewind-and-retry on a machine loss are written once, over a narrow
+// seam with an in-process and a cluster implementation; what one process
+// does for a superstep, a delta ingest or a seal is one runState method
+// either way. In a single process the failure manager blacklists the failed simulated machine and reloads onto the
 // survivors. In the multi-process cluster the coordinator detects a
 // dead worker (broken control connection, or missed heartbeats for a
 // hung one), aborts the in-flight superstep on the survivors, repairs
@@ -98,8 +103,8 @@
 //     partition.send/recv/drop + worker drain/release elasticity verbs)
 //   - internal/storage  — B-tree, LSM B-tree, buffer cache, run files
 //   - internal/operators— external sort, three group-bys, index joins
-//   - internal/core     — the Pregelix runtime (plan generator,
-//     superstep loop, checkpoint/recovery, job pipelining), the
+//   - internal/core     — the Pregelix runtime (plan generator, the
+//     superstep driver, checkpoint/recovery, job pipelining), the
 //     JobManager that runs many concurrent jobs on one shared cluster,
 //     and the cluster Coordinator/worker pair that runs jobs across
 //     separate node-controller OS processes, with the elastic
@@ -136,8 +141,8 @@
 //
 //	go run ./cmd/pregelix-bench -experiment all
 //
-// which also writes the machine-readable BENCH_PR2.json report
-// (including the packed-vs-boxed message-path allocation comparison of
-// the framepath experiment); see README.md for the scheduler/JobManager
-// API tour and the frame memory layout.
+// which also writes a machine-readable report (including the packed
+// message path's allocations per tuple from the framepath experiment);
+// see README.md for the scheduler/JobManager API tour and the frame
+// memory layout.
 package pregelix

@@ -37,7 +37,7 @@ func Experiments() []Experiment {
 		{"fig12c", "Fig 12(c): Pregelix scaleup (PR, SSSP, CC)", RunFig12c},
 		{"fig13", "Fig 13: throughput (jobs/hour) vs concurrency, 4 sizes", RunFig13},
 		{"conc-jobs", "Throughput: concurrent jobs under the admission-controlled JobManager", RunConcJobs},
-		{"framepath", "PR2: packed vs boxed message-path allocations per tuple", RunFramePath},
+		{"framepath", "PR2: packed message-path allocations per tuple", RunFramePath},
 		{"wirepath", "PR3: shuffle over TCP loopback vs in-process channels", RunWirePath},
 		{"elastic", "PR5: live scale-out 2→4 workers mid-PageRank (time-to-rebalance)", RunElastic},
 		{"query", "PR6: always-on query tier — hot vs cold point reads, batched top-k", RunQueryTier},

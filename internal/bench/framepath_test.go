@@ -7,50 +7,26 @@ import (
 	"pregelix/internal/hyracks"
 )
 
-// TestMessagePathAllocRatio enforces the PR2 acceptance criterion: the
-// packed-frame message path must allocate at least 5x less per tuple
-// than the seed-style boxed pipeline.
+// maxMsgPathAllocsPerTuple bounds the packed message path: it measures
+// ~0.003 allocations per tuple (the seed's boxed pipeline measured ~3.0,
+// BENCH_PR2.json), so the bound trips on a per-tuple allocation creeping
+// back in, not on noise.
+const maxMsgPathAllocsPerTuple = 0.05
+
+// TestMessagePathAllocRatio enforces the packed-frame acceptance
+// criterion as an absolute bound on allocations per tuple.
 func TestMessagePathAllocRatio(t *testing.T) {
 	if testing.Short() {
-		t.Skip("benchmark comparison under -short")
+		t.Skip("benchmark under -short")
 	}
 	cluster, err := hyracks.NewCluster(t.TempDir(), msgPathSenders, hyracks.NodeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-
-	packed := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			seen, err := RunPackedMessagePath(ctx, cluster, msgPathTuples)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if seen != msgPathTuples {
-				b.Fatalf("packed path saw %d tuples, want %d", seen, msgPathTuples)
-			}
-		}
-	})
-	boxed := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			seen, err := RunBoxedMessagePath(msgPathTuples)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if seen != msgPathTuples {
-				b.Fatalf("boxed path saw %d tuples, want %d", seen, msgPathTuples)
-			}
-		}
-	})
-
-	pa := float64(packed.AllocsPerOp())
-	ba := float64(boxed.AllocsPerOp())
-	t.Logf("allocs/op: packed=%d boxed=%d (per tuple: %.3f vs %.3f)",
-		packed.AllocsPerOp(), boxed.AllocsPerOp(),
-		pa/msgPathTuples, ba/msgPathTuples)
-	if pa*5 > ba {
-		t.Fatalf("packed path allocs/op %.0f not >=5x below boxed %.0f", pa, ba)
+	packed := benchPackedMessagePath(context.Background(), cluster)
+	perTuple := float64(packed.AllocsPerOp()) / msgPathTuples
+	t.Logf("packed message path: %d allocs/op, %.4f per tuple", packed.AllocsPerOp(), perTuple)
+	if perTuple > maxMsgPathAllocsPerTuple {
+		t.Fatalf("packed message path allocates %.4f per tuple, bound is %.2f", perTuple, maxMsgPathAllocsPerTuple)
 	}
 }

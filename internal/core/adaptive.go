@@ -375,7 +375,7 @@ func (c *Coordinator) basePartsLocked() int {
 // or a failure after child images began landing — escalates to the
 // checkpoint-recovery path via the returned error. The returned bool
 // reports whether the split committed.
-func (c *Coordinator) splitPartition(ctx context.Context, sess *rebalSession, d SplitDecision) (bool, error) {
+func (c *Coordinator) splitPartition(ctx context.Context, run *jobRun, d SplitDecision) (bool, error) {
 	start := time.Now()
 	c.mu.Lock()
 	base := c.basePartsLocked()
@@ -411,7 +411,7 @@ func (c *Coordinator) splitPartition(ctx context.Context, sess *rebalSession, d 
 
 	abandon := func(stage string, err error) {
 		c.recordAdaptive(AdaptiveEvent{
-			Kind: "split-failed", Job: sess.name, Superstep: sess.gs.Superstep,
+			Kind: "split-failed", Job: run.name, Superstep: run.gs.Superstep,
 			Partition: d.Parent,
 			Detail:    fmt.Sprintf("%s: %v (split abandoned; cluster unchanged)", stage, err),
 		})
@@ -420,7 +420,7 @@ func (c *Coordinator) splitPartition(ctx context.Context, sess *rebalSession, d 
 	// 1. Image the parent (it stays live until the evacuation below).
 	var rep partSendReply
 	if err := parentOwner.call(ctx, rpcPartSend,
-		partSendMsg{Name: sess.name, Parts: []int{d.Parent}}, &rep); err != nil {
+		partSendMsg{Name: run.name, Parts: []int{d.Parent}}, &rep); err != nil {
 		if parentOwner.dead() {
 			return false, fmt.Errorf("core: split of partition %d: owner died during imaging: %w", d.Parent, err)
 		}
@@ -441,8 +441,8 @@ func (c *Coordinator) splitPartition(ctx context.Context, sess *rebalSession, d 
 
 	// 3. Broadcast the grown table under the bumped epoch, so every
 	// worker's next compile agrees and no pre-split stream is claimed.
-	split := splitMsg{Name: sess.name, GS: sess.gs, Attempt: *sess.attempt + 1, Splits: grown}
-	if _, err := phaseCall[struct{}](ctx, c, sess.name, rpcPartSplit, split); err != nil {
+	split := splitMsg{Name: run.name, Attempt: run.attempt + 1, Splits: grown}
+	if _, err := phaseCall[struct{}](ctx, c, run.name, rpcPartSplit, split); err != nil {
 		if c.anyWorkerDead() {
 			return false, fmt.Errorf("core: split of partition %d: worker died adopting the split table: %w", d.Parent, err)
 		}
@@ -469,7 +469,7 @@ func (c *Coordinator) splitPartition(ctx context.Context, sess *rebalSession, d 
 	}
 	installed := false
 	for w, parts := range byWorker {
-		msg := partRecvMsg{Name: sess.name, Attempt: *sess.attempt + 1, GS: sess.gs, Parts: parts, Splits: grown}
+		msg := partRecvMsg{Name: run.name, Attempt: run.attempt + 1, Parts: parts, Splits: grown}
 		if err := w.call(ctx, rpcPartRecv, msg, nil); err != nil {
 			if w.dead() || installed {
 				return false, fmt.Errorf("core: split of partition %d: installing children on %s: %w",
@@ -480,7 +480,7 @@ func (c *Coordinator) splitPartition(ctx context.Context, sess *rebalSession, d 
 		}
 		installed = true
 	}
-	evac := partRecvMsg{Name: sess.name, Attempt: *sess.attempt + 1, GS: sess.gs,
+	evac := partRecvMsg{Name: run.name, Attempt: run.attempt + 1,
 		Parts: []ckptPartData{*parentImg}, Splits: grown}
 	if err := parentOwner.call(ctx, rpcPartRecv, evac, nil); err != nil {
 		// The parent's state is ambiguous: its data lives only in the
@@ -498,12 +498,12 @@ func (c *Coordinator) splitPartition(ctx context.Context, sess *rebalSession, d 
 		c.partLoad[rec.First+k] = parentLoad / int64(rec.Children)
 	}
 	c.mu.Unlock()
-	if err := c.broadcastTopology(ctx, sess.purgeNames()); err != nil {
+	if err := c.broadcastTopology(ctx, run.purgeNames()); err != nil {
 		return false, err
 	}
-	*sess.attempt++
+	run.attempt++
 	c.recordAdaptive(AdaptiveEvent{
-		Kind: "split", Job: sess.name, Superstep: sess.gs.Superstep,
+		Kind: "split", Job: run.name, Superstep: run.gs.Superstep,
 		Partition: d.Parent, Children: rec.Children, FirstChild: rec.First,
 		Duration: time.Since(start),
 		Detail: fmt.Sprintf("partition %d (load %d) re-hashed into %d children at %d..%d",

@@ -20,9 +20,10 @@ import (
 // Checkpointing (Section 5.5): at user-selected superstep boundaries the
 // runtime snapshots Vertex and Msg (per partition) to the DFS.
 // Checkpointing Msg ensures user programs need not be aware of failures.
-// GS need not be checkpointed — its primary copy is already in the DFS.
-// The Vid index is not checkpointed either: it is derivable from the
-// halt flags in the Vertex snapshot and is rebuilt during recovery.
+// GS rides in the checkpoint manifest — its one durable copy, which is
+// what recovery rewinds the driver's global state from. The Vid index
+// is not checkpointed: it is derivable from the halt flags in the
+// Vertex snapshot and is rebuilt during recovery.
 //
 // # Checkpoint layout and manifest format
 //
@@ -98,8 +99,13 @@ func partStatOf(ps *partitionState) partStat {
 	}
 }
 
-func (rs *runState) ckptDir(ss int64) string {
-	return fmt.Sprintf("/pregelix/%s/ckpt/ss%d", rs.job.Name, ss)
+// ckptRoot is the directory a job's checkpoints live under — in the
+// runtime's DFS, or in the controller's replicated store — and ckptPath
+// the checkpoint of superstep ss within it.
+func ckptRoot(job string) string { return "/pregelix/" + job + "/ckpt/" }
+
+func ckptPath(job string, ss int64) string {
+	return fmt.Sprintf("%sss%d", ckptRoot(job), ss)
 }
 
 // writeVertexSnapshot streams one partition's vertex relation to w as a
@@ -175,10 +181,11 @@ func writeMsgSnapshot(w io.Writer, ps *partitionState, mode tuple.CompressMode) 
 }
 
 // checkpoint writes the superstep's Vertex and Msg state to the DFS and
-// commits the manifest (see the commit protocol above).
-func (rs *runState) checkpoint(ctx context.Context, ss int64) error {
-	dir := rs.ckptDir(ss)
-	m := checkpointManifest{Superstep: ss, Partitions: len(rs.parts), GS: rs.gs}
+// commits the manifest, which carries the driver's global state gs (see
+// the commit protocol above).
+func (rs *runState) checkpoint(ctx context.Context, ss int64, gs globalState) error {
+	dir := ckptPath(rs.job.Name, ss)
+	m := checkpointManifest{Superstep: ss, Partitions: len(rs.parts), GS: gs}
 	for _, ps := range rs.parts {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -239,17 +246,8 @@ func commitManifest(fs manifestWriter, dir string, m *checkpointManifest) error 
 	return fs.Rename(staged, dir+"/manifest.json")
 }
 
-// latestCheckpoint finds the most recent committed manifest in the DFS.
-func (rs *runState) latestCheckpoint() (*checkpointManifest, error) {
-	m := latestManifest(rs.rt.DFS, "/pregelix/"+rs.job.Name+"/ckpt/")
-	if m == nil {
-		return nil, fmt.Errorf("core: no usable checkpoint for job %s", rs.job.Name)
-	}
-	return m, nil
-}
-
 // removeJobFiles reclaims everything a finished job left under its DFS
-// prefix: checkpoint images, manifests and the global-state file.
+// prefix: checkpoint images and manifests.
 func removeJobFiles(fs *dfs.FileSystem, job string) {
 	for _, path := range fs.List("/pregelix/" + job + "/") {
 		fs.Remove(path)
@@ -289,17 +287,17 @@ func latestManifest(fs manifestReader, prefix string) *checkpointManifest {
 
 // recover handles a node failure (Section 5.5): blacklist the machine,
 // select a failure-free placement for its partitions, and reload Vertex,
-// Msg, and (when needed) Vid from the latest checkpoint.
-func (rs *runState) recover(ctx context.Context, nf *hyracks.NodeFailure) error {
+// Msg, and (when needed) Vid from the latest checkpoint, whose manifest
+// it returns for the driver to rewind to.
+func (rs *runState) recover(ctx context.Context, nf *hyracks.NodeFailure) (*checkpointManifest, error) {
 	rs.rt.Cluster.Blacklist(nf.Node)
 	rs.rt.DFS.SetNodeDown(string(nf.Node), true)
-	live := rs.rt.Cluster.LiveNodes()
-	if len(live) == 0 {
-		return fmt.Errorf("core: no live nodes remain")
+	if len(rs.rt.Cluster.LiveNodes()) == 0 {
+		return nil, fmt.Errorf("core: no live nodes remain")
 	}
-	m, err := rs.latestCheckpoint()
-	if err != nil {
-		return err
+	m := latestManifest(rs.rt.DFS, ckptRoot(rs.job.Name))
+	if m == nil {
+		return nil, fmt.Errorf("core: no usable checkpoint for job %s", rs.job.Name)
 	}
 
 	// Drop current partition state (files on the failed machine are
@@ -310,21 +308,14 @@ func (rs *runState) recover(ctx context.Context, nf *hyracks.NodeFailure) error 
 	nodes := rs.assignPartitions(len(rs.parts))
 	for i, ps := range rs.parts {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
 		ps.node = nodes[i]
 		if err := rs.reloadPartition(ps, m); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	rs.gs = m.GS
-	rs.gs.Halt = false
-	// Discard any partial global-state contributions from the failed
-	// attempt; the retried superstep recomputes them.
-	rs.pendingGS.haltAll = false
-	rs.pendingGS.aggregate = nil
-	rs.pendingGS.hasAgg = false
-	return rs.writeGS()
+	return m, nil
 }
 
 // dropPartitionState forgets every partition's live state ahead of a
@@ -389,17 +380,11 @@ func (rs *runState) reloadPartition(ps *partitionState, m *checkpointManifest) e
 		return fmt.Errorf("core: manifest has no partition %d", ps.idx)
 	}
 	st := m.PartStats[ps.idx]
-	vertexFile, msgFile := st.VertexFile, st.MsgFile
-	if vertexFile == "" { // manifests predating the file map
-		dir := rs.ckptDir(m.Superstep)
-		vertexFile = fmt.Sprintf("%s/vertex-p%d", dir, ps.idx)
-		msgFile = fmt.Sprintf("%s/msg-p%d", dir, ps.idx)
-	}
-	vr, err := rs.rt.DFS.Open(vertexFile)
+	vr, err := rs.rt.DFS.Open(st.VertexFile)
 	if err != nil {
 		return err
 	}
-	mr, err := rs.rt.DFS.Open(msgFile)
+	mr, err := rs.rt.DFS.Open(st.MsgFile)
 	if err != nil {
 		return err
 	}

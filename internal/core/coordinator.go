@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"net"
@@ -961,16 +960,12 @@ type DistSubmission struct {
 	Resume bool
 }
 
-// errNotRecoverable marks a job failure with no dead worker behind it:
-// an application error (or a user cancellation) that must be forwarded,
-// not retried — the failure-manager contract of Section 5.7.
-var errNotRecoverable = errors.New("core: failure is not a worker loss")
-
 // RunJob executes one Pregel job across the registered workers and
-// blocks until it finishes: load, the superstep loop (the controller
-// owns the global state, chooses each superstep's join plan centrally,
-// merges the workers' partition counters, decides the halt, and drives
-// a distributed checkpoint every Job.CheckpointEvery supersteps), and
+// blocks until it finishes: load (or resume), then the superstep driver
+// (jobrun.go) over the cluster's phase RPCs — the controller owns the
+// global state, chooses each superstep's join plan centrally, merges the
+// workers' partition counters, decides the halt, and drives a
+// distributed checkpoint every Job.CheckpointEvery supersteps — and
 // optionally the dump, whose rows come back from the worker that hosted
 // the write task. Sticky vertex-partition placement holds across
 // processes because every worker compiles the same deterministic
@@ -993,37 +988,17 @@ func (c *Coordinator) RunJob(ctx context.Context, sub DistSubmission) (*JobStats
 	}
 	c.jobMu.Lock()
 	defer c.jobMu.Unlock()
-
-	// Heal any failure that happened between jobs, so a degraded cluster
-	// repairs itself on the next submission instead of failing forever —
-	// and fold in any pending elasticity work (an elastic worker that
-	// joined, a drain requested) before loading, while moving a node
-	// costs nothing but a routing update.
-	c.reapDead()
-	if err := c.repairTopology(ctx, nil); err != nil {
-		return nil, nil, err
-	}
-	if err := c.rebalance(ctx, nil); err != nil {
+	if err := c.prepareCluster(ctx); err != nil {
 		return nil, nil, err
 	}
 
-	// A fresh run starts from the base partition table with fresh load
-	// counters; a resumed run re-adopts its splits from the manifest in
-	// restoreCluster below.
-	c.mu.Lock()
-	c.splits = nil
-	c.partLoad = make(map[int]int64)
-	c.mu.Unlock()
-
-	// The adaptive runtime's feedback loop, when enabled: replanning,
-	// hot-partition splitting, and straggler relief (adaptive.go).
-	var adv RuntimeAdvisor
+	run := c.newRun(sub.Name, sub.Spec, sub.Job, sub.Progress)
 	if c.cfg.Adaptive.Enabled {
-		adv = newAdaptiveAdvisor(c.cfg.Adaptive)
+		// The adaptive runtime's feedback loop: replanning, hot-partition
+		// splitting, and straggler relief (adaptive.go).
+		run.advisor = newAdaptiveAdvisor(c.cfg.Adaptive)
 	}
-
-	start := time.Now()
-	stats := &JobStats{Job: sub.Name}
+	stats := run.stats
 	if sub.InputData != nil {
 		// Workers keep replicated files in their file systems for the
 		// process lifetime, so an input already shipped (same path, same
@@ -1039,14 +1014,7 @@ func (c *Coordinator) RunJob(ctx context.Context, sub DistSubmission) (*JobStats
 		}
 	}
 
-	runDir := "jobs/" + strings.ReplaceAll(sub.Name, "/", "_")
-	begin := jobBeginMsg{
-		Name:     sub.Name,
-		Spec:     sub.Spec,
-		ScanNode: string(c.nodes[0]),
-		RunDir:   runDir,
-	}
-	if _, err := phaseCall[struct{}](ctx, c, sub.Name, rpcJobBegin, begin); err != nil {
+	if _, err := phaseCall[struct{}](ctx, c, sub.Name, rpcJobBegin, run.begin); err != nil {
 		return stats, nil, err
 	}
 	// A run that completes seals its partition indexes on the workers as
@@ -1066,9 +1034,6 @@ func (c *Coordinator) RunJob(ctx context.Context, sub DistSubmission) (*JobStats
 		}
 	}()
 
-	gs := globalState{}
-	attempt := int64(0)
-
 	// Resume path: a durable coordinator restarting a job that was
 	// mid-flight when the previous process died skips the load and
 	// rewinds every worker to the last committed checkpoint manifest.
@@ -1076,14 +1041,12 @@ func (c *Coordinator) RunJob(ctx context.Context, sub DistSubmission) (*JobStats
 	// an ordinary fresh load.
 	resumed := false
 	if sub.Resume && sub.Job.CheckpointEvery > 0 {
-		if m := latestManifest(c.ckpt, "/pregelix/"+sub.Name+"/ckpt/"); m != nil {
-			if err := c.restoreCluster(ctx, sub.Name, m, attempt); err != nil {
+		if m := latestManifest(c.ckpt, ckptRoot(sub.Name)); m != nil {
+			if err := c.restoreCluster(ctx, sub.Name, m, run.attempt); err != nil {
 				return stats, nil, fmt.Errorf("core: resuming %s from checkpoint: %w", sub.Name, err)
 			}
-			gs = m.GS
-			gs.Halt = false
+			run.rewindTo(m)
 			resumed = true
-			stats.Recoveries++
 			c.cfg.logf("coordinator: %s resumed from committed checkpoint at superstep %d", sub.Name, m.Superstep)
 		} else {
 			c.cfg.logf("coordinator: %s has no committed checkpoint — rolling back to a fresh load", sub.Name)
@@ -1092,295 +1055,229 @@ func (c *Coordinator) RunJob(ctx context.Context, sub DistSubmission) (*JobStats
 
 	if !resumed {
 		// Load phase: every worker bulk-loads its partitions; the merged
-		// counters seed the global state. A worker lost here fails the job
-		// (nothing has been checkpointed), but the cluster heals before the
-		// next submission.
+		// counters seed the global state, every vertex active. A worker
+		// lost here fails the job (nothing has been checkpointed), but the
+		// cluster heals before the next submission.
 		loadStart := time.Now()
 		loads, err := phaseCall[loadReply](ctx, c, sub.Name, rpcJobLoad, jobNameMsg{Name: sub.Name})
 		if err != nil {
 			return stats, nil, fmt.Errorf("core: distributed load %s: %w", sub.Name, err)
 		}
+		var parts []partCount
 		for _, rep := range loads {
-			for _, p := range rep.Parts {
-				gs.NumVertices += p.Vertices
-				gs.NumEdges += p.Edges
-			}
+			parts = append(parts, rep.Parts...)
 		}
-		gs.LiveVertices = gs.NumVertices
+		run.gs = seedGS(0, parts)
+		run.gs.LiveVertices = run.gs.NumVertices
 		stats.LoadDuration = time.Since(loadStart)
-		c.cfg.logf("coordinator: %s loaded — %d vertices, %d edges", sub.Name, gs.NumVertices, gs.NumEdges)
+		c.cfg.logf("coordinator: %s loaded — %d vertices, %d edges", sub.Name, run.gs.NumVertices, run.gs.NumEdges)
 	}
 
-	// recoverOrFail folds a phase failure into either a completed
-	// recovery (gs rewound to the checkpoint, nil returned) or the
-	// error the caller must forward.
-	recoverOrFail := func(phase string, err error) error {
-		m, rerr := c.recoverJob(ctx, &sub, &begin, attempt+1)
-		if rerr != nil {
-			if errors.Is(rerr, errNotRecoverable) {
-				return fmt.Errorf("core: %s of %s: %w", phase, sub.Name, err)
-			}
-			return fmt.Errorf("core: %s of %s: %w (recovery failed: %v)", phase, sub.Name, err, rerr)
-		}
-		attempt++
-		stats.Recoveries++
-		gs = m.GS
-		gs.Halt = false
-		rollbackStats(stats, gs.Superstep)
-		if adv != nil {
-			// Pre-failure timing streaks and pending decisions are stale
-			// after the rollback (satellite of the same coin: restoreCluster
-			// also resets the per-partition load counters).
-			adv.Reset()
-		}
-		c.cfg.logf("coordinator: %s recovered — resuming from superstep %d (attempt %d)",
-			sub.Name, gs.Superstep, attempt)
-		return nil
-	}
-
-	// Superstep loop: the controller is the statistics collector, the
-	// plan advisor, the checkpoint committer and the failure manager;
-	// workers execute. The dump joins the loop so a failure during it
-	// also rewinds to the last checkpoint.
-	runStart := time.Now()
-	var output []byte
-	var lastPlan string
-	for done := false; !done; {
-		if err := ctx.Err(); err != nil {
-			c.cancelJob(sub.Name)
-			return stats, nil, err
-		}
-		// Superstep boundaries are the rebalance points: no phase is in
-		// flight, so partitions can migrate to an elastic joiner (or off
-		// a draining worker) as whole images, with no rollback and no
-		// lost superstep. A rebalance that fails because a worker died
-		// mid-migration falls through to checkpoint recovery.
-		if c.pendingRebalance() {
-			sess := &rebalSession{name: sub.Name, begin: &begin, gs: gs, attempt: &attempt, stats: stats}
-			if err := c.rebalance(ctx, sess); err != nil {
-				if rerr := recoverOrFail("rebalance", err); rerr != nil {
-					return stats, nil, rerr
-				}
-				continue
-			}
-		}
-		ss := gs.Superstep + 1
-		atCap := sub.Job.MaxSupersteps > 0 && ss > int64(sub.Job.MaxSupersteps)
-		if !atCap && !gs.Halt {
-			join := chooseJoinFor(sub.Job, &gs, ss)
-			if adv != nil {
-				join = adv.Plan(sub.Job, &gs, ss)
-			}
-			stats.recordPlan(ss, join)
-			if adv != nil && lastPlan != "" && join.String() != lastPlan {
-				c.recordAdaptive(AdaptiveEvent{
-					Kind: "plan-switch", Job: sub.Name, Superstep: ss,
-					Plan: join.String(), PrevPlan: lastPlan,
-					Detail: fmt.Sprintf("live=%d msgs=%d |V|=%d", gs.LiveVertices, gs.Messages, gs.NumVertices),
-				})
-			}
-			lastPlan = join.String()
-			stepStart := time.Now()
-			reps, stepWorkers, err := phaseCallW[superstepReply](ctx, c, sub.Name, rpcSuperstep,
-				superstepMsg{Name: sub.Name, SS: ss, GS: gs, Join: join, Attempt: attempt, Splits: c.currentSplits()})
-			if err != nil {
-				if rerr := recoverOrFail(fmt.Sprintf("superstep %d", ss), err); rerr != nil {
-					return stats, nil, rerr
-				}
-				continue
-			}
-
-			var msgs, live, nv, ne, netTuples, netBytes, netWireBytes, netWireRawBytes, ioBytes int64
-			var haltAll, sawOwner bool
-			gs.Aggregate = nil
-			c.mu.Lock()
-			for _, rep := range reps {
-				for _, p := range rep.Parts {
-					// Feed the rebalancer's per-partition weights.
-					c.partLoad[p.Part] = p.Vertices + p.Msgs
-				}
-			}
-			c.mu.Unlock()
-			for _, rep := range reps {
-				for _, p := range rep.Parts {
-					msgs += p.Msgs
-					live += p.Live
-					nv += p.Vertices
-					ne += p.Edges
-				}
-				netTuples += rep.NetTuples
-				netBytes += rep.NetBytes
-				netWireBytes += rep.NetWireBytes
-				netWireRawBytes += rep.NetWireRawBytes
-				ioBytes += rep.IOBytes
-				if rep.GSOwner {
-					if sawOwner {
-						return stats, nil, fmt.Errorf("core: superstep %d of %s: two workers claim the global-state task", ss, sub.Name)
-					}
-					sawOwner = true
-					haltAll = rep.HaltAll
-					if rep.HasAgg {
-						gs.Aggregate = rep.Aggregate
-					}
-				}
-			}
-			if !sawOwner {
-				return stats, nil, fmt.Errorf("core: superstep %d of %s: no worker reported the global state", ss, sub.Name)
-			}
-			gs.Superstep = ss
-			gs.Messages = msgs
-			gs.LiveVertices = live
-			gs.NumVertices = nv
-			gs.NumEdges = ne
-			gs.Halt = haltAll && msgs == 0
-
-			stats.Supersteps = ss
-			stats.TotalMessages += msgs
-			stats.SuperstepStats = append(stats.SuperstepStats, SuperstepStat{
-				Superstep:           ss,
-				Duration:            time.Since(stepStart),
-				Messages:            msgs,
-				LiveVertices:        live,
-				NumVertices:         nv,
-				NumEdges:            ne,
-				IOBytes:             ioBytes,
-				NetworkTuples:       netTuples,
-				NetworkBytes:        netBytes,
-				NetworkWireBytes:    netWireBytes,
-				NetworkWireRawBytes: netWireRawBytes,
-				Plan:                stats.pendingPlan,
-			})
-			if sub.Progress != nil {
-				sub.Progress(ss)
-			}
-
-			// Feed the advisor and act on its decisions at this superstep
-			// boundary (no phase in flight). A committed split forces an
-			// immediate checkpoint so the new partition table is journaled
-			// before anything can fail.
-			wantCkpt := sub.Job.CheckpointEvery > 0 && ss%int64(sub.Job.CheckpointEvery) == 0
-			if adv != nil {
-				splits := c.currentSplits()
-				c.mu.Lock()
-				loadCopy := make(map[int]int64, len(c.partLoad))
-				for p, l := range c.partLoad {
-					loadCopy[p] = l
-				}
-				base := c.basePartsLocked()
-				c.mu.Unlock()
-				phases := make([]WorkerPhase, 0, len(reps))
-				for i, rep := range reps {
-					phases = append(phases, WorkerPhase{
-						Addr:     stepWorkers[i].ctrl.RemoteAddr(),
-						Duration: time.Duration(rep.DurationNS),
-					})
-				}
-				adv.Observe(RuntimeObservation{
-					Job:        sub.Name,
-					Stat:       stats.SuperstepStats[len(stats.SuperstepStats)-1],
-					PartLoad:   loadCopy,
-					Workers:    phases,
-					BaseParts:  base,
-					TotalParts: totalParts(base, splits),
-					NumSplits:  len(splits),
-				})
-				sess := &rebalSession{name: sub.Name, begin: &begin, gs: gs, attempt: &attempt, stats: stats}
-				if d, ok := adv.SplitCandidate(); ok {
-					committed, err := c.splitPartition(ctx, sess, d)
-					if err != nil {
-						if rerr := recoverOrFail(fmt.Sprintf("split at superstep %d", ss), err); rerr != nil {
-							return stats, nil, rerr
-						}
-						continue
-					}
-					if committed && sub.Job.CheckpointEvery > 0 {
-						wantCkpt = true
-					}
-				} else if addr, ok := adv.Straggler(); ok {
-					relieved, err := c.relieveWorker(ctx, sess, addr)
-					if err != nil {
-						if rerr := recoverOrFail(fmt.Sprintf("straggler relief at superstep %d", ss), err); rerr != nil {
-							return stats, nil, rerr
-						}
-						continue
-					}
-					if relieved {
-						c.recordAdaptive(AdaptiveEvent{
-							Kind: "relief", Job: sub.Name, Superstep: ss, Worker: addr,
-							Detail: "straggler's heaviest node migrated to the least-loaded peer",
-						})
-					}
-				}
-			}
-
-			// Distributed checkpoint at the configured cadence: every
-			// worker snapshots its partitions into the controller's
-			// replicated store; the manifest commits only after all acks.
-			if wantCkpt {
-				if err := c.checkpointCluster(ctx, sub.Name, ss, gs); err != nil {
-					if rerr := recoverOrFail(fmt.Sprintf("checkpoint at superstep %d", ss), err); rerr != nil {
-						return stats, nil, rerr
-					}
-					continue
-				}
-				stats.Checkpoints++
-			}
-			if !gs.Halt {
-				continue
-			}
-		}
-		stats.RunDuration = time.Since(runStart)
-
-		// Dump phase: the write task's host returns the ordered rows.
-		if sub.WantOutput {
-			dumpStart := time.Now()
-			dumps, err := phaseCall[dumpReply](ctx, c, sub.Name, rpcJobDump, jobNameMsg{Name: sub.Name})
-			if err != nil {
-				if rerr := recoverOrFail("dump", err); rerr != nil {
-					return stats, nil, rerr
-				}
-				continue
-			}
-			var sb strings.Builder
-			found := false
-			for _, rep := range dumps {
-				if !rep.Owner {
-					continue
-				}
-				if found {
-					return stats, nil, fmt.Errorf("core: dump of %s: two workers claim the write task", sub.Name)
-				}
-				found = true
-				for _, line := range rep.Lines {
-					sb.WriteString(line)
-					sb.WriteByte('\n')
-				}
-			}
-			if !found {
-				return stats, nil, fmt.Errorf("core: dump of %s: no worker returned rows", sub.Name)
-			}
-			output = []byte(sb.String())
-			stats.DumpDuration = time.Since(dumpStart)
-		}
-		done = true
-	}
-
-	stats.TotalDuration = time.Since(start)
-	stats.FinalState = GlobalStateView{
-		Superstep:    gs.Superstep,
-		NumVertices:  gs.NumVertices,
-		NumEdges:     gs.NumEdges,
-		LiveVertices: gs.LiveVertices,
-		Aggregate:    gs.Aggregate,
+	ph := &clusterPhases{c: c, wantOutput: sub.WantOutput}
+	if err := run.drive(ctx, ph); err != nil {
+		return stats, nil, err
 	}
 	completed = true
-	return stats, output, nil
+	return stats, ph.output, nil
 }
 
-// ckptPath returns a job's checkpoint directory in the controller's
-// replicated store.
-func ckptPath(job string, ss int64) string {
-	return fmt.Sprintf("/pregelix/%s/ckpt/ss%d", job, ss)
+// prepareCluster readies the cluster for a new run (caller holds jobMu):
+// it heals any failure that happened between jobs, so a degraded
+// cluster repairs itself on the next submission instead of failing
+// forever, folds in any pending elasticity work (an elastic worker that
+// joined, a drain requested) while moving a node costs nothing but a
+// routing update, and resets the per-run split table and load counters
+// (a resumed run re-adopts its splits from the manifest).
+func (c *Coordinator) prepareCluster(ctx context.Context) error {
+	c.reapDead()
+	if err := c.repairTopology(ctx, nil); err != nil {
+		return err
+	}
+	if err := c.rebalance(ctx, nil); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	c.splits = nil
+	c.partLoad = make(map[int]int64)
+	c.mu.Unlock()
+	return nil
+}
+
+// newRun starts a run's driver state, with the job session every worker
+// — and any worker joining mid-run — opens for it.
+func (c *Coordinator) newRun(name string, spec json.RawMessage, job *pregel.Job, progress func(int64)) *jobRun {
+	run := newJobRun(name, job)
+	run.progress = progress
+	run.begin = &jobBeginMsg{
+		Name:     name,
+		Spec:     spec,
+		ScanNode: string(c.nodes[0]),
+		RunDir:   "jobs/" + strings.ReplaceAll(name, "/", "_"),
+	}
+	return run
+}
+
+// clusterPhases executes the driver's verbs as phase RPCs over the
+// registered workers: the controller is the statistics collector, the
+// checkpoint committer and the failure manager; workers execute.
+type clusterPhases struct {
+	c *Coordinator
+	// wantOutput asks the dump verb for the result rows, left in output.
+	wantOutput bool
+	output     []byte
+	// lastPlan is the previous superstep's join (plan-switch events).
+	lastPlan string
+	// reps and workers are the last superstep's replies and the worker
+	// snapshot they are aligned with, kept for observe.
+	reps    []superstepReply
+	workers []*ccWorker
+}
+
+// boundary: superstep boundaries are the rebalance points. No phase is
+// in flight, so partitions can migrate to an elastic joiner (or off a
+// draining worker) as whole images, with no rollback and no lost
+// superstep. A rebalance that fails because a worker died mid-migration
+// falls through to checkpoint recovery.
+func (p *clusterPhases) boundary(ctx context.Context, run *jobRun) error {
+	if !p.c.pendingRebalance() {
+		return nil
+	}
+	if err := p.c.rebalance(ctx, run); err != nil {
+		return fmt.Errorf("core: rebalance of %s: %w", run.name, err)
+	}
+	return nil
+}
+
+func (p *clusterPhases) superstep(ctx context.Context, run *jobRun, ss int64, join pregel.JoinKind) (stepOutcome, error) {
+	c := p.c
+	if run.advisor != nil && p.lastPlan != "" && join.String() != p.lastPlan {
+		c.recordAdaptive(AdaptiveEvent{
+			Kind: "plan-switch", Job: run.name, Superstep: ss,
+			Plan: join.String(), PrevPlan: p.lastPlan,
+			Detail: fmt.Sprintf("live=%d msgs=%d |V|=%d", run.gs.LiveVertices, run.gs.Messages, run.gs.NumVertices),
+		})
+	}
+	p.lastPlan = join.String()
+	reps, workers, err := phaseCallW[superstepReply](ctx, c, run.name, rpcSuperstep,
+		superstepMsg{Name: run.name, SS: ss, GS: run.gs, Join: join, Attempt: run.attempt, Splits: c.currentSplits()})
+	if err != nil {
+		return stepOutcome{}, fmt.Errorf("core: superstep %d of %s: %w", ss, run.name, err)
+	}
+	p.reps, p.workers = reps, workers
+	// Feed the rebalancer's per-partition weights.
+	c.mu.Lock()
+	for _, rep := range reps {
+		for _, pc := range rep.Parts {
+			c.partLoad[pc.Part] = pc.Vertices + pc.Msgs
+		}
+	}
+	c.mu.Unlock()
+	out, err := foldStep(reps)
+	if err != nil {
+		return stepOutcome{}, fmt.Errorf("core: superstep %d of %s: %w", ss, run.name, err)
+	}
+	return out, nil
+}
+
+// observe feeds the advisor and acts on its decisions at this superstep
+// boundary (no phase in flight). A committed split forces an immediate
+// checkpoint so the new partition table is journaled before anything
+// can fail.
+func (p *clusterPhases) observe(ctx context.Context, run *jobRun) (bool, error) {
+	adv := run.advisor
+	if adv == nil {
+		return false, nil
+	}
+	c := p.c
+	stat := run.stats.SuperstepStats[len(run.stats.SuperstepStats)-1]
+	splits := c.currentSplits()
+	c.mu.Lock()
+	load := make(map[int]int64, len(c.partLoad))
+	for part, l := range c.partLoad {
+		load[part] = l
+	}
+	base := c.basePartsLocked()
+	c.mu.Unlock()
+	timings := make([]WorkerPhase, len(p.reps))
+	for i, rep := range p.reps {
+		timings[i] = WorkerPhase{Addr: p.workers[i].ctrl.RemoteAddr(), Duration: time.Duration(rep.DurationNS)}
+	}
+	adv.Observe(RuntimeObservation{
+		Job:        run.name,
+		Stat:       stat,
+		PartLoad:   load,
+		Workers:    timings,
+		BaseParts:  base,
+		TotalParts: totalParts(base, splits),
+		NumSplits:  len(splits),
+	})
+	if d, ok := adv.SplitCandidate(); ok {
+		committed, err := c.splitPartition(ctx, run, d)
+		if err != nil {
+			return false, fmt.Errorf("core: split at superstep %d of %s: %w", stat.Superstep, run.name, err)
+		}
+		return committed, nil
+	}
+	if addr, ok := adv.Straggler(); ok {
+		relieved, err := c.relieveWorker(ctx, run, addr)
+		if err != nil {
+			return false, fmt.Errorf("core: straggler relief at superstep %d of %s: %w", stat.Superstep, run.name, err)
+		}
+		if relieved {
+			c.recordAdaptive(AdaptiveEvent{
+				Kind: "relief", Job: run.name, Superstep: stat.Superstep, Worker: addr,
+				Detail: "straggler's heaviest node migrated to the least-loaded peer",
+			})
+		}
+	}
+	return false, nil
+}
+
+// checkpoint: every worker snapshots its partitions into the
+// controller's replicated store; the manifest commits only after all
+// acks.
+func (p *clusterPhases) checkpoint(ctx context.Context, run *jobRun, ss int64) error {
+	if err := p.c.checkpointCluster(ctx, run.name, ss, run.gs); err != nil {
+		return fmt.Errorf("core: checkpoint at superstep %d of %s: %w", ss, run.name, err)
+	}
+	return nil
+}
+
+func (p *clusterPhases) restore(ctx context.Context, run *jobRun, _ error) (*checkpointManifest, error) {
+	m, err := p.c.recoverJob(ctx, run)
+	if err == nil {
+		p.c.cfg.logf("coordinator: %s recovered — resuming from superstep %d (attempt %d)",
+			run.name, m.Superstep, run.attempt+1)
+	}
+	return m, err
+}
+
+// dump: the write task's host returns the ordered rows.
+func (p *clusterPhases) dump(ctx context.Context, run *jobRun) error {
+	if !p.wantOutput {
+		return nil
+	}
+	dumps, err := phaseCall[dumpReply](ctx, p.c, run.name, rpcJobDump, jobNameMsg{Name: run.name})
+	if err != nil {
+		return fmt.Errorf("core: dump of %s: %w", run.name, err)
+	}
+	var sb strings.Builder
+	owners := 0
+	for _, rep := range dumps {
+		if !rep.Owner {
+			continue
+		}
+		owners++
+		for _, line := range rep.Lines {
+			sb.WriteString(line)
+			sb.WriteByte('\n')
+		}
+	}
+	if owners != 1 {
+		return fmt.Errorf("core: dump of %s: %d workers returned rows, want exactly one", run.name, owners)
+	}
+	p.output = []byte(sb.String())
+	return nil
 }
 
 // checkpointCluster drives one distributed checkpoint: every worker
@@ -1454,9 +1351,9 @@ func (c *Coordinator) removeCheckpoints(name string) {
 // runState.recover): called when a phase fails, it verifies the failure
 // is a worker loss (anything else is forwarded as an application
 // error), aborts the in-flight phase everywhere, repairs the topology,
-// and restores every worker from the latest committed checkpoint, whose
-// manifest it returns so the caller can rewind the global state.
-func (c *Coordinator) recoverJob(ctx context.Context, sub *DistSubmission, begin *jobBeginMsg, attempt int64) (*checkpointManifest, error) {
+// and restores every worker from the latest committed checkpoint under
+// the next epoch, returning the manifest for the driver to rewind to.
+func (c *Coordinator) recoverJob(ctx context.Context, run *jobRun) (*checkpointManifest, error) {
 	dead := c.reapDead()
 	if len(dead) == 0 {
 		return nil, errNotRecoverable
@@ -1464,10 +1361,10 @@ func (c *Coordinator) recoverJob(ctx context.Context, sub *DistSubmission, begin
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if sub.Job.CheckpointEvery <= 0 {
+	if run.job.CheckpointEvery <= 0 {
 		return nil, fmt.Errorf("core: worker lost and job has no checkpoints (set CheckpointEvery)")
 	}
-	m := latestManifest(c.ckpt, "/pregelix/"+sub.Name+"/ckpt/")
+	m := latestManifest(c.ckpt, ckptRoot(run.name))
 	if m == nil {
 		return nil, fmt.Errorf("core: worker lost before the first checkpoint committed")
 	}
@@ -1475,14 +1372,14 @@ func (c *Coordinator) recoverJob(ctx context.Context, sub *DistSubmission, begin
 	// 1. Quiesce: abort the in-flight phase on every survivor and wait
 	// for their tasks to drain, so topology and partition state can be
 	// mutated safely.
-	phaseCall[struct{}](ctx, c, "", rpcJobAbort, jobNameMsg{Name: sub.Name})
+	phaseCall[struct{}](ctx, c, "", rpcJobAbort, jobNameMsg{Name: run.name})
 	// 2. Repair: adopt a standby worker (joining the open job session)
 	// or redistribute the orphaned nodes over the survivors.
-	if err := c.repairTopology(ctx, begin); err != nil {
+	if err := c.repairTopology(ctx, run.begin); err != nil {
 		return nil, err
 	}
 	// 3. Restore: rewind every worker to the checkpoint.
-	if err := c.restoreCluster(ctx, sub.Name, m, attempt); err != nil {
+	if err := c.restoreCluster(ctx, run.name, m, run.attempt+1); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -1518,7 +1415,7 @@ func (c *Coordinator) restoreCluster(ctx context.Context, name string, m *checkp
 	// placement every runState computes (assignPartitions, applySplits).
 	msgs := make(map[*ccWorker]*restoreMsg, len(workers))
 	for _, w := range workers {
-		msgs[w] = &restoreMsg{Name: name, SS: m.Superstep, GS: m.GS, Attempt: attempt, Splits: m.Splits}
+		msgs[w] = &restoreMsg{Name: name, SS: m.Superstep, Attempt: attempt, Splits: m.Splits}
 	}
 	for i := 0; i < m.Partitions; i++ {
 		node := string(nodes[i%len(nodes)])

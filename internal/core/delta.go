@@ -19,6 +19,7 @@ package core
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"sort"
 
@@ -76,13 +77,85 @@ func sealedPartitionImage(idx storage.Index, part int, mode tuple.CompressMode) 
 	return ckptPartData{Part: part, Vertex: buf.Bytes(), Stats: st}, nil
 }
 
-// cloneDeltaPartition installs a sealed-partition image into a delta
-// session's partition — the same reload path checkpoint restores and
-// migrations use, so compressed and raw images clone alike.
-func (rs *runState) cloneDeltaPartition(ps *partitionState, pd *ckptPartData) error {
+// installImage rebuilds a partition from a snapshot image — one reload
+// path for checkpoint restores, migrations and delta clones, so
+// compressed and raw images install alike.
+func (rs *runState) installImage(ps *partitionState, pd *ckptPartData) error {
 	return rs.reloadPartitionFrom(ps, pd.Stats,
 		bufio.NewReader(bytes.NewReader(pd.Vertex)),
 		bufio.NewReader(bytes.NewReader(pd.Msg)))
+}
+
+// deltaDirty maps each hosted partition of a delta session to the
+// mutation-touched vertex ids still present after application.
+type deltaDirty map[int]map[uint64]struct{}
+
+// total counts the dirty vertices over all partitions.
+func (d deltaDirty) total() (n int64) {
+	for _, ids := range d {
+		n += int64(len(ids))
+	}
+	return n
+}
+
+// ingestDelta builds the hosted partitions of a delta session: each is
+// cloned from the sealed source — from a shipped image where one came
+// with the verb (the cluster's topology moved since the seal), else from
+// the sealed index held here, imaged in place (no wire hop, so no
+// compression) — and its routed mutations are applied in journal order.
+// The caller keeps src acquired. The dirty sets go to armDelta.
+func (rs *runState) ingestDelta(ctx context.Context, src *retainedResult, shipped []ckptPartData, muts map[int][]delta.Mutation) (deltaDirty, error) {
+	rs.initParts()
+	if src != nil && len(rs.parts) != src.numParts {
+		return nil, fmt.Errorf("cluster has %d partitions, sealed result has %d", len(rs.parts), src.numParts)
+	}
+	byPart := make(map[int]*ckptPartData, len(shipped))
+	for i := range shipped {
+		byPart[shipped[i].Part] = &shipped[i]
+	}
+	dirty := make(deltaDirty)
+	for _, ps := range rs.ownedParts() {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		pd := byPart[ps.idx]
+		if pd == nil {
+			var idx storage.Index
+			if src != nil {
+				idx = src.parts[ps.idx]
+			}
+			if idx == nil {
+				return nil, fmt.Errorf("partition %d neither shipped nor sealed here", ps.idx)
+			}
+			img, err := sealedPartitionImage(idx, ps.idx, tuple.CompressOff)
+			if err != nil {
+				return nil, fmt.Errorf("imaging sealed partition %d: %w", ps.idx, err)
+			}
+			pd = &img
+		}
+		if err := rs.installImage(ps, pd); err != nil {
+			return nil, fmt.Errorf("cloning partition %d: %w", ps.idx, err)
+		}
+		dirty[ps.idx] = make(map[uint64]struct{})
+		if err := rs.applyDeltaMutations(ps, muts[ps.idx], dirty[ps.idx]); err != nil {
+			return nil, fmt.Errorf("applying to partition %d: %w", ps.idx, err)
+		}
+	}
+	return dirty, nil
+}
+
+// armDelta arms every hosted partition's dirty set (armDeltaPartition),
+// after which ordinary supersteps compute only the dirty frontier.
+func (rs *runState) armDelta(ctx context.Context, dirty deltaDirty) error {
+	for _, ps := range rs.ownedParts() {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := rs.armDeltaPartition(ps, dirty[ps.idx]); err != nil {
+			return fmt.Errorf("arming partition %d: %w", ps.idx, err)
+		}
+	}
+	return nil
 }
 
 // setNumericValue assigns f into a numeric pregel value, reporting
@@ -260,19 +333,4 @@ func (rs *runState) armDeltaPartition(ps *partitionState, dirty map[uint64]struc
 		}
 	}
 	return nil
-}
-
-// seedDeltaGS computes the armed session's global state from its
-// partition counters: Superstep 1 makes the next superstep run as ss=2,
-// past both of the engine's superstep-1 full-activation gates, so only
-// the armed dirty set (plus any vertices the sealed run left live)
-// computes.
-func (rs *runState) seedDeltaGS() {
-	gs := globalState{Superstep: 1}
-	for _, ps := range rs.parts {
-		gs.NumVertices += ps.numVertices
-		gs.NumEdges += ps.numEdges
-		gs.LiveVertices += ps.liveVertices
-	}
-	rs.gs = gs
 }

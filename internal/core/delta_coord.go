@@ -5,8 +5,8 @@ package core
 // a delta session on every worker (delta.ingest clones the sealed
 // partitions — shipping sealed-partition images wherever the cluster's
 // topology moved since the seal — and applies the routed mutations),
-// arms the dirty frontier (delta.run), then drives ordinary
-// job.superstep rounds until convergence and seals the refreshed clone
+// arms the dirty frontier (delta.run), then hands the run to the same
+// superstep driver RunJob uses until convergence and seals the refreshed clone
 // as the base job's new query version. The sealed source keeps
 // answering queries until the very last step: version swap is the
 // atomic visibility point.
@@ -14,14 +14,13 @@ package core
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
 	"pregelix/internal/delta"
 	"pregelix/internal/dfs"
+	"pregelix/internal/hyracks"
 	"pregelix/pregel"
 )
 
@@ -91,11 +90,7 @@ func (c *Coordinator) DeltaRefresh(ctx context.Context, sub DeltaSubmission) (*J
 	// Heal between-jobs failures first, exactly like RunJob — but note
 	// the sealed source's partitions never migrate: a repair only fixes
 	// the topology the delta *session* will run on.
-	c.reapDead()
-	if err := c.repairTopology(ctx, nil); err != nil {
-		return nil, err
-	}
-	if err := c.rebalance(ctx, nil); err != nil {
+	if err := c.prepareCluster(ctx); err != nil {
 		return nil, err
 	}
 
@@ -112,10 +107,7 @@ func (c *Coordinator) DeltaRefresh(ctx context.Context, sub DeltaSubmission) (*J
 
 	c.mu.Lock()
 	workers := append([]*ccWorker(nil), c.workers...)
-	nodes := make([]string, len(c.nodes))
-	for i, id := range c.nodes {
-		nodes[i] = string(id)
-	}
+	nodes := append([]hyracks.NodeID(nil), c.nodes...)
 	c.mu.Unlock()
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("core: no cluster topology")
@@ -127,10 +119,8 @@ func (c *Coordinator) DeltaRefresh(ctx context.Context, sub DeltaSubmission) (*J
 		}
 	}
 
-	start := time.Now()
-	stats := &JobStats{Job: sub.Name}
-	runDir := "jobs/" + strings.ReplaceAll(sub.Name, "/", "_")
-	begin := &jobBeginMsg{Name: sub.Name, Spec: sub.Spec, ScanNode: nodes[0], RunDir: runDir}
+	run := c.newRun(sub.Name, sub.Spec, sub.Job, sub.Progress)
+	stats := run.stats
 
 	// Placement plan: the delta session's partition i lives on node
 	// i%N (the same deterministic round-robin every runState computes);
@@ -141,14 +131,14 @@ func (c *Coordinator) DeltaRefresh(ctx context.Context, sub DeltaSubmission) (*J
 	ingest := make(map[*ccWorker]*deltaIngestMsg, len(workers))
 	for _, w := range workers {
 		ingest[w] = &deltaIngestMsg{
-			Name: sub.Name, FromVersion: sub.Version, Spec: sub.Spec, RunDir: runDir,
+			Name: sub.Name, FromVersion: sub.Version, Spec: sub.Spec, RunDir: run.begin.RunDir,
 			Muts: make(map[int][]delta.Mutation),
 		}
 	}
 	shipFrom := make(map[*ccWorker][]int) // sealed holder → partitions to image
 	curOwner := make([]*ccWorker, numParts)
 	for i := 0; i < numParts; i++ {
-		cur := ownerOf[nodes[i%len(nodes)]]
+		cur := ownerOf[string(nodes[i%len(nodes)])]
 		if cur == nil {
 			return nil, fmt.Errorf("core: delta refresh of %s: partition %d's node has no owner", sub.Version, i)
 		}
@@ -201,155 +191,33 @@ func (c *Coordinator) DeltaRefresh(ctx context.Context, sub DeltaSubmission) (*J
 		}(i, w)
 	}
 	wg.Wait()
+	var dirtyTotal int64
 	for i, err := range ingErrs {
 		if err != nil {
 			c.cancelJob(sub.Name)
 			return stats, fmt.Errorf("core: delta ingest of %s on %s: %w", sub.Name, workers[i].ctrl.RemoteAddr(), err)
 		}
+		dirtyTotal += ingReplies[i].Dirty
 	}
 
-	gs := globalState{Superstep: 1}
-	var dirtyTotal int64
-	for _, rep := range ingReplies {
-		for _, p := range rep.Parts {
-			gs.NumVertices += p.Vertices
-			gs.NumEdges += p.Edges
-		}
-		dirtyTotal += rep.Dirty
-	}
-
-	// Arm: clear halt flags on the dirty sets, seed the Vid indexes.
+	// Arm: clear halt flags on the dirty sets, seed the Vid indexes. The
+	// armed counters seed the global state at superstep 1, so the driver
+	// starts at ss=2 — past both superstep-1 full-activation gates.
 	runReps, err := phaseCall[deltaRunReply](ctx, c, sub.Name, rpcDeltaRun, deltaRunMsg{Name: sub.Name})
 	if err != nil {
 		return stats, fmt.Errorf("core: delta arm of %s: %w", sub.Name, err)
 	}
+	var parts []partCount
 	for _, rep := range runReps {
-		for _, p := range rep.Parts {
-			gs.LiveVertices += p.Live
-		}
+		parts = append(parts, rep.Parts...)
 	}
+	run.gs = seedGS(1, parts)
 	stats.LoadDuration = time.Since(ingestStart)
 	c.cfg.logf("coordinator: %s delta-armed — %d mutations, %d dirty vertices, %d live of %d",
-		sub.Name, len(sub.Muts), dirtyTotal, gs.LiveVertices, gs.NumVertices)
+		sub.Name, len(sub.Muts), dirtyTotal, run.gs.LiveVertices, run.gs.NumVertices)
 
-	attempt := int64(0)
-	recoverOrFail := func(phase string, err error) error {
-		dsub := DistSubmission{Name: sub.Name, Spec: sub.Spec, Job: sub.Job}
-		m, rerr := c.recoverJob(ctx, &dsub, begin, attempt+1)
-		if rerr != nil {
-			if errors.Is(rerr, errNotRecoverable) {
-				return fmt.Errorf("core: %s of %s: %w", phase, sub.Name, err)
-			}
-			return fmt.Errorf("core: %s of %s: %w (recovery failed: %v)", phase, sub.Name, err, rerr)
-		}
-		attempt++
-		stats.Recoveries++
-		gs = m.GS
-		gs.Halt = false
-		rollbackStats(stats, gs.Superstep)
-		c.cfg.logf("coordinator: %s recovered — resuming from superstep %d (attempt %d)",
-			sub.Name, gs.Superstep, attempt)
-		return nil
-	}
-
-	// Delta superstep loop: identical to RunJob's, starting at ss=2
-	// (past both superstep-1 full-activation gates) with no dump phase.
-	runStart := time.Now()
-	for done := false; !done; {
-		if err := ctx.Err(); err != nil {
-			c.cancelJob(sub.Name)
-			return stats, err
-		}
-		if c.pendingRebalance() {
-			sess := &rebalSession{name: sub.Name, begin: begin, gs: gs, attempt: &attempt, stats: stats}
-			if err := c.rebalance(ctx, sess); err != nil {
-				if rerr := recoverOrFail("rebalance", err); rerr != nil {
-					return stats, rerr
-				}
-				continue
-			}
-		}
-		ss := gs.Superstep + 1
-		atCap := sub.Job.MaxSupersteps > 0 && ss > int64(sub.Job.MaxSupersteps)
-		if !atCap && !gs.Halt {
-			join := chooseJoinFor(sub.Job, &gs, ss)
-			stats.recordPlan(ss, join)
-			stepStart := time.Now()
-			reps, err := phaseCall[superstepReply](ctx, c, sub.Name, rpcSuperstep,
-				superstepMsg{Name: sub.Name, SS: ss, GS: gs, Join: join, Attempt: attempt})
-			if err != nil {
-				if rerr := recoverOrFail(fmt.Sprintf("delta superstep %d", ss), err); rerr != nil {
-					return stats, rerr
-				}
-				continue
-			}
-
-			var msgs, live, nv, ne, ioBytes int64
-			var haltAll, sawOwner bool
-			gs.Aggregate = nil
-			for _, rep := range reps {
-				for _, p := range rep.Parts {
-					msgs += p.Msgs
-					live += p.Live
-					nv += p.Vertices
-					ne += p.Edges
-				}
-				ioBytes += rep.IOBytes
-				if rep.GSOwner {
-					if sawOwner {
-						return stats, fmt.Errorf("core: delta superstep %d of %s: two workers claim the global-state task", ss, sub.Name)
-					}
-					sawOwner = true
-					haltAll = rep.HaltAll
-					if rep.HasAgg {
-						gs.Aggregate = rep.Aggregate
-					}
-				}
-			}
-			if !sawOwner {
-				return stats, fmt.Errorf("core: delta superstep %d of %s: no worker reported the global state", ss, sub.Name)
-			}
-			gs.Superstep = ss
-			gs.Messages = msgs
-			gs.LiveVertices = live
-			gs.NumVertices = nv
-			gs.NumEdges = ne
-			gs.Halt = haltAll && msgs == 0
-
-			stats.Supersteps = ss
-			stats.TotalMessages += msgs
-			stats.SuperstepStats = append(stats.SuperstepStats, SuperstepStat{
-				Superstep: ss, Duration: time.Since(stepStart), Messages: msgs,
-				LiveVertices: live, NumVertices: nv, NumEdges: ne,
-				IOBytes: ioBytes, Plan: stats.pendingPlan,
-			})
-			if sub.Progress != nil {
-				sub.Progress(ss)
-			}
-
-			if sub.Job.CheckpointEvery > 0 && ss%int64(sub.Job.CheckpointEvery) == 0 {
-				if err := c.checkpointCluster(ctx, sub.Name, ss, gs); err != nil {
-					if rerr := recoverOrFail(fmt.Sprintf("checkpoint at superstep %d", ss), err); rerr != nil {
-						return stats, rerr
-					}
-					continue
-				}
-				stats.Checkpoints++
-			}
-			if !gs.Halt {
-				continue
-			}
-		}
-		done = true
-	}
-	stats.RunDuration = time.Since(runStart)
-	stats.TotalDuration = time.Since(start)
-	stats.FinalState = GlobalStateView{
-		Superstep:    gs.Superstep,
-		NumVertices:  gs.NumVertices,
-		NumEdges:     gs.NumEdges,
-		LiveVertices: gs.LiveVertices,
-		Aggregate:    gs.Aggregate,
+	if err := run.drive(ctx, &clusterPhases{c: c}); err != nil {
+		return stats, err
 	}
 	completed = true
 	return stats, nil

@@ -2,9 +2,9 @@ package core
 
 // Single-process side of the delta-refresh subsystem: the Runtime
 // clones a sealed version's partitions locally, applies the mutations,
-// arms the dirty frontier and reuses the ordinary superstep loop (with
-// its checkpoint/recovery machinery) until convergence, then seals the
-// refreshed clone as the base job's new query version.
+// arms the dirty frontier and hands the run to the ordinary superstep
+// driver (with its checkpoint/recovery machinery) until convergence,
+// then seals the refreshed clone as the base job's new query version.
 // JobManager.SubmitDelta puts that under admission control.
 
 import (
@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"pregelix/internal/delta"
-	"pregelix/internal/tuple"
 	"pregelix/pregel"
 )
 
@@ -41,76 +40,30 @@ func (r *Runtime) deltaRefresh(ctx context.Context, job *pregel.Job, fromVersion
 	defer src.release()
 	defer removeJobFiles(r.DFS, job.Name)
 
-	start := time.Now()
-	rs := &runState{
-		rt:     r,
-		job:    job,
-		codec:  &job.Codec,
-		opMem:  ten.opMem,
-		runDir: ten.runDir,
-		exec:   r.opts.Exec,
-		stats:  &JobStats{Job: job.Name},
-	}
-	rs.initParts()
-	if len(rs.parts) != src.numParts {
-		rs.cleanup()
-		return rs.stats, fmt.Errorf("core: delta refresh of %s: cluster has %d partitions, sealed result has %d",
-			fromVersion, len(rs.parts), src.numParts)
-	}
+	run := newJobRun(job.Name, job)
+	rs := r.newRunState(job, r.opts.Exec, ten)
+	defer rs.cleanup()
 
-	// Clone, mutate, arm — partition by partition.
+	// Clone, mutate, arm. Superstep 1 makes the first delta superstep run
+	// as ss=2, past both superstep-1 full-activation gates, so only the
+	// armed dirty set (plus any vertices the sealed run left live)
+	// computes.
 	ingestStart := time.Now()
-	routed := delta.Route(muts, src.numParts)
-	for _, ps := range rs.parts {
-		if err := ctx.Err(); err != nil {
-			rs.cleanup()
-			return rs.stats, err
-		}
-		idx := src.parts[ps.idx]
-		if idx == nil {
-			rs.cleanup()
-			return rs.stats, fmt.Errorf("core: delta refresh of %s: partition %d not sealed", fromVersion, ps.idx)
-		}
-		img, err := sealedPartitionImage(idx, ps.idx, tuple.CompressOff)
-		if err != nil {
-			rs.cleanup()
-			return rs.stats, fmt.Errorf("core: delta refresh of %s: imaging partition %d: %w", fromVersion, ps.idx, err)
-		}
-		if err := rs.cloneDeltaPartition(ps, &img); err != nil {
-			rs.cleanup()
-			return rs.stats, fmt.Errorf("core: delta refresh of %s: cloning partition %d: %w", fromVersion, ps.idx, err)
-		}
-		dirty := make(map[uint64]struct{})
-		if err := rs.applyDeltaMutations(ps, routed[ps.idx], dirty); err != nil {
-			rs.cleanup()
-			return rs.stats, fmt.Errorf("core: delta refresh of %s: applying to partition %d: %w", fromVersion, ps.idx, err)
-		}
-		if err := rs.armDeltaPartition(ps, dirty); err != nil {
-			rs.cleanup()
-			return rs.stats, fmt.Errorf("core: delta refresh of %s: arming partition %d: %w", fromVersion, ps.idx, err)
-		}
+	dirty, err := rs.ingestDelta(ctx, src, nil, delta.Route(muts, src.numParts))
+	if err == nil {
+		err = rs.armDelta(ctx, dirty)
 	}
-	rs.seedDeltaGS()
-	rs.stats.LoadDuration = time.Since(ingestStart)
+	if err != nil {
+		return run.stats, fmt.Errorf("core: delta refresh of %s: %w", fromVersion, err)
+	}
+	run.gs = seedGS(1, rs.partCounts())
+	run.stats.LoadDuration = time.Since(ingestStart)
 
-	// Delta supersteps: the ordinary loop, starting at ss=2 (past both
-	// superstep-1 full-activation gates) with checkpoint/recovery intact.
-	runStart := time.Now()
-	if err := rs.superstepLoop(ctx); err != nil {
-		rs.cleanup()
-		return rs.stats, err
-	}
-	rs.stats.RunDuration = time.Since(runStart)
-	rs.stats.TotalDuration = time.Since(start)
-	rs.stats.FinalState = GlobalStateView{
-		Superstep:    rs.gs.Superstep,
-		NumVertices:  rs.gs.NumVertices,
-		NumEdges:     rs.gs.NumEdges,
-		LiveVertices: rs.gs.LiveVertices,
-		Aggregate:    rs.gs.Aggregate,
+	if err := run.drive(ctx, &localPhases{rs: rs}); err != nil {
+		return run.stats, err
 	}
 	// Seal the refreshed clone; same base name → the source retires and
 	// the base job's queries atomically switch to the new values.
-	r.retainResults(rs)
-	return rs.stats, nil
+	rs.seal(r.queries)
+	return run.stats, nil
 }

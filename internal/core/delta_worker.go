@@ -17,113 +17,32 @@ package core
 // job.end (Retain) then seals the refreshed clone as the base job's new
 // query version; the sealed source serves queries untouched throughout.
 
-import (
-	"context"
-	"fmt"
+import "fmt"
 
-	"pregelix/internal/tuple"
-)
-
-// deltaState is the per-session delta bookkeeping between delta.ingest
-// and delta.run.
-type deltaState struct {
-	fromVersion string
-	// dirty maps owned partition index → mutation-touched vertex ids
-	// still present after application.
-	dirty map[int]map[uint64]struct{}
-}
-
-// deltaIngest opens the delta session and builds its mutated clone.
+// deltaIngest opens the delta session and builds its mutated clone. The
+// dirty sets wait in the session for delta.run.
 func (w *distWorker) deltaIngest(msg *deltaIngestMsg) (*deltaIngestReply, error) {
-	job, err := w.cfg.BuildJob(msg.Spec)
+	dj, err := w.beginJob(&jobBeginMsg{Name: msg.Name, Spec: msg.Spec, RunDir: msg.RunDir})
 	if err != nil {
 		return nil, err
 	}
-	job.Name = msg.Name
-	if err := job.Validate(); err != nil {
-		return nil, err
-	}
-
-	w.mu.Lock()
-	if _, dup := w.jobs[msg.Name]; dup {
-		w.mu.Unlock()
-		return nil, fmt.Errorf("core: job session %q already open", msg.Name)
-	}
-	jctx, cancel := context.WithCancel(w.ctx)
-	dj := &distJob{
-		rs: &runState{
-			rt:     w.rt,
-			job:    job,
-			codec:  &job.Codec,
-			runDir: msg.RunDir,
-			exec:   w.exec,
-			stats:  &JobStats{Job: job.Name},
-		},
-		ctx:    jctx,
-		cancel: cancel,
-		runDir: msg.RunDir,
-		delta: &deltaState{
-			fromVersion: msg.FromVersion,
-			dirty:       make(map[int]map[uint64]struct{}),
-		},
-	}
-	w.jobs[msg.Name] = dj
-	w.mu.Unlock()
-
 	ctx, end, err := dj.beginPhase()
 	if err != nil {
 		return nil, err
 	}
 	defer end()
 
-	rs := dj.rs
-	rs.initParts()
-	byPart := make(map[int]*ckptPartData, len(msg.Ship))
-	for i := range msg.Ship {
-		byPart[msg.Ship[i].Part] = &msg.Ship[i]
-	}
-
-	// Sealed partitions this worker holds locally are imaged in place —
-	// no wire hop, so no compression; the sealed version stays acquired
-	// (query-readable, retirement-safe) for the duration of the scan.
+	// The sealed version stays acquired (query-readable, retirement-safe)
+	// while its partitions are imaged; a worker whose every owned
+	// partition was shipped need not hold it at all.
 	sealed, err := w.queries.acquire(msg.FromVersion)
-	if err != nil && len(byPart) < len(dj.ownedParts()) {
-		return nil, fmt.Errorf("core: delta ingest %s: source version not held: %w", msg.Name, err)
-	}
-	if sealed != nil {
+	if err == nil {
 		defer sealed.release()
 	}
-
-	reply := &deltaIngestReply{Parts: []partCount{}}
-	for _, ps := range dj.ownedParts() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		pd := byPart[ps.idx]
-		if pd == nil {
-			idx := sealed.parts[ps.idx]
-			if idx == nil {
-				return nil, fmt.Errorf("core: delta ingest %s: partition %d neither shipped nor sealed here", msg.Name, ps.idx)
-			}
-			img, err := sealedPartitionImage(idx, ps.idx, tuple.CompressOff)
-			if err != nil {
-				return nil, fmt.Errorf("core: delta ingest %s: imaging sealed partition %d: %w", msg.Name, ps.idx, err)
-			}
-			pd = &img
-		}
-		if err := rs.cloneDeltaPartition(ps, pd); err != nil {
-			return nil, fmt.Errorf("core: delta ingest %s: cloning partition %d: %w", msg.Name, ps.idx, err)
-		}
-		dirty := make(map[uint64]struct{})
-		if err := rs.applyDeltaMutations(ps, msg.Muts[ps.idx], dirty); err != nil {
-			return nil, fmt.Errorf("core: delta ingest %s: applying to partition %d: %w", msg.Name, ps.idx, err)
-		}
-		dj.delta.dirty[ps.idx] = dirty
-		reply.Dirty += int64(len(dirty))
-		reply.Parts = append(reply.Parts, partCount{
-			Part: ps.idx, Vertices: ps.numVertices, Edges: ps.numEdges,
-		})
+	if dj.dirty, err = dj.rs.ingestDelta(ctx, sealed, msg.Ship, msg.Muts); err != nil {
+		return nil, fmt.Errorf("core: delta ingest %s: %w", msg.Name, err)
 	}
+	reply := &deltaIngestReply{Parts: dj.rs.partCounts(), Dirty: dj.dirty.total()}
 	w.cfg.logf("worker: delta session %s ingested (%d dirty)", msg.Name, reply.Dirty)
 	return reply, nil
 }
@@ -134,7 +53,7 @@ func (w *distWorker) deltaRun(msg *deltaRunMsg) (*deltaRunReply, error) {
 	if err != nil {
 		return nil, err
 	}
-	if dj.delta == nil {
+	if dj.dirty == nil {
 		return nil, fmt.Errorf("core: job %s is not a delta session", msg.Name)
 	}
 	ctx, end, err := dj.beginPhase()
@@ -142,24 +61,10 @@ func (w *distWorker) deltaRun(msg *deltaRunMsg) (*deltaRunReply, error) {
 		return nil, err
 	}
 	defer end()
-
-	rs := dj.rs
-	reply := &deltaRunReply{Parts: []partCount{}}
-	for _, ps := range dj.ownedParts() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		dirty := dj.delta.dirty[ps.idx]
-		if err := rs.armDeltaPartition(ps, dirty); err != nil {
-			return nil, fmt.Errorf("core: delta run %s: arming partition %d: %w", msg.Name, ps.idx, err)
-		}
-		reply.Dirty += int64(len(dirty))
-		reply.Parts = append(reply.Parts, partCount{
-			Part: ps.idx, Vertices: ps.numVertices, Edges: ps.numEdges,
-			Live: ps.liveVertices,
-		})
+	if err := dj.rs.armDelta(ctx, dj.dirty); err != nil {
+		return nil, fmt.Errorf("core: delta run %s: %w", msg.Name, err)
 	}
-	return reply, nil
+	return &deltaRunReply{Parts: dj.rs.partCounts(), Dirty: dj.dirty.total()}, nil
 }
 
 // sealedPartitionSend snapshots partitions of a *sealed* version for a

@@ -165,9 +165,10 @@ type loadReply struct {
 	Parts []partCount `json:"parts"`
 }
 
-// superstepMsg runs one superstep. The controller owns the global state:
-// workers receive the merged GS of the previous superstep and the
-// centrally chosen join plan so every compiled spec is identical.
+// superstepMsg runs one superstep. The driver owns the global state:
+// every participant receives the merged GS of the previous superstep and
+// the centrally chosen join plan, so every compiled spec is identical.
+// (The in-process runtime passes the same struct by pointer.)
 type superstepMsg struct {
 	Name string          `json:"name"`
 	SS   int64           `json:"ss"`
@@ -291,13 +292,12 @@ type ckptReply struct {
 }
 
 // restoreMsg rewinds a job session to a committed checkpoint: the
-// worker drops all current partition state, reloads its owned
-// partitions from the provided images, and adopts the checkpointed
-// global state. Attempt is the new recovery epoch for spec naming.
+// worker drops all current partition state and reloads its owned
+// partitions from the provided images. Attempt is the new recovery
+// epoch for spec naming.
 type restoreMsg struct {
 	Name    string         `json:"name"`
 	SS      int64          `json:"ss"`
-	GS      globalState    `json:"gs"`
 	Attempt int64          `json:"attempt"`
 	Parts   []ckptPartData `json:"parts"`
 	// Splits is the manifest's committed split list; the rebuilt
@@ -341,12 +341,10 @@ type partSendReply struct {
 // session must already be open (job.begin); a worker that never loaded
 // builds the deterministic partition table first, exactly like a
 // checkpoint restore on a replacement worker. Attempt is the new
-// rebalance epoch for spec naming; GS seeds the session's global state
-// so the next superstep's compile agrees with every peer.
+// rebalance epoch for spec naming.
 type partRecvMsg struct {
 	Name    string         `json:"name"`
 	Attempt int64          `json:"attempt"`
-	GS      globalState    `json:"gs"`
 	Parts   []ckptPartData `json:"parts"`
 	// Splits carries the current split list so a receiver (possibly a
 	// joiner that never loaded) grows its partition table to cover any
@@ -360,10 +358,9 @@ type partRecvMsg struct {
 // via partition.recv land in an agreed table and no wire stream of the
 // pre-split attempt can be claimed.
 type splitMsg struct {
-	Name    string      `json:"name"`
-	GS      globalState `json:"gs"`
-	Attempt int64       `json:"attempt"`
-	Splits  []splitRec  `json:"splits"`
+	Name    string     `json:"name"`
+	Attempt int64      `json:"attempt"`
+	Splits  []splitRec `json:"splits"`
 }
 
 // partDropMsg reclaims partitions that migrated away: the old owner

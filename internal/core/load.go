@@ -66,17 +66,8 @@ func (rs *runState) load(ctx context.Context) error {
 	})
 	spec.Connect(&hyracks.ConnectorDesc{From: "sort", To: "bulkload", Type: hyracks.OneToOne})
 
-	if _, err := rs.runHyracks(ctx, spec); err != nil {
-		return err
-	}
-
-	var nv, ne int64
-	for _, ps := range rs.parts {
-		nv += ps.numVertices
-		ne += ps.numEdges
-	}
-	rs.gs = globalState{Superstep: 0, NumVertices: nv, NumEdges: ne, LiveVertices: nv}
-	return rs.writeGS()
+	_, err := rs.runHyracks(ctx, spec)
+	return err
 }
 
 // scanInput parses the DFS text input into (vid, vertexBytes) tuples.

@@ -245,47 +245,40 @@ func (c *Coordinator) idleRebalanceLoop() {
 	}
 }
 
-// rebalSession describes the open job a mid-run rebalance must carry
-// across the topology change: the session joiners must open, the global
-// state their runtimes seed from, and the recovery-epoch counter to
-// bump so resumed supersteps compile fresh spec names.
-type rebalSession struct {
-	name    string
-	begin   *jobBeginMsg
-	gs      globalState
-	attempt *int64
-	stats   *JobStats
-}
-
-func (s *rebalSession) beginMsg() *jobBeginMsg {
-	if s == nil {
+// beginMsg and purgeNames are what a topology change needs of the open
+// run it is carried across (none between jobs): the session a joiner
+// must open, and the job whose parked wire streams every worker purges.
+func (r *jobRun) beginMsg() *jobBeginMsg {
+	if r == nil {
 		return nil
 	}
-	return s.begin
+	return r.begin
 }
 
-func (s *rebalSession) purgeNames() []string {
-	if s == nil {
+func (r *jobRun) purgeNames() []string {
+	if r == nil {
 		return nil
 	}
-	return []string{s.name}
+	return []string{r.name}
 }
 
 // rebalance performs all pending elasticity work at a safe boundary
 // (caller holds jobMu; no phase is in flight): every parked elastic
 // joiner is absorbed with a migration, then every draining worker is
-// emptied and released. Joins run first so a drain can spread over the
+// emptied and released. run is the open job the migrations are carried
+// across (nil between jobs); each committed one bumps its epoch, so the
+// resumed supersteps compile fresh spec names. Joins run first so a drain can spread over the
 // new capacity. A non-nil error means a worker died mid-migration and
 // the cluster needs the failure-recovery path; refusals and joiner
 // failures are absorbed (recorded as events) and leave the old topology
 // fully intact.
-func (c *Coordinator) rebalance(ctx context.Context, sess *rebalSession) error {
+func (c *Coordinator) rebalance(ctx context.Context, run *jobRun) error {
 	for {
 		sp := c.takeElasticSpare()
 		if sp == nil {
 			break
 		}
-		if err := c.scaleOut(ctx, sp, sess); err != nil {
+		if err := c.scaleOut(ctx, sp, run); err != nil {
 			return err
 		}
 	}
@@ -294,7 +287,7 @@ func (c *Coordinator) rebalance(ctx context.Context, sess *rebalSession) error {
 		if d == nil {
 			break
 		}
-		if err := c.drainWorker(ctx, d, sess); err != nil {
+		if err := c.drainWorker(ctx, d, run); err != nil {
 			return err
 		}
 	}
@@ -489,7 +482,7 @@ func (c *Coordinator) planDrain(nodes []string, targets []*ccWorker) map[*ccWork
 // broadcast the new topology. Nothing is committed until the data has
 // landed, so a joiner dying anywhere before the flip leaves the cluster
 // untouched; only a *donor* dying escalates to failure recovery.
-func (c *Coordinator) scaleOut(ctx context.Context, sp *ccWorker, sess *rebalSession) error {
+func (c *Coordinator) scaleOut(ctx context.Context, sp *ccWorker, run *jobRun) error {
 	start := time.Now()
 	addr := sp.ctrl.RemoteAddr()
 	moves := c.planScaleOut()
@@ -516,18 +509,18 @@ func (c *Coordinator) scaleOut(ctx context.Context, sp *ccWorker, sess *rebalSes
 			Detail: fmt.Sprintf("%s: %v (cluster unchanged)", stage, err)})
 	}
 
-	if err := c.startSpare(ctx, sp, movedNodes, sess.beginMsg()); err != nil {
+	if err := c.startSpare(ctx, sp, movedNodes, run.beginMsg()); err != nil {
 		abandon("handshake", err)
 		return nil
 	}
 
 	var migrated int
-	if sess != nil {
+	if run != nil {
 		var imgs []ckptPartData
 		for donor, ns := range moves {
 			parts := c.partsOfNodes(ns)
 			var rep partSendReply
-			if err := donor.call(ctx, rpcPartSend, partSendMsg{Name: sess.name, Parts: parts}, &rep); err != nil {
+			if err := donor.call(ctx, rpcPartSend, partSendMsg{Name: run.name, Parts: parts}, &rep); err != nil {
 				if donor.dead() {
 					return fmt.Errorf("core: donor %s died during migration: %w", donor.ctrl.RemoteAddr(), err)
 				}
@@ -536,7 +529,7 @@ func (c *Coordinator) scaleOut(ctx context.Context, sp *ccWorker, sess *rebalSes
 			}
 			imgs = append(imgs, rep.Parts...)
 		}
-		recv := partRecvMsg{Name: sess.name, Attempt: *sess.attempt + 1, GS: sess.gs, Parts: imgs, Splits: c.currentSplits()}
+		recv := partRecvMsg{Name: run.name, Attempt: run.attempt + 1, Parts: imgs, Splits: c.currentSplits()}
 		if err := sp.call(ctx, rpcPartRecv, recv, nil); err != nil {
 			abandon("partition.recv", err)
 			return nil
@@ -567,25 +560,25 @@ func (c *Coordinator) scaleOut(ctx context.Context, sp *ccWorker, sess *rebalSes
 	c.mu.Unlock()
 	go c.monitor(sp)
 
-	if err := c.broadcastTopology(ctx, sess.purgeNames()); err != nil {
+	if err := c.broadcastTopology(ctx, run.purgeNames()); err != nil {
 		return err
 	}
 
 	// Reclaim the migrated originals on the donors and open the new
 	// recovery epoch, so resumed supersteps cannot meet stragglers.
 	var job string
-	if sess != nil {
-		job = sess.name
+	if run != nil {
+		job = run.name
 		for donor, ns := range moves {
-			if err := donor.call(ctx, rpcPartDrop, partDropMsg{Name: sess.name, Parts: c.partsOfNodes(ns)}, nil); err != nil {
+			if err := donor.call(ctx, rpcPartDrop, partDropMsg{Name: run.name, Parts: c.partsOfNodes(ns)}, nil); err != nil {
 				if donor.dead() {
 					return fmt.Errorf("core: donor %s died reclaiming migrated partitions: %w", donor.ctrl.RemoteAddr(), err)
 				}
 				c.cfg.logf("coordinator: partition.drop on %s: %v", donor.ctrl.RemoteAddr(), err)
 			}
 		}
-		*sess.attempt++
-		sess.stats.Rebalances++
+		run.attempt++
+		run.stats.Rebalances++
 	}
 	c.shipped = make(map[string]uint64) // the joiner has none of the replicated inputs
 	c.recordRebalance(RebalanceEvent{
@@ -601,7 +594,7 @@ func (c *Coordinator) scaleOut(ctx context.Context, sp *ccWorker, sess *rebalSes
 // the worker is released to exit. A drain that would leave no workers
 // is refused (recorded, flag cleared). A non-nil error means a worker
 // died mid-migration and the caller must run failure recovery.
-func (c *Coordinator) drainWorker(ctx context.Context, d *ccWorker, sess *rebalSession) error {
+func (c *Coordinator) drainWorker(ctx context.Context, d *ccWorker, run *jobRun) error {
 	start := time.Now()
 	addr := d.ctrl.RemoteAddr()
 	c.mu.Lock()
@@ -623,10 +616,10 @@ func (c *Coordinator) drainWorker(ctx context.Context, d *ccWorker, sess *rebalS
 
 	var migrated int
 	var job string
-	if sess != nil && len(nodes) > 0 {
-		job = sess.name
+	if run != nil && len(nodes) > 0 {
+		job = run.name
 		var rep partSendReply
-		if err := d.call(ctx, rpcPartSend, partSendMsg{Name: sess.name, Parts: c.partsOfNodes(nodes)}, &rep); err != nil {
+		if err := d.call(ctx, rpcPartSend, partSendMsg{Name: run.name, Parts: c.partsOfNodes(nodes)}, &rep); err != nil {
 			if d.dead() {
 				return fmt.Errorf("core: draining worker %s died mid-migration: %w", addr, err)
 			}
@@ -645,7 +638,7 @@ func (c *Coordinator) drainWorker(ctx context.Context, d *ccWorker, sess *rebalS
 		installed := make(map[*ccWorker][]int)
 		abortDrain := func(stage string, err error) {
 			for w, parts := range installed {
-				if derr := w.call(ctx, rpcPartDrop, partDropMsg{Name: sess.name, Parts: parts}, nil); derr != nil {
+				if derr := w.call(ctx, rpcPartDrop, partDropMsg{Name: run.name, Parts: parts}, nil); derr != nil {
 					c.cfg.logf("coordinator: reclaiming aborted drain images on %s: %v", w.ctrl.RemoteAddr(), derr)
 				}
 			}
@@ -658,7 +651,7 @@ func (c *Coordinator) drainWorker(ctx context.Context, d *ccWorker, sess *rebalS
 			if len(ns) == 0 {
 				continue
 			}
-			msg := partRecvMsg{Name: sess.name, Attempt: *sess.attempt + 1, GS: sess.gs, Splits: c.currentSplits()}
+			msg := partRecvMsg{Name: run.name, Attempt: run.attempt + 1, Splits: c.currentSplits()}
 			parts := c.partsOfNodes(ns)
 			for _, p := range parts {
 				pd, ok := byPart[p]
@@ -696,12 +689,12 @@ func (c *Coordinator) drainWorker(ctx context.Context, d *ccWorker, sess *rebalS
 	c.workers = kept
 	c.mu.Unlock()
 
-	if err := c.broadcastTopology(ctx, sess.purgeNames()); err != nil {
+	if err := c.broadcastTopology(ctx, run.purgeNames()); err != nil {
 		return err
 	}
-	if sess != nil {
-		*sess.attempt++
-		sess.stats.Rebalances++
+	if run != nil {
+		run.attempt++
+		run.stats.Rebalances++
 	}
 	c.shipped = make(map[string]uint64)
 
@@ -730,7 +723,7 @@ func (c *Coordinator) drainWorker(ctx context.Context, d *ccWorker, sess *rebalS
 // exceeding the phase median. Returns whether the relief committed; a
 // non-nil error means a worker died mid-migration and the caller must
 // run failure recovery.
-func (c *Coordinator) relieveWorker(ctx context.Context, sess *rebalSession, addr string) (bool, error) {
+func (c *Coordinator) relieveWorker(ctx context.Context, run *jobRun, addr string) (bool, error) {
 	start := time.Now()
 	c.mu.Lock()
 	var slow *ccWorker
@@ -778,14 +771,14 @@ func (c *Coordinator) relieveWorker(ctx context.Context, sess *rebalSession, add
 	// Migrate the node's partition images; nothing commits until they
 	// have landed on the target.
 	var rep partSendReply
-	if err := slow.call(ctx, rpcPartSend, partSendMsg{Name: sess.name, Parts: parts}, &rep); err != nil {
+	if err := slow.call(ctx, rpcPartSend, partSendMsg{Name: run.name, Parts: parts}, &rep); err != nil {
 		if slow.dead() {
 			return false, fmt.Errorf("core: straggler %s died during relief imaging: %w", addr, err)
 		}
 		abort("partition.send", err)
 		return false, nil
 	}
-	recv := partRecvMsg{Name: sess.name, Attempt: *sess.attempt + 1, GS: sess.gs,
+	recv := partRecvMsg{Name: run.name, Attempt: run.attempt + 1,
 		Parts: rep.Parts, Splits: c.currentSplits()}
 	if err := tgt.call(ctx, rpcPartRecv, recv, nil); err != nil {
 		if tgt.dead() {
@@ -807,20 +800,20 @@ func (c *Coordinator) relieveWorker(ctx context.Context, sess *rebalSession, add
 	tgt.owned = append(tgt.owned, pick)
 	c.peers[pick] = tgt.dataAddr
 	c.mu.Unlock()
-	if err := c.broadcastTopology(ctx, sess.purgeNames()); err != nil {
+	if err := c.broadcastTopology(ctx, run.purgeNames()); err != nil {
 		return false, err
 	}
-	*sess.attempt++
-	sess.stats.Rebalances++
+	run.attempt++
+	run.stats.Rebalances++
 	c.shipped = make(map[string]uint64)
-	if err := slow.call(ctx, rpcPartDrop, partDropMsg{Name: sess.name, Parts: parts}, nil); err != nil {
+	if err := slow.call(ctx, rpcPartDrop, partDropMsg{Name: run.name, Parts: parts}, nil); err != nil {
 		// Stale copies on the straggler cost memory until job.end, not
 		// correctness (the bumped epoch keeps them out of every phase).
 		c.cfg.logf("coordinator: dropping relieved partitions on %s: %v", addr, err)
 	}
 	c.recordRebalance(RebalanceEvent{
 		Kind: "relief", Worker: addr, Nodes: []string{pick},
-		Partitions: len(rep.Parts), Job: sess.name, Duration: time.Since(start),
+		Partitions: len(rep.Parts), Job: run.name, Duration: time.Since(start),
 		Detail: fmt.Sprintf("heaviest node moved to %s", tgt.ctrl.RemoteAddr()),
 	})
 	return true, nil

@@ -10,7 +10,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -114,8 +113,9 @@ func (r *Runtime) Close() error {
 }
 
 // globalState is the GS relation of Table 1 plus the Pregel-specific
-// statistics the statistics collector tracks; its primary copy lives in
-// the DFS (Section 5.2), so it is not part of checkpoints.
+// statistics the statistics collector tracks. The superstep driver
+// (jobrun.go) holds the live copy; the durable one rides in every
+// checkpoint manifest, which is what recovery rewinds it from.
 type globalState struct {
 	Superstep    int64  `json:"superstep"`
 	Halt         bool   `json:"halt"`
@@ -157,7 +157,10 @@ type runState struct {
 	job   *pregel.Job
 	codec *pregel.Codec
 	parts []*partitionState
-	gs    globalState
+	// gs is the global state the superstep in flight computes under —
+	// the previous superstep's, adopted from the driver with every
+	// superstep verb.
+	gs globalState
 
 	// baseParts is the partition count fixed at load (the base routing
 	// modulus); splits is the committed hot-partition split list, which
@@ -180,30 +183,29 @@ type runState struct {
 	// every participant compiles the same schedule; "" lets the runtime
 	// pick by DFS block locality.
 	pinScan hyracks.NodeID
-	// joinOverride, when non-nil, forces the superstep join plan. The
-	// cluster controller of a distributed run decides the plan centrally
-	// and ships it to every worker so they compile identical specs.
-	joinOverride *pregel.JoinKind
 	// attempt is the cluster-recovery epoch (0 = first attempt). It
 	// suffixes superstep spec names so that a superstep retried after a
 	// distributed recovery can never meet straggler wire streams of the
 	// aborted attempt: stream identity includes the spec name.
 	attempt int64
 
-	// pendingGS accumulates the superstep's global aggregation results
-	// (written by the single-partition gs operator).
-	pendingGS struct {
-		haltAll   bool
-		aggregate []byte
-		hasAgg    bool
-	}
+	// pendingGS holds the superstep's global aggregation result, written
+	// by the single-partition gs operator and read by runSuperstep.
+	pendingGS gsVote
 
-	stats *JobStats
-	seq   atomic.Int64 // local file version counter
+	seq atomic.Int64 // local file version counter
 	// ioBytes accumulates the job's own temp-file I/O (per-tenant, so
 	// concurrent jobs on the shared cluster don't pollute each other's
 	// superstep statistics).
 	ioBytes atomic.Int64
+}
+
+// gsVote is what the global-state aggregation task of one superstep
+// produced: the conjunction of the halt votes and the merged aggregate.
+type gsVote struct {
+	haltAll   bool
+	aggregate []byte
+	hasAgg    bool
 }
 
 // SuperstepStat records the statistics collector's view of one superstep.
@@ -234,17 +236,10 @@ type SuperstepStat struct {
 	Plan string
 }
 
-// recordPlan stores the join choice for the superstep being built so the
-// completed SuperstepStat can report it.
-func (s *JobStats) recordPlan(ss int64, join pregel.JoinKind) {
-	s.pendingPlan = join.String()
-}
-
 // JobStats summarizes a job run.
 type JobStats struct {
 	// Job is the (tenant-qualified) execution name.
-	Job         string
-	pendingPlan string
+	Job string
 	// Supersteps is the number of committed supersteps.
 	Supersteps int64
 	// LoadDuration/RunDuration/DumpDuration/TotalDuration break the wall
@@ -307,26 +302,6 @@ type GlobalStateView struct {
 	Aggregate    []byte
 }
 
-func (rs *runState) gsPath() string {
-	return "/pregelix/" + rs.job.Name + "/gs.json"
-}
-
-func (rs *runState) writeGS() error {
-	data, err := json.Marshal(&rs.gs)
-	if err != nil {
-		return err
-	}
-	return rs.rt.DFS.WriteFile(rs.gsPath(), data)
-}
-
-func (rs *runState) readGS() error {
-	data, err := rs.rt.DFS.ReadFile(rs.gsPath())
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(data, &rs.gs)
-}
-
 // Run executes one job end to end: load from DFS, iterate supersteps
 // until termination, dump results to DFS.
 func (r *Runtime) Run(ctx context.Context, job *pregel.Job) (*JobStats, error) {
@@ -375,78 +350,54 @@ func (r *Runtime) run(ctx context.Context, job *pregel.Job, carried []*partition
 	if err := job.Validate(); err != nil {
 		return nil, nil, err
 	}
-	// Checkpoints and the global-state file only serve recovery inside
-	// this run; nothing reads them once it returns.
+	// Checkpoints only serve recovery inside this run; nothing reads
+	// them once it returns.
 	defer removeJobFiles(r.DFS, job.Name)
-	start := time.Now()
-	rs := &runState{
-		rt:     r,
-		job:    job,
-		codec:  &job.Codec,
-		opMem:  ten.opMem,
-		runDir: ten.runDir,
-		exec:   r.opts.Exec,
-		stats:  &JobStats{Job: job.Name},
-	}
+	run := newJobRun(job.Name, job)
+	rs := r.newRunState(job, r.opts.Exec, ten)
 
-	// Load or inherit the Vertex relation.
+	// Load or inherit the Vertex relation; every vertex starts active.
 	if carried != nil {
 		rs.adoptPartitions(carried)
 	} else {
 		loadStart := time.Now()
 		if err := rs.load(ctx); err != nil {
-			return rs.stats, nil, fmt.Errorf("core: load %s: %w", job.Name, err)
-		}
-		rs.stats.LoadDuration = time.Since(loadStart)
-	}
-
-	// Superstep loop with failure management.
-	runStart := time.Now()
-	if err := rs.superstepLoop(ctx); err != nil {
-		rs.cleanup()
-		return rs.stats, nil, err
-	}
-	rs.stats.RunDuration = time.Since(runStart)
-
-	if dump {
-		dumpStart := time.Now()
-		if job.OutputPath != "" {
-			if err := rs.dump(ctx); err != nil {
-				rs.cleanup()
-				return rs.stats, nil, fmt.Errorf("core: dump %s: %w", job.Name, err)
-			}
-		}
-		rs.stats.DumpDuration = time.Since(dumpStart)
-	}
-	rs.stats.TotalDuration = time.Since(start)
-	rs.stats.FinalState = GlobalStateView{
-		Superstep:    rs.gs.Superstep,
-		NumVertices:  rs.gs.NumVertices,
-		NumEdges:     rs.gs.NumEdges,
-		LiveVertices: rs.gs.LiveVertices,
-		Aggregate:    rs.gs.Aggregate,
-	}
-	if dump {
-		if ten.retain {
-			r.retainResults(rs)
-		} else {
 			rs.cleanup()
+			return run.stats, nil, fmt.Errorf("core: load %s: %w", job.Name, err)
 		}
-		return rs.stats, nil, nil
+		run.stats.LoadDuration = time.Since(loadStart)
 	}
-	// Hand partitions to the next pipelined job.
-	parts := rs.parts
-	rs.parts = nil
-	return rs.stats, parts, nil
+	run.gs = seedGS(0, rs.partCounts())
+	run.gs.LiveVertices = run.gs.NumVertices
+
+	if err := run.drive(ctx, &localPhases{rs: rs, wantDump: dump}); err != nil {
+		rs.cleanup()
+		return run.stats, nil, err
+	}
+	if !dump {
+		// Hand partitions to the next pipelined job.
+		parts := rs.parts
+		rs.parts = nil
+		return run.stats, parts, nil
+	}
+	if ten.retain {
+		rs.seal(r.queries)
+	}
+	rs.cleanup()
+	return run.stats, nil, nil
 }
 
-// adoptPartitions reuses a predecessor job's loaded partitions,
-// reactivating every vertex (each Pregel job starts with all vertices
-// active) by rebuilding the Vid index from the full vertex set when the
-// left-outer-join plan is selected.
+// newRunState builds the execution state of one job on this runtime.
+func (r *Runtime) newRunState(job *pregel.Job, exec hyracks.ExecOptions, ten tenancy) *runState {
+	return &runState{rt: r, job: job, codec: &job.Codec, opMem: ten.opMem, runDir: ten.runDir, exec: exec}
+}
+
+// adoptPartitions reuses a predecessor job's loaded partitions (each
+// Pregel job starts with all vertices active, so whatever message and
+// live-vertex state the predecessor left is dropped).
 func (rs *runState) adoptPartitions(parts []*partitionState) {
 	rs.parts = parts
-	var nv, ne int64
+	rs.baseParts = len(parts)
 	for _, ps := range parts {
 		// Drop any stale message/vid state from the previous job.
 		if ps.msgPath != "" {
@@ -458,84 +409,98 @@ func (rs *runState) adoptPartitions(parts []*partitionState) {
 			ps.vid.Drop()
 			ps.vid = nil
 		}
-		nv += ps.numVertices
-		ne += ps.numEdges
-	}
-	rs.gs = globalState{Superstep: 0, NumVertices: nv, NumEdges: ne, LiveVertices: nv}
-}
-
-func (rs *runState) superstepLoop(ctx context.Context) error {
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		ss := rs.gs.Superstep + 1
-		if rs.job.MaxSupersteps > 0 && ss > int64(rs.job.MaxSupersteps) {
-			return nil
-		}
-		stepStart := time.Now()
-		ioBefore := rs.ioBytes.Load()
-
-		spec, err := rs.buildSuperstepJob(ss)
-		if err != nil {
-			return err
-		}
-		jobRes, err := rs.runHyracks(ctx, spec)
-		if err != nil {
-			if nf, ok := failureOf(err); ok {
-				if rerr := rs.recover(ctx, nf); rerr != nil {
-					return fmt.Errorf("core: unrecoverable after %v: %w", err, rerr)
-				}
-				rs.stats.Recoveries++
-				// Statistics rewind with the state: supersteps past the
-				// checkpoint will re-run and re-record, so drop their
-				// entries rather than double-counting them.
-				rollbackStats(rs.stats, rs.gs.Superstep)
-				continue // retry from the restored superstep
-			}
-			return err
-		}
-		rs.commitSuperstep(ss)
-		rs.stats.Supersteps = ss
-		rs.stats.TotalMessages += rs.gs.Messages
-		rs.stats.SuperstepStats = append(rs.stats.SuperstepStats, SuperstepStat{
-			Superstep:    ss,
-			Duration:     time.Since(stepStart),
-			Messages:     rs.gs.Messages,
-			LiveVertices: rs.gs.LiveVertices,
-			NumVertices:  rs.gs.NumVertices,
-			NumEdges:     rs.gs.NumEdges,
-			IOBytes:      rs.ioBytes.Load() - ioBefore,
-			Plan:         rs.stats.pendingPlan,
-		})
-		if jobRes != nil {
-			st := &rs.stats.SuperstepStats[len(rs.stats.SuperstepStats)-1]
-			for _, cs := range jobRes.ConnStats {
-				st.NetworkTuples += cs.Tuples()
-				st.NetworkBytes += cs.Bytes()
-				st.NetworkWireBytes += cs.WireBytes()
-				st.NetworkWireRawBytes += cs.WireRawBytes()
-			}
-		}
-		if err := rs.writeGS(); err != nil {
-			return err
-		}
-		if rs.job.CheckpointEvery > 0 && ss%int64(rs.job.CheckpointEvery) == 0 {
-			if err := rs.checkpoint(ctx, ss); err != nil {
-				return fmt.Errorf("core: checkpoint at superstep %d: %w", ss, err)
-			}
-			rs.stats.Checkpoints++
-		}
-		if rs.gs.Halt {
-			return nil
-		}
 	}
 }
 
-// commitSuperstep folds the job's outputs into the global state and
-// swaps in next-superstep partition state.
-func (rs *runState) commitSuperstep(ss int64) {
-	var msgs, live, nv, ne int64
+// localPhases executes the driver's verbs in this process, as direct
+// calls on the run's runState: no control plane, no encoding, no fan-out.
+type localPhases struct {
+	rs *runState
+	// wantDump is false for all but the last job of a pipeline.
+	wantDump bool
+}
+
+func (l *localPhases) boundary(context.Context, *jobRun) error { return nil }
+
+func (l *localPhases) superstep(ctx context.Context, run *jobRun, ss int64, join pregel.JoinKind) (stepOutcome, error) {
+	rep, err := l.rs.runSuperstep(ctx, &superstepMsg{SS: ss, GS: run.gs, Join: join, Attempt: run.attempt})
+	if err != nil {
+		return stepOutcome{}, err
+	}
+	return foldStep([]superstepReply{*rep})
+}
+
+func (l *localPhases) observe(context.Context, *jobRun) (bool, error) { return false, nil }
+
+func (l *localPhases) checkpoint(ctx context.Context, run *jobRun, ss int64) error {
+	if err := l.rs.checkpoint(ctx, ss, run.gs); err != nil {
+		return fmt.Errorf("core: checkpoint at superstep %d: %w", ss, err)
+	}
+	return nil
+}
+
+func (l *localPhases) restore(ctx context.Context, _ *jobRun, cause error) (*checkpointManifest, error) {
+	nf, ok := failureOf(cause)
+	if !ok {
+		return nil, errNotRecoverable
+	}
+	return l.rs.recover(ctx, nf)
+}
+
+func (l *localPhases) dump(ctx context.Context, run *jobRun) error {
+	if !l.wantDump || run.job.OutputPath == "" {
+		return nil
+	}
+	if err := l.rs.dump(ctx); err != nil {
+		return fmt.Errorf("core: dump %s: %w", run.name, err)
+	}
+	return nil
+}
+
+// runSuperstep is the body of the superstep verb — what one process does
+// for one superstep, whether it hosts every partition or a worker's
+// share: adopt the driver's global state, epoch and split table, compile
+// and run the plan with the join the driver chose, collect the
+// global-state task's vote if it ran here, swap in the next-superstep
+// partition state, and report the hosted partitions' counters.
+func (rs *runState) runSuperstep(ctx context.Context, msg *superstepMsg) (*superstepReply, error) {
+	rs.gs = msg.GS
+	rs.attempt = msg.Attempt
+	// Reconcile the partition table with the controller's split list
+	// before compiling, so every participant's spec (partition count,
+	// sticky locations, vid router) agrees.
+	rs.adoptSplits(msg.Splits)
+	// A vote left by an aborted attempt must not outlive it.
+	rs.pendingGS = gsVote{}
+
+	ioBefore := rs.ioBytes.Load()
+	res, err := rs.runHyracks(ctx, rs.buildSuperstepJob(msg.SS, msg.Join))
+	if err != nil {
+		return nil, err
+	}
+	reply := &superstepReply{}
+	if gsNodes := res.Assignment["gs"]; len(gsNodes) == 1 && rs.exec.Local(gsNodes[0]) {
+		reply.GSOwner = true
+		reply.HaltAll = rs.pendingGS.haltAll
+		reply.HasAgg = rs.pendingGS.hasAgg
+		reply.Aggregate = rs.pendingGS.aggregate
+	}
+	rs.swapPartitions()
+	reply.Parts = rs.partCounts()
+	for _, cs := range res.ConnStats {
+		reply.NetTuples += cs.Tuples()
+		reply.NetBytes += cs.Bytes()
+		reply.NetWireBytes += cs.WireBytes()
+		reply.NetWireRawBytes += cs.WireRawBytes()
+	}
+	reply.IOBytes = rs.ioBytes.Load() - ioBefore
+	return reply, nil
+}
+
+// swapPartitions makes the superstep's outputs the next one's inputs:
+// each partition's new Msg run file and Vid index replace the consumed
+// ones.
+func (rs *runState) swapPartitions() {
 	for _, ps := range rs.parts {
 		if ps.msgPath != "" {
 			os.Remove(ps.msgPath)
@@ -546,58 +511,68 @@ func (rs *runState) commitSuperstep(ss int64) {
 			ps.vid.Drop()
 		}
 		ps.vid, ps.nextVid = ps.nextVid, nil
-		msgs += ps.msgs
-		live += ps.liveVertices
-		nv += ps.numVertices
-		ne += ps.numEdges
 	}
-	rs.gs.Superstep = ss
-	rs.gs.Messages = msgs
-	rs.gs.LiveVertices = live
-	rs.gs.NumVertices = nv
-	rs.gs.NumEdges = ne
-	rs.gs.Aggregate = nil
-	if rs.pendingGS.hasAgg {
-		rs.gs.Aggregate = rs.pendingGS.aggregate
-	}
-	// The program terminates when every vertex halted and no messages
-	// are in flight (footnote 3 of the paper).
-	rs.gs.Halt = rs.pendingGS.haltAll && msgs == 0
-	rs.pendingGS.haltAll = false
-	rs.pendingGS.aggregate = nil
-	rs.pendingGS.hasAgg = false
 }
 
-// retainResults seals a completed run's vertex indexes into the query
-// store (retiring any previous version of the same base job name) and
-// cleans up everything else. The sealed version owns the job's scratch
-// directory: it is reclaimed when the version retires and its readers
-// drain, not here.
-func (r *Runtime) retainResults(rs *runState) {
-	parts := make(map[int]storage.Index, len(rs.parts))
+// ownedParts lists the partitions this process hosts: all of them in a
+// single-process runtime, a worker's share on a cluster.
+func (rs *runState) ownedParts() []*partitionState {
+	out := make([]*partitionState, 0, len(rs.parts))
 	for _, ps := range rs.parts {
-		if ps.vertexIdx != nil {
-			parts[ps.idx] = ps.vertexIdx
-			ps.vertexIdx = nil // cleanup below must not drop it
+		if rs.exec.Local(ps.node.ID) {
+			out = append(out, ps)
 		}
 	}
-	numParts := len(rs.parts)
-	runDir := rs.runDir
-	rs.cleanup()
-	if len(parts) == 0 {
-		return
+	return out
+}
+
+// partCounts reports the hosted partitions' counters.
+func (rs *runState) partCounts() []partCount {
+	owned := rs.ownedParts()
+	out := make([]partCount, len(owned))
+	for i, ps := range owned {
+		out[i] = partCount{
+			Part: ps.idx, Vertices: ps.numVertices, Edges: ps.numEdges,
+			Msgs: ps.msgs, Live: ps.liveVertices,
+		}
 	}
-	r.queries.seal(&retainedResult{
-		version:  rs.job.Name,
-		numParts: numParts,
-		codec:    rs.codec,
-		parts:    parts,
+	return out
+}
+
+// seal moves the run's hosted vertex indexes into a retained result
+// version in store, retiring any previous version of the same base job
+// name. The sealed version owns the job's scratch directory: it is
+// reclaimed when the version retires and its readers drain. seal returns
+// nil when the run holds no loaded partitions (it failed before
+// loading), leaving an older sealed version — if any — serving
+// untouched. The caller cleans up what is left of the run.
+func (rs *runState) seal(store *QueryStore) *retainedResult {
+	parts := make(map[int]storage.Index)
+	for _, ps := range rs.ownedParts() {
+		if ps.vertexIdx != nil {
+			parts[ps.idx] = ps.vertexIdx
+			ps.vertexIdx = nil // cleanup must not drop it
+		}
+	}
+	if len(parts) == 0 {
+		return nil
+	}
+	rt, runDir := rs.rt, rs.runDir
+	r := &retainedResult{
+		version:   rs.job.Name,
+		numParts:  len(rs.parts),
+		baseParts: rs.baseParts,
+		splits:    append([]splitRec(nil), rs.splits...),
+		codec:     rs.codec,
+		parts:     parts,
 		cleanup: func() {
-			for _, n := range r.Cluster.Nodes() {
+			for _, n := range rt.Cluster.Nodes() {
 				n.RemoveJobDir(runDir)
 			}
 		},
-	})
+	}
+	store.seal(r)
+	return r
 }
 
 func (rs *runState) cleanup() {

@@ -41,21 +41,11 @@ func (rs *runState) needVid() bool {
 // Figure 14 measures).
 const lojSelectivityThreshold = 0.25
 
-// chooseJoin is the cost-based plan advisor: it estimates next
+// chooseJoinFor is the cost-based plan advisor: it estimates the next
 // superstep's compute input cardinality (distinct message receivers plus
 // live vertices, both known exactly from the previous superstep) and
-// picks the cheaper join plan. A distributed worker runs with the plan
-// its cluster controller decided (joinOverride) so every participant
-// compiles the same spec.
-func (rs *runState) chooseJoin(ss int64) pregel.JoinKind {
-	if rs.joinOverride != nil {
-		return *rs.joinOverride
-	}
-	return chooseJoinFor(rs.job, &rs.gs, ss)
-}
-
-// chooseJoinFor is the advisor itself, shared by the in-process runtime
-// and the distributed cluster controller.
+// picks the cheaper join plan. The superstep driver calls it once per
+// superstep; every participant compiles with the join it chose.
 func chooseJoinFor(job *pregel.Job, gs *globalState, ss int64) pregel.JoinKind {
 	if !job.AutoPlan {
 		return job.Join
@@ -73,9 +63,9 @@ func chooseJoinFor(job *pregel.Job, gs *globalState, ss int64) pregel.JoinKind {
 }
 
 // buildSuperstepJob compiles the physical plan for superstep ss from the
-// job's plan hints: join strategy (Figure 8), group-by strategy
-// (Figure 7), connector policy, and vertex storage.
-func (rs *runState) buildSuperstepJob(ss int64) (*hyracks.JobSpec, error) {
+// join strategy the driver chose (Figure 8) and the job's plan hints:
+// group-by strategy (Figure 7), connector policy, and vertex storage.
+func (rs *runState) buildSuperstepJob(ss int64, join pregel.JoinKind) *hyracks.JobSpec {
 	p := len(rs.parts)
 	locs := rs.locations()
 	name := fmt.Sprintf("%s-ss%d", rs.job.Name, ss)
@@ -86,11 +76,7 @@ func (rs *runState) buildSuperstepJob(ss int64) (*hyracks.JobSpec, error) {
 	}
 	spec := rs.newSpec(name)
 
-	// Join + compute source, pinned to the vertex partitions. The join
-	// strategy comes from the job hint, or from the cost-based advisor
-	// when AutoPlan is set.
-	join := rs.chooseJoin(ss)
-	rs.stats.recordPlan(ss, join)
+	// Join + compute source, pinned to the vertex partitions.
 	spec.AddOp(&hyracks.OperatorDesc{
 		ID:         "compute",
 		Partitions: p,
@@ -179,7 +165,7 @@ func (rs *runState) buildSuperstepJob(ss int64) (*hyracks.JobSpec, error) {
 	})
 	spec.Connect(&hyracks.ConnectorDesc{From: "compute", FromPort: portGS, To: "gs", Type: hyracks.ReduceToOne})
 
-	return spec, nil
+	return spec
 }
 
 // msgCombiner adapts the job's message combiner to the tuple level.

@@ -103,7 +103,7 @@ func TestChooseJoinBoundaries(t *testing.T) {
 					NumVertices:  tc.vertices,
 				},
 			}
-			if got := rs.chooseJoin(tc.ss); got != tc.want {
+			if got := chooseJoinFor(rs.job, &rs.gs, tc.ss); got != tc.want {
 				t.Fatalf("chooseJoin(ss=%d, msgs=%d, live=%d, |V|=%d, auto=%v, hint=%v) = %v, want %v",
 					tc.ss, tc.messages, tc.live, tc.vertices, tc.autoPlan, tc.join, got, tc.want)
 			}

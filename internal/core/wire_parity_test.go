@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"testing"
+	"time"
 
 	"pregelix/internal/graphgen"
 	"pregelix/internal/hyracks"
@@ -120,4 +122,74 @@ func TestSSSPWireParity(t *testing.T) {
 	}
 	got := readOutputValues(t, wireRT, "/out/wire")
 	compareValues(t, got, want, "sssp-wire-vs-chan")
+}
+
+// TestSuperstepParityRuntimeVsCluster holds the two execution shapes to
+// one superstep state machine: a single-process Runtime.Run and a
+// 2-worker Coordinator.RunJob of the same job must agree superstep by
+// superstep — message count, live and total vertices, and join plan —
+// not only on the dumped values. Covers the full-outer-join plan
+// (PageRank), the left-outer-join plan (SSSP) and a convergence-
+// terminated program (CC).
+func TestSuperstepParityRuntimeVsCluster(t *testing.T) {
+	coord := startDistCluster(t, 2, 2)
+	rt := newTestRuntime(t, 4)
+	defer rt.Close()
+
+	for _, tc := range []struct {
+		spec  distTestSpec
+		g     *graphgen.Graph
+		local *pregel.Job
+	}{
+		{distTestSpec{Algorithm: "pagerank", Iterations: 4}, graphgen.Webmap(260, 4, 13),
+			algorithms.NewPageRankJob("pr", "", "", 4)},
+		{distTestSpec{Algorithm: "sssp", Source: 1}, graphgen.BTC(220, 3, 17),
+			algorithms.NewSSSPJob("sssp", "", "", 1)},
+		{distTestSpec{Algorithm: "cc"}, graphgen.BTC(200, 3, 7),
+			algorithms.NewConnectedComponentsJob("cc", "", "")},
+	} {
+		t.Run(tc.spec.Algorithm, func(t *testing.T) {
+			in := "/in/" + tc.spec.Algorithm
+			putGraph(t, rt, in, tc.g)
+			tc.local.InputPath, tc.local.OutputPath = in, "/out/"+tc.spec.Algorithm
+			local, err := rt.Run(context.Background(), tc.local)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			tc.spec.Input = in
+			spec, _ := json.Marshal(tc.spec)
+			job, err := distTestBuilder(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+			defer cancel()
+			dist, out, err := coord.RunJob(ctx, DistSubmission{
+				Name: tc.spec.Algorithm + "@j1", Spec: spec, Job: job,
+				InputPath: in, InputData: graphText(t, tc.g), WantOutput: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareValues(t, parseOutput(t, out), readOutputValues(t, rt, tc.local.OutputPath), "cluster-vs-runtime")
+
+			if len(dist.SuperstepStats) != len(local.SuperstepStats) {
+				t.Fatalf("cluster ran %d supersteps, runtime %d", len(dist.SuperstepStats), len(local.SuperstepStats))
+			}
+			for i, d := range dist.SuperstepStats {
+				l := local.SuperstepStats[i]
+				if d.Superstep != l.Superstep || d.Messages != l.Messages || d.LiveVertices != l.LiveVertices ||
+					d.NumVertices != l.NumVertices || d.Plan != l.Plan {
+					t.Fatalf("superstep %d: cluster {ss=%d msgs=%d live=%d |V|=%d plan=%s}, runtime {ss=%d msgs=%d live=%d |V|=%d plan=%s}",
+						i+1, d.Superstep, d.Messages, d.LiveVertices, d.NumVertices, d.Plan,
+						l.Superstep, l.Messages, l.LiveVertices, l.NumVertices, l.Plan)
+				}
+			}
+			if dist.FinalState.Superstep != local.FinalState.Superstep ||
+				dist.FinalState.LiveVertices != local.FinalState.LiveVertices {
+				t.Fatalf("final state: cluster %+v, runtime %+v", dist.FinalState, local.FinalState)
+			}
+		})
+	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -12,7 +11,6 @@ import (
 	"time"
 
 	"pregelix/internal/hyracks"
-	"pregelix/internal/storage"
 	"pregelix/internal/tuple"
 	"pregelix/internal/wire"
 	"pregelix/pregel"
@@ -263,14 +261,13 @@ type distJob struct {
 	rs     *runState
 	ctx    context.Context // session context; cancelled at job.end
 	cancel context.CancelFunc
-	runDir string
 	// delay is the injected per-superstep phase delay (WorkerConfig.
 	// SuperstepDelay; nil = none).
 	delay func(vertices, msgs int64) time.Duration
 
-	// delta holds the ingest→run bookkeeping when this session is a
-	// delta refresh (nil for ordinary jobs).
-	delta *deltaState
+	// dirty holds the dirty sets between delta.ingest and delta.run when
+	// this session is a delta refresh (nil for ordinary jobs).
+	dirty deltaDirty
 
 	mu          sync.Mutex
 	phaseCancel context.CancelFunc
@@ -350,7 +347,8 @@ func (w *distWorker) handle(method string, data json.RawMessage) (any, error) {
 		if err := json.Unmarshal(data, &msg); err != nil {
 			return nil, err
 		}
-		return nil, w.beginJob(&msg)
+		_, err := w.beginJob(&msg)
+		return nil, err
 
 	case rpcJobLoad:
 		var msg jobNameMsg
@@ -532,40 +530,30 @@ func (w *distWorker) handle(method string, data json.RawMessage) (any, error) {
 	}
 }
 
-func (w *distWorker) beginJob(msg *jobBeginMsg) error {
+// beginJob opens a job session: the worker builds the job from the
+// shipped descriptor under the execution name and registers the runState
+// every later phase of the session runs on.
+func (w *distWorker) beginJob(msg *jobBeginMsg) (*distJob, error) {
 	job, err := w.cfg.BuildJob(msg.Spec)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	job.Name = msg.Name
 	if err := job.Validate(); err != nil {
-		return err
+		return nil, err
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	jctx, cancel := context.WithCancel(w.ctx)
-	dj := &distJob{
-		rs: &runState{
-			rt:      w.rt,
-			job:     job,
-			codec:   &job.Codec,
-			runDir:  msg.RunDir,
-			exec:    w.exec,
-			pinScan: hyracks.NodeID(msg.ScanNode),
-			stats:   &JobStats{Job: job.Name},
-		},
-		ctx:    jctx,
-		cancel: cancel,
-		runDir: msg.RunDir,
-		delay:  w.cfg.SuperstepDelay,
-	}
 	if _, dup := w.jobs[msg.Name]; dup {
-		cancel()
-		return fmt.Errorf("core: job session %q already open", msg.Name)
+		return nil, fmt.Errorf("core: job session %q already open", msg.Name)
 	}
+	jctx, cancel := context.WithCancel(w.ctx)
+	rs := w.rt.newRunState(job, w.exec, tenancy{runDir: msg.RunDir})
+	rs.pinScan = hyracks.NodeID(msg.ScanNode)
+	dj := &distJob{rs: rs, ctx: jctx, cancel: cancel, delay: w.cfg.SuperstepDelay}
 	w.jobs[msg.Name] = dj
 	w.cfg.logf("worker: job %s opened", msg.Name)
-	return nil
+	return dj, nil
 }
 
 func (w *distWorker) endJob(name string, retain bool) *jobEndReply {
@@ -582,7 +570,8 @@ func (w *distWorker) endJob(name string, retain bool) *jobEndReply {
 	dj.cancel()
 	retained := false
 	if retain {
-		if r := w.sealJob(dj); r != nil {
+		if r := dj.rs.seal(w.queries); r != nil {
+			w.cfg.logf("worker: job %s sealed %d partitions for queries", name, len(r.parts))
 			retained = true
 			reply.Version = name
 			reply.NumParts = r.numParts
@@ -603,7 +592,7 @@ func (w *distWorker) endJob(name string, retain bool) *jobEndReply {
 	if !retained {
 		for _, n := range w.rt.Cluster.Nodes() {
 			if exec.Local(n.ID) {
-				n.RemoveJobDir(dj.runDir)
+				n.RemoveJobDir(dj.rs.runDir)
 			}
 		}
 	}
@@ -629,48 +618,11 @@ func (w *distWorker) teardownJobs() {
 		w.transport.PurgeJob(name)
 		for _, n := range w.rt.Cluster.Nodes() {
 			if exec.Local(n.ID) {
-				n.RemoveJobDir(dj.runDir)
+				n.RemoveJobDir(dj.rs.runDir)
 			}
 		}
 		w.cfg.logf("worker: job %s torn down (control connection lost)", name)
 	}
-}
-
-// sealJob moves the session's owned vertex indexes into a retained
-// result version for the query tier, retiring any previous version of
-// the same base job name. It returns nil when the session holds no
-// loaded partitions (the job failed before loading), leaving an older
-// sealed version — if any — serving untouched: a failed re-submission
-// never invalidates the last good result.
-func (w *distWorker) sealJob(dj *distJob) *retainedResult {
-	rs := dj.rs
-	parts := make(map[int]storage.Index)
-	for _, ps := range rs.parts {
-		if ps.vertexIdx != nil && rs.exec.Local(ps.node.ID) {
-			parts[ps.idx] = ps.vertexIdx
-			ps.vertexIdx = nil // cleanup below must not drop it
-		}
-	}
-	if len(parts) == 0 {
-		return nil
-	}
-	rt, runDir := w.rt, dj.runDir
-	r := &retainedResult{
-		version:   rs.job.Name,
-		numParts:  len(rs.parts),
-		baseParts: rs.baseParts,
-		splits:    append([]splitRec(nil), rs.splits...),
-		codec:     rs.codec,
-		parts:     parts,
-		cleanup: func() {
-			for _, n := range rt.Cluster.Nodes() {
-				n.RemoveJobDir(runDir)
-			}
-		},
-	}
-	w.queries.seal(r)
-	w.cfg.logf("worker: job %s sealed %d partitions for queries", rs.job.Name, len(parts))
-	return r
 }
 
 // reconfigure installs a repaired topology: this worker now hosts
@@ -706,11 +658,12 @@ func (w *distWorker) reconfigure(msg *reconfigureMsg) error {
 }
 
 // restoreJob rewinds a session to a committed checkpoint: all current
-// partition state is dropped, owned partitions are rebuilt from the
-// shipped snapshot images, and the checkpointed global state is
-// adopted. For a replacement worker the session has no partitions yet;
-// the deterministic partition table is built first, so the reload lands
-// on the same sticky placement every peer computes.
+// partition state is dropped and owned partitions are rebuilt from the
+// shipped snapshot images (the checkpointed global state arrives with
+// the next superstep verb, like every superstep's). For a replacement
+// worker the session has no partitions yet; the deterministic partition
+// table is built first, so the reload lands on the same sticky placement
+// every peer computes.
 func (w *distWorker) restoreJob(dj *distJob, msg *restoreMsg) error {
 	dj.abort() // defensive; the controller aborts before restoring
 	ctx, end, err := dj.beginPhase()
@@ -747,31 +700,13 @@ func (w *distWorker) restoreJob(dj *distJob, msg *restoreMsg) error {
 		if pd == nil {
 			return fmt.Errorf("core: restore of %s: no snapshot for owned partition %d", rs.job.Name, ps.idx)
 		}
-		if err := rs.reloadPartitionFrom(ps, pd.Stats,
-			bufio.NewReader(bytes.NewReader(pd.Vertex)),
-			bufio.NewReader(bytes.NewReader(pd.Msg))); err != nil {
+		if err := rs.installImage(ps, pd); err != nil {
 			return fmt.Errorf("core: restore of %s partition %d: %w", rs.job.Name, ps.idx, err)
 		}
 	}
-	rs.gs = msg.GS
-	rs.gs.Halt = false
-	rs.pendingGS.haltAll = false
-	rs.pendingGS.aggregate = nil
-	rs.pendingGS.hasAgg = false
 	rs.attempt = msg.Attempt
 	w.cfg.logf("worker: job %s restored to superstep %d (attempt %d)", rs.job.Name, msg.SS, msg.Attempt)
 	return nil
-}
-
-// ownedParts lists the session partitions hosted by this worker.
-func (dj *distJob) ownedParts() []*partitionState {
-	var out []*partitionState
-	for _, ps := range dj.rs.parts {
-		if dj.rs.exec.Local(ps.node.ID) {
-			out = append(out, ps)
-		}
-	}
-	return out
 }
 
 func (dj *distJob) load() (*loadReply, error) {
@@ -783,13 +718,7 @@ func (dj *distJob) load() (*loadReply, error) {
 	if err := dj.rs.load(ctx); err != nil {
 		return nil, err
 	}
-	reply := &loadReply{Parts: []partCount{}}
-	for _, ps := range dj.ownedParts() {
-		reply.Parts = append(reply.Parts, partCount{
-			Part: ps.idx, Vertices: ps.numVertices, Edges: ps.numEdges,
-		})
-	}
-	return reply, nil
+	return &loadReply{Parts: dj.rs.partCounts()}, nil
 }
 
 // snapshotPartition produces one partition's image: the vertex relation
@@ -825,7 +754,7 @@ func (dj *distJob) checkpoint(msg *ckptMsg) (*ckptReply, error) {
 	}
 	defer end()
 	reply := &ckptReply{Parts: []ckptPartData{}}
-	for _, ps := range dj.ownedParts() {
+	for _, ps := range dj.rs.ownedParts() {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -838,6 +767,8 @@ func (dj *distJob) checkpoint(msg *ckptMsg) (*ckptReply, error) {
 	return reply, nil
 }
 
+// superstep runs the superstep verb under the session's phase slot and
+// times it for the controller's straggler detector.
 func (dj *distJob) superstep(msg *superstepMsg) (*superstepReply, error) {
 	ctx, end, err := dj.beginPhase()
 	if err != nil {
@@ -845,71 +776,31 @@ func (dj *distJob) superstep(msg *superstepMsg) (*superstepReply, error) {
 	}
 	defer end()
 	start := time.Now()
-	rs := dj.rs
-	rs.gs = msg.GS
-	rs.attempt = msg.Attempt
-	// Reconcile the partition table with the controller's split list
-	// before compiling, so every worker's spec (partition count, sticky
-	// locations, vid router) agrees.
-	rs.adoptSplits(msg.Splits)
-	join := msg.Join
-	rs.joinOverride = &join
-
-	ioBefore := rs.ioBytes.Load()
-	spec, err := rs.buildSuperstepJob(msg.SS)
-	if err != nil {
-		return nil, err
-	}
-	res, err := rs.runHyracks(ctx, spec)
-	if err != nil {
-		return nil, err
-	}
-
-	// The collective dataflow is barrier-synchronized — every worker's
-	// run returns when the cluster-wide superstep finishes, so only
-	// work outside it can differentiate a straggler. Inject the
-	// configured delay here, against this worker's pre-superstep load,
-	// where it lengthens this reply alone.
+	var delay time.Duration
 	if dj.delay != nil {
+		// Against this worker's pre-superstep load.
 		var dv, dm int64
-		for _, ps := range dj.ownedParts() {
+		for _, ps := range dj.rs.ownedParts() {
 			dv += ps.numVertices
 			dm += ps.msgs
 		}
-		if d := dj.delay(dv, dm); d > 0 {
-			select {
-			case <-time.After(d):
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
+		delay = dj.delay(dv, dm)
+	}
+	reply, err := dj.rs.runSuperstep(ctx, msg)
+	if err != nil {
+		return nil, err
+	}
+	// The collective dataflow is barrier-synchronized — every worker's
+	// run returns when the cluster-wide superstep finishes, so only work
+	// outside it can differentiate a straggler. The injected delay goes
+	// here, where it lengthens this reply alone.
+	if delay > 0 {
+		select {
+		case <-time.After(delay):
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
 	}
-
-	reply := &superstepReply{Parts: []partCount{}}
-	// The process hosting the single global-state aggregation task holds
-	// the superstep's halt vote and aggregate; report it before
-	// commitSuperstep clears the pending state.
-	if gsNodes := res.Assignment["gs"]; len(gsNodes) == 1 && rs.exec.Local(gsNodes[0]) {
-		reply.GSOwner = true
-		reply.HaltAll = rs.pendingGS.haltAll
-		reply.HasAgg = rs.pendingGS.hasAgg
-		reply.Aggregate = rs.pendingGS.aggregate
-	}
-	rs.commitSuperstep(msg.SS)
-
-	for _, ps := range dj.ownedParts() {
-		reply.Parts = append(reply.Parts, partCount{
-			Part: ps.idx, Vertices: ps.numVertices, Edges: ps.numEdges,
-			Msgs: ps.msgs, Live: ps.liveVertices,
-		})
-	}
-	for _, cs := range res.ConnStats {
-		reply.NetTuples += cs.Tuples()
-		reply.NetBytes += cs.Bytes()
-		reply.NetWireBytes += cs.WireBytes()
-		reply.NetWireRawBytes += cs.WireRawBytes()
-	}
-	reply.IOBytes = rs.ioBytes.Load() - ioBefore
 	reply.DurationNS = time.Since(start).Nanoseconds()
 	return reply, nil
 }
@@ -965,9 +856,8 @@ func (dj *distJob) partitionSend(msg *partSendMsg) (*partSendReply, error) {
 // repacked, and Vid rederived when the plan needs it — the same reload
 // path a checkpoint restore uses. A joiner that never loaded builds the
 // deterministic partition table first, so the migrated partitions land
-// on the same sticky placement every peer computes. The session's
-// global state and rebalance epoch are adopted so the next superstep
-// compiles identically everywhere.
+// on the same sticky placement every peer computes. The rebalance epoch
+// is adopted with them.
 func (dj *distJob) partitionRecv(msg *partRecvMsg) error {
 	ctx, end, err := dj.beginPhase()
 	if err != nil {
@@ -979,7 +869,6 @@ func (dj *distJob) partitionRecv(msg *partRecvMsg) error {
 		rs.initParts()
 	}
 	rs.adoptSplits(msg.Splits)
-	rs.gs = msg.GS
 	rs.attempt = msg.Attempt
 	byIdx := dj.byIdx()
 	for i := range msg.Parts {
@@ -994,9 +883,7 @@ func (dj *distJob) partitionRecv(msg *partRecvMsg) error {
 		// Never leak a previously-held index: a partition can come back
 		// to a worker that hosted it before.
 		rs.dropOnePartition(ps)
-		if err := rs.reloadPartitionFrom(ps, pd.Stats,
-			bufio.NewReader(bytes.NewReader(pd.Vertex)),
-			bufio.NewReader(bytes.NewReader(pd.Msg))); err != nil {
+		if err := rs.installImage(ps, pd); err != nil {
 			return fmt.Errorf("core: migrate %s partition %d: %w", rs.job.Name, pd.Part, err)
 		}
 	}
@@ -1020,7 +907,6 @@ func (dj *distJob) partitionSplit(msg *splitMsg) error {
 		rs.initParts()
 	}
 	rs.adoptSplits(msg.Splits)
-	rs.gs = msg.GS
 	rs.attempt = msg.Attempt
 	return nil
 }
