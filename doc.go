@@ -73,10 +73,13 @@
 // worker` joining a running cluster triggers a coordinator-driven
 // rebalance at the next superstep (or job) boundary: whole partitions —
 // vertex index plus pending message frames, the same snapshot images a
-// checkpoint writes — migrate onto the new worker over the control
-// plane (partition.send/partition.recv), ownership and peer routing
-// flip via cluster.reconfigure, and the loop resumes under a fresh
-// recovery-epoch spec name. A graceful drain (`pregelix worker -drain`
+// checkpoint writes, moved by the same two verbs (partition.send images
+// partitions, partition.recv installs them; a checkpoint is a send of
+// every owned partition, a restore a recv after a session reset) —
+// migrate onto the new worker over the control plane, ownership and
+// peer routing flip via cluster.reconfigure, partition.drop reclaims
+// the originals, and the loop resumes under a fresh recovery-epoch spec
+// name. A graceful drain (`pregelix worker -drain`
 // + SIGTERM, or POST /scale) migrates a departing worker's partitions
 // out before releasing it. Unlike crash recovery nothing rolls back, no
 // superstep is lost, and no checkpoint is required; results are
@@ -97,18 +100,23 @@
 //     (in-process channels or the real wire)
 //   - internal/wire     — the network transport: per-stream multiplexed
 //     frame images over one TCP connection per process pair with
-//     credit-based backpressure, plus the cluster control plane
-//     (worker registration handshake, job-phase RPCs, heartbeats, the
-//     checkpoint/restore/reconfigure failure-recovery verbs and the
-//     partition.send/recv/drop + worker drain/release elasticity verbs)
+//     credit-based backpressure, plus the cluster control plane: the
+//     worker registration handshake, the worker.drain notification and
+//     19 controller→worker verbs (ping, heartbeat, dfs.put; job.begin,
+//     job.load, job.superstep, job.dump, job.cancel, job.abort, job.end;
+//     cluster.reconfigure; the image verbs partition.send, partition.recv
+//     and partition.drop, which carry checkpoint, restore, migration,
+//     split and delta clone alike; worker.release; query.point,
+//     query.topk; delta.ingest, delta.run)
 //   - internal/storage  — B-tree, LSM B-tree, buffer cache, run files
 //   - internal/operators— external sort, three group-bys, index joins
 //   - internal/core     — the Pregelix runtime (plan generator, the
 //     superstep driver, checkpoint/recovery, job pipelining), the
 //     JobManager that runs many concurrent jobs on one shared cluster,
 //     and the cluster Coordinator/worker pair that runs jobs across
-//     separate node-controller OS processes, with the elastic
-//     rebalancer (live scale-out and graceful drain)
+//     separate node-controller OS processes, with the partition-image
+//     mover under checkpoint, restore, split and the elastic rebalancer
+//     (live scale-out and graceful drain)
 //   - internal/dfs      — a small replicated distributed file system
 //   - internal/baselines— simulations of Giraph/Hama/GraphLab/GraphX
 //   - internal/bench    — the Section 7 experiment harness plus the

@@ -31,7 +31,6 @@ import (
 	"sort"
 	"time"
 
-	"pregelix/internal/hyracks"
 	"pregelix/pregel"
 )
 
@@ -357,36 +356,32 @@ func (c *Coordinator) basePartsLocked() int {
 }
 
 // splitPartition drives one hot-partition split at a superstep boundary
-// (caller holds jobMu; no phase is in flight):
+// (caller holds jobMu; no phase is in flight), with the mover's helpers
+// (mover.go):
 //
-//  1. the parent's owner snapshots it (partition.send);
+//  1. the parent's owner images it (imageParts);
 //  2. the coordinator re-hashes the image into per-child images plus an
 //     empty parent image (rehashPartitionImage);
-//  3. every worker adopts the grown split table and the bumped epoch
-//     (partition.split broadcast);
-//  4. the child images install on their round-robin owners
-//     (partition.recv), and last the empty image evacuates the parent;
+//  3. every worker adopts the grown split table and the bumped epoch,
+//     the children's owners installing the child images with it
+//     (installParts);
+//  4. last, the empty image evacuates the parent on its owner;
 //  5. the coordinator commits the split (routing table, partition
 //     loads) and rebroadcasts the topology to purge parked streams.
 //
-// Until the first partition.recv lands, any failure abandons the split
-// with the cluster intact: the next superstep verb carries the old
-// split list and every worker shrinks its table back. A worker death —
-// or a failure after child images began landing — escalates to the
-// checkpoint-recovery path via the returned error. The returned bool
-// reports whether the split committed.
+// Until the evacuation, the parent's data is intact on its owner and a
+// refusal abandons the split with the cluster unchanged: every worker
+// is told the old split list again and shrinks its table back, dropping
+// the child copies. A worker's death — or a failed evacuation, which
+// leaves the parent's state ambiguous — escalates to checkpoint recovery
+// through the returned error. The returned bool reports whether the
+// split committed.
 func (c *Coordinator) splitPartition(ctx context.Context, run *jobRun, d SplitDecision) (bool, error) {
 	start := time.Now()
 	c.mu.Lock()
-	base := c.basePartsLocked()
 	cur := append([]splitRec(nil), c.splits...)
-	nodes := append([]hyracks.NodeID(nil), c.nodes...)
-	workers := append([]*ccWorker(nil), c.workers...)
+	total := totalParts(c.basePartsLocked(), cur)
 	c.mu.Unlock()
-	if len(nodes) == 0 {
-		return false, nil
-	}
-	total := totalParts(base, cur)
 	if d.Parent < 0 || d.Parent >= total || d.Children < 2 {
 		return false, nil
 	}
@@ -397,95 +392,61 @@ func (c *Coordinator) splitPartition(ctx context.Context, run *jobRun, d SplitDe
 	}
 	rec := splitRec{Parent: d.Parent, First: total, Children: d.Children}
 	grown := append(append([]splitRec(nil), cur...), rec)
-
-	ownerOf := make(map[string]*ccWorker)
-	for _, w := range workers {
-		for _, id := range w.owned {
-			ownerOf[id] = w
-		}
-	}
-	parentOwner := ownerOf[string(nodes[d.Parent%len(nodes)])]
-	if parentOwner == nil || parentOwner.dead() {
-		return false, fmt.Errorf("core: split of partition %d: its node has no live owner", d.Parent)
-	}
-
-	abandon := func(stage string, err error) {
-		c.recordAdaptive(AdaptiveEvent{
-			Kind: "split-failed", Job: run.name, Superstep: run.gs.Superstep,
-			Partition: d.Parent,
-			Detail:    fmt.Sprintf("%s: %v (split abandoned; cluster unchanged)", stage, err),
-		})
-	}
-
-	// 1. Image the parent (it stays live until the evacuation below).
-	var rep partSendReply
-	if err := parentOwner.call(ctx, rpcPartSend,
-		partSendMsg{Name: run.name, Parts: []int{d.Parent}}, &rep); err != nil {
-		if parentOwner.dead() {
-			return false, fmt.Errorf("core: split of partition %d: owner died during imaging: %w", d.Parent, err)
-		}
-		abandon("partition.send", err)
-		return false, nil
-	}
-	if len(rep.Parts) != 1 {
-		abandon("partition.send", fmt.Errorf("got %d images, want 1", len(rep.Parts)))
-		return false, nil
-	}
-
-	// 2. Re-hash into children plus the empty parent image.
-	imgs, err := rehashPartitionImage(&rep.Parts[0], rec, 0)
+	owners, err := c.partitionOwners(total + rec.Children)
 	if err != nil {
-		abandon("re-hash", err)
-		return false, nil
+		return false, fmt.Errorf("core: split of partition %d: %w", d.Parent, err)
 	}
-
-	// 3. Broadcast the grown table under the bumped epoch, so every
-	// worker's next compile agrees and no pre-split stream is claimed.
-	split := splitMsg{Name: run.name, Attempt: run.attempt + 1, Splits: grown}
-	if _, err := phaseCall[struct{}](ctx, c, run.name, rpcPartSplit, split); err != nil {
-		if c.anyWorkerDead() {
-			return false, fmt.Errorf("core: split of partition %d: worker died adopting the split table: %w", d.Parent, err)
-		}
-		abandon("partition.split", err)
-		return false, nil
-	}
-
-	// 4. Install the children first (the parent's data stays intact on
-	// its owner until every child image has landed), then evacuate the
-	// parent with its empty image.
-	byWorker := make(map[*ccWorker][]ckptPartData)
-	var parentImg *ckptPartData
-	for i := range imgs {
-		pd := imgs[i]
-		if pd.Part == d.Parent {
-			parentImg = &imgs[i]
-			continue
-		}
-		w := ownerOf[string(nodes[pd.Part%len(nodes)])]
-		if w == nil || w.dead() {
-			return false, fmt.Errorf("core: split of partition %d: child %d's node has no live owner", d.Parent, pd.Part)
-		}
-		byWorker[w] = append(byWorker[w], pd)
-	}
-	installed := false
-	for w, parts := range byWorker {
-		msg := partRecvMsg{Name: run.name, Attempt: run.attempt + 1, Parts: parts, Splits: grown}
-		if err := w.call(ctx, rpcPartRecv, msg, nil); err != nil {
-			if w.dead() || installed {
-				return false, fmt.Errorf("core: split of partition %d: installing children on %s: %w",
-					d.Parent, w.ctrl.RemoteAddr(), err)
+	announce := func(attempt int64, splits []splitRec, to map[*ccWorker][]int, imgs map[int]*ckptPartData) error {
+		for _, w := range c.members() {
+			if _, listed := to[w]; !listed {
+				to[w] = nil // no image to install: adopt the table and epoch only
 			}
-			abandon(fmt.Sprintf("partition.recv on %s", w.ctrl.RemoteAddr()), err)
-			return false, nil
 		}
-		installed = true
+		return c.installParts(ctx, partRecvMsg{Name: run.name, Attempt: attempt, Splits: splits}, to, imgs)
 	}
-	evac := partRecvMsg{Name: run.name, Attempt: run.attempt + 1,
-		Parts: []ckptPartData{*parentImg}, Splits: grown}
-	if err := parentOwner.call(ctx, rpcPartRecv, evac, nil); err != nil {
-		// The parent's state is ambiguous: its data lives only in the
-		// child copies now. Never abandon here — escalate so checkpoint
-		// recovery rebuilds a consistent table.
+	fail := func(stage string, err error) (bool, error) {
+		if c.anyWorkerDead() {
+			return false, fmt.Errorf("core: split of partition %d: worker died during %s: %w", d.Parent, stage, err)
+		}
+		if werr := announce(run.attempt, cur, map[*ccWorker][]int{}, nil); werr != nil {
+			c.cfg.logf("coordinator: withdrawing the split of partition %d: %v", d.Parent, werr)
+		}
+		c.recordAdaptive(AdaptiveEvent{
+			Kind: "split-failed", Job: run.name, Superstep: run.gs.Superstep, Partition: d.Parent,
+			Detail: fmt.Sprintf("%s: %v (split abandoned; cluster unchanged)", stage, err),
+		})
+		return false, nil
+	}
+
+	// 1–2. Image the parent (it stays live until the evacuation below)
+	// and re-hash it into children plus the empty parent image.
+	imgs, err := c.imageParts(ctx, run.name, map[*ccWorker]partSendMsg{
+		owners[d.Parent]: {Name: run.name, Parts: []int{d.Parent}}})
+	if err == nil && imgs[d.Parent] == nil {
+		err = fmt.Errorf("no image of partition %d came back", d.Parent)
+	}
+	if err != nil {
+		return fail("partition.send", err)
+	}
+	if imgs, err = rehashPartitionImage(imgs[d.Parent], rec, 0); err != nil {
+		return fail("re-hash", err)
+	}
+
+	// 3. Every worker adopts the grown table under the bumped epoch, so
+	// every next compile agrees and no pre-split stream is claimed; the
+	// children land on their round-robin owners in the same verb.
+	to := make(map[*ccWorker][]int)
+	for p := rec.First; p < rec.First+rec.Children; p++ {
+		to[owners[p]] = append(to[owners[p]], p)
+	}
+	if err := announce(run.attempt+1, grown, to, imgs); err != nil {
+		return fail("partition.recv", err)
+	}
+	// 4. Evacuate the parent. From here its data lives only in the child
+	// copies: never abandon — escalate, so checkpoint recovery rebuilds
+	// a consistent table.
+	if err := c.installParts(ctx, partRecvMsg{Name: run.name, Attempt: run.attempt + 1, Splits: grown},
+		map[*ccWorker][]int{owners[d.Parent]: {d.Parent}}, imgs); err != nil {
 		return false, fmt.Errorf("core: split of partition %d: evacuating the parent: %w", d.Parent, err)
 	}
 

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -108,42 +110,113 @@ func ckptPath(job string, ss int64) string {
 	return fmt.Sprintf("%sss%d", ckptRoot(job), ss)
 }
 
-// writeVertexSnapshot streams one partition's vertex relation to w as a
-// frame stream in the given compression mode: the index is scanned in
-// key order and each record is appended through a frame appender, one
-// bulk write per frame.
-func writeVertexSnapshot(w io.Writer, ps *partitionState, mode tuple.CompressMode) error {
-	fr := tuple.GetFrame()
-	defer tuple.PutFrame(fr)
-	app := tuple.NewFrameAppender(fr)
-	sw := tuple.NewFrameStreamWriter(w, mode)
-	cur, err := ps.vertexIdx.ScanFrom(nil)
-	if err != nil {
-		return err
+// nameFiles fills in the manifest's partition→file map entry: the paths
+// of partition part's two images within checkpoint directory dir.
+func (st *partStat) nameFiles(dir string, part int) {
+	st.VertexFile = fmt.Sprintf("%s/vertex-p%d", dir, part)
+	st.MsgFile = fmt.Sprintf("%s/msg-p%d", dir, part)
+}
+
+// addVertex recounts one encoded vertex record: the edge count straight
+// from the encoded layout, liveness from the halt flag, no codec needed.
+func (st *partStat) addVertex(rec []byte) {
+	st.NumVertices++
+	st.NumEdges += int64(edgeCountOf(rec))
+	if isLiveVertexRecord(rec) {
+		st.LiveVertices++
 	}
+}
+
+// imageWriter packs (key, value) records into one image stream — a
+// frame stream in the given compression mode, one bulk write per full
+// frame. Every image this package produces (checkpoint, migration,
+// sealed-version clone, split child) is written through it.
+type imageWriter struct {
+	sw  *tuple.FrameStreamWriter
+	fr  *tuple.Frame
+	app *tuple.FrameAppender
+}
+
+func newImageWriter(w io.Writer, mode tuple.CompressMode) *imageWriter {
+	fr := tuple.GetFrame()
+	return &imageWriter{sw: tuple.NewFrameStreamWriter(w, mode), fr: fr, app: tuple.NewFrameAppender(fr)}
+}
+
+func (iw *imageWriter) add(k, v []byte) error {
+	if !iw.app.Append(k, v) {
+		if err := iw.sw.WriteFrame(iw.fr); err != nil {
+			return err
+		}
+		iw.fr.Reset()
+		iw.app.Append(k, v) // an empty frame grows to fit any record
+	}
+	return nil
+}
+
+// flush writes the last, partial frame; release returns the writer's
+// frame to the pool on every path.
+func (iw *imageWriter) flush() error {
+	if iw.fr.Len() == 0 {
+		return nil
+	}
+	return iw.sw.WriteFrame(iw.fr)
+}
+
+func (iw *imageWriter) release() { tuple.PutFrame(iw.fr) }
+
+// writeVertexSnapshot streams a vertex index to w as an image stream:
+// the index is scanned in key order, so the image is vid-sorted and a
+// reload can bulk-load it. The returned statistics are recounted from
+// the records, for callers imaging an index that kept no counters.
+func writeVertexSnapshot(w io.Writer, idx storage.Index, mode tuple.CompressMode) (partStat, error) {
+	var st partStat
+	cur, err := idx.ScanFrom(nil)
+	if err != nil {
+		return st, err
+	}
+	defer cur.Close()
+	iw := newImageWriter(w, mode)
+	defer iw.release()
 	for {
 		k, v, ok := cur.Next()
 		if !ok {
 			break
 		}
-		if !app.Append(k, v) {
-			if err := sw.WriteFrame(fr); err != nil {
-				cur.Close()
-				return err
-			}
-			fr.Reset()
-			app.Append(k, v)
+		st.addVertex(v)
+		if err := iw.add(k, v); err != nil {
+			return st, err
 		}
 	}
-	err = cur.Err()
-	cur.Close()
-	if err != nil {
-		return err
+	if err := cur.Err(); err != nil {
+		return st, err
 	}
-	if fr.Len() > 0 {
-		return sw.WriteFrame(fr)
+	return st, iw.flush()
+}
+
+// eachImageFrame reads an image stream (raw or compressed, sniffed)
+// frame by frame. An image crosses a process or disk boundary before it
+// is read, and every consumer indexes its records as (8-byte vid, value)
+// pairs, so that shape is checked here, once: a frame that decodes but
+// holds anything else is an error, never a panic further in.
+func eachImageFrame(r io.Reader, visit func(fr *tuple.Frame) error) error {
+	sr := tuple.NewFrameStreamReader(r)
+	fr := tuple.GetFrame()
+	defer tuple.PutFrame(fr)
+	for {
+		if err := sr.ReadFrame(fr); errors.Is(err, io.EOF) {
+			return nil
+		} else if err != nil {
+			return err
+		}
+		for i := 0; i < fr.Len(); i++ {
+			if t := fr.Tuple(i); t.FieldCount() != 2 || len(t.Field(0)) != 8 {
+				return fmt.Errorf("core: image record %d is not a (vid, value) pair", i)
+			}
+		}
+		if err := visit(fr); err != nil {
+			return err
+		}
 	}
-	return nil
 }
 
 // writeMsgSnapshot ships the partition's combined-message run file to w.
@@ -180,6 +253,40 @@ func writeMsgSnapshot(w io.Writer, ps *partitionState, mode tuple.CompressMode) 
 	}
 }
 
+// imageIndex images a bare vertex index — a sealed result's partition,
+// which kept no counters and has no pending messages — in the one
+// partition-image format, with the statistics recounted from the
+// records.
+func imageIndex(idx storage.Index, part int, mode tuple.CompressMode) (ckptPartData, error) {
+	var buf bytes.Buffer
+	st, err := writeVertexSnapshot(&buf, idx, mode)
+	return ckptPartData{Part: part, Vertex: buf.Bytes(), Stats: st}, err
+}
+
+// snapshotPartition images one live partition: the vertex relation and
+// the pending combined messages as image streams (compressed per the
+// process's policy; readers sniff the format), plus the partition's own
+// counters. Checkpoints, migrations, splits and delta clones all move
+// this one format, which is what lets installImage serve them all.
+func snapshotPartition(ps *partitionState, mode tuple.CompressMode) (ckptPartData, error) {
+	pd, err := imageIndex(ps.vertexIdx, ps.idx, mode)
+	if err != nil {
+		return pd, err
+	}
+	var mbuf bytes.Buffer
+	if err := writeMsgSnapshot(&mbuf, ps, mode); err != nil {
+		return pd, fmt.Errorf("msgs: %w", err)
+	}
+	pd.Msg, pd.Stats = mbuf.Bytes(), partStatOf(ps)
+	return pd, nil
+}
+
+// installImage rebuilds a partition from an image: the one reload path
+// of checkpoint restores, migrations, split children and delta clones.
+func (rs *runState) installImage(ps *partitionState, pd *ckptPartData) error {
+	return rs.reloadPartitionFrom(ps, pd.Stats, bytes.NewReader(pd.Vertex), bytes.NewReader(pd.Msg))
+}
+
 // checkpoint writes the superstep's Vertex and Msg state to the DFS and
 // commits the manifest, which carries the driver's global state gs (see
 // the commit protocol above).
@@ -191,15 +298,14 @@ func (rs *runState) checkpoint(ctx context.Context, ss int64, gs globalState) er
 			return err
 		}
 		st := partStatOf(ps)
-		st.VertexFile = fmt.Sprintf("%s/vertex-p%d", dir, ps.idx)
-		st.MsgFile = fmt.Sprintf("%s/msg-p%d", dir, ps.idx)
+		st.nameFiles(dir, ps.idx)
 
 		w, err := rs.rt.DFS.Create(st.VertexFile)
 		if err != nil {
 			return err
 		}
 		bw := bufio.NewWriterSize(w, 1<<16)
-		if err := writeVertexSnapshot(bw, ps, rs.rt.opts.Compress); err != nil {
+		if _, err := writeVertexSnapshot(bw, ps.vertexIdx, rs.rt.opts.Compress); err != nil {
 			return err
 		}
 		if err := bw.Flush(); err != nil {
@@ -445,15 +551,7 @@ func (rs *runState) reloadPartitionFrom(ps *partitionState, st partStat, vertexR
 	}
 
 	// Vertex snapshot: a frame stream (raw or compressed), vid-sorted.
-	fr := tuple.GetFrame()
-	defer tuple.PutFrame(fr)
-	vsr := tuple.NewFrameStreamReader(vertexR)
-	for {
-		if err := vsr.ReadFrame(fr); err == io.EOF {
-			break
-		} else if err != nil {
-			return err
-		}
+	if err := eachImageFrame(vertexR, func(fr *tuple.Frame) error {
 		for i := 0; i < fr.Len(); i++ {
 			t := fr.Tuple(i)
 			k, v := t.Field(0), t.Field(1)
@@ -466,6 +564,9 @@ func (rs *runState) reloadPartitionFrom(ps *partitionState, st partStat, vertexR
 				}
 			}
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	if btLoader != nil {
 		if err := btLoader.Finish(); err != nil {
@@ -484,16 +585,9 @@ func (rs *runState) reloadPartitionFrom(ps *partitionState, st partStat, vertexR
 	if err != nil {
 		return err
 	}
-	msr := tuple.NewFrameStreamReader(msgR)
-	for {
-		if err := msr.ReadFrame(fr); err == io.EOF {
-			break
-		} else if err != nil {
-			return err
-		}
-		if err := rf.AppendFrame(fr); err != nil {
-			return err
-		}
+	if err := eachImageFrame(msgR, rf.AppendFrame); err != nil {
+		rf.Delete()
+		return err
 	}
 	if err := rf.CloseWrite(); err != nil {
 		return err

@@ -186,9 +186,9 @@ type Coordinator struct {
 	jobMu   sync.Mutex // one distributed job runs at a time
 	// shipped caches the content hash of files already replicated to the
 	// workers, so resubmitting jobs over the same uploaded input does not
-	// re-ship the graph every time. Cleared whenever the topology is
-	// repaired (a replacement worker has none of the files). Guarded by
-	// jobMu (only RunJob and the repairs it drives use it).
+	// re-ship the graph every time. Cleared when a new process becomes a
+	// member (admitLocked: it has none of the files). Guarded by jobMu
+	// (only RunJob and the topology changes it drives use it).
 	shipped map[string]uint64
 
 	// Query tier (coordinator_query.go): the latest sealed result
@@ -750,9 +750,8 @@ func (c *Coordinator) adopt(ctx context.Context, sp *ccWorker, orphans []string,
 	for _, id := range orphans {
 		c.peers[id] = sp.dataAddr
 	}
-	c.workers = append(c.workers, sp)
+	c.admitLocked(sp)
 	c.mu.Unlock()
-	go c.monitor(sp)
 	return nil
 }
 
@@ -782,10 +781,6 @@ func (c *Coordinator) repairTopology(ctx context.Context, begin *jobBeginMsg) er
 	if len(orphans) == 0 {
 		return nil
 	}
-
-	// Files replicated to the lost process are gone with it; the next
-	// job must re-ship its input to the repaired cluster.
-	c.shipped = make(map[string]uint64)
 
 	var adopted *ccWorker
 	deadline := time.Now().Add(c.cfg.ReplaceWait)
@@ -850,35 +845,30 @@ func (c *Coordinator) repairTopology(ctx context.Context, begin *jobBeginMsg) er
 // old topology's stragglers can never be claimed.
 func (c *Coordinator) broadcastTopology(ctx context.Context, purgeJobs []string) error {
 	c.mu.Lock()
-	workers := append([]*ccWorker(nil), c.workers...)
 	peers := c.peersLocked()
 	c.mu.Unlock()
-	for _, w := range workers {
-		msg := reconfigureMsg{Owned: append([]string(nil), w.owned...), Peers: peers, PurgeJobs: purgeJobs}
-		if err := w.call(ctx, rpcReconfigure, msg, nil); err != nil {
-			return fmt.Errorf("core: reconfiguring worker %s: %w", w.ctrl.RemoteAddr(), err)
-		}
+	if _, err := phaseCallTo[struct{}](ctx, c, c.members(), "", rpcReconfigure, func(w *ccWorker) any {
+		return reconfigureMsg{Owned: w.owned, Peers: peers, PurgeJobs: purgeJobs}
+	}); err != nil {
+		return fmt.Errorf("core: reconfiguring %w", err)
 	}
 	return nil
 }
 
-// phaseCall issues one RPC to every worker in parallel and collects the
-// typed replies. The first failure cancels the job's in-flight phase on
-// all workers (so peers blocked in the same phase unwind) and is
-// returned once every call — and the cancellation wave itself — has
-// come back, so no stale abort can race a later retry of the phase.
+// phaseCall issues one RPC, the same for all, to every worker in
+// parallel and collects the typed replies (see phaseCallTo).
 func phaseCall[T any](ctx context.Context, c *Coordinator, jobName, method string, params any) ([]T, error) {
-	results, _, err := phaseCallW[T](ctx, c, jobName, method, params)
-	return results, err
+	return phaseCallTo[T](ctx, c, c.members(), jobName, method, func(*ccWorker) any { return params })
 }
 
-// phaseCallW is phaseCall returning the worker snapshot the replies are
-// aligned with — the straggler detector needs to attribute reply
-// timings to worker addresses.
-func phaseCallW[T any](ctx context.Context, c *Coordinator, jobName, method string, params any) ([]T, []*ccWorker, error) {
-	c.mu.Lock()
-	workers := append([]*ccWorker(nil), c.workers...)
-	c.mu.Unlock()
+// phaseCallTo issues one RPC to each listed worker in parallel, each
+// with its own parameters, and collects the typed replies in the list's
+// order. The first failure cancels the job's in-flight phase on every
+// worker (so peers blocked in the same phase unwind) and is returned,
+// naming its worker, once every call — and the cancellation wave itself
+// — has come back, so no stale abort can race a later retry of the
+// phase. An empty jobName means there is no phase to cancel.
+func phaseCallTo[T any](ctx context.Context, c *Coordinator, workers []*ccWorker, jobName, method string, params func(*ccWorker) any) ([]T, error) {
 	results := make([]T, len(workers))
 	errs := make([]error, len(workers))
 	var once sync.Once
@@ -887,7 +877,7 @@ func phaseCallW[T any](ctx context.Context, c *Coordinator, jobName, method stri
 		wg.Add(1)
 		go func(i int, w *ccWorker) {
 			defer wg.Done()
-			errs[i] = w.call(ctx, method, params, &results[i])
+			errs[i] = w.call(ctx, method, params(w), &results[i])
 			if errs[i] != nil && jobName != "" {
 				once.Do(func() {
 					cancelWG.Add(1)
@@ -901,12 +891,12 @@ func phaseCallW[T any](ctx context.Context, c *Coordinator, jobName, method stri
 	}
 	wg.Wait()
 	cancelWG.Wait()
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
-			return results, workers, err
+			return results, fmt.Errorf("worker %s: %w", workers[i].ctrl.RemoteAddr(), err)
 		}
 	}
-	return results, workers, nil
+	return results, nil
 }
 
 // cancelJob aborts a job's in-flight phase on every worker (best
@@ -1158,8 +1148,10 @@ func (p *clusterPhases) superstep(ctx context.Context, run *jobRun, ss int64, jo
 		})
 	}
 	p.lastPlan = join.String()
-	reps, workers, err := phaseCallW[superstepReply](ctx, c, run.name, rpcSuperstep,
-		superstepMsg{Name: run.name, SS: ss, GS: run.gs, Join: join, Attempt: run.attempt, Splits: c.currentSplits()})
+	// The straggler detector attributes reply timings to these workers.
+	workers := c.members()
+	msg := superstepMsg{Name: run.name, SS: ss, GS: run.gs, Join: join, Attempt: run.attempt, Splits: c.currentSplits()}
+	reps, err := phaseCallTo[superstepReply](ctx, c, workers, run.name, rpcSuperstep, func(*ccWorker) any { return msg })
 	if err != nil {
 		return stepOutcome{}, fmt.Errorf("core: superstep %d of %s: %w", ss, run.name, err)
 	}
@@ -1280,59 +1272,6 @@ func (p *clusterPhases) dump(ctx context.Context, run *jobRun) error {
 	return nil
 }
 
-// checkpointCluster drives one distributed checkpoint: every worker
-// snapshots its owned partitions (vertex relation + pending messages as
-// packed frame images) over the control plane, the controller writes
-// them into its replicated checkpoint store, and — only after every
-// worker has acked and every image is durable — commits the manifest
-// (superstep, global state, partition→file map) atomically. A crash or
-// failure anywhere before the commit leaves the previous checkpoint
-// intact.
-func (c *Coordinator) checkpointCluster(ctx context.Context, name string, ss int64, gs globalState) error {
-	reps, err := phaseCall[ckptReply](ctx, c, name, rpcJobCkpt, ckptMsg{Name: name, SS: ss})
-	if err != nil {
-		return err
-	}
-	byPart := make(map[int]*ckptPartData)
-	for i := range reps {
-		for j := range reps[i].Parts {
-			pd := &reps[i].Parts[j]
-			if _, dup := byPart[pd.Part]; dup {
-				return fmt.Errorf("core: checkpoint of %s: two workers snapshot partition %d", name, pd.Part)
-			}
-			byPart[pd.Part] = pd
-		}
-	}
-	dir := ckptPath(name, ss)
-	c.mu.Lock()
-	base := c.basePartsLocked()
-	splits := append([]splitRec(nil), c.splits...)
-	c.mu.Unlock()
-	m := checkpointManifest{Superstep: ss, Partitions: len(byPart), GS: gs, BaseParts: base, Splits: splits}
-	m.PartStats = make([]partStat, len(byPart))
-	for i := 0; i < len(byPart); i++ {
-		pd := byPart[i]
-		if pd == nil {
-			return fmt.Errorf("core: checkpoint of %s: no worker snapshot partition %d", name, i)
-		}
-		st := pd.Stats
-		st.VertexFile = fmt.Sprintf("%s/vertex-p%d", dir, i)
-		st.MsgFile = fmt.Sprintf("%s/msg-p%d", dir, i)
-		if err := c.ckpt.WriteFile(st.VertexFile, pd.Vertex); err != nil {
-			return err
-		}
-		if err := c.ckpt.WriteFile(st.MsgFile, pd.Msg); err != nil {
-			return err
-		}
-		m.PartStats[i] = st
-	}
-	if err := commitManifest(c.ckpt, dir, &m); err != nil {
-		return err
-	}
-	c.cfg.logf("coordinator: %s checkpointed at superstep %d (%d partitions)", name, ss, len(byPart))
-	return nil
-}
-
 // removeCheckpoints reclaims a finished job's checkpoint files. A
 // coordinator that is shutting down keeps them: on a durable
 // coordinator they are exactly what the restarted process resumes
@@ -1383,75 +1322,4 @@ func (c *Coordinator) recoverJob(ctx context.Context, run *jobRun) (*checkpointM
 		return nil, err
 	}
 	return m, nil
-}
-
-// restoreCluster ships each worker the checkpoint images of the
-// partitions it now owns and rewinds all sessions to the manifest's
-// superstep.
-func (c *Coordinator) restoreCluster(ctx context.Context, name string, m *checkpointManifest, attempt int64) error {
-	c.mu.Lock()
-	workers := append([]*ccWorker(nil), c.workers...)
-	nodes := append([]hyracks.NodeID(nil), c.nodes...)
-	c.mu.Unlock()
-	if len(nodes) == 0 {
-		return fmt.Errorf("core: no cluster topology")
-	}
-	ownerOf := make(map[string]*ccWorker)
-	for _, w := range workers {
-		for _, id := range w.owned {
-			ownerOf[id] = w
-		}
-	}
-	// Adopt the manifest's journaled split table as the cluster's, and
-	// reset the per-partition load counters: pre-failure statistics
-	// describe a partition layout and message distribution that no
-	// longer exist, and feeding them to the rebalancer or the split
-	// planner would act on ghosts.
-	c.mu.Lock()
-	c.splits = append([]splitRec(nil), m.Splits...)
-	c.partLoad = make(map[int]int64)
-	c.mu.Unlock()
-	// Partition i lives on node i%N — the same deterministic round-robin
-	// placement every runState computes (assignPartitions, applySplits).
-	msgs := make(map[*ccWorker]*restoreMsg, len(workers))
-	for _, w := range workers {
-		msgs[w] = &restoreMsg{Name: name, SS: m.Superstep, Attempt: attempt, Splits: m.Splits}
-	}
-	for i := 0; i < m.Partitions; i++ {
-		node := string(nodes[i%len(nodes)])
-		w := ownerOf[node]
-		if w == nil {
-			return fmt.Errorf("core: restore of %s: partition %d's node %s has no owner", name, i, node)
-		}
-		if i >= len(m.PartStats) {
-			return fmt.Errorf("core: restore of %s: manifest missing stats for partition %d", name, i)
-		}
-		st := m.PartStats[i]
-		vdata, err := c.ckpt.ReadFile(st.VertexFile)
-		if err != nil {
-			return fmt.Errorf("core: restore of %s: reading %s: %w", name, st.VertexFile, err)
-		}
-		mdata, err := c.ckpt.ReadFile(st.MsgFile)
-		if err != nil {
-			return fmt.Errorf("core: restore of %s: reading %s: %w", name, st.MsgFile, err)
-		}
-		msgs[w].Parts = append(msgs[w].Parts, ckptPartData{Part: i, Vertex: vdata, Msg: mdata, Stats: st})
-	}
-
-	errs := make([]error, len(workers))
-	var wg sync.WaitGroup
-	for i, w := range workers {
-		wg.Add(1)
-		go func(i int, w *ccWorker) {
-			defer wg.Done()
-			errs[i] = w.call(ctx, rpcJobRestore, msgs[w], nil)
-		}(i, w)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("core: restoring worker %s: %w", workers[i].ctrl.RemoteAddr(), err)
-		}
-	}
-	return nil
 }

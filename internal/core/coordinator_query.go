@@ -56,9 +56,7 @@ type qflight struct {
 // fails the call (it died with the job already finished) simply
 // contributes no partitions.
 func (c *Coordinator) endJobSessions(ctx context.Context, name string, retain bool) {
-	c.mu.Lock()
-	workers := append([]*ccWorker(nil), c.workers...)
-	c.mu.Unlock()
+	workers := c.members()
 	replies := make([]jobEndReply, len(workers))
 	errs := make([]error, len(workers))
 	var wg sync.WaitGroup

@@ -17,8 +17,6 @@ package core
 // image format checkpoints and migrations use), never by mutating it.
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"fmt"
 	"sort"
@@ -28,63 +26,6 @@ import (
 	"pregelix/internal/tuple"
 	"pregelix/pregel"
 )
-
-// sealedPartitionImage snapshots one sealed partition index into the
-// checkpoint/migration image format: the index scanned in key order
-// into a frame stream, with the restorable counters recomputed from the
-// records (a sealed result retains no partition counters — only the
-// indexes survive job.end).
-func sealedPartitionImage(idx storage.Index, part int, mode tuple.CompressMode) (ckptPartData, error) {
-	var buf bytes.Buffer
-	fr := tuple.GetFrame()
-	defer tuple.PutFrame(fr)
-	app := tuple.NewFrameAppender(fr)
-	sw := tuple.NewFrameStreamWriter(&buf, mode)
-	var st partStat
-	cur, err := idx.ScanFrom(nil)
-	if err != nil {
-		return ckptPartData{}, err
-	}
-	for {
-		k, v, ok := cur.Next()
-		if !ok {
-			break
-		}
-		st.NumVertices++
-		st.NumEdges += int64(edgeCountOf(v))
-		if isLiveVertexRecord(v) {
-			st.LiveVertices++
-		}
-		if !app.Append(k, v) {
-			if err := sw.WriteFrame(fr); err != nil {
-				cur.Close()
-				return ckptPartData{}, err
-			}
-			fr.Reset()
-			app.Append(k, v)
-		}
-	}
-	err = cur.Err()
-	cur.Close()
-	if err != nil {
-		return ckptPartData{}, err
-	}
-	if fr.Len() > 0 {
-		if err := sw.WriteFrame(fr); err != nil {
-			return ckptPartData{}, err
-		}
-	}
-	return ckptPartData{Part: part, Vertex: buf.Bytes(), Stats: st}, nil
-}
-
-// installImage rebuilds a partition from a snapshot image — one reload
-// path for checkpoint restores, migrations and delta clones, so
-// compressed and raw images install alike.
-func (rs *runState) installImage(ps *partitionState, pd *ckptPartData) error {
-	return rs.reloadPartitionFrom(ps, pd.Stats,
-		bufio.NewReader(bytes.NewReader(pd.Vertex)),
-		bufio.NewReader(bytes.NewReader(pd.Msg)))
-}
 
 // deltaDirty maps each hosted partition of a delta session to the
 // mutation-touched vertex ids still present after application.
@@ -127,7 +68,7 @@ func (rs *runState) ingestDelta(ctx context.Context, src *retainedResult, shippe
 			if idx == nil {
 				return nil, fmt.Errorf("partition %d neither shipped nor sealed here", ps.idx)
 			}
-			img, err := sealedPartitionImage(idx, ps.idx, tuple.CompressOff)
+			img, err := imageIndex(idx, ps.idx, tuple.CompressOff)
 			if err != nil {
 				return nil, fmt.Errorf("imaging sealed partition %d: %w", ps.idx, err)
 			}

@@ -15,12 +15,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync"
 	"time"
 
 	"pregelix/internal/delta"
 	"pregelix/internal/dfs"
-	"pregelix/internal/hyracks"
 	"pregelix/pregel"
 )
 
@@ -105,65 +103,48 @@ func (c *Coordinator) DeltaRefresh(ctx context.Context, sub DeltaSubmission) (*J
 		return nil, fmt.Errorf("core: delta refresh of %s: the sealed run committed hot-partition splits; re-submit the job instead", sub.Version)
 	}
 
-	c.mu.Lock()
-	workers := append([]*ccWorker(nil), c.workers...)
-	nodes := append([]hyracks.NodeID(nil), c.nodes...)
-	c.mu.Unlock()
-	if len(nodes) == 0 {
-		return nil, fmt.Errorf("core: no cluster topology")
-	}
-	ownerOf := make(map[string]*ccWorker)
-	for _, w := range workers {
-		for _, id := range w.owned {
-			ownerOf[id] = w
-		}
-	}
-
 	run := c.newRun(sub.Name, sub.Spec, sub.Job, sub.Progress)
 	stats := run.stats
 
-	// Placement plan: the delta session's partition i lives on node
-	// i%N (the same deterministic round-robin every runState computes);
-	// the sealed copy lives wherever job.end sealed it. Where the two
-	// disagree — the topology moved since the seal — the sealed holder
-	// ships a partition image for the current owner to clone from.
+	// Placement plan: the delta session's partition i lives with the
+	// current owner of node i%N; the sealed copy lives wherever job.end
+	// sealed it. Where the two disagree — the topology moved since the
+	// seal — the sealed holder ships a partition image for the current
+	// owner to clone from.
 	numParts := res.numParts
-	ingest := make(map[*ccWorker]*deltaIngestMsg, len(workers))
-	for _, w := range workers {
+	owners, err := c.partitionOwners(numParts)
+	if err != nil {
+		return nil, fmt.Errorf("core: delta refresh of %s: %w", sub.Version, err)
+	}
+	members := c.members()
+	ingest := make(map[*ccWorker]*deltaIngestMsg, len(members))
+	for _, w := range members {
 		ingest[w] = &deltaIngestMsg{
 			Name: sub.Name, FromVersion: sub.Version, Spec: sub.Spec, RunDir: run.begin.RunDir,
 			Muts: make(map[int][]delta.Mutation),
 		}
 	}
-	shipFrom := make(map[*ccWorker][]int) // sealed holder → partitions to image
-	curOwner := make([]*ccWorker, numParts)
-	for i := 0; i < numParts; i++ {
-		cur := ownerOf[string(nodes[i%len(nodes)])]
-		if cur == nil {
-			return nil, fmt.Errorf("core: delta refresh of %s: partition %d's node has no owner", sub.Version, i)
-		}
-		curOwner[i] = cur
+	ship := make(map[*ccWorker]partSendMsg) // sealed holder → partitions to image
+	for i, cur := range owners {
 		holder := res.owners[i]
 		if holder == nil || holder.dead() {
 			return nil, fmt.Errorf("core: delta refresh of %s: sealed partition %d is no longer served (worker lost after seal; re-submit the job)", sub.Version, i)
 		}
 		if holder != cur {
-			shipFrom[holder] = append(shipFrom[holder], i)
+			msg := ship[holder]
+			msg.FromVersion, msg.Parts = sub.Version, append(msg.Parts, i)
+			ship[holder] = msg
 		}
 	}
 	for p, ms := range delta.Route(sub.Muts, numParts) {
-		ingest[curOwner[p]].Muts[p] = ms
+		ingest[owners[p]].Muts[p] = ms
 	}
-	for holder, parts := range shipFrom {
-		var reply partSendReply
-		if err := holder.call(ctx, rpcPartSend,
-			partSendMsg{Name: sub.Name, Parts: parts, FromVersion: sub.Version}, &reply); err != nil {
-			return nil, fmt.Errorf("core: delta refresh of %s: imaging sealed partitions %v: %w", sub.Version, parts, err)
-		}
-		for i := range reply.Parts {
-			pd := reply.Parts[i]
-			ingest[curOwner[pd.Part]].Ship = append(ingest[curOwner[pd.Part]].Ship, pd)
-		}
+	imgs, err := c.imageParts(ctx, "", ship)
+	if err != nil {
+		return nil, fmt.Errorf("core: delta refresh of %s: imaging sealed partitions: %w", sub.Version, err)
+	}
+	for p, pd := range imgs {
+		ingest[owners[p]].Ship = append(ingest[owners[p]].Ship, *pd)
 	}
 
 	// A refresh that completes seals the clone as the new version; any
@@ -176,28 +157,16 @@ func (c *Coordinator) DeltaRefresh(ctx context.Context, sub DeltaSubmission) (*J
 		c.removeCheckpoints(sub.Name)
 	}()
 
-	// Ingest: per-worker payloads differ (each gets its own mutation
-	// slices and shipped images), so this is a hand-rolled parallel fan
-	// rather than phaseCall.
+	// Ingest: each worker gets its own mutation slices and shipped images.
 	ingestStart := time.Now()
-	ingReplies := make([]deltaIngestReply, len(workers))
-	ingErrs := make([]error, len(workers))
-	var wg sync.WaitGroup
-	for i, w := range workers {
-		wg.Add(1)
-		go func(i int, w *ccWorker) {
-			defer wg.Done()
-			ingErrs[i] = w.call(ctx, rpcDeltaIngest, ingest[w], &ingReplies[i])
-		}(i, w)
+	ingReplies, err := phaseCallTo[deltaIngestReply](ctx, c, members, sub.Name, rpcDeltaIngest,
+		func(w *ccWorker) any { return ingest[w] })
+	if err != nil {
+		return stats, fmt.Errorf("core: delta ingest of %s: %w", sub.Name, err)
 	}
-	wg.Wait()
 	var dirtyTotal int64
-	for i, err := range ingErrs {
-		if err != nil {
-			c.cancelJob(sub.Name)
-			return stats, fmt.Errorf("core: delta ingest of %s on %s: %w", sub.Name, workers[i].ctrl.RemoteAddr(), err)
-		}
-		dirtyTotal += ingReplies[i].Dirty
+	for _, rep := range ingReplies {
+		dirtyTotal += rep.Dirty
 	}
 
 	// Arm: clear halt flags on the dirty sets, seed the Vid indexes. The

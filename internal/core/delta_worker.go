@@ -48,13 +48,9 @@ func (w *distWorker) deltaIngest(msg *deltaIngestMsg) (*deltaIngestReply, error)
 }
 
 // deltaRun arms the ingested clone for delta supersteps.
-func (w *distWorker) deltaRun(msg *deltaRunMsg) (*deltaRunReply, error) {
-	dj, err := w.job(msg.Name)
-	if err != nil {
-		return nil, err
-	}
+func (dj *distJob) deltaRun() (*deltaRunReply, error) {
 	if dj.dirty == nil {
-		return nil, fmt.Errorf("core: job %s is not a delta session", msg.Name)
+		return nil, fmt.Errorf("core: job %s is not a delta session", dj.rs.job.Name)
 	}
 	ctx, end, err := dj.beginPhase()
 	if err != nil {
@@ -62,35 +58,7 @@ func (w *distWorker) deltaRun(msg *deltaRunMsg) (*deltaRunReply, error) {
 	}
 	defer end()
 	if err := dj.rs.armDelta(ctx, dj.dirty); err != nil {
-		return nil, fmt.Errorf("core: delta run %s: %w", msg.Name, err)
+		return nil, fmt.Errorf("core: delta run %s: %w", dj.rs.job.Name, err)
 	}
 	return &deltaRunReply{Parts: dj.rs.partCounts(), Dirty: dj.dirty.total()}, nil
-}
-
-// sealedPartitionSend snapshots partitions of a *sealed* version for a
-// delta refresh on a cluster whose topology moved since the seal: the
-// current partition owner clones from these images instead of a local
-// sealed index. Unlike the job-session partition.send this reads the
-// retained result (there is no open session on the sealed side), and
-// the version stays acquired for the scan so a concurrent seal of a
-// newer version cannot destroy it mid-image.
-func (w *distWorker) sealedPartitionSend(msg *partSendMsg) (*partSendReply, error) {
-	r, err := w.queries.acquire(msg.FromVersion)
-	if err != nil {
-		return nil, err
-	}
-	defer r.release()
-	reply := &partSendReply{Parts: []ckptPartData{}}
-	for _, idx := range msg.Parts {
-		pidx := r.parts[idx]
-		if pidx == nil {
-			return nil, fmt.Errorf("core: sealed send %s: partition %d not held here", msg.FromVersion, idx)
-		}
-		pd, err := sealedPartitionImage(pidx, idx, w.rt.opts.Compress)
-		if err != nil {
-			return nil, fmt.Errorf("core: sealed send %s partition %d: %w", msg.FromVersion, idx, err)
-		}
-		reply.Parts = append(reply.Parts, pd)
-	}
-	return reply, nil
 }

@@ -8,26 +8,29 @@ import (
 )
 
 // Control-plane RPC methods driven by the cluster controller against its
-// registered workers. One Pregel job is a session of phases: begin →
-// load → (superstep → checkpoint?)* → dump? → end, each phase one
-// hyracks job executed by every worker simultaneously (each
-// instantiates its own nodes' tasks; the shuffle meets on the wire
-// transport). The fault-tolerance verbs ride the same connection:
-// heartbeat probes liveness, job.abort cancels an in-flight phase
-// without tearing the session down, job.checkpoint/job.restore move
-// partition snapshots between the workers and the controller's
-// replicated checkpoint store, and cluster.reconfigure reassigns node
-// ownership after a worker failure.
+// registered workers: 19 verbs, plus the one notification below. One
+// Pregel job is a session of phases: begin → load → (superstep →
+// checkpoint?)* → dump? → end, each phase one hyracks job executed by
+// every worker simultaneously (each instantiates its own nodes' tasks;
+// the shuffle meets on the wire transport). The fault-tolerance verbs
+// ride the same connection: heartbeat probes liveness, job.abort cancels
+// an in-flight phase without tearing the session down, and
+// cluster.reconfigure reassigns node ownership after a worker failure
+// or a rebalance.
 //
-// The elasticity verbs reuse the same snapshot format: partition.send
-// pulls whole-partition images off a worker at a superstep boundary,
-// partition.recv installs them on another, partition.drop reclaims the
-// migrated-away originals, and worker.release tells a drained worker it
-// may exit. worker.drain is the one worker→controller notification: a
-// departing worker asking to have its partitions migrated out first.
-// partition.split broadcasts a grown split table (hot-partition
-// re-hash, split.go) so every worker extends its partition table before
-// the child images arrive via partition.recv.
+// Partition state moves — into the controller's replicated checkpoint
+// store and back, between workers, into split children, out of a sealed
+// version — as partition images through one verb pair: partition.send
+// images partitions on the worker that holds them (named ones, every
+// owned one for a checkpoint, or a sealed version's with FromVersion),
+// and partition.recv installs images on a worker, after it adopts the
+// controller's split table and epoch (with no images that is all it
+// does: a hot-partition split being announced, split.go) and, for a
+// checkpoint restore, after it resets the session. partition.drop
+// reclaims the copies a movement leaves behind, and worker.release
+// tells a drained worker it may exit. worker.drain is the one
+// worker→controller notification: a departing worker asking to have its
+// partitions migrated out first.
 //
 // The query-tier verbs serve reads from a finished job's retained
 // partition indexes: job.end with Retain seals the session's B-trees
@@ -43,10 +46,7 @@ import (
 // seeds the live-vertex indexes from the accumulated dirty set and
 // returns the session's counters, after which ordinary job.superstep
 // rounds drive the delta supersteps and job.end (Retain) seals the
-// refreshed result as the next version. partition.send with FromVersion
-// snapshots a *sealed* partition instead of a live one, so delta
-// sessions can form on the post-rebalance topology even when the sealed
-// holders have drifted from the current owners.
+// refreshed result as the next version.
 const (
 	rpcPing        = "ping"
 	rpcHeartbeat   = "heartbeat"
@@ -57,14 +57,11 @@ const (
 	rpcJobDump     = "job.dump"
 	rpcJobCancel   = "job.cancel"
 	rpcJobAbort    = "job.abort"
-	rpcJobCkpt     = "job.checkpoint"
-	rpcJobRestore  = "job.restore"
 	rpcJobEnd      = "job.end"
 	rpcReconfigure = "cluster.reconfigure"
 	rpcPartSend    = "partition.send"
 	rpcPartRecv    = "partition.recv"
 	rpcPartDrop    = "partition.drop"
-	rpcPartSplit   = "partition.split"
 	rpcRelease     = "worker.release"
 	rpcQueryPoint  = "query.point"
 	rpcQueryTopK   = "query.topk"
@@ -213,6 +210,14 @@ type jobNameMsg struct {
 	Name string `json:"name"`
 }
 
+// jobName names the open session a verb's message is addressed at (the
+// worker's dispatch looks it up once, for every such verb).
+func (m *jobNameMsg) jobName() string   { return m.Name }
+func (m *superstepMsg) jobName() string { return m.Name }
+func (m *partRecvMsg) jobName() string  { return m.Name }
+func (m *partDropMsg) jobName() string  { return m.Name }
+func (m *deltaRunMsg) jobName() string  { return m.Name }
+
 // jobEndMsg closes a job session. With Retain the worker seals its
 // owned partitions' vertex indexes into a retained result version for
 // the query tier instead of dropping them; without it (failed or
@@ -267,42 +272,15 @@ type dumpReply struct {
 	Lines []string `json:"lines,omitempty"`
 }
 
-// ckptMsg asks a worker to snapshot its owned partitions at the
-// superstep boundary just committed.
-type ckptMsg struct {
-	Name string `json:"name"`
-	SS   int64  `json:"ss"`
-}
-
-// ckptPartData is one partition's checkpoint image: the vertex relation
-// and the pending combined-message file as packed frame-image byte
-// streams, plus the statistics needed to restore the partition counters.
+// ckptPartData is one partition image — the unit every movement of
+// partition state carries: the vertex relation and the pending
+// combined-message file as packed frame-image byte streams, plus the
+// statistics needed to restore the partition counters.
 type ckptPartData struct {
 	Part   int      `json:"part"`
 	Vertex []byte   `json:"vertex"`
 	Msg    []byte   `json:"msg,omitempty"`
 	Stats  partStat `json:"stats"`
-}
-
-// ckptReply carries a worker's partition snapshots back to the
-// controller, which writes them into the replicated checkpoint store and
-// commits the manifest only after every worker has replied.
-type ckptReply struct {
-	Parts []ckptPartData `json:"parts"`
-}
-
-// restoreMsg rewinds a job session to a committed checkpoint: the
-// worker drops all current partition state and reloads its owned
-// partitions from the provided images. Attempt is the new recovery
-// epoch for spec naming.
-type restoreMsg struct {
-	Name    string         `json:"name"`
-	SS      int64          `json:"ss"`
-	Attempt int64          `json:"attempt"`
-	Parts   []ckptPartData `json:"parts"`
-	// Splits is the manifest's committed split list; the rebuilt
-	// partition table must cover its child partitions before the reload.
-	Splits []splitRec `json:"splits,omitempty"`
 }
 
 // reconfigureMsg reassigns cluster topology after a worker failure or
@@ -318,54 +296,47 @@ type reconfigureMsg struct {
 	PurgeJobs []string `json:"purgeJobs,omitempty"`
 }
 
-// partSendMsg asks a worker to snapshot the named partitions for
-// migration — the same frame-image form job.checkpoint produces, but
-// shipped worker→controller→worker instead of into the checkpoint
-// store. The partitions stay live on the sender until partition.drop.
-// With FromVersion set, the snapshot source is the named *sealed*
-// result version in the worker's query store rather than a live job
-// session (Name is then ignored, and no partition.drop follows — the
-// sealed original keeps serving reads).
+// partSendMsg asks a worker for partition images. The source is an
+// open session's partitions — the named ones, or with All every one the
+// worker owns (a checkpoint: the reply is then the "worker ack" of the
+// commit protocol) — which stay live on the sender until partition.drop;
+// or, with FromVersion set, the named partitions of that *sealed* result
+// version in the worker's query store (Name is then ignored, and no
+// partition.drop follows — the sealed original keeps serving reads).
 type partSendMsg struct {
 	Name        string `json:"name"`
-	Parts       []int  `json:"parts"`
+	Parts       []int  `json:"parts,omitempty"`
+	All         bool   `json:"all,omitempty"`
 	FromVersion string `json:"fromVersion,omitempty"`
 }
 
-// partSendReply carries the migrating partitions' images.
+// partSendReply carries the requested partitions' images.
 type partSendReply struct {
 	Parts []ckptPartData `json:"parts"`
 }
 
-// partRecvMsg installs migrated partitions on their new owner. The
-// session must already be open (job.begin); a worker that never loaded
-// builds the deterministic partition table first, exactly like a
-// checkpoint restore on a replacement worker. Attempt is the new
-// rebalance epoch for spec naming.
+// partRecvMsg installs partition images on a worker. The session must
+// already be open (job.begin); a worker that never loaded builds the
+// deterministic partition table first. Before anything is installed the
+// session adopts Splits — the controller's split list, so the table
+// covers any child partition among Parts (or, with no Parts at all,
+// simply grows or shrinks to it) — and Attempt, the epoch the next
+// supersteps' specs are named under. Reset makes it a checkpoint
+// restore: the session first drops all partition state and rebuilds its
+// table at Splits' level, and Parts must cover every partition the
+// worker owns.
 type partRecvMsg struct {
 	Name    string         `json:"name"`
 	Attempt int64          `json:"attempt"`
-	Parts   []ckptPartData `json:"parts"`
-	// Splits carries the current split list so a receiver (possibly a
-	// joiner that never loaded) grows its partition table to cover any
-	// child partitions among Parts before installing them.
-	Splits []splitRec `json:"splits,omitempty"`
+	Parts   []ckptPartData `json:"parts,omitempty"`
+	Splits  []splitRec     `json:"splits,omitempty"`
+	Reset   bool           `json:"reset,omitempty"`
 }
 
-// splitMsg broadcasts a hot-partition split to every worker: each
-// session reconciles its partition table with the new split list and
-// adopts the bumped rebalance epoch, so the child images that follow
-// via partition.recv land in an agreed table and no wire stream of the
-// pre-split attempt can be claimed.
-type splitMsg struct {
-	Name    string     `json:"name"`
-	Attempt int64      `json:"attempt"`
-	Splits  []splitRec `json:"splits"`
-}
-
-// partDropMsg reclaims partitions that migrated away: the old owner
-// drops their indexes and message files. Sent only after the new owner
-// acked partition.recv and the reconfigure broadcast committed.
+// partDropMsg reclaims partition copies: the worker drops their indexes
+// and message files. Sent to the old owner only after the new owner
+// acked partition.recv and the reconfigure broadcast committed — or to
+// a receiver whose movement was aborted.
 type partDropMsg struct {
 	Name  string `json:"name"`
 	Parts []int  `json:"parts"`

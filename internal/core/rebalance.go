@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"pregelix/internal/wire"
@@ -383,7 +384,7 @@ func (c *Coordinator) nodeLoadsLocked() map[string]int64 {
 // post-join fair share, so the migration equalizes observed load and
 // node counts at once. Returns nil when there is nothing to give (more
 // workers than nodes).
-func (c *Coordinator) planScaleOut() map[*ccWorker][]string {
+func (c *Coordinator) planScaleOut(joiner *ccWorker) []nodeMove {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	type donor struct {
@@ -403,11 +404,8 @@ func (c *Coordinator) planScaleOut() map[*ccWorker][]string {
 		return nil
 	}
 	share := total / (len(donors) + 1)
-	if share == 0 {
-		return nil
-	}
 	loads := c.nodeLoadsLocked()
-	moves := make(map[*ccWorker][]string)
+	var moves []nodeMove
 	for k := 0; k < share; k++ {
 		// Donor: above the fair floor, highest load first.
 		var best *donor
@@ -434,18 +432,16 @@ func (c *Coordinator) planScaleOut() map[*ccWorker][]string {
 				bi, bl = i, l
 			}
 		}
-		moves[best.w] = append(moves[best.w], best.nodes[bi])
+		moves = append(moves, nodeMove{node: best.nodes[bi], from: best.w, to: joiner})
 		best.nodes = append(best.nodes[:bi], best.nodes[bi+1:]...)
 	}
-	if len(moves) == 0 {
-		return nil
-	}
+	sort.Slice(moves, func(i, j int) bool { return moves[i].node < moves[j].node })
 	return moves
 }
 
 // planDrain assigns each of a departing worker's nodes (heaviest first)
 // to the currently least-loaded remaining worker.
-func (c *Coordinator) planDrain(nodes []string, targets []*ccWorker) map[*ccWorker][]string {
+func (c *Coordinator) planDrain(d *ccWorker, targets []*ccWorker) []nodeMove {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	nodeLoad := c.nodeLoadsLocked()
@@ -455,37 +451,59 @@ func (c *Coordinator) planDrain(nodes []string, targets []*ccWorker) map[*ccWork
 			loads[w] += nodeLoad[id]
 		}
 	}
-	ordered := append([]string(nil), nodes...)
+	ordered := append([]string(nil), d.owned...)
 	sort.Slice(ordered, func(i, j int) bool {
 		if nodeLoad[ordered[i]] != nodeLoad[ordered[j]] {
 			return nodeLoad[ordered[i]] > nodeLoad[ordered[j]]
 		}
 		return ordered[i] < ordered[j]
 	})
-	assign := make(map[*ccWorker][]string)
+	var moves []nodeMove
 	for _, id := range ordered {
-		var best *ccWorker
-		for _, w := range targets {
-			if best == nil || loads[w] < loads[best] {
+		best := targets[0]
+		for _, w := range targets[1:] {
+			if loads[w] < loads[best] {
 				best = w
 			}
 		}
-		assign[best] = append(assign[best], id)
+		moves = append(moves, nodeMove{node: id, from: d, to: best})
 		loads[best] += nodeLoad[id]
 	}
-	return assign
+	return moves
+}
+
+// movement starts the elasticity-log entry of a planned migration: its
+// kind, whose it is, the nodes changing hands and the open job (if any)
+// they are carried across.
+func movement(kind, worker string, moves []nodeMove, run *jobRun) RebalanceEvent {
+	ev := RebalanceEvent{Kind: kind, Worker: worker}
+	for _, m := range moves {
+		ev.Nodes = append(ev.Nodes, m.node)
+	}
+	if run != nil {
+		ev.Job = run.name
+	}
+	return ev
+}
+
+// failed turns a movement's log entry into that of its refusal at the
+// given stage: "drain" fails as "drain-failed", "scale-out" as
+// "scale-failed".
+func (ev RebalanceEvent) failed(stage string, err error) RebalanceEvent {
+	ev.Kind = strings.TrimSuffix(ev.Kind, "-out") + "-failed"
+	ev.Detail = fmt.Sprintf("%s: %v (cluster unchanged)", stage, err)
+	return ev
 }
 
 // scaleOut absorbs one elastic joiner: complete its held-open handshake
-// with its planned node set, migrate those nodes' partition state into
-// it (when a job session is open), then commit ownership + routing and
-// broadcast the new topology. Nothing is committed until the data has
-// landed, so a joiner dying anywhere before the flip leaves the cluster
-// untouched; only a *donor* dying escalates to failure recovery.
+// with its planned node set, then move those nodes onto it (moveNodes).
+// Nothing is committed until the data has landed, so a joiner dying
+// anywhere before the flip leaves the cluster untouched; only a member
+// dying escalates to failure recovery.
 func (c *Coordinator) scaleOut(ctx context.Context, sp *ccWorker, run *jobRun) error {
 	start := time.Now()
-	addr := sp.ctrl.RemoteAddr()
-	moves := c.planScaleOut()
+	moves := c.planScaleOut(sp)
+	ev := movement("scale-out", sp.ctrl.RemoteAddr(), moves, run)
 	if len(moves) == 0 {
 		// Nothing to give (more workers than nodes): keep the joiner as
 		// a plain standby — still useful to failure recovery.
@@ -493,210 +511,57 @@ func (c *Coordinator) scaleOut(ctx context.Context, sp *ccWorker, run *jobRun) e
 		sp.elastic = false
 		c.spares = append(c.spares, sp)
 		c.mu.Unlock()
-		c.recordRebalance(RebalanceEvent{Kind: "scale-refused", Worker: addr,
-			Detail: "no nodes to migrate (workers ≥ nodes); parked as standby"})
+		ev.Kind, ev.Detail = "scale-refused", "no nodes to migrate (workers ≥ nodes); parked as standby"
+		c.recordRebalance(ev)
 		return nil
 	}
-	var movedNodes []string
-	for _, ns := range moves {
-		movedNodes = append(movedNodes, ns...)
-	}
-	sort.Strings(movedNodes)
-
-	abandon := func(stage string, err error) {
+	if err := c.startSpare(ctx, sp, ev.Nodes, run.beginMsg()); err != nil {
 		sp.ctrl.Close()
-		c.recordRebalance(RebalanceEvent{Kind: "scale-failed", Worker: addr, Nodes: movedNodes,
-			Detail: fmt.Sprintf("%s: %v (cluster unchanged)", stage, err)})
-	}
-
-	if err := c.startSpare(ctx, sp, movedNodes, run.beginMsg()); err != nil {
-		abandon("handshake", err)
+		c.recordRebalance(ev.failed("handshake", err))
 		return nil
 	}
-
-	var migrated int
-	if run != nil {
-		var imgs []ckptPartData
-		for donor, ns := range moves {
-			parts := c.partsOfNodes(ns)
-			var rep partSendReply
-			if err := donor.call(ctx, rpcPartSend, partSendMsg{Name: run.name, Parts: parts}, &rep); err != nil {
-				if donor.dead() {
-					return fmt.Errorf("core: donor %s died during migration: %w", donor.ctrl.RemoteAddr(), err)
-				}
-				abandon("partition.send", err)
-				return nil
-			}
-			imgs = append(imgs, rep.Parts...)
-		}
-		recv := partRecvMsg{Name: run.name, Attempt: run.attempt + 1, Parts: imgs, Splits: c.currentSplits()}
-		if err := sp.call(ctx, rpcPartRecv, recv, nil); err != nil {
-			abandon("partition.recv", err)
-			return nil
-		}
-		migrated = len(imgs)
+	migrated, committed, err := c.moveNodes(ctx, run, ev, moves, nil)
+	if !committed {
+		sp.ctrl.Close() // it hosts nothing and has left the spare list
 	}
-
-	// Commit: ownership and routing flip, the joiner becomes active.
-	c.mu.Lock()
-	for donor, ns := range moves {
-		kept := donor.owned[:0]
-		drop := make(map[string]bool, len(ns))
-		for _, id := range ns {
-			drop[id] = true
-		}
-		for _, id := range donor.owned {
-			if !drop[id] {
-				kept = append(kept, id)
-			}
-		}
-		donor.owned = kept
-	}
-	sp.owned = append([]string(nil), movedNodes...)
-	for _, id := range movedNodes {
-		c.peers[id] = sp.dataAddr
-	}
-	c.workers = append(c.workers, sp)
-	c.mu.Unlock()
-	go c.monitor(sp)
-
-	if err := c.broadcastTopology(ctx, run.purgeNames()); err != nil {
+	if err != nil || !committed {
 		return err
 	}
-
-	// Reclaim the migrated originals on the donors and open the new
-	// recovery epoch, so resumed supersteps cannot meet stragglers.
-	var job string
-	if run != nil {
-		job = run.name
-		for donor, ns := range moves {
-			if err := donor.call(ctx, rpcPartDrop, partDropMsg{Name: run.name, Parts: c.partsOfNodes(ns)}, nil); err != nil {
-				if donor.dead() {
-					return fmt.Errorf("core: donor %s died reclaiming migrated partitions: %w", donor.ctrl.RemoteAddr(), err)
-				}
-				c.cfg.logf("coordinator: partition.drop on %s: %v", donor.ctrl.RemoteAddr(), err)
-			}
-		}
-		run.attempt++
-		run.stats.Rebalances++
-	}
-	c.shipped = make(map[string]uint64) // the joiner has none of the replicated inputs
-	c.recordRebalance(RebalanceEvent{
-		Kind: "scale-out", Worker: addr, Nodes: movedNodes,
-		Partitions: migrated, Job: job, Duration: time.Since(start),
-		Detail: fmt.Sprintf("joined; now %d workers", c.Workers()),
-	})
+	ev.Partitions, ev.Duration = migrated, time.Since(start)
+	ev.Detail = fmt.Sprintf("joined; now %d workers", c.Workers())
+	c.recordRebalance(ev)
 	return nil
 }
 
-// drainWorker empties one draining worker: its partitions migrate to
-// the remaining workers, the topology is rebroadcast without it, and
-// the worker is released to exit. A drain that would leave no workers
-// is refused (recorded, flag cleared). A non-nil error means a worker
-// died mid-migration and the caller must run failure recovery.
+// drainWorker empties one draining worker: its nodes move to the
+// remaining workers (moveNodes), and the worker is released to exit. A
+// drain that would leave no workers is refused (recorded, flag
+// cleared). A non-nil error means a worker died mid-migration and the
+// caller must run failure recovery.
 func (c *Coordinator) drainWorker(ctx context.Context, d *ccWorker, run *jobRun) error {
 	start := time.Now()
 	addr := d.ctrl.RemoteAddr()
-	c.mu.Lock()
 	var targets []*ccWorker
-	for _, w := range c.workers {
+	for _, w := range c.members() {
 		if w != d && !w.dead() {
 			targets = append(targets, w)
 		}
 	}
-	nodes := append([]string(nil), d.owned...)
-	c.mu.Unlock()
 	if len(targets) == 0 {
 		d.draining.Store(false)
-		c.recordRebalance(RebalanceEvent{Kind: "drain-refused", Worker: addr, Nodes: nodes,
+		c.recordRebalance(RebalanceEvent{Kind: "drain-refused", Worker: addr, Nodes: append([]string(nil), d.owned...),
 			Detail: "last live worker — start another worker first"})
 		return nil
 	}
-	assign := c.planDrain(nodes, targets)
-
-	var migrated int
-	var job string
-	if run != nil && len(nodes) > 0 {
-		job = run.name
-		var rep partSendReply
-		if err := d.call(ctx, rpcPartSend, partSendMsg{Name: run.name, Parts: c.partsOfNodes(nodes)}, &rep); err != nil {
-			if d.dead() {
-				return fmt.Errorf("core: draining worker %s died mid-migration: %w", addr, err)
-			}
-			d.draining.Store(false)
-			c.recordRebalance(RebalanceEvent{Kind: "drain-failed", Worker: addr,
-				Detail: fmt.Sprintf("partition.send: %v (cluster unchanged)", err)})
-			return nil
-		}
-		byPart := make(map[int]ckptPartData, len(rep.Parts))
-		for _, pd := range rep.Parts {
-			byPart[pd.Part] = pd
-		}
-		// installed tracks targets that already accepted images, so an
-		// abort can reclaim the copies instead of stranding them until
-		// job.end.
-		installed := make(map[*ccWorker][]int)
-		abortDrain := func(stage string, err error) {
-			for w, parts := range installed {
-				if derr := w.call(ctx, rpcPartDrop, partDropMsg{Name: run.name, Parts: parts}, nil); derr != nil {
-					c.cfg.logf("coordinator: reclaiming aborted drain images on %s: %v", w.ctrl.RemoteAddr(), derr)
-				}
-			}
-			d.draining.Store(false)
-			c.recordRebalance(RebalanceEvent{Kind: "drain-failed", Worker: addr,
-				Detail: fmt.Sprintf("%s: %v (cluster unchanged; re-request the drain to retry)", stage, err)})
-		}
-		for _, w := range targets {
-			ns := assign[w]
-			if len(ns) == 0 {
-				continue
-			}
-			msg := partRecvMsg{Name: run.name, Attempt: run.attempt + 1, Splits: c.currentSplits()}
-			parts := c.partsOfNodes(ns)
-			for _, p := range parts {
-				pd, ok := byPart[p]
-				if !ok {
-					return fmt.Errorf("core: drain of %s: no image for partition %d", addr, p)
-				}
-				msg.Parts = append(msg.Parts, pd)
-			}
-			if err := w.call(ctx, rpcPartRecv, msg, nil); err != nil {
-				if w.dead() {
-					return fmt.Errorf("core: drain target %s died during migration: %w", w.ctrl.RemoteAddr(), err)
-				}
-				abortDrain(fmt.Sprintf("partition.recv on %s", w.ctrl.RemoteAddr()), err)
-				return nil
-			}
-			installed[w] = parts
-		}
-		migrated = len(rep.Parts)
+	moves := c.planDrain(d, targets)
+	ev := movement("drain", addr, moves, run)
+	migrated, committed, err := c.moveNodes(ctx, run, ev, moves, d)
+	if !committed && err == nil {
+		d.draining.Store(false) // refused: re-request the drain to retry
 	}
-
-	// Commit: targets take ownership; d leaves the active set.
-	c.mu.Lock()
-	for w, ns := range assign {
-		w.owned = append(w.owned, ns...)
-		for _, id := range ns {
-			c.peers[id] = w.dataAddr
-		}
-	}
-	kept := c.workers[:0]
-	for _, w := range c.workers {
-		if w != d {
-			kept = append(kept, w)
-		}
-	}
-	c.workers = kept
-	c.mu.Unlock()
-
-	if err := c.broadcastTopology(ctx, run.purgeNames()); err != nil {
+	if err != nil || !committed {
 		return err
 	}
-	if run != nil {
-		run.attempt++
-		run.stats.Rebalances++
-	}
-	c.shipped = make(map[string]uint64)
 
 	// Release: the worker may exit cleanly; closing the connection
 	// afterwards stops its heartbeat monitor without a worker-lost event
@@ -707,51 +572,33 @@ func (c *Coordinator) drainWorker(ctx context.Context, d *ccWorker, run *jobRun)
 	}
 	cancel()
 	d.ctrl.Close()
-	c.recordRebalance(RebalanceEvent{
-		Kind: "drain", Worker: addr, Nodes: nodes,
-		Partitions: migrated, Job: job, Duration: time.Since(start),
-		Detail: fmt.Sprintf("released; now %d workers", c.Workers()),
-	})
+	ev.Partitions, ev.Duration = migrated, time.Since(start)
+	ev.Detail = fmt.Sprintf("released; now %d workers", c.Workers())
+	c.recordRebalance(ev)
 	return nil
 }
 
 // relieveWorker lightens a straggling worker at a superstep boundary:
-// its single heaviest node migrates to the least-loaded other worker
-// through the same image-migration machinery a drain uses, but the
-// worker itself stays active with the rest of its nodes. Called by the
-// adaptive runtime (adaptive.go) when a worker's superstep time keeps
-// exceeding the phase median. Returns whether the relief committed; a
-// non-nil error means a worker died mid-migration and the caller must
-// run failure recovery.
+// its single heaviest node moves to the least-loaded other worker
+// (moveNodes), but the worker itself stays active with the rest of its
+// nodes. Called by the adaptive runtime (adaptive.go) when a worker's
+// superstep time keeps exceeding the phase median. Returns whether the
+// relief committed; a non-nil error means a worker died mid-migration
+// and the caller must run failure recovery.
 func (c *Coordinator) relieveWorker(ctx context.Context, run *jobRun, addr string) (bool, error) {
 	start := time.Now()
 	c.mu.Lock()
-	var slow *ccWorker
-	var targets []*ccWorker
+	var slow, tgt *ccWorker
+	var tgtLoad int64
+	loads := c.nodeLoadsLocked()
 	for _, w := range c.workers {
 		if w.dead() {
 			continue
 		}
 		if w.ctrl.RemoteAddr() == addr {
 			slow = w
-		} else {
-			targets = append(targets, w)
+			continue
 		}
-	}
-	if slow == nil || len(slow.owned) < 2 || len(targets) == 0 {
-		c.mu.Unlock()
-		return false, nil // nothing it can shed, or nowhere to shed to
-	}
-	loads := c.nodeLoadsLocked()
-	pick := slow.owned[0]
-	for _, id := range slow.owned[1:] {
-		if loads[id] > loads[pick] {
-			pick = id
-		}
-	}
-	var tgt *ccWorker
-	var tgtLoad int64
-	for _, w := range targets {
 		var l int64
 		for _, id := range w.owned {
 			l += loads[id]
@@ -760,61 +607,26 @@ func (c *Coordinator) relieveWorker(ctx context.Context, run *jobRun, addr strin
 			tgt, tgtLoad = w, l
 		}
 	}
-	parts := c.partsOfNodesLocked([]string{pick})
+	if slow == nil || len(slow.owned) < 2 || tgt == nil {
+		c.mu.Unlock()
+		return false, nil // nothing it can shed, or nowhere to shed to
+	}
+	pick := slow.owned[0]
+	for _, id := range slow.owned[1:] {
+		if loads[id] > loads[pick] {
+			pick = id
+		}
+	}
 	c.mu.Unlock()
 
-	abort := func(stage string, err error) {
-		c.recordRebalance(RebalanceEvent{Kind: "relief-failed", Worker: addr, Nodes: []string{pick},
-			Detail: fmt.Sprintf("%s: %v (cluster unchanged)", stage, err)})
-	}
-
-	// Migrate the node's partition images; nothing commits until they
-	// have landed on the target.
-	var rep partSendReply
-	if err := slow.call(ctx, rpcPartSend, partSendMsg{Name: run.name, Parts: parts}, &rep); err != nil {
-		if slow.dead() {
-			return false, fmt.Errorf("core: straggler %s died during relief imaging: %w", addr, err)
-		}
-		abort("partition.send", err)
-		return false, nil
-	}
-	recv := partRecvMsg{Name: run.name, Attempt: run.attempt + 1,
-		Parts: rep.Parts, Splits: c.currentSplits()}
-	if err := tgt.call(ctx, rpcPartRecv, recv, nil); err != nil {
-		if tgt.dead() {
-			return false, fmt.Errorf("core: relief target %s died during migration: %w", tgt.ctrl.RemoteAddr(), err)
-		}
-		abort(fmt.Sprintf("partition.recv on %s", tgt.ctrl.RemoteAddr()), err)
-		return false, nil
-	}
-
-	// Commit: ownership and routing flip under the bumped epoch.
-	c.mu.Lock()
-	kept := slow.owned[:0]
-	for _, id := range slow.owned {
-		if id != pick {
-			kept = append(kept, id)
-		}
-	}
-	slow.owned = kept
-	tgt.owned = append(tgt.owned, pick)
-	c.peers[pick] = tgt.dataAddr
-	c.mu.Unlock()
-	if err := c.broadcastTopology(ctx, run.purgeNames()); err != nil {
+	moves := []nodeMove{{node: pick, from: slow, to: tgt}}
+	ev := movement("relief", addr, moves, run)
+	migrated, committed, err := c.moveNodes(ctx, run, ev, moves, nil)
+	if err != nil || !committed {
 		return false, err
 	}
-	run.attempt++
-	run.stats.Rebalances++
-	c.shipped = make(map[string]uint64)
-	if err := slow.call(ctx, rpcPartDrop, partDropMsg{Name: run.name, Parts: parts}, nil); err != nil {
-		// Stale copies on the straggler cost memory until job.end, not
-		// correctness (the bumped epoch keeps them out of every phase).
-		c.cfg.logf("coordinator: dropping relieved partitions on %s: %v", addr, err)
-	}
-	c.recordRebalance(RebalanceEvent{
-		Kind: "relief", Worker: addr, Nodes: []string{pick},
-		Partitions: len(rep.Parts), Job: run.name, Duration: time.Since(start),
-		Detail: fmt.Sprintf("heaviest node moved to %s", tgt.ctrl.RemoteAddr()),
-	})
+	ev.Partitions, ev.Duration = migrated, time.Since(start)
+	ev.Detail = fmt.Sprintf("heaviest node moved to %s", tgt.ctrl.RemoteAddr())
+	c.recordRebalance(ev)
 	return true, nil
 }

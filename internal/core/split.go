@@ -27,9 +27,7 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"io"
 
 	"pregelix/internal/hyracks"
 	"pregelix/internal/tuple"
@@ -147,112 +145,63 @@ func (rs *runState) adoptSplits(splits []splitRec) {
 }
 
 // rehashPartitionImage re-hashes one parent partition's snapshot image
-// into per-child images plus an empty image that evacuates the parent.
-// Both frame streams are consumed in order and every tuple appended in
+// into per-child images plus an empty image that evacuates the parent,
+// by partition. Both frame streams are consumed in order and every tuple appended in
 // encounter order, so each child's vertex stream stays vid-sorted (the
 // reload path bulk-loads it) and its message stream stays grouped. The
-// per-child statistics are recomputed from the records themselves —
-// edge counts straight from the encoded vertex layout, no codec needed.
-func rehashPartitionImage(pd *ckptPartData, rec splitRec, mode tuple.CompressMode) ([]ckptPartData, error) {
-	type childBuf struct {
-		vbuf, mbuf bytes.Buffer
-		vw, mw     *tuple.FrameStreamWriter
-		vfr, mfr   *tuple.Frame
-		vapp, mapp *tuple.FrameAppender
-		stat       partStat
+// per-child statistics are recounted from the records themselves.
+func rehashPartitionImage(pd *ckptPartData, rec splitRec, mode tuple.CompressMode) (map[int]*ckptPartData, error) {
+	type child struct {
+		vbuf, mbuf  bytes.Buffer
+		vertex, msg *imageWriter
+		stat        partStat
 	}
-	children := make([]*childBuf, rec.Children)
+	children := make([]*child, rec.Children)
 	for i := range children {
-		cb := &childBuf{}
-		cb.vw = tuple.NewFrameStreamWriter(&cb.vbuf, mode)
-		cb.mw = tuple.NewFrameStreamWriter(&cb.mbuf, mode)
-		cb.vfr, cb.mfr = tuple.GetFrame(), tuple.GetFrame()
-		cb.vapp = tuple.NewFrameAppender(cb.vfr)
-		cb.mapp = tuple.NewFrameAppender(cb.mfr)
-		children[i] = cb
+		c := &child{}
+		c.vertex, c.msg = newImageWriter(&c.vbuf, mode), newImageWriter(&c.mbuf, mode)
+		defer c.vertex.release()
+		defer c.msg.release()
+		children[i] = c
 	}
-	defer func() {
-		for _, cb := range children {
-			tuple.PutFrame(cb.vfr)
-			tuple.PutFrame(cb.mfr)
-		}
-	}()
-
-	appendTo := func(w *tuple.FrameStreamWriter, fr *tuple.Frame, app *tuple.FrameAppender, k, v []byte) error {
-		if !app.Append(k, v) {
-			if err := w.WriteFrame(fr); err != nil {
-				return err
-			}
-			fr.Reset()
-			if !app.Append(k, v) {
-				return fmt.Errorf("core: split record larger than a frame")
-			}
-		}
-		return nil
-	}
-	each := func(stream []byte, visit func(cb *childBuf, k, v []byte) error) error {
-		if len(stream) == 0 {
-			return nil
-		}
-		sr := tuple.NewFrameStreamReader(bytes.NewReader(stream))
-		fr := tuple.GetFrame()
-		defer tuple.PutFrame(fr)
-		for {
-			if err := sr.ReadFrame(fr); err != nil {
-				if errors.Is(err, io.EOF) {
-					return nil
-				}
-				return err
-			}
+	// route hands every record of one stream to the child its vid hashes to.
+	route := func(stream []byte, add func(c *child, k, v []byte) error) error {
+		return eachImageFrame(bytes.NewReader(stream), func(fr *tuple.Frame) error {
 			for i := 0; i < fr.Len(); i++ {
 				t := fr.Tuple(i)
-				k, v := t.Field(0), t.Field(1)
-				vid := tuple.DecodeUint64(k)
-				cb := children[int(splitHash(vid, rec.Parent)%uint64(rec.Children))]
-				if err := visit(cb, k, v); err != nil {
+				k := t.Field(0)
+				c := children[splitHash(tuple.DecodeUint64(k), rec.Parent)%uint64(rec.Children)]
+				if err := add(c, k, t.Field(1)); err != nil {
 					return err
 				}
 			}
-		}
+			return nil
+		})
 	}
-
-	if err := each(pd.Vertex, func(cb *childBuf, k, v []byte) error {
-		cb.stat.NumVertices++
-		cb.stat.NumEdges += int64(edgeCountOf(v))
-		if isLiveVertexRecord(v) {
-			cb.stat.LiveVertices++
-		}
-		return appendTo(cb.vw, cb.vfr, cb.vapp, k, v)
+	if err := route(pd.Vertex, func(c *child, k, v []byte) error {
+		c.stat.addVertex(v)
+		return c.vertex.add(k, v)
 	}); err != nil {
 		return nil, fmt.Errorf("vertex stream: %w", err)
 	}
-	if err := each(pd.Msg, func(cb *childBuf, k, v []byte) error {
-		cb.stat.Msgs++
-		return appendTo(cb.mw, cb.mfr, cb.mapp, k, v)
+	if err := route(pd.Msg, func(c *child, k, v []byte) error {
+		c.stat.Msgs++
+		return c.msg.add(k, v)
 	}); err != nil {
 		return nil, fmt.Errorf("msg stream: %w", err)
 	}
 
 	// The evacuated parent: an empty image with zeroed counters, so
 	// partition.recv resets it through the same reload path.
-	out := []ckptPartData{{Part: rec.Parent}}
-	for i, cb := range children {
-		if cb.vfr.Len() > 0 {
-			if err := cb.vw.WriteFrame(cb.vfr); err != nil {
-				return nil, err
-			}
+	out := map[int]*ckptPartData{rec.Parent: {Part: rec.Parent}}
+	for i, c := range children {
+		if err := c.vertex.flush(); err != nil {
+			return nil, err
 		}
-		if cb.mfr.Len() > 0 {
-			if err := cb.mw.WriteFrame(cb.mfr); err != nil {
-				return nil, err
-			}
+		if err := c.msg.flush(); err != nil {
+			return nil, err
 		}
-		out = append(out, ckptPartData{
-			Part:   rec.First + i,
-			Vertex: cb.vbuf.Bytes(),
-			Msg:    cb.mbuf.Bytes(),
-			Stats:  cb.stat,
-		})
+		out[rec.First+i] = &ckptPartData{Part: rec.First + i, Vertex: c.vbuf.Bytes(), Msg: c.mbuf.Bytes(), Stats: c.stat}
 	}
 	return out, nil
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -324,207 +323,93 @@ func (w *distWorker) job(name string) (*distJob, error) {
 	return dj, nil
 }
 
+// decoded unmarshals one verb's parameters and runs the verb on them.
+func decoded[M any](data json.RawMessage, verb func(msg *M) (any, error)) (any, error) {
+	var msg M
+	if err := json.Unmarshal(data, &msg); err != nil {
+		return nil, err
+	}
+	return verb(&msg)
+}
+
+// inSession is decoded for a verb addressed at an open job session.
+func inSession[M any, P interface {
+	*M
+	jobName() string
+}](w *distWorker, data json.RawMessage, verb func(dj *distJob, msg *M) (any, error)) (any, error) {
+	return decoded(data, func(msg *M) (any, error) {
+		dj, err := w.job(P(msg).jobName())
+		if err != nil {
+			return nil, err
+		}
+		return verb(dj, msg)
+	})
+}
+
 // handle dispatches one controller RPC.
 func (w *distWorker) handle(method string, data json.RawMessage) (any, error) {
 	switch method {
-	case rpcPing:
-		return map[string]string{"status": "ok"}, nil
-
-	case rpcHeartbeat:
-		// The probe's information is its reply arriving at all; the
+	case rpcPing, rpcHeartbeat:
+		// A heartbeat's information is its reply arriving at all; the
 		// coordinator discards the payload.
 		return map[string]string{"status": "ok"}, nil
-
 	case rpcPutFile:
-		var msg putFileMsg
-		if err := json.Unmarshal(data, &msg); err != nil {
-			return nil, err
-		}
-		return nil, w.rt.DFS.WriteFile(msg.Path, msg.Data)
-
+		return decoded(data, func(msg *putFileMsg) (any, error) {
+			return nil, w.rt.DFS.WriteFile(msg.Path, msg.Data)
+		})
 	case rpcJobBegin:
-		var msg jobBeginMsg
-		if err := json.Unmarshal(data, &msg); err != nil {
+		return decoded(data, func(msg *jobBeginMsg) (any, error) {
+			_, err := w.beginJob(msg)
 			return nil, err
-		}
-		_, err := w.beginJob(&msg)
-		return nil, err
-
+		})
 	case rpcJobLoad:
-		var msg jobNameMsg
-		if err := json.Unmarshal(data, &msg); err != nil {
-			return nil, err
-		}
-		dj, err := w.job(msg.Name)
-		if err != nil {
-			return nil, err
-		}
-		return dj.load()
-
+		return inSession(w, data, func(dj *distJob, _ *jobNameMsg) (any, error) { return dj.load() })
 	case rpcSuperstep:
-		var msg superstepMsg
-		if err := json.Unmarshal(data, &msg); err != nil {
-			return nil, err
-		}
-		dj, err := w.job(msg.Name)
-		if err != nil {
-			return nil, err
-		}
-		return dj.superstep(&msg)
-
+		return inSession(w, data, func(dj *distJob, msg *superstepMsg) (any, error) { return dj.superstep(msg) })
 	case rpcJobDump:
-		var msg jobNameMsg
-		if err := json.Unmarshal(data, &msg); err != nil {
-			return nil, err
-		}
-		dj, err := w.job(msg.Name)
-		if err != nil {
-			return nil, err
-		}
-		return dj.dump()
-
+		return inSession(w, data, func(dj *distJob, _ *jobNameMsg) (any, error) { return dj.dump() })
 	case rpcJobCancel, rpcJobAbort:
 		// Both verbs stop the in-flight phase and leave the session (and
 		// its partition state) intact; they differ only in intent — a
 		// user cancellation ends with job.end, a failure abort continues
-		// with job.restore. The reply is sent only after the phase's
-		// tasks have drained, so the controller can sequence repairs.
-		var msg jobNameMsg
-		if err := json.Unmarshal(data, &msg); err != nil {
-			return nil, err
-		}
-		if dj, err := w.job(msg.Name); err == nil {
-			dj.abort()
-		}
-		return nil, nil
-
-	case rpcJobCkpt:
-		var msg ckptMsg
-		if err := json.Unmarshal(data, &msg); err != nil {
-			return nil, err
-		}
-		dj, err := w.job(msg.Name)
-		if err != nil {
-			return nil, err
-		}
-		return dj.checkpoint(&msg)
-
-	case rpcJobRestore:
-		var msg restoreMsg
-		if err := json.Unmarshal(data, &msg); err != nil {
-			return nil, err
-		}
-		dj, err := w.job(msg.Name)
-		if err != nil {
-			return nil, err
-		}
-		return nil, w.restoreJob(dj, &msg)
-
+		// with a resetting partition.recv. The reply is sent only after
+		// the phase's tasks have drained, so the controller can sequence
+		// repairs. A session that is not open has nothing to stop.
+		return decoded(data, func(msg *jobNameMsg) (any, error) {
+			if dj, err := w.job(msg.Name); err == nil {
+				dj.abort()
+			}
+			return nil, nil
+		})
 	case rpcReconfigure:
-		var msg reconfigureMsg
-		if err := json.Unmarshal(data, &msg); err != nil {
-			return nil, err
-		}
-		return nil, w.reconfigure(&msg)
-
+		return decoded(data, func(msg *reconfigureMsg) (any, error) { return nil, w.reconfigure(msg) })
 	case rpcPartSend:
-		var msg partSendMsg
-		if err := json.Unmarshal(data, &msg); err != nil {
-			return nil, err
-		}
-		if msg.FromVersion != "" {
-			// A delta refresh images sealed partitions, not an open
-			// session's — there is no job session on the sealed side.
-			return w.sealedPartitionSend(&msg)
-		}
-		dj, err := w.job(msg.Name)
-		if err != nil {
-			return nil, err
-		}
-		return dj.partitionSend(&msg)
-
+		return decoded(data, func(msg *partSendMsg) (any, error) { return w.partitionSend(msg) })
 	case rpcPartRecv:
-		var msg partRecvMsg
-		if err := json.Unmarshal(data, &msg); err != nil {
-			return nil, err
-		}
-		dj, err := w.job(msg.Name)
-		if err != nil {
-			return nil, err
-		}
-		return nil, dj.partitionRecv(&msg)
-
-	case rpcPartSplit:
-		var msg splitMsg
-		if err := json.Unmarshal(data, &msg); err != nil {
-			return nil, err
-		}
-		dj, err := w.job(msg.Name)
-		if err != nil {
-			return nil, err
-		}
-		return nil, dj.partitionSplit(&msg)
-
+		return inSession(w, data, func(dj *distJob, msg *partRecvMsg) (any, error) { return nil, w.partitionRecv(dj, msg) })
 	case rpcPartDrop:
-		var msg partDropMsg
-		if err := json.Unmarshal(data, &msg); err != nil {
-			return nil, err
-		}
-		dj, err := w.job(msg.Name)
-		if err != nil {
-			return nil, err
-		}
-		return nil, dj.partitionDrop(&msg)
-
+		return inSession(w, data, func(dj *distJob, msg *partDropMsg) (any, error) { return nil, dj.partitionDrop(msg) })
 	case rpcRelease:
 		// End of a drain: everything this worker hosted has migrated
 		// away; the connection closing next is a clean exit.
 		w.released.Store(true)
 		return map[string]string{"status": "released"}, nil
-
 	case rpcJobEnd:
-		var msg jobEndMsg
-		if err := json.Unmarshal(data, &msg); err != nil {
-			return nil, err
-		}
-		return w.endJob(msg.Name, msg.Retain), nil
-
+		return decoded(data, func(msg *jobEndMsg) (any, error) { return w.endJob(msg.Name, msg.Retain), nil })
 	case rpcDeltaIngest:
-		var msg deltaIngestMsg
-		if err := json.Unmarshal(data, &msg); err != nil {
-			return nil, err
-		}
-		return w.deltaIngest(&msg)
-
+		return decoded(data, func(msg *deltaIngestMsg) (any, error) { return w.deltaIngest(msg) })
 	case rpcDeltaRun:
-		var msg deltaRunMsg
-		if err := json.Unmarshal(data, &msg); err != nil {
-			return nil, err
-		}
-		return w.deltaRun(&msg)
-
+		return inSession(w, data, func(dj *distJob, _ *deltaRunMsg) (any, error) { return dj.deltaRun() })
 	case rpcQueryPoint:
-		var msg queryPointMsg
-		if err := json.Unmarshal(data, &msg); err != nil {
-			return nil, err
-		}
-		results, err := w.queries.Point(msg.Version, msg.Vids)
-		if err != nil {
-			return nil, err
-		}
-		return &queryPointReply{Results: results}, nil
-
+		return decoded(data, func(msg *queryPointMsg) (any, error) {
+			results, err := w.queries.Point(msg.Version, msg.Vids)
+			return &queryPointReply{Results: results}, err
+		})
 	case rpcQueryTopK:
-		var msg queryTopKMsg
-		if err := json.Unmarshal(data, &msg); err != nil {
-			return nil, err
-		}
-		entries, err := w.queries.TopK(msg.Version, msg.K)
-		if err != nil {
-			return nil, err
-		}
-		return &queryTopKReply{Entries: entries}, nil
-
+		return decoded(data, func(msg *queryTopKMsg) (any, error) {
+			entries, err := w.queries.TopK(msg.Version, msg.K)
+			return &queryTopKReply{Entries: entries}, err
+		})
 	default:
 		return nil, fmt.Errorf("core: unknown control method %q", method)
 	}
@@ -657,58 +542,6 @@ func (w *distWorker) reconfigure(msg *reconfigureMsg) error {
 	return nil
 }
 
-// restoreJob rewinds a session to a committed checkpoint: all current
-// partition state is dropped and owned partitions are rebuilt from the
-// shipped snapshot images (the checkpointed global state arrives with
-// the next superstep verb, like every superstep's). For a replacement
-// worker the session has no partitions yet; the deterministic partition
-// table is built first, so the reload lands on the same sticky placement
-// every peer computes.
-func (w *distWorker) restoreJob(dj *distJob, msg *restoreMsg) error {
-	dj.abort() // defensive; the controller aborts before restoring
-	ctx, end, err := dj.beginPhase()
-	if err != nil {
-		return err
-	}
-	defer end()
-
-	rs := dj.rs
-	// Straggler streams of the aborted attempt parked in the transport
-	// would otherwise leak (their senders are gone or were reset).
-	w.transport.PurgeJob(rs.job.Name)
-
-	// Rebuild the partition table from scratch at the manifest's split
-	// level: a rollback may cross a split boundary in either direction
-	// (a post-split failure restoring a pre-split checkpoint shrinks the
-	// table; a restart resuming a post-split manifest grows it).
-	rs.dropPartitionState()
-	rs.initParts()
-	rs.applySplits(msg.Splits)
-
-	byPart := make(map[int]*ckptPartData, len(msg.Parts))
-	for i := range msg.Parts {
-		byPart[msg.Parts[i].Part] = &msg.Parts[i]
-	}
-	for _, ps := range rs.parts {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if !rs.exec.Local(ps.node.ID) {
-			continue // hosted elsewhere; its process reloads it
-		}
-		pd := byPart[ps.idx]
-		if pd == nil {
-			return fmt.Errorf("core: restore of %s: no snapshot for owned partition %d", rs.job.Name, ps.idx)
-		}
-		if err := rs.installImage(ps, pd); err != nil {
-			return fmt.Errorf("core: restore of %s partition %d: %w", rs.job.Name, ps.idx, err)
-		}
-	}
-	rs.attempt = msg.Attempt
-	w.cfg.logf("worker: job %s restored to superstep %d (attempt %d)", rs.job.Name, msg.SS, msg.Attempt)
-	return nil
-}
-
 func (dj *distJob) load() (*loadReply, error) {
 	ctx, end, err := dj.beginPhase()
 	if err != nil {
@@ -719,52 +552,6 @@ func (dj *distJob) load() (*loadReply, error) {
 		return nil, err
 	}
 	return &loadReply{Parts: dj.rs.partCounts()}, nil
-}
-
-// snapshotPartition produces one partition's image: the vertex relation
-// and the pending combined messages as frame streams (compressed per
-// the worker's policy; readers sniff the format), plus the restorable
-// counters. Checkpoints and migrations share this single format — which
-// is what lets partition.recv install an image with the same reload
-// path a checkpoint restore uses.
-func snapshotPartition(ps *partitionState, mode tuple.CompressMode) (ckptPartData, error) {
-	var vbuf, mbuf bytes.Buffer
-	if err := writeVertexSnapshot(&vbuf, ps, mode); err != nil {
-		return ckptPartData{}, err
-	}
-	if err := writeMsgSnapshot(&mbuf, ps, mode); err != nil {
-		return ckptPartData{}, fmt.Errorf("msgs: %w", err)
-	}
-	return ckptPartData{
-		Part:   ps.idx,
-		Vertex: vbuf.Bytes(),
-		Msg:    mbuf.Bytes(),
-		Stats:  partStatOf(ps),
-	}, nil
-}
-
-// checkpoint snapshots the session's owned partitions as frame-image
-// byte streams. The controller writes them into the replicated
-// checkpoint store and commits the manifest only after every worker has
-// replied — this RPC is the "worker ack" of the commit protocol.
-func (dj *distJob) checkpoint(msg *ckptMsg) (*ckptReply, error) {
-	ctx, end, err := dj.beginPhase()
-	if err != nil {
-		return nil, err
-	}
-	defer end()
-	reply := &ckptReply{Parts: []ckptPartData{}}
-	for _, ps := range dj.rs.ownedParts() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		pd, err := snapshotPartition(ps, dj.rs.rt.opts.Compress)
-		if err != nil {
-			return nil, fmt.Errorf("core: checkpoint of %s partition %d: %w", dj.rs.job.Name, ps.idx, err)
-		}
-		reply.Parts = append(reply.Parts, pd)
-	}
-	return reply, nil
 }
 
 // superstep runs the superstep verb under the session's phase slot and
@@ -805,125 +592,157 @@ func (dj *distJob) superstep(msg *superstepMsg) (*superstepReply, error) {
 	return reply, nil
 }
 
-// byIdx indexes the session's partition table.
-func (dj *distJob) byIdx() map[int]*partitionState {
-	out := make(map[int]*partitionState, len(dj.rs.parts))
-	for _, ps := range dj.rs.parts {
-		out[ps.idx] = ps
+// partitionSend is the one imaging verb. It snapshots partitions in the
+// frame-image form every movement shares (vertex index scanned in key
+// order, pending combined-message run file copied byte for byte) and
+// returns the images to the controller, which commits them to the
+// checkpoint store or forwards them to a new owner. The source is the
+// named partitions of an open session, every partition the session owns
+// (All: a checkpoint), or the named partitions of a sealed result
+// version (FromVersion: a delta refresh on a cluster whose topology
+// moved since the seal). Live partitions stay live here until
+// partition.drop, and imaging them claims the session's phase slot, so
+// it can never overlap an executing superstep: asked mid-phase it is
+// refused cleanly and the movement waits for the next boundary. A sealed
+// version has no session; it stays acquired for the scan instead, so a
+// concurrent seal of a newer version cannot destroy it mid-image.
+func (w *distWorker) partitionSend(msg *partSendMsg) (*partSendReply, error) {
+	mode := w.rt.opts.Compress
+	reply := &partSendReply{Parts: []ckptPartData{}}
+	if msg.FromVersion != "" {
+		r, err := w.queries.acquire(msg.FromVersion)
+		if err != nil {
+			return nil, err
+		}
+		defer r.release()
+		for _, idx := range msg.Parts {
+			if r.parts[idx] == nil {
+				return nil, fmt.Errorf("core: imaging %s: partition %d not held here", msg.FromVersion, idx)
+			}
+			pd, err := imageIndex(r.parts[idx], idx, mode)
+			if err != nil {
+				return nil, fmt.Errorf("core: imaging %s partition %d: %w", msg.FromVersion, idx, err)
+			}
+			reply.Parts = append(reply.Parts, pd)
+		}
+		return reply, nil
 	}
-	return out
-}
 
-// partitionSend snapshots the named partitions for migration — the
-// exact frame-image form job.checkpoint produces (vertex index scanned
-// in key order, pending combined-message run file copied byte for
-// byte), but returned to the controller for forwarding to the new owner
-// instead of the checkpoint store. The partitions stay live here until
-// partition.drop. It claims the phase slot, so a migration can never
-// overlap an executing superstep: asked mid-phase it is refused cleanly
-// and the rebalance waits for the next boundary.
-func (dj *distJob) partitionSend(msg *partSendMsg) (*partSendReply, error) {
+	dj, err := w.job(msg.Name)
+	if err != nil {
+		return nil, err
+	}
 	ctx, end, err := dj.beginPhase()
 	if err != nil {
 		return nil, err
 	}
 	defer end()
 	rs := dj.rs
-	byIdx := dj.byIdx()
-	reply := &partSendReply{Parts: []ckptPartData{}}
+	var parts []*partitionState
+	if msg.All {
+		parts = rs.ownedParts()
+	}
 	for _, idx := range msg.Parts {
+		if idx < 0 || idx >= len(rs.parts) {
+			return nil, fmt.Errorf("core: imaging %s: no partition %d", msg.Name, idx)
+		}
+		if !rs.exec.Local(rs.parts[idx].node.ID) {
+			return nil, fmt.Errorf("core: imaging %s: partition %d is not hosted here", msg.Name, idx)
+		}
+		parts = append(parts, rs.parts[idx])
+	}
+	for _, ps := range parts {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ps := byIdx[idx]
-		if ps == nil {
-			return nil, fmt.Errorf("core: migrate %s: no partition %d", rs.job.Name, idx)
+		if ps.vertexIdx == nil {
+			return nil, fmt.Errorf("core: imaging %s: partition %d holds no state here", msg.Name, ps.idx)
 		}
-		if !rs.exec.Local(ps.node.ID) {
-			return nil, fmt.Errorf("core: migrate %s: partition %d is not hosted here", rs.job.Name, idx)
-		}
-		pd, err := snapshotPartition(ps, rs.rt.opts.Compress)
+		pd, err := snapshotPartition(ps, mode)
 		if err != nil {
-			return nil, fmt.Errorf("core: migrate %s partition %d: %w", rs.job.Name, idx, err)
+			return nil, fmt.Errorf("core: imaging %s partition %d: %w", msg.Name, ps.idx, err)
 		}
 		reply.Parts = append(reply.Parts, pd)
 	}
 	return reply, nil
 }
 
-// partitionRecv installs migrated partitions on this worker: the Vertex
-// index is bulk-rebuilt from the shipped images, the Msg run file
-// repacked, and Vid rederived when the plan needs it — the same reload
-// path a checkpoint restore uses. A joiner that never loaded builds the
-// deterministic partition table first, so the migrated partitions land
-// on the same sticky placement every peer computes. The rebalance epoch
-// is adopted with them.
-func (dj *distJob) partitionRecv(msg *partRecvMsg) error {
+// partitionRecv is the one installing verb: the session adopts the
+// controller's split table and epoch, then rebuilds each shipped
+// partition from its image — Vertex bulk-loaded, Msg repacked, Vid
+// rederived when the plan needs it (installImage). A session that never
+// loaded (a joiner, a replacement) builds the deterministic partition
+// table first, so the images land on the same sticky placement every
+// peer computes. With no images it only reconciles the table (a split
+// being announced or withdrawn). With Reset it is a checkpoint restore:
+// everything the session holds is dropped and the table rebuilt at the
+// message's split level — a rollback may cross a split boundary in
+// either direction — and an image must arrive for every partition this
+// worker owns.
+func (w *distWorker) partitionRecv(dj *distJob, msg *partRecvMsg) error {
+	if msg.Reset {
+		dj.abort() // defensive; the controller aborts before restoring
+	}
 	ctx, end, err := dj.beginPhase()
 	if err != nil {
 		return err
 	}
 	defer end()
 	rs := dj.rs
+	if msg.Reset {
+		// Straggler streams of the aborted attempt parked in the transport
+		// would otherwise leak (their senders are gone or were reset).
+		w.transport.PurgeJob(rs.job.Name)
+		rs.dropPartitionState()
+		rs.parts = nil
+	}
 	if rs.parts == nil {
 		rs.initParts()
 	}
 	rs.adoptSplits(msg.Splits)
 	rs.attempt = msg.Attempt
-	byIdx := dj.byIdx()
+	shipped := make(map[int]bool, len(msg.Parts))
 	for i := range msg.Parts {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		pd := &msg.Parts[i]
-		ps := byIdx[pd.Part]
-		if ps == nil {
-			return fmt.Errorf("core: migrate %s: unknown partition %d", rs.job.Name, pd.Part)
+		if pd.Part < 0 || pd.Part >= len(rs.parts) {
+			return fmt.Errorf("core: installing %s: unknown partition %d", rs.job.Name, pd.Part)
 		}
+		ps := rs.parts[pd.Part]
 		// Never leak a previously-held index: a partition can come back
 		// to a worker that hosted it before.
 		rs.dropOnePartition(ps)
 		if err := rs.installImage(ps, pd); err != nil {
-			return fmt.Errorf("core: migrate %s partition %d: %w", rs.job.Name, pd.Part, err)
+			return fmt.Errorf("core: installing %s partition %d: %w", rs.job.Name, pd.Part, err)
 		}
+		shipped[pd.Part] = true
+	}
+	if msg.Reset {
+		for _, ps := range rs.ownedParts() {
+			if !shipped[ps.idx] {
+				return fmt.Errorf("core: restore of %s: no image for owned partition %d", rs.job.Name, ps.idx)
+			}
+		}
+		w.cfg.logf("worker: job %s restored (attempt %d)", rs.job.Name, msg.Attempt)
 	}
 	return nil
 }
 
-// partitionSplit installs a grown (or, after an abandoned split,
-// shrunk) split table on this worker's session: the partition table is
-// reconciled against the controller's list and the bumped rebalance
-// epoch adopted, before any child image arrives via partition.recv. It
-// claims the phase slot, so a split can never overlap an executing
-// superstep.
-func (dj *distJob) partitionSplit(msg *splitMsg) error {
-	_, end, err := dj.beginPhase()
-	if err != nil {
-		return err
-	}
-	defer end()
-	rs := dj.rs
-	if rs.parts == nil {
-		rs.initParts()
-	}
-	rs.adoptSplits(msg.Splits)
-	rs.attempt = msg.Attempt
-	return nil
-}
-
-// partitionDrop reclaims partitions that migrated away: their indexes
-// and message files are dropped. Sent by the controller only after the
-// new owner acked the images and the topology flip was broadcast.
+// partitionDrop reclaims partition copies this worker must not keep:
+// the originals of partitions that migrated away (sent only after the
+// new owner acked the images and the topology flip was broadcast) or
+// the copies an aborted movement installed here.
 func (dj *distJob) partitionDrop(msg *partDropMsg) error {
 	_, end, err := dj.beginPhase()
 	if err != nil {
 		return err
 	}
 	defer end()
-	byIdx := dj.byIdx()
 	for _, idx := range msg.Parts {
-		if ps := byIdx[idx]; ps != nil {
-			dj.rs.dropOnePartition(ps)
+		if idx >= 0 && idx < len(dj.rs.parts) {
+			dj.rs.dropOnePartition(dj.rs.parts[idx])
 		}
 	}
 	return nil

@@ -176,6 +176,57 @@ func TestAutoKeepsRawForIncompressible(t *testing.T) {
 	if enc != EncRaw {
 		t.Fatalf("incompressible frame should stay raw in auto mode, got enc %d", enc)
 	}
+	// The byte sample alone decided it: nothing was encoded on the way.
+	if e.fw != nil || e.buf.Len() != 0 {
+		t.Fatalf("auto wrote %d scratch bytes (DEFLATE writer constructed: %v) to keep a frame raw", e.buf.Len(), e.fw != nil)
+	}
+}
+
+// TestAutoOnIncompressiblePayload pins, without a clock, what auto mode
+// spends on the payload of wire's incompressible-shuffle test: 256-byte
+// random values under unsorted, multiplicatively scrambled 8-byte vids.
+// It never reaches DEFLATE (the writer is not even constructed) and
+// makes at most one pass into its scratch buffer per frame. That pass is
+// the delta codec's: eligibility is key width alone, and although no
+// two consecutive vids are close, dropping the per-record headers still
+// comes out a few percent under raw, so the delta body is taken — a
+// full encode here and a full decode at the receiver for that few
+// percent (auto has no minimum-saving threshold; ROADMAP item 3).
+func TestAutoOnIncompressiblePayload(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	e := NewFrameEncoder(CompressAuto)
+	var k [8]byte
+	v := make([]byte, 256)
+	for frames := 0; frames < 20; frames++ {
+		f := NewFrame()
+		a := NewFrameAppender(f)
+		for i := 0; ; i++ {
+			binary.BigEndian.PutUint64(k[:], uint64(frames*1000+i)*0x9E3779B97F4A7C15)
+			rng.Read(v)
+			if !a.Append(k[:], v) {
+				break
+			}
+		}
+		raw := f.FrameImageSize()
+		enc, payload, err := e.EncodeFrame(f)
+		PutFrame(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.fw != nil {
+			t.Fatal("auto constructed its DEFLATE writer on incompressible payload")
+		}
+		switch enc {
+		case EncRaw:
+		case EncDelta:
+			// The one pass is the body that ships.
+			if e.buf.Len() != len(payload) || len(payload) >= raw {
+				t.Fatalf("%d scratch bytes for a %d-byte delta body of a %d-byte frame", e.buf.Len(), len(payload), raw)
+			}
+		default:
+			t.Fatalf("enc %d, want raw or delta", enc)
+		}
+	}
 }
 
 func TestFlateShrinksMessageFrame(t *testing.T) {

@@ -88,28 +88,33 @@
 //	|                       |               ONLY — the session survives,  |
 //	|                       |               so a restore can follow; the  |
 //	|                       |               reply waits for task drain    |
-//	| job.checkpoint        | cc → worker   snapshot owned partitions     |
-//	|                       |               (vertex + msgs, frame images);|
-//	|                       |               the reply is the worker's ack |
-//	|                       |               in the manifest commit        |
-//	| job.restore           | cc → worker   rewind the session to a       |
-//	|                       |               committed checkpoint from the |
-//	|                       |               shipped partition images      |
 //	| cluster.reconfigure   | cc → worker   install new topology: owned-  |
 //	|                       |               node set + peer routing table |
 //	|                       |               (after a failure repair or an |
 //	|                       |               elastic rebalance), plus jobs |
 //	|                       |               whose parked streams to purge |
-//	| partition.send        | cc → worker   snapshot named partitions for |
-//	|                       |               migration (checkpoint-format  |
-//	|                       |               frame images); the partitions |
-//	|                       |               stay live until the drop      |
-//	| partition.recv        | cc → worker   install migrated partitions   |
-//	|                       |               (rebuild Vertex/Msg/Vid from  |
-//	|                       |               the images, adopt GS + epoch) |
-//	| partition.drop        | cc → worker   reclaim partitions that       |
-//	|                       |               migrated away (sent only once |
-//	|                       |               the new owner acked)          |
+//	| partition.send        | cc → worker   image partitions (vertex +    |
+//	|                       |               msgs, frame images): named    |
+//	|                       |               ones for a migration or a     |
+//	|                       |               split, every owned one for a  |
+//	|                       |               checkpoint (the reply is the  |
+//	|                       |               worker's ack in the manifest  |
+//	|                       |               commit), or a sealed          |
+//	|                       |               version's for a delta clone;  |
+//	|                       |               live ones stay live until the |
+//	|                       |               drop                          |
+//	| partition.recv        | cc → worker   adopt the split table + epoch,|
+//	|                       |               then install partition images |
+//	|                       |               (rebuild Vertex/Msg/Vid): a   |
+//	|                       |               migration, split children,    |
+//	|                       |               none at all (a split being    |
+//	|                       |               announced), or — after a      |
+//	|                       |               reset of the session — a      |
+//	|                       |               checkpoint restore            |
+//	| partition.drop        | cc → worker   reclaim partition copies: the |
+//	|                       |               originals once the new owner  |
+//	|                       |               acked, or what an aborted     |
+//	|                       |               movement installed            |
 //	| worker.release        | cc → worker   end of a drain: the worker    |
 //	|                       |               hosts nothing and may exit    |
 //	| query.point           | cc → worker   batched point lookups against |
