@@ -241,16 +241,14 @@ func (a *adaptiveAdvisor) decidePlan(live, msgs, nv int64) pregel.JoinKind {
 	return pregel.FullOuterJoin
 }
 
-// Plan picks the next superstep's join strategy. Hints win when
-// AutoPlan is off; superstep 1 always scans (every vertex is live); and
-// otherwise the cached decision for the quantized stat signature is
-// reused — pinning the plan for workloads hovering at a threshold.
+// Plan picks the next superstep's join strategy. Superstep 1 always
+// scans (every vertex is live) and after it hints win when AutoPlan is
+// off, as in chooseJoinFor; otherwise the cached decision for the
+// quantized stat signature is reused — pinning the plan for workloads
+// hovering at a threshold.
 func (a *adaptiveAdvisor) Plan(job *pregel.Job, gs *globalState, ss int64) pregel.JoinKind {
-	if !job.AutoPlan {
-		return job.Join
-	}
-	if ss == 1 {
-		return pregel.FullOuterJoin
+	if ss == 1 || !job.AutoPlan {
+		return chooseJoinFor(job, gs, ss)
 	}
 	sig := planSig{ratioBucket(gs.LiveVertices, gs.NumVertices), ratioBucket(gs.Messages, gs.NumVertices)}
 	if k, ok := a.cache[sig]; ok {

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"strconv"
 
@@ -219,16 +218,16 @@ func eachImageFrame(r io.Reader, visit func(fr *tuple.Frame) error) error {
 	}
 }
 
-// writeMsgSnapshot ships the partition's combined-message run file to w.
+// writeMsgSnapshot ships the partition's combined-message run to w.
 // With compression off it is copied byte-for-byte (it is already a
-// stream of frame images on local disk); otherwise each frame is read
-// back and re-encoded through the stream codec. An empty partition
-// writes nothing.
+// stream of frame images, on local disk or in memory); otherwise each
+// frame is read back and re-encoded through the stream codec. An empty
+// partition writes nothing.
 func writeMsgSnapshot(w io.Writer, ps *partitionState, mode tuple.CompressMode) error {
-	if ps.msgPath == "" {
+	if ps.msg == nil {
 		return nil
 	}
-	mf, err := os.Open(ps.msgPath)
+	mf, err := ps.msg.Image()
 	if err != nil {
 		return err
 	}
@@ -433,7 +432,7 @@ func (rs *runState) dropPartitionState() {
 		if ps.node.Failed() || rs.isBlacklisted(ps.node.ID) {
 			// Unreachable; just forget the handles.
 			ps.vertexIdx, ps.vid, ps.nextVid = nil, nil, nil
-			ps.msgPath, ps.nextMsgPath = "", ""
+			ps.msg, ps.nextMsg = nil, nil
 			continue
 		}
 		rs.dropOnePartition(ps)
@@ -441,7 +440,7 @@ func (rs *runState) dropPartitionState() {
 }
 
 // dropOnePartition releases one partition's local state: its vertex and
-// Vid indexes, its pending-message run files, and the message counters.
+// Vid indexes, its pending-message runs, and the message counters.
 // Used when a partition migrates away (the new owner holds the state
 // now) and before reinstalling a migrated or restored image.
 func (rs *runState) dropOnePartition(ps *partitionState) {
@@ -449,22 +448,9 @@ func (rs *runState) dropOnePartition(ps *partitionState) {
 		ps.vertexIdx.Drop()
 		ps.vertexIdx = nil
 	}
-	if ps.vid != nil {
-		ps.vid.Drop()
-		ps.vid = nil
-	}
-	if ps.nextVid != nil {
-		ps.nextVid.Drop()
-		ps.nextVid = nil
-	}
-	if ps.msgPath != "" {
-		os.Remove(ps.msgPath)
-		ps.msgPath = ""
-	}
-	if ps.nextMsgPath != "" {
-		os.Remove(ps.nextMsgPath)
-		ps.nextMsgPath = ""
-	}
+	dropRelations(ps.msg, ps.vid)
+	dropRelations(ps.nextMsg, ps.nextVid)
+	ps.msg, ps.vid, ps.nextMsg, ps.nextVid = nil, nil, nil, nil
 	ps.msgs, ps.nextMsgs = 0, 0
 }
 
@@ -498,29 +484,19 @@ func (rs *runState) reloadPartition(ps *partitionState, m *checkpointManifest) e
 		bufio.NewReaderSize(vr, 1<<16), bufio.NewReaderSize(mr, 1<<16))
 }
 
-// reloadPartitionFrom rebuilds one partition's Vertex index, Msg file
+// reloadPartitionFrom rebuilds one partition's Vertex index, Msg run
 // and Vid index on its (possibly new) node from checkpoint snapshot
 // streams. Each stream is format-sniffed, so compressed and raw images
 // restore alike regardless of which process wrote them. The partition
-// counters are restored from the manifest's partStat.
+// counters are restored from the manifest's partStat. Whatever a refused
+// image got as far as building is in ps, for dropOnePartition to reclaim.
 func (rs *runState) reloadPartitionFrom(ps *partitionState, st partStat, vertexR, msgR io.Reader) error {
 	node := ps.node
 	ps.numVertices, ps.numEdges, ps.liveVertices = st.NumVertices, st.NumEdges, st.LiveVertices
-	ps.nextMsgPath, ps.nextMsgs, ps.nextVid = "", 0, nil
+	ps.nextMsg, ps.nextMsgs, ps.nextVid = nil, 0, nil
 
-	var vidLoader *storage.BulkLoader
-	var vidTree *storage.BTree
-	var err error
-	if rs.needVid() {
-		vidTree, err = storage.CreateBTree(node.BufferCache,
-			rs.tempPath(node, fmt.Sprintf("vid-rec-p%d", ps.idx)))
-		if err != nil {
-			return err
-		}
-		if vidLoader, err = vidTree.NewBulkLoader(1.0); err != nil {
-			return err
-		}
-	}
+	vids := &vidBuilder{rs: rs, ps: ps}
+	defer vids.abort()
 
 	// add routes one checkpoint record into the vertex index (bulk load
 	// for the B-tree, upsert for the LSM tree) and the Vid rebuild.
@@ -558,8 +534,8 @@ func (rs *runState) reloadPartitionFrom(ps *partitionState, st partStat, vertexR
 			if err := add(k, v); err != nil {
 				return err
 			}
-			if vidLoader != nil && isLiveVertexRecord(v) {
-				if err := vidLoader.Add(k, nil); err != nil {
+			if isLiveVertexRecord(v) {
+				if err := vids.add(k); err != nil {
 					return err
 				}
 			}
@@ -573,33 +549,22 @@ func (rs *runState) reloadPartitionFrom(ps *partitionState, st partStat, vertexR
 			return err
 		}
 	}
-	if vidLoader != nil {
-		if err := vidLoader.Finish(); err != nil {
-			return err
-		}
-		ps.vid = vidTree
+	var err error
+	if ps.vid, err = vids.finish(); err != nil {
+		return err
 	}
 
-	// Msg run file: same frame-image format; repack frame by frame.
-	rf, err := storage.CreateRunFile(rs.tempPath(node, "msg-rec-p"+strconv.Itoa(ps.idx)))
-	if err != nil {
-		return err
+	// Msg run: same frame-image format; repack frame by frame.
+	rf := storage.NewRunFile(rs.tempPath(node, "msg-rec-p"+strconv.Itoa(ps.idx)))
+	if err = eachImageFrame(msgR, rf.AppendFrame); err == nil {
+		err = rf.CloseWrite()
 	}
-	if err := eachImageFrame(msgR, rf.AppendFrame); err != nil {
+	if err != nil || rf.Count() == 0 {
 		rf.Delete()
-		return err
+		rf = nil
 	}
-	if err := rf.CloseWrite(); err != nil {
-		return err
-	}
-	if rf.Count() > 0 {
-		ps.msgPath = rf.Path()
-	} else {
-		ps.msgPath = ""
-		rf.Delete()
-	}
-	ps.msgs = st.Msgs
-	return nil
+	ps.msg, ps.msgs = rf, st.Msgs
+	return err
 }
 
 // isLiveVertexRecord reads the halt flag from an encoded vertex record.

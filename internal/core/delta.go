@@ -267,10 +267,8 @@ func (rs *runState) armDeltaPartition(ps *partitionState, dirty map[uint64]struc
 			}
 			ps.liveVertices++
 		}
-		if ps.vid != nil {
-			if err := ps.vid.Insert(key, nil); err != nil {
-				return err
-			}
+		if err := rs.markLive(ps, &ps.vid, key); err != nil {
+			return err
 		}
 	}
 	return nil

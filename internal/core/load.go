@@ -108,9 +108,9 @@ func (rs *runState) scanInput(ctx context.Context, b *hyracks.BaseSource) error 
 }
 
 // newBulkLoadSink bulk loads the sorted vertex stream into the
-// partition's index (B-tree or LSM per the job's storage hint) and, for
-// the left-outer-join plan, the initial Vid index (every vertex is
-// active in superstep 1).
+// partition's index (B-tree or LSM per the job's storage hint). No Vid
+// index is built: every vertex is active in superstep 1, which therefore
+// scans (chooseJoinFor) and builds the first one.
 func newBulkLoadSink(rs *runState, tc *hyracks.TaskContext) (hyracks.PushRuntime, error) {
 	ps := rs.parts[tc.Partition]
 	node := tc.Node
@@ -118,7 +118,6 @@ func newBulkLoadSink(rs *runState, tc *hyracks.TaskContext) (hyracks.PushRuntime
 	var bt *storage.BTree
 	var btLoader *storage.BulkLoader
 	var lsm *storage.LSMBTree
-	var vidLoader *storage.BulkLoader
 
 	return &hyracks.FuncRuntime{
 		OnOpen: func(_ *hyracks.BaseRuntime) error {
@@ -146,17 +145,6 @@ func newBulkLoadSink(rs *runState, tc *hyracks.TaskContext) (hyracks.PushRuntime
 				}
 				ps.vertexIdx = storage.AsIndex(bt)
 			}
-			if rs.needVid() {
-				vt, err := storage.CreateBTree(node.BufferCache,
-					rs.tempPath(node, fmt.Sprintf("vid-p%d", ps.idx)))
-				if err != nil {
-					return err
-				}
-				ps.vid = vt
-				if vidLoader, err = vt.NewBulkLoader(1.0); err != nil {
-					return err
-				}
-			}
 			return nil
 		},
 		OnTuple: func(_ *hyracks.BaseRuntime, t tuple.Tuple) error {
@@ -166,11 +154,6 @@ func newBulkLoadSink(rs *runState, tc *hyracks.TaskContext) (hyracks.PushRuntime
 				}
 			} else if err := lsm.Insert(t[0], t[1]); err != nil {
 				return err
-			}
-			if vidLoader != nil {
-				if err := vidLoader.Add(t[0], nil); err != nil {
-					return err
-				}
 			}
 			ps.numVertices++
 			ps.numEdges += int64(edgeCountOf(t[1]))
@@ -183,12 +166,7 @@ func newBulkLoadSink(rs *runState, tc *hyracks.TaskContext) (hyracks.PushRuntime
 				}
 			}
 			if lsm != nil {
-				if err := lsm.Flush(); err != nil {
-					return err
-				}
-			}
-			if vidLoader != nil {
-				return vidLoader.Finish()
+				return lsm.Flush()
 			}
 			return nil
 		},

@@ -85,3 +85,38 @@ func TestPipelineHeterogeneousJobs(t *testing.T) {
 	want := referenceValues(t, algorithms.NewConnectedComponentsJob("cc", "", ""), g)
 	compareValues(t, got, want, "pipelined-cc")
 }
+
+// TestPipelineLeftOuterJoinSecondJob: a pipelined job inherits its
+// predecessor's partitions with the Msg and Vid state dropped, and like
+// any job it starts with every vertex active. Under the left-outer-join
+// hint its first superstep used to probe that empty Vid index, compute
+// nothing and halt; superstep 1 scans under every plan now.
+func TestPipelineLeftOuterJoinSecondJob(t *testing.T) {
+	g := graphgen.BTC(120, 4, 6)
+	want := referenceValues(t, algorithms.NewConnectedComponentsJob("cc", "", ""), g)
+	for _, plan := range sparsePlans {
+		rt := newTestRuntime(t, 2)
+		putGraph(t, rt, "/in/g", g)
+		label := &pregel.Job{
+			Name: "label",
+			Program: pregel.ProgramFunc(func(ctx pregel.Context, v *pregel.Vertex, msgs []pregel.Value) error {
+				*v.Value.(*pregel.Int64) = pregel.Int64(v.ID)
+				v.VoteToHalt()
+				return nil
+			}),
+			Codec:     pregel.Codec{NewVertexValue: pregel.NewInt64, NewMessage: pregel.NewInt64},
+			InputPath: "/in/g",
+		}
+		cc := algorithms.NewConnectedComponentsJob("cc-"+plan, "/in/g", "/out/cc")
+		setPlan(cc, plan)
+		all, err := rt.RunPipeline(context.Background(), []*pregel.Job{label, cc})
+		if err != nil {
+			t.Fatalf("%s: %v", plan, err)
+		}
+		if all[1].Supersteps < 2 || all[1].TotalMessages == 0 {
+			t.Errorf("%s: second job ran %d supersteps and sent %d messages", plan, all[1].Supersteps, all[1].TotalMessages)
+		}
+		exactValues(t, readOutputValues(t, rt, "/out/cc"), want, "pipelined cc under "+plan)
+		rt.Close()
+	}
+}

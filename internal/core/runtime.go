@@ -134,17 +134,19 @@ type partitionState struct {
 
 	// vertexIdx stores the partition's share of the Vertex relation.
 	vertexIdx storage.Index
-	// msgPath is the sorted combined-message run file feeding the next
-	// superstep ("" when empty).
-	msgPath string
-	msgs    int64
-	// vid is the live-vertex index (left-outer-join plan only).
+	// msg is the sorted combined-message run feeding the next superstep:
+	// one frame image in memory until it outgrows that, then the temporary
+	// file of Section 5.2 (storage.RunFile). nil when there is no message.
+	msg  *storage.RunFile
+	msgs int64
+	// vid is the live-vertex index (plans that need one, see needVid). nil
+	// when no vertex is live: the index is created with its first entry.
 	vid *storage.BTree
 
 	// Pending next-superstep state, swapped in after the job completes.
-	nextMsgPath string
-	nextMsgs    int64
-	nextVid     *storage.BTree
+	nextMsg  *storage.RunFile
+	nextMsgs int64
+	nextVid  *storage.BTree
 
 	// Partition-local statistics.
 	numVertices, numEdges, liveVertices int64
@@ -194,7 +196,7 @@ type runState struct {
 	pendingGS gsVote
 
 	seq atomic.Int64 // local file version counter
-	// ioBytes accumulates the job's own temp-file I/O (per-tenant, so
+	// ioBytes accumulates the job's own run-layer I/O (per-tenant, so
 	// concurrent jobs on the shared cluster don't pollute each other's
 	// superstep statistics).
 	ioBytes atomic.Int64
@@ -216,7 +218,13 @@ type SuperstepStat struct {
 	LiveVertices int64
 	NumVertices  int64
 	NumEdges     int64
-	IOBytes      int64
+	// IOBytes counts the tuple payload bytes that went through the run
+	// layer (storage.RunFile) during the superstep — the Msg run written,
+	// the deferred vertex updates written and read back, group-by spill
+	// runs — plus the spools of materializing connectors. A run is counted
+	// where it is written or read, whether or not it outgrew its first
+	// frame and was given an OS file.
+	IOBytes int64
 	// NetworkTuples/NetworkBytes count the traffic shipped over the
 	// m-to-n connectors during the superstep (the statistics
 	// collector's network usage counter, Section 5.7).
@@ -399,16 +407,19 @@ func (rs *runState) adoptPartitions(parts []*partitionState) {
 	rs.parts = parts
 	rs.baseParts = len(parts)
 	for _, ps := range parts {
-		// Drop any stale message/vid state from the previous job.
-		if ps.msgPath != "" {
-			os.Remove(ps.msgPath)
-			ps.msgPath = ""
-			ps.msgs = 0
-		}
-		if ps.vid != nil {
-			ps.vid.Drop()
-			ps.vid = nil
-		}
+		dropRelations(ps.msg, ps.vid)
+		ps.msg, ps.msgs, ps.vid = nil, 0, nil
+	}
+}
+
+// dropRelations releases a Msg run and a Vid index — memory image, file,
+// buffer-cache pages — either of which may be nil, the empty relation.
+func dropRelations(msg *storage.RunFile, vid *storage.BTree) {
+	if msg != nil {
+		msg.Delete()
+	}
+	if vid != nil {
+		vid.Drop()
 	}
 }
 
@@ -464,6 +475,12 @@ func (l *localPhases) dump(ctx context.Context, run *jobRun) error {
 // global-state task's vote if it ran here, swap in the next-superstep
 // partition state, and report the hosted partitions' counters.
 func (rs *runState) runSuperstep(ctx context.Context, msg *superstepMsg) (*superstepReply, error) {
+	if msg.SS == 1 && msg.Join == pregel.LeftOuterJoin {
+		// Every vertex is live and nothing has built a Vid index yet: a
+		// probe would compute nothing and report a halt. chooseJoinFor
+		// never asks for it; a driver that does predates that rule.
+		return nil, fmt.Errorf("core: superstep 1 must scan, the driver asked for the left-outer-join plan")
+	}
 	rs.gs = msg.GS
 	rs.attempt = msg.Attempt
 	// Reconcile the partition table with the controller's split list
@@ -498,19 +515,12 @@ func (rs *runState) runSuperstep(ctx context.Context, msg *superstepMsg) (*super
 }
 
 // swapPartitions makes the superstep's outputs the next one's inputs:
-// each partition's new Msg run file and Vid index replace the consumed
-// ones.
+// each partition's new Msg run and Vid index replace the consumed ones.
 func (rs *runState) swapPartitions() {
 	for _, ps := range rs.parts {
-		if ps.msgPath != "" {
-			os.Remove(ps.msgPath)
-		}
-		ps.msgPath, ps.msgs = ps.nextMsgPath, ps.nextMsgs
-		ps.nextMsgPath, ps.nextMsgs = "", 0
-		if ps.vid != nil {
-			ps.vid.Drop()
-		}
-		ps.vid, ps.nextVid = ps.nextVid, nil
+		dropRelations(ps.msg, ps.vid)
+		ps.msg, ps.msgs, ps.vid = ps.nextMsg, ps.nextMsgs, ps.nextVid
+		ps.nextMsg, ps.nextMsgs, ps.nextVid = nil, 0, nil
 	}
 }
 
@@ -580,17 +590,8 @@ func (rs *runState) cleanup() {
 		if ps.vertexIdx != nil {
 			ps.vertexIdx.Drop()
 		}
-		if ps.vid != nil {
-			ps.vid.Drop()
-		}
-		if ps.nextVid != nil {
-			ps.nextVid.Drop()
-		}
-		for _, p := range []string{ps.msgPath, ps.nextMsgPath} {
-			if p != "" {
-				os.Remove(p)
-			}
-		}
+		dropRelations(ps.msg, ps.vid)
+		dropRelations(ps.nextMsg, ps.nextVid)
 	}
 	rs.parts = nil
 }

@@ -34,6 +34,80 @@ func (rs *runState) needVid() bool {
 	return rs.job.Join == pregel.LeftOuterJoin || rs.job.AutoPlan
 }
 
+// createVid creates an empty Vid index for ps. No caller does so before
+// it holds a live vertex to put in: a partition with none has no index,
+// and nil reads as the empty live set (newVidSource).
+func (rs *runState) createVid(ps *partitionState) (*storage.BTree, error) {
+	return storage.CreateBTree(ps.node.BufferCache,
+		rs.tempPath(ps.node, fmt.Sprintf("vid-p%d", ps.idx)))
+}
+
+// markLive adds one vertex to the Vid index held in *vid, out of scan
+// order (mutation resolve, delta arming), creating the index if this is
+// the partition's first live vertex.
+func (rs *runState) markLive(ps *partitionState, vid **storage.BTree, key []byte) error {
+	if !rs.needVid() {
+		return nil
+	}
+	if *vid == nil {
+		vt, err := rs.createVid(ps)
+		if err != nil {
+			return err
+		}
+		*vid = vt
+	}
+	return (*vid).Insert(key, nil)
+}
+
+// vidBuilder bulk-loads a partition's Vid index from live vertices
+// arriving in vid order — the superstep's scan (Figure 8's D11/D12
+// flows) and an image restore — when the plan maintains one.
+type vidBuilder struct {
+	rs     *runState
+	ps     *partitionState
+	tree   *storage.BTree
+	loader *storage.BulkLoader
+}
+
+func (b *vidBuilder) add(key []byte) error {
+	if !b.rs.needVid() {
+		return nil
+	}
+	if b.tree == nil {
+		vt, err := b.rs.createVid(b.ps)
+		if err != nil {
+			return err
+		}
+		b.tree = vt
+		if b.loader, err = vt.NewBulkLoader(1.0); err != nil {
+			return err
+		}
+	}
+	return b.loader.Add(key, nil)
+}
+
+// finish completes the load and hands over the index: nil if no vertex
+// was live.
+func (b *vidBuilder) finish() (*storage.BTree, error) {
+	if b.tree == nil {
+		return nil, nil
+	}
+	if err := b.loader.Finish(); err != nil {
+		return nil, err
+	}
+	vt := b.tree
+	b.tree = nil
+	return vt, nil
+}
+
+// abort drops the index of a load that did not finish.
+func (b *vidBuilder) abort() {
+	if b.tree != nil {
+		b.tree.Drop()
+		b.tree = nil
+	}
+}
+
 // lojSelectivityThreshold is the fraction of the vertex relation below
 // which the advisor prefers probing over scanning: index point lookups
 // cost several page accesses each, so the probe side must be a small
@@ -47,12 +121,14 @@ const lojSelectivityThreshold = 0.25
 // picks the cheaper join plan. The superstep driver calls it once per
 // superstep; every participant compiles with the join it chose.
 func chooseJoinFor(job *pregel.Job, gs *globalState, ss int64) pregel.JoinKind {
+	if ss == 1 {
+		// Every vertex is live in superstep 1: scan wins, whatever the
+		// hint says — and no Vid index has to exist before the first scan
+		// builds one.
+		return pregel.FullOuterJoin
+	}
 	if !job.AutoPlan {
 		return job.Join
-	}
-	if ss == 1 {
-		// Every vertex is live in superstep 1: scan wins.
-		return pregel.FullOuterJoin
 	}
 	touched := gs.Messages + gs.LiveVertices // upper bound on probes
 	if gs.NumVertices > 0 &&
@@ -242,33 +318,35 @@ func (c *msgCombiner) Add(acc, t tuple.Tuple) tuple.Tuple {
 }
 
 // newMsgSink writes the combined, vid-sorted message stream to the
-// partition's Msg run file for the next superstep (Section 5.2).
+// partition's Msg run for the next superstep (Section 5.2): a temporary
+// file once it outgrows a frame, no run at all when no message arrived.
 func newMsgSink(rs *runState, tc *hyracks.TaskContext) (hyracks.PushRuntime, error) {
 	ps := rs.parts[tc.Partition]
 	var rf *storage.RunFile
 	return &hyracks.FuncRuntime{
 		OnOpen: func(_ *hyracks.BaseRuntime) error {
-			path := tc.TempPath(fmt.Sprintf("msg-v%d", rs.nextSeq()))
-			var err error
-			rf, err = storage.CreateRunFile(path)
-			return err
+			rf = storage.NewRunFile(tc.TempPath(fmt.Sprintf("msg-v%d", rs.nextSeq())))
+			return nil
 		},
 		OnRef: func(_ *hyracks.BaseRuntime, r tuple.TupleRef) error {
 			return rf.AppendRef(r)
 		},
 		OnClose: func(_ *hyracks.BaseRuntime) error {
 			if err := rf.CloseWrite(); err != nil {
+				rf.Delete()
 				return err
 			}
 			tc.AddIOBytes(rf.PayloadBytes())
-			ps.nextMsgPath = rf.Path()
-			ps.nextMsgs = rf.Count()
+			ps.nextMsg, ps.nextMsgs = nil, rf.Count()
+			if ps.nextMsgs > 0 {
+				ps.nextMsg = rf
+			}
 			return nil
 		},
 		OnFail: func(_ *hyracks.BaseRuntime, _ error) {
 			// Aborted superstep (peer failure, cancellation): the half-
-			// written run never becomes ps.nextMsgPath, so its pooled
-			// frame, fd and temp file must be reclaimed here.
+			// written run never becomes ps.nextMsg, so its pooled frame,
+			// fd and temp file must be reclaimed here.
 			if rf != nil {
 				rf.Delete()
 			}
@@ -380,8 +458,8 @@ func (r *resolveSink) Close() error {
 				r.ps.numEdges += int64(len(final.Edges))
 			}
 			// Newly materialized vertices are live next superstep.
-			if r.ps.nextVid != nil && !final.Halted {
-				if err := r.ps.nextVid.Insert(key, nil); err != nil {
+			if !final.Halted {
+				if err := r.rs.markLive(r.ps, &r.ps.nextVid, key); err != nil {
 					return err
 				}
 			}
@@ -486,8 +564,8 @@ func (c *computeSource) run(ctx context.Context) error {
 
 	// Open the combined-message stream of the previous superstep.
 	var msgs operators.TupleSource = emptySource{}
-	if ps.msgPath != "" {
-		rr, err := storage.OpenRunReader(ps.msgPath)
+	if ps.msg != nil {
+		rr, err := ps.msg.Reader()
 		if err != nil {
 			return err
 		}
@@ -498,28 +576,15 @@ func (c *computeSource) run(ctx context.Context) error {
 	// Vertex updates (flow D2) are spooled and applied after the scan:
 	// the same-task deferral keeps the update mini-operator from
 	// mutating pages the scan cursor has pinned.
-	updates, err := storage.CreateRunFile(c.tc.TempPath("updates"))
-	if err != nil {
-		return err
-	}
+	updates := storage.NewRunFile(c.tc.TempPath("updates"))
 	defer updates.Delete()
 
 	// The left-outer-join plan rebuilds the Vid live-vertex index for
 	// the next superstep via a bulk load fed in vid order (Figure 8's
 	// D11/D12 flows). AutoPlan maintains it under both plans so the
 	// advisor may switch at any boundary.
-	var vidLoader *storage.BulkLoader
-	if rs.needVid() {
-		vt, err := storage.CreateBTree(ps.node.BufferCache,
-			rs.tempPath(ps.node, fmt.Sprintf("vid-v%d", rs.nextSeq())))
-		if err != nil {
-			return err
-		}
-		ps.nextVid = vt
-		if vidLoader, err = vt.NewBulkLoader(1.0); err != nil {
-			return err
-		}
-	}
+	vids := &vidBuilder{rs: rs, ps: ps}
+	defer vids.abort()
 
 	cc := &computeCtx{rs: rs, src: c, ss: c.ss}
 	ps.liveVertices = 0
@@ -529,7 +594,7 @@ func (c *computeSource) run(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		return c.processVertex(cc, ps, updates, vidLoader, vid, msgPayload, vertexBytes)
+		return c.processVertex(cc, ps, updates, vids, vid, msgPayload, vertexBytes)
 	}
 
 	if c.join == pregel.LeftOuterJoin {
@@ -553,27 +618,12 @@ func (c *computeSource) run(ctx context.Context) error {
 		return err
 	}
 	c.tc.AddIOBytes(updates.PayloadBytes() * 2)
-	ur, err := storage.OpenRunReader(updates.Path())
-	if err != nil {
+	if err := applyUpdates(ps.vertexIdx, updates); err != nil {
 		return err
 	}
-	defer ur.Close()
-	for {
-		t, err := ur.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if err := ps.vertexIdx.Insert(t[0], t[1]); err != nil {
-			return err
-		}
-	}
-	if vidLoader != nil {
-		if err := vidLoader.Finish(); err != nil {
-			return err
-		}
+	var err error
+	if ps.nextVid, err = vids.finish(); err != nil {
+		return err
 	}
 
 	// Emit the pre-aggregated global-state contribution (stage one of
@@ -586,10 +636,35 @@ func (c *computeSource) run(ctx context.Context) error {
 	return c.Emit(portGS, gsTuple)
 }
 
+// applyUpdates replays the spooled (vid, vertex) updates into the vertex
+// index. Insert copies what it keeps, so the records are read in place.
+func applyUpdates(idx storage.Index, updates *storage.RunFile) error {
+	if updates.Count() == 0 {
+		return nil
+	}
+	ur, err := updates.Reader()
+	if err != nil {
+		return err
+	}
+	defer ur.Close()
+	for {
+		t, err := ur.NextRef()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if err := idx.Insert(t.Field(0), t.Field(1)); err != nil {
+			return err
+		}
+	}
+}
+
 // processVertex applies the σ(halt=false || msg!=NULL) filter and the
 // compute UDF to one joined row.
 func (c *computeSource) processVertex(cc *computeCtx, ps *partitionState,
-	updates *storage.RunFile, vidLoader *storage.BulkLoader,
+	updates *storage.RunFile, vids *vidBuilder,
 	vid, msgPayload, vertexBytes []byte) error {
 
 	rs := c.rs
@@ -665,11 +740,7 @@ func (c *computeSource) processVertex(cc *computeCtx, ps *partitionState,
 	cc.haltAll = cc.haltAll && vertexHalts
 	if !v.Halted {
 		ps.liveVertices++
-		if vidLoader != nil {
-			if err := vidLoader.Add(vid, nil); err != nil {
-				return err
-			}
-		}
+		return vids.add(vid)
 	}
 	return nil
 }

@@ -1,7 +1,10 @@
 package storage
 
 import (
+	"bytes"
+	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -61,6 +64,164 @@ func TestRunFileEmpty(t *testing.T) {
 	}
 	if len(got) != 0 {
 		t.Fatalf("expected empty, got %d", len(got))
+	}
+}
+
+// boundaryPayload is the value field of the frame-boundary tests' records.
+var boundaryPayload = bytes.Repeat([]byte("p"), 24)
+
+// recordsPerFrame is how many (8-byte key, boundaryPayload) records make
+// a frame image of at most tuple.DefaultFrameSize bytes: the most a run
+// may hold without ever needing its file.
+func recordsPerFrame() int {
+	fr := tuple.NewFrame()
+	defer tuple.PutFrame(fr)
+	app := tuple.NewFrameAppender(fr)
+	n := 0
+	for app.Append(tuple.EncodeUint64(uint64(n)), boundaryPayload) && fr.FrameImageSize() <= tuple.DefaultFrameSize {
+		n++
+	}
+	return n
+}
+
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
+}
+
+// TestRunFileFrameBoundary: a run started with NewRunFile and one from
+// CreateRunFile give the same records back in order, through Reader and
+// through Image, on both sides of the one-frame boundary. They differ
+// only in when the file appears: at the first frame flush for the first,
+// at once for the second. Neither holds a pooled frame once its writer
+// and its reader are closed, and Delete may be repeated.
+func TestRunFileFrameBoundary(t *testing.T) {
+	perFrame := recordsPerFrame()
+	for _, n := range []int{0, 1, perFrame, perFrame + 1} {
+		for _, lazy := range []bool{true, false} {
+			t.Run(fmt.Sprintf("n=%d/lazy=%v", n, lazy), func(t *testing.T) {
+				leases := tuple.LeasedFrames()
+				path := filepath.Join(t.TempDir(), "r.run")
+				var rf *RunFile
+				if lazy {
+					rf = NewRunFile(path)
+				} else {
+					var err error
+					if rf, err = CreateRunFile(path); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := 0; i < n; i++ {
+					if err := rf.AppendFields(tuple.EncodeUint64(uint64(i)), boundaryPayload); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := rf.CloseWrite(); err != nil {
+					t.Fatal(err)
+				}
+				if got := tuple.LeasedFrames(); got != leases {
+					t.Fatalf("%d frames leased by a closed run, %d before it", got, leases)
+				}
+				if rf.Count() != int64(n) || rf.PayloadBytes() != int64(n*(8+len(boundaryPayload))) {
+					t.Fatalf("count %d payload %d for %d records", rf.Count(), rf.PayloadBytes(), n)
+				}
+				if want := !lazy || n > perFrame; exists(path) != want {
+					t.Fatalf("file exists = %v, want %v", exists(path), want)
+				}
+
+				rr, err := rf.Reader()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < n; i++ {
+					ref, err := rr.NextRef()
+					if err != nil {
+						t.Fatalf("record %d: %v", i, err)
+					}
+					if tuple.DecodeUint64(ref.Field(0)) != uint64(i) || !bytes.Equal(ref.Field(1), boundaryPayload) {
+						t.Fatalf("record %d read back as %v", i, ref)
+					}
+				}
+				if _, err := rr.NextRef(); err != io.EOF {
+					t.Fatalf("after %d records: %v, want EOF", n, err)
+				}
+				rr.Close()
+				if got := tuple.LeasedFrames(); got != leases {
+					t.Fatalf("%d frames leased after the reader closed, %d before the run", got, leases)
+				}
+
+				// The image is the file's bytes, or what they would have been.
+				img, err := rf.Image()
+				if err != nil {
+					t.Fatal(err)
+				}
+				image, err := io.ReadAll(img)
+				img.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if exists(path) {
+					onDisk, err := os.ReadFile(path)
+					if err != nil || !bytes.Equal(image, onDisk) {
+						t.Fatalf("image is %d bytes, file %d (%v)", len(image), len(onDisk), err)
+					}
+				}
+				fr := tuple.NewFrame()
+				defer tuple.PutFrame(fr)
+				records := 0
+				for r := bytes.NewReader(image); ; records += fr.Len() {
+					if err := tuple.ReadFrameInto(r, fr); err == io.EOF {
+						break
+					} else if err != nil {
+						t.Fatal(err)
+					}
+				}
+				if records != n {
+					t.Fatalf("image holds %d records, want %d", records, n)
+				}
+
+				for i := 0; i < 2; i++ {
+					if err := rf.Delete(); err != nil {
+						t.Fatalf("delete %d: %v", i+1, err)
+					}
+					if exists(path) {
+						t.Fatalf("file still there after delete %d", i+1)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestRunFileDeleteAfterFailedWrite: a run whose file cannot be created
+// reports that from the write that needed it, and Delete then releases
+// the frame it was built in.
+func TestRunFileDeleteAfterFailedWrite(t *testing.T) {
+	leases := tuple.LeasedFrames()
+	path := filepath.Join(t.TempDir(), "no-such-dir", "r.run")
+	if _, err := CreateRunFile(path); err == nil {
+		t.Fatal("CreateRunFile in a missing directory succeeded")
+	}
+	rf := NewRunFile(path)
+	var err error
+	for i := 0; i <= recordsPerFrame() && err == nil; i++ {
+		err = rf.AppendFields(tuple.EncodeUint64(uint64(i)), boundaryPayload)
+	}
+	if err == nil {
+		// A recycled frame larger than the default took them all: then
+		// it is the close that needs the file.
+		err = rf.CloseWrite()
+	}
+	if err == nil {
+		t.Fatal("a run past its first frame was written with no directory to create its file in")
+	}
+	for i := 0; i < 2; i++ {
+		if err := rf.Delete(); err != nil {
+			t.Fatalf("delete %d: %v", i+1, err)
+		}
+	}
+	if got := tuple.LeasedFrames(); got != leases {
+		t.Fatalf("%d frames leased after the delete, %d before the run", got, leases)
 	}
 }
 
