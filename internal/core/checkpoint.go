@@ -177,7 +177,7 @@ func writeVertexSnapshot(w io.Writer, idx storage.Index, mode tuple.CompressMode
 	iw := newImageWriter(w, mode)
 	defer iw.release()
 	for {
-		k, v, ok := cur.Next()
+		k, v, ok := cur.NextView() // iw.add copies into its frame at once
 		if !ok {
 			break
 		}

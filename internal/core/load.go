@@ -247,11 +247,11 @@ func (rs *runState) dumpRows(ctx context.Context) ([]dumpRow, bool, error) {
 				}
 				defer cur.Close()
 				for {
-					k, v, ok := cur.Next()
+					k, v, ok := cur.NextView() // EmitFields copies into the frame at once
 					if !ok {
 						return cur.Err()
 					}
-					if err := b.Emit(0, tuple.Tuple{k, v}); err != nil {
+					if err := b.EmitFields(0, k, v); err != nil {
 						return err
 					}
 				}
@@ -262,9 +262,10 @@ func (rs *runState) dumpRows(ctx context.Context) ([]dumpRow, bool, error) {
 		ID:         "write",
 		Partitions: 1,
 		NewRuntime: func(tc *hyracks.TaskContext) (hyracks.PushRuntime, error) {
+			dec := rs.codec.NewVertexDecoder() // a row is formatted before the next is decoded
 			return &hyracks.FuncRuntime{
-				OnTuple: func(_ *hyracks.BaseRuntime, t tuple.Tuple) error {
-					v, err := rs.codec.DecodeVertex(pregel.VertexID(tuple.DecodeUint64(t[0])), t[1])
+				OnRef: func(_ *hyracks.BaseRuntime, t tuple.TupleRef) error {
+					v, err := dec.Decode(pregel.VertexID(tuple.DecodeUint64(t.Field(0))), t.Field(1))
 					if err != nil {
 						return err
 					}

@@ -32,9 +32,11 @@ func (f *fakeQueryIndex) Drop() error  { f.dropped.Store(true); return nil }
 
 type emptyQueryCursor struct{}
 
-func (emptyQueryCursor) Next() ([]byte, []byte, bool) { return nil, nil, false }
-func (emptyQueryCursor) Err() error                   { return nil }
-func (emptyQueryCursor) Close()                       {}
+func (emptyQueryCursor) Next() ([]byte, []byte, bool)     { return nil, nil, false }
+func (emptyQueryCursor) NextView() ([]byte, []byte, bool) { return nil, nil, false }
+func (emptyQueryCursor) Update([]byte) bool               { return false }
+func (emptyQueryCursor) Err() error                       { return nil }
+func (emptyQueryCursor) Close()                           {}
 
 // TestQueryStoreVersionDrain drives the sealed → retired → destroyed
 // state machine directly: sealing a successor retires the old version

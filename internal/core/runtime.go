@@ -223,7 +223,10 @@ type SuperstepStat struct {
 	// the deferred vertex updates written and read back, group-by spill
 	// runs — plus the spools of materializing connectors. A run is counted
 	// where it is written or read, whether or not it outgrew its first
-	// frame and was given an OS file.
+	// frame and was given an OS file. A vertex update written back at the
+	// scan's cursor (full-outer-join plan, B-tree, record no larger than
+	// before) never passes the run layer and is not counted; neither are
+	// buffer-cache page reads and write-backs (NodeStats has those).
 	IOBytes int64
 	// NetworkTuples/NetworkBytes count the traffic shipped over the
 	// m-to-n connectors during the superstep (the statistics

@@ -544,6 +544,17 @@ type computeSource struct {
 	ss   int64
 	tc   *hyracks.TaskContext
 	join pregel.JoinKind
+
+	// The task's own vertex, message list and record buffer: every row is
+	// decoded into the first two and encoded into the third, so a vertex
+	// passes through Compute without an allocation of the engine's.
+	dec     *pregel.VertexDecoder
+	msgVals []pregel.Value
+	enc     []byte
+
+	// cur is the scan a full-outer-join task reads its vertices from, nil
+	// under the left-outer-join plan.
+	cur storage.IndexCursor
 }
 
 // Run executes the partition's share of the superstep.
@@ -562,7 +573,10 @@ func (c *computeSource) Run(ctx context.Context) error {
 func (c *computeSource) run(ctx context.Context) error {
 	rs, ps := c.rs, c.rs.parts[c.tc.Partition]
 
-	// Open the combined-message stream of the previous superstep.
+	// Open the combined-message stream of the previous superstep: as views
+	// of the reader's frame for the full-outer merge, which is done with a
+	// message before it asks for the next, and boxed for the left-outer
+	// plan, whose ChooseMerge returns a tuple after advancing its source.
 	var msgs operators.TupleSource = emptySource{}
 	if ps.msg != nil {
 		rr, err := ps.msg.Reader()
@@ -570,12 +584,15 @@ func (c *computeSource) run(ctx context.Context) error {
 			return err
 		}
 		defer rr.Close()
-		msgs = rr
+		if msgs = rr; c.join != pregel.LeftOuterJoin {
+			msgs = operators.NewRunSource(rr)
+		}
 	}
 
-	// Vertex updates (flow D2) are spooled and applied after the scan:
-	// the same-task deferral keeps the update mini-operator from
-	// mutating pages the scan cursor has pinned.
+	// Vertex updates (flow D2) the scan's cursor does not take in place
+	// (processVertex) are spooled and applied after the scan: the same-task
+	// deferral keeps the update mini-operator from moving records in pages
+	// the cursor has pinned.
 	updates := storage.NewRunFile(c.tc.TempPath("updates"))
 	defer updates.Delete()
 
@@ -586,6 +603,7 @@ func (c *computeSource) run(ctx context.Context) error {
 	vids := &vidBuilder{rs: rs, ps: ps}
 	defer vids.abort()
 
+	c.dec = rs.codec.NewVertexDecoder()
 	cc := &computeCtx{rs: rs, src: c, ss: c.ss}
 	ps.liveVertices = 0
 	cc.haltAll = true
@@ -608,7 +626,13 @@ func (c *computeSource) run(ctx context.Context) error {
 			return err
 		}
 	} else {
-		if err := operators.FullOuterIndexJoin(msgs, ps.vertexIdx, emit); err != nil {
+		var err error
+		if c.cur, err = ps.vertexIdx.ScanFrom(nil); err != nil {
+			return err
+		}
+		err = operators.FullOuterMerge(msgs, c.cur, emit)
+		c.cur.Close() // before applyUpdates writes to the tree
+		if err != nil {
 			return err
 		}
 	}
@@ -662,7 +686,8 @@ func applyUpdates(idx storage.Index, updates *storage.RunFile) error {
 }
 
 // processVertex applies the σ(halt=false || msg!=NULL) filter and the
-// compute UDF to one joined row.
+// compute UDF to one joined row. vertexBytes may be a view of the page
+// the scan has pinned: it is read before Compute runs and not after.
 func (c *computeSource) processVertex(cc *computeCtx, ps *partitionState,
 	updates *storage.RunFile, vids *vidBuilder,
 	vid, msgPayload, vertexBytes []byte) error {
@@ -687,7 +712,7 @@ func (c *computeSource) processVertex(cc *computeCtx, ps *partitionState,
 		created = true
 	} else {
 		var err error
-		v, err = rs.codec.DecodeVertex(pregel.VertexID(tuple.DecodeUint64(vid)), vertexBytes)
+		v, err = c.dec.Decode(pregel.VertexID(tuple.DecodeUint64(vid)), vertexBytes)
 		if err != nil {
 			return err
 		}
@@ -711,10 +736,10 @@ func (c *computeSource) processVertex(cc *computeCtx, ps *partitionState,
 	var msgVals []pregel.Value
 	if hasMsg {
 		var err error
-		msgVals, err = rs.codec.DecodeMsgList(msgPayload)
-		if err != nil {
+		if c.msgVals, err = rs.codec.DecodeMsgListInto(c.msgVals, msgPayload); err != nil {
 			return err
 		}
+		msgVals = c.msgVals
 	}
 
 	cc.vertexSent = 0
@@ -725,9 +750,14 @@ func (c *computeSource) processVertex(cc *computeCtx, ps *partitionState,
 		return cc.err
 	}
 
-	// Persist the (possibly updated) vertex: D2.
-	if err := updates.AppendFields(vid, rs.codec.EncodeVertex(v)); err != nil {
-		return err
+	// Persist the (possibly updated) vertex, D2: at the cursor if the
+	// record lies under it (a created vertex has none: the scan has read
+	// ahead to a later one) and the cursor takes it, else deferred.
+	c.enc = rs.codec.AppendVertex(c.enc[:0], v)
+	if created || c.cur == nil || !c.cur.Update(c.enc) {
+		if err := updates.AppendFields(vid, c.enc); err != nil {
+			return err
+		}
 	}
 	if created {
 		ps.numVertices++

@@ -470,28 +470,12 @@ func (g *spillingGroupBy) finish() error {
 			return err
 		}
 		defer rr.Close()
-		srcs = append(srcs, &runSource{rr: rr})
+		srcs = append(srcs, NewRunSource(rr))
 	}
 	if len(g.sorter.entries) > 0 {
 		srcs = append(srcs, &bufferedSource{g: g})
 	}
 	return MergeSources(srcs, g.combiner, emit)
-}
-
-// runSource reads a spilled run back for the final merge as views of the
-// reader's frame, each valid until the following Next.
-type runSource struct {
-	rr  *storage.RunReader
-	hdr tuple.Tuple
-}
-
-func (s *runSource) Next() (tuple.Tuple, error) {
-	r, err := s.rr.NextRef()
-	if err != nil {
-		return nil, err
-	}
-	s.hdr = r.AppendFieldsTo(s.hdr[:0])
-	return s.hdr, nil
 }
 
 // bufferedSource replays the operator's sorted buffer, unfolded, for the
@@ -641,6 +625,28 @@ func (s *keySorter) sort(keyOf func(sortEntry) []byte) {
 // Next returns io.EOF at the end. *storage.RunReader satisfies it.
 type TupleSource interface {
 	Next() (tuple.Tuple, error)
+}
+
+// RunSource reads a run back as views of the reader's frame, each valid
+// until the following Next: for consumers that are done with a tuple
+// before they ask for the next one (MergeSources, FullOuterMerge), where
+// RunReader.Next would box every tuple.
+type RunSource struct {
+	rr  *storage.RunReader
+	hdr tuple.Tuple
+}
+
+// NewRunSource wraps rr, which the caller still closes.
+func NewRunSource(rr *storage.RunReader) *RunSource { return &RunSource{rr: rr} }
+
+// Next returns the next tuple as a view, or io.EOF.
+func (s *RunSource) Next() (tuple.Tuple, error) {
+	r, err := s.rr.NextRef()
+	if err != nil {
+		return nil, err
+	}
+	s.hdr = r.AppendFieldsTo(s.hdr[:0])
+	return s.hdr, nil
 }
 
 // SliceSource adapts an in-memory tuple slice to a TupleSource.

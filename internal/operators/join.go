@@ -29,49 +29,55 @@ func FullOuterIndexJoin(msgs TupleSource, idx storage.Index, emit JoinEmitter) e
 		return err
 	}
 	defer cur.Close()
+	return FullOuterMerge(msgs, cur, emit)
+}
 
+// FullOuterMerge is the merge loop of FullOuterIndexJoin over a cursor
+// the caller opened (and closes). A message tuple need only stay valid
+// until the following msgs.Next, and the vertex is read as a view
+// (NextView). During an inner or right-outer emit the row's vertex is
+// the record the cursor returned last, so the emitter may write it back
+// with cur.Update; during a left-outer emit it is not (the cursor has
+// read ahead). A scan that stops on an I/O error ends the join with that
+// error before any further row is emitted.
+func FullOuterMerge(msgs TupleSource, cur storage.IndexCursor, emit JoinEmitter) error {
 	mt, merr := msgs.Next()
-	vk, vv, vok := cur.Next()
+	vk, vv, vok := cur.NextView()
 	for {
+		if merr != nil && merr != io.EOF {
+			return merr
+		}
+		if !vok {
+			// A failed scan is not the end of the vertices; a finished one
+			// ends the join (err is nil) once the messages have ended too.
+			if err := cur.Err(); err != nil || merr != nil {
+				return err
+			}
+		}
+		c := 1 // messages exhausted
 		switch {
-		case merr == nil && vok:
-			c := bytes.Compare(mt[0], vk)
-			switch {
-			case c == 0: // inner
-				if err := emit(vk, mt[1], vv); err != nil {
-					return err
-				}
-				mt, merr = msgs.Next()
-				vk, vv, vok = cur.Next()
-			case c < 0: // message without vertex
-				if err := emit(mt[0], mt[1], nil); err != nil {
-					return err
-				}
-				mt, merr = msgs.Next()
-			default: // vertex without message
-				if err := emit(vk, nil, vv); err != nil {
-					return err
-				}
-				vk, vv, vok = cur.Next()
-			}
-		case merr == nil: // vertices exhausted
-			if err := emit(mt[0], mt[1], nil); err != nil {
-				return err
-			}
+		case !vok: // vertices exhausted
+			c = -1
+		case merr == nil:
+			c = bytes.Compare(mt[0], vk)
+		}
+		var err error
+		switch {
+		case c == 0: // inner
+			err = emit(vk, mt[1], vv)
+		case c < 0: // message without vertex
+			err = emit(mt[0], mt[1], nil)
+		default: // vertex without message
+			err = emit(vk, nil, vv)
+		}
+		if err != nil {
+			return err
+		}
+		if c <= 0 {
 			mt, merr = msgs.Next()
-		case vok: // messages exhausted
-			if merr != io.EOF {
-				return merr
-			}
-			if err := emit(vk, nil, vv); err != nil {
-				return err
-			}
-			vk, vv, vok = cur.Next()
-		default:
-			if merr != nil && merr != io.EOF {
-				return merr
-			}
-			return cur.Err()
+		}
+		if c >= 0 {
+			vk, vv, vok = cur.NextView()
 		}
 	}
 }

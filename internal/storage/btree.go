@@ -392,23 +392,26 @@ func (t *BTree) Delete(key []byte) (bool, error) {
 	}
 }
 
-// Cursor iterates leaf records in ascending key order. Each Next call
-// briefly takes the tree's read lock; between calls the cursor keeps its
-// leaf pinned (so the frame cannot be evicted) but holds no lock, so a
-// scan can interleave with mutations by the same or other goroutines. If
-// the tree's version moved since the cursor was positioned, the pinned
-// slots may have shifted (a split truncates the left leaf in place), so
-// Next re-seeks to the first key after the last one it returned before
-// continuing.
+// Cursor iterates leaf records in ascending key order. Each call briefly
+// takes the tree's lock; between calls the cursor keeps its leaf pinned
+// (so the frame cannot be evicted) but holds no lock, so a scan can
+// interleave with mutations by the same or other goroutines. If the
+// tree's version moved since the cursor was positioned, the pinned slots
+// may have shifted (a split truncates the left leaf in place), so the
+// next read re-seeks to the first key after the last one it returned
+// before continuing.
 type Cursor struct {
 	t       *BTree
 	fr      *PageFrame
-	slot    int
+	slot    int // of the next record to return
 	err     error
 	ver     uint64
 	start   []byte // original scan start, for a re-seek before any record
 	lastKey []byte // last key returned
 	done    bool
+	// onRec says that slot-1 of fr is the record returned last, wrote that
+	// an Update has written into fr since it was pinned.
+	onRec, wrote bool
 }
 
 // ScanFrom positions a cursor at the first key >= start (nil start means
@@ -462,11 +465,29 @@ func (t *BTree) seekLocked(start []byte) (*PageFrame, int, error) {
 
 // Next returns the next key/value pair (copies), or ok=false at the end.
 func (c *Cursor) Next() (key, value []byte, ok bool) {
+	c.t.mu.RLock()
+	defer c.t.mu.RUnlock()
+	if key, value, ok = c.nextLocked(); !ok {
+		return nil, nil, false
+	}
+	return append([]byte(nil), key...), append([]byte(nil), value...), true
+}
+
+// NextView is Next without the copies: key and value are views of the
+// pinned leaf, valid until the next call on the cursor and only while no
+// other goroutine writes the tree (Next copies under the tree's lock and
+// has no such condition).
+func (c *Cursor) NextView() (key, value []byte, ok bool) {
+	c.t.mu.RLock()
+	defer c.t.mu.RUnlock()
+	return c.nextLocked()
+}
+
+func (c *Cursor) nextLocked() (key, value []byte, ok bool) {
+	c.onRec = false
 	if c.err != nil || c.done {
 		return nil, nil, false
 	}
-	c.t.mu.RLock()
-	defer c.t.mu.RUnlock()
 	if v := c.t.ver.Load(); v != c.ver {
 		if err := c.reseekLocked(); err != nil {
 			c.err = err
@@ -481,15 +502,14 @@ func (c *Cursor) Next() (key, value []byte, ok bool) {
 		}
 		p := nodePage{c.fr.Data}
 		if c.slot < p.count() {
-			k := append([]byte(nil), p.key(c.slot)...)
-			v := append([]byte(nil), p.value(c.slot)...)
+			key, value = p.key(c.slot), p.value(c.slot)
 			c.slot++
-			c.lastKey = append(c.lastKey[:0], k...)
-			return k, v, true
+			c.lastKey = append(c.lastKey[:0], key...)
+			c.onRec = true
+			return key, value, true
 		}
 		next := p.next()
-		c.t.bc.Unpin(c.fr, false)
-		c.fr = nil
+		c.unpin()
 		if next == invalidPage {
 			c.done = true
 			return nil, nil, false
@@ -504,16 +524,53 @@ func (c *Cursor) Next() (key, value []byte, ok bool) {
 	}
 }
 
+// Update overwrites, in the leaf the cursor has pinned, the value of the
+// record it returned last, and reports whether it did. It declines when
+// there is no such record (before the first read, after the last), when
+// the new value is longer than the old one, and when the tree changed
+// since that read (the slot may have moved): the caller then goes
+// through Insert. It takes the tree's write lock, so readers see the old
+// value or the new one, but leaves the version alone: no slot moves, so
+// no other cursor has anything to re-seek for.
+func (c *Cursor) Update(value []byte) bool {
+	c.t.mu.Lock()
+	defer c.t.mu.Unlock()
+	if !c.onRec || c.t.ver.Load() != c.ver {
+		return false
+	}
+	p := nodePage{c.fr.Data}
+	old := p.value(c.slot - 1)
+	if len(value) > len(old) {
+		return false
+	}
+	if !c.wrote {
+		// Under the cache's lock and now, not at Unpin: FlushFile and
+		// CloseFile must see the page dirty while the cursor still holds it.
+		c.t.bc.markDirty(c.fr)
+		c.wrote = true
+	}
+	off := p.slotOff(c.slot - 1)
+	binary.LittleEndian.PutUint16(p.data[off+2:], uint16(len(value)))
+	copy(old, value)
+	return true
+}
+
+// unpin releases the cursor's leaf, dirty if Update wrote into it (a
+// FlushFile in between may have cleared the mark markDirty set).
+func (c *Cursor) unpin() {
+	if c.fr != nil {
+		c.t.bc.Unpin(c.fr, c.wrote)
+		c.fr, c.wrote, c.onRec = nil, false, false
+	}
+}
+
 // reseekLocked repositions the cursor after the tree mutated under it:
 // unpin whatever leaf it held and descend again to the first key
 // strictly greater than the last key returned (or to the original start
 // if nothing was returned yet). Records inserted behind the scan point
 // are skipped by construction; records ahead of it are picked up.
 func (c *Cursor) reseekLocked() error {
-	if c.fr != nil {
-		c.t.bc.Unpin(c.fr, false)
-		c.fr = nil
-	}
+	c.unpin()
 	start := c.start
 	if c.lastKey != nil {
 		start = c.lastKey
@@ -538,12 +595,7 @@ func (c *Cursor) reseekLocked() error {
 func (c *Cursor) Err() error { return c.err }
 
 // Close releases the cursor's pinned page.
-func (c *Cursor) Close() {
-	if c.fr != nil {
-		c.t.bc.Unpin(c.fr, false)
-		c.fr = nil
-	}
-}
+func (c *Cursor) Close() { c.unpin() }
 
 // BulkLoader builds a B-tree bottom-up from a strictly ascending key
 // stream, packing leaves to the configured fill factor. It is used to

@@ -11,7 +11,6 @@
 package storage
 
 import (
-	"container/list"
 	"fmt"
 	"os"
 	"sync"
@@ -43,7 +42,10 @@ type PageFrame struct {
 	pins    int
 	dirty   bool
 	metered bool
-	elem    *list.Element
+	// prev and next link the frame into the cache's LRU ring while it is
+	// unpinned (both nil otherwise): the links live in the frame, so
+	// pinning and unpinning a cached page allocates nothing.
+	prev, next *PageFrame
 }
 
 // PageNum returns the page number this frame caches.
@@ -66,7 +68,7 @@ type BufferCache struct {
 	mu       sync.Mutex
 	budget   *memory.Budget
 	frames   map[pageKey]*PageFrame
-	lru      *list.List // front = most recent; holds unpinned frames only
+	lru      PageFrame // ring sentinel: next = most recent, prev = least; unpinned frames only
 	files    map[FileID]*fileState
 	nextFile FileID
 
@@ -83,13 +85,14 @@ func NewBufferCache(pageSize int, budget *memory.Budget) *BufferCache {
 	if budget == nil {
 		budget = memory.NewBudget("buffercache", 0)
 	}
-	return &BufferCache{
+	bc := &BufferCache{
 		PageSize: pageSize,
 		budget:   budget,
 		frames:   make(map[pageKey]*PageFrame),
-		lru:      list.New(),
 		files:    make(map[FileID]*fileState),
 	}
+	bc.lru.prev, bc.lru.next = &bc.lru, &bc.lru
+	return bc
 }
 
 // OpenFile registers the file at path, creating it if needed, and returns
@@ -144,10 +147,7 @@ func (bc *BufferCache) Pin(fid FileID, pn PageNum) (*PageFrame, error) {
 	if pn >= fs.numPages {
 		return nil, fmt.Errorf("buffercache: page %d beyond EOF (%d pages) in %s", pn, fs.numPages, fs.path)
 	}
-	fr, err := bc.allocFrameLocked(fid, pn)
-	if err != nil {
-		return nil, err
-	}
+	fr := bc.allocFrameLocked(fid, pn, false) // the read fills the page
 	if _, err := fs.f.ReadAt(fr.Data, int64(pn)*int64(bc.PageSize)); err != nil {
 		bc.dropFrameLocked(fr)
 		return nil, fmt.Errorf("buffercache: read %s page %d: %w", fs.path, pn, err)
@@ -165,12 +165,17 @@ func (bc *BufferCache) NewPage(fid FileID) (*PageFrame, error) {
 	}
 	pn := fs.numPages
 	fs.numPages++
-	fr, err := bc.allocFrameLocked(fid, pn)
-	if err != nil {
-		return nil, err
-	}
+	fr := bc.allocFrameLocked(fid, pn, true)
 	fr.dirty = true
 	return fr, nil
+}
+
+// markDirty records that a pinned frame's page was modified now, not at
+// Unpin, so that FlushFile and CloseFile write it back meanwhile.
+func (bc *BufferCache) markDirty(fr *PageFrame) {
+	bc.mu.Lock()
+	fr.dirty = true
+	bc.mu.Unlock()
 }
 
 // Unpin releases one pin; dirty marks the frame as modified so eviction
@@ -186,7 +191,8 @@ func (bc *BufferCache) Unpin(fr *PageFrame, dirty bool) {
 		panic("buffercache: unpin without pin")
 	}
 	if fr.pins == 0 {
-		fr.elem = bc.lru.PushFront(fr)
+		fr.prev, fr.next = &bc.lru, bc.lru.next
+		fr.prev.next, fr.next.prev = fr, fr
 	}
 }
 
@@ -274,52 +280,68 @@ func (bc *BufferCache) Path(fid FileID) string {
 }
 
 func (bc *BufferCache) pinLocked(fr *PageFrame) {
-	if fr.pins == 0 && fr.elem != nil {
-		bc.lru.Remove(fr.elem)
-		fr.elem = nil
-	}
+	bc.unlinkLocked(fr)
 	fr.pins++
 }
 
+// unlinkLocked takes fr out of the LRU ring if it is in it.
+func (bc *BufferCache) unlinkLocked(fr *PageFrame) {
+	if fr.next != nil {
+		fr.prev.next, fr.next.prev = fr.next, fr.prev
+		fr.prev, fr.next = nil, nil
+	}
+}
+
 // allocFrameLocked finds memory for a new frame, evicting LRU unpinned
-// frames as needed, and registers it pinned.
-func (bc *BufferCache) allocFrameLocked(fid FileID, pn PageNum) (*PageFrame, error) {
+// frames as needed, and registers it pinned. The frame takes over the
+// page buffer of the last frame evicted for it, if any, cleared if the
+// caller needs a zeroed page.
+func (bc *BufferCache) allocFrameLocked(fid FileID, pn PageNum, zeroed bool) *PageFrame {
 	metered := true
+	var data []byte
 	for !bc.budget.TryAllocate(int64(bc.PageSize)) {
-		if !bc.evictOneLocked() {
+		victim := bc.evictOneLocked()
+		if victim == nil {
 			// Everything is pinned: exceed the budget rather than
 			// deadlock; this models a transient working-set spike.
 			bc.Overflows++
 			metered = false
 			break
 		}
+		data = victim.Data
+	}
+	if data == nil {
+		data = make([]byte, bc.PageSize)
+	} else if zeroed {
+		clear(data)
 	}
 	fr := &PageFrame{
-		Data:    make([]byte, bc.PageSize),
+		Data:    data,
 		fid:     fid,
 		pn:      pn,
 		pins:    1,
 		metered: metered,
 	}
 	bc.frames[pageKey{fid, pn}] = fr
-	return fr, nil
+	return fr
 }
 
-func (bc *BufferCache) evictOneLocked() bool {
-	e := bc.lru.Back()
-	if e == nil {
-		return false
+// evictOneLocked drops the least recently used unpinned frame, written
+// back if dirty, and returns it; nil if there is none to drop.
+func (bc *BufferCache) evictOneLocked() *PageFrame {
+	fr := bc.lru.prev
+	if fr == &bc.lru {
+		return nil
 	}
-	fr := e.Value.(*PageFrame)
 	if fr.dirty {
 		if err := bc.writebackLocked(fr); err != nil {
 			// Leave the frame in place; caller will overflow.
-			return false
+			return nil
 		}
 	}
 	bc.dropFrameLocked(fr)
 	bc.Evictions++
-	return true
+	return fr
 }
 
 func (bc *BufferCache) writebackLocked(fr *PageFrame) error {
@@ -336,10 +358,7 @@ func (bc *BufferCache) writebackLocked(fr *PageFrame) error {
 }
 
 func (bc *BufferCache) dropFrameLocked(fr *PageFrame) {
-	if fr.elem != nil {
-		bc.lru.Remove(fr.elem)
-		fr.elem = nil
-	}
+	bc.unlinkLocked(fr)
 	delete(bc.frames, pageKey{fr.fid, fr.pn})
 	if fr.metered {
 		bc.budget.Release(int64(bc.PageSize))

@@ -22,6 +22,12 @@ type Index interface {
 type IndexCursor interface {
 	// Next returns the next record; ok=false at the end.
 	Next() (key, value []byte, ok bool)
+	// NextView is Next for a caller done with the record before its next
+	// call on the cursor: key and value may be views (Cursor.NextView).
+	NextView() (key, value []byte, ok bool)
+	// Update overwrites the record returned last where it lies, if the
+	// index can do that now; declined, the caller Inserts after the scan.
+	Update(value []byte) bool
 	// Err reports any I/O error hit during iteration.
 	Err() error
 	// Close releases pinned resources.

@@ -324,6 +324,14 @@ func (c *LSMCursor) Next() (key, value []byte, ok bool) {
 	}
 }
 
+// NextView is Next: what an LSM cursor returns is already a copy, or an
+// in-memory record no Insert writes into.
+func (c *LSMCursor) NextView() (key, value []byte, ok bool) { return c.Next() }
+
+// Update always declines: a write under an LSM cursor may flush or merge
+// the components the cursor reads.
+func (c *LSMCursor) Update([]byte) bool { return false }
+
 // Err returns any I/O error hit during iteration.
 func (c *LSMCursor) Err() error { return c.err }
 

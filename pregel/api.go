@@ -25,10 +25,14 @@ type Context interface {
 	// start of the next superstep. m is serialized immediately, so the
 	// caller may reuse the Value.
 	SendMessage(to VertexID, m Value)
-	// Aggregate contributes v to the global aggregation function.
+	// Aggregate contributes v to the global aggregation function. v is
+	// folded in through Aggregator.Merge at once, and Merge may keep
+	// either argument: pass a Value of the program's own, not one the
+	// engine lent to Compute.
 	Aggregate(v Value)
 	// AddVertex requests insertion of a new vertex at the end of the
-	// superstep (conflicts resolved by the job's Resolver).
+	// superstep (conflicts resolved by the job's Resolver). v is
+	// serialized immediately.
 	AddVertex(v *Vertex)
 	// RemoveVertex requests deletion of a vertex at the end of the
 	// superstep.
@@ -37,8 +41,16 @@ type Context interface {
 
 // Program is the vertex compute UDF. It is invoked once per active
 // vertex per superstep with the messages sent to that vertex in the
-// previous superstep. The vertex may be mutated in place; the runtime
-// persists it after the call.
+// previous superstep. The vertex may be mutated in place — its fields
+// assigned, v.Edges appended to or truncated, Values replaced by the
+// program's own — and the runtime persists it as Compute leaves it.
+//
+// v, v.Edges, the Values they hold and msgs (the slice and its Values)
+// are the engine's, lent for the call: it decodes the next vertex and
+// its messages into the same memory, as Value.Unmarshal says it may. They
+// are valid until Compute returns; copy what is to be kept longer.
+// SendMessage and AddVertex serialize their argument before they return,
+// so passing such a Value, or reusing one between calls, is safe.
 type Program interface {
 	Compute(ctx Context, v *Vertex, msgs []Value) error
 }

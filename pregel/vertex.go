@@ -3,6 +3,7 @@ package pregel
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 )
 
 // VertexID identifies a vertex. IDs are encoded big-endian in the engine
@@ -70,51 +71,94 @@ type Codec struct {
 //	u32 valueLen | value bytes
 //	u32 edgeCount | per edge: u64 dest, u32 evLen, ev bytes
 
-// EncodeVertex serializes v (without its ID, which is the index key).
+// EncodeVertex serializes v (without its ID, which is the index key)
+// into a buffer of exactly the record's size.
 func (c *Codec) EncodeVertex(v *Vertex) []byte {
-	buf := make([]byte, 0, 16+len(v.Edges)*12)
-	if v.Halted {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	val := MarshalValue(v.Value)
-	buf = appendU32(buf, uint32(len(val)))
-	buf = append(buf, val...)
-	buf = appendU32(buf, uint32(len(v.Edges)))
-	for _, e := range v.Edges {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(e.Dest))
-		buf = append(buf, b[:]...)
-		ev := MarshalValue(e.Value)
-		buf = appendU32(buf, uint32(len(ev)))
-		buf = append(buf, ev...)
-	}
-	return buf
+	sp := encodeScratch.Get().(*[]byte)
+	*sp = c.AppendVertex((*sp)[:0], v)
+	rec := append(make([]byte, 0, len(*sp)), *sp...)
+	encodeScratch.Put(sp)
+	return rec
 }
 
-// DecodeVertex deserializes a vertex record stored under the given id.
+// encodeScratch holds the buffers EncodeVertex learns a record's size in.
+var encodeScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// AppendVertex appends v's record to dst and returns the result; with a
+// reused dst the compute path encodes without allocating.
+func (c *Codec) AppendVertex(dst []byte, v *Vertex) []byte {
+	if v.Halted {
+		dst = append(dst, 1)
+	} else {
+		dst = append(dst, 0)
+	}
+	dst = appendSized(dst, v.Value)
+	dst = appendU32(dst, uint32(len(v.Edges)))
+	for _, e := range v.Edges {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(e.Dest))
+		dst = appendSized(dst, e.Value)
+	}
+	return dst
+}
+
+// appendSized appends v's encoding behind its u32 length (0 for nil).
+func appendSized(dst []byte, v Value) []byte {
+	at := len(dst)
+	dst = appendU32(dst, 0)
+	if v != nil {
+		dst = v.Marshal(dst)
+	}
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+	return dst
+}
+
+// DecodeVertex deserializes a vertex record stored under the given id
+// into a Vertex of its own.
 func (c *Codec) DecodeVertex(id VertexID, data []byte) (*Vertex, error) {
+	return c.NewVertexDecoder().Decode(id, data)
+}
+
+// VertexDecoder decodes vertex records one after another into a single
+// Vertex, for a caller that is done with one vertex before it decodes
+// the next (the compute and dump scans): after the first few records a
+// decode allocates nothing. The vertex value, the edge array and the edge
+// Values are the decoder's own and every Decode installs them again, so
+// a Compute that replaced v.Value, v.Edges or an edge's Value cannot leak
+// that into the next record.
+type VertexDecoder struct {
+	c     *Codec
+	v     Vertex
+	value Value
+	edges []Edge
+	evs   []Value // evs[i] is the Value edge i decodes into, once it had one
+}
+
+// NewVertexDecoder returns a decoder for the codec's value types.
+func (c *Codec) NewVertexDecoder() *VertexDecoder { return &VertexDecoder{c: c} }
+
+// Decode deserializes the record stored under id. The Vertex it returns,
+// its Edges and every Value in them are valid until the next Decode.
+func (d *VertexDecoder) Decode(id VertexID, data []byte) (*Vertex, error) {
 	if len(data) < 9 {
 		return nil, fmt.Errorf("pregel: vertex record too short (%d bytes)", len(data))
 	}
-	v := &Vertex{ID: id, Halted: data[0] != 0}
 	off := 1
 	vlen := int(binary.LittleEndian.Uint32(data[off:]))
 	off += 4
 	if off+vlen > len(data) {
 		return nil, fmt.Errorf("pregel: vertex value overruns record")
 	}
-	v.Value = c.NewVertexValue()
-	if vlen > 0 {
-		if err := v.Value.Unmarshal(data[off : off+vlen]); err != nil {
+	if d.value == nil {
+		d.value = d.c.NewVertexValue()
+	}
+	if err := d.value.Unmarshal(data[off : off+vlen]); err != nil {
+		if vlen > 0 {
 			return nil, err
 		}
-	} else if err := v.Value.Unmarshal(data[off:off]); err != nil {
 		// Zero-length encodings are legal only for types that accept
-		// them (e.g. Bytes); other types keep their factory zero, the
+		// them (e.g. Bytes); other types get their factory zero, the
 		// NULL-fields semantics of the full outer join's left case.
-		_ = err
+		d.value = d.c.NewVertexValue()
 	}
 	off += vlen
 	if off+4 > len(data) {
@@ -122,7 +166,15 @@ func (c *Codec) DecodeVertex(id VertexID, data []byte) (*Vertex, error) {
 	}
 	ec := int(binary.LittleEndian.Uint32(data[off:]))
 	off += 4
-	v.Edges = make([]Edge, 0, ec)
+	// The count is read from the record: bound it by the bytes left (12
+	// per edge at least) before sizing anything by it.
+	if ec > (len(data)-off)/12 {
+		return nil, fmt.Errorf("pregel: vertex record of %d bytes claims %d edges", len(data), ec)
+	}
+	if ec > cap(d.edges) {
+		d.edges = make([]Edge, 0, ec)
+	}
+	edges := d.edges[:0]
 	for i := 0; i < ec; i++ {
 		if off+12 > len(data) {
 			return nil, fmt.Errorf("pregel: edge %d overruns record", i)
@@ -135,16 +187,23 @@ func (c *Codec) DecodeVertex(id VertexID, data []byte) (*Vertex, error) {
 			return nil, fmt.Errorf("pregel: edge %d value overruns record", i)
 		}
 		var ev Value
-		if evLen > 0 && c.NewEdgeValue != nil {
-			ev = c.NewEdgeValue()
+		if evLen > 0 && d.c.NewEdgeValue != nil {
+			for len(d.evs) <= i {
+				d.evs = append(d.evs, nil)
+			}
+			if d.evs[i] == nil {
+				d.evs[i] = d.c.NewEdgeValue()
+			}
+			ev = d.evs[i]
 			if err := ev.Unmarshal(data[off : off+evLen]); err != nil {
 				return nil, err
 			}
 		}
 		off += evLen
-		v.Edges = append(v.Edges, Edge{Dest: dest, Value: ev})
+		edges = append(edges, Edge{Dest: dest, Value: ev})
 	}
-	return v, nil
+	d.v = Vertex{ID: id, Halted: data[0] != 0, Value: d.value, Edges: edges}
+	return &d.v, nil
 }
 
 // Message-list layout: u32 count | per message: u32 len, bytes.
@@ -160,12 +219,7 @@ func EncodeMsgList(msgs ...Value) []byte { return AppendMsgList(nil, msgs...) }
 func AppendMsgList(dst []byte, msgs ...Value) []byte {
 	dst = appendU32(dst, uint32(len(msgs)))
 	for _, m := range msgs {
-		at := len(dst)
-		dst = appendU32(dst, 0)
-		if m != nil {
-			dst = m.Marshal(dst)
-		}
-		binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+		dst = appendSized(dst, m)
 	}
 	return dst
 }

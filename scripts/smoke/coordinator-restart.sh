@@ -31,7 +31,7 @@ for i in $(seq 1 60); do
 done
 curl -sf -X PUT --data-binary @graph.txt http://127.0.0.1:18085/files/in/g
 # Failure-free baseline; its completion also seals a query version.
-curl -sf -X POST -d '{"algorithm":"pagerank","name":"pr-clean","input":"/in/g","output":"/out/clean","iterations":8,"checkpointEvery":2}' \
+curl -sf -X POST -d '{"algorithm":"pagerank","name":"pr-clean","input":"/in/g","output":"/out/clean","iterations":30,"checkpointEvery":2}' \
      http://127.0.0.1:18085/jobs
 for i in $(seq 1 180); do
   STATE=$(curl -sf http://127.0.0.1:18085/jobs/1 | python3 -c 'import json,sys; print(json.load(sys.stdin)["state"])')
@@ -43,7 +43,7 @@ done
 curl -sf http://127.0.0.1:18085/files/out/clean > clean.txt
 # Chaos run: SIGKILL the coordinator once the superstep-2
 # checkpoint is committed and superstep 3+ is in flight.
-curl -sf -X POST -d '{"algorithm":"pagerank","name":"pr-chaos","input":"/in/g","output":"/out/chaos","iterations":8,"checkpointEvery":2}' \
+curl -sf -X POST -d '{"algorithm":"pagerank","name":"pr-chaos","input":"/in/g","output":"/out/chaos","iterations":30,"checkpointEvery":2}' \
      http://127.0.0.1:18085/jobs
 for i in $(seq 1 600); do
   SS=$(curl -sf http://127.0.0.1:18085/jobs/2 | python3 -c 'import json,sys; print(json.load(sys.stdin).get("supersteps", 0))')

@@ -28,7 +28,7 @@ for i in $(seq 1 60); do
   sleep 1
 done
 curl -sf -X PUT --data-binary @graph.txt http://127.0.0.1:18081/files/in/g
-curl -sf -X POST -d '{"algorithm":"pagerank","input":"/in/g","output":"/out/pr","iterations":8,"checkpointEvery":2}' \
+curl -sf -X POST -d '{"algorithm":"pagerank","input":"/in/g","output":"/out/pr","iterations":30,"checkpointEvery":2}' \
      http://127.0.0.1:18081/jobs
 # SIGKILL worker 2 once superstep >= 3 (the superstep-2
 # checkpoint has committed); the job must still complete.
