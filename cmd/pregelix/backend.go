@@ -18,11 +18,12 @@ import (
 
 // backend is the engine behind the server: it stores files, runs jobs
 // and delta refreshes, and reads sealed results. There are two — the
-// single-process runtime under JobManager admission (localBackend) and
-// the coordinator of a worker cluster (clusterBackend, which embeds
+// single-process runtime under its JobManager (localBackend) and the
+// coordinator of a worker cluster (clusterBackend, which embeds
 // *core.Coordinator, so the exported methods below are the
-// coordinator's own). What only one engine can do answers as absent on
-// the other: scale returns nil, LatestVersion finds nothing.
+// coordinator's own) — and both admit jobs and refreshes through a
+// core.Gate. What only one engine can do answers as absent on the
+// other: scale returns nil, LatestVersion finds nothing.
 type backend interface {
 	// health is nil once the engine can run jobs; WaitReady blocks
 	// until then.
@@ -33,16 +34,20 @@ type backend interface {
 	putFile(path string, body io.Reader) error
 	getFile(path string) ([]byte, error)
 
+	// slots is how many jobs the engine's gate lets run at once.
+	slots() int
 	// admit takes j's place in the engine's run queue, naming it unless
 	// it is a restored job that has its name already, and returns the
 	// function that runs it there: run blocks until the job ends and
-	// calls j.begin when the job leaves the queue. resume continues a
-	// restored job from its last committed checkpoint. An error wrapping
-	// errNoInput rejects the submission itself; any other means the
-	// engine takes no more jobs now.
+	// calls j.begin when the job leaves the queue. Jobs leave the queue
+	// in the order admit was called. resume continues a restored job
+	// from its last committed checkpoint. An error wrapping errNoInput
+	// rejects the submission itself; any other means the engine takes no
+	// more jobs now.
 	admit(j *job, pj *pregel.Job, resume bool) (run func() (*core.JobStats, error), err error)
-	// refresh runs one delta refresh to its seal: clone fromVersion,
-	// apply muts, run delta supersteps, seal as name ("fromVersion@d<seq>").
+	// refresh runs one delta refresh to its seal, queued like a job:
+	// clone fromVersion, apply muts, run delta supersteps, seal as name
+	// ("fromVersion@d<seq>").
 	refresh(spec []byte, pj *pregel.Job, fromVersion, name string, seq uint64, muts []delta.Mutation) error
 
 	// The query tier over one sealed version.
@@ -66,6 +71,8 @@ type backend interface {
 // localBackend serves from the single-process runtime: files live in
 // its DFS, jobs and refreshes share the JobManager's admission queue.
 type localBackend struct{ m *core.JobManager }
+
+func (b localBackend) slots() int { return b.m.Gate().Slots() }
 
 func (b localBackend) health() error                   { return nil }
 func (b localBackend) WaitReady(context.Context) error { return nil }
@@ -94,7 +101,7 @@ func (b localBackend) admit(j *job, pj *pregel.Job, resume bool) (func() (*core.
 	return func() (*core.JobStats, error) {
 		select {
 		case <-h.Admitted():
-			j.begin(h.Status().OperatorMem)
+			j.begin(h.OperatorMem())
 		case <-h.Done():
 		}
 		return h.Wait(context.Background())
@@ -131,11 +138,11 @@ func (b localBackend) DeltaStore() delta.Store { return core.DFSStore(b.m.Runtim
 func (b localBackend) LatestVersion(string) (string, bool) { return "", false }
 
 func (b localBackend) engineStats(v *statsView) {
-	sched := b.m.Scheduler()
+	st, queued, running := b.m.Gate().Stats()
 	v.localStats = &localStats{
-		Scheduler: sched.Stats(),
-		Queued:    sched.QueueLen(),
-		Running:   sched.Running(),
+		Scheduler: st,
+		Queued:    queued,
+		Running:   running,
 		Cluster:   b.m.Runtime().CollectStats(),
 	}
 }
@@ -152,21 +159,24 @@ func (b localBackend) Drain(string) error { return errors.New("no workers to dra
 type clusterBackend struct {
 	*core.Coordinator
 	stateDir string
-	// slot (capacity 1) serializes job execution — one distributed job
-	// at a time is the coordinator's own constraint — so job states
-	// report queued vs running truthfully and a queued job can be
-	// canceled while it waits.
-	slot chan struct{}
+	// gate admits one job or refresh at a time: the coordinator drives
+	// a single run across the whole cluster (clusterSlots).
+	gate *core.Gate
 
 	mu    sync.Mutex
 	files map[string][]byte
 }
 
+// clusterSlots is what remains single-job about the cluster: the
+// coordinator quiesces one run's boundary for a scale-out, drain, split
+// or relief, and nothing yet quiesces several (ROADMAP item 5).
+const clusterSlots = 1
+
 func newClusterBackend(coord *core.Coordinator, stateDir string) *clusterBackend {
 	b := &clusterBackend{
 		Coordinator: coord,
 		stateDir:    stateDir,
-		slot:        make(chan struct{}, 1),
+		gate:        core.NewGate(nil, clusterSlots),
 		files:       make(map[string][]byte),
 	}
 	if stateDir == "" {
@@ -188,6 +198,8 @@ func newClusterBackend(coord *core.Coordinator, stateDir string) *clusterBackend
 	}
 	return b
 }
+
+func (b *clusterBackend) slots() int { return b.gate.Slots() }
 
 func (b *clusterBackend) health() error {
 	if !b.Ready() {
@@ -242,17 +254,15 @@ func (b *clusterBackend) admit(j *job, pj *pregel.Job, resume bool) (func() (*co
 	if j.name == "" {
 		j.name = fmt.Sprintf("%s@j%d", pj.Name, j.id)
 	}
+	ticket, err := b.gate.Enter()
+	if err != nil {
+		return nil, err
+	}
 	return func() (*core.JobStats, error) {
-		// Stay "queued" until this job actually holds the slot.
-		select {
-		case b.slot <- struct{}{}:
-			defer func() { <-b.slot }()
-		case <-j.ctx.Done():
-		}
-		if err := j.ctx.Err(); err != nil {
+		if err := ticket.Wait(j.ctx); err != nil {
 			return nil, err
 		}
-		j.begin(0)
+		j.begin(ticket.OperatorMem())
 		stats, output, err := b.RunJob(j.ctx, core.DistSubmission{
 			Name:       j.name,
 			Spec:       j.spec,
@@ -263,6 +273,7 @@ func (b *clusterBackend) admit(j *job, pj *pregel.Job, resume bool) (func() (*co
 			Progress:   j.progress,
 			Resume:     resume,
 		})
+		ticket.Release(err)
 		if err == nil && j.req.Output != "" {
 			b.storeFile(j.req.Output, output)
 		}
@@ -270,18 +281,23 @@ func (b *clusterBackend) admit(j *job, pj *pregel.Job, resume bool) (func() (*co
 	}, nil
 }
 
-// refresh shares the slot with ordinary submissions, so a job never
-// shows "running" while a refresh holds the cluster.
 func (b *clusterBackend) refresh(spec []byte, pj *pregel.Job, fromVersion, name string, seq uint64, muts []delta.Mutation) error {
-	b.slot <- struct{}{}
-	defer func() { <-b.slot }()
-	_, err := b.DeltaRefresh(context.Background(), core.DeltaSubmission{
+	ctx := context.Background()
+	ticket, err := b.gate.Enter()
+	if err != nil {
+		return err
+	}
+	if err := ticket.Wait(ctx); err != nil {
+		return err
+	}
+	_, err = b.DeltaRefresh(ctx, core.DeltaSubmission{
 		Version: fromVersion,
 		Name:    name,
 		Spec:    spec,
 		Job:     pj,
 		Muts:    muts,
 	})
+	ticket.Release(err)
 	return err
 }
 

@@ -68,8 +68,6 @@ func serveMain(args []string) {
 		be     backend
 		lease  *core.Lease
 		banner string
-		// maxLive bounds queued plus running jobs (0 = unbounded).
-		maxLive = *maxQueued
 	)
 	if *workers > 0 {
 		// Cluster mode: machines come from the registered workers, jobs
@@ -141,14 +139,11 @@ func serveMain(args []string) {
 		m := core.NewJobManager(rt, core.JobManagerOptions{MaxConcurrentJobs: *maxConcurrent})
 		defer m.Close()
 		be = localBackend{m}
-		if maxLive > 0 {
-			maxLive += *maxConcurrent
-		}
 		banner = fmt.Sprintf("%d machines, %d concurrent jobs", *nodes, *maxConcurrent)
 	}
 
 	s := newServer(be)
-	s.maxLive, s.stateDir = maxLive, *stateDir
+	s.maxQueued, s.stateDir = *maxQueued, *stateDir
 	resume := s.loadState()
 
 	// Bind explicitly so -listen :0 works and the printed address is the
@@ -239,8 +234,9 @@ const maxRetainedJobs = 1024
 type server struct {
 	be  backend
 	mux *http.ServeMux
-	// maxLive bounds queued plus running jobs (0 = unbounded).
-	maxLive int
+	// maxQueued bounds the jobs waiting behind the backend's running
+	// slots (0 = unbounded).
+	maxQueued int
 	// retain is maxRetainedJobs, lowered by tests.
 	retain int
 	// stateDir, when set, backs the table with disk (serve_state.go) so
@@ -558,8 +554,8 @@ func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := context.WithCancel(context.Background())
 		j := &job{spec: body, req: req, ctx: ctx, cancel: cancel, state: "queued", submitted: time.Now()}
 		s.mu.Lock()
-		if s.maxLive > 0 {
-			if live := s.liveLocked(); live >= s.maxLive {
+		if s.maxQueued > 0 {
+			if live := s.liveLocked(); live >= s.maxQueued+s.be.slots() {
 				s.mu.Unlock()
 				cancel()
 				httpError(w, http.StatusServiceUnavailable, "job queue full: %d jobs in flight", live)
@@ -925,10 +921,10 @@ type statsView struct {
 // admission counters (refreshes hold tickets too) and the statistics
 // collector's per-machine snapshot.
 type localStats struct {
-	Scheduler hyracks.SchedulerStats `json:"scheduler"`
-	Queued    int                    `json:"queued"`
-	Running   int                    `json:"running"`
-	Cluster   core.ClusterStats      `json:"cluster"`
+	Scheduler core.AdmissionStats `json:"scheduler"`
+	Queued    int                 `json:"queued"`
+	Running   int                 `json:"running"`
+	Cluster   core.ClusterStats   `json:"cluster"`
 }
 
 // clusterStats is the coordinator's share of GET /stats.

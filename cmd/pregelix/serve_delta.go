@@ -18,8 +18,8 @@ import (
 type deltaTracker struct {
 	journal *delta.Journal
 	// refresh runs one delta refresh: clone fromVersion, apply muts, run
-	// delta supersteps, seal as name. Implemented by the JobManager in
-	// single-process mode and the Coordinator in cluster mode.
+	// delta supersteps, seal as name. It is the backend's refresh, which
+	// queues at the same gate as the engine's jobs.
 	refresh func(fromVersion, name string, seq uint64, muts []delta.Mutation) error
 	// onSeal, when set, is notified after each successful seal with the
 	// new version name. Cluster mode persists it to the controller's job

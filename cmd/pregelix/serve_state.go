@@ -163,7 +163,7 @@ func (s *server) resumeRestored(resume []*job) {
 			run = func() (*core.JobStats, error) { return nil, failed }
 		}
 		// Synchronous: restored jobs re-run in their original submission
-		// order before contending with new submissions for the slot.
+		// order before contending with new submissions at the gate.
 		s.run(j, run)
 	}
 	// Re-open the ingest tracker of every done job that has a delta

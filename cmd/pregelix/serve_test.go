@@ -102,19 +102,21 @@ func waitRefreshed(t *testing.T, baseURL string, id int64, seq uint64) jobView {
 // each backend: whatever the engine, the routes, status codes and field
 // names are the same.
 func TestServeConformance(t *testing.T) {
-	steps := []struct {
-		name string
-		run  func(t *testing.T, base string)
-	}{
-		{"validation", conformValidation},
-		{"submit-poll-query", conformSubmitAndQuery},
-		{"queue-and-cancel", conformQueueAndCancel},
-		{"mutations", conformMutations},
-	}
 	for _, be := range serveBackends {
 		t.Run(be.name, func(t *testing.T) {
-			// Two live jobs at most: one running, one queued.
-			base := be.start(t, func(s *server) { s.maxLive = 2 })
+			// Each backend runs one job at a time here; conformQueued
+			// more may wait behind it.
+			var srv *server
+			base := be.start(t, func(s *server) { srv, s.maxQueued = s, conformQueued })
+			steps := []struct {
+				name string
+				run  func(t *testing.T, base string)
+			}{
+				{"validation", conformValidation},
+				{"submit-poll-query", conformSubmitAndQuery},
+				{"queue-and-cancel", func(t *testing.T, base string) { conformQueueAndCancel(t, base, srv) }},
+				{"mutations", conformMutations},
+			}
 			doJSON(t, http.MethodGet, base+"/scale", nil, be.scaleCode, nil)
 			for _, step := range steps {
 				if !t.Run(step.name, func(t *testing.T) { step.run(t, base) }) {
@@ -274,27 +276,44 @@ func conformSubmitAndQuery(t *testing.T, base string) {
 	doJSON(t, http.MethodGet, job+"/vertices/1", nil, http.StatusNotFound, nil)
 }
 
-// conformQueueAndCancel holds one job running and one queued: the
-// third submission bounces, neither live job can be read or mutated,
-// and DELETE cancels a job in the queue as well as one mid-superstep.
-func conformQueueAndCancel(t *testing.T, base string) {
-	var running, queued jobView
+// conformQueued is the conformance servers' -max-queued.
+const conformQueued = 4
+
+// conformQueueAndCancel holds one job running and a full queue behind
+// it: the next submission bounces, no live job can be read or mutated,
+// DELETE cancels a job in the queue as well as one mid-superstep, and
+// the queue drains in submission order.
+func conformQueueAndCancel(t *testing.T, base string, srv *server) {
+	var running jobView
 	doJSON(t, http.MethodPost, base+"/jobs", longJob, http.StatusAccepted, &running)
 	waitJobState(t, base, running.ID, "running")
-	doJSON(t, http.MethodPost, base+"/jobs", longJob, http.StatusAccepted, &queued)
-	if cur := pollJob(t, base, queued.ID); cur.State != "queued" {
-		t.Fatalf("second job is %s behind a running one, want queued", cur.State)
+	short := jobRequest{Algorithm: "cc", Input: "/in/web"}
+	var queued []jobView
+	for len(queued) < conformQueued {
+		var v jobView
+		doJSON(t, http.MethodPost, base+"/jobs", short, http.StatusAccepted, &v)
+		queued = append(queued, v)
+	}
+	for _, q := range queued {
+		if cur := pollJob(t, base, q.ID); cur.State != "queued" {
+			t.Fatalf("job %d is %s behind a running one, want queued", q.ID, cur.State)
+		}
+	}
+	// The slot's job plus -max-queued waiting is the bound, on either engine.
+	var full map[string]string
+	doJSON(t, http.MethodPost, base+"/jobs", short, http.StatusServiceUnavailable, &full)
+	if !strings.HasPrefix(full["error"], "job queue full") {
+		t.Fatalf("submission past the bound answered %q, want job queue full", full["error"])
 	}
 	checkRequests(t, base, []request{
-		{http.MethodPost, "/jobs", jobRequest{Algorithm: "cc", Input: "/in/web"}, http.StatusServiceUnavailable},
 		{http.MethodGet, fmt.Sprintf("/jobs/%d/vertices/1", running.ID), nil, http.StatusConflict},
-		{http.MethodGet, fmt.Sprintf("/jobs/%d/topk", queued.ID), nil, http.StatusConflict},
+		{http.MethodGet, fmt.Sprintf("/jobs/%d/topk", queued[0].ID), nil, http.StatusConflict},
 		{http.MethodPost, fmt.Sprintf("/jobs/%d/mutations", running.ID), nil, http.StatusConflict},
 	})
 
-	// Cancel the queued job: it never runs.
-	doJSON(t, http.MethodDelete, fmt.Sprintf("%s/jobs/%d", base, queued.ID), nil, http.StatusOK, nil)
-	if end := waitJobDone(t, base, queued.ID, 30*time.Second); end.State != "canceled" || end.RunTimeMS != 0 {
+	// Cancel a queued job: it never runs.
+	doJSON(t, http.MethodDelete, fmt.Sprintf("%s/jobs/%d", base, queued[0].ID), nil, http.StatusOK, nil)
+	if end := waitJobDone(t, base, queued[0].ID, 30*time.Second); end.State != "canceled" || end.RunTimeMS != 0 {
 		t.Fatalf("canceled queued job ended %+v", end)
 	}
 	if cur := pollJob(t, base, running.ID); cur.State != "running" {
@@ -302,13 +321,27 @@ func conformQueueAndCancel(t *testing.T, base string) {
 	}
 	// The freed place is usable again, and cancel lands mid-superstep.
 	var next jobView
-	doJSON(t, http.MethodPost, base+"/jobs", jobRequest{Algorithm: "cc", Input: "/in/web"}, http.StatusAccepted, &next)
+	doJSON(t, http.MethodPost, base+"/jobs", short, http.StatusAccepted, &next)
 	doJSON(t, http.MethodDelete, fmt.Sprintf("%s/jobs/%d", base, running.ID), nil, http.StatusOK, nil)
 	if end := waitJobDone(t, base, running.ID, 30*time.Second); end.State != "canceled" || end.Error == "" {
 		t.Fatalf("canceled running job ended %+v", end)
 	}
-	if end := waitJobDone(t, base, next.ID, 60*time.Second); end.State != "done" || end.QueueWaitMS <= 0 {
-		t.Fatalf("job queued behind the canceled one ended %+v", end)
+	// What waited runs in the order it was submitted.
+	var prev time.Time
+	for _, q := range append(queued[1:], next) {
+		if end := waitJobDone(t, base, q.ID, 60*time.Second); end.State != "done" || end.QueueWaitMS <= 0 {
+			t.Fatalf("job queued behind the canceled one ended %+v", end)
+		}
+		srv.mu.Lock()
+		j := srv.jobs[q.ID]
+		srv.mu.Unlock()
+		j.mu.Lock()
+		started := j.started
+		j.mu.Unlock()
+		if !started.After(prev) {
+			t.Fatalf("job %d started at %v, not after its predecessor in the queue (%v)", q.ID, started, prev)
+		}
+		prev = started
 	}
 }
 

@@ -94,10 +94,8 @@
 //     SSSP, CC, reachability, BFS tree, triangles, cliques, sampling,
 //     path merging)
 //   - internal/hyracks  — the shared-nothing dataflow engine substrate,
-//     including the multi-tenant admission scheduler (JobScheduler:
-//     FIFO queue, bounded in-flight jobs, per-job operator-memory
-//     carves, cancellation) and the connector Transport abstraction
-//     (in-process channels or the real wire)
+//     including the constraint scheduler and the connector Transport
+//     abstraction (in-process channels or the real wire)
 //   - internal/wire     — the network transport: per-stream multiplexed
 //     frame images over one TCP connection per process pair with
 //     credit-based backpressure, plus the cluster control plane: the
@@ -111,8 +109,11 @@
 //   - internal/storage  — B-tree, LSM B-tree, buffer cache, run files
 //   - internal/operators— external sort, three group-bys, index joins
 //   - internal/core     — the Pregelix runtime (plan generator, the
-//     superstep driver, checkpoint/recovery, job pipelining), the
-//     JobManager that runs many concurrent jobs on one shared cluster,
+//     superstep driver, checkpoint/recovery, job pipelining), job
+//     admission (Gate: FIFO queue, bounded in-flight jobs, per-job
+//     operator-memory carves; a queued job is canceled through its
+//     context), the JobManager that runs many concurrent jobs on one
+//     shared cluster through one,
 //     and the cluster Coordinator/worker pair that runs jobs across
 //     separate node-controller OS processes, with the partition-image
 //     mover under checkpoint, restore, split and the elastic rebalancer
@@ -149,8 +150,8 @@
 //
 //	go run ./cmd/pregelix-bench -experiment all
 //
-// which also writes a machine-readable report (including the packed
-// message path's allocations per tuple from the framepath experiment);
-// see README.md for the scheduler/JobManager API tour and the frame
-// memory layout.
+// which with -json <path> also writes a machine-readable report
+// (including the packed message path's allocations per tuple from the
+// framepath experiment); see README.md for the Gate/JobManager API tour
+// and the frame memory layout.
 package pregelix

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 
 	"pregelix/internal/baselines"
@@ -283,12 +282,4 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-func tempWorkDir() string {
-	d, err := os.MkdirTemp("", "pregelix-bench")
-	if err != nil {
-		return filepath.Join(os.TempDir(), "pregelix-bench")
-	}
-	return d
 }

@@ -87,6 +87,7 @@ func (o *Options) runConcRung(ctx context.Context, g *graphgen.Graph, conc, slot
 	defer m.Close()
 	start := time.Now()
 	var handles []*core.JobHandle
+	var submitted []time.Time
 	for j := 0; j < conc; j++ {
 		job := o.jobFor(PageRank, fmt.Sprintf("conc-c%d-j%d", conc, j))
 		job.InputPath, job.OutputPath = "/in/conc", ""
@@ -94,9 +95,18 @@ func (o *Options) runConcRung(ctx context.Context, g *graphgen.Graph, conc, slot
 		if err != nil {
 			return out, err
 		}
-		handles = append(handles, h)
+		handles, submitted = append(handles, h), append(submitted, time.Now())
 	}
+	// Admission is FIFO, so watching the handles in submission order sees
+	// each one leave the queue as it happens.
 	var totalWait time.Duration
+	for i, h := range handles {
+		select {
+		case <-h.Admitted():
+			totalWait += time.Since(submitted[i])
+		case <-h.Done():
+		}
+	}
 	for _, h := range handles {
 		js, err := h.Wait(ctx)
 		if err != nil {
@@ -106,11 +116,11 @@ func (o *Options) runConcRung(ctx context.Context, g *graphgen.Graph, conc, slot
 		for _, ss := range js.SuperstepStats {
 			out.ioBytes += ss.IOBytes
 		}
-		totalWait += h.Status().QueueWait
 	}
 	out.makespan = time.Since(start)
 	out.jobsPerHour = float64(conc) / out.makespan.Hours()
 	out.avgQueueWait = totalWait / time.Duration(conc)
-	out.peakRunning = m.Scheduler().Stats().PeakRunning
+	st, _, _ := m.Gate().Stats()
+	out.peakRunning = st.PeakRunning
 	return out, nil
 }

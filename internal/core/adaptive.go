@@ -150,7 +150,7 @@ type WorkerPhase struct {
 type RuntimeObservation struct {
 	Job      string
 	Stat     SuperstepStat
-	PartLoad map[int]int64
+	PartLoad map[int]int64 // the run's own map: read it, do not keep it
 	Workers  []WorkerPhase
 	// BaseParts/TotalParts/NumSplits describe the current partition
 	// table so the split planner can respect its bounds.
@@ -340,16 +340,11 @@ func (a *adaptiveAdvisor) Reset() {
 	a.slow = ""
 }
 
-// currentSplits returns a copy of the committed split list.
-func (c *Coordinator) currentSplits() []splitRec {
+// baseParts is the fixed base partition count (node count × partitions
+// per node; the node set never changes after assembly).
+func (c *Coordinator) baseParts() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]splitRec(nil), c.splits...)
-}
-
-// basePartsLocked is the fixed base partition count (node count ×
-// partitions per node; the node set never changes after assembly).
-func (c *Coordinator) basePartsLocked() int {
 	return len(c.nodes) * c.cfg.PartitionsPerNode
 }
 
@@ -376,10 +371,8 @@ func (c *Coordinator) basePartsLocked() int {
 // split committed.
 func (c *Coordinator) splitPartition(ctx context.Context, run *jobRun, d SplitDecision) (bool, error) {
 	start := time.Now()
-	c.mu.Lock()
-	cur := append([]splitRec(nil), c.splits...)
-	total := totalParts(c.basePartsLocked(), cur)
-	c.mu.Unlock()
+	cur := run.splits
+	total := totalParts(c.baseParts(), cur)
 	if d.Parent < 0 || d.Parent >= total || d.Children < 2 {
 		return false, nil
 	}
@@ -449,14 +442,12 @@ func (c *Coordinator) splitPartition(ctx context.Context, run *jobRun, d SplitDe
 	}
 
 	// 5. Commit: routing, per-partition loads, epoch, event log.
-	c.mu.Lock()
-	c.splits = grown
-	parentLoad := c.partLoad[d.Parent]
-	delete(c.partLoad, d.Parent)
+	run.splits = grown
+	parentLoad := run.partLoad[d.Parent]
+	delete(run.partLoad, d.Parent)
 	for k := 0; k < rec.Children; k++ {
-		c.partLoad[rec.First+k] = parentLoad / int64(rec.Children)
+		run.partLoad[rec.First+k] = parentLoad / int64(rec.Children)
 	}
-	c.mu.Unlock()
 	if err := c.broadcastTopology(ctx, run.purgeNames()); err != nil {
 		return false, err
 	}

@@ -80,6 +80,17 @@ func countAdaptive(coord *Coordinator, kind string) int {
 	return n
 }
 
+// sealedSplits is how many splits the finished run's table ended with:
+// the run is gone, but its sealed result routes queries by that table.
+func sealedSplits(t *testing.T, coord *Coordinator, version string) int {
+	t.Helper()
+	res, err := coord.queryResult(version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(res.splits)
+}
+
 // TestAdaptiveSplitParityPageRank forces a mid-job hot-partition split
 // on the skewed fixture and requires results value-identical to the
 // same job on a non-adaptive cluster (PageRank's floating-point sums
@@ -172,7 +183,7 @@ func TestAdaptiveSplitKillRecovery(t *testing.T) {
 		t.Fatalf("got %d split events, want exactly 1: %+v", n, kc.coord.AdaptiveEvents())
 	}
 	// The restored layout must still be the split one.
-	if n := len(kc.coord.currentSplits()); n != 1 {
+	if n := sealedSplits(t, kc.coord, "pr-splitkill@j1"); n != 1 {
 		t.Fatalf("recovery restored %d splits, want 1 (manifest journal lost the split table)", n)
 	}
 	compareValues(t, parseOutput(t, out), want, "split-after-recovery")
@@ -228,7 +239,7 @@ func TestAdaptiveSplitSurvivesCoordinatorRestart(t *testing.T) {
 	if stats.Recoveries == 0 {
 		t.Fatal("restarted coordinator did not resume from the committed checkpoint")
 	}
-	if n := len(coord.currentSplits()); n != 1 {
+	if n := sealedSplits(t, coord, "cc-ccrestart@j1"); n != 1 {
 		t.Fatalf("restarted coordinator adopted %d splits, want 1 (state dir lost the split journal)", n)
 	}
 	// MaxSplits was reached before the restart: the resumed run must

@@ -166,14 +166,6 @@ type Coordinator struct {
 	assembled bool
 	readyErr  error
 	closed    bool
-	// partLoad holds each partition's latest vertex+message counters
-	// (merged from superstep replies); the rebalancer and the adaptive
-	// split planner weigh migration picks with them.
-	partLoad map[int]int64
-	// splits is the committed hot-partition split list of the running
-	// job (split.go); every superstep verb re-broadcasts it so worker
-	// tables never drift, and checkpoint manifests journal it.
-	splits []splitRec
 	// adaptEvents is the adaptive runtime's decision log (adaptive.go).
 	adaptEvents []AdaptiveEvent
 
@@ -183,7 +175,10 @@ type Coordinator struct {
 	// scaleCh wakes the idle rebalancer when an elastic worker parks or
 	// a drain is requested.
 	scaleCh chan struct{}
-	jobMu   sync.Mutex // one distributed job runs at a time
+	// jobMu is held by whatever is changing the cluster under a quiesced
+	// boundary: a run for its whole length, the idle rebalancer for one
+	// pass. (Which job runs next is the serve tier's Gate's decision.)
+	jobMu sync.Mutex
 	// shipped caches the content hash of files already replicated to the
 	// workers, so resubmitting jobs over the same uploaded input does not
 	// re-ship the graph every time. Cleared when a new process becomes a
@@ -264,7 +259,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		ckptDir:  dir,
 		ownsDir:  ownsDir,
 		peers:    make(map[string]string),
-		partLoad: make(map[int]int64),
 		ready:    make(chan struct{}),
 		stop:     make(chan struct{}),
 		spareCh:  make(chan struct{}, 1),
@@ -1071,26 +1065,19 @@ func (c *Coordinator) RunJob(ctx context.Context, sub DistSubmission) (*JobStats
 	return stats, ph.output, nil
 }
 
-// prepareCluster readies the cluster for a new run (caller holds jobMu):
-// it heals any failure that happened between jobs, so a degraded
-// cluster repairs itself on the next submission instead of failing
-// forever, folds in any pending elasticity work (an elastic worker that
-// joined, a drain requested) while moving a node costs nothing but a
-// routing update, and resets the per-run split table and load counters
-// (a resumed run re-adopts its splits from the manifest).
+// prepareCluster is the between-jobs pass (caller holds jobMu), made
+// before every run and by the idle rebalancer: it heals any failure
+// that happened since the last job, so a degraded cluster repairs
+// itself on the next submission instead of failing forever, and folds
+// in any pending elasticity work (an elastic worker that joined, a
+// drain requested) while moving a node costs nothing but a routing
+// update.
 func (c *Coordinator) prepareCluster(ctx context.Context) error {
 	c.reapDead()
 	if err := c.repairTopology(ctx, nil); err != nil {
 		return err
 	}
-	if err := c.rebalance(ctx, nil); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.splits = nil
-	c.partLoad = make(map[int]int64)
-	c.mu.Unlock()
-	return nil
+	return c.rebalance(ctx, nil)
 }
 
 // newRun starts a run's driver state, with the job session every worker
@@ -1098,6 +1085,7 @@ func (c *Coordinator) prepareCluster(ctx context.Context) error {
 func (c *Coordinator) newRun(name string, spec json.RawMessage, job *pregel.Job, progress func(int64)) *jobRun {
 	run := newJobRun(name, job)
 	run.progress = progress
+	run.partLoad = make(map[int]int64)
 	run.begin = &jobBeginMsg{
 		Name:     name,
 		Spec:     spec,
@@ -1150,20 +1138,18 @@ func (p *clusterPhases) superstep(ctx context.Context, run *jobRun, ss int64, jo
 	p.lastPlan = join.String()
 	// The straggler detector attributes reply timings to these workers.
 	workers := c.members()
-	msg := superstepMsg{Name: run.name, SS: ss, GS: run.gs, Join: join, Attempt: run.attempt, Splits: c.currentSplits()}
+	msg := superstepMsg{Name: run.name, SS: ss, GS: run.gs, Join: join, Attempt: run.attempt, Splits: run.splits}
 	reps, err := phaseCallTo[superstepReply](ctx, c, workers, run.name, rpcSuperstep, func(*ccWorker) any { return msg })
 	if err != nil {
 		return stepOutcome{}, fmt.Errorf("core: superstep %d of %s: %w", ss, run.name, err)
 	}
 	p.reps, p.workers = reps, workers
 	// Feed the rebalancer's per-partition weights.
-	c.mu.Lock()
 	for _, rep := range reps {
 		for _, pc := range rep.Parts {
-			c.partLoad[pc.Part] = pc.Vertices + pc.Msgs
+			run.partLoad[pc.Part] = pc.Vertices + pc.Msgs
 		}
 	}
-	c.mu.Unlock()
 	out, err := foldStep(reps)
 	if err != nil {
 		return stepOutcome{}, fmt.Errorf("core: superstep %d of %s: %w", ss, run.name, err)
@@ -1182,14 +1168,7 @@ func (p *clusterPhases) observe(ctx context.Context, run *jobRun) (bool, error) 
 	}
 	c := p.c
 	stat := run.stats.SuperstepStats[len(run.stats.SuperstepStats)-1]
-	splits := c.currentSplits()
-	c.mu.Lock()
-	load := make(map[int]int64, len(c.partLoad))
-	for part, l := range c.partLoad {
-		load[part] = l
-	}
-	base := c.basePartsLocked()
-	c.mu.Unlock()
+	base := c.baseParts()
 	timings := make([]WorkerPhase, len(p.reps))
 	for i, rep := range p.reps {
 		timings[i] = WorkerPhase{Addr: p.workers[i].ctrl.RemoteAddr(), Duration: time.Duration(rep.DurationNS)}
@@ -1197,11 +1176,11 @@ func (p *clusterPhases) observe(ctx context.Context, run *jobRun) (bool, error) 
 	adv.Observe(RuntimeObservation{
 		Job:        run.name,
 		Stat:       stat,
-		PartLoad:   load,
+		PartLoad:   run.partLoad,
 		Workers:    timings,
 		BaseParts:  base,
-		TotalParts: totalParts(base, splits),
-		NumSplits:  len(splits),
+		TotalParts: totalParts(base, run.splits),
+		NumSplits:  len(run.splits),
 	})
 	if d, ok := adv.SplitCandidate(); ok {
 		committed, err := c.splitPartition(ctx, run, d)
@@ -1229,7 +1208,7 @@ func (p *clusterPhases) observe(ctx context.Context, run *jobRun) (bool, error) 
 // controller's replicated store; the manifest commits only after all
 // acks.
 func (p *clusterPhases) checkpoint(ctx context.Context, run *jobRun, ss int64) error {
-	if err := p.c.checkpointCluster(ctx, run.name, ss, run.gs); err != nil {
+	if err := p.c.checkpointCluster(ctx, run, ss); err != nil {
 		return fmt.Errorf("core: checkpoint at superstep %d of %s: %w", ss, run.name, err)
 	}
 	return nil

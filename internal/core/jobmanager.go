@@ -7,25 +7,23 @@ import (
 	"sync"
 
 	"pregelix/internal/delta"
-	"pregelix/internal/hyracks"
 	"pregelix/pregel"
 )
 
 // JobManager runs many Pregel jobs concurrently against one shared
-// simulated cluster. It sits on top of the hyracks admission scheduler:
-// each submission gets a ticket, waits its FIFO turn for one of the
-// bounded concurrency slots, runs under a per-job operator-memory carve,
-// and keeps its node-local scratch files in an isolated per-job
-// directory that is reclaimed when the job finishes. This is the
-// multi-tenant serving layer of the reproduction: one cluster, many
+// simulated cluster: an admission Gate plus what makes a submission a
+// tenant. Each submission takes a ticket, gets an execution name and a
+// node-local scratch directory of its own, waits its FIFO turn for one
+// of the bounded slots, runs under the ticket's operator-memory carve,
+// and has its scratch reclaimed when it finishes. One cluster, many
 // tenants, no job able to overcommit the shared RAM budget.
 type JobManager struct {
-	rt    *Runtime
-	sched *hyracks.JobScheduler
+	rt   *Runtime
+	gate *Gate
 
-	mu     sync.Mutex
-	closed bool
-	wg     sync.WaitGroup
+	// mu orders Submit's ticket + wg.Add against Close.
+	mu sync.Mutex
+	wg sync.WaitGroup
 }
 
 // JobManagerOptions bounds the manager's admission control.
@@ -37,17 +35,11 @@ type JobManagerOptions struct {
 // NewJobManager creates a multi-tenant manager over the runtime's
 // cluster.
 func NewJobManager(rt *Runtime, opts JobManagerOptions) *JobManager {
-	return &JobManager{
-		rt: rt,
-		sched: hyracks.NewJobScheduler(rt.Cluster, hyracks.AdmissionConfig{
-			MaxConcurrentJobs: opts.MaxConcurrentJobs,
-		}),
-	}
+	return &JobManager{rt: rt, gate: NewGate(rt.Cluster, opts.MaxConcurrentJobs)}
 }
 
-// Scheduler exposes the underlying admission controller (status
-// endpoints, tests).
-func (m *JobManager) Scheduler() *hyracks.JobScheduler { return m.sched }
+// Gate exposes the manager's admission gate (status endpoints, tests).
+func (m *JobManager) Gate() *Gate { return m.gate }
 
 // Runtime returns the shared runtime the manager serves.
 func (m *JobManager) Runtime() *Runtime { return m.rt }
@@ -55,71 +47,50 @@ func (m *JobManager) Runtime() *Runtime { return m.rt }
 // JobHandle tracks one submitted job. Wait blocks for completion;
 // Cancel aborts the job whether queued or mid-superstep.
 type JobHandle struct {
-	id       int64
 	name     string
-	ticket   *hyracks.JobTicket
+	ticket   *Ticket
 	cancel   context.CancelFunc
 	admitted chan struct{}
 	done     chan struct{}
 
-	mu    sync.Mutex
+	// stats and err are written before done closes.
 	stats *JobStats
 	err   error
 }
 
-// ID returns the scheduler-assigned job id.
-func (h *JobHandle) ID() int64 { return h.id }
+// ID returns the job's 1-based position in submission order.
+func (h *JobHandle) ID() int64 { return h.ticket.ID() }
 
 // Name returns the tenant-qualified job name the runtime executed under
 // (unique per submission, so concurrent tenants never collide on DFS or
 // node-local paths).
 func (h *JobHandle) Name() string { return h.name }
 
-// State returns the job's lifecycle state.
-func (h *JobHandle) State() hyracks.JobState { return h.ticket.State() }
-
-// Status returns the scheduler's view of the job.
-func (h *JobHandle) Status() hyracks.JobStatus { return h.ticket.Status() }
+// OperatorMem returns the operator-memory carve the job runs under (0
+// until it is admitted).
+func (h *JobHandle) OperatorMem() int64 { return h.ticket.OperatorMem() }
 
 // Admitted is closed when the job leaves the admission queue and starts
 // running. A job canceled while queued never gets there: select on Done
 // as well.
 func (h *JobHandle) Admitted() <-chan struct{} { return h.admitted }
 
-// Done is closed when the job reaches a terminal state.
+// Done is closed when the job has ended: finished, failed or canceled.
 func (h *JobHandle) Done() <-chan struct{} { return h.done }
 
-// Cancel aborts the job. Queued jobs leave the admission queue
-// immediately; running jobs are interrupted at the next superstep
-// boundary check (context cancellation propagates into every task).
-func (h *JobHandle) Cancel() {
-	h.ticket.Cancel()
-	h.cancel()
-}
+// Cancel aborts the job by ending its context. A queued job leaves the
+// admission queue; a running one is interrupted at the next superstep
+// boundary check (the cancellation propagates into every task).
+func (h *JobHandle) Cancel() { h.cancel() }
 
-// Wait blocks until the job finishes (or ctx expires) and returns its
-// stats and terminal error.
+// Wait blocks until the job ends (or ctx expires) and returns its stats
+// and error.
 func (h *JobHandle) Wait(ctx context.Context) (*JobStats, error) {
 	select {
 	case <-h.done:
+		return h.stats, h.err
 	case <-ctx.Done():
 		return nil, ctx.Err()
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.stats, h.err
-}
-
-// Result returns the stats and error of a finished job (nil, nil while
-// the job is still queued or running).
-func (h *JobHandle) Result() (*JobStats, error) {
-	select {
-	case <-h.done:
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		return h.stats, h.err
-	default:
-		return nil, nil
 	}
 }
 
@@ -154,22 +125,21 @@ func (m *JobManager) SubmitDelta(ctx context.Context, job *pregel.Job, fromVersi
 		})
 }
 
-// submit is the one path every unit of work takes: a scheduler ticket,
-// the execution name derived from its id, and a goroutine that carries
-// the work through admission, run and cleanup.
+// submit is the one path every unit of work takes: a ticket, the
+// execution name derived from its id, and a goroutine that carries the
+// work through admission, run and cleanup.
 func (m *JobManager) submit(ctx context.Context, job *pregel.Job, name func(id int64) string,
 	run func(context.Context, *pregel.Job, tenancy) (*JobStats, error)) (*JobHandle, error) {
 	if err := job.Validate(); err != nil {
 		return nil, err
 	}
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil, hyracks.ErrSchedulerClosed
+	ticket, err := m.gate.Enter()
+	if err == nil {
+		m.wg.Add(1)
 	}
-	ticket, err := m.sched.Submit(job.Name)
+	m.mu.Unlock()
 	if err != nil {
-		m.mu.Unlock()
 		return nil, err
 	}
 
@@ -177,52 +147,31 @@ func (m *JobManager) submit(ctx context.Context, job *pregel.Job, name func(id i
 	tenantJob.Name = name(ticket.ID())
 	jobCtx, cancel := context.WithCancel(ctx)
 	h := &JobHandle{
-		id:       ticket.ID(),
 		name:     tenantJob.Name,
 		ticket:   ticket,
 		cancel:   cancel,
 		admitted: make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	m.wg.Add(1)
-	m.mu.Unlock()
-
 	go m.run(jobCtx, h, &tenantJob, run)
 	return h, nil
 }
 
-// run drives one submission through admission, execution, release and
+// run carries one submission through admission, execution, release and
 // scratch cleanup.
 func (m *JobManager) run(ctx context.Context, h *JobHandle, job *pregel.Job,
 	run func(context.Context, *pregel.Job, tenancy) (*JobStats, error)) {
 	defer m.wg.Done()
 	defer close(h.done)
 	defer h.cancel()
-	// The handle outlives the scheduler's record of the ticket, so a
-	// long-lived server does not accumulate one per job ever run.
-	defer m.sched.Forget(h.id)
-
-	// A Cancel on the ticket (scheduler Close) must interrupt the
-	// running supersteps.
-	stopWatch := make(chan struct{})
-	defer close(stopWatch)
-	go func() {
-		select {
-		case <-h.ticket.Done():
-			h.cancel()
-		case <-stopWatch:
-		}
-	}()
-
-	if err := h.ticket.Await(ctx); err != nil {
-		h.finish(nil, err)
+	if h.err = h.ticket.Wait(ctx); h.err != nil {
 		return
 	}
 	close(h.admitted)
 
-	runDir := filepath.Join("jobs", fmt.Sprintf("j%d", h.id))
-	stats, err := run(ctx, job, tenancy{opMem: h.ticket.OperatorMem(), runDir: runDir})
-	h.ticket.Release(err)
+	runDir := filepath.Join("jobs", fmt.Sprintf("j%d", h.ID()))
+	h.stats, h.err = run(ctx, job, tenancy{opMem: h.OperatorMem(), runDir: runDir})
+	h.ticket.Release(h.err)
 	// Reclaim the job's isolated scratch directory on every node — unless
 	// the run sealed its indexes into the query tier, in which case the
 	// retained version owns the directory and reclaims it when it retires.
@@ -233,25 +182,13 @@ func (m *JobManager) run(ctx context.Context, h *JobHandle, job *pregel.Job,
 			n.RemoveJobDir(runDir)
 		}
 	}
-	h.finish(stats, err)
 }
 
-func (h *JobHandle) finish(stats *JobStats, err error) {
-	h.mu.Lock()
-	h.stats, h.err = stats, err
-	h.mu.Unlock()
-}
-
-// Close stops accepting submissions, cancels queued jobs, and waits for
+// Close stops accepting submissions, fails queued jobs, and waits for
 // running jobs to drain.
 func (m *JobManager) Close() {
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
-	m.closed = true
+	m.gate.Close()
 	m.mu.Unlock()
-	m.sched.Close()
 	m.wg.Wait()
 }

@@ -131,6 +131,15 @@ type jobRun struct {
 	// begin is the job session a worker joining mid-run must open
 	// (cluster runs only).
 	begin *jobBeginMsg
+	// splits is the run's committed hot-partition split list (split.go):
+	// every superstep verb re-broadcasts it so worker tables never drift,
+	// and checkpoint manifests journal it. partLoad holds each
+	// partition's latest vertex+message counters from the superstep
+	// replies; the rebalancer and the split planner weigh their picks
+	// with them. Both are the cluster driver's (its goroutine alone
+	// touches them) and end with the run.
+	splits   []splitRec
+	partLoad map[int]int64
 
 	start, runStart time.Time
 }
@@ -180,13 +189,18 @@ func (r *jobRun) drive(ctx context.Context, ph phases) error {
 	return nil
 }
 
-// rewindTo adopts a committed manifest as the run's position. The
-// statistics rewind with the state: supersteps past the manifest will
-// run and record again.
+// rewindTo adopts a committed manifest as the run's position: its
+// global state and its journaled split table. The statistics rewind
+// with the state — supersteps past the manifest will run and record
+// again — and the partition loads are dropped: they describe a layout
+// and message distribution that no longer exist, and a planner fed
+// them would act on ghosts.
 func (r *jobRun) rewindTo(m *checkpointManifest) {
 	r.stats.Recoveries++
 	r.gs = m.GS
 	r.gs.Halt = false
+	r.splits = m.Splits
+	clear(r.partLoad)
 	rollbackStats(r.stats, m.Superstep)
 }
 

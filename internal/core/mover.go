@@ -123,7 +123,8 @@ func (c *Coordinator) dropParts(ctx context.Context, job string, at map[*ccWorke
 // (superstep, global state, partition→file map) atomically. A crash or
 // failure anywhere before the commit leaves the previous checkpoint
 // intact.
-func (c *Coordinator) checkpointCluster(ctx context.Context, name string, ss int64, gs globalState) error {
+func (c *Coordinator) checkpointCluster(ctx context.Context, run *jobRun, ss int64) error {
+	name := run.name
 	from := make(map[*ccWorker]partSendMsg)
 	for _, w := range c.members() {
 		from[w] = partSendMsg{Name: name, All: true}
@@ -133,10 +134,8 @@ func (c *Coordinator) checkpointCluster(ctx context.Context, name string, ss int
 		return err
 	}
 	dir := ckptPath(name, ss)
-	c.mu.Lock()
-	m := checkpointManifest{Superstep: ss, Partitions: len(imgs), GS: gs,
-		BaseParts: c.basePartsLocked(), Splits: append([]splitRec(nil), c.splits...)}
-	c.mu.Unlock()
+	m := checkpointManifest{Superstep: ss, Partitions: len(imgs), GS: run.gs,
+		BaseParts: c.baseParts(), Splits: run.splits}
 	m.PartStats = make([]partStat, len(imgs))
 	for i := range m.PartStats {
 		pd := imgs[i]
@@ -161,8 +160,9 @@ func (c *Coordinator) checkpointCluster(ctx context.Context, name string, ss int
 }
 
 // restoreCluster rewinds all sessions to a committed manifest: every
-// worker resets its session and installs the checkpoint images of the
-// partitions it now owns, under the given epoch.
+// worker resets its session at the manifest's split level and installs
+// the checkpoint images of the partitions it now owns, under the given
+// epoch. (The run adopts the manifest itself in rewindTo.)
 func (c *Coordinator) restoreCluster(ctx context.Context, name string, m *checkpointManifest, attempt int64) error {
 	owners, err := c.partitionOwners(m.Partitions)
 	if err != nil {
@@ -171,16 +171,6 @@ func (c *Coordinator) restoreCluster(ctx context.Context, name string, m *checkp
 	if len(m.PartStats) < m.Partitions {
 		return fmt.Errorf("core: restore of %s: manifest has statistics for %d of %d partitions", name, len(m.PartStats), m.Partitions)
 	}
-	// Adopt the manifest's journaled split table as the cluster's, and
-	// reset the per-partition load counters: pre-failure statistics
-	// describe a partition layout and message distribution that no
-	// longer exist, and feeding them to the rebalancer or the split
-	// planner would act on ghosts.
-	c.mu.Lock()
-	c.splits = append([]splitRec(nil), m.Splits...)
-	c.partLoad = make(map[int]int64)
-	c.mu.Unlock()
-
 	to := make(map[*ccWorker][]int)
 	for _, w := range c.members() {
 		to[w] = nil // a worker that owns nothing resets too
@@ -244,7 +234,7 @@ func (c *Coordinator) moveNodes(ctx context.Context, run *jobRun, ev RebalanceEv
 		donated = make(map[*ccWorker][]int)
 		c.mu.Lock()
 		for _, m := range moves {
-			parts := c.partsOfNodesLocked([]string{m.node})
+			parts := c.partsOfNodesLocked(run, []string{m.node})
 			donated[m.from] = append(donated[m.from], parts...)
 			recv[m.to] = append(recv[m.to], parts...)
 			migrated += len(parts)
@@ -257,7 +247,7 @@ func (c *Coordinator) moveNodes(ctx context.Context, run *jobRun, ev RebalanceEv
 		imgs, err := c.imageParts(ctx, run.name, send)
 		if err == nil {
 			stage = "partition.recv"
-			if err = c.installParts(ctx, partRecvMsg{Name: run.name, Attempt: run.attempt + 1, Splits: c.currentSplits()}, recv, imgs); err != nil {
+			if err = c.installParts(ctx, partRecvMsg{Name: run.name, Attempt: run.attempt + 1, Splits: run.splits}, recv, imgs); err != nil {
 				c.dropParts(ctx, run.name, recv)
 			}
 		}

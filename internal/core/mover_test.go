@@ -338,8 +338,8 @@ func TestSplitAbandonedWithdrawsTheTable(t *testing.T) {
 	if err != nil || committed {
 		t.Fatalf("refused split: committed=%v err=%v, want an absorbed refusal", committed, err)
 	}
-	if n := countAdaptive(coord, "split-failed"); n != 1 || len(coord.currentSplits()) != 0 || run.attempt != 0 {
-		t.Fatalf("split-failed events=%d splits=%v attempt=%d", n, coord.currentSplits(), run.attempt)
+	if n := countAdaptive(coord, "split-failed"); n != 1 || len(run.splits) != 0 || run.attempt != 0 {
+		t.Fatalf("split-failed events=%d splits=%v attempt=%d", n, run.splits, run.attempt)
 	}
 	// The last partition.recv each peer saw is the withdrawal.
 	last := make(map[string]partRecvMsg)

@@ -235,11 +235,8 @@ func (c *Coordinator) idleRebalanceLoop() {
 		}
 		c.jobMu.Lock()
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-		c.reapDead()
-		if err := c.repairTopology(ctx, nil); err != nil {
-			c.cfg.logf("coordinator: idle topology repair: %v", err)
-		} else if err := c.rebalance(ctx, nil); err != nil {
-			c.cfg.logf("coordinator: idle rebalance: %v", err)
+		if err := c.prepareCluster(ctx); err != nil {
+			c.cfg.logf("coordinator: idle repair and rebalance: %v", err)
 		}
 		cancel()
 		c.jobMu.Unlock()
@@ -325,10 +322,10 @@ func (c *Coordinator) takeDraining() *ccWorker {
 	return nil
 }
 
-// partsOfNodesLocked expands node IDs to the partition indexes they
-// host (partition i lives on node i%N, the same deterministic placement
-// every runState computes).
-func (c *Coordinator) partsOfNodesLocked(ids []string) []int {
+// partsOfNodesLocked expands node IDs to the partition indexes of the
+// open run they host (partition i lives on node i%N, the same
+// deterministic placement every runState computes).
+func (c *Coordinator) partsOfNodesLocked(run *jobRun, ids []string) []int {
 	n := len(c.nodes)
 	if n == 0 {
 		return nil
@@ -337,7 +334,7 @@ func (c *Coordinator) partsOfNodesLocked(ids []string) []int {
 	for i, id := range c.nodes {
 		idx[string(id)] = i
 	}
-	total := totalParts(n*c.cfg.PartitionsPerNode, c.splits)
+	total := totalParts(n*c.cfg.PartitionsPerNode, run.splits)
 	var out []int
 	for _, id := range ids {
 		j, ok := idx[id]
@@ -352,17 +349,12 @@ func (c *Coordinator) partsOfNodesLocked(ids []string) []int {
 	return out
 }
 
-func (c *Coordinator) partsOfNodes(ids []string) []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.partsOfNodesLocked(ids)
-}
-
-// nodeLoadsLocked weighs every cluster node by its partitions' latest
-// vertex and message counters (+1 so nodes with no statistics yet still
-// count), computed in one pass so planners don't rebuild the partition
-// index per lookup.
-func (c *Coordinator) nodeLoadsLocked() map[string]int64 {
+// nodeLoadsLocked weighs every cluster node by the latest vertex and
+// message counters of run's partitions on it (+1 so nodes with no
+// statistics yet still count), computed in one pass so planners don't
+// rebuild the partition index per lookup. Between jobs (run nil) there
+// is nothing to weigh and the nodes are all alike.
+func (c *Coordinator) nodeLoadsLocked(run *jobRun) map[string]int64 {
 	n := len(c.nodes)
 	loads := make(map[string]int64, n)
 	if n == 0 {
@@ -371,9 +363,12 @@ func (c *Coordinator) nodeLoadsLocked() map[string]int64 {
 	for _, id := range c.nodes {
 		loads[string(id)] = 1
 	}
-	total := totalParts(n*c.cfg.PartitionsPerNode, c.splits)
+	if run == nil {
+		return loads
+	}
+	total := totalParts(n*c.cfg.PartitionsPerNode, run.splits)
 	for p := 0; p < total; p++ {
-		loads[string(c.nodes[p%n])] += c.partLoad[p]
+		loads[string(c.nodes[p%n])] += run.partLoad[p]
 	}
 	return loads
 }
@@ -384,7 +379,7 @@ func (c *Coordinator) nodeLoadsLocked() map[string]int64 {
 // post-join fair share, so the migration equalizes observed load and
 // node counts at once. Returns nil when there is nothing to give (more
 // workers than nodes).
-func (c *Coordinator) planScaleOut(joiner *ccWorker) []nodeMove {
+func (c *Coordinator) planScaleOut(joiner *ccWorker, run *jobRun) []nodeMove {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	type donor struct {
@@ -404,7 +399,7 @@ func (c *Coordinator) planScaleOut(joiner *ccWorker) []nodeMove {
 		return nil
 	}
 	share := total / (len(donors) + 1)
-	loads := c.nodeLoadsLocked()
+	loads := c.nodeLoadsLocked(run)
 	var moves []nodeMove
 	for k := 0; k < share; k++ {
 		// Donor: above the fair floor, highest load first.
@@ -441,10 +436,10 @@ func (c *Coordinator) planScaleOut(joiner *ccWorker) []nodeMove {
 
 // planDrain assigns each of a departing worker's nodes (heaviest first)
 // to the currently least-loaded remaining worker.
-func (c *Coordinator) planDrain(d *ccWorker, targets []*ccWorker) []nodeMove {
+func (c *Coordinator) planDrain(d *ccWorker, targets []*ccWorker, run *jobRun) []nodeMove {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	nodeLoad := c.nodeLoadsLocked()
+	nodeLoad := c.nodeLoadsLocked(run)
 	loads := make(map[*ccWorker]int64, len(targets))
 	for _, w := range targets {
 		for _, id := range w.owned {
@@ -502,7 +497,7 @@ func (ev RebalanceEvent) failed(stage string, err error) RebalanceEvent {
 // dying escalates to failure recovery.
 func (c *Coordinator) scaleOut(ctx context.Context, sp *ccWorker, run *jobRun) error {
 	start := time.Now()
-	moves := c.planScaleOut(sp)
+	moves := c.planScaleOut(sp, run)
 	ev := movement("scale-out", sp.ctrl.RemoteAddr(), moves, run)
 	if len(moves) == 0 {
 		// Nothing to give (more workers than nodes): keep the joiner as
@@ -553,7 +548,7 @@ func (c *Coordinator) drainWorker(ctx context.Context, d *ccWorker, run *jobRun)
 			Detail: "last live worker — start another worker first"})
 		return nil
 	}
-	moves := c.planDrain(d, targets)
+	moves := c.planDrain(d, targets, run)
 	ev := movement("drain", addr, moves, run)
 	migrated, committed, err := c.moveNodes(ctx, run, ev, moves, d)
 	if !committed && err == nil {
@@ -590,7 +585,7 @@ func (c *Coordinator) relieveWorker(ctx context.Context, run *jobRun, addr strin
 	c.mu.Lock()
 	var slow, tgt *ccWorker
 	var tgtLoad int64
-	loads := c.nodeLoadsLocked()
+	loads := c.nodeLoadsLocked(run)
 	for _, w := range c.workers {
 		if w.dead() {
 			continue

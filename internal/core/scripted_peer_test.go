@@ -38,17 +38,19 @@ func (l *peerLog) snapshot() []peerCall {
 // control-plane twin of jobrun_test.go's fakePhases. It dials the
 // coordinator and registers like a worker, then answers every verb from
 // a script: by default partition.send returns an empty image per named
-// partition and everything else succeeds with no reply; fail makes a
-// verb answer with an error and die makes it drop the connection instead
-// of answering, the way a crashed worker does.
+// partition and everything else succeeds with no reply; reply gives a
+// verb something to answer with, fail makes a verb answer with an error
+// and die makes it drop the connection instead of answering, the way a
+// crashed worker does.
 type scriptedPeer struct {
 	name string // also its data address, which is how tests find its ccWorker
 	ctrl *wire.ControlConn
 	log  *peerLog
 
-	mu   sync.Mutex
-	fail map[string]error
-	die  map[string]bool
+	mu    sync.Mutex
+	reply map[string]any
+	fail  map[string]error
+	die   map[string]bool
 }
 
 // startScriptedPeer registers one scripted peer and waits until the
@@ -61,7 +63,7 @@ func startScriptedPeer(t *testing.T, coord *Coordinator, name string, nodes int,
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ctrl.Close() })
-	p := &scriptedPeer{name: name, ctrl: ctrl, log: log, fail: map[string]error{}, die: map[string]bool{}}
+	p := &scriptedPeer{name: name, ctrl: ctrl, log: log, reply: map[string]any{}, fail: map[string]error{}, die: map[string]bool{}}
 	reg, _ := json.Marshal(registerMsg{DataAddr: name, Nodes: nodes, Elastic: elastic})
 	if err := ctrl.Send(wire.Envelope{ID: 1, Method: "register", Data: reg}); err != nil {
 		t.Fatal(err)
@@ -89,14 +91,14 @@ func (p *scriptedPeer) handle(method string, data json.RawMessage) (any, error) 
 		p.log.add(peerCall{peer: p.name, method: method, data: data})
 	}
 	p.mu.Lock()
-	err, die := p.fail[method], p.die[method]
+	reply, err, die := p.reply[method], p.fail[method], p.die[method]
 	p.mu.Unlock()
 	if die {
 		p.ctrl.Close()
 		return nil, nil
 	}
-	if err != nil {
-		return nil, err
+	if err != nil || reply != nil {
+		return reply, err
 	}
 	if method == rpcPartSend {
 		var msg partSendMsg

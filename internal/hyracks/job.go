@@ -166,8 +166,8 @@ type JobSpec struct {
 	Ops   []*OperatorDesc
 	Conns []*ConnectorDesc
 	// OperatorMemBytes overrides each node's default per-operator buffer
-	// budget for this job's tasks (0 = node default). The multi-tenant
-	// scheduler uses it to carve a share of the machine budget per
+	// budget for this job's tasks (0 = node default). Job admission
+	// (core.Gate) uses it to carve a share of the machine budget per
 	// admitted job so concurrent jobs spill instead of overcommitting.
 	OperatorMemBytes int64
 	// RunDir is a node-relative scratch subdirectory isolating this

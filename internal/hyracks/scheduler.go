@@ -1,13 +1,6 @@
 package hyracks
 
-import (
-	"context"
-	"errors"
-	"fmt"
-	"sort"
-	"sync"
-	"time"
-)
+import "fmt"
 
 // Schedule assigns each operator partition to a node controller. It is a
 // small constraint solver in the spirit of Hyracks' user-configurable
@@ -41,457 +34,4 @@ func Schedule(c *Cluster, spec *JobSpec) (map[string][]*NodeController, error) {
 		out[op.ID] = nodes
 	}
 	return out, nil
-}
-
-// ---------------------------------------------------------------------------
-// Multi-tenant job admission control.
-//
-// The cluster controller above places one job's tasks; the JobScheduler
-// below decides which jobs get to run tasks at all. It mirrors the
-// Hyracks cluster controller's job queue: submitted jobs enter a FIFO
-// queue, at most MaxConcurrentJobs run at once, and each admitted job is
-// handed an operator-memory carve taken from the shared per-machine
-// budget so that concurrent tenants divide RAM instead of overcommitting
-// it (out-of-core operators spill within their carve). Jobs move through
-// queued -> running -> done/failed, or to canceled from either live
-// state.
-// ---------------------------------------------------------------------------
-
-// JobState is the lifecycle state of a submitted job.
-type JobState int32
-
-// Job lifecycle states.
-const (
-	JobQueued JobState = iota
-	JobRunning
-	JobDone
-	JobFailed
-	JobCanceled
-)
-
-func (s JobState) String() string {
-	switch s {
-	case JobQueued:
-		return "queued"
-	case JobRunning:
-		return "running"
-	case JobDone:
-		return "done"
-	case JobFailed:
-		return "failed"
-	case JobCanceled:
-		return "canceled"
-	default:
-		return fmt.Sprintf("state(%d)", int32(s))
-	}
-}
-
-// Terminal reports whether the state is final.
-func (s JobState) Terminal() bool {
-	return s == JobDone || s == JobFailed || s == JobCanceled
-}
-
-// ErrQueueFull is returned by Submit when the admission queue is at its
-// configured bound.
-var ErrQueueFull = errors.New("hyracks: job queue full")
-
-// ErrSchedulerClosed is returned by Submit after Close.
-var ErrSchedulerClosed = errors.New("hyracks: scheduler closed")
-
-// ErrJobCanceled is reported by Await when the ticket was canceled
-// before admission.
-var ErrJobCanceled = errors.New("hyracks: job canceled")
-
-// AdmissionConfig bounds the scheduler.
-type AdmissionConfig struct {
-	// MaxConcurrentJobs is the in-flight bound (default 2).
-	MaxConcurrentJobs int
-	// MaxQueuedJobs bounds the wait queue (<=0 = unlimited).
-	MaxQueuedJobs int
-	// OperatorMemPerJob fixes the per-job operator-memory carve; when 0
-	// the carve is each machine's NodeConfig operator budget divided by
-	// MaxConcurrentJobs (floored at 64 KiB so operators can still buffer
-	// a frame before spilling).
-	OperatorMemPerJob int64
-}
-
-func (c *AdmissionConfig) defaults() {
-	if c.MaxConcurrentJobs <= 0 {
-		c.MaxConcurrentJobs = 2
-	}
-}
-
-// SchedulerStats are the scheduler's lifetime counters.
-type SchedulerStats struct {
-	Submitted   int64
-	Completed   int64
-	Failed      int64
-	Canceled    int64
-	PeakRunning int
-	PeakQueued  int
-}
-
-// JobStatus is a point-in-time public view of one ticket.
-type JobStatus struct {
-	ID          int64
-	Name        string
-	State       JobState
-	Err         string
-	OperatorMem int64
-	SubmittedAt time.Time
-	// StartedAt is the admission time (zero while queued).
-	StartedAt time.Time
-	// FinishedAt is the terminal-transition time (zero until then).
-	FinishedAt time.Time
-	QueueWait  time.Duration
-	RunTime    time.Duration
-}
-
-// JobScheduler is the cluster's admission controller. All methods are
-// safe for concurrent use.
-type JobScheduler struct {
-	cluster *Cluster
-	cfg     AdmissionConfig
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	nextID  int64
-	queue   []*JobTicket // FIFO; queue[0] is admitted next
-	tickets map[int64]*JobTicket
-	running int
-	closed  bool
-	stats   SchedulerStats
-}
-
-// NewJobScheduler creates an admission controller for the cluster.
-func NewJobScheduler(c *Cluster, cfg AdmissionConfig) *JobScheduler {
-	cfg.defaults()
-	s := &JobScheduler{cluster: c, cfg: cfg, tickets: make(map[int64]*JobTicket)}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-// Config returns the effective admission configuration.
-func (s *JobScheduler) Config() AdmissionConfig { return s.cfg }
-
-// JobTicket tracks one submitted job through the scheduler. The
-// submitting goroutine calls Await to block until admission, runs the
-// job, then calls Release exactly once.
-type JobTicket struct {
-	id   int64
-	name string
-	s    *JobScheduler
-
-	// Guarded by s.mu.
-	state       JobState
-	err         error
-	opMem       int64
-	submittedAt time.Time
-	startedAt   time.Time
-	finishedAt  time.Time
-	canceled    bool
-
-	cancelOnce sync.Once
-	cancelCh   chan struct{}
-}
-
-// Submit enqueues a job for admission and returns its ticket.
-func (s *JobScheduler) Submit(name string) (*JobTicket, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrSchedulerClosed
-	}
-	if s.cfg.MaxQueuedJobs > 0 && len(s.queue) >= s.cfg.MaxQueuedJobs {
-		return nil, fmt.Errorf("%w: %d jobs waiting", ErrQueueFull, len(s.queue))
-	}
-	s.nextID++
-	t := &JobTicket{
-		id:          s.nextID,
-		name:        name,
-		s:           s,
-		state:       JobQueued,
-		submittedAt: time.Now(),
-		cancelCh:    make(chan struct{}),
-	}
-	s.queue = append(s.queue, t)
-	s.tickets[t.id] = t
-	s.stats.Submitted++
-	if len(s.queue) > s.stats.PeakQueued {
-		s.stats.PeakQueued = len(s.queue)
-	}
-	s.cond.Broadcast()
-	return t, nil
-}
-
-// operatorMemCarve computes the per-job operator budget at admission
-// time: the configured override, or the smallest live machine's operator
-// budget divided evenly among the concurrency slots.
-func (s *JobScheduler) operatorMemCarve() int64 {
-	if s.cfg.OperatorMemPerJob > 0 {
-		return s.cfg.OperatorMemPerJob
-	}
-	var nodeMem int64
-	for _, n := range s.cluster.LiveNodes() {
-		if nodeMem == 0 || n.OperatorMem < nodeMem {
-			nodeMem = n.OperatorMem
-		}
-	}
-	if nodeMem == 0 {
-		nodeMem = 64 << 20
-	}
-	carve := nodeMem / int64(s.cfg.MaxConcurrentJobs)
-	if carve < 64<<10 {
-		carve = 64 << 10
-	}
-	return carve
-}
-
-// Await blocks until the ticket is admitted (strict FIFO: a ticket runs
-// only once it reaches the queue head and a concurrency slot frees up),
-// the ticket is canceled, or ctx expires. A nil return means the job is
-// running and the caller owes a Release.
-func (t *JobTicket) Await(ctx context.Context) error {
-	s := t.s
-	// cond.Wait cannot select on ctx; poke the cond var when ctx ends.
-	stop := context.AfterFunc(ctx, func() {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
-	defer stop()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if t.state == JobCanceled {
-			return ErrJobCanceled
-		}
-		if t.state != JobQueued { // defensive: double Await
-			return fmt.Errorf("hyracks: job %s already %v", t.name, t.state)
-		}
-		if err := ctx.Err(); err != nil {
-			t.dequeueLocked()
-			t.finishLocked(JobCanceled, err)
-			s.cond.Broadcast() // a new head may be admittable now
-			return err
-		}
-		if len(s.queue) > 0 && s.queue[0] == t && s.running < s.cfg.MaxConcurrentJobs {
-			s.queue = s.queue[1:]
-			s.running++
-			if s.running > s.stats.PeakRunning {
-				s.stats.PeakRunning = s.running
-			}
-			t.state = JobRunning
-			t.startedAt = time.Now()
-			t.opMem = s.operatorMemCarve()
-			// The next queued ticket is now head; wake it so it can
-			// take another free slot (waiters park before the Submit
-			// broadcast when submissions outpace goroutine starts).
-			s.cond.Broadcast()
-			return nil
-		}
-		s.cond.Wait()
-	}
-}
-
-// Release returns the ticket's concurrency slot and records the job
-// outcome. err == nil marks the job done; a context cancellation (or a
-// prior Cancel call) marks it canceled; anything else marks it failed.
-func (t *JobTicket) Release(err error) {
-	s := t.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t.state != JobRunning {
-		return
-	}
-	s.running--
-	switch {
-	case err == nil:
-		// A completed job stays done even if a cancel raced in after
-		// the final superstep.
-		t.finishLocked(JobDone, nil)
-	case t.canceled || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		t.finishLocked(JobCanceled, err)
-	default:
-		t.finishLocked(JobFailed, err)
-	}
-	s.cond.Broadcast()
-}
-
-// finishLocked moves the ticket to a terminal state. Callers hold s.mu.
-func (t *JobTicket) finishLocked(state JobState, err error) {
-	t.state = state
-	t.err = err
-	t.finishedAt = time.Now()
-	switch state {
-	case JobDone:
-		t.s.stats.Completed++
-	case JobFailed:
-		t.s.stats.Failed++
-	case JobCanceled:
-		t.s.stats.Canceled++
-	}
-}
-
-// dequeueLocked removes the ticket from the wait queue if present.
-func (t *JobTicket) dequeueLocked() {
-	q := t.s.queue
-	for i, qt := range q {
-		if qt == t {
-			t.s.queue = append(q[:i], q[i+1:]...)
-			return
-		}
-	}
-}
-
-// Cancel cancels the job: a queued ticket is removed from the queue
-// immediately; a running ticket has its Done channel closed so the
-// owner can abort mid-superstep (the owner's Release then records the
-// canceled state). Cancel is idempotent and a no-op on terminal tickets.
-func (t *JobTicket) Cancel() {
-	s := t.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t.state.Terminal() {
-		return
-	}
-	t.canceled = true
-	if t.state == JobQueued {
-		t.dequeueLocked()
-		t.finishLocked(JobCanceled, ErrJobCanceled)
-	}
-	t.cancelOnce.Do(func() { close(t.cancelCh) })
-	s.cond.Broadcast()
-}
-
-// Done is closed when the ticket is canceled; owners of running jobs
-// wire it to their job context.
-func (t *JobTicket) Done() <-chan struct{} { return t.cancelCh }
-
-// ID returns the scheduler-assigned job id (1-based, in submit order).
-func (t *JobTicket) ID() int64 { return t.id }
-
-// Name returns the submitted job name.
-func (t *JobTicket) Name() string { return t.name }
-
-// OperatorMem returns the per-job operator-memory carve assigned at
-// admission (0 before admission).
-func (t *JobTicket) OperatorMem() int64 {
-	t.s.mu.Lock()
-	defer t.s.mu.Unlock()
-	return t.opMem
-}
-
-// State returns the ticket's current lifecycle state.
-func (t *JobTicket) State() JobState {
-	t.s.mu.Lock()
-	defer t.s.mu.Unlock()
-	return t.state
-}
-
-// Err returns the terminal error (nil for done tickets).
-func (t *JobTicket) Err() error {
-	t.s.mu.Lock()
-	defer t.s.mu.Unlock()
-	return t.err
-}
-
-// Status returns a public snapshot of the ticket.
-func (t *JobTicket) Status() JobStatus {
-	t.s.mu.Lock()
-	defer t.s.mu.Unlock()
-	return t.statusLocked()
-}
-
-func (t *JobTicket) statusLocked() JobStatus {
-	st := JobStatus{
-		ID:          t.id,
-		Name:        t.name,
-		State:       t.state,
-		OperatorMem: t.opMem,
-		SubmittedAt: t.submittedAt,
-		StartedAt:   t.startedAt,
-		FinishedAt:  t.finishedAt,
-	}
-	if t.err != nil {
-		st.Err = t.err.Error()
-	}
-	switch {
-	case t.state == JobQueued:
-		st.QueueWait = time.Since(t.submittedAt)
-	case !t.startedAt.IsZero():
-		st.QueueWait = t.startedAt.Sub(t.submittedAt)
-		if t.state == JobRunning {
-			st.RunTime = time.Since(t.startedAt)
-		} else {
-			st.RunTime = t.finishedAt.Sub(t.startedAt)
-		}
-	case t.state.Terminal(): // canceled while queued
-		st.QueueWait = t.finishedAt.Sub(t.submittedAt)
-	}
-	return st
-}
-
-// Snapshot lists every ticket the scheduler has seen, in submit order.
-func (s *JobScheduler) Snapshot() []JobStatus {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]JobStatus, 0, len(s.tickets))
-	for _, t := range s.tickets {
-		out = append(out, t.statusLocked())
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// Forget drops a terminal ticket from the scheduler's history (the
-// JobManager's retention policy calls this when evicting old jobs so a
-// long-lived server does not accumulate tickets without bound). Live
-// tickets are never forgotten.
-func (s *JobScheduler) Forget(id int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t, ok := s.tickets[id]; ok && t.state.Terminal() {
-		delete(s.tickets, id)
-	}
-}
-
-// Stats returns the scheduler's lifetime counters.
-func (s *JobScheduler) Stats() SchedulerStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
-
-// QueueLen returns the number of jobs waiting for admission.
-func (s *JobScheduler) QueueLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.queue)
-}
-
-// Running returns the number of admitted, not yet released jobs.
-func (s *JobScheduler) Running() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.running
-}
-
-// Close rejects future submissions and cancels every queued job.
-// Running jobs are left to finish (their Release still works).
-func (s *JobScheduler) Close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
-	s.closed = true
-	for _, t := range s.queue {
-		t.canceled = true
-		t.finishLocked(JobCanceled, ErrSchedulerClosed)
-		t.cancelOnce.Do(func() { close(t.cancelCh) })
-	}
-	s.queue = nil
-	s.cond.Broadcast()
 }
