@@ -250,43 +250,30 @@ func (rs *runState) buildSuperstepJob(ss int64, join pregel.JoinKind) *hyracks.J
 // list" combine of the paper's footnote 4).
 //
 // One msgCombiner serves one group-by task: it decodes into message
-// Values it keeps, and every accumulator owns its payload, so that a
-// combine is Unmarshal, Combine and Marshal over the old payload with no
-// allocation, and never a write into the frame the payload came from.
+// Values it keeps, and an accumulator's payload is the accumulator's to
+// write, so that a combine is Unmarshal, Combine and Marshal over the old
+// payload, in place, with no allocation. The group-bys hand First the
+// bytes that stay with the group, each field cut at its length: their own
+// record under the hash policy, which is where the fold then happens.
 type msgCombiner struct {
 	codec   *pregel.Codec
 	combine pregel.Combiner
 	// av and bv are the decoded lists of the accumulator and of the
 	// tuple folded into it, reused from Add to Add.
 	av, bv []pregel.Value
-	// arena is the unused tail of the chunk payload copies are cut from,
-	// chunk the size of the next one.
-	arena []byte
-	chunk int
 }
-
-// Chunks double from minArenaChunk, so that a task with a message or two
-// (most tasks of a sparse superstep) allocates next to nothing, up to
-// maxArenaChunk: a few thousand message payloads per allocation.
-const (
-	minArenaChunk = 256
-	maxArenaChunk = 64 << 10
-)
 
 func newMsgCombiner(job *pregel.Job) *msgCombiner {
 	return &msgCombiner{codec: &job.Codec, combine: job.Combiner}
 }
 
-// First keeps t's header and key and gives the accumulator a payload of
-// its own, with no spare capacity: what Add appends goes elsewhere.
+// First returns its argument. Only a payload with spare capacity, which
+// is a view of a buffer that goes on behind it and so not the
+// accumulator's to write, is replaced by a copy without.
 func (c *msgCombiner) First(t tuple.Tuple) tuple.Tuple {
-	n := len(t[1])
-	if n > len(c.arena) {
-		c.chunk = min(max(2*c.chunk, minArenaChunk), maxArenaChunk)
-		c.arena = make([]byte, max(n, c.chunk))
+	if n := len(t[1]); cap(t[1]) > n {
+		t[1] = append(make([]byte, 0, n), t[1]...)
 	}
-	copy(c.arena, t[1])
-	t[1], c.arena = c.arena[:n:n], c.arena[n:]
 	return t
 }
 

@@ -31,21 +31,27 @@ import (
 
 // Combiner folds tuples that share a group key (field 0) into one
 // accumulated tuple. Implementations must be insensitive to input order
-// within a group (the paper's combine UDF contract).
+// within a group (the paper's combine UDF contract), and must leave the
+// key as it is.
 //
 // Aliasing contract: First may retain (alias) its argument, the header
-// and the fields both, and may return it: callers hand it a tuple that
-// stays untouched for as long as they use the accumulator, which is
-// until they have emitted the group (or, in the hash group-by, written
-// it to a run), and no longer. Add must NOT retain t or its field slices
-// past the call; it may only fold t's data into the accumulator, because
-// t is typically a borrowed view into a transport frame that will be
-// recycled. Neither may write into the bytes of t's fields.
+// and the fields both, and may return it. What it is handed is the
+// group's from then on: bytes the caller leaves alone for as long as it
+// uses the accumulator, which under the hash group-by are the operator's
+// own record of the group (every field cut at its length). The
+// accumulator's fields are the combiner's to overwrite up to their
+// length, or to replace; the hash group-by copies a replaced field back
+// into its record, and keeps nothing else of what First or Add returned
+// past the call. Add must NOT retain t or its field slices past the call,
+// nor write into their bytes; it may only fold t's data into the
+// accumulator, because t is typically a borrowed view into a transport
+// frame that will be recycled.
 type Combiner interface {
 	// First starts an accumulator from the first tuple of a group. The
 	// returned tuple may alias t, or be t.
 	First(t tuple.Tuple) tuple.Tuple
-	// Add folds t into acc, returning the new accumulator.
+	// Add folds t into acc, which is what First or the previous Add
+	// returned or a view of the same fields, returning the new accumulator.
 	Add(acc, t tuple.Tuple) tuple.Tuple
 }
 
@@ -56,8 +62,9 @@ const (
 	// SortGroupBy pushes aggregation into both the in-memory sort phase
 	// and the run-merge phase of an external sort.
 	SortGroupBy GroupByKind = iota
-	// HashSortGroupBy aggregates eagerly in a hash table, sorting only
-	// on spill/emit; it wins when the number of distinct keys is small.
+	// HashSortGroupBy aggregates eagerly in a packed table, one record
+	// per distinct key, sorting only on spill/emit; it wins when the
+	// combiner's result keeps its size.
 	HashSortGroupBy
 	// PreclusteredGroupBy assumes input already clustered by key and
 	// aggregates in a single streaming pass with O(1) state.
@@ -87,7 +94,7 @@ func NewGroupByRuntime(tc *hyracks.TaskContext, kind GroupByKind, combiner Combi
 	case PreclusteredGroupBy:
 		return &preclusteredGroupBy{combiner: combiner}
 	case HashSortGroupBy:
-		return &spillingGroupBy{tc: tc, combiner: combiner, hash: true}
+		return &spillingGroupBy{tc: tc, combiner: combiner, table: combiner != nil}
 	default:
 		return &spillingGroupBy{tc: tc, combiner: combiner}
 	}
@@ -157,52 +164,56 @@ func (g *preclusteredGroupBy) Close() error {
 }
 
 // spillingGroupBy implements both the sort-based and HashSort group-bys
-// (and, with a nil combiner, a plain external sort). It accumulates
-// input in packed frames metered whole-buffer-at-a-time against the
-// task's operator-memory budget, spilling sorted (combined) runs to
-// disk, and merges runs with final combining on close.
+// (and, with a nil combiner, a plain external sort): one buffer of packed
+// frames metered whole-buffer-at-a-time against the task's
+// operator-memory budget, one slice of 16-byte entries saying where each
+// buffered record lies, one spill of the sorted buffer as a run and one
+// merge of the runs on close. The policies differ in what they buffer.
+// Sort appends every tuple and an entry for it, and folds equal keys when
+// the sorted buffer is drained. Hash (table) keeps one record per
+// distinct key: the entry slice, at full length, is an open-addressing
+// table (linear probing, a power of two of slots, at most 3/4 of them
+// taken), a tuple whose key has a slot is folded into that group's record
+// at once, and what is drained is folded already.
 type spillingGroupBy struct {
 	hyracks.BaseRuntime
 	tc       *hyracks.TaskContext
 	combiner Combiner
-	hash     bool
+	table    bool
 
 	budget *memory.Budget
 
-	// Sort-mode buffer: owned packed frames; the sorter's entries say
-	// where each record is.
+	// The buffer: owned packed frames; the sorter's entries say where each
+	// record is. Under the hash policy a record whose accumulator changed
+	// length stays behind as garbage until the buffer is released.
 	frames []*tuple.Frame
 	app    tuple.FrameAppender
 
-	// Hash-mode table: key -> boxed accumulator. accs lists the
-	// accumulators while a drain has them sorted.
-	table map[string]tuple.Tuple
-	accs  []tuple.Tuple
-
-	// sorter holds one entry per buffered tuple. Its slice is kept from
-	// spill to spill and is on the budget at capacity: entryBytes is
-	// what the budget holds for it.
+	// sorter holds one entry per buffered tuple, or the table, live of
+	// whose slots are taken. Its slice is kept from spill to spill and is
+	// on the budget at capacity: entryBytes is what the budget holds for it.
 	sorter     keySorter
 	entryBytes int64
+	live       int
 
-	// Fold headers: First's argument and Add's argument.
+	// Fold headers: the accumulator's fields and the folded tuple's.
 	head, scratch tuple.Tuple
+	// carried owns the bytes of an accumulator taken out of the table.
+	carried []byte
 
 	runs   []*storage.RunFile
 	failed bool
 }
 
-// minSortEntries is the first capacity of the entry slice: small, because
-// most group-bys of a sparse superstep see a tuple or two.
-const minSortEntries = 64
+// minSortEntries is the first capacity of the entry slice (the first
+// table): small, because most group-bys of a sparse superstep see a tuple
+// or two.
+const minSortEntries = 16
 
 func (g *spillingGroupBy) Open() error {
 	cap := g.tc.OperatorMem
 	g.budget = g.tc.Node.RAM.Child(
 		fmt.Sprintf("groupby-%s-p%d", g.tc.OperatorID, g.tc.Partition), cap)
-	if g.hash && g.combiner != nil {
-		g.table = make(map[string]tuple.Tuple)
-	}
 	return g.OpenOutputs()
 }
 
@@ -216,142 +227,222 @@ func (g *spillingGroupBy) NextFrame(f *tuple.Frame) error {
 }
 
 func (g *spillingGroupBy) add(r tuple.TupleRef) error {
-	if g.table != nil {
-		return g.addHash(r)
+	if g.table {
+		return g.fold(r)
 	}
-	// Sort mode: an entry slot first (making room may spill, which also
-	// empties the frames), then the packed record into the operator's
-	// own frames.
+	// An entry slot first (making room may spill, which also empties the
+	// frames), then the packed record into the operator's own frames.
 	if n := len(g.sorter.entries); n == cap(g.sorter.entries) {
 		// The first slice is taken even from a budget too small for it,
 		// or nothing could be buffered at all.
-		if !g.growEntries(max(2*n, minSortEntries), n == 0) {
+		if !g.growEntries(max(2*n, minSortEntries), n == 0) && !g.growEntries(n+g.roomFor(n), false) {
 			if err := g.spill(); err != nil {
 				return err
 			}
 		}
 	}
-	if g.app.Frame() == nil || !g.app.AppendRef(r) {
-		if err := g.startFrame(r); err != nil {
-			return err
-		}
+	off, err := g.buffer(r, nil)
+	if err != nil {
+		return err
 	}
-	g.sorter.add(r.Field(0), uint32(len(g.frames)-1), uint32(g.app.Frame().Len()-1))
+	g.sorter.add(r.Field(0), uint32(len(g.frames)), off)
 	return nil
 }
 
-// growEntries makes room for n entries if the budget takes the growth,
+// roomFor says by how many entries a full slice of n still grows once the
+// budget has refused to double it: by as many tuples as the budget's free
+// bytes hold, an entry and its share of the frames each, if those bytes
+// would hold n/8 entries or more; else by none, for copying the slice
+// would cost more than the longer run saves.
+func (g *spillingGroupBy) roomFor(n int) int {
+	free := g.budget.Remaining()
+	if free/sortEntryBytes < int64(n/8) {
+		return 0
+	}
+	return int(free / (sortEntryBytes + int64(len(g.frames))*tuple.DefaultFrameSize/int64(n)))
+}
+
+// growEntries makes room for n entries (slots, under the hash policy), if
+// that is more than there is room for, if the budget takes the growth,
 // and also if it does not when must is set.
 func (g *spillingGroupBy) growEntries(n int, must bool) bool {
 	need := int64(n-cap(g.sorter.entries)) * sortEntryBytes
+	if need == 0 {
+		return false
+	}
 	if g.budget.TryAllocate(need) {
 		g.entryBytes += need
 	} else if !must {
 		return false
 	}
-	g.sorter.grow(n)
+	if g.table {
+		g.sorter.rehash(n)
+	} else {
+		g.sorter.grow(n)
+	}
 	return true
 }
 
-// startFrame meters and takes a new frame (the current one is full, or
-// there is none yet) and makes r its first record.
-func (g *spillingGroupBy) startFrame(r tuple.TupleRef) error {
-	if !g.budget.TryAllocate(tuple.DefaultFrameSize) {
-		if err := g.spill(); err != nil {
-			return err
+// put copies a record (r, or the fields t if t is not nil) into the
+// operator's frames and returns its offset in the last of them. When that
+// frame is full it takes another from the budget; if the budget refuses,
+// put reports false and has appended nothing, unless must is set: then
+// the frame is taken unmetered, which is how a budget smaller than one
+// frame buffers anything (it spills again as soon as the frame fills).
+func (g *spillingGroupBy) put(r tuple.TupleRef, t tuple.Tuple, must bool) (uint32, bool) {
+	appendIt := func() bool {
+		if t != nil {
+			return g.app.Append(t...)
 		}
-		// Retry after spilling; a budget smaller than one frame admits
-		// the frame unmetered (it spills again as soon as it fills).
-		g.budget.TryAllocate(tuple.DefaultFrameSize)
+		return g.app.AppendRef(r)
+	}
+	if f := g.app.Frame(); f != nil {
+		if off := f.DataBytes(); appendIt() {
+			return uint32(off), true
+		}
+	}
+	if !g.budget.TryAllocate(tuple.DefaultFrameSize) && !must {
+		return 0, false
 	}
 	f := tuple.GetFrame()
 	g.frames = append(g.frames, f)
 	g.app.Reset(f)
 	// Pooled frames may arrive pre-grown (up to 4x) from an earlier
 	// oversized tuple; meter only growth this append causes, not the
-	// frame's history.
+	// frame's history, and that best-effort.
 	capBefore := f.Cap()
-	if !g.app.AppendRef(r) {
-		return fmt.Errorf("groupby: tuple does not fit an empty frame")
+	if !appendIt() {
+		panic("groupby: tuple does not fit an empty frame")
 	}
 	if grown := f.Cap() - capBefore; grown > 0 {
-		// Oversized tuple grew the buffer; meter the growth best-effort.
 		g.budget.TryAllocate(int64(grown))
 	}
-	return nil
+	return 0, true
 }
 
-func (g *spillingGroupBy) addHash(r tuple.TupleRef) error {
-	k := string(r.Field(0))
-	if acc, ok := g.table[k]; ok {
-		old := acc.Size()
-		g.scratch = r.AppendFieldsTo(g.scratch[:0])
-		acc = g.combiner.Add(acc, g.scratch)
-		g.table[k] = acc
-		// Meter accumulator growth, best effort.
-		if delta := int64(acc.Size() - old); delta > 0 {
-			g.budget.TryAllocate(delta)
+// buffer is put that spills when the budget has no frame left; t, if
+// given, must not be a view of the buffer, which the spill releases.
+func (g *spillingGroupBy) buffer(r tuple.TupleRef, t tuple.Tuple) (uint32, error) {
+	off, ok := g.put(r, t, false)
+	if !ok {
+		if err := g.spill(); err != nil {
+			return 0, err
 		}
+		off, _ = g.put(r, t, true)
+	}
+	return off, nil
+}
+
+// fold is add under the hash policy: r is folded into the record of its
+// key's group, or starts that group.
+func (g *spillingGroupBy) fold(r tuple.TupleRef) error {
+	g.scratch = r.AppendFieldsTo(g.scratch[:0])
+	key := g.scratch[0]
+	k := keyPrefix(key)
+	es := g.sorter.entries
+	for i := slotOf(k, len(es)); len(es) > 0 && es[i].frame != 0; i = (i + 1) & (len(es) - 1) {
+		if es[i].key != k {
+			continue
+		}
+		rec := g.ref(es[i])
+		g.head = rec.AppendFieldsTo(g.head[:0])
+		if bytes.Equal(g.head[0], key) {
+			return g.keep(i, rec, g.combiner.Add(g.head, g.scratch))
+		}
+	}
+	i, err := g.insert(k, len(key), r, nil)
+	if err != nil {
+		return err
+	}
+	rec := g.ref(g.sorter.entries[i])
+	g.head = rec.AppendFieldsTo(g.head[:0])
+	return g.keep(i, rec, g.combiner.First(g.head))
+}
+
+// insert buffers the record of a group the table does not hold (r, or
+// the fields t) and gives it a slot, whose index it returns.
+func (g *spillingGroupBy) insert(k uint64, keyLen int, r tuple.TupleRef, t tuple.Tuple) (int, error) {
+	// Room in the table first: the spill that makes it empties the frames.
+	if n := len(g.sorter.entries); 4*(g.live+1) > 3*n && !g.growEntries(max(2*n, minSortEntries), n == 0) {
+		if err := g.spill(); err != nil {
+			return 0, err
+		}
+	}
+	off, err := g.buffer(r, t)
+	if err != nil {
+		return 0, err
+	}
+	i := g.sorter.freeSlot(k)
+	g.sorter.entries[i] = sortEntry{k, uint32(len(g.frames)), off}
+	g.sorter.observe(k, keyLen)
+	g.live++
+	return i, nil
+}
+
+// keep makes res, the combiner's result for the group in slot i, that
+// group's record rec: in place if no field changed length, else as a new
+// record, the old one staying behind as garbage.
+func (g *spillingGroupBy) keep(i int, rec tuple.TupleRef, res tuple.Tuple) error {
+	if rec.Overwrite(res) {
 		return nil
 	}
-	sz := int64(r.Size() + 48) // payload + per-entry bookkeeping estimate
-	if !g.budget.TryAllocate(sz) {
-		if err := g.spill(); err != nil {
-			return err
-		}
-		// A single tuple larger than the whole budget is admitted
-		// unmetered; the next new key spills it.
-		g.budget.TryAllocate(sz)
+	e := &g.sorter.entries[i]
+	if off, ok := g.put(tuple.TupleRef{}, res, false); ok {
+		e.frame, e.rec = uint32(len(g.frames)), off
+		return nil
 	}
-	g.table[k] = g.combiner.First(r.Materialize())
-	return nil
+	// No frame for it: the group leaves the table ahead of the spill that
+	// makes room, so that no run holds it twice, and is the first of the
+	// next buffer. Copied out, because res may be a view of this one.
+	k := e.key
+	e.frame = 0
+	g.live--
+	g.carried, g.scratch = copyInto(g.carried, g.scratch, res)
+	if err := g.spill(); err != nil {
+		return err
+	}
+	_, err := g.insert(k, len(g.scratch[0]), tuple.TupleRef{}, g.scratch)
+	return err
+}
+
+// copyInto copies t's fields into buf[:0] and returns it, and over
+// hdr[:0] a tuple whose fields are that copy, each without spare capacity.
+func copyInto(buf []byte, hdr, t tuple.Tuple) ([]byte, tuple.Tuple) {
+	buf, hdr = buf[:0], hdr[:0]
+	for _, f := range t {
+		buf = append(buf, f...)
+	}
+	at := 0
+	for _, f := range t {
+		end := at + len(f)
+		hdr = append(hdr, buf[at:end:end])
+		at = end
+	}
+	return buf, hdr
 }
 
 // sortBuffered puts what is buffered in key order: afterwards the
-// sorter's entries list it, equal keys in arrival order. In hash mode it
-// moves the table's accumulators to accs first, leaving the table empty.
+// sorter's entries list it, equal keys in arrival order.
 func (g *spillingGroupBy) sortBuffered() {
-	if n := len(g.table); n > 0 {
-		if n > cap(g.sorter.entries) {
-			// Metered if the budget has room; it rarely has when a drain
-			// is a spill, and the spill is what gives the room back.
-			g.growEntries(n, true)
-		}
-		for _, acc := range g.table {
-			g.sorter.add(acc[0], 0, uint32(len(g.accs)))
-			g.accs = append(g.accs, acc)
-		}
-		clear(g.table)
+	if g.table {
+		g.sorter.compact()
 	}
 	g.sorter.sort(g.entryKey)
 }
 
-// ref returns the buffered record a sort-mode entry stands for.
+// ref returns the buffered record an entry stands for.
 func (g *spillingGroupBy) ref(e sortEntry) tuple.TupleRef {
-	return g.frames[e.frame].Tuple(int(e.rec))
+	return g.frames[e.frame-1].TupleAt(int(e.rec))
 }
 
-func (g *spillingGroupBy) entryKey(e sortEntry) []byte {
-	if g.table != nil {
-		return g.accs[e.rec][0]
-	}
-	return g.ref(e).Field(0)
-}
+func (g *spillingGroupBy) entryKey(e sortEntry) []byte { return g.ref(e).Field(0) }
 
-// drain emits the sorted buffer. Sort mode folds adjacent equal keys
-// through the combiner, or with no combiner passes every record to
-// emitRef (one memmove); hash mode's accumulators are folded already.
-// Neither callback may keep its argument.
+// drain emits the sorted buffer: every record by reference (one memmove)
+// when there is no combiner or the table has folded them already, else
+// adjacent equal keys folded through the combiner. Neither callback may
+// keep its argument.
 func (g *spillingGroupBy) drain(emitRef func(tuple.TupleRef) error, emitTuple func(tuple.Tuple) error) error {
-	switch {
-	case g.table != nil:
-		for _, e := range g.sorter.entries {
-			if err := emitTuple(g.accs[e.rec]); err != nil {
-				return err
-			}
-		}
-		return nil
-	case g.combiner == nil:
+	if g.combiner == nil || g.table {
 		for _, e := range g.sorter.entries {
 			if err := emitRef(g.ref(e)); err != nil {
 				return err
@@ -384,42 +475,45 @@ func (g *spillingGroupBy) drain(emitRef func(tuple.TupleRef) error, emitTuple fu
 	return nil
 }
 
-// releaseMem drops the buffered tuples: frames go back to the pool,
-// accumulators to the collector, and their bytes to the budget. The
-// entry slice stays, emptied, and stays on the budget.
+// releaseMem drops the buffered tuples: frames go back to the pool and
+// their bytes to the budget. The entry slice stays, emptied (a table:
+// every slot free), and stays on the budget.
 func (g *spillingGroupBy) releaseMem() {
 	for _, f := range g.frames {
 		tuple.PutFrame(f)
 	}
 	g.frames = nil
 	g.app.Reset(nil)
-	clear(g.accs)
-	g.accs = g.accs[:0]
 	g.sorter.reset()
+	if g.table {
+		g.sorter.free()
+		g.live = 0
+	}
 	if g.budget != nil {
 		g.budget.Release(g.budget.Used() - g.entryBytes)
 	}
 }
 
+// spill writes the sorted buffer, if it holds anything, as a run and
+// releases it.
 func (g *spillingGroupBy) spill() error {
 	g.sortBuffered()
-	if len(g.sorter.entries) == 0 {
-		return nil
+	if len(g.sorter.entries) > 0 {
+		rf, err := storage.CreateRunFile(g.tc.TempPath(fmt.Sprintf("run%d", len(g.runs))))
+		if err != nil {
+			return err
+		}
+		if err := g.drain(rf.AppendRef, rf.Append); err != nil {
+			rf.Delete() // not yet in g.runs; reclaim fd+frame+file now
+			return err
+		}
+		if err := rf.CloseWrite(); err != nil {
+			rf.Delete()
+			return err
+		}
+		g.tc.AddIOBytes(rf.PayloadBytes())
+		g.runs = append(g.runs, rf)
 	}
-	rf, err := storage.CreateRunFile(g.tc.TempPath(fmt.Sprintf("run%d", len(g.runs))))
-	if err != nil {
-		return err
-	}
-	if err := g.drain(rf.AppendRef, rf.Append); err != nil {
-		rf.Delete() // not yet in g.runs; reclaim fd+frame+file now
-		return err
-	}
-	if err := rf.CloseWrite(); err != nil {
-		rf.Delete()
-		return err
-	}
-	g.tc.AddIOBytes(rf.PayloadBytes())
-	g.runs = append(g.runs, rf)
 	g.releaseMem()
 	return nil
 }
@@ -435,7 +529,6 @@ func (g *spillingGroupBy) cleanup() {
 		r.Delete()
 	}
 	g.runs = nil
-	g.table = nil
 	g.sorter = keySorter{}
 	g.entryBytes = 0
 	g.releaseMem()
@@ -478,9 +571,9 @@ func (g *spillingGroupBy) finish() error {
 	return MergeSources(srcs, g.combiner, emit)
 }
 
-// bufferedSource replays the operator's sorted buffer, unfolded, for the
-// final merge. In sort mode a tuple it returns is a view of the buffer,
-// valid until the following Next.
+// bufferedSource replays the operator's sorted buffer, as it lies there,
+// for the final merge. A tuple it returns is a view of the buffer, valid
+// until the following Next.
 type bufferedSource struct {
 	g   *spillingGroupBy
 	i   int
@@ -491,12 +584,8 @@ func (s *bufferedSource) Next() (tuple.Tuple, error) {
 	if s.i >= len(s.g.sorter.entries) {
 		return nil, io.EOF
 	}
-	e := s.g.sorter.entries[s.i]
+	s.hdr = s.g.ref(s.g.sorter.entries[s.i]).AppendFieldsTo(s.hdr[:0])
 	s.i++
-	if s.g.table != nil {
-		return s.g.accs[e.rec], nil
-	}
-	s.hdr = s.g.ref(e).AppendFieldsTo(s.hdr[:0])
 	return s.hdr, nil
 }
 
@@ -507,8 +596,8 @@ func (s *bufferedSource) Next() (tuple.Tuple, error) {
 // keys as far as 8 bytes can tell.
 type sortEntry struct {
 	key   uint64
-	frame uint32 // index of the tuple's frame (0 for a hash-mode accumulator)
-	rec   uint32 // the tuple's position in its frame (in accs, in hash mode)
+	frame uint32 // which of the frames holds the tuple, counted from 1: 0 is a free slot of the table
+	rec   uint32 // the byte offset of the tuple's record in its frame
 }
 
 const sortEntryBytes = int64(unsafe.Sizeof(sortEntry{}))
@@ -539,11 +628,13 @@ type keySorter struct {
 	// length from the first, so that equal normalized keys no longer
 	// mean equal keys.
 	wide bool
+	// seen says that there is a first key.
+	seen bool
 }
 
 func (s *keySorter) reset() {
 	s.entries = s.entries[:0]
-	s.varying, s.wide = 0, false
+	s.varying, s.wide, s.seen = 0, false, false
 }
 
 // grow makes room for n entries.
@@ -554,15 +645,75 @@ func (s *keySorter) grow(n int) {
 // add appends an entry; grow must have made room for it.
 func (s *keySorter) add(key []byte, frame, rec uint32) {
 	k, n := keyPrefix(key), len(s.entries)
-	if n == 0 {
-		s.first, s.keyLen = k, len(key)
-	}
-	s.varying |= k ^ s.first
-	if len(key) > 8 || len(key) != s.keyLen {
-		s.wide = true
-	}
+	s.observe(k, len(key))
 	s.entries = s.entries[:n+1]
 	s.entries[n] = sortEntry{k, frame, rec}
+}
+
+// observe notes the normalized form and the length of a key some entry
+// holds, which is what sort goes by.
+func (s *keySorter) observe(k uint64, keyLen int) {
+	if !s.seen {
+		s.first, s.keyLen, s.seen = k, keyLen, true
+	}
+	s.varying |= k ^ s.first
+	if keyLen > 8 || keyLen != s.keyLen {
+		s.wide = true
+	}
+}
+
+// The entries as a table: the slice at full length, a power of two, a
+// key's slot the first free one (frame 0) at or after slotOf.
+
+// slotOf is where the probe for normalized key k starts in a table of n
+// slots: the low bits of a 64-bit mix (the finalizer of MurmurHash3), so
+// that keys apart by a stride, or alike in their low bytes, spread out.
+func slotOf(k uint64, n int) int {
+	k ^= k >> 33
+	k *= 0xff51afd7ed558ccd
+	k ^= k >> 33
+	k *= 0xc4ceb9fe1a85ec53
+	k ^= k >> 33
+	return int(k) & (n - 1)
+}
+
+func (s *keySorter) freeSlot(k uint64) int {
+	i := slotOf(k, len(s.entries))
+	for s.entries[i].frame != 0 {
+		i = (i + 1) & (len(s.entries) - 1)
+	}
+	return i
+}
+
+// rehash makes the table n slots, moving the taken ones by their
+// normalized keys alone: they are of distinct keys already.
+func (s *keySorter) rehash(n int) {
+	old := s.entries
+	s.entries = make([]sortEntry, n)
+	for _, e := range old {
+		if e.frame != 0 {
+			s.entries[s.freeSlot(e.key)] = e
+		}
+	}
+}
+
+// free makes the emptied slice a table again, every slot free.
+func (s *keySorter) free() {
+	s.entries = s.entries[:cap(s.entries)]
+	clear(s.entries)
+}
+
+// compact ends the table: the taken slots move to the front and are the
+// entries.
+func (s *keySorter) compact() {
+	n := 0
+	for _, e := range s.entries {
+		if e.frame != 0 {
+			s.entries[n] = e
+			n++
+		}
+	}
+	s.entries = s.entries[:n]
 }
 
 // bucketMin is the number of entries from which splitting them into
@@ -752,17 +903,8 @@ func MergeSources(srcs []TupleSource, combiner Combiner, emit func(tuple.Tuple) 
 				}
 			}
 			// The accumulator may be First's argument, and outlives cur:
-			// give it a copy, each field without spare capacity.
-			own, head = own[:0], head[:0]
-			for _, f := range cur {
-				own = append(own, f...)
-			}
-			at := 0
-			for _, f := range cur {
-				end := at + len(f)
-				head = append(head, own[at:end:end])
-				at = end
-			}
+			// give it a copy.
+			own, head = copyInto(own, head, cur)
 			acc = combiner.First(head)
 		}
 		if err := h[0].advance(); err == io.EOF {

@@ -298,35 +298,46 @@ func (sumInPlace) Add(acc, t tuple.Tuple) tuple.Tuple {
 }
 
 // The micro-benchmarks run one partition's share of a PageRank superstep
-// on the 30k-vertex Webmap: 119k messages with 8-byte keys.
+// on the 30k-vertex Webmap, 119k messages with 8-byte keys, at the two
+// operator-memory carves the benchmark's workloads run at: 4 MiB (pr_fit,
+// pr_cluster, serve_mix: RAM/16) and 64 KiB (pr_spill).
 const benchTuples = 119000
 
 func benchGroupBy(b *testing.B, in []*tuple.Frame, build func(tc *hyracks.TaskContext) hyracks.PushRuntime) {
 	defer putFrames(in)
-	node, err := hyracks.NewNodeController("n", b.TempDir(), hyracks.NodeConfig{PageSize: 1024})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tc := &hyracks.TaskContext{Ctx: context.Background(), Node: node, JobName: "bench", OperatorID: "gb", NumPartitions: 1, OperatorMem: 64 << 20}
-	sink := &collectWriter{discard: true}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rt := build(tc)
-		rt.SetOutputs([]hyracks.FrameWriter{sink})
-		if err := rt.Open(); err != nil {
-			b.Fatal(err)
-		}
-		for _, f := range in {
-			if err := rt.NextFrame(f); err != nil {
+	for _, opMem := range []int64{4 << 20, 64 << 10} {
+		b.Run(fmt.Sprintf("mem=%dKiB", opMem>>10), func(b *testing.B) {
+			node, err := hyracks.NewNodeController("n", b.TempDir(), hyracks.NodeConfig{PageSize: 1024})
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-		if err := rt.Close(); err != nil {
-			b.Fatal(err)
-		}
+			tc := &hyracks.TaskContext{Ctx: context.Background(), Node: node, JobName: "bench", OperatorID: "gb", NumPartitions: 1, OperatorMem: opMem}
+			sink := &collectWriter{discard: true}
+			spills := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rt := build(tc)
+				rt.SetOutputs([]hyracks.FrameWriter{sink})
+				if err := rt.Open(); err != nil {
+					b.Fatal(err)
+				}
+				for _, f := range in {
+					if err := rt.NextFrame(f); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if g, ok := rt.(*spillingGroupBy); ok {
+					spills += len(g.runs)
+				}
+				if err := rt.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchTuples, "ns/tuple")
+			b.ReportMetric(float64(spills)/float64(b.N), "spills/op")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchTuples, "ns/tuple")
 }
 
 func BenchmarkGroupBySort(b *testing.B) {

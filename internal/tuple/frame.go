@@ -131,6 +131,21 @@ func (f *Frame) Tuple(i int) TupleRef {
 	return TupleRef{f: f, start: start, end: end}
 }
 
+// TupleAt returns a reference to the tuple whose record starts at byte
+// off of the payload region (DataBytes before the record was appended):
+// Tuple for a caller that kept the offset, read from the record itself
+// and not from the slot directory at the far end of the buffer.
+func (f *Frame) TupleAt(off int) TupleRef {
+	if off < 0 || off+4 > f.dataEnd {
+		panic(fmt.Sprintf("tuple: no record at offset %d of %d payload bytes", off, f.dataEnd))
+	}
+	end := off + 4 + 4*int(binary.LittleEndian.Uint32(f.buf[off:]))
+	if end > off+4 {
+		end += int(binary.LittleEndian.Uint32(f.buf[end-4:]))
+	}
+	return TupleRef{f: f, start: off, end: end}
+}
+
 // grow replaces the buffer with one of at least need bytes. Only legal on
 // an empty frame (the slot directory would otherwise have to move).
 func (f *Frame) grow(need int) {
@@ -157,7 +172,9 @@ func (r TupleRef) FieldCount() int {
 	return int(binary.LittleEndian.Uint32(r.f.buf[r.start:]))
 }
 
-// Field returns field i as a subslice of the frame buffer (zero copy).
+// Field returns field i as a subslice of the frame buffer (zero copy),
+// cut at its length: an append to it goes elsewhere, not over the bytes
+// that follow the field in the frame.
 func (r TupleRef) Field(i int) []byte {
 	n := r.FieldCount()
 	base := r.start + 4 + 4*n
@@ -166,7 +183,7 @@ func (r TupleRef) Field(i int) []byte {
 		fs = int(binary.LittleEndian.Uint32(r.f.buf[r.start+4+4*(i-1):]))
 	}
 	fe := int(binary.LittleEndian.Uint32(r.f.buf[r.start+4+4*i:]))
-	return r.f.buf[base+fs : base+fe]
+	return r.f.buf[base+fs : base+fe : base+fe]
 }
 
 // Size returns the tuple's payload bytes (sum of field lengths).
@@ -193,11 +210,40 @@ func (r TupleRef) Materialize() Tuple {
 // appended slices alias the frame buffer, so the result is a borrowed
 // view: reusing dst[:0] across tuples makes the view allocation-free.
 func (r TupleRef) AppendFieldsTo(dst Tuple) Tuple {
+	buf := r.f.buf
 	n := r.FieldCount()
+	base := r.start + 4 + 4*n
+	lo := base
 	for i := 0; i < n; i++ {
-		dst = append(dst, r.Field(i))
+		hi := base + int(binary.LittleEndian.Uint32(buf[r.start+4+4*i:]))
+		dst = append(dst, buf[lo:hi:hi])
+		lo = hi
 	}
 	return dst
+}
+
+// Overwrite copies t's fields over the record's if t has as many fields
+// as the record and each is as long as the record's, and reports whether
+// it did: the one write in place open to the owner of a frame. t's fields
+// may be the record's own.
+func (r TupleRef) Overwrite(t Tuple) bool {
+	buf := r.f.buf
+	n := r.FieldCount()
+	at := r.start + 4 + 4*n
+	size := 0
+	for i, f := range t {
+		size += len(f)
+		if i >= n || size != int(binary.LittleEndian.Uint32(buf[r.start+4+4*i:])) {
+			return false
+		}
+	}
+	if len(t) != n {
+		return false
+	}
+	for _, f := range t {
+		at += copy(buf[at:], f)
+	}
+	return true
 }
 
 // String renders the referenced tuple for debugging.

@@ -368,3 +368,102 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// fullFrame packs (8-byte key, 5-byte payload) tuples until no more fit.
+func fullFrame(t *testing.T) *Frame {
+	t.Helper()
+	f := NewFrame()
+	app := NewFrameAppender(f)
+	for i := 0; app.Append(EncodeUint64(uint64(i)), []byte("hello")); i++ {
+	}
+	if f.Len() < 100 {
+		t.Fatalf("frame took %d tuples", f.Len())
+	}
+	return f
+}
+
+// TestFieldViewsAreCutAtTheirLength: a field view is borrowed, and an
+// append to it must go elsewhere: not over the records that follow the
+// field in the frame, nor over the slot directory behind the last one.
+func TestFieldViewsAreCutAtTheirLength(t *testing.T) {
+	f := fullFrame(t)
+	defer PutFrame(f)
+	image := append([]byte(nil), f.buf...)
+	junk := bytes.Repeat([]byte{0xEE}, DefaultFrameSize)
+	var hdr Tuple
+	for _, i := range []int{0, f.Len() / 2, f.Len() - 1} {
+		r := f.Tuple(i)
+		hdr = r.AppendFieldsTo(hdr[:0])
+		for j := 0; j < r.FieldCount(); j++ {
+			for _, view := range [][]byte{r.Field(j), hdr[j]} {
+				if cap(view) != len(view) {
+					t.Errorf("tuple %d field %d: a view of %d bytes has capacity %d", i, j, len(view), cap(view))
+				}
+				if grown := append(view, junk...); !bytes.Equal(grown[:len(view)], view) {
+					t.Fatalf("tuple %d field %d: append lost the field", i, j)
+				}
+			}
+		}
+	}
+	if !bytes.Equal(f.buf, image) {
+		t.Fatal("an append to a field view wrote into the frame")
+	}
+	if err := f.validate(); err != nil {
+		t.Fatalf("frame no longer valid: %v", err)
+	}
+}
+
+// TestTupleAtAndOverwrite: a record is reached by the offset it was
+// appended at as it is by its position, and Overwrite writes exactly the
+// record it is called on, and only a tuple of that record's shape.
+func TestTupleAtAndOverwrite(t *testing.T) {
+	f := NewFrame()
+	defer PutFrame(f)
+	app := NewFrameAppender(f)
+	tuples := []Tuple{
+		{EncodeUint64(1), []byte("hello")},
+		{},
+		{nil, []byte("x"), nil},
+		{EncodeUint64(2), []byte("world")},
+	}
+	var offs []int
+	for _, tp := range tuples {
+		offs = append(offs, f.DataBytes())
+		if !app.AppendTuple(tp) {
+			t.Fatal("append failed")
+		}
+	}
+	for i, tp := range tuples {
+		r := f.TupleAt(offs[i])
+		checkTuple(t, r, tp)
+		if r != f.Tuple(i) {
+			t.Fatalf("TupleAt(%d) = %+v, Tuple(%d) = %+v", offs[i], r, i, f.Tuple(i))
+		}
+	}
+	r := f.TupleAt(offs[0])
+	for _, bad := range []Tuple{
+		{EncodeUint64(1)},                       // a field short
+		{EncodeUint64(1), []byte("hello"), nil}, // a field more
+		{EncodeUint64(1), []byte("hell")},       // shorter
+		{EncodeUint64(1), []byte("hello!")},     // longer
+		{[]byte("1234567"), []byte("hello!")},   // same size, other fields
+	} {
+		if r.Overwrite(bad) {
+			t.Fatalf("Overwrite took %v over %v", bad, tuples[0])
+		}
+	}
+	checkTuple(t, r, tuples[0])
+	if !r.Overwrite(Tuple{r.Field(0), []byte("HELLO")}) { // the key is the record's own
+		t.Fatal("Overwrite refused a tuple of the record's shape")
+	}
+	tuples[0] = Tuple{EncodeUint64(1), []byte("HELLO")}
+	if !f.TupleAt(offs[1]).Overwrite(Tuple{}) {
+		t.Fatal("Overwrite refused the empty tuple over the empty record")
+	}
+	for i, tp := range tuples {
+		checkTuple(t, f.Tuple(i), tp)
+	}
+	if err := f.validate(); err != nil {
+		t.Fatalf("frame no longer valid: %v", err)
+	}
+}

@@ -70,7 +70,7 @@ func NewConnectedComponentsJob(name, input, output string) *pregel.Job {
 		},
 		Combiner:   MinInt64Combiner(),
 		Join:       pregel.FullOuterJoin,
-		GroupBy:    pregel.SortGroupBy,
+		GroupBy:    pregel.HashSortGroupBy,
 		Connector:  pregel.UnmergeConnector,
 		Storage:    pregel.BTreeStorage,
 		InputPath:  input,

@@ -98,7 +98,7 @@ func NewDeltaPageRankJob(name, input, output string, epsilon float64) *pregel.Jo
 		},
 		Combiner: SumCombiner(),
 		Join:     pregel.FullOuterJoin,
-		GroupBy:  pregel.SortGroupBy,
+		GroupBy:  pregel.HashSortGroupBy,
 		// Residual propagation sparsifies as it converges; let the plan
 		// advisor flip to the left-outer-join plan when messages thin out.
 		AutoPlan:      true,

@@ -67,7 +67,9 @@ func SumCombiner() pregel.Combiner {
 }
 
 // NewPageRankJob builds a PageRank job with the paper's default plan
-// (index full outer join, sort group-by, unmerged connector, B-tree).
+// (index full outer join, unmerged connector, B-tree) and, because the
+// sum of two ranks is as long as one, the HashSort group-by: a sender
+// holds one accumulator per destination and folds each message into it.
 func NewPageRankJob(name, input, output string, iterations int) *pregel.Job {
 	return &pregel.Job{
 		Name:    name,
@@ -78,7 +80,7 @@ func NewPageRankJob(name, input, output string, iterations int) *pregel.Job {
 		},
 		Combiner:   SumCombiner(),
 		Join:       pregel.FullOuterJoin,
-		GroupBy:    pregel.SortGroupBy,
+		GroupBy:    pregel.HashSortGroupBy,
 		Connector:  pregel.UnmergeConnector,
 		Storage:    pregel.BTreeStorage,
 		InputPath:  input,

@@ -150,10 +150,16 @@ func (k JoinKind) String() string {
 type GroupByKind int
 
 const (
-	// SortGroupBy uses sort-based grouping on both sides.
+	// SortGroupBy buffers every message, sorts the buffer and folds equal
+	// destinations afterwards, on both sides. It wins when there is no
+	// combiner, or one whose result grows with every message (a gathered
+	// list): nothing is rewritten as a group grows.
 	SortGroupBy GroupByKind = iota
-	// HashSortGroupBy uses hash-based in-memory grouping, sorting on
-	// spill/emit; best when distinct receivers are few.
+	// HashSortGroupBy keeps one accumulator per distinct destination in a
+	// packed table, folds each message into it on arrival, and sorts only
+	// what it spills or emits. It wins with a combiner whose result keeps
+	// its size (a sum, a minimum): the state is a record per destination,
+	// not per message. Without a combiner it is SortGroupBy.
 	HashSortGroupBy
 )
 
