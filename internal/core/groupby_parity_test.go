@@ -290,3 +290,44 @@ func BenchmarkMsgCombineSender(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(dests)), "ns/msg")
 	b.ReportMetric(float64(node.IOBytes())/float64(b.N)/1e6, "spillMB/op")
 }
+
+// BenchmarkSpillSuperstep is the out-of-core superstep: PageRank's first
+// superstep on pr_spill's graph (the 60k-vertex Webmap) on 2 nodes of
+// 1 MiB RAM, whose 64 KiB of operator memory (RAM/16) makes every
+// group-by spill. ns/msg is that superstep's time over the messages it
+// sends; runs/op and B/op are the whole job's, whose load's external sort
+// spills too.
+func BenchmarkSpillSuperstep(b *testing.B) {
+	rt, err := NewRuntime(Options{
+		BaseDir: b.TempDir(), Nodes: 2,
+		NodeConfig: hyracks.NodeConfig{RAMBytes: 1 << 20, PageSize: 4096},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rt.Close()
+	var buf bytes.Buffer
+	if _, err := graphgen.WriteText(&buf, graphgen.Webmap(60000, 8, 1)); err != nil {
+		b.Fatal(err)
+	}
+	if err := rt.DFS.WriteFile("/in/g", buf.Bytes()); err != nil {
+		b.Fatal(err)
+	}
+	var msgs int64
+	var sending time.Duration
+	runs := operators.SpilledRuns()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stats, err := rt.Run(context.Background(), algorithms.NewPageRankJob("bench", "/in/g", "", 2))
+		if err != nil {
+			b.Fatal(err)
+		}
+		first := stats.SuperstepStats[0]
+		msgs += first.Messages
+		sending += first.Duration
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(sending.Nanoseconds())/float64(msgs), "ns/msg")
+	b.ReportMetric(float64(operators.SpilledRuns()-runs)/float64(b.N), "runs/op")
+}

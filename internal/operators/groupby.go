@@ -5,8 +5,9 @@
 // global aggregation.
 //
 // All operators are out-of-core capable: they meter their buffers against
-// the task's operator-memory budget and spill sorted runs to node-local
-// temporary files when it is exhausted, then merge the runs on close.
+// the task's operator-memory budget and spill sorted runs, when it is
+// exhausted, to a node-local temporary file (one per operator, the runs
+// its extents), then merge the runs on close.
 // Buffered input is held as packed frames (one pooled byte buffer per
 // frame) and sorted through 16-byte entries holding each tuple's
 // normalized key and position, so the hot path moves no tuple bytes while
@@ -21,6 +22,7 @@ import (
 	"io"
 	"math/bits"
 	"slices"
+	"sync/atomic"
 	"unsafe"
 
 	"pregelix/internal/hyracks"
@@ -201,9 +203,20 @@ type spillingGroupBy struct {
 	// carried owns the bytes of an accumulator taken out of the table.
 	carried []byte
 
-	runs   []*storage.RunFile
+	// file holds every run spilled, one after the other, from the first
+	// spill on; runs are their extents in it, oldest first.
+	file   *storage.RunFile
+	runs   []storage.Run
 	failed bool
 }
+
+// spilledRuns counts the runs the process's spilling operators have
+// written.
+var spilledRuns atomic.Int64
+
+// SpilledRuns returns how many runs the process's group-bys and external
+// sorts have spilled so far (benchmarks report it per operation).
+func SpilledRuns() int64 { return spilledRuns.Load() }
 
 // minSortEntries is the first capacity of the entry slice (the first
 // table): small, because most group-bys of a sparse superstep see a tuple
@@ -494,25 +507,25 @@ func (g *spillingGroupBy) releaseMem() {
 	}
 }
 
-// spill writes the sorted buffer, if it holds anything, as a run and
-// releases it.
+// spill writes the sorted buffer, if it holds anything, as the next run
+// of the operator's file and releases it. A failed spill leaves the file
+// to cleanup.
 func (g *spillingGroupBy) spill() error {
 	g.sortBuffered()
 	if len(g.sorter.entries) > 0 {
-		rf, err := storage.CreateRunFile(g.tc.TempPath(fmt.Sprintf("run%d", len(g.runs))))
+		if g.file == nil {
+			g.file = storage.NewRunFile(g.tc.TempPath("runs"))
+		}
+		if err := g.drain(g.file.AppendRef, g.file.Append); err != nil {
+			return err
+		}
+		run, err := g.file.Cut()
 		if err != nil {
 			return err
 		}
-		if err := g.drain(rf.AppendRef, rf.Append); err != nil {
-			rf.Delete() // not yet in g.runs; reclaim fd+frame+file now
-			return err
-		}
-		if err := rf.CloseWrite(); err != nil {
-			rf.Delete()
-			return err
-		}
-		g.tc.AddIOBytes(rf.PayloadBytes())
-		g.runs = append(g.runs, rf)
+		g.tc.AddIOBytes(run.PayloadBytes())
+		g.runs = append(g.runs, run)
+		spilledRuns.Add(1)
 	}
 	g.releaseMem()
 	return nil
@@ -525,8 +538,9 @@ func (g *spillingGroupBy) Fail(err error) {
 }
 
 func (g *spillingGroupBy) cleanup() {
-	for _, r := range g.runs {
-		r.Delete()
+	if g.file != nil {
+		g.file.Delete()
+		g.file = nil
 	}
 	g.runs = nil
 	g.sorter = keySorter{}
@@ -556,12 +570,10 @@ func (g *spillingGroupBy) finish() error {
 	}
 	// Merge the spilled runs, oldest first, then the in-memory remainder:
 	// MergeSources keeps equal keys in source order, which is arrival order.
+	// Every run is read through the file's one descriptor.
 	srcs := make([]TupleSource, 0, len(g.runs)+1)
 	for _, r := range g.runs {
-		rr, err := storage.OpenRunReader(r.Path())
-		if err != nil {
-			return err
-		}
+		rr := g.file.ReadRun(r)
 		defer rr.Close()
 		srcs = append(srcs, NewRunSource(rr))
 	}

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"sort"
 	"testing"
 
@@ -303,30 +302,35 @@ func TestHashGroupByAllocations(t *testing.T) {
 	}
 }
 
-// TestHashGroupByFailureReturnsEverything: a Fail with a table half
-// built and runs on disk, and a run that cannot be written, leave no
-// frame leased and no run file behind.
-func TestHashGroupByFailureReturnsEverything(t *testing.T) {
-	if _, err := os.Stat("/dev/full"); err != nil {
-		t.Skip("no /dev/full to write a run to")
+// refusingWriter takes frames until it has taken the given number, then
+// refuses every other.
+type refusingWriter struct {
+	collectWriter
+	frames int
+}
+
+func (w *refusingWriter) NextFrame(f *tuple.Frame) error {
+	if w.frames == 0 {
+		return errors.New("downstream refused a frame")
 	}
+	w.frames--
+	return w.collectWriter.NextFrame(f)
+}
+
+// TestHashGroupByFailureReturnsEverything: a Fail with a table half
+// built and runs on disk, a run that cannot be written, and a final
+// merge whose output is refused after some of it went out, each leave no
+// frame leased, nothing on the budget and no run file behind.
+func TestHashGroupByFailureReturnsEverything(t *testing.T) {
 	frames := messageFrames(t, 20000, 5000)
 	defer putFrames(frames)
-	for _, failWrite := range []bool{false, true} {
+	for _, fail := range []string{"downstream", "write", "merge"} {
 		tc := testContext(t, 128<<10)
 		scratch := tc.Node.JobDir(tc.RunDir)
-		if failWrite {
-			// The third run (the node's third temporary file) takes no byte.
-			if err := os.MkdirAll(scratch, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.Symlink("/dev/full", filepath.Join(scratch, "test-gb-p0-run2-3.tmp")); err != nil {
-				t.Fatal(err)
-			}
-		}
 		leased := tuple.LeasedFrames()
 		g := NewGroupByRuntime(tc, HashSortGroupBy, sumInPlace{}).(*spillingGroupBy)
-		g.SetOutputs([]hyracks.FrameWriter{&collectWriter{discard: true}})
+		sink := &refusingWriter{collectWriter: collectWriter{discard: true}, frames: 2}
+		g.SetOutputs([]hyracks.FrameWriter{sink})
 		if err := g.Open(); err != nil {
 			t.Fatal(err)
 		}
@@ -335,29 +339,43 @@ func TestHashGroupByFailureReturnsEverything(t *testing.T) {
 			if failure = g.NextFrame(f); failure != nil {
 				break
 			}
-		}
-		if failWrite != (failure != nil) {
-			t.Fatalf("write fails %v: NextFrame returned %v", failWrite, failure)
-		}
-		if failure == nil {
-			if len(g.runs) < 3 || g.live == 0 {
-				t.Fatalf("%d runs and %d groups in the table: nothing to fail in the middle of", len(g.runs), g.live)
+			if fail == "write" && len(g.runs) == 2 {
+				// The operator's one file is closed under it after the
+				// second run: the third run's write fails.
+				g.file.CloseWrite()
 			}
-			failure = errors.New("downstream failed")
 		}
-		g.Fail(failure)
+		if (fail == "write") != (failure != nil) {
+			t.Fatalf("%s fails: NextFrame returned %v", fail, failure)
+		}
+		if failure == nil && (len(g.runs) < 3 || g.live == 0) {
+			t.Fatalf("%d runs and %d groups in the table: nothing to fail in the middle of", len(g.runs), g.live)
+		}
+		switch fail {
+		case "downstream":
+			g.Fail(errors.New("downstream failed"))
+		case "write":
+			if len(g.runs) != 2 {
+				t.Fatalf("write fails: %d runs written", len(g.runs))
+			}
+			g.Fail(failure)
+		case "merge":
+			if err := g.Close(); err == nil || sink.n == 0 {
+				t.Fatalf("merge fails: Close returned %v after %d tuples out", err, sink.n)
+			}
+		}
 		if got := tuple.LeasedFrames(); got != leased {
-			t.Errorf("write fails %v: %d frames leased after Fail, %d before Open", failWrite, got, leased)
+			t.Errorf("%s fails: %d frames leased after it, %d before Open", fail, got, leased)
 		}
 		if used := g.budget.Used(); used != 0 {
-			t.Errorf("write fails %v: %d bytes still on the budget", failWrite, used)
+			t.Errorf("%s fails: %d bytes still on the budget", fail, used)
 		}
 		left, err := os.ReadDir(scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, e := range left {
-			t.Errorf("write fails %v: %s left behind", failWrite, e.Name())
+			t.Errorf("%s fails: %s left behind", fail, e.Name())
 		}
 	}
 }

@@ -10,15 +10,21 @@ import (
 	"pregelix/internal/tuple"
 )
 
-// RunFile is a sequential, append-only tuple run. Pregelix uses runs for
-// the group-by's spilled sort runs, the deferred vertex updates of a
-// superstep, and the per-partition Msg relation between supersteps
-// (Section 5.2: message partitions are stored in temporary local files
-// sorted by vid).
+// RunFile is a sequential, append-only file of tuple runs. Pregelix uses
+// run files for the group-by's spilled sort runs, the deferred vertex
+// updates of a superstep, and the per-partition Msg relation between
+// supersteps (Section 5.2: message partitions are stored in temporary
+// local files sorted by vid).
 //
 // Format: a stream of packed frame images (tuple.WriteFrame), so a whole
 // frame of tuples is written and read back with bulk copies instead of
 // one syscall-sized write per field.
+//
+// A file holds one run, or several: Cut ends the run being written and
+// returns its extent, and what is appended next is the next run, further
+// on in the same file. That is how a spilling operator keeps all of its
+// runs, reading each back with ReadRun through the file's one
+// descriptor: one create and one unlink per operator, not per run.
 //
 // A run is built in one pooled frame and leaves it through flushFrame. A
 // run started with NewRunFile creates its file there, at the first
@@ -29,21 +35,39 @@ import (
 // pooled frame, and Reader and Image serve it from there. That is a
 // deliberate departure from Section 5.2 for a relation smaller than the
 // file's own I/O unit; anything larger is the temporary file the paper
-// describes. PayloadBytes counts what went through the run either way.
+// describes. PayloadBytes counts what went through the file either way.
 type RunFile struct {
 	path string
 	f    *os.File
 	w    *bufio.Writer
 	// created says the file exists on disk; mem is the image of a closed
-	// run that never needed one.
+	// run that never needed one; closed says writing has ended.
 	created bool
 	mem     []byte
+	closed  bool
 	n       int64
 	sz      int64
+	// end is how many bytes went to the file; cut is where the run being
+	// written starts, with n and sz as they stood there.
+	end int64
+	cut Run
 
 	fr  *tuple.Frame
 	app tuple.FrameAppender
 }
+
+// Run is one run of a run file, as Cut returns it: where its frame
+// images lie in the file and what they hold.
+type Run struct {
+	off, size int64 // the extent, in bytes of the file
+	n, sz     int64 // tuples and their payload bytes
+}
+
+// Count returns the number of tuples in the run.
+func (r Run) Count() int64 { return r.n }
+
+// PayloadBytes returns the tuple payload bytes in the run.
+func (r Run) PayloadBytes() int64 { return r.sz }
 
 // NewRunFile starts a run for writing whose file, at path, is created
 // when its first frame fills (see RunFile).
@@ -65,7 +89,7 @@ func CreateRunFile(path string) (*RunFile, error) {
 }
 
 func (r *RunFile) create() error {
-	f, err := os.OpenFile(r.path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := os.OpenFile(r.path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("runfile: create %s: %w", r.path, err)
 	}
@@ -78,7 +102,7 @@ func (r *RunFile) Append(t tuple.Tuple) error { return r.AppendFields(t...) }
 
 // AppendFields writes one tuple given as raw fields (copied on append).
 func (r *RunFile) AppendFields(fields ...[]byte) error {
-	if !r.app.Append(fields...) {
+	if r.fr == nil || !r.app.Append(fields...) {
 		if err := r.flushFrame(); err != nil {
 			return err
 		}
@@ -95,7 +119,7 @@ func (r *RunFile) AppendFields(fields ...[]byte) error {
 
 // AppendRef copies one packed record from a frame in a single memmove.
 func (r *RunFile) AppendRef(ref tuple.TupleRef) error {
-	if !r.app.AppendRef(ref) {
+	if r.fr == nil || !r.app.AppendRef(ref) {
 		if err := r.flushFrame(); err != nil {
 			return err
 		}
@@ -119,13 +143,19 @@ func (r *RunFile) AppendFrame(f *tuple.Frame) error {
 }
 
 // flushFrame writes the current frame image to the file, creating the
-// file if this is the run's first flush, and resets the frame for
-// refilling.
+// file if this is its first flush, and resets the frame for refilling.
+// After a Cut, which gave the frame back, it takes one from the pool.
 func (r *RunFile) flushFrame() error {
-	if r.fr.Len() == 0 {
+	switch {
+	case r.closed:
+		return fmt.Errorf("runfile: %s: write after close", r.path)
+	case r.fr == nil:
+		r.fr = tuple.GetFrame()
+		r.app.Reset(r.fr)
 		return nil
-	}
-	if !r.created {
+	case r.fr.Len() == 0:
+		return nil
+	case !r.created:
 		if err := r.create(); err != nil {
 			return err
 		}
@@ -133,14 +163,46 @@ func (r *RunFile) flushFrame() error {
 	if err := tuple.WriteFrame(r.w, r.fr); err != nil {
 		return err
 	}
+	r.end += int64(r.fr.FrameImageSize())
 	r.fr.Reset()
 	return nil
 }
 
-// Count returns the number of tuples written.
+// Cut ends the run being written: its last frame goes to the file (never
+// into memory: a cut run has left it), the frame back to the pool, and
+// the run's extent is returned for ReadRun. What is appended next starts
+// the next run.
+func (r *RunFile) Cut() (Run, error) {
+	if r.fr != nil {
+		err := r.flushFrame()
+		tuple.PutFrame(r.fr)
+		r.fr = nil
+		if err != nil {
+			return Run{}, err
+		}
+	}
+	if r.w != nil {
+		if err := r.w.Flush(); err != nil {
+			return Run{}, err
+		}
+	}
+	run := Run{off: r.cut.off, size: r.end - r.cut.off, n: r.n - r.cut.n, sz: r.sz - r.cut.sz}
+	r.cut = Run{off: r.end, n: r.n, sz: r.sz}
+	return run, nil
+}
+
+// ReadRun streams a run cut from this file back through the file's own
+// descriptor: a section reader over the run's extent, with no buffer but
+// the reader's frame. The file must not have been closed for writing.
+func (r *RunFile) ReadRun(run Run) *RunReader {
+	return &RunReader{r: io.NewSectionReader(r.f, run.off, run.size), fr: tuple.GetFrame()}
+}
+
+// Count returns the number of tuples written, in every run of the file.
 func (r *RunFile) Count() int64 { return r.n }
 
-// PayloadBytes returns the total tuple payload bytes written.
+// PayloadBytes returns the total tuple payload bytes written, in every
+// run of the file.
 func (r *RunFile) PayloadBytes() int64 { return r.sz }
 
 // Path returns the file's path.
@@ -154,38 +216,46 @@ func (r *RunFile) Path() string { return r.path }
 // (the first error is reported), so a failed spill cannot strand a frame
 // lease or leak an fd.
 func (r *RunFile) CloseWrite() error {
-	var firstErr error
+	var err error
 	if r.fr != nil {
 		if size := r.fr.FrameImageSize(); r.created || size > tuple.DefaultFrameSize {
-			firstErr = r.flushFrame()
+			err = r.flushFrame()
 		} else if r.fr.Len() > 0 {
 			img := bytes.NewBuffer(make([]byte, 0, size))
-			firstErr = tuple.WriteFrame(img, r.fr)
+			err = tuple.WriteFrame(img, r.fr)
 			r.mem = img.Bytes()
 		}
-		tuple.PutFrame(r.fr)
-		r.fr = nil
 	}
 	if r.w != nil {
-		if err := r.w.Flush(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		r.w = nil
-	}
-	if r.f != nil {
-		err := r.f.Close()
-		r.f = nil
-		if err != nil && firstErr == nil {
-			firstErr = err
+		if ferr := r.w.Flush(); err == nil {
+			err = ferr
 		}
 	}
-	return firstErr
+	if cerr := r.release(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
-// Delete releases the run: its write state, its memory image and, if one
-// was created, its file. Deleting twice is harmless.
+// release ends writing without writing anything: the frame goes back to
+// the pool, the buffer is dropped and the descriptor closed.
+func (r *RunFile) release() error {
+	tuple.PutFrame(r.fr)
+	r.fr, r.w, r.closed = nil, nil, true
+	if r.f == nil {
+		return nil
+	}
+	err := r.f.Close()
+	r.f = nil
+	return err
+}
+
+// Delete releases the run file: its write state, its memory image and, if
+// one was created, its file. It writes nothing, so what was not yet
+// flushed is dropped and a file not yet created never is. Deleting twice
+// is harmless.
 func (r *RunFile) Delete() error {
-	_ = r.CloseWrite()
+	_ = r.release()
 	r.mem = nil
 	if !r.created {
 		return nil
@@ -216,7 +286,7 @@ func (r *RunFile) Reader() (*RunReader, error) {
 // RunReader streams tuples back from a run, loading one pooled frame at
 // a time.
 type RunReader struct {
-	f     *os.File // nil when the run is read from memory
+	f     *os.File // the reader's own descriptor (OpenRunReader), else nil
 	r     io.Reader
 	fr    *tuple.Frame
 	idx   int

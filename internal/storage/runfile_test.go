@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"pregelix/internal/tuple"
 )
@@ -222,6 +223,103 @@ func TestRunFileDeleteAfterFailedWrite(t *testing.T) {
 	}
 	if got := tuple.LeasedFrames(); got != leases {
 		t.Fatalf("%d frames leased after the delete, %d before the run", got, leases)
+	}
+}
+
+// TestRunFileCuts: runs cut one after the other from one file read back,
+// each through its own section of the file's one descriptor and in any
+// order, as exactly what was appended to them; the file alone holds
+// them, and the file's counts are theirs summed.
+func TestRunFileCuts(t *testing.T) {
+	leases := tuple.LeasedFrames()
+	path := filepath.Join(t.TempDir(), "runs")
+	rf := NewRunFile(path)
+	perFrame := recordsPerFrame()
+	sizes := []int{3, 0, 1, 3*perFrame + 5, perFrame}
+	var runs []Run
+	var starts []int // each run's first record
+	first := 0
+	for _, n := range sizes {
+		starts = append(starts, first)
+		for i := first; i < first+n; i++ {
+			if err := rf.AppendFields(tuple.EncodeUint64(uint64(i)), boundaryPayload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run, err := rf.Cut()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run.Count() != int64(n) || run.PayloadBytes() != int64(n*(8+len(boundaryPayload))) {
+			t.Fatalf("run of %d records: count %d, payload %d", n, run.Count(), run.PayloadBytes())
+		}
+		runs = append(runs, run)
+		first += n
+	}
+	if got := tuple.LeasedFrames(); got != leases {
+		t.Fatalf("%d frames leased by a file whose last run is cut, %d before it", got, leases)
+	}
+	if rf.Count() != int64(first) {
+		t.Fatalf("file count %d, want %d", rf.Count(), first)
+	}
+	for j := len(runs) - 1; j >= 0; j-- {
+		rr := rf.ReadRun(runs[j])
+		for i := starts[j]; i < starts[j]+sizes[j]; i++ {
+			ref, err := rr.NextRef()
+			if err != nil || tuple.DecodeUint64(ref.Field(0)) != uint64(i) {
+				t.Fatalf("run %d, record %d: %v %v", j, i, ref, err)
+			}
+		}
+		if _, err := rr.NextRef(); err != io.EOF {
+			t.Fatalf("run %d after %d records: %v, want EOF", j, sizes[j], err)
+		}
+		rr.Close()
+	}
+	if !exists(path) {
+		t.Fatal("no file holds the runs")
+	}
+	if err := rf.Delete(); err != nil || exists(path) {
+		t.Fatalf("delete: %v, file exists %v", err, exists(path))
+	}
+	if got := tuple.LeasedFrames(); got != leases {
+		t.Fatalf("%d frames leased after the delete, %d before the file", got, leases)
+	}
+}
+
+// TestRunFileDeleteWritesNothing:deleting a run that was never closed
+// drops what it holds. It holds one record larger than a frame, whose
+// image closing would write to the run's file, and Delete neither creates
+// that file nor writes it to remove it again: in a directory that does
+// not exist nothing appears, and in one that does the directory is not
+// touched (a file created and unlinked would move its modification time).
+func TestRunFileDeleteWritesNothing(t *testing.T) {
+	leases := tuple.LeasedFrames()
+	big := bytes.Repeat([]byte("v"), tuple.DefaultFrameSize+1)
+	missing, dir := filepath.Join(t.TempDir(), "gone"), t.TempDir()
+	past := time.Now().Add(-time.Hour).Truncate(time.Second)
+	if err := os.Chtimes(dir, past, past); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{filepath.Join(missing, "r.run"), filepath.Join(dir, "r.run")} {
+		rf := NewRunFile(path)
+		if err := rf.AppendFields(tuple.EncodeUint64(1), big); err != nil {
+			t.Fatal(err)
+		}
+		if err := rf.Delete(); err != nil {
+			t.Fatalf("%s: delete: %v", path, err)
+		}
+	}
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Errorf("the missing directory: %v after the delete", err)
+	}
+	if st, err := os.Stat(dir); err != nil || !st.ModTime().Equal(past) {
+		t.Errorf("the directory was written to by the delete: %v", err)
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Errorf("%d files left in the directory", len(left))
+	}
+	if got := tuple.LeasedFrames(); got != leases {
+		t.Fatalf("%d frames leased after the deletes, %d before the runs", got, leases)
 	}
 }
 
