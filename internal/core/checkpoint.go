@@ -406,7 +406,9 @@ func (rs *runState) recover(ctx context.Context, nf *hyracks.NodeFailure) (*chec
 	}
 
 	// Drop current partition state (files on the failed machine are
-	// unreachable; files on live machines are stale).
+	// unreachable; files on live machines are stale), and the superstep
+	// plan placed on the old machines.
+	rs.closePlan()
 	rs.dropPartitionState()
 
 	// Reassign all partitions over the surviving machines and reload.

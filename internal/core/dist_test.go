@@ -49,7 +49,7 @@ func distTestBuilder(raw json.RawMessage) (*pregel.Job, error) {
 // startDistCluster brings up a coordinator plus worker goroutines, each
 // worker with its own runtime, storage and wire transport — separate
 // processes in everything but the address space.
-func startDistCluster(t *testing.T, workers, nodesPerWorker int) *Coordinator {
+func startDistCluster(t testing.TB, workers, nodesPerWorker int) *Coordinator {
 	t.Helper()
 	coord, err := NewCoordinator(CoordinatorConfig{
 		ListenAddr: "127.0.0.1:0",
@@ -83,7 +83,7 @@ func startDistCluster(t *testing.T, workers, nodesPerWorker int) *Coordinator {
 	return coord
 }
 
-func graphText(t *testing.T, g *graphgen.Graph) []byte {
+func graphText(t testing.TB, g *graphgen.Graph) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := graphgen.WriteText(&buf, g); err != nil {

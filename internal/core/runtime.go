@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -190,6 +191,14 @@ type runState struct {
 	// distributed recovery can never meet straggler wire streams of the
 	// aborted attempt: stream identity includes the spec name.
 	attempt int64
+
+	// plan is the superstep dataflow, prepared once per partition table
+	// and run as one round per superstep (superstepPlanFor). ss and join
+	// are the superstep in flight and its join plan: the plan's tasks read
+	// them, with gs, when a round is armed.
+	plan *superstepPlan
+	ss   int64
+	join pregel.JoinKind
 
 	// pendingGS holds the superstep's global aggregation result, written
 	// by the single-partition gs operator and read by runSuperstep.
@@ -387,6 +396,7 @@ func (r *Runtime) run(ctx context.Context, job *pregel.Job, carried []*partition
 	}
 	if !dump {
 		// Hand partitions to the next pipelined job.
+		rs.closePlan()
 		parts := rs.parts
 		rs.parts = nil
 		return run.stats, parts, nil
@@ -473,8 +483,9 @@ func (l *localPhases) dump(ctx context.Context, run *jobRun) error {
 
 // runSuperstep is the body of the superstep verb — what one process does
 // for one superstep, whether it hosts every partition or a worker's
-// share: adopt the driver's global state, epoch and split table, compile
-// and run the plan with the join the driver chose, collect the
+// share: adopt the driver's global state, epoch and split table, run one
+// round of the superstep plan with the join the driver chose (compiling
+// the plan only when the partition table changed), collect the
 // global-state task's vote if it ran here, swap in the next-superstep
 // partition state, and report the hosted partitions' counters.
 func (rs *runState) runSuperstep(ctx context.Context, msg *superstepMsg) (*superstepReply, error) {
@@ -492,10 +503,18 @@ func (rs *runState) runSuperstep(ctx context.Context, msg *superstepMsg) (*super
 	rs.adoptSplits(msg.Splits)
 	// A vote left by an aborted attempt must not outlive it.
 	rs.pendingGS = gsVote{}
+	rs.ss, rs.join = msg.SS, msg.Join
+	plan, err := rs.superstepPlanFor()
+	if err != nil {
+		return nil, err
+	}
 
 	ioBefore := rs.ioBytes.Load()
-	res, err := rs.runHyracks(ctx, rs.buildSuperstepJob(msg.SS, msg.Join))
+	res, err := plan.Run(ctx, rs.roundName(msg.SS))
 	if err != nil {
+		// A failed round ends its plan; the retry, under a new attempt,
+		// compiles its own.
+		rs.closePlan()
 		return nil, err
 	}
 	reply := &superstepReply{}
@@ -515,6 +534,48 @@ func (rs *runState) runSuperstep(ctx context.Context, msg *superstepMsg) (*super
 	}
 	reply.IOBytes = rs.ioBytes.Load() - ioBefore
 	return reply, nil
+}
+
+// superstepPlans counts the superstep plans this process compiled.
+var superstepPlans atomic.Int64
+
+// superstepPlan is the superstep dataflow prepared once and run as one
+// round per superstep for as long as the partition table it was compiled
+// for holds: each partition's node, and with the table's size the split
+// list its router was built with. The join and the attempt do not shape
+// it; the tasks and the round's name read them per round.
+type superstepPlan struct {
+	*hyracks.Plan
+	nodes []hyracks.NodeID
+}
+
+// superstepPlanFor returns the prepared superstep plan, compiling,
+// scheduling and launching a new one only when the partition table
+// changed.
+func (rs *runState) superstepPlanFor() (*hyracks.Plan, error) {
+	if p := rs.plan; p != nil &&
+		slices.EqualFunc(p.nodes, rs.parts, func(id hyracks.NodeID, ps *partitionState) bool { return id == ps.node.ID }) {
+		return p.Plan, nil
+	}
+	rs.closePlan()
+	p, err := hyracks.Prepare(rs.rt.Cluster, rs.buildSuperstepJob(), rs.exec)
+	if err != nil {
+		return nil, err
+	}
+	superstepPlans.Add(1)
+	rs.plan = &superstepPlan{Plan: p, nodes: rs.locations()}
+	return p, nil
+}
+
+// closePlan closes the superstep plan, and its goroutines exit. A failed
+// round, whatever reshapes the partition table or the hosted node set
+// (splits, migrations, reconfiguration, restores) and the end of the run
+// call it, each at a boundary where no superstep is in flight.
+func (rs *runState) closePlan() {
+	if rs.plan != nil {
+		rs.plan.Close()
+		rs.plan = nil
+	}
 }
 
 // swapPartitions makes the superstep's outputs the next one's inputs:
@@ -589,6 +650,7 @@ func (rs *runState) seal(store *QueryStore) *retainedResult {
 }
 
 func (rs *runState) cleanup() {
+	rs.closePlan()
 	for _, ps := range rs.parts {
 		if ps.vertexIdx != nil {
 			ps.vertexIdx.Drop()

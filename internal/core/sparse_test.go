@@ -604,3 +604,40 @@ func BenchmarkSparseSuperstep(b *testing.B) {
 	// Everything the job allocated, its load included, over its supersteps.
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(supersteps), "B/superstep")
 }
+
+// BenchmarkSparseSuperstepCluster is BenchmarkSparseSuperstep's chain on
+// a coordinator and 2 in-process workers of one node each, over loopback
+// TCP: the cluster's per-superstep floor, which adds the superstep verb's
+// fan-out and barrier and each round's wire streams to the dataflow.
+func BenchmarkSparseSuperstepCluster(b *testing.B) {
+	const chain = 2000
+	coord := startDistCluster(b, 2, 1)
+	spec, _ := json.Marshal(distTestSpec{Algorithm: "sssp", Input: "/in/g", Source: 1})
+	data := graphText(b, graphgen.Chain(chain, 0, 1))
+	b.ReportAllocs()
+	var supersteps int64
+	var running time.Duration
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		job, err := distTestBuilder(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		stats, _, err := coord.RunJob(context.Background(), DistSubmission{
+			Name: fmt.Sprintf("bench@j%d", i+1), Spec: spec, Job: job, InputPath: "/in/g", InputData: data,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		supersteps += stats.Supersteps
+		running += stats.RunDuration
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(running.Microseconds())/float64(supersteps), "µs/superstep")
+	// Everything the coordinator and both workers allocated, over the
+	// supersteps.
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(supersteps), "B/superstep")
+}

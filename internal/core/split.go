@@ -127,11 +127,13 @@ func (rs *runState) applySplits(splits []splitRec) {
 // controller's authoritative list, carried on every superstep /
 // partition-transfer verb. Growing installs fresh (empty) child
 // partitions; shrinking — the controller abandoned an uncommitted split
-// — drops the orphaned children and their state.
+// — drops the orphaned children and their state. Either way the
+// superstep plan, compiled for the old table, is closed.
 func (rs *runState) adoptSplits(splits []splitRec) {
 	if len(splits) == len(rs.splits) {
 		return
 	}
+	rs.closePlan()
 	if len(splits) < len(rs.splits) {
 		total := totalParts(rs.baseParts, splits)
 		for _, ps := range rs.parts[total:] {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 
 	"pregelix/internal/hyracks"
 	"pregelix/internal/operators"
@@ -138,19 +139,27 @@ func chooseJoinFor(job *pregel.Job, gs *globalState, ss int64) pregel.JoinKind {
 	return pregel.FullOuterJoin
 }
 
-// buildSuperstepJob compiles the physical plan for superstep ss from the
-// join strategy the driver chose (Figure 8) and the job's plan hints:
-// group-by strategy (Figure 7), connector policy, and vertex storage.
-func (rs *runState) buildSuperstepJob(ss int64, join pregel.JoinKind) *hyracks.JobSpec {
+// roundName names superstep ss's round of the superstep plan: its wire
+// streams and temp files.
+func (rs *runState) roundName(ss int64) string {
+	name := rs.job.Name + "-ss" + strconv.FormatInt(ss, 10)
+	if rs.attempt > 0 {
+		// Recovery epoch: a fresh name gives the retried superstep fresh
+		// wire-stream identities (see runState.attempt).
+		name += ".r" + strconv.FormatInt(rs.attempt, 10)
+	}
+	return name
+}
+
+// buildSuperstepJob compiles the physical superstep plan (Figure 8) for
+// the current partition table from the job's plan hints: group-by
+// strategy (Figure 7), connector policy, and vertex storage. It holds
+// nothing of one superstep: its tasks read the superstep, its join and
+// the global state from the runState when a round is armed.
+func (rs *runState) buildSuperstepJob() *hyracks.JobSpec {
 	p := len(rs.parts)
 	locs := rs.locations()
-	name := fmt.Sprintf("%s-ss%d", rs.job.Name, ss)
-	if rs.attempt > 0 {
-		// Recovery epoch: a fresh spec name gives the retried superstep
-		// fresh wire-stream identities (see runState.attempt).
-		name = fmt.Sprintf("%s-ss%d.r%d", rs.job.Name, ss, rs.attempt)
-	}
-	spec := rs.newSpec(name)
+	spec := rs.newSpec(rs.job.Name + "-superstep")
 
 	// Join + compute source, pinned to the vertex partitions.
 	spec.AddOp(&hyracks.OperatorDesc{
@@ -158,7 +167,7 @@ func (rs *runState) buildSuperstepJob(ss int64, join pregel.JoinKind) *hyracks.J
 		Partitions: p,
 		Locations:  locs,
 		NewSource: func(tc *hyracks.TaskContext) (hyracks.SourceRuntime, error) {
-			return &computeSource{rs: rs, ss: ss, tc: tc, join: join}, nil
+			return &computeSource{rs: rs, ss: rs.ss, tc: tc, join: rs.join}, nil
 		},
 	})
 
@@ -312,7 +321,7 @@ func newMsgSink(rs *runState, tc *hyracks.TaskContext) (hyracks.PushRuntime, err
 	var rf *storage.RunFile
 	return &hyracks.FuncRuntime{
 		OnOpen: func(_ *hyracks.BaseRuntime) error {
-			rf = storage.NewRunFile(tc.TempPath(fmt.Sprintf("msg-v%d", rs.nextSeq())))
+			rf = storage.NewRunFile(tc.TempPath("msg-v" + strconv.FormatInt(rs.nextSeq(), 10)))
 			return nil
 		},
 		OnRef: func(_ *hyracks.BaseRuntime, r tuple.TupleRef) error {

@@ -530,6 +530,7 @@ func (w *distWorker) reconfigure(msg *reconfigureMsg) error {
 	w.exec.LocalNodes = local
 	for _, dj := range w.jobs {
 		dj.rs.exec.LocalNodes = local
+		dj.rs.closePlan() // it launched the old node set's tasks
 	}
 	w.mu.Unlock()
 	w.transport.SetPeers(peers, local)
@@ -689,6 +690,7 @@ func (w *distWorker) partitionRecv(dj *distJob, msg *partRecvMsg) error {
 	}
 	defer end()
 	rs := dj.rs
+	rs.closePlan() // the table's partitions move
 	if msg.Reset {
 		// Straggler streams of the aborted attempt parked in the transport
 		// would otherwise leak (their senders are gone or were reset).
@@ -740,6 +742,7 @@ func (dj *distJob) partitionDrop(msg *partDropMsg) error {
 		return err
 	}
 	defer end()
+	dj.rs.closePlan()
 	for _, idx := range msg.Parts {
 		if idx >= 0 && idx < len(dj.rs.parts) {
 			dj.rs.dropOnePartition(dj.rs.parts[idx])

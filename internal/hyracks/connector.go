@@ -82,9 +82,13 @@ func (s *ConnStats) WireBytes() int64 { return s.wire.Load() }
 // cost uncompressed (0 on channel transports).
 func (s *ConnStats) WireRawBytes() int64 { return s.wireRaw.Load() }
 
+// Open takes a pooled frame per consumer partition. A sender a Plan
+// re-aims at every round keeps its slices from round to round.
 func (s *partitionSender) Open() error {
-	s.bufs = make([]*tuple.Frame, len(s.ports))
-	s.apps = make([]tuple.FrameAppender, len(s.ports))
+	if len(s.bufs) != len(s.ports) {
+		s.bufs = make([]*tuple.Frame, len(s.ports))
+		s.apps = make([]tuple.FrameAppender, len(s.ports))
+	}
 	for i := range s.bufs {
 		s.bufs[i] = tuple.GetFrame()
 		s.apps[i].Reset(s.bufs[i])

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -221,6 +222,25 @@ func TestMaterializedConnector(t *testing.T) {
 	if io == 0 {
 		t.Fatal("expected temp-file I/O from materializing policy")
 	}
+
+	// A reduce-to-one connector ignores Materialized.
+	cluster = testCluster(t, 2)
+	col = newCollector()
+	spec = &JobSpec{Name: "mat-reduce"}
+	spec.AddOp(rangeSource("src", 2, 500, false))
+	spec.AddOp(col.sinkOp("sink", 1))
+	spec.Connect(&ConnectorDesc{From: "src", To: "sink", Type: ReduceToOne, Materialized: true})
+	if _, err := RunJob(context.Background(), cluster, spec); err != nil {
+		t.Fatal(err)
+	}
+	if len(col.tuples) != 500 {
+		t.Fatalf("reduce-to-one: got %d tuples", len(col.tuples))
+	}
+	for _, n := range cluster.Nodes() {
+		if n.IOBytes() != 0 {
+			t.Fatalf("reduce-to-one materialized: node %s did %d bytes of temp-file I/O", n.ID, n.IOBytes())
+		}
+	}
 }
 
 func TestSourceErrorPropagates(t *testing.T) {
@@ -379,5 +399,56 @@ func TestConnStatsRecorded(t *testing.T) {
 	st := res.ConnStats["src->sink"]
 	if st == nil || st.Tuples() != 200 {
 		t.Fatal("conn stats missing or wrong tuple count")
+	}
+}
+
+// TestPlanRunsRounds: one prepared plan runs round after round, each
+// with its own connector statistics; a failed round leaves it ready for
+// the next, and Close ends its goroutines.
+func TestPlanRunsRounds(t *testing.T) {
+	cluster := testCluster(t, 2)
+	goroutines := runtime.NumGoroutine()
+	col := newCollector()
+	boom := errors.New("boom")
+	var failNext bool
+	spec := &JobSpec{Name: "rounds"}
+	src := rangeSource("src", 2, 1000, false)
+	inner := src.NewSource
+	src.NewSource = func(tc *TaskContext) (SourceRuntime, error) {
+		if failNext && tc.Partition == 1 {
+			return nil, boom
+		}
+		return inner(tc)
+	}
+	spec.AddOp(src)
+	spec.AddOp(col.sinkOp("sink", 2))
+	spec.Connect(&ConnectorDesc{From: "src", To: "sink", Type: MToNPartitioning, Partitioner: HashPartitioner(0)})
+	p, err := Prepare(cluster, spec, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; round <= 4; round++ {
+		failNext = round == 2
+		res, err := p.Run(context.Background(), fmt.Sprintf("rounds-%d", round))
+		if failNext {
+			if !errors.Is(err, boom) {
+				t.Fatalf("round %d: want boom, got %v", round, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if n := res.ConnStats["src->sink"].Tuples(); n != 1000 {
+			t.Fatalf("round %d counted %d tuples, want its own 1000", round, n)
+		}
+	}
+	if got := len(col.tuples); got < 3000 {
+		t.Fatalf("three clean rounds delivered %d tuples", got)
+	}
+	p.Close()
+	p.Close()
+	if now := runtime.NumGoroutine(); now > goroutines {
+		t.Fatalf("%d goroutines after Close, %d before Prepare", now, goroutines)
 	}
 }

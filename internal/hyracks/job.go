@@ -3,6 +3,7 @@ package hyracks
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync/atomic"
 
 	"pregelix/internal/tuple"
@@ -65,7 +66,7 @@ func (tc *TaskContext) AddIOBytes(n int64) {
 
 // TempPath returns a task-scoped temp file path on the task's node.
 func (tc *TaskContext) TempPath(kind string) string {
-	return tc.Node.TempPathIn(tc.RunDir, fmt.Sprintf("%s-%s-p%d-%s", tc.JobName, tc.OperatorID, tc.Partition, kind))
+	return tc.Node.TempPathIn(tc.RunDir, tc.JobName+"-"+tc.OperatorID+"-p"+strconv.Itoa(tc.Partition)+"-"+kind)
 }
 
 // OperatorDesc declares one logical operator of a job. Exactly one of

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -56,8 +57,9 @@ type NodeController struct {
 	failed  atomic.Bool
 	tmpSeq  atomic.Int64
 	ioBytes atomic.Int64
-	// madeDirs memoizes created scratch subdirectories so the per-file
-	// TempPathIn hot path skips redundant MkdirAll syscalls.
+	// madeDirs maps each scratch subdirectory already created to its path,
+	// so the per-file TempPathIn hot path skips the MkdirAll syscall and
+	// the path join.
 	madeDirs sync.Map
 }
 
@@ -114,7 +116,7 @@ func (n *NodeController) Failed() bool { return n.failed.Load() }
 
 // TempPath returns a fresh temporary file path on this node's disk.
 func (n *NodeController) TempPath(prefix string) string {
-	return filepath.Join(n.Dir, fmt.Sprintf("%s-%d.tmp", prefix, n.tmpSeq.Add(1)))
+	return n.TempPathIn("", prefix)
 }
 
 // TempPathIn returns a fresh temp file path under the node-relative
@@ -122,15 +124,17 @@ func (n *NodeController) TempPath(prefix string) string {
 // subdirectories isolate concurrent tenants' scratch files and let the
 // job manager reclaim a whole job's local state in one call.
 func (n *NodeController) TempPathIn(sub, prefix string) string {
-	if sub == "" {
-		return n.TempPath(prefix)
+	dir := n.Dir
+	if sub != "" {
+		if d, seen := n.madeDirs.Load(sub); seen {
+			dir = d.(string)
+		} else {
+			dir = filepath.Join(n.Dir, sub)
+			os.MkdirAll(dir, 0o755) // creation errors surface at file-create time
+			n.madeDirs.Store(sub, dir)
+		}
 	}
-	dir := filepath.Join(n.Dir, sub)
-	if _, seen := n.madeDirs.Load(dir); !seen {
-		os.MkdirAll(dir, 0o755) // creation errors surface at file-create time
-		n.madeDirs.Store(dir, struct{}{})
-	}
-	return filepath.Join(dir, fmt.Sprintf("%s-%d.tmp", prefix, n.tmpSeq.Add(1)))
+	return dir + string(filepath.Separator) + prefix + "-" + strconv.FormatInt(n.tmpSeq.Add(1), 10) + ".tmp"
 }
 
 // JobDir returns the node-local directory backing the given run
@@ -149,9 +153,8 @@ func (n *NodeController) RemoveJobDir(sub string) error {
 	if sub == "" {
 		return nil
 	}
-	dir := filepath.Join(n.Dir, sub)
-	n.madeDirs.Delete(dir)
-	return os.RemoveAll(dir)
+	n.madeDirs.Delete(sub)
+	return os.RemoveAll(filepath.Join(n.Dir, sub))
 }
 
 // AddIOBytes records bytes of temp-file I/O for statistics.

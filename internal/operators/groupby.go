@@ -22,6 +22,7 @@ import (
 	"io"
 	"math/bits"
 	"slices"
+	"strconv"
 	"sync/atomic"
 	"unsafe"
 
@@ -225,8 +226,7 @@ const minSortEntries = 16
 
 func (g *spillingGroupBy) Open() error {
 	cap := g.tc.OperatorMem
-	g.budget = g.tc.Node.RAM.Child(
-		fmt.Sprintf("groupby-%s-p%d", g.tc.OperatorID, g.tc.Partition), cap)
+	g.budget = g.tc.Node.RAM.Child("groupby-"+g.tc.OperatorID+"-p"+strconv.Itoa(g.tc.Partition), cap)
 	return g.OpenOutputs()
 }
 
@@ -753,12 +753,19 @@ func (s *keySorter) sort(keyOf func(sortEntry) []byte) {
 		}
 		return cmp.Compare(a.rec, b.rec)
 	}
-	es := s.entries
-	if len(es) < bucketMin || s.varying == 0 {
-		slices.SortFunc(es, order)
+	if len(s.entries) < bucketMin || s.varying == 0 {
+		slices.SortFunc(s.entries, order)
 		return
 	}
-	shift := max(bits.Len64(s.varying)-8, 0)
+	bucketSort(s.entries, max(bits.Len64(s.varying)-8, 0), order)
+}
+
+// bucketSort splits es in place into up to 256 buckets by the 8 bits of
+// their normalized keys from shift up, and sorts each bucket by order.
+// It is a function of its own so that its 4 KiB of counters are not in
+// the frame of every sort: a sort of a few entries on a fresh goroutine
+// would otherwise grow that goroutine's stack.
+func bucketSort(es []sortEntry, shift int, order func(a, b sortEntry) int) {
 	var count, next [256]int // per bucket: entries, and where the next one goes
 	for _, e := range es {
 		count[byte(e.key>>shift)]++
