@@ -169,7 +169,7 @@ type clusterBackend struct {
 
 // clusterSlots is what remains single-job about the cluster: the
 // coordinator quiesces one run's boundary for a scale-out, drain, split
-// or relief, and nothing yet quiesces several (ROADMAP item 5).
+// or relief, and nothing yet quiesces several (ROADMAP item 7).
 const clusterSlots = 1
 
 func newClusterBackend(coord *core.Coordinator, stateDir string) *clusterBackend {

@@ -36,7 +36,6 @@ import (
 	"pregelix/internal/core"
 	"pregelix/internal/hyracks"
 	"pregelix/pregel"
-	"pregelix/pregel/algorithms"
 )
 
 func main() {
@@ -59,10 +58,10 @@ func main() {
 		partitions = flag.Int("partitions-per-node", 1, "graph partitions per machine")
 		source     = flag.Uint64("source", 1, "source vertex (sssp/reachability/bfs)")
 		iterations = flag.Int("iterations", 10, "iterations (pagerank) / rounds (pathmerge)")
-		join       = flag.String("join", "", "fullouter | leftouter (default: per-algorithm)")
-		groupby    = flag.String("groupby", "", "sort | hashsort")
-		connector  = flag.String("connector", "", "merge | unmerge")
-		storage    = flag.String("storage", "", "btree | lsm")
+		join       = flag.String("join", "", pregel.HintValues("join")+" (default: per-algorithm)")
+		groupby    = flag.String("groupby", "", pregel.HintValues("groupby"))
+		connector  = flag.String("connector", "", pregel.HintValues("connector"))
+		storage    = flag.String("storage", "", pregel.HintValues("storage"))
 		checkpoint = flag.Int("checkpoint-every", 0, "checkpoint every N supersteps (0 = off)")
 		verbose    = flag.Bool("v", false, "print per-superstep statistics")
 	)
@@ -73,29 +72,17 @@ func main() {
 		os.Exit(2)
 	}
 
-	job := buildJob(*algorithm, *source, *iterations)
-	if job == nil {
-		fmt.Fprintf(os.Stderr, "pregelix: unknown algorithm %q\n", *algorithm)
+	// The same job builder as serve's and the workers'.
+	job, err := buildServeJob(&jobRequest{
+		Algorithm: *algorithm, Input: "/in/graph", Output: "/out/result",
+		Source: source, Iterations: *iterations,
+		Join: *join, GroupBy: *groupby, Connector: *connector, Storage: *storage,
+		CheckpointEvery: *checkpoint,
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pregelix:", err)
 		os.Exit(2)
 	}
-	job.InputPath, job.OutputPath = "/in/graph", "/out/result"
-	job.CheckpointEvery = *checkpoint
-	applyHint(join, map[string]func(){
-		"fullouter": func() { job.Join = pregel.FullOuterJoin },
-		"leftouter": func() { job.Join = pregel.LeftOuterJoin },
-	})
-	applyHint(groupby, map[string]func(){
-		"sort":     func() { job.GroupBy = pregel.SortGroupBy },
-		"hashsort": func() { job.GroupBy = pregel.HashSortGroupBy },
-	})
-	applyHint(connector, map[string]func(){
-		"merge":   func() { job.Connector = pregel.MergeConnector },
-		"unmerge": func() { job.Connector = pregel.UnmergeConnector },
-	})
-	applyHint(storage, map[string]func(){
-		"btree": func() { job.Storage = pregel.BTreeStorage },
-		"lsm":   func() { job.Storage = pregel.LSMStorage },
-	})
 
 	baseDir, err := os.MkdirTemp("", "pregelix-")
 	if err != nil {
@@ -147,47 +134,6 @@ func main() {
 	if err := os.WriteFile(*output, result, 0o644); err != nil {
 		fatal(err)
 	}
-}
-
-func buildJob(algorithm string, source uint64, iterations int) *pregel.Job {
-	switch algorithm {
-	case "pagerank":
-		return algorithms.NewPageRankJob("pagerank", "", "", iterations)
-	case "sssp":
-		return algorithms.NewSSSPJob("sssp", "", "", source)
-	case "cc":
-		return algorithms.NewConnectedComponentsJob("cc", "", "")
-	case "reachability":
-		return algorithms.NewReachabilityJob("reachability", "", "", source)
-	case "bfs":
-		return algorithms.NewBFSTreeJob("bfs", "", "", source)
-	case "triangles":
-		return algorithms.NewTriangleCountJob("triangles", "", "")
-	case "cliques":
-		return algorithms.NewMaximalCliquesJob("cliques", "", "")
-	case "sample":
-		return algorithms.NewRandomWalkSampleJob("sample", "", "", 16, 8)
-	case "pathmerge":
-		return algorithms.NewPathMergeJob("pathmerge", "", "", iterations)
-	case "deltapagerank":
-		return algorithms.NewDeltaPageRankJob("deltapagerank", "", "", 0)
-	case "kcore":
-		return algorithms.NewKCoreJob("kcore", "", "", 3)
-	default:
-		return nil
-	}
-}
-
-func applyHint(flagVal *string, actions map[string]func()) {
-	if *flagVal == "" {
-		return
-	}
-	if fn, ok := actions[*flagVal]; ok {
-		fn()
-		return
-	}
-	fmt.Fprintf(os.Stderr, "pregelix: bad hint %q\n", *flagVal)
-	os.Exit(2)
 }
 
 func fatal(err error) {

@@ -47,7 +47,7 @@ func serveMain(args []string) {
 		stateDir      = fs.String("state-dir", "", "cluster mode: durable coordinator state directory (checkpoint store, sealed-version catalog, job registry, lease); a restarted controller pointed here resumes where the dead one stopped")
 		standbyCC     = fs.Bool("standby-cc", false, "cluster mode: start as a warm standby controller — wait for the coordinator lease in -state-dir to lapse, then take over")
 		leaseInterval = fs.Duration("lease-interval", 2*time.Second, "cluster mode: coordinator lease renewal interval (a standby takes over after 3 missed renewals)")
-		adaptive      = fs.Bool("adaptive", false, "cluster mode: enable the runtime-stats feedback loop — per-superstep join replanning, hot-partition splitting and straggler relief (event log under /stats)")
+		adaptive      = fs.Bool("adaptive", false, "cluster mode: enable the runtime-stats feedback loop — hot-partition splitting and straggler relief (event log under /stats, with the join planner's switches)")
 	)
 	fs.Parse(args)
 
@@ -115,7 +115,7 @@ func serveMain(args []string) {
 			fatal(errors.New("pregelix serve: -state-dir and -standby-cc require cluster mode (-workers N)"))
 		}
 		if *adaptive {
-			fatal(errors.New("pregelix serve: -adaptive requires cluster mode (-workers N); the single-process runtime replans per superstep already"))
+			fatal(errors.New("pregelix serve: -adaptive requires cluster mode (-workers N): it splits and moves partitions between workers; join: auto plans the join per superstep in either mode"))
 		}
 		dir := *baseDir
 		if dir == "" {
@@ -1003,7 +1003,8 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // buildServeJob maps a submission request onto a built-in algorithm job
-// with the requested plan hints.
+// with the requested plan hints: the one job builder of the CLI, serve
+// and the workers.
 func buildServeJob(req *jobRequest) (*pregel.Job, error) {
 	iterations := req.Iterations
 	if iterations <= 0 {
@@ -1015,6 +1016,24 @@ func buildServeJob(req *jobRequest) (*pregel.Job, error) {
 	}
 	var job *pregel.Job
 	switch req.Algorithm {
+	case "pagerank":
+		job = algorithms.NewPageRankJob("pagerank", "", "", iterations)
+	case "sssp":
+		job = algorithms.NewSSSPJob("sssp", "", "", source)
+	case "cc":
+		job = algorithms.NewConnectedComponentsJob("cc", "", "")
+	case "reachability":
+		job = algorithms.NewReachabilityJob("reachability", "", "", source)
+	case "bfs":
+		job = algorithms.NewBFSTreeJob("bfs", "", "", source)
+	case "triangles":
+		job = algorithms.NewTriangleCountJob("triangles", "", "")
+	case "cliques":
+		job = algorithms.NewMaximalCliquesJob("cliques", "", "")
+	case "sample":
+		job = algorithms.NewRandomWalkSampleJob("sample", "", "", 16, 8)
+	case "pathmerge":
+		job = algorithms.NewPathMergeJob("pathmerge", "", "", iterations)
 	case "deltapagerank":
 		job = algorithms.NewDeltaPageRankJob("deltapagerank", "", "", req.Epsilon)
 	case "kcore":
@@ -1024,9 +1043,6 @@ func buildServeJob(req *jobRequest) (*pregel.Job, error) {
 		}
 		job = algorithms.NewKCoreJob("kcore", "", "", k)
 	default:
-		job = buildJob(req.Algorithm, source, iterations)
-	}
-	if job == nil {
 		return nil, fmt.Errorf("unknown algorithm %q", req.Algorithm)
 	}
 	if req.Input == "" {
@@ -1037,28 +1053,7 @@ func buildServeJob(req *jobRequest) (*pregel.Job, error) {
 	}
 	job.InputPath = req.Input
 	job.OutputPath = req.Output
-	if err := applyHintValue("join", req.Join, map[string]func(){
-		"fullouter": func() { job.Join = pregel.FullOuterJoin },
-		"leftouter": func() { job.Join = pregel.LeftOuterJoin },
-	}); err != nil {
-		return nil, err
-	}
-	if err := applyHintValue("groupby", req.GroupBy, map[string]func(){
-		"sort":     func() { job.GroupBy = pregel.SortGroupBy },
-		"hashsort": func() { job.GroupBy = pregel.HashSortGroupBy },
-	}); err != nil {
-		return nil, err
-	}
-	if err := applyHintValue("connector", req.Connector, map[string]func(){
-		"merge":   func() { job.Connector = pregel.MergeConnector },
-		"unmerge": func() { job.Connector = pregel.UnmergeConnector },
-	}); err != nil {
-		return nil, err
-	}
-	if err := applyHintValue("storage", req.Storage, map[string]func(){
-		"btree": func() { job.Storage = pregel.BTreeStorage },
-		"lsm":   func() { job.Storage = pregel.LSMStorage },
-	}); err != nil {
+	if err := job.ApplyHints(req.Join, req.GroupBy, req.Connector, req.Storage); err != nil {
 		return nil, err
 	}
 	if req.CheckpointEvery < 0 {
@@ -1066,18 +1061,6 @@ func buildServeJob(req *jobRequest) (*pregel.Job, error) {
 	}
 	job.CheckpointEvery = req.CheckpointEvery
 	return job, nil
-}
-
-func applyHintValue(kind, val string, actions map[string]func()) error {
-	if val == "" {
-		return nil
-	}
-	fn, ok := actions[val]
-	if !ok {
-		return fmt.Errorf("bad %s hint %q", kind, val)
-	}
-	fn()
-	return nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -520,7 +520,7 @@ func RunAblateGroupBy(ctx context.Context, o Options) error {
 func RunAblateConnector(ctx context.Context, o Options) error {
 	o.defaults()
 	o.printf("Ablation: connector policy vs cluster size (PageRank avg iter)\n")
-	o.printf("%-10s %14s %14s\n", "machines", "merge", "unmerge")
+	o.printf("%-10s %14v %14v\n", "machines", pregel.MergeConnector, pregel.UnmergeConnector)
 	for _, m := range speedupLadder(o.Nodes) {
 		per := o
 		per.Nodes = m
@@ -542,7 +542,7 @@ func RunAblateConnector(ctx context.Context, o Options) error {
 func RunAblateStorage(ctx context.Context, o Options) error {
 	o.defaults()
 	o.printf("Ablation (Sec 5.2): vertex storage\n")
-	o.printf("%-28s %12s %12s\n", "workload", "btree", "lsm")
+	o.printf("%-28s %12v %12v\n", "workload", pregel.BTreeStorage, pregel.LSMStorage)
 
 	g, _ := o.buildDataset(WebmapData, 0.10, 95)
 	row := make(map[pregel.StorageKind]RunResult)

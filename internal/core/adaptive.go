@@ -3,14 +3,9 @@ package core
 // The adaptive runtime: a stats-driven feedback loop on the cluster
 // controller. Every committed superstep already merges per-partition
 // vertex/message counters and per-worker phase timings; the advisor
-// consumes them with three actuators:
+// consumes them with two actuators (the join is not one of them: every
+// run plans it by chooseJoinFor, adaptive or not):
 //
-//   - Replanning: the join/group-by plan for the next superstep is
-//     chosen from the *observed* live-vertex and message ratios, with a
-//     small plan cache keyed on a quantized stat signature. The cache
-//     pins the first decision made for a signature, so a workload
-//     hovering at a threshold cannot oscillate between plans every
-//     superstep (either plan is near-equal cost exactly there).
 //   - Hot-partition splitting: when one partition's vertex+message
 //     share exceeds a skew threshold, it is re-hashed into child
 //     partitions at the next superstep boundary (split.go) — the one
@@ -30,8 +25,6 @@ import (
 	"fmt"
 	"sort"
 	"time"
-
-	"pregelix/pregel"
 )
 
 // AdaptiveOptions tunes the coordinator's runtime-stats feedback loop.
@@ -39,11 +32,6 @@ import (
 type AdaptiveOptions struct {
 	// Enabled turns the adaptive runtime on.
 	Enabled bool
-	// LiveFraction / MsgFraction are the replanner's thresholds: the
-	// next superstep probes (left outer join) only when live/|V| and
-	// msgs/|V| are both strictly below them (defaults 0.2 each).
-	LiveFraction float64
-	MsgFraction  float64
 	// SplitFactor is the number of child partitions a hot partition is
 	// re-hashed into (default 4).
 	SplitFactor int
@@ -70,12 +58,6 @@ type AdaptiveOptions struct {
 
 // withDefaults fills zero knobs with the defaults above.
 func (o AdaptiveOptions) withDefaults() AdaptiveOptions {
-	if o.LiveFraction <= 0 {
-		o.LiveFraction = 0.2
-	}
-	if o.MsgFraction <= 0 {
-		o.MsgFraction = 0.2
-	}
 	if o.SplitFactor <= 1 {
 		o.SplitFactor = 4
 	}
@@ -104,7 +86,8 @@ func (o AdaptiveOptions) withDefaults() AdaptiveOptions {
 // serve API (/stats) so operators can see what the runtime adapted.
 type AdaptiveEvent struct {
 	Time time.Time `json:"time"`
-	// Kind is "plan-switch", "split", "split-failed" or "relief".
+	// Kind is "plan-switch" (the planner changed the join: logged, not
+	// decided, by the advisor), "split", "split-failed" or "relief".
 	Kind string `json:"kind"`
 	// Job is the execution the decision applied to; Superstep the
 	// boundary it fired at.
@@ -165,47 +148,14 @@ type SplitDecision struct {
 	Children int
 }
 
-// RuntimeAdvisor is the runtime-stats feedback loop's decision surface.
+// adaptiveAdvisor is the runtime-stats feedback loop's decision surface.
 // The coordinator feeds it the merged statistics after every superstep
-// (Observe) and consults it for the next plan (Plan), a pending
-// hot-partition split (SplitCandidate), and a pending straggler relief
-// (Straggler). Reset clears timing history after a recovery rollback,
-// whose re-executed supersteps would otherwise replay stale streaks.
-type RuntimeAdvisor interface {
-	Plan(job *pregel.Job, gs *globalState, ss int64) pregel.JoinKind
-	Observe(obs RuntimeObservation)
-	SplitCandidate() (SplitDecision, bool)
-	Straggler() (string, bool)
-	Reset()
-}
-
-// planSig is the quantized stat signature keying the plan cache: the
-// live/|V| and msgs/|V| ratios bucketed to 1/16 resolution. Supersteps
-// whose ratios fall in the same buckets reuse the cached plan verbatim.
-type planSig struct {
-	liveB, msgB int
-}
-
-func ratioBucket(x, nv int64) int {
-	if nv <= 0 {
-		return 16
-	}
-	b := int(x * 16 / nv)
-	if b > 16 {
-		b = 16
-	}
-	return b
-}
-
-// adaptiveAdvisor is the default RuntimeAdvisor implementation.
+// (Observe) and consults it for a pending hot-partition split
+// (SplitCandidate) and a pending straggler relief (Straggler). Reset
+// clears timing history after a recovery rollback, whose re-executed
+// supersteps would otherwise replay stale streaks.
 type adaptiveAdvisor struct {
 	opts AdaptiveOptions
-
-	// Plan cache: quantized signature → decided plan, with hit/miss
-	// counters (exercised directly by tests).
-	cache  map[planSig]pregel.JoinKind
-	hits   int64
-	misses int64
 
 	// Pending decisions computed by Observe.
 	split    SplitDecision
@@ -222,43 +172,9 @@ type adaptiveAdvisor struct {
 func newAdaptiveAdvisor(opts AdaptiveOptions) *adaptiveAdvisor {
 	return &adaptiveAdvisor{
 		opts:         opts.withDefaults(),
-		cache:        make(map[planSig]pregel.JoinKind),
 		streak:       make(map[string]int),
 		lastReliefSS: -1 << 30,
 	}
-}
-
-// decidePlan is the advisor's uncached cost rule: probe only when both
-// the live-vertex and the message ratios are strictly below their
-// thresholds (each probe costs several page accesses, so the touched
-// set must be a small minority of the relation to beat one scan).
-func (a *adaptiveAdvisor) decidePlan(live, msgs, nv int64) pregel.JoinKind {
-	if nv > 0 &&
-		float64(live) < a.opts.LiveFraction*float64(nv) &&
-		float64(msgs) < a.opts.MsgFraction*float64(nv) {
-		return pregel.LeftOuterJoin
-	}
-	return pregel.FullOuterJoin
-}
-
-// Plan picks the next superstep's join strategy. Superstep 1 always
-// scans (every vertex is live) and after it hints win when AutoPlan is
-// off, as in chooseJoinFor; otherwise the cached decision for the
-// quantized stat signature is reused — pinning the plan for workloads
-// hovering at a threshold.
-func (a *adaptiveAdvisor) Plan(job *pregel.Job, gs *globalState, ss int64) pregel.JoinKind {
-	if ss == 1 || !job.AutoPlan {
-		return chooseJoinFor(job, gs, ss)
-	}
-	sig := planSig{ratioBucket(gs.LiveVertices, gs.NumVertices), ratioBucket(gs.Messages, gs.NumVertices)}
-	if k, ok := a.cache[sig]; ok {
-		a.hits++
-		return k
-	}
-	a.misses++
-	k := a.decidePlan(gs.LiveVertices, gs.Messages, gs.NumVertices)
-	a.cache[sig] = k
-	return k
 }
 
 // Observe folds one committed superstep's merged statistics into the

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -302,4 +304,56 @@ func TestAdaptiveStragglerRelief(t *testing.T) {
 	}
 	compareValues(t, parseOutput(t, out), want, "relieved")
 	compareValues(t, parseOutput(t, out), parseOutput(t, plainOut), "relieved-vs-unperturbed")
+}
+
+// TestAutoJoinPlansAlikeEverywhere: the join is planned by one rule, so
+// an AutoJoin job runs the same join sequence in process, on a cluster
+// and on an adaptive cluster. The graph puts superstep 2 where the
+// planner probes but a rule on each ratio alone (msgs/|V| under 0.2)
+// would not: 220 of 1000 vertices receive a message, none is live.
+func TestAutoJoinPlansAlikeEverywhere(t *testing.T) {
+	const n, fan = 1000, 220
+	g := &graphgen.Graph{Adj: map[uint64][]uint64{}}
+	for v := uint64(1); v <= n; v++ {
+		g.Adj[v] = nil
+	}
+	for leaf := uint64(2); leaf < 2+fan; leaf++ {
+		g.Adj[1] = append(g.Adj[1], leaf)
+		g.Adj[leaf] = []uint64{2 + fan}
+	}
+	want := referenceValues(t, algorithms.NewSSSPJob("sssp", "", "", 1), g)
+	wantPlans := []string{"fullouter", "leftouter", "leftouter"}
+	check := func(label string, stats *JobStats, got map[uint64]string) {
+		t.Helper()
+		var plans []string
+		for _, st := range stats.SuperstepStats {
+			plans = append(plans, st.Plan)
+		}
+		if !reflect.DeepEqual(plans, wantPlans) {
+			t.Fatalf("%s: plans %v, want %v", label, plans, wantPlans)
+		}
+		exactValues(t, got, want, label)
+	}
+
+	rt := newTestRuntime(t, 2)
+	defer rt.Close()
+	putGraph(t, rt, "/in/g", g)
+	job := algorithms.NewSSSPJob("auto", "/in/g", "/out/auto", 1)
+	job.Join = pregel.AutoJoin
+	stats, err := rt.Run(context.Background(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("in process", stats, readOutputValues(t, rt, "/out/auto"))
+
+	builders := map[int]func(json.RawMessage) (*pregel.Job, error){0: sparseBuilder(nil), 1: sparseBuilder(nil)}
+	for _, adaptive := range []bool{false, true} {
+		kc := startKillableCluster(t, CoordinatorConfig{Adaptive: AdaptiveOptions{Enabled: adaptive}}, 2, 1, builders)
+		label := fmt.Sprintf("cluster, adaptive=%v", adaptive)
+		stats, got := runSparseDist(t, kc.coord, "auto", "auto", g, 0, nil)
+		check(label, stats, got)
+		if switches, want := countAdaptive(kc.coord, "plan-switch"), map[bool]int{false: 0, true: 1}[adaptive]; switches != want {
+			t.Fatalf("%s: %d plan-switch events, want %d", label, switches, want)
+		}
+	}
 }

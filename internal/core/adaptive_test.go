@@ -3,82 +3,7 @@ package core
 import (
 	"testing"
 	"time"
-
-	"pregelix/pregel"
 )
-
-// Advisor replanning boundaries, mirroring TestChooseJoinBoundaries for
-// the adaptive path: the next superstep probes (left outer join) only
-// when live/|V| AND msgs/|V| are both strictly below their thresholds.
-func TestAdaptivePlanBoundaries(t *testing.T) {
-	const n = 1000 // LiveFraction/MsgFraction default 0.2 → threshold 200
-	cases := []struct {
-		name     string
-		autoPlan bool
-		join     pregel.JoinKind
-		ss       int64
-		messages int64
-		live     int64
-		vertices int64
-		want     pregel.JoinKind
-	}{
-		{"hint wins when AutoPlan off (LOJ)", false, pregel.LeftOuterJoin, 5, n, n, n, pregel.LeftOuterJoin},
-		{"hint wins when AutoPlan off (FOJ)", false, pregel.FullOuterJoin, 5, 1, 1, n, pregel.FullOuterJoin},
-		{"superstep 1 always scans", true, pregel.LeftOuterJoin, 1, 0, 0, n, pregel.FullOuterJoin},
-		{"both ratios below thresholds", true, pregel.FullOuterJoin, 5, 100, 100, n, pregel.LeftOuterJoin},
-		{"live ratio at threshold", true, pregel.FullOuterJoin, 5, 0, 200, n, pregel.FullOuterJoin},
-		{"live ratio above threshold", true, pregel.FullOuterJoin, 5, 0, 500, n, pregel.FullOuterJoin},
-		{"msg ratio at threshold", true, pregel.FullOuterJoin, 5, 200, 0, n, pregel.FullOuterJoin},
-		{"msg ratio above threshold", true, pregel.FullOuterJoin, 5, 500, 0, n, pregel.FullOuterJoin},
-		{"all halted", true, pregel.FullOuterJoin, 5, 0, 0, n, pregel.LeftOuterJoin},
-		{"no vertices", true, pregel.FullOuterJoin, 5, 0, 0, 0, pregel.FullOuterJoin},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			adv := newAdaptiveAdvisor(AdaptiveOptions{Enabled: true})
-			job := &pregel.Job{AutoPlan: tc.autoPlan, Join: tc.join}
-			gs := &globalState{Messages: tc.messages, LiveVertices: tc.live, NumVertices: tc.vertices}
-			if got := adv.Plan(job, gs, tc.ss); got != tc.want {
-				t.Fatalf("Plan(live=%d msgs=%d |V|=%d ss=%d) = %v, want %v",
-					tc.live, tc.messages, tc.vertices, tc.ss, got, tc.want)
-			}
-		})
-	}
-}
-
-// The plan cache is keyed on the quantized stat signature: supersteps
-// whose ratios land in the same 1/16 buckets hit the cache and reuse
-// the pinned plan verbatim — even when the raw ratio has marginally
-// crossed the threshold — while a different bucket misses and decides
-// fresh. That pinning is the oscillation damper.
-func TestAdaptivePlanCache(t *testing.T) {
-	const n = 1000
-	adv := newAdaptiveAdvisor(AdaptiveOptions{Enabled: true})
-	job := &pregel.Job{AutoPlan: true}
-
-	// live=190 < 200: probes; decision cached under bucket 190*16/1000=3.
-	if got := adv.Plan(job, &globalState{LiveVertices: 190, Messages: 10, NumVertices: n}, 5); got != pregel.LeftOuterJoin {
-		t.Fatalf("first Plan = %v, want LeftOuterJoin", got)
-	}
-	if adv.hits != 0 || adv.misses != 1 {
-		t.Fatalf("after first Plan: hits=%d misses=%d, want 0/1", adv.hits, adv.misses)
-	}
-	// live=210 > 200 would decide FullOuterJoin fresh, but it shares
-	// bucket 3 (210*16/1000=3): the cache pins the earlier probe plan.
-	if got := adv.Plan(job, &globalState{LiveVertices: 210, Messages: 10, NumVertices: n}, 6); got != pregel.LeftOuterJoin {
-		t.Fatalf("same-bucket Plan = %v, want pinned LeftOuterJoin", got)
-	}
-	if adv.hits != 1 || adv.misses != 1 {
-		t.Fatalf("after same-bucket Plan: hits=%d misses=%d, want 1/1", adv.hits, adv.misses)
-	}
-	// live=600 lands in bucket 9: a miss, decided fresh as a scan.
-	if got := adv.Plan(job, &globalState{LiveVertices: 600, Messages: 10, NumVertices: n}, 7); got != pregel.FullOuterJoin {
-		t.Fatalf("new-bucket Plan = %v, want FullOuterJoin", got)
-	}
-	if adv.hits != 1 || adv.misses != 2 {
-		t.Fatalf("after new-bucket Plan: hits=%d misses=%d, want 1/2", adv.hits, adv.misses)
-	}
-}
 
 // Split-candidate boundaries: the heaviest partition is proposed only
 // when it exceeds SplitSkewFactor× the mean partition load, carries at

@@ -61,13 +61,13 @@ func TestConnectedComponentsMatchesReference(t *testing.T) {
 
 // TestAllSixteenPhysicalPlansAgree runs SSSP under every combination of
 // the plan hints (2 joins x 2 group-bys x 2 connectors x 2 storages —
-// the sixteen tailored executions of Section 5.8) and requires identical
-// results.
+// the sixteen tailored executions of Section 5.8 — and the planner's
+// AutoJoin with each of the other eight) and requires identical results.
 func TestAllSixteenPhysicalPlansAgree(t *testing.T) {
 	g := graphgen.BTC(150, 5, 3)
 	want := referenceValues(t, algorithms.NewSSSPJob("sssp", "", "", 1), g)
 
-	for _, join := range []pregel.JoinKind{pregel.FullOuterJoin, pregel.LeftOuterJoin} {
+	for _, join := range []pregel.JoinKind{pregel.FullOuterJoin, pregel.LeftOuterJoin, pregel.AutoJoin} {
 		for _, gb := range []pregel.GroupByKind{pregel.SortGroupBy, pregel.HashSortGroupBy} {
 			for _, conn := range []pregel.ConnectorKind{pregel.UnmergeConnector, pregel.MergeConnector} {
 				for _, st := range []pregel.StorageKind{pregel.BTreeStorage, pregel.LSMStorage} {
@@ -210,9 +210,9 @@ func TestRandomWalkSampleMarksSubset(t *testing.T) {
 	compareValues(t, got, want, "random-walk-sample")
 }
 
-// TestAutoPlanSwitchesJoinStrategy: the cost-based advisor must use the
-// full outer join while the computation is dense and switch to the left
-// outer join when it sparsifies, without changing results.
+// TestAutoPlanSwitchesJoinStrategy: under AutoJoin the planner must use
+// the full outer join while the computation is dense and switch to the
+// left outer join when it sparsifies, without changing results.
 func TestAutoPlanSwitchesJoinStrategy(t *testing.T) {
 	rt := newTestRuntime(t, 2)
 	defer rt.Close()
@@ -220,7 +220,7 @@ func TestAutoPlanSwitchesJoinStrategy(t *testing.T) {
 	putGraph(t, rt, "/in/g", g)
 
 	job := algorithms.NewSSSPJob("sssp-auto", "/in/g", "/out/auto", 1)
-	job.AutoPlan = true
+	job.Join = pregel.AutoJoin
 	stats, err := rt.Run(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
@@ -230,10 +230,10 @@ func TestAutoPlanSwitchesJoinStrategy(t *testing.T) {
 		plans[ss.Plan]++
 	}
 	if plans["fullouter"] == 0 {
-		t.Fatalf("advisor never chose FOJ: %v", plans)
+		t.Fatalf("planner never chose FOJ: %v", plans)
 	}
 	if plans["leftouter"] == 0 {
-		t.Fatalf("advisor never switched to LOJ: %v", plans)
+		t.Fatalf("planner never switched to LOJ: %v", plans)
 	}
 	if stats.SuperstepStats[0].Plan != "fullouter" {
 		t.Fatal("superstep 1 must scan (all vertices live)")
@@ -251,7 +251,7 @@ func TestAutoPlanPageRankStaysFOJ(t *testing.T) {
 	g := graphgen.Webmap(150, 5, 8)
 	putGraph(t, rt, "/in/g", g)
 	job := algorithms.NewPageRankJob("pr-auto", "/in/g", "/out/pr", 4)
-	job.AutoPlan = true
+	job.Join = pregel.AutoJoin
 	stats, err := rt.Run(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)

@@ -62,8 +62,7 @@ type CoordinatorConfig struct {
 	// immediately unless a standby is already parked).
 	ReplaceWait time.Duration
 	// Adaptive configures the runtime-stats feedback loop (adaptive.go):
-	// stats-driven replanning, hot-partition splitting, and straggler
-	// relief. Disabled by default.
+	// hot-partition splitting and straggler relief. Disabled by default.
 	Adaptive AdaptiveOptions
 	// Logf receives progress lines (nil = silent).
 	Logf func(format string, args ...any)
@@ -922,7 +921,7 @@ type DistSubmission struct {
 	// worker's JobBuilder.
 	Spec json.RawMessage
 	// Job is the controller's own build of the same descriptor, used for
-	// plan decisions (join advisor, superstep cap, CheckpointEvery) and
+	// plan decisions (join planner, superstep cap, CheckpointEvery) and
 	// validation.
 	Job *pregel.Job
 	// InputPath/InputData: when data is non-nil it is replicated to the
@@ -978,8 +977,8 @@ func (c *Coordinator) RunJob(ctx context.Context, sub DistSubmission) (*JobStats
 
 	run := c.newRun(sub.Name, sub.Spec, sub.Job, sub.Progress)
 	if c.cfg.Adaptive.Enabled {
-		// The adaptive runtime's feedback loop: replanning, hot-partition
-		// splitting, and straggler relief (adaptive.go).
+		// The adaptive runtime's feedback loop: hot-partition splitting
+		// and straggler relief (adaptive.go).
 		run.advisor = newAdaptiveAdvisor(c.cfg.Adaptive)
 	}
 	stats := run.stats

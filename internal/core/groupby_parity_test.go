@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -253,10 +254,7 @@ func BenchmarkMsgCombineSender(b *testing.B) {
 		}
 	}
 	job := algorithms.NewPageRankJob("bench", "", "", 1)
-	kind := operators.SortGroupBy
-	if job.GroupBy == pregel.HashSortGroupBy {
-		kind = operators.HashSortGroupBy
-	}
+	kind := groupByKind(job)
 	node, err := hyracks.NewNodeController("n", b.TempDir(), hyracks.NodeConfig{PageSize: 4096})
 	if err != nil {
 		b.Fatal(err)
@@ -330,4 +328,52 @@ func BenchmarkSpillSuperstep(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(sending.Nanoseconds())/float64(msgs), "ns/msg")
 	b.ReportMetric(float64(operators.SpilledRuns()-runs)/float64(b.N), "runs/op")
+}
+
+// TestHashSortWithoutCombinerSorts: with no combiner the HashSort hint is
+// the sort policy, as pregel.HashSortGroupBy says. Every vertex but one
+// sends to vertex 1; a table would re-append vertex 1's growing message
+// list whole at every message, which allocates the square of the list.
+func TestHashSortWithoutCombinerSorts(t *testing.T) {
+	const n = 8000
+	g := &graphgen.Graph{Adj: map[uint64][]uint64{}}
+	for v := uint64(1); v <= n; v++ {
+		g.Adj[v] = nil
+	}
+	allocated := map[pregel.GroupByKind]uint64{}
+	for _, hint := range []pregel.GroupByKind{pregel.SortGroupBy, pregel.HashSortGroupBy} {
+		rt := newTestRuntime(t, 2)
+		defer rt.Close()
+		putGraph(t, rt, "/in/g", g)
+		job := &pregel.Job{
+			Name: fmt.Sprintf("gather-%v", hint),
+			Program: pregel.ProgramFunc(func(ctx pregel.Context, v *pregel.Vertex, msgs []pregel.Value) error {
+				if ctx.Superstep() == 1 && v.ID != 1 {
+					ctx.SendMessage(1, pregel.NewInt64())
+				}
+				if len(msgs) > 0 {
+					*v.Value.(*pregel.Int64) = pregel.Int64(len(msgs))
+				}
+				v.VoteToHalt()
+				return nil
+			}),
+			Codec:      pregel.Codec{NewVertexValue: pregel.NewInt64, NewMessage: pregel.NewInt64},
+			GroupBy:    hint,
+			InputPath:  "/in/g",
+			OutputPath: "/out/gather",
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := rt.Run(context.Background(), job); err != nil {
+			t.Fatalf("%v: %v", hint, err)
+		}
+		runtime.ReadMemStats(&after)
+		allocated[hint] = after.TotalAlloc - before.TotalAlloc
+		if got := readOutputValues(t, rt, "/out/gather")[1]; got != fmt.Sprint(n-1) {
+			t.Fatalf("%v: vertex 1 gathered %s messages, want %d", hint, got, n-1)
+		}
+	}
+	if hashAlloc, sortAlloc := allocated[pregel.HashSortGroupBy], allocated[pregel.SortGroupBy]; hashAlloc > 2*sortAlloc {
+		t.Fatalf("the job allocated %d bytes under HashSort, %d under Sort", hashAlloc, sortAlloc)
+	}
 }

@@ -125,9 +125,9 @@ type jobRun struct {
 	attempt int64
 	// progress, when non-nil, is called after every committed superstep.
 	progress func(superstep int64)
-	// advisor, when non-nil, replaces the static join rule and is shown
-	// every superstep by the cluster's observe.
-	advisor RuntimeAdvisor
+	// advisor, when non-nil, is shown every superstep by the cluster's
+	// observe (-adaptive).
+	advisor *adaptiveAdvisor
 	// begin is the job session a worker joining mid-run must open
 	// (cluster runs only).
 	begin *jobBeginMsg
@@ -222,9 +222,6 @@ func (r *jobRun) advance(ctx context.Context, ph phases) (done bool, err error) 
 	}
 
 	join := chooseJoinFor(r.job, &r.gs, ss)
-	if r.advisor != nil {
-		join = r.advisor.Plan(r.job, &r.gs, ss)
-	}
 	stepStart := time.Now()
 	out, err := ph.superstep(ctx, r, ss, join)
 	if err != nil {

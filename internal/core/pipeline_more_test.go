@@ -108,7 +108,9 @@ func TestPipelineLeftOuterJoinSecondJob(t *testing.T) {
 			InputPath: "/in/g",
 		}
 		cc := algorithms.NewConnectedComponentsJob("cc-"+plan, "/in/g", "/out/cc")
-		setPlan(cc, plan)
+		if err := cc.ApplyHints(plan, "", "", ""); err != nil {
+			t.Fatal(err)
+		}
 		all, err := rt.RunPipeline(context.Background(), []*pregel.Job{label, cc})
 		if err != nil {
 			t.Fatalf("%s: %v", plan, err)

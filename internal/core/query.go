@@ -45,23 +45,6 @@ func baseJobName(name string) string {
 	return name
 }
 
-// partitionOfVertex routes a vertex ID to its partition: FNV-1a over
-// the big-endian 8-byte vid — exactly hyracks.HashPartitioner(0) over
-// the key field the load plan shuffles on, so queries land on the same
-// partition bulk load filled.
-func partitionOfVertex(vid uint64, numParts int) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range tuple.EncodeUint64(vid) {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return int(h % uint64(numParts))
-}
-
 // VertexQueryResult is one point lookup's answer.
 type VertexQueryResult struct {
 	Vid    uint64 `json:"vid"`

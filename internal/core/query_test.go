@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"sort"
 	"strconv"
 	"sync"
@@ -12,10 +13,40 @@ import (
 	"testing"
 	"time"
 
+	"pregelix/internal/delta"
 	"pregelix/internal/graphgen"
+	"pregelix/internal/hyracks"
 	"pregelix/internal/storage"
+	"pregelix/internal/tuple"
 	"pregelix/pregel/algorithms"
 )
+
+// TestVidRoutingAgrees pins the three places a vid is routed to one
+// hash: the load and superstep connectors (hyracks.HashPartitioner over
+// the 8-byte key), mutations (delta.PartitionOf) and queries
+// (routeVertex with no split). A difference misroutes reads and writes.
+func TestVidRoutingAgrees(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	load := hyracks.HashPartitioner(0)
+	f := tuple.NewFrame()
+	for i := 0; i < 1000; i++ {
+		vid := rng.Uint64()
+		if i < 4 {
+			vid = []uint64{0, 1, 1 << 63, ^uint64(0)}[i]
+		}
+		f.Reset()
+		tuple.NewFrameAppender(f).Append(tuple.EncodeUint64(vid))
+		for parts := 1; parts <= 17; parts++ {
+			want := load(f.Tuple(0), parts)
+			if got := delta.PartitionOf(vid, parts); got != want {
+				t.Fatalf("vid %d over %d partitions: delta.PartitionOf %d, the connectors %d", vid, parts, got, want)
+			}
+			if got := routeVertex(vid, parts, nil); got != want {
+				t.Fatalf("vid %d over %d partitions: routeVertex %d, the connectors %d", vid, parts, got, want)
+			}
+		}
+	}
+}
 
 // fakeQueryIndex is an empty storage.Index that records Drop, for
 // exercising the version/retirement state machine without real B-trees.

@@ -251,8 +251,8 @@ type SuperstepStat struct {
 	// because it also counts streams that stayed process-local.
 	NetworkWireBytes    int64
 	NetworkWireRawBytes int64
-	// Plan is the join strategy the superstep executed with (relevant
-	// under Job.AutoPlan, where it may change between supersteps).
+	// Plan is the join strategy the superstep executed with (under
+	// AutoJoin it may change between supersteps).
 	Plan string
 }
 
@@ -489,6 +489,11 @@ func (l *localPhases) dump(ctx context.Context, run *jobRun) error {
 // global-state task's vote if it ran here, swap in the next-superstep
 // partition state, and report the hosted partitions' counters.
 func (rs *runState) runSuperstep(ctx context.Context, msg *superstepMsg) (*superstepReply, error) {
+	if msg.Join != pregel.FullOuterJoin && msg.Join != pregel.LeftOuterJoin {
+		// The driver resolves AutoJoin before it sends the verb; the verb
+		// may come from another process, so check what it names.
+		return nil, fmt.Errorf("core: superstep %d names join %v, want fullouter or leftouter", msg.SS, msg.Join)
+	}
 	if msg.SS == 1 && msg.Join == pregel.LeftOuterJoin {
 		// Every vertex is live and nothing has built a Vid index yet: a
 		// probe would compute nothing and report a halt. chooseJoinFor

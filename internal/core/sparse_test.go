@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"pregelix/internal/delta"
 	"pregelix/internal/graphgen"
 	"pregelix/internal/storage"
 	"pregelix/internal/tuple"
@@ -152,13 +153,6 @@ type sparseSpec struct {
 
 var sparsePlans = []string{"leftouter", "fullouter", "auto"}
 
-func setPlan(job *pregel.Job, plan string) {
-	job.Join, job.AutoPlan = pregel.FullOuterJoin, plan == "auto"
-	if plan == "leftouter" {
-		job.Join = pregel.LeftOuterJoin
-	}
-}
-
 // sparseBuilder builds sparseSpec jobs; wrap, if not nil, is applied to
 // each built job (fault injection, a watcher).
 func sparseBuilder(wrap func(*pregel.Job)) func(json.RawMessage) (*pregel.Job, error) {
@@ -171,7 +165,9 @@ func sparseBuilder(wrap func(*pregel.Job)) func(json.RawMessage) (*pregel.Job, e
 		if err != nil {
 			return nil, err
 		}
-		setPlan(job, s.Join)
+		if err := job.ApplyHints(s.Join, "", "", ""); err != nil {
+			return nil, err
+		}
 		if wrap != nil {
 			wrap(job)
 		}
@@ -244,7 +240,9 @@ func TestFrameBoundaryParity(t *testing.T) {
 		putGraph(t, rt, "/in/g", g)
 		for _, plan := range sparsePlans {
 			job := algorithms.NewSSSPJob("boundary-"+plan, "/in/g", "/out/"+plan, 1)
-			setPlan(job, plan)
+			if err := job.ApplyHints(plan, "", "", ""); err != nil {
+				t.Fatal(err)
+			}
 			watch(job)
 			if _, err := rt.Run(context.Background(), job); err != nil {
 				t.Fatalf("%s: %v", plan, err)
@@ -413,7 +411,7 @@ func TestMutationsWithoutVidIndex(t *testing.T) {
 	// the added vertex live in partitions other than its own.
 	const parts, keep = 4, 1
 	elsewhere := func(from uint64) uint64 {
-		for partitionOfVertex(from, parts) == partitionOfVertex(keep, parts) {
+		for delta.PartitionOf(from, parts) == delta.PartitionOf(keep, parts) {
 			from++
 		}
 		return from
@@ -455,6 +453,7 @@ func TestMutationsWithoutVidIndex(t *testing.T) {
 // scan has built one, so a driver naming the left-outer-join plan for
 // superstep 1 (one older than the rule in chooseJoinFor) gets an error,
 // not a superstep that computes nothing and a job that halts after it.
+// So does one naming AutoJoin, which the driver must resolve first.
 func TestSuperstepOneRefusesToProbe(t *testing.T) {
 	rt := newTestRuntime(t, 2)
 	defer rt.Close()
@@ -468,6 +467,9 @@ func TestSuperstepOneRefusesToProbe(t *testing.T) {
 	gs.LiveVertices = gs.NumVertices
 	if _, err := rs.runSuperstep(context.Background(), &superstepMsg{SS: 1, GS: gs, Join: pregel.LeftOuterJoin}); err == nil {
 		t.Fatal("superstep 1 ran under the left-outer-join plan")
+	}
+	if _, err := rs.runSuperstep(context.Background(), &superstepMsg{SS: 1, GS: gs, Join: pregel.AutoJoin}); err == nil {
+		t.Fatal("the superstep verb ran an unresolved join")
 	}
 	if _, err := rs.runSuperstep(context.Background(), &superstepMsg{SS: 1, GS: gs, Join: pregel.FullOuterJoin}); err != nil {
 		t.Fatal(err)

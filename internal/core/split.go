@@ -29,6 +29,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"pregelix/internal/delta"
 	"pregelix/internal/hyracks"
 	"pregelix/internal/tuple"
 )
@@ -79,9 +80,9 @@ func splitHash(vid uint64, parent int) uint64 {
 // split level it lands on. Child indexes are always greater than their
 // parent's (First is the table size at split time), so the walk
 // terminates. With an empty split list this is exactly
-// partitionOfVertex.
+// delta.PartitionOf.
 func routeVertex(vid uint64, baseParts int, splits []splitRec) int {
-	p := partitionOfVertex(vid, baseParts)
+	p := delta.PartitionOf(vid, baseParts)
 	for redirected := true; redirected; {
 		redirected = false
 		for _, s := range splits {

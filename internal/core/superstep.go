@@ -29,10 +29,10 @@ const (
 func asErr(err error, target any) bool { return errors.As(err, target) }
 
 // needVid reports whether the Vid live-vertex index must be maintained:
-// always for the left-outer-join plan, and under AutoPlan so the advisor
-// can switch to it at any superstep boundary.
+// whenever the left-outer-join plan may run, so under AutoJoin too, where
+// the planner may switch to it at any superstep boundary.
 func (rs *runState) needVid() bool {
-	return rs.job.Join == pregel.LeftOuterJoin || rs.job.AutoPlan
+	return rs.job.Join != pregel.FullOuterJoin
 }
 
 // createVid creates an empty Vid index for ps. No caller does so before
@@ -110,17 +110,18 @@ func (b *vidBuilder) abort() {
 }
 
 // lojSelectivityThreshold is the fraction of the vertex relation below
-// which the advisor prefers probing over scanning: index point lookups
+// which the planner prefers probing over scanning: index point lookups
 // cost several page accesses each, so the probe side must be a small
 // minority of the relation to beat one sequential pass (the trade-off
 // Figure 14 measures).
 const lojSelectivityThreshold = 0.25
 
-// chooseJoinFor is the cost-based plan advisor: it estimates the next
-// superstep's compute input cardinality (distinct message receivers plus
-// live vertices, both known exactly from the previous superstep) and
-// picks the cheaper join plan. The superstep driver calls it once per
-// superstep; every participant compiles with the join it chose.
+// chooseJoinFor is the join planner, the only one: under AutoJoin it
+// estimates the next superstep's compute input cardinality (distinct
+// message receivers plus live vertices, both known exactly from the
+// previous superstep) and picks the cheaper join plan; any other hint is
+// run as given. The superstep driver calls it once per superstep, in
+// both engines, and every participant runs the join it chose.
 func chooseJoinFor(job *pregel.Job, gs *globalState, ss int64) pregel.JoinKind {
 	if ss == 1 {
 		// Every vertex is live in superstep 1: scan wins, whatever the
@@ -128,7 +129,7 @@ func chooseJoinFor(job *pregel.Job, gs *globalState, ss int64) pregel.JoinKind {
 		// builds one.
 		return pregel.FullOuterJoin
 	}
-	if !job.AutoPlan {
+	if job.Join != pregel.AutoJoin {
 		return job.Join
 	}
 	touched := gs.Messages + gs.LiveVertices // upper bound on probes
@@ -174,10 +175,7 @@ func (rs *runState) buildSuperstepJob() *hyracks.JobSpec {
 	// Message combination: sender-side group-by fused with compute,
 	// then redistribution, then receiver-side group-by fused into the
 	// per-partition Msg file writer.
-	gbKind := operators.SortGroupBy
-	if rs.job.GroupBy == pregel.HashSortGroupBy {
-		gbKind = operators.HashSortGroupBy
-	}
+	gbKind := groupByKind(rs.job)
 	spec.AddOp(&hyracks.OperatorDesc{
 		ID:         "gb-local",
 		Partitions: p,
@@ -251,6 +249,17 @@ func (rs *runState) buildSuperstepJob() *hyracks.JobSpec {
 	spec.Connect(&hyracks.ConnectorDesc{From: "compute", FromPort: portGS, To: "gs", Type: hyracks.ReduceToOne})
 
 	return spec
+}
+
+// groupByKind is the group-by policy of the job's senders: the table
+// under the HashSort hint when the job has a combiner to fold into it,
+// else the sort. Without a combiner every fold appends to a growing
+// message list, which the table would re-append whole at each message.
+func groupByKind(job *pregel.Job) operators.GroupByKind {
+	if job.GroupBy == pregel.HashSortGroupBy && job.Combiner != nil {
+		return operators.HashSortGroupBy
+	}
+	return operators.SortGroupBy
 }
 
 // msgCombiner adapts the job's message combiner to the tuple level.
@@ -594,8 +603,8 @@ func (c *computeSource) run(ctx context.Context) error {
 
 	// The left-outer-join plan rebuilds the Vid live-vertex index for
 	// the next superstep via a bulk load fed in vid order (Figure 8's
-	// D11/D12 flows). AutoPlan maintains it under both plans so the
-	// advisor may switch at any boundary.
+	// D11/D12 flows). AutoJoin maintains it under both plans so the
+	// planner may switch at any boundary.
 	vids := &vidBuilder{rs: rs, ps: ps}
 	defer vids.abort()
 

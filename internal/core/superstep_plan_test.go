@@ -6,19 +6,17 @@ import (
 	"pregelix/pregel"
 )
 
-// TestChooseJoinBoundaries locks in the cost-based plan advisor's
-// switch behavior (Section 5.3.2 / the AutoPlan advisor) before the
-// multi-tenant scheduler reuses it across tenants: the advisor must
-// scan (full outer join) when the touched-vertex estimate reaches the
-// selectivity threshold and probe (left outer join) strictly below it,
-// and plan hints must be honored verbatim when AutoPlan is off.
+// TestChooseJoinBoundaries locks in the join planner's switch behavior
+// (Section 5.3.2) under AutoJoin: it must scan (full outer join) when
+// the touched-vertex estimate reaches the selectivity threshold and
+// probe (left outer join) strictly below it, and the other join hints
+// must be honored verbatim.
 func TestChooseJoinBoundaries(t *testing.T) {
 	const n = 1000                                           // NumVertices; threshold = lojSelectivityThreshold * n
 	threshold := int64(lojSelectivityThreshold * float64(n)) // 250
 
 	cases := []struct {
 		name     string
-		autoPlan bool
 		join     pregel.JoinKind
 		ss       int64
 		messages int64
@@ -40,50 +38,50 @@ func TestChooseJoinBoundaries(t *testing.T) {
 			want: pregel.LeftOuterJoin,
 		},
 		{
-			name:     "superstep1-always-scans",
-			autoPlan: true, join: pregel.LeftOuterJoin, ss: 1,
+			name: "superstep1-always-scans",
+			join: pregel.AutoJoin, ss: 1,
 			messages: 0, live: 0, vertices: n,
 			want: pregel.FullOuterJoin,
 		},
 		{
-			name:     "sparse-below-threshold-probes",
-			autoPlan: true, ss: 2,
+			name: "sparse-below-threshold-probes",
+			join: pregel.AutoJoin, ss: 2,
 			messages: threshold/2 - 1, live: threshold / 2, vertices: n,
 			want: pregel.LeftOuterJoin,
 		},
 		{
-			name:     "exactly-at-threshold-scans",
-			autoPlan: true, ss: 2,
+			name: "exactly-at-threshold-scans",
+			join: pregel.AutoJoin, ss: 2,
 			messages: threshold / 2, live: threshold / 2, vertices: n,
 			want: pregel.FullOuterJoin,
 		},
 		{
-			name:     "just-above-threshold-scans",
-			autoPlan: true, ss: 2,
+			name: "just-above-threshold-scans",
+			join: pregel.AutoJoin, ss: 2,
 			messages: threshold / 2, live: threshold/2 + 1, vertices: n,
 			want: pregel.FullOuterJoin,
 		},
 		{
-			name:     "dense-scans",
-			autoPlan: true, ss: 3,
+			name: "dense-scans",
+			join: pregel.AutoJoin, ss: 3,
 			messages: n, live: n, vertices: n,
 			want: pregel.FullOuterJoin,
 		},
 		{
-			name:     "all-halted-no-messages-probes",
-			autoPlan: true, ss: 4,
+			name: "all-halted-no-messages-probes",
+			join: pregel.AutoJoin, ss: 4,
 			messages: 0, live: 0, vertices: n,
 			want: pregel.LeftOuterJoin,
 		},
 		{
-			name:     "empty-graph-scans",
-			autoPlan: true, ss: 2,
+			name: "empty-graph-scans",
+			join: pregel.AutoJoin, ss: 2,
 			messages: 0, live: 0, vertices: 0,
 			want: pregel.FullOuterJoin,
 		},
 		{
-			name:     "autoplan-ignores-leftouter-hint-when-dense",
-			autoPlan: true, join: pregel.LeftOuterJoin, ss: 2,
+			name: "autoplan-ignores-leftouter-hint-when-dense",
+			join: pregel.AutoJoin, ss: 2,
 			messages: n / 2, live: n / 2, vertices: n,
 			want: pregel.FullOuterJoin,
 		},
@@ -92,9 +90,8 @@ func TestChooseJoinBoundaries(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rs := &runState{
 				job: &pregel.Job{
-					Name:     "plan-" + tc.name,
-					Join:     tc.join,
-					AutoPlan: tc.autoPlan,
+					Name: "plan-" + tc.name,
+					Join: tc.join,
 				},
 				gs: globalState{
 					Superstep:    tc.ss - 1,
@@ -104,30 +101,28 @@ func TestChooseJoinBoundaries(t *testing.T) {
 				},
 			}
 			if got := chooseJoinFor(rs.job, &rs.gs, tc.ss); got != tc.want {
-				t.Fatalf("chooseJoin(ss=%d, msgs=%d, live=%d, |V|=%d, auto=%v, hint=%v) = %v, want %v",
-					tc.ss, tc.messages, tc.live, tc.vertices, tc.autoPlan, tc.join, got, tc.want)
+				t.Fatalf("chooseJoin(ss=%d, msgs=%d, live=%d, |V|=%d, hint=%v) = %v, want %v",
+					tc.ss, tc.messages, tc.live, tc.vertices, tc.join, got, tc.want)
 			}
 		})
 	}
 }
 
-// TestNeedVid pins the Vid-index maintenance rule the advisor depends
+// TestNeedVid pins the Vid-index maintenance rule the planner depends
 // on: the live-vertex index must exist for the LOJ plan and whenever
-// AutoPlan may switch to it.
+// AutoJoin may switch to it.
 func TestNeedVid(t *testing.T) {
 	for _, tc := range []struct {
 		join pregel.JoinKind
-		auto bool
 		want bool
 	}{
-		{pregel.FullOuterJoin, false, false},
-		{pregel.LeftOuterJoin, false, true},
-		{pregel.FullOuterJoin, true, true},
-		{pregel.LeftOuterJoin, true, true},
+		{pregel.FullOuterJoin, false},
+		{pregel.LeftOuterJoin, true},
+		{pregel.AutoJoin, true},
 	} {
-		rs := &runState{job: &pregel.Job{Join: tc.join, AutoPlan: tc.auto}}
+		rs := &runState{job: &pregel.Job{Join: tc.join}}
 		if got := rs.needVid(); got != tc.want {
-			t.Fatalf("needVid(join=%v, auto=%v) = %v, want %v", tc.join, tc.auto, got, tc.want)
+			t.Fatalf("needVid(join=%v) = %v, want %v", tc.join, got, tc.want)
 		}
 	}
 }

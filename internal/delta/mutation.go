@@ -132,9 +132,10 @@ func EncodeBatch(muts []Mutation) []byte {
 	return buf
 }
 
-// PartitionOf returns the partition owning vid. It must stay
-// bit-identical to the load partitioner and the query tier's router
-// (internal/core partitionOfVertex): FNV-1a over the big-endian id.
+// PartitionOf returns the partition owning vid: FNV-1a over the
+// big-endian id. It must stay bit-identical to the load partitioner,
+// hyracks.HashPartitioner(0) over the 8-byte key; the query tier routes
+// by it too.
 func PartitionOf(vid uint64, numParts int) int {
 	const (
 		offset64 = 14695981039346656037

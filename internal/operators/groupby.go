@@ -18,7 +18,6 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
-	"fmt"
 	"io"
 	"math/bits"
 	"slices"
@@ -73,19 +72,6 @@ const (
 	// aggregates in a single streaming pass with O(1) state.
 	PreclusteredGroupBy
 )
-
-func (k GroupByKind) String() string {
-	switch k {
-	case SortGroupBy:
-		return "sort"
-	case HashSortGroupBy:
-		return "hashsort"
-	case PreclusteredGroupBy:
-		return "preclustered"
-	default:
-		return fmt.Sprintf("groupby(%d)", int(k))
-	}
-}
 
 // NewGroupByRuntime builds a group-by PushRuntime of the given kind.
 // combiner may be nil, in which case the operator degenerates to an

@@ -97,11 +97,10 @@ func NewDeltaPageRankJob(name, input, output string, epsilon float64) *pregel.Jo
 			NewMessage:     pregel.NewDouble,
 		},
 		Combiner: SumCombiner(),
-		Join:     pregel.FullOuterJoin,
-		GroupBy:  pregel.HashSortGroupBy,
-		// Residual propagation sparsifies as it converges; let the plan
-		// advisor flip to the left-outer-join plan when messages thin out.
-		AutoPlan:      true,
+		// Residual propagation sparsifies as it converges; let the planner
+		// flip to the left-outer-join plan when messages thin out.
+		Join:          pregel.AutoJoin,
+		GroupBy:       pregel.HashSortGroupBy,
 		Connector:     pregel.UnmergeConnector,
 		Storage:       pregel.BTreeStorage,
 		InputPath:     input,

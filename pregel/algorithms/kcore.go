@@ -92,9 +92,8 @@ func NewKCoreJob(name, input, output string, k int) *pregel.Job {
 			NewMessage:     pregel.NewVIDList,
 		},
 		Combiner:   VIDListConcatCombiner(),
-		Join:       pregel.LeftOuterJoin,
+		Join:       pregel.AutoJoin,
 		GroupBy:    pregel.HashSortGroupBy,
-		AutoPlan:   true,
 		Connector:  pregel.UnmergeConnector,
 		Storage:    pregel.BTreeStorage,
 		InputPath:  input,

@@ -1,6 +1,11 @@
 package pregel
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"slices"
+	"strings"
+)
 
 // Context gives the compute UDF access to superstep-scoped state and
 // actions, mirroring the methods of Figure 9 (getSuperstep, sendMsg,
@@ -134,17 +139,16 @@ const (
 	// FullOuterJoin merges the message stream with a full vertex-index
 	// scan; best when most vertices are live (PageRank).
 	FullOuterJoin JoinKind = iota
-	// LeftOuterJoin probes the vertex index per message, using the Vid
-	// live-vertex index; best for message-sparse algorithms (SSSP).
+	// LeftOuterJoin probes the vertex index per live vertex and message,
+	// through the Vid live-vertex index; best for message-sparse
+	// algorithms (SSSP).
 	LeftOuterJoin
+	// AutoJoin leaves the join to the planner, the cost-based choice the
+	// paper leaves to future work (Section 9): before every superstep it
+	// picks FullOuterJoin or LeftOuterJoin from the previous superstep's
+	// message and live-vertex counts. Superstep 1 scans under every hint.
+	AutoJoin
 )
-
-func (k JoinKind) String() string {
-	if k == LeftOuterJoin {
-		return "leftouter"
-	}
-	return "fullouter"
-}
 
 // GroupByKind selects the message-combination group-by (Section 5.3.1).
 type GroupByKind int
@@ -163,13 +167,6 @@ const (
 	HashSortGroupBy
 )
 
-func (k GroupByKind) String() string {
-	if k == HashSortGroupBy {
-		return "hashsort"
-	}
-	return "sort"
-}
-
 // ConnectorKind selects the message redistribution policy (Figure 7).
 type ConnectorKind int
 
@@ -183,13 +180,6 @@ const (
 	MergeConnector
 )
 
-func (k ConnectorKind) String() string {
-	if k == MergeConnector {
-		return "merge"
-	}
-	return "unmerge"
-}
-
 // StorageKind selects the vertex access method (Section 5.2).
 type StorageKind int
 
@@ -201,16 +191,58 @@ const (
 	LSMStorage
 )
 
-func (k StorageKind) String() string {
-	if k == LSMStorage {
-		return "lsm"
+// hintNames spells each plan hint's values, indexed by value: what
+// String prints and ApplyHints reads, the one spelling of the CLI flags
+// and the serve API's fields.
+var hintNames = map[string][]string{
+	"join":      {FullOuterJoin: "fullouter", LeftOuterJoin: "leftouter", AutoJoin: "auto"},
+	"groupby":   {SortGroupBy: "sort", HashSortGroupBy: "hashsort"},
+	"connector": {UnmergeConnector: "unmerge", MergeConnector: "merge"},
+	"storage":   {BTreeStorage: "btree", LSMStorage: "lsm"},
+}
+
+func hintName(hint string, v int) string {
+	if names := hintNames[hint]; v >= 0 && v < len(names) {
+		return names[v]
 	}
-	return "btree"
+	return fmt.Sprintf("%s(%d)", hint, v)
+}
+
+func (k JoinKind) String() string      { return hintName("join", int(k)) }
+func (k GroupByKind) String() string   { return hintName("groupby", int(k)) }
+func (k ConnectorKind) String() string { return hintName("connector", int(k)) }
+func (k StorageKind) String() string   { return hintName("storage", int(k)) }
+
+// HintValues lists the spellings of one plan hint ("join", "groupby",
+// "connector" or "storage") for a usage line: "sort | hashsort".
+func HintValues(hint string) string { return strings.Join(hintNames[hint], " | ") }
+
+// ApplyHints sets the plan hints given by their String spellings. An
+// empty name leaves that hint as the job has it; an unknown one is an
+// error, and the job is then not to be run.
+func (j *Job) ApplyHints(join, groupBy, connector, storage string) error {
+	return errors.Join(
+		parseHint(&j.Join, "join", join),
+		parseHint(&j.GroupBy, "groupby", groupBy),
+		parseHint(&j.Connector, "connector", connector),
+		parseHint(&j.Storage, "storage", storage))
+}
+
+func parseHint[K ~int](dst *K, hint, name string) error {
+	if name == "" {
+		return nil
+	}
+	if v := slices.Index(hintNames[hint], name); v >= 0 {
+		*dst = K(v)
+		return nil
+	}
+	return fmt.Errorf("bad %s hint %q (want %s)", hint, name, HintValues(hint))
 }
 
 // Job configures one Pregelix job: the program, its UDFs, value codecs,
 // I/O paths, and the physical plan hints (2 joins x 2 group-bys x 2
-// connectors x 2 storages = the 16 tailored executions of Section 5.8).
+// connectors x 2 storages = the 16 tailored executions of Section 5.8;
+// AutoJoin lets the planner pick the join per superstep).
 type Job struct {
 	Name    string
 	Program Program
@@ -223,20 +255,11 @@ type Job struct {
 	Aggregator Aggregator
 	Resolver   Resolver // nil = DefaultResolver
 
-	// Physical plan hints.
+	// Physical plan hints (ApplyHints reads them by name).
 	Join      JoinKind
 	GroupBy   GroupByKind
 	Connector ConnectorKind
 	Storage   StorageKind
-
-	// AutoPlan enables the cost-based plan advisor (the paper's stated
-	// future work, Section 9): the runtime re-chooses the join strategy
-	// before every superstep from the observed message/live-vertex
-	// sparsity, switching between the full-outer-join plan
-	// (message-dense supersteps) and the left-outer-join plan
-	// (message-sparse supersteps). The Join hint is then only the
-	// superstep-1 default.
-	AutoPlan bool
 
 	// InputPath/OutputPath are DFS paths; Input is read unless the job
 	// is pipelined after a compatible predecessor, and Output is
