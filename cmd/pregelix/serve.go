@@ -43,7 +43,7 @@ func serveMain(args []string) {
 		workers       = fs.Int("workers", 0, "cluster mode: number of pregelix worker processes to wait for (0 = single-process simulation)")
 		clusterListen = fs.String("cluster-listen", "127.0.0.1:9090", "cluster mode: control-plane address workers register at")
 		replaceWait   = fs.Duration("replace-wait", 0, "cluster mode: how long failure recovery waits for a standby worker before redistributing the dead worker's nodes over survivors")
-		compress      = fs.String("compress", "auto", "frame compression for checkpoint images: off, flate, or auto (cluster mode: set per worker with `pregelix worker -compress`)")
+		compress      = fs.String("compress", "auto", "frame compression of the checkpoint images this process writes: off, flate, or auto; images under any setting restore (cluster mode: set per worker with `pregelix worker -compress`)")
 		stateDir      = fs.String("state-dir", "", "cluster mode: durable coordinator state directory (checkpoint store, sealed-version catalog, job registry, lease); a restarted controller pointed here resumes where the dead one stopped")
 		standbyCC     = fs.Bool("standby-cc", false, "cluster mode: start as a warm standby controller — wait for the coordinator lease in -state-dir to lapse, then take over")
 		leaseInterval = fs.Duration("lease-interval", 2*time.Second, "cluster mode: coordinator lease renewal interval (a standby takes over after 3 missed renewals)")

@@ -35,7 +35,7 @@ func workerMain(args []string) {
 		drain    = fs.Bool("drain", false, "on the first SIGINT/SIGTERM, drain gracefully: migrate partitions out, then exit (a second signal force-quits)")
 		rejoin   = fs.Bool("rejoin", false, "re-register with the controller whenever the connection is lost (run as a resilient standby)")
 		wait     = fs.Duration("rejoin-wait", 2*time.Second, "pause between rejoin attempts")
-		compress = fs.String("compress", "auto", "frame compression for shuffle streams and checkpoint/migration images: off, flate, or auto (negotiated per stream; peers running -compress=off interoperate)")
+		compress = fs.String("compress", "auto", "frame compression of what this worker sends and writes — shuffle frames, checkpoint and migration images: off, flate, or auto (every frame names its encoding, so workers with different settings interoperate)")
 	)
 	fs.Parse(args)
 

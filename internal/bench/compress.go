@@ -19,7 +19,7 @@ import (
 	"pregelix/pregel/algorithms"
 )
 
-// The compress experiment prices PR7's negotiated frame compression on
+// The compress experiment prices the per-frame compression on
 // the three bulk byte paths it covers: wire shuffle streams, checkpoint
 // images, and partition-migration images. One PageRank runs per
 // compression mode over a loopback ForceWire cluster with periodic
@@ -214,7 +214,7 @@ func (o *Options) measureCompressedMigration(ctx context.Context, dir string, mo
 	return rebalance, migrated, nil
 }
 
-// RunCompress benchmarks the negotiated frame compression across
+// RunCompress benchmarks the per-frame compression across
 // shuffle, checkpoint, and migration (the PR7 bench artifact).
 func RunCompress(ctx context.Context, o Options) error {
 	o.defaults()

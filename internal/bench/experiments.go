@@ -41,7 +41,7 @@ func Experiments() []Experiment {
 		{"wirepath", "PR3: shuffle over TCP loopback vs in-process channels", RunWirePath},
 		{"elastic", "PR5: live scale-out 2→4 workers mid-PageRank (time-to-rebalance)", RunElastic},
 		{"query", "PR6: always-on query tier — hot vs cold point reads, batched top-k", RunQueryTier},
-		{"compress", "PR7: negotiated frame compression — shuffle/checkpoint/migration, off vs flate vs auto", RunCompress},
+		{"compress", "per-frame compression — shuffle/checkpoint/migration, off vs flate vs auto", RunCompress},
 		{"delta", "PR8: streaming ingest — delta refresh vs full recompute at 1% churn", RunDelta},
 		{"adaptive", "PR10: stats-driven hot-partition split on skewed PageRank, adaptive on vs off", RunAdaptive},
 		{"fig14a", "Fig 14(a): LOJ vs FOJ, SSSP", runFig14(SSSP)},

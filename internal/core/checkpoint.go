@@ -40,8 +40,8 @@ import (
 // (tuple.WriteFrame bytes), the same format the wire transport ships
 // and run files store, so snapshots are produced and consumed with zero
 // re-serialization; with compression on the stream carries a "PGXC"
-// magic followed by per-frame encoded bodies (the same frame codec the
-// wire DATA path negotiates). Readers sniff the magic, so checkpoints
+// magic followed by per-frame encoded bodies (the same frame codec that
+// tags every wire DATA frame). Readers sniff the magic, so checkpoints
 // written by compressing and non-compressing processes are mutually
 // restorable. The vertex snapshot is vid-sorted (it is written from an
 // in-order index scan), which lets recovery bulk-load the rebuilt
@@ -366,9 +366,34 @@ type manifestReader interface {
 	ReadFile(path string) ([]byte, error)
 }
 
+// valid reports whether the manifest describes a partition table
+// recovery can rebuild: a statistics entry per partition, and a split
+// list that grows the base table (BaseParts, or Partitions when unsplit)
+// to exactly Partitions, every split appending at least two children
+// past a parent of the table as it stood — which is what makes
+// routeVertex terminate.
+func (m *checkpointManifest) valid() bool {
+	if m.Partitions <= 0 || len(m.PartStats) != m.Partitions {
+		return false
+	}
+	size := m.BaseParts
+	if size == 0 {
+		size = m.Partitions
+	}
+	for _, s := range m.Splits {
+		if s.Children < 2 || s.Parent < 0 || s.Parent >= s.First || s.First != size {
+			return false
+		}
+		size += s.Children
+	}
+	return size == m.Partitions
+}
+
 // latestManifest scans a checkpoint tree for the committed manifest with
-// the highest superstep (nil if none is readable). Staged .tmp files —
-// checkpoints that never committed — are not manifests and are skipped.
+// the highest superstep (nil if none is usable). Staged .tmp files —
+// checkpoints that never committed — are not manifests, and unreadable
+// or invalid manifests are skipped, so recovery falls back to an older
+// intact checkpoint.
 func latestManifest(fs manifestReader, prefix string) *checkpointManifest {
 	var best *checkpointManifest
 	for _, path := range fs.List(prefix) {
@@ -380,7 +405,7 @@ func latestManifest(fs manifestReader, prefix string) *checkpointManifest {
 			continue // replicas may be gone; skip unreadable checkpoints
 		}
 		var m checkpointManifest
-		if err := json.Unmarshal(data, &m); err != nil {
+		if err := json.Unmarshal(data, &m); err != nil || !m.valid() {
 			continue
 		}
 		if best == nil || m.Superstep > best.Superstep {

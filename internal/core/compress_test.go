@@ -205,7 +205,7 @@ func TestCompressedCheckpointRecovery(t *testing.T) {
 }
 
 // startMixedCluster is startDistCluster with a per-worker compression
-// policy — the mixed-cluster deployment the OPEN negotiation exists for.
+// policy — the mixed-cluster deployment self-describing frames serve.
 func startMixedCluster(t *testing.T, modes []tuple.CompressMode, nodesPerWorker int) *Coordinator {
 	t.Helper()
 	coord, err := NewCoordinator(CoordinatorConfig{
@@ -239,6 +239,46 @@ func startMixedCluster(t *testing.T, modes []tuple.CompressMode, nodesPerWorker 
 		t.Fatalf("cluster never became ready: %v", err)
 	}
 	return coord
+}
+
+// TestWireAccountingAtCompressOff pins the wire byte accounting of a
+// cross-process job: at -compress=off every DATA message is the
+// EncRaw-tagged image its uncompressed cost is counted as, so the raw
+// and on-wire totals agree exactly and the compression ratio is 1.0;
+// under auto the wire total is smaller.
+func TestWireAccountingAtCompressOff(t *testing.T) {
+	g := graphgen.Webmap(300, 4, 11)
+	for _, mode := range []tuple.CompressMode{tuple.CompressOff, tuple.CompressAuto} {
+		coord := startMixedCluster(t, []tuple.CompressMode{mode, mode}, 2)
+		spec, _ := json.Marshal(distTestSpec{Algorithm: "pagerank", Input: "/in/g", Iterations: 3})
+		job, err := distTestBuilder(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+		stats, _, err := coord.RunJob(ctx, DistSubmission{
+			Name: "pr-acct-" + mode.String() + "@j1", Spec: spec, Job: job,
+			InputPath: "/in/g", InputData: graphText(t, g),
+		})
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var raw, onWire int64
+		for _, ss := range stats.SuperstepStats {
+			raw += ss.NetworkWireRawBytes
+			onWire += ss.NetworkWireBytes
+		}
+		if onWire == 0 {
+			t.Fatalf("%v: the job put no bytes on the wire", mode)
+		}
+		if mode == tuple.CompressOff && raw != onWire {
+			t.Fatalf("off: %d raw bytes, %d on the wire — want them equal", raw, onWire)
+		}
+		if mode == tuple.CompressAuto && raw <= onWire {
+			t.Fatalf("auto: %d raw bytes, %d on the wire — want a saving", raw, onWire)
+		}
+	}
 }
 
 // TestMixedClusterCompressionInterop joins a -compress=off worker to a

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -286,6 +287,41 @@ func TestDistributedKillRecoveryExactOutput(t *testing.T) {
 	compareValues(t, parseOutput(t, out), want, "cc-after-recovery")
 }
 
+// TestClusterRecoverySkipsCorruptManifest kills a worker after a
+// checkpoint committed and a manifest claiming -1 partitions was planted
+// for a later superstep in the coordinator's store: recovery must skip
+// it for the intact checkpoint and finish byte-identical to the
+// failure-free run.
+func TestClusterRecoverySkipsCorruptManifest(t *testing.T) {
+	g := graphgen.BTC(260, 3, 7)
+	clean := startKillableCluster(t, CoordinatorConfig{}, 2, 2, nil)
+	_, cleanOut, err := runDistJob(t, clean.coord, "cc-clean@j1", "cc", g, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean.coord.Close()
+
+	var triggered atomic.Bool
+	kc := (*killableCluster)(nil)
+	builders := map[int]func(json.RawMessage) (*pregel.Job, error){}
+	builders[1] = killerBuilder(func() {
+		plantCorruptManifest(t, kc.coord.ckpt, "cc-corrupt@j1", corruptManifests["negative-partitions"])
+		kc.kill(1)
+	}, 3, &triggered)
+	kc = startKillableCluster(t, CoordinatorConfig{}, 2, 2, builders)
+
+	stats, out, err := runDistJob(t, kc.coord, "cc-corrupt@j1", "cc", g, 0, 2)
+	if err != nil {
+		t.Fatalf("job did not survive the kill: %v", err)
+	}
+	if !triggered.Load() || stats.Recoveries == 0 {
+		t.Fatalf("triggered=%v recoveries=%d", triggered.Load(), stats.Recoveries)
+	}
+	if !bytes.Equal(out, cleanOut) {
+		t.Fatalf("recovered output not byte-identical to failure-free run (%d vs %d bytes)", len(out), len(cleanOut))
+	}
+}
+
 // TestStandbyAdoptionAfterKill parks a standby worker, kills an active
 // worker mid-run, and requires the standby to be adopted (the
 // "replaced" recovery path): the job completes with reference results
@@ -464,6 +500,45 @@ func TestManifestCommitAtomicity(t *testing.T) {
 	if m := latestManifest(fs, prefix); m == nil || m.Superstep != 4 {
 		t.Fatalf("manifest unreadable with one datanode down: %+v", m)
 	}
+}
+
+// FuzzManifest plants arbitrary bytes as a committed manifest.json and
+// runs manifest discovery over them: it must never panic, and any
+// manifest it returns must pass the validity check and route every
+// sample vid, in finitely many redirects, to a partition of its table.
+func FuzzManifest(f *testing.F) {
+	fs, err := dfs.New([]*dfs.Datanode{{Name: "d1", Dir: f.TempDir()}}, dfs.Options{Replication: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	good, _ := json.Marshal(checkpointManifest{Superstep: 4, Partitions: 6, BaseParts: 2,
+		PartStats: make([]partStat, 6), Splits: []splitRec{{Parent: 1, First: 2, Children: 2}, {Parent: 2, First: 4, Children: 2}}})
+	f.Add(good)
+	f.Add([]byte(`{"superstep":9,"partitions":-1}`))
+	f.Add([]byte(`{"superstep":9,"partitions":3,"partStats":[{},{},{}],"baseParts":2,"splits":[{"parent":0,"first":2,"children":0}]}`))
+	f.Add([]byte(`{"superstep":9,"partitions":4,"partStats":[{},{},{},{}],"baseParts":2,"splits":[{"parent":3,"first":2,"children":2}]}`))
+	const prefix = "/pregelix/fuzz/ckpt/"
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := fs.WriteFile(prefix+"ss1/manifest.json", data); err != nil {
+			t.Fatal(err)
+		}
+		m := latestManifest(fs, prefix)
+		if m == nil {
+			return
+		}
+		if !m.valid() {
+			t.Fatalf("latestManifest returned an invalid manifest: %+v", m)
+		}
+		base := m.BaseParts
+		if base == 0 {
+			base = m.Partitions
+		}
+		for _, vid := range []uint64{0, 1, 7, 1 << 20, 1<<63 + 5, ^uint64(0)} {
+			if p := routeVertex(vid, base, m.Splits); p < 0 || p >= m.Partitions {
+				t.Fatalf("vid %d routed to partition %d of %d", vid, p, m.Partitions)
+			}
+		}
+	})
 }
 
 // TestRecoveryWithoutCheckpointFailsButClusterHeals kills a worker

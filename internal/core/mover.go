@@ -159,24 +159,22 @@ func (c *Coordinator) checkpointCluster(ctx context.Context, run *jobRun, ss int
 	return nil
 }
 
-// restoreCluster rewinds all sessions to a committed manifest: every
-// worker resets its session at the manifest's split level and installs
-// the checkpoint images of the partitions it now owns, under the given
-// epoch. (The run adopts the manifest itself in rewindTo.)
+// restoreCluster rewinds all sessions to a committed manifest, one
+// latestManifest found valid: every worker resets its session at the
+// manifest's split level and installs the checkpoint images of the
+// partitions it now owns, under the given epoch. (The run adopts the
+// manifest itself in rewindTo.)
 func (c *Coordinator) restoreCluster(ctx context.Context, name string, m *checkpointManifest, attempt int64) error {
 	owners, err := c.partitionOwners(m.Partitions)
 	if err != nil {
 		return fmt.Errorf("core: restore of %s: %w", name, err)
-	}
-	if len(m.PartStats) < m.Partitions {
-		return fmt.Errorf("core: restore of %s: manifest has statistics for %d of %d partitions", name, len(m.PartStats), m.Partitions)
 	}
 	to := make(map[*ccWorker][]int)
 	for _, w := range c.members() {
 		to[w] = nil // a worker that owns nothing resets too
 	}
 	imgs := make(map[int]*ckptPartData, m.Partitions)
-	for i, st := range m.PartStats[:m.Partitions] {
+	for i, st := range m.PartStats {
 		pd := &ckptPartData{Part: i, Stats: st}
 		if pd.Vertex, err = c.ckpt.ReadFile(st.VertexFile); err == nil {
 			pd.Msg, err = c.ckpt.ReadFile(st.MsgFile)

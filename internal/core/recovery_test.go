@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"maps"
+	"sync"
 	"testing"
 
+	"pregelix/internal/dfs"
 	"pregelix/internal/graphgen"
 	"pregelix/internal/hyracks"
 	"pregelix/pregel"
@@ -11,18 +14,24 @@ import (
 )
 
 // failAfterProgram wraps a program and kills a node at a chosen
-// superstep (failure injection for recovery testing).
+// superstep (failure injection for recovery testing). Partitions
+// compute concurrently, so the trigger is taken under mu.
 type failAfterProgram struct {
 	inner     pregel.Program
 	node      *hyracks.NodeController
 	atStep    int64
 	triggered *bool
+	mu        sync.Mutex
 }
 
 func (f *failAfterProgram) Compute(ctx pregel.Context, v *pregel.Vertex, msgs []pregel.Value) error {
-	if ctx.Superstep() == f.atStep && !*f.triggered {
-		*f.triggered = true
-		f.node.Fail()
+	if ctx.Superstep() == f.atStep {
+		f.mu.Lock()
+		if !*f.triggered {
+			*f.triggered = true
+			f.node.Fail()
+		}
+		f.mu.Unlock()
 	}
 	return f.inner.Compute(ctx, v, msgs)
 }
@@ -60,6 +69,83 @@ func TestCheckpointRecoveryAfterNodeFailure(t *testing.T) {
 	}
 	got := readOutputValues(t, rt, "/out/pr")
 	compareValues(t, got, want, "pagerank-after-recovery")
+}
+
+// corruptManifests maps a name to a mutation that breaks a committed
+// manifest in one of the ways recovery must refuse to restore from.
+var corruptManifests = map[string]func(m *checkpointManifest){
+	"negative-partitions": func(m *checkpointManifest) { m.Partitions, m.PartStats = -1, nil },
+	"short-partstats":     func(m *checkpointManifest) { m.PartStats = m.PartStats[:1] },
+	"zero-children-split": func(m *checkpointManifest) {
+		m.BaseParts = m.Partitions
+		m.Splits = []splitRec{{Parent: 0, First: m.Partitions, Children: 0}}
+	},
+	"backward-split": func(m *checkpointManifest) {
+		m.BaseParts, m.Partitions = m.Partitions, m.Partitions+2
+		m.Splits = []splitRec{{Parent: 1, First: 0, Children: 2}}
+		m.PartStats = append(m.PartStats, m.PartStats[:2]...)
+	},
+}
+
+// plantCorruptManifest copies the newest committed manifest of job in
+// fs, breaks it with corrupt, and commits it as a later superstep's
+// checkpoint — the one recovery would pick if it trusted it.
+func plantCorruptManifest(t *testing.T, fs *dfs.FileSystem, job string, corrupt func(*checkpointManifest)) {
+	m := latestManifest(fs, ckptRoot(job))
+	if m == nil {
+		t.Error("no committed checkpoint to corrupt")
+		return
+	}
+	m.Superstep = 1000
+	corrupt(m)
+	if err := commitManifest(fs, ckptPath(job, m.Superstep), m); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestRecoverySkipsCorruptManifest fails a node after a checkpoint
+// committed and a corrupt manifest for a later superstep was planted:
+// recovery must skip it for the intact checkpoint and finish with the
+// failure-free output (connected components: exact integer values).
+func TestRecoverySkipsCorruptManifest(t *testing.T) {
+	g := graphgen.BTC(260, 3, 7)
+	run := func(t *testing.T, name string, corrupt func(*checkpointManifest)) (*JobStats, map[uint64]string) {
+		rt := newTestRuntime(t, 3)
+		defer rt.Close()
+		putGraph(t, rt, "/in/g", g)
+		job := algorithms.NewConnectedComponentsJob(name, "/in/g", "/out/cc")
+		job.CheckpointEvery = 2
+		if corrupt != nil {
+			inner, node := job.Program, rt.Cluster.Nodes()[1]
+			var once sync.Once
+			job.Program = pregel.ProgramFunc(func(ctx pregel.Context, v *pregel.Vertex, msgs []pregel.Value) error {
+				if ctx.Superstep() == 3 {
+					once.Do(func() {
+						plantCorruptManifest(t, rt.DFS, name, corrupt)
+						node.Fail()
+					})
+				}
+				return inner.Compute(ctx, v, msgs)
+			})
+		}
+		stats, err := rt.Run(context.Background(), job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats, readOutputValues(t, rt, "/out/cc")
+	}
+	_, want := run(t, "cc-clean", nil)
+	for what, corrupt := range corruptManifests {
+		t.Run(what, func(t *testing.T) {
+			stats, got := run(t, "cc-"+what, corrupt)
+			if stats.Recoveries == 0 {
+				t.Fatal("no recovery recorded")
+			}
+			if !maps.Equal(got, want) {
+				t.Fatal("recovered output differs from the failure-free run")
+			}
+		})
+	}
 }
 
 // TestRunReclaimsJobDFSState checks a finished run leaves nothing under

@@ -36,8 +36,8 @@ type WorkerConfig struct {
 	// adopt. Ignored when the worker joins a still-forming cluster.
 	Elastic bool
 	// Compress selects the frame compression policy for this worker's
-	// bulk byte streams: wire shuffle frames it sends (negotiated per
-	// stream, so peers running -compress=off interoperate) and the
+	// bulk byte streams: wire shuffle frames it sends (each names its
+	// encoding, so peers with any setting decode them) and the
 	// checkpoint/migration images it produces (format-sniffed on read).
 	// Zero value is tuple.CompressOff.
 	Compress tuple.CompressMode

@@ -64,9 +64,9 @@ func (s *ConnStats) Bytes() int64 { return s.bytes.Load() }
 func (s *ConnStats) Frames() int64 { return s.frames.Load() }
 
 // AddWireBytes records one DATA message put on the network for this
-// connector: raw is the message's uncompressed size (header + raw
-// frame image), wire is what actually went out. Wire transports call
-// it per DATA message; raw == wire on streams that negotiated raw.
+// connector: raw is the message's uncompressed size (the same message
+// carrying the raw frame image), wire is what actually went out. Wire
+// transports call it per DATA message; raw == wire for frames sent raw.
 func (s *ConnStats) AddWireBytes(raw, wire int64) {
 	if s == nil {
 		return

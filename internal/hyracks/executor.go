@@ -466,18 +466,11 @@ func (p *Plan) sender(o outlet, tc *TaskContext) FrameWriter {
 	for r := range o.snd.ports {
 		o.snd.ports[r] = cs.trans.SendPort(tc.Partition, r)
 	}
-	// Merging connectors always use the sender-side materializing
-	// pipelined policy to avoid deadlock (Section 5.3.1); a partitioning
-	// one uses it when Materialized. Reduce-to-one never does.
-	var kind string
-	switch {
-	case cd.Type == MToNPartitioningMerging:
-		kind = "merge"
-	case cd.Type == MToNPartitioning && cd.Materialized:
-		kind = "mat"
-	default:
+	// Merging connectors use the sender-side materializing pipelined
+	// policy to avoid deadlock (Section 5.3.1); the others send directly.
+	if cd.Type != MToNPartitioningMerging {
 		return o.snd
 	}
 	return newMaterializingWriter(p.ctx, tc.Node,
-		tc.Node.TempPathIn(p.spec.RunDir, tc.JobName+"-"+cd.From+"-p"+strconv.Itoa(tc.Partition)+"-"+kind), p.spec.IOCounter, o.snd)
+		tc.Node.TempPathIn(p.spec.RunDir, tc.JobName+"-"+cd.From+"-p"+strconv.Itoa(tc.Partition)+"-merge"), p.spec.IOCounter, o.snd)
 }

@@ -197,16 +197,19 @@ func TestMergingConnectorProducesSortedStream(t *testing.T) {
 	}
 }
 
+// TestMaterializedConnector checks which connectors take the
+// sender-side materializing policy: a merging one always does, a
+// reduce-to-one never.
 func TestMaterializedConnector(t *testing.T) {
 	cluster := testCluster(t, 2)
 	col := newCollector()
 	spec := &JobSpec{Name: "mat"}
-	spec.AddOp(rangeSource("src", 2, 500, false))
+	spec.AddOp(sortedRangeSource("src", 2, 500))
 	spec.AddOp(col.sinkOp("sink", 2))
 	spec.Connect(&ConnectorDesc{
 		From: "src", To: "sink",
-		Type: MToNPartitioning, Partitioner: HashPartitioner(0),
-		Materialized: true,
+		Type: MToNPartitioningMerging, Partitioner: HashPartitioner(0),
+		Comparator: tuple.Field0RefCompare,
 	})
 	if _, err := RunJob(context.Background(), cluster, spec); err != nil {
 		t.Fatal(err)
@@ -223,13 +226,12 @@ func TestMaterializedConnector(t *testing.T) {
 		t.Fatal("expected temp-file I/O from materializing policy")
 	}
 
-	// A reduce-to-one connector ignores Materialized.
 	cluster = testCluster(t, 2)
 	col = newCollector()
 	spec = &JobSpec{Name: "mat-reduce"}
 	spec.AddOp(rangeSource("src", 2, 500, false))
 	spec.AddOp(col.sinkOp("sink", 1))
-	spec.Connect(&ConnectorDesc{From: "src", To: "sink", Type: ReduceToOne, Materialized: true})
+	spec.Connect(&ConnectorDesc{From: "src", To: "sink", Type: ReduceToOne})
 	if _, err := RunJob(context.Background(), cluster, spec); err != nil {
 		t.Fatal(err)
 	}

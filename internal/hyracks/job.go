@@ -153,9 +153,6 @@ type ConnectorDesc struct {
 	// Comparator is required for the merging connector; it orders
 	// tuples in place by their frame refs.
 	Comparator tuple.RefComparator
-	// Materialized forces the sender-side materializing pipelined policy
-	// on a non-merging connector (merging connectors always use it).
-	Materialized bool
 	// BufferFrames is the per-channel frame buffer (default 8),
 	// modelling bounded network buffers.
 	BufferFrames int

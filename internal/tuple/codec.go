@@ -26,21 +26,23 @@ import (
 // tries DEFLATE, CompressAuto prefers the (much cheaper) delta codec
 // when every tuple leads with an 8-byte key, falls back to DEFLATE when
 // a cheap byte sample looks compressible, and keeps the raw fast path
-// otherwise. Every encoding falls back to EncRaw when it does not
-// actually shrink the frame, so incompressible payloads never pay more
-// than the one-byte encoding tag.
+// otherwise. An encoded body is kept only when it saves at least
+// 1/minSaving of the raw image; otherwise the frame goes EncRaw, so
+// incompressible payloads never pay more than the one-byte encoding
+// tag, nor an encode and decode for a few percent.
 //
-// The same codec serves three transports: wire DATA messages (each
-// message carries [enc u8][payload], negotiated per stream in the OPEN
-// handshake — see package wire), and checkpoint + migration images via
-// FrameStreamWriter/FrameStreamReader below.
+// The same codec serves three transports: wire DATA messages (every
+// message carries [enc u8][body] — see package wire), and checkpoint +
+// migration images via FrameStreamWriter/FrameStreamReader below.
 
 // CompressMode selects the frame compression policy of a process.
 type CompressMode int
 
 const (
-	// CompressOff ships raw frame images everywhere (the legacy format,
-	// byte-identical to builds without compression support).
+	// CompressOff ships raw frame images everywhere. Its checkpoint and
+	// migration images are the legacy format, byte-identical to builds
+	// without compression support; on the wire each raw image still
+	// carries its one-byte EncRaw tag.
 	CompressOff CompressMode = iota
 	// CompressFlate compresses every frame with DEFLATE unless the
 	// result would be larger than the raw image.
@@ -100,43 +102,33 @@ func NewFrameEncoder(mode CompressMode) *FrameEncoder {
 	return &FrameEncoder{mode: mode}
 }
 
+// minSaving sets the least an encoding must save to be taken: 1/8 of
+// the raw image. Below that the encode, and the decode at the other
+// end, cost more than the bytes they save.
+const minSaving = 8
+
 // EncodeFrame picks an encoding for f. For EncRaw the payload is nil
 // and the caller streams the image itself (tuple.WriteFrame), keeping
 // the zero-copy path; otherwise the payload is the encoded body.
 func (e *FrameEncoder) EncodeFrame(f *Frame) (byte, []byte, error) {
-	raw := f.FrameImageSize()
-	switch e.mode {
-	case CompressFlate:
-		p, err := e.deflate(f)
-		if err != nil {
+	var enc byte
+	var p []byte
+	switch {
+	case e.mode == CompressAuto && deltaEligible(f):
+		enc, p = EncDelta, e.delta(f)
+	case e.mode == CompressFlate || e.mode == CompressAuto && sampleCompressible(f):
+		var err error
+		if p, err = e.deflate(f); err != nil {
 			return 0, nil, err
 		}
-		if len(p) >= raw {
-			return EncRaw, nil, nil
-		}
-		return EncFlate, p, nil
-	case CompressAuto:
-		if deltaEligible(f) {
-			p := e.delta(f)
-			if len(p) >= raw {
-				return EncRaw, nil, nil
-			}
-			return EncDelta, p, nil
-		}
-		if !sampleCompressible(f) {
-			return EncRaw, nil, nil
-		}
-		p, err := e.deflate(f)
-		if err != nil {
-			return 0, nil, err
-		}
-		if len(p) >= raw {
-			return EncRaw, nil, nil
-		}
-		return EncFlate, p, nil
+		enc = EncFlate
 	default:
 		return EncRaw, nil, nil
 	}
+	if raw := f.FrameImageSize(); minSaving*(raw-len(p)) < raw {
+		return EncRaw, nil, nil
+	}
+	return enc, p, nil
 }
 
 // deflate compresses the whole frame image as one independent DEFLATE
@@ -264,18 +256,16 @@ func (d *FrameDecoder) DecodeInto(enc byte, r io.Reader, length int, f *Frame) e
 	}
 	switch enc {
 	case EncRaw:
-		lr := &io.LimitedReader{R: r, N: int64(length)}
-		if err := ReadFrameInto(lr, f); err != nil {
-			if err == io.EOF {
-				return io.ErrUnexpectedEOF
-			}
-			return err
+		// A raw image's header fixes its size, so it is checked against
+		// the body length before anything is read past it.
+		var hdr [8]byte
+		if length < len(hdr) {
+			return fmt.Errorf("tuple: %d-byte raw frame image", length)
 		}
-		if lr.N != 0 {
-			f.Reset()
-			return fmt.Errorf("tuple: raw frame image shorter than its header length (%d bytes left)", lr.N)
+		if err := readFull(r, hdr[:]); err != nil {
+			return fmt.Errorf("tuple: truncated frame header: %w", err)
 		}
-		return nil
+		return readFrameBody(r, hdr, f, length)
 	case EncFlate:
 		// The limited reader exposes ReadByte so flate consumes exactly
 		// the compressed stream and trailing garbage stays detectable.
@@ -387,6 +377,13 @@ func (d *FrameDecoder) decodeDelta(p []byte, f *Frame) error {
 	}
 	if count64 > MaxFrameTuples {
 		return fmt.Errorf("tuple: implausible frame tuple count %d", count64)
+	}
+	// A tuple costs the body at least two bytes (field count, vid delta)
+	// and makes at most a 16-byte record of them, so the body bounds the
+	// frame it can describe: a larger claim is refused before the frame
+	// grows to it.
+	if count64 > uint64(len(p))/2 || dataEnd64 > 8*uint64(len(p)) {
+		return corrupt("declared size exceeds what the body encodes")
 	}
 	dataEnd, count := int(dataEnd64), int(count64)
 	f.Reset()

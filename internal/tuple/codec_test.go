@@ -3,6 +3,7 @@ package tuple
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	"math/rand"
@@ -182,31 +183,36 @@ func TestAutoKeepsRawForIncompressible(t *testing.T) {
 	}
 }
 
+// scrambledFrame builds one frame of wire's incompressible-shuffle
+// payload: 256-byte random values under unsorted, multiplicatively
+// scrambled 8-byte vids (the n-th frame of a sequence).
+func scrambledFrame(rng *rand.Rand, n int) *Frame {
+	f := NewFrame()
+	a := NewFrameAppender(f)
+	var k [8]byte
+	v := make([]byte, 256)
+	for i := 0; ; i++ {
+		binary.BigEndian.PutUint64(k[:], uint64(n*1000+i)*0x9E3779B97F4A7C15)
+		rng.Read(v)
+		if !a.Append(k[:], v) {
+			return f
+		}
+	}
+}
+
 // TestAutoOnIncompressiblePayload pins, without a clock, what auto mode
-// spends on the payload of wire's incompressible-shuffle test: 256-byte
-// random values under unsorted, multiplicatively scrambled 8-byte vids.
-// It never reaches DEFLATE (the writer is not even constructed) and
-// makes at most one pass into its scratch buffer per frame. That pass is
-// the delta codec's: eligibility is key width alone, and although no
-// two consecutive vids are close, dropping the per-record headers still
-// comes out a few percent under raw, so the delta body is taken — a
-// full encode here and a full decode at the receiver for that few
-// percent (auto has no minimum-saving threshold; ROADMAP item 3).
+// spends on the payload of wire's incompressible-shuffle test. It never
+// reaches DEFLATE (the writer is not even constructed) and makes at
+// most one pass into its scratch buffer per frame. That pass is the
+// delta codec's: eligibility is key width alone, and although no two
+// consecutive vids are close, dropping the per-record headers comes out
+// a few percent under raw — short of the minimum saving, so the frame
+// ships raw (TestAutoDeclinesSmallSaving).
 func TestAutoOnIncompressiblePayload(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	e := NewFrameEncoder(CompressAuto)
-	var k [8]byte
-	v := make([]byte, 256)
 	for frames := 0; frames < 20; frames++ {
-		f := NewFrame()
-		a := NewFrameAppender(f)
-		for i := 0; ; i++ {
-			binary.BigEndian.PutUint64(k[:], uint64(frames*1000+i)*0x9E3779B97F4A7C15)
-			rng.Read(v)
-			if !a.Append(k[:], v) {
-				break
-			}
-		}
+		f := scrambledFrame(rng, frames)
 		raw := f.FrameImageSize()
 		enc, payload, err := e.EncodeFrame(f)
 		PutFrame(f)
@@ -226,6 +232,27 @@ func TestAutoOnIncompressiblePayload(t *testing.T) {
 		default:
 			t.Fatalf("enc %d, want raw or delta", enc)
 		}
+	}
+}
+
+// TestAutoDeclinesSmallSaving checks the minimum saving: a vid-led
+// frame whose delta body is only about 4% under the raw image is sent
+// as EncRaw, while a message frame that halves still takes the delta.
+func TestAutoDeclinesSmallSaving(t *testing.T) {
+	e := NewFrameEncoder(CompressAuto)
+	f := scrambledFrame(rand.New(rand.NewSource(5)), 0)
+	defer PutFrame(f)
+	raw, delta := f.FrameImageSize(), len(e.delta(f))
+	if saved := float64(raw-delta) / float64(raw); saved < 0.01 || saved > 0.08 {
+		t.Fatalf("delta body saves %.1f%% of the raw image, want about 4%%", 100*saved)
+	}
+	if enc, payload, err := e.EncodeFrame(f); err != nil || enc != EncRaw || payload != nil {
+		t.Fatalf("EncodeFrame = (%d, %d bytes, %v), want EncRaw", enc, len(payload), err)
+	}
+	m := msgFrame(t, 1000, 5_000_000, 2)
+	defer PutFrame(m)
+	if enc, _, _ := e.EncodeFrame(m); enc != EncDelta {
+		t.Fatalf("message frame took enc %d, want EncDelta", enc)
 	}
 }
 
@@ -312,6 +339,53 @@ func TestDeltaRejectsOversizedDeclarations(t *testing.T) {
 	defer PutFrame(f)
 	if err := d.DecodeInto(EncDelta, bytes.NewReader(buf.Bytes()), buf.Len(), f); err == nil {
 		t.Fatal("oversized payload declaration accepted")
+	}
+}
+
+// TestDecodeRefusesClaimsBeyondBody sends a raw and a delta body whose
+// headers claim the largest frame allowed: both must be refused before
+// the frame grows to the claim, since a peer can send them in 20 bytes.
+func TestDecodeRefusesClaimsBeyondBody(t *testing.T) {
+	var raw [8]byte
+	binary.LittleEndian.PutUint32(raw[0:], MaxFrameDataBytes)
+	binary.LittleEndian.PutUint32(raw[4:], MaxFrameTuples)
+	delta := binary.AppendUvarint(binary.AppendUvarint(nil, MaxFrameDataBytes), 0)
+	var d FrameDecoder
+	f := GetFrame()
+	defer PutFrame(f)
+	for enc, body := range map[byte][]byte{EncRaw: raw[:], EncDelta: delta} {
+		if err := d.DecodeInto(enc, bytes.NewReader(body), len(body), f); err == nil {
+			t.Fatalf("enc %d: a %d-byte body claiming a full frame decoded", enc, len(body))
+		}
+		if f.Cap() > DefaultFrameSize {
+			t.Fatalf("enc %d: the frame grew to %d bytes for a %d-byte body", enc, f.Cap(), len(body))
+		}
+	}
+}
+
+// TestTruncatedImageIsNotEOF cuts image streams right after a frame's
+// header: the reader must report a truncation, not the clean end of
+// stream a caller stops at without complaint.
+func TestTruncatedImageIsNotEOF(t *testing.T) {
+	f := randFrame(t, rand.New(rand.NewSource(1)), 10)
+	defer PutFrame(f)
+	var legacy, tagged bytes.Buffer
+	WriteFrame(&legacy, f)
+	NewFrameStreamWriter(&tagged, CompressAuto).WriteFrame(f)
+	if tagged.Bytes()[4] != EncRaw {
+		t.Fatalf("random frame took encoding %d, want EncRaw", tagged.Bytes()[4])
+	}
+	// Each cut keeps the frame's 8-byte image header and nothing after it.
+	for name, cut := range map[string][]byte{
+		"legacy raw":    legacy.Bytes()[:8],
+		"tagged EncRaw": tagged.Bytes()[:4+5+8],
+	} {
+		got := GetFrame()
+		err := NewFrameStreamReader(bytes.NewReader(cut)).ReadFrame(got)
+		PutFrame(got)
+		if err == nil || errors.Is(err, io.EOF) {
+			t.Fatalf("%s image cut at %d bytes: %v, want a truncation error", name, len(cut), err)
+		}
 	}
 }
 

@@ -429,6 +429,14 @@ func ReadFrameInto(r io.Reader, f *Frame) error {
 		}
 		return err
 	}
+	return readFrameBody(r, hdr, f, -1)
+}
+
+// readFrameBody reads the payload and directory that an image header
+// announces into f. size, unless negative, is the image's known length:
+// a header that disagrees with it is refused before the frame grows to
+// what the header claims.
+func readFrameBody(r io.Reader, hdr [8]byte, f *Frame, size int) error {
 	dataEnd := int(binary.LittleEndian.Uint32(hdr[0:]))
 	count := int(binary.LittleEndian.Uint32(hdr[4:]))
 	if dataEnd > MaxFrameDataBytes {
@@ -437,15 +445,18 @@ func ReadFrameInto(r io.Reader, f *Frame) error {
 	if count > MaxFrameTuples {
 		return fmt.Errorf("tuple: implausible frame tuple count %d", count)
 	}
+	if size >= 0 && 8+dataEnd+4*count != size {
+		return fmt.Errorf("tuple: frame image header claims %d bytes, the image has %d", 8+dataEnd+4*count, size)
+	}
 	f.Reset()
 	if need := dataEnd + 4*count + 4; need > len(f.buf) {
 		f.grow(need)
 	}
-	if _, err := io.ReadFull(r, f.buf[:dataEnd]); err != nil {
+	if err := readFull(r, f.buf[:dataEnd]); err != nil {
 		return fmt.Errorf("tuple: truncated frame payload: %w", err)
 	}
 	slots := f.buf[len(f.buf)-4-4*count : len(f.buf)-4]
-	if _, err := io.ReadFull(r, slots); err != nil {
+	if err := readFull(r, slots); err != nil {
 		return fmt.Errorf("tuple: truncated frame directory: %w", err)
 	}
 	f.dataEnd = dataEnd
@@ -453,6 +464,18 @@ func ReadFrameInto(r io.Reader, f *Frame) error {
 	f.setCount(count)
 	if err := f.validate(); err != nil {
 		f.Reset()
+		return err
+	}
+	return nil
+}
+
+// readFull is io.ReadFull inside a frame, where the stream ending before
+// the first byte is as much a truncation as ending after it.
+func readFull(r io.Reader, p []byte) error {
+	if _, err := io.ReadFull(r, p); err != nil {
+		if err == io.EOF {
+			return io.ErrUnexpectedEOF
+		}
 		return err
 	}
 	return nil

@@ -244,50 +244,6 @@ func TestFramePoolLeaseAsserts(t *testing.T) {
 	PutFrame(f)
 }
 
-func TestReadTupleBoundsFieldLength(t *testing.T) {
-	// One field whose length header claims ~4 GiB: must error without
-	// allocating the claimed size.
-	var buf bytes.Buffer
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], 1) // field count
-	buf.Write(hdr[:])
-	binary.LittleEndian.PutUint32(hdr[:], 0xFFFF_FFF0) // field length
-	buf.Write(hdr[:])
-	if _, err := ReadTuple(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("want error for implausible field length")
-	}
-
-	// Many fields individually under the limit but implausible in total:
-	// the cumulative bound must fire at the offending field's header,
-	// before its body is allocated. Field bodies are synthesized zeros so
-	// the test does not materialize the stream.
-	fields := MaxTupleBytes/MaxTupleFieldBytes + 1
-	binary.LittleEndian.PutUint32(hdr[:], uint32(fields))
-	parts := []io.Reader{bytes.NewReader(append([]byte(nil), hdr[:]...))}
-	binary.LittleEndian.PutUint32(hdr[:], MaxTupleFieldBytes)
-	fh := append([]byte(nil), hdr[:]...)
-	for i := 0; i < fields; i++ {
-		parts = append(parts, bytes.NewReader(fh))
-		if i < fields-1 {
-			parts = append(parts, io.LimitReader(zeroReader{}, MaxTupleFieldBytes))
-		}
-	}
-	_, err := ReadTuple(io.MultiReader(parts...))
-	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("implausible tuple size")) {
-		t.Fatalf("want implausible-tuple-size error, got %v", err)
-	}
-}
-
-// zeroReader yields an endless stream of zero bytes.
-type zeroReader struct{}
-
-func (zeroReader) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = 0
-	}
-	return len(p), nil
-}
-
 // FuzzFrameRoundTrip packs arbitrary tuples derived from the fuzz input,
 // serializes the frames, reads them back and requires equality.
 func FuzzFrameRoundTrip(f *testing.F) {

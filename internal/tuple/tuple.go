@@ -18,7 +18,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 )
 
@@ -115,89 +114,9 @@ func DecodeFloat64(b []byte) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
-// WriteTuple serializes one tuple in length-prefixed form:
-// u32 fieldCount, then per field u32 length + bytes. This is the legacy
-// tuple-at-a-time stream format; the frame data path uses WriteFrame.
-func WriteTuple(w io.Writer, t Tuple) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(t)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	for _, f := range t {
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(f)))
-		if _, err := w.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := w.Write(f); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Deserialization bounds for the length-prefixed tuple stream. A corrupt
-// or truncated stream must not be able to drive a single allocation to
-// gigabytes from a 4-byte length header.
-const (
-	// MaxTupleFields bounds the field count of one tuple.
-	MaxTupleFields = 1 << 20
-	// MaxTupleFieldBytes bounds the length of one field.
-	MaxTupleFieldBytes = 1 << 26
-	// MaxTupleBytes bounds the total payload of one tuple.
-	MaxTupleBytes = 1 << 27
-)
-
-// ReadTuple reads one tuple written by WriteTuple. It returns io.EOF when
-// the stream is exhausted at a tuple boundary.
-func ReadTuple(r io.Reader) (Tuple, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("tuple: truncated stream: %w", err)
-		}
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > MaxTupleFields {
-		return nil, fmt.Errorf("tuple: implausible field count %d", n)
-	}
-	t := make(Tuple, n)
-	total := 0
-	for i := range t {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return nil, fmt.Errorf("tuple: truncated field header: %w", err)
-		}
-		fl := binary.LittleEndian.Uint32(hdr[:])
-		if fl > MaxTupleFieldBytes {
-			return nil, fmt.Errorf("tuple: implausible field length %d", fl)
-		}
-		total += int(fl)
-		if total > MaxTupleBytes {
-			return nil, fmt.Errorf("tuple: implausible tuple size %d", total)
-		}
-		f := make([]byte, fl)
-		if _, err := io.ReadFull(r, f); err != nil {
-			return nil, fmt.Errorf("tuple: truncated field body: %w", err)
-		}
-		t[i] = f
-	}
-	return t, nil
-}
-
-// Comparator orders tuples. Negative means a<b, zero equal, positive a>b.
-type Comparator func(a, b Tuple) int
-
-// KeyCompare compares two tuples on a single field by raw byte order.
-func KeyCompare(field int) Comparator {
-	return func(a, b Tuple) int {
-		return bytes.Compare(a[field], b[field])
-	}
-}
-
-// Field0Compare is the common-case comparator on the leading field, which
-// in Pregelix holds the big-endian vid.
-var Field0Compare = KeyCompare(0)
+// MaxTupleFields bounds the field count of one decoded tuple, so a
+// corrupt frame cannot drive a huge allocation from a count header.
+const MaxTupleFields = 1 << 20
 
 // Equal reports whether two tuples have identical fields.
 func Equal(a, b Tuple) bool {

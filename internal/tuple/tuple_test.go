@@ -2,7 +2,6 @@ package tuple
 
 import (
 	"bytes"
-	"io"
 	"math"
 	"testing"
 	"testing/quick"
@@ -62,50 +61,6 @@ func TestTupleCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestTupleStreamRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	tuples := []Tuple{
-		{EncodeUint64(1), []byte("hello")},
-		{},
-		{nil, nil, []byte("x")},
-		{EncodeUint64(math.MaxUint64)},
-	}
-	for _, tp := range tuples {
-		if err := WriteTuple(&buf, tp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r := bytes.NewReader(buf.Bytes())
-	for i, want := range tuples {
-		got, err := ReadTuple(r)
-		if err != nil {
-			t.Fatalf("tuple %d: %v", i, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("tuple %d: field count %d want %d", i, len(got), len(want))
-		}
-		for j := range want {
-			if !bytes.Equal(got[j], want[j]) {
-				t.Fatalf("tuple %d field %d mismatch", i, j)
-			}
-		}
-	}
-	if _, err := ReadTuple(r); err != io.EOF {
-		t.Fatalf("want EOF, got %v", err)
-	}
-}
-
-func TestReadTupleTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteTuple(&buf, Tuple{[]byte("abcdef")}); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-3]
-	if _, err := ReadTuple(bytes.NewReader(trunc)); err == nil || err == io.EOF {
-		t.Fatalf("truncated stream: want error, got %v", err)
-	}
-}
-
 func TestFrameCapacityAndGrowth(t *testing.T) {
 	f := NewFrame()
 	app := NewFrameAppender(f)
@@ -131,16 +86,19 @@ func TestFrameCapacityAndGrowth(t *testing.T) {
 }
 
 func TestComparators(t *testing.T) {
-	a := Tuple{EncodeUint64(5), []byte("x")}
-	b := Tuple{EncodeUint64(9), []byte("a")}
-	if Field0Compare(a, b) >= 0 || Field0Compare(b, a) <= 0 || Field0Compare(a, a) != 0 {
-		t.Fatal("Field0Compare broken")
+	f := NewFrame()
+	defer PutFrame(f)
+	app := NewFrameAppender(f)
+	app.Append(EncodeUint64(5), []byte("x"))
+	app.Append(EncodeUint64(9), []byte("a"))
+	a, b := f.Tuple(0), f.Tuple(1)
+	if Field0RefCompare(a, b) >= 0 || Field0RefCompare(b, a) <= 0 || Field0RefCompare(a, a) != 0 {
+		t.Fatal("Field0RefCompare broken")
 	}
-	c1 := KeyCompare(1)
-	if c1(a, b) <= 0 {
-		t.Fatal("KeyCompare(1) broken")
+	if KeyRefCompare(1)(a, b) <= 0 {
+		t.Fatal("KeyRefCompare(1) broken")
 	}
-	if !Equal(a, a.Clone()) || Equal(a, b) {
+	if ta, tb := a.Materialize(), b.Materialize(); !Equal(ta, ta.Clone()) || Equal(ta, tb) {
 		t.Fatal("Equal broken")
 	}
 }

@@ -73,10 +73,10 @@ func TestCompressedShuffleParity(t *testing.T) {
 }
 
 // TestMixedCompressionNegotiation splits the shuffle across two
-// processes where only one compresses: every stream must downgrade to
-// raw frames and the job must still produce exact results — the
-// OPEN-negotiation interop the mixed-cluster test exercises end to end
-// at the core layer.
+// processes with different compression modes: each sends under its own
+// mode, every DATA frame names its encoding, and the job must still
+// produce exact results — the interop the mixed-cluster test exercises
+// end to end at the core layer.
 func TestMixedCompressionNegotiation(t *testing.T) {
 	cases := []struct {
 		name         string
@@ -169,10 +169,22 @@ func dialData(t *testing.T, addr string) net.Conn {
 	return conn
 }
 
-// TestCorruptCompressedFrameDropsConn handshakes a compressed stream by
-// hand, sends a DATA message whose flate body is garbage, and requires
-// the receiver to drop the connection instead of delivering a bogus
-// frame (or crashing).
+// writeMsgTo writes one data-plane message by hand.
+func writeMsgTo(t *testing.T, conn net.Conn, typ byte, stream uint32, payload []byte) {
+	t.Helper()
+	var hdr [9]byte
+	hdr[0] = typ
+	binary.LittleEndian.PutUint32(hdr[1:], stream)
+	binary.LittleEndian.PutUint32(hdr[5:], uint32(len(payload)))
+	if _, err := conn.Write(append(hdr[:], payload...)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCorruptCompressedFrameDropsConn opens a stream by hand, sends a
+// DATA message whose flate body is garbage, and requires the receiver
+// to drop the connection instead of delivering a bogus frame (or
+// crashing).
 func TestCorruptCompressedFrameDropsConn(t *testing.T) {
 	recvT, err := NewTCPTransport(Config{ListenAddr: "127.0.0.1:0", Compress: tuple.CompressAuto})
 	if err != nil {
@@ -196,44 +208,54 @@ func TestCorruptCompressedFrameDropsConn(t *testing.T) {
 	defer rc.Close()
 
 	conn := dialData(t, recvT.Addr())
-	open, _ := json.Marshal(openInfo{Job: "corrupt-job", Conn: "a->b", Sender: 0, Receiver: 0, Buffer: 2, Comp: "auto"})
-	var hdr [9]byte
-	writeRaw := func(typ byte, stream uint32, payload []byte) {
-		hdr[0] = typ
-		binary.LittleEndian.PutUint32(hdr[1:], stream)
-		binary.LittleEndian.PutUint32(hdr[5:], uint32(len(payload)))
-		if _, err := conn.Write(append(hdr[:], payload...)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeRaw(msgOpen, 1, open)
+	open, _ := json.Marshal(openInfo{Job: "corrupt-job", Conn: "a->b", Sender: 0, Receiver: 0, Buffer: 2})
+	writeMsgTo(t, conn, msgOpen, 1, open)
 
-	// The initial CREDIT must answer the proposal with accept=1.
+	// The initial CREDIT opens the window: always exactly 4 bytes.
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	var chdr [9]byte
-	if _, err := io.ReadFull(conn, chdr[:]); err != nil {
+	var credit [9 + 4]byte
+	if _, err := io.ReadFull(conn, credit[:]); err != nil {
 		t.Fatalf("no initial credit: %v", err)
 	}
-	if chdr[0] != msgCredit {
-		t.Fatalf("expected CREDIT, got type %d", chdr[0])
-	}
-	clen := binary.LittleEndian.Uint32(chdr[5:])
-	if clen != 5 {
-		t.Fatalf("initial credit payload is %d bytes, want 5 (accept byte)", clen)
-	}
-	cp := make([]byte, clen)
-	if _, err := io.ReadFull(conn, cp); err != nil {
-		t.Fatal(err)
-	}
-	if cp[4] != 1 {
-		t.Fatalf("compressing receiver declined the proposal (accept byte %d)", cp[4])
+	if credit[0] != msgCredit || binary.LittleEndian.Uint32(credit[5:]) != 4 || binary.LittleEndian.Uint32(credit[9:]) != 2 {
+		t.Fatalf("initial credit %x, want a 4-byte CREDIT granting 2", credit)
 	}
 
 	// Garbage flate body: the demultiplexer must kill the connection.
-	writeRaw(msgData, 1, append([]byte{tuple.EncFlate}, []byte("this is not a deflate stream")...))
+	writeMsgTo(t, conn, msgData, 1, append([]byte{tuple.EncFlate}, []byte("this is not a deflate stream")...))
 	buf := make([]byte, 1)
 	if _, err := conn.Read(buf); err == nil {
 		t.Fatal("connection still alive after corrupt compressed frame")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if pkt, err := rc.RecvPlain(0).Recv(ctx); err == nil && pkt.Frame != nil {
+		t.Fatal("a frame was delivered from the corrupt message")
+	}
+}
+
+// TestOldProtocolMagicRefused dials with the version-1 preamble and a
+// well-formed OPEN: the receiver must close the connection rather than
+// parse frames it would misread.
+func TestOldProtocolMagicRefused(t *testing.T) {
+	recvT, err := NewTCPTransport(Config{ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recvT.Close()
+	conn, err := net.Dial("tcp", recvT.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("PGXW1\n")); err != nil {
+		t.Fatal(err)
+	}
+	open, _ := json.Marshal(openInfo{Job: "old-job", Conn: "a->b", Buffer: 2})
+	writeMsgTo(t, conn, msgOpen, 1, open)
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read after an old-magic OPEN: %v, want the connection closed (io.EOF)", err)
 	}
 }
 
@@ -241,8 +263,9 @@ func TestCorruptCompressedFrameDropsConn(t *testing.T) {
 // with — pseudorandom 256-byte values under multiplicatively scrambled,
 // unsorted vids — and returns the connector stats. DEFLATE has nothing
 // to find here; the frames are still delta-eligible (that test is key
-// width alone) and the delta form, which drops the per-record headers,
-// comes out a few percent under raw, so auto takes it (pinned in
+// width alone), but the delta form, which drops the per-record headers,
+// comes out only a few percent under raw — short of the codec's minimum
+// saving — so auto ships them raw (pinned in
 // tuple.TestAutoOnIncompressiblePayload).
 func incompressibleShuffle(t *testing.T, name string, mode tuple.CompressMode) *hyracks.ConnStats {
 	t.Helper()
@@ -337,53 +360,5 @@ func TestAutoNoRegressionOnIncompressiblePayload(t *testing.T) {
 	if w, o := autoStats.WireBytes(), offStats.WireBytes(); w > o+autoStats.Frames() {
 		t.Fatalf("auto shipped %d wire bytes on incompressible payload, off shipped %d (+%d frames allowed)",
 			w, o, autoStats.Frames())
-	}
-}
-
-// TestUnproposedStreamGetsLegacyCredit checks the downgrade wire
-// format: a sender that does not propose compression must receive the
-// legacy 4-byte credit even from a compressing receiver, so
-// pre-compression peers keep working unchanged.
-func TestUnproposedStreamGetsLegacyCredit(t *testing.T) {
-	recvT, err := NewTCPTransport(Config{ListenAddr: "127.0.0.1:0", Compress: tuple.CompressFlate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recvT.Close()
-	sender, receiver := hyracks.NodeID("nc1"), hyracks.NodeID("nc2")
-	recvT.SetPeers(map[hyracks.NodeID]string{sender: "", receiver: recvT.Addr()},
-		map[hyracks.NodeID]bool{receiver: true})
-	rc, err := recvT.OpenConn(hyracks.ConnPlacement{
-		ID:            hyracks.ConnID{Job: "legacy-job", Conn: "a->b"},
-		Senders:       1,
-		Receivers:     1,
-		BufferFrames:  3,
-		SenderNodes:   []hyracks.NodeID{sender},
-		ReceiverNodes: []hyracks.NodeID{receiver},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-
-	conn := dialData(t, recvT.Addr())
-	open, _ := json.Marshal(openInfo{Job: "legacy-job", Conn: "a->b", Sender: 0, Receiver: 0, Buffer: 3})
-	var hdr [9]byte
-	hdr[0] = msgOpen
-	binary.LittleEndian.PutUint32(hdr[1:], 1)
-	binary.LittleEndian.PutUint32(hdr[5:], uint32(len(open)))
-	if _, err := conn.Write(append(hdr[:], open...)); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	var chdr [9]byte
-	if _, err := io.ReadFull(conn, chdr[:]); err != nil {
-		t.Fatalf("no initial credit: %v", err)
-	}
-	if chdr[0] != msgCredit {
-		t.Fatalf("expected CREDIT, got type %d", chdr[0])
-	}
-	if clen := binary.LittleEndian.Uint32(chdr[5:]); clen != 4 {
-		t.Fatalf("unproposed stream got a %d-byte credit, want legacy 4", clen)
 	}
 }

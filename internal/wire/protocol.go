@@ -13,22 +13,22 @@
 //	+------+-----------+-----------+====================+
 //
 //	OPEN   sender → receiver  JSON stream identity (job, connector,
-//	                          sender, receiver, buffer frames, optional
-//	                          compression proposal)
-//	DATA   sender → receiver  one frame image. On a plain stream the
-//	                          payload is tuple.WriteFrame bytes, written
+//	                          sender, receiver, buffer frames)
+//	DATA   sender → receiver  one frame: [enc u8][body], enc one of
+//	                          tuple's frame encodings. An EncRaw body
+//	                          is the tuple.WriteFrame image, written
 //	                          straight from the pooled frame — no
-//	                          re-serialization. On a stream that
-//	                          negotiated compression it is
-//	                          [enc u8][encoded body] (see tuple's frame
-//	                          codec: raw / flate / vid-delta per frame)
-//	EOS    sender → receiver  end of stream
+//	                          re-serialization; EncFlate and EncDelta
+//	                          bodies are the codec's encoded forms
+//	EOS    sender → receiver  end of stream, empty payload
 //	ERR    sender → receiver  producer failure, error text as payload
-//	CREDIT receiver → sender  u32 LE grant of DATA frames; the first
-//	                          CREDIT of a stream whose OPEN proposed
-//	                          compression carries a fifth byte: 1 =
-//	                          encoded DATA accepted, 0 = raw only
-//	RESET  receiver → sender  receiver gone; sender aborts the stream
+//	CREDIT receiver → sender  u32 LE grant of DATA frames (exactly 4
+//	                          bytes)
+//	RESET  receiver → sender  receiver gone, empty payload; the sender
+//	                          aborts the stream
+//
+// Any other type, or a payload of the wrong size, is a protocol error:
+// the reading side drops the connection.
 //
 // Flow control is credit-based: a sender may have at most as many
 // unacknowledged DATA frames in flight as the receiver has granted. The
@@ -38,15 +38,13 @@
 // demultiplexer never blocks on a slow consumer. EOS, ERR and RESET are
 // carried in-band and consume no credit.
 //
-// Compression is negotiated per stream so mixed clusters interoperate:
-// a sender running with -compress proposes its mode in OPEN ("flate"
-// or "auto"); the receiver answers in the initial CREDIT's accept
-// byte. A peer that does not compress (or predates the field — it
-// ignores the unknown JSON key and sends a legacy 4-byte CREDIT)
-// silently downgrades the stream to raw frame images. DATA frames are
-// not flushed individually: the sender's write buffer coalesces small
-// frames and drains on control messages, buffer pressure, or before
-// the sender blocks on credits.
+// Each DATA frame names its encoding. The sender's -compress mode
+// chooses per frame (raw when it is off or the encoder declines), and
+// every receiver decodes every encoding, so peers with different modes
+// interoperate with nothing to agree on. DATA frames are not flushed
+// individually: the sender's write buffer coalesces small frames and
+// drains on control messages, buffer pressure, or before the sender
+// blocks on credits.
 //
 // Control plane. The cluster controller and its workers exchange
 // newline-delimited JSON envelopes over a separate connection (see
@@ -171,7 +169,9 @@ const (
 )
 
 // dataMagic is the preamble a dialer writes on a fresh data connection.
-const dataMagic = "PGXW1\n"
+// Version 2 tags every DATA message with its encoding; a peer speaking
+// version 1 (untagged or negotiated DATA) is refused at the preamble.
+const dataMagic = "PGXW2\n"
 
 // ctrlMagic is the preamble of control-plane connections.
 const ctrlMagic = "PGXC1\n"
@@ -179,6 +179,10 @@ const ctrlMagic = "PGXC1\n"
 // maxCtrlPayload bounds non-frame payloads (OPEN JSON, error text) so a
 // corrupt header cannot drive a huge allocation.
 const maxCtrlPayload = 1 << 20
+
+// maxStreamBuffer bounds the frame window an OPEN may ask for: the
+// receiver sizes the stream's inbox by it.
+const maxStreamBuffer = 1 << 10
 
 // openInfo identifies one stream: the payload of an OPEN message.
 //
@@ -188,25 +192,14 @@ const maxCtrlPayload = 1 << 20
 //	Conn     | conn     | connector id within the job ("src->sink")
 //	Sender   | sender   | sending partition index
 //	Receiver | receiver | receiving partition index
-//	Buffer   | buffer   | frame window, granted as the initial credit
-//	Comp     | comp     | compression proposal: "flate", "auto", or
-//	         |          | omitted (raw frames only)
-//
-// Comp is omitted from the wire entirely for raw senders, so peers
-// that predate the field parse OPEN unchanged; unknown future values
-// are treated as no proposal by the receiver.
+//	Buffer   | buffer   | frame window in [1, maxStreamBuffer], granted
+//	         |          | as the initial credit
 type openInfo struct {
 	Job      string `json:"job"`
 	Conn     string `json:"conn"`
 	Sender   int    `json:"sender"`
 	Receiver int    `json:"receiver"`
-	// Buffer is the connector's frame window; the receiver grants it as
-	// the stream's initial credit.
-	Buffer int `json:"buffer"`
-	// Comp is the sender's compression proposal ("flate" or "auto";
-	// empty = raw frames only). The receiver answers with the accept
-	// byte of the stream's initial CREDIT.
-	Comp string `json:"comp,omitempty"`
+	Buffer   int    `json:"buffer"`
 }
 
 // msgHeader is the fixed 9-byte message prefix.
@@ -250,28 +243,13 @@ func writeMsg(w *bufio.Writer, typ byte, stream uint32, payload []byte) error {
 	return w.Flush()
 }
 
-// writeFrameMsg writes one DATA message: the header followed by the
-// frame image streamed straight out of the frame buffer. The bytes
-// stay in the connection's write buffer — the sender flushes before
-// blocking on credits and on every control message, so small frames
-// coalesce into one syscall instead of paying a flush each. It returns
-// the message's on-wire size.
-func writeFrameMsg(w *bufio.Writer, stream uint32, f *tuple.Frame) (int, error) {
-	n := f.FrameImageSize()
-	if err := writeHeader(w, msgHeader{typ: msgData, stream: stream, length: uint32(n)}); err != nil {
-		return 0, err
-	}
-	if err := tuple.WriteFrame(w, f); err != nil {
-		return 0, err
-	}
-	return 9 + n, nil
-}
-
-// writeEncFrameMsg writes one DATA message on a stream that negotiated
-// compression: [enc u8][encoded body], with raw fallback images still
-// streamed zero-copy out of the frame buffer. It returns the message's
-// on-wire size.
-func writeEncFrameMsg(w *bufio.Writer, stream uint32, f *tuple.Frame, e *tuple.FrameEncoder) (int, error) {
+// writeData writes one DATA message, [enc u8][body], with the encoding
+// the encoder picks; an EncRaw body is the frame image streamed
+// zero-copy out of the frame buffer. The bytes stay in the connection's
+// write buffer — the sender flushes before blocking on credits and on
+// every control message, so small frames coalesce into one syscall
+// instead of paying a flush each. It returns the message's on-wire size.
+func writeData(w *bufio.Writer, stream uint32, f *tuple.Frame, e *tuple.FrameEncoder) (int, error) {
 	enc, payload, err := e.EncodeFrame(f)
 	if err != nil {
 		return 0, err
@@ -296,27 +274,12 @@ func writeEncFrameMsg(w *bufio.Writer, stream uint32, f *tuple.Frame, e *tuple.F
 	return 9 + 1 + n, nil
 }
 
-// readFrame reads one DATA payload into a pooled frame, validating that
-// the image consumed exactly the advertised length.
-func readFrame(r *bufio.Reader, length uint32) (*tuple.Frame, error) {
-	lr := &io.LimitedReader{R: r, N: int64(length)}
-	f := tuple.GetFrame()
-	if err := tuple.ReadFrameInto(lr, f); err != nil {
-		tuple.PutFrame(f)
-		return nil, err
-	}
-	if lr.N != 0 {
-		tuple.PutFrame(f)
-		return nil, fmt.Errorf("wire: frame image shorter than header length (%d bytes left)", lr.N)
-	}
-	return f, nil
-}
-
-// readEncFrame reads one encoded DATA payload ([enc u8][body]) into a
-// pooled frame through the connection's decoder.
-func readEncFrame(r *bufio.Reader, length uint32, d *tuple.FrameDecoder) (*tuple.Frame, error) {
+// readData reads one DATA payload ([enc u8][body]) into a pooled frame
+// through the connection's decoder, which requires the body to decode
+// to a valid frame in exactly its advertised length.
+func readData(r *bufio.Reader, length uint32, d *tuple.FrameDecoder) (*tuple.Frame, error) {
 	if length < 1 {
-		return nil, fmt.Errorf("wire: empty encoded DATA message")
+		return nil, fmt.Errorf("wire: empty DATA message")
 	}
 	enc, err := r.ReadByte()
 	if err != nil {

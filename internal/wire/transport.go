@@ -3,11 +3,14 @@ package wire
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 
@@ -36,10 +39,10 @@ type Config struct {
 	// socket. Used by parity tests and benchmarks to exercise the full
 	// wire path in one process.
 	ForceWire bool
-	// Compress is the process's frame compression policy: proposed in
-	// every outgoing OPEN and used to answer incoming proposals. Streams
-	// compress only when both ends opt in, so mixed clusters downgrade
-	// per stream to raw images. The zero value is CompressOff.
+	// Compress is the encoding policy of the DATA frames this process
+	// sends. Only the sender reads it: every DATA frame names its own
+	// encoding and receivers decode them all, so processes with
+	// different policies interoperate. The zero value is CompressOff.
 	Compress tuple.CompressMode
 }
 
@@ -115,18 +118,9 @@ func (t *TCPTransport) Close() error {
 		return nil
 	}
 	t.closed = true
-	conns := make([]*sendConn, 0, len(t.dialed))
-	for _, c := range t.dialed {
-		conns = append(conns, c)
-	}
-	inbound := make([]net.Conn, 0, len(t.accepted))
-	for c := range t.accepted {
-		inbound = append(inbound, c)
-	}
-	regs := make([]*recvReg, 0, len(t.regs))
-	for _, r := range t.regs {
-		regs = append(regs, r)
-	}
+	conns := slices.Collect(maps.Values(t.dialed))
+	inbound := slices.Collect(maps.Keys(t.accepted))
+	regs := slices.Collect(maps.Values(t.regs))
 	t.mu.Unlock()
 
 	for _, r := range regs {
@@ -142,6 +136,14 @@ func (t *TCPTransport) Close() error {
 		t.ln.Close()
 	}
 	t.wg.Wait()
+	// No demultiplexer is left to deliver: release what parked streams
+	// still hold.
+	t.mu.Lock()
+	parked := slices.Collect(maps.Values(t.pending))
+	t.mu.Unlock()
+	for _, st := range parked {
+		st.shutdown(false)
+	}
 	return nil
 }
 
@@ -258,14 +260,10 @@ func (c *wireConn) SendPort(s, r int) hyracks.SendPort {
 		}
 		return hyracks.ChanPort{Ch: c.reg.plain[r]}
 	}
-	info := openInfo{Job: p.ID.Job, Conn: p.ID.Conn, Sender: s, Receiver: r, Buffer: p.BufferFrames}
-	if c.t.cfg.Compress != tuple.CompressOff {
-		info.Comp = c.t.cfg.Compress.String()
-	}
 	return &wireSendPort{
 		t:     c.t,
 		addr:  c.t.cfg.Peers[p.ReceiverNodes[r]],
-		info:  info,
+		info:  openInfo{Job: p.ID.Job, Conn: p.ID.Conn, Sender: s, Receiver: r, Buffer: p.BufferFrames},
 		stats: p.Stats,
 	}
 }
@@ -352,12 +350,6 @@ type recvStream struct {
 	granted  bool // initial window granted
 	complete bool // EOS or ERR seen
 	closed   bool
-	// compProposed records that the OPEN offered encoded frames;
-	// compAccepted that this process answered yes, so the stream's DATA
-	// payloads are [enc u8][body]. Both are fixed at bind, before any
-	// DATA for the stream can be demultiplexed.
-	compProposed bool
-	compAccepted bool
 }
 
 func newRecvStream(reg *recvReg, key streamKey, buffer int) *recvStream {
@@ -376,14 +368,11 @@ func (s *recvStream) setReg(r *recvReg) {
 	s.mu.Unlock()
 }
 
-// bind attaches the stream to the connection it was opened on and
-// fixes the stream's compression answer.
-func (s *recvStream) bind(c *acceptConn, id uint32, proposed, accepted bool) {
+// bind attaches the stream to the connection it was opened on.
+func (s *recvStream) bind(c *acceptConn, id uint32) {
 	s.mu.Lock()
 	s.conn = c
 	s.id = id
-	s.compProposed = proposed
-	s.compAccepted = accepted
 	s.mu.Unlock()
 	s.grantInitial()
 }
@@ -399,9 +388,8 @@ func (s *recvStream) grantInitial() {
 	}
 	s.granted = true
 	conn, id, n := s.conn, s.id, s.buffer
-	proposed, accepted := s.compProposed, s.compAccepted
 	s.mu.Unlock()
-	conn.sendInitialCredit(id, uint32(n), proposed, accepted)
+	conn.sendCredit(id, uint32(n))
 }
 
 // credit returns one consumed frame's worth of window to the sender.
@@ -530,7 +518,7 @@ type acceptConn struct {
 	conn net.Conn
 	wmu  sync.Mutex
 	bw   *bufio.Writer
-	// dec decodes encoded DATA payloads; only the connection's single
+	// dec decodes DATA payloads; only the connection's single
 	// demultiplexer goroutine touches it.
 	dec tuple.FrameDecoder
 
@@ -584,7 +572,7 @@ func (t *TCPTransport) serveData(conn net.Conn) {
 				return
 			}
 			var info openInfo
-			if err := json.Unmarshal(payload, &info); err != nil {
+			if err := json.Unmarshal(payload, &info); err != nil || info.Buffer < 1 || info.Buffer > maxStreamBuffer {
 				return
 			}
 			t.bindIncoming(ac, h.stream, info)
@@ -597,18 +585,15 @@ func (t *TCPTransport) serveData(conn net.Conn) {
 				}
 				continue
 			}
-			var f *tuple.Frame
-			var err error
-			if st.compAccepted {
-				f, err = readEncFrame(br, h.length, &ac.dec)
-			} else {
-				f, err = readFrame(br, h.length)
-			}
+			f, err := readData(br, h.length, &ac.dec)
 			if err != nil {
 				return
 			}
 			st.deliver(hyracks.Packet{Frame: f})
 		case msgEOS:
+			if h.length != 0 {
+				return
+			}
 			if st := ac.take(h.stream); st != nil {
 				st.deliver(hyracks.Packet{EOS: true})
 			}
@@ -630,28 +615,28 @@ func (t *TCPTransport) serveData(conn net.Conn) {
 // stream until the local OpenConn arrives.
 func (t *TCPTransport) bindIncoming(ac *acceptConn, id uint32, info openInfo) {
 	key := streamKey{info.Job, info.Conn, info.Sender, info.Receiver}
-	buffer := info.Buffer
-	if buffer <= 0 {
-		buffer = 8
-	}
 	t.mu.Lock()
-	accepted := info.Comp != "" && t.cfg.Compress != tuple.CompressOff
 	reg := t.regs[regKey{info.Job, info.Conn}]
-	var st *recvStream
+	var st, stale *recvStream
 	if reg != nil {
 		st = reg.streams[[2]int{info.Sender, info.Receiver}]
 	}
 	if st == nil {
 		// Opened before registration (or for an unknown endpoint): park a
-		// shell; OpenConn claims it by key.
-		st = newRecvStream(nil, key, buffer)
+		// shell; OpenConn claims it by key. A shell already parked under
+		// the key is superseded, and shut down so its frames return.
+		stale = t.pending[key]
+		st = newRecvStream(nil, key, info.Buffer)
 		t.pending[key] = st
 	}
 	t.mu.Unlock()
+	if stale != nil {
+		stale.shutdown(true)
+	}
 	ac.mu.Lock()
 	ac.streams[id] = st
 	ac.mu.Unlock()
-	st.bind(ac, id, info.Comp != "", accepted)
+	st.bind(ac, id)
 }
 
 func (ac *acceptConn) stream(id uint32) *recvStream {
@@ -671,35 +656,10 @@ func (ac *acceptConn) take(id uint32) *recvStream {
 
 func (ac *acceptConn) sendCredit(id uint32, n uint32) {
 	var payload [4]byte
-	payload[0] = byte(n)
-	payload[1] = byte(n >> 8)
-	payload[2] = byte(n >> 16)
-	payload[3] = byte(n >> 24)
+	binary.LittleEndian.PutUint32(payload[:], n)
 	ac.wmu.Lock()
 	defer ac.wmu.Unlock()
 	writeMsg(ac.bw, msgCredit, id, payload[:]) // conn errors surface on the sender side
-}
-
-// sendInitialCredit opens a stream's window. When the sender proposed
-// compression in OPEN, the payload carries a fifth byte answering the
-// proposal; legacy 4-byte credits mean "raw only" to the sender, which
-// is also what a pre-compression receiver would send.
-func (ac *acceptConn) sendInitialCredit(id, n uint32, proposed, accepted bool) {
-	if !proposed {
-		ac.sendCredit(id, n)
-		return
-	}
-	var payload [5]byte
-	payload[0] = byte(n)
-	payload[1] = byte(n >> 8)
-	payload[2] = byte(n >> 16)
-	payload[3] = byte(n >> 24)
-	if accepted {
-		payload[4] = 1
-	}
-	ac.wmu.Lock()
-	defer ac.wmu.Unlock()
-	writeMsg(ac.bw, msgCredit, id, payload[:])
 }
 
 func (ac *acceptConn) sendReset(id uint32) {
@@ -719,8 +679,8 @@ type sendConn struct {
 	conn net.Conn
 	wmu  sync.Mutex
 	bw   *bufio.Writer
-	// enc encodes DATA frames for streams that negotiated compression;
-	// guarded by wmu like the write buffer it feeds.
+	// enc encodes DATA frames under the process's policy; guarded by
+	// wmu like the write buffer it feeds.
 	enc *tuple.FrameEncoder
 
 	mu      sync.Mutex
@@ -787,10 +747,7 @@ func (t *TCPTransport) connTo(addr string) (*sendConn, error) {
 // flush) or on buffer pressure.
 func (t *TCPTransport) flushDialed() {
 	t.mu.Lock()
-	conns := make([]*sendConn, 0, len(t.dialed))
-	for _, c := range t.dialed {
-		conns = append(conns, c)
-	}
+	conns := slices.Collect(maps.Values(t.dialed))
 	t.mu.Unlock()
 	for _, c := range conns {
 		c.flush()
@@ -817,29 +774,22 @@ func (c *sendConn) readLoop() {
 			c.fail(fmt.Errorf("wire: connection to %s lost: %w", c.addr, err))
 			return
 		}
-		switch h.typ {
-		case msgCredit:
-			payload, err := readPayload(br, h.length)
-			if err != nil || (len(payload) != 4 && len(payload) != 5) {
-				c.fail(fmt.Errorf("wire: bad credit from %s", c.addr))
+		switch {
+		case h.typ == msgCredit && h.length == 4:
+			var n [4]byte
+			if _, err := io.ReadFull(br, n[:]); err != nil {
+				c.fail(fmt.Errorf("wire: connection to %s lost: %w", c.addr, err))
 				return
 			}
-			n := uint32(payload[0]) | uint32(payload[1])<<8 | uint32(payload[2])<<16 | uint32(payload[3])<<24
 			if st := c.stream(h.stream); st != nil {
-				// The initial credit's fifth byte latches the receiver's
-				// compression answer before the window opens, so the first
-				// DATA frame already uses the negotiated encoding.
-				if len(payload) == 5 && payload[4] == 1 {
-					st.setCompressed()
-				}
-				st.grant(int(n))
+				st.grant(int(binary.LittleEndian.Uint32(n[:])))
 			}
-		case msgReset:
+		case h.typ == msgReset && h.length == 0:
 			if st := c.stream(h.stream); st != nil {
 				st.fail(ErrStreamReset)
 			}
 		default:
-			c.fail(fmt.Errorf("wire: protocol error from %s (type %d)", c.addr, h.typ))
+			c.fail(fmt.Errorf("wire: protocol error from %s (type %d, %d bytes)", c.addr, h.typ, h.length))
 			return
 		}
 	}
@@ -857,10 +807,7 @@ func (c *sendConn) fail(err error) {
 	if c.err == nil {
 		c.err = err
 	}
-	streams := make([]*sendStream, 0, len(c.streams))
-	for _, st := range c.streams {
-		streams = append(streams, st)
-	}
+	streams := slices.Collect(maps.Values(c.streams))
 	c.mu.Unlock()
 	c.t.mu.Lock()
 	if c.t.dialed[c.addr] == c {
@@ -905,23 +852,10 @@ type sendStream struct {
 	c  *sendConn
 	id uint32
 
-	mu         sync.Mutex
-	credits    int
-	failed     error
-	compressed bool          // receiver accepted encoded DATA frames
-	wait       chan struct{} // closed and replaced on every grant/failure
-}
-
-func (s *sendStream) setCompressed() {
-	s.mu.Lock()
-	s.compressed = true
-	s.mu.Unlock()
-}
-
-func (s *sendStream) isCompressed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.compressed
+	mu      sync.Mutex
+	credits int
+	failed  error
+	wait    chan struct{} // closed and replaced on every grant/failure
 }
 
 func (s *sendStream) grant(n int) {
@@ -1045,19 +979,15 @@ func (p *wireSendPort) Send(ctx context.Context, pkt hyracks.Packet) error {
 		}
 	}
 	st.c.wmu.Lock()
-	var n int
-	if st.isCompressed() {
-		n, err = writeEncFrameMsg(st.c.bw, st.id, pkt.Frame, st.c.enc)
-	} else {
-		n, err = writeFrameMsg(st.c.bw, st.id, pkt.Frame)
-	}
+	n, err := writeData(st.c.bw, st.id, pkt.Frame, st.c.enc)
 	st.c.wmu.Unlock()
 	if err != nil {
 		st.c.fail(err)
 		return err
 	}
 	if p.stats != nil {
-		p.stats.AddWireBytes(int64(9+pkt.Frame.FrameImageSize()), int64(n))
+		// The uncompressed cost is the same message tagged EncRaw.
+		p.stats.AddWireBytes(int64(9+1+pkt.Frame.FrameImageSize()), int64(n))
 	}
 	// The frame's bytes are on the wire; ownership returns to the pool.
 	tuple.PutFrame(pkt.Frame)
