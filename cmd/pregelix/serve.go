@@ -1063,10 +1063,17 @@ func buildServeJob(req *jobRequest) (*pregel.Job, error) {
 	return job, nil
 }
 
+// writeJSON encodes v before it writes the status, so a value that does
+// not encode is a 500 rather than a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(map[string]string{"error": err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	w.Write(append(body, '\n'))
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {

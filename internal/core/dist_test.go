@@ -41,6 +41,8 @@ func distTestBuilder(raw json.RawMessage) (*pregel.Job, error) {
 		return algorithms.NewDeltaPageRankJob("dpr", s.Input, "", s.Epsilon), nil
 	case "kcore":
 		return algorithms.NewKCoreJob("kcore", s.Input, "", s.K), nil
+	case "nonfinite":
+		return nonFiniteJob(s.Input), nil
 	default:
 		return nil, fmt.Errorf("unknown algorithm %q", s.Algorithm)
 	}

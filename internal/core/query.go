@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"container/list"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -150,8 +152,9 @@ func (r *retainedResult) destroy() {
 	}
 }
 
-// lookupVertex evaluates one point read against a partition index.
-func lookupVertex(idx storage.Index, codec *pregel.Codec, vid uint64) (VertexQueryResult, error) {
+// lookupVertex evaluates one point read against a partition index,
+// decoding with dec: the answer copies out all it keeps.
+func lookupVertex(idx storage.Index, dec *pregel.VertexDecoder, vid uint64) (VertexQueryResult, error) {
 	data, err := idx.Search(tuple.EncodeUint64(vid))
 	if err == storage.ErrNotFound {
 		return VertexQueryResult{Vid: vid}, nil
@@ -159,7 +162,7 @@ func lookupVertex(idx storage.Index, codec *pregel.Codec, vid uint64) (VertexQue
 	if err != nil {
 		return VertexQueryResult{}, err
 	}
-	v, err := codec.DecodeVertex(pregel.VertexID(vid), data)
+	v, err := dec.Decode(pregel.VertexID(vid), data)
 	if err != nil {
 		return VertexQueryResult{}, err
 	}
@@ -191,13 +194,14 @@ func (r *retainedResult) routeVid(vid uint64) int {
 // routing error (the coordinator fans batches by owner).
 func (r *retainedResult) point(vids []uint64) ([]VertexQueryResult, error) {
 	out := make([]VertexQueryResult, len(vids))
+	dec := r.codec.NewVertexDecoder()
 	for i, vid := range vids {
 		p := r.routeVid(vid)
 		idx := r.parts[p]
 		if idx == nil {
 			return nil, fmt.Errorf("core: partition %d of %s is not retained here", p, r.version)
 		}
-		res, err := lookupVertex(idx, r.codec, vid)
+		res, err := lookupVertex(idx, dec, vid)
 		if err != nil {
 			return nil, err
 		}
@@ -206,41 +210,93 @@ func (r *retainedResult) point(vids []uint64) ([]VertexQueryResult, error) {
 	return out, nil
 }
 
-// topK scans every partition sealed here and returns the k entries with
-// the highest numeric value (ties broken by ascending vid; non-numeric
-// values sort below all numeric ones, ordered by value string).
+// topKRank is where a vertex places in a top-k answer, computed once per
+// candidate. A value whose text parses as a finite number ranks above
+// every other, by that score descending; the rest (non-numeric text,
+// NaN, ±Inf) follow by text descending, with score 0. Ties go to the
+// lower vid.
+type topKRank struct {
+	vid     uint64
+	numeric bool
+	score   float64 // 0 unless numeric
+	text    string  // "" if numeric
+	part    int     // the partition the scan found it in (worker side)
+}
+
+// before reports whether a ranks ahead of b.
+func (a topKRank) before(b topKRank) bool {
+	if a.numeric != b.numeric {
+		return a.numeric
+	}
+	return cmp.Or(cmp.Compare(b.score, a.score), strings.Compare(b.text, a.text), cmp.Compare(a.vid, b.vid)) < 0
+}
+
+// textRank ranks a value by its rendered text (pregel.ValueString).
+func textRank(vid uint64, text string) topKRank {
+	f, err := strconv.ParseFloat(text, 64)
+	if err != nil || math.IsInf(f, 0) || math.IsNaN(f) {
+		return topKRank{vid: vid, text: text}
+	}
+	return topKRank{vid: vid, numeric: true, score: f}
+}
+
+// valueRank is textRank of v's text, skipping the text where reading the
+// value gives the same float64: a Double's shortest text and an Int64's
+// decimal text both parse back to exactly float64(x).
+func valueRank(vid uint64, v pregel.Value) topKRank {
+	switch x := v.(type) {
+	case *pregel.Double:
+		if f := float64(*x); !math.IsInf(f, 0) && !math.IsNaN(f) {
+			return topKRank{vid: vid, numeric: true, score: f}
+		}
+	case *pregel.Int64:
+		return topKRank{vid: vid, numeric: true, score: float64(*x)}
+	}
+	return textRank(vid, pregel.ValueString(v))
+}
+
+// bestK orders ranks best-first and keeps the first k.
+func bestK(ranks []topKRank, k int) []topKRank {
+	sort.Slice(ranks, func(i, j int) bool { return ranks[i].before(ranks[j]) })
+	return ranks[:min(k, len(ranks))]
+}
+
+// topK scans each partition sealed here once and returns its k best
+// vertices by topKRank. Each vertex is scored from its decoded value; one
+// that does not beat the k-th best kept so far is dropped, and only the
+// k winners are read back and rendered.
 func (r *retainedResult) topK(k int) ([]TopKEntry, error) {
 	if k <= 0 {
 		return []TopKEntry{}, nil
 	}
-	var entries []TopKEntry
-	for _, idx := range r.parts {
+	dec := r.codec.NewVertexDecoder()
+	// best is sorted when it first holds k and cut back to the k best
+	// whenever it holds 2k, so best[k-1] is a bar k kept ranks all meet.
+	var best []topKRank
+	for p, idx := range r.parts {
 		c, err := idx.ScanFrom(nil)
 		if err != nil {
 			return nil, err
 		}
 		for {
-			key, val, ok := c.Next()
+			key, val, ok := c.NextView() // decoded and ranked before the next
 			if !ok {
 				break
 			}
 			vid := tuple.DecodeUint64(key)
-			v, err := r.codec.DecodeVertex(pregel.VertexID(vid), val)
+			v, err := dec.Decode(pregel.VertexID(vid), val)
 			if err != nil {
 				c.Close()
 				return nil, err
 			}
-			vs := pregel.ValueString(v.Value)
-			score, perr := strconv.ParseFloat(vs, 64)
-			if perr != nil {
-				score = 0
+			rk := valueRank(vid, v.Value)
+			if len(best) >= k && !rk.before(best[k-1]) {
+				continue
 			}
-			entries = append(entries, TopKEntry{
-				Vid:   vid,
-				Value: vs,
-				Score: score,
-				Line:  pregel.FormatVertexLine(v),
-			})
+			rk.part = p
+			if best = append(best, rk); len(best) == k || len(best) == 2*k {
+				best = bestK(best, k)
+			}
 		}
 		err = c.Err()
 		c.Close()
@@ -248,52 +304,38 @@ func (r *retainedResult) topK(k int) ([]TopKEntry, error) {
 			return nil, err
 		}
 	}
-	sortTopK(entries)
-	if len(entries) > k {
-		entries = entries[:k]
+	best = bestK(best, k)
+	out := make([]TopKEntry, len(best))
+	for i, rk := range best {
+		res, err := lookupVertex(r.parts[rk.part], dec, rk.vid)
+		if err != nil {
+			return nil, err
+		}
+		if !res.Found {
+			return nil, fmt.Errorf("core: top-k winner %d is gone from partition %d of %s", rk.vid, rk.part, r.version)
+		}
+		out[i] = TopKEntry{Vid: rk.vid, Value: res.Value, Score: rk.score, Line: res.Line}
 	}
-	return entries, nil
+	return out, nil
 }
 
-// sortTopK orders entries best-first: numeric score descending, ties by
-// ascending vid; entries whose value is not numeric sort last.
-func sortTopK(entries []TopKEntry) {
-	numeric := func(e TopKEntry) bool {
-		_, err := strconv.ParseFloat(e.Value, 64)
-		return err == nil
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		ni, nj := numeric(entries[i]), numeric(entries[j])
-		if ni != nj {
-			return ni
-		}
-		if !ni {
-			if entries[i].Value != entries[j].Value {
-				return entries[i].Value > entries[j].Value
-			}
-			return entries[i].Vid < entries[j].Vid
-		}
-		if entries[i].Score != entries[j].Score {
-			return entries[i].Score > entries[j].Score
-		}
-		return entries[i].Vid < entries[j].Vid
-	})
-}
-
-// mergeTopK merges per-worker top-k lists into one global top-k.
+// mergeTopK merges per-worker top-k lists into one global top-k, ranking
+// each row by its value text as the workers ranked it.
 func mergeTopK(lists [][]TopKEntry, k int) []TopKEntry {
-	var all []TopKEntry
+	rows := make(map[uint64]TopKEntry) // a vid is one worker's
+	var ranks []topKRank
 	for _, l := range lists {
-		all = append(all, l...)
+		for _, e := range l {
+			rows[e.Vid] = e
+			ranks = append(ranks, textRank(e.Vid, e.Value))
+		}
 	}
-	sortTopK(all)
-	if len(all) > k {
-		all = all[:k]
+	ranks = bestK(ranks, k)
+	out := make([]TopKEntry, len(ranks))
+	for i, rk := range ranks {
+		out[i] = rows[rk.vid]
 	}
-	if all == nil {
-		all = []TopKEntry{}
-	}
-	return all
+	return out
 }
 
 // pointFn is a batched point-read evaluator; khopFrom is written

@@ -476,14 +476,26 @@ func TestSuperstepOneRefusesToProbe(t *testing.T) {
 	}
 }
 
-// openDescriptors counts this process's open file descriptors.
-func openDescriptors(t *testing.T) int {
+// openDescriptors counts this process's open file descriptors on files
+// under dir (unlinked ones included), which no other test's sockets or
+// files come and go among.
+func openDescriptors(t *testing.T, dir string) int {
 	t.Helper()
 	fds, err := os.ReadDir("/proc/self/fd")
 	if err != nil {
 		t.Skipf("no descriptor table to count: %v", err)
 	}
-	return len(fds)
+	if dir, err = filepath.EvalSymlinks(dir); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, fd := range fds {
+		target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
+		if err == nil && strings.HasPrefix(target, dir+string(filepath.Separator)) {
+			n++
+		}
+	}
+	return n
 }
 
 // TestRefusedImageStrandsNoVidIndex: the Vid index an install builds
@@ -499,7 +511,7 @@ func TestRefusedImageStrandsNoVidIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	fx.rs.dropOnePartition(ps)
-	fds := openDescriptors(t)
+	fds := openDescriptors(t, fx.rs.rt.opts.BaseDir)
 	for i, bad := range [][2][]byte{
 		{good.Vertex[:len(good.Vertex)-5], good.Msg},
 		{append(append([]byte(nil), good.Vertex...), oneFieldImage...), good.Msg},
@@ -517,7 +529,7 @@ func TestRefusedImageStrandsNoVidIndex(t *testing.T) {
 			t.Errorf("refused installs left %s behind", f)
 		}
 	}
-	if now := openDescriptors(t); now != fds {
+	if now := openDescriptors(t, fx.rs.rt.opts.BaseDir); now != fds {
 		t.Fatalf("%d descriptors open after the refused installs, %d before", now, fds)
 	}
 	if err := fx.rs.installImage(ps, &good); err != nil || ps.vid == nil {

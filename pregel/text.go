@@ -1,6 +1,7 @@
 package pregel
 
 import (
+	"encoding/hex"
 	"fmt"
 	"strconv"
 	"strings"
@@ -54,45 +55,54 @@ func ParseVertexLine(line string, withWeights bool) (*Vertex, error) {
 
 // FormatVertexLine renders a vertex for result dumping:
 // "vid<TAB>value<TAB>dest[:w] ...". The value column prints via
-// ValueString.
+// ValueString; an edge prints a weight only when its value is a *Float,
+// as the shortest float64 text of it.
 func FormatVertexLine(v *Vertex) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d\t%s\t", uint64(v.ID), ValueString(v.Value))
+	var stack [256]byte // a typical row renders here, then is copied once
+	b := strconv.AppendUint(stack[:0], uint64(v.ID), 10)
+	b = append(appendValue(append(b, '\t'), v.Value), '\t')
 	for i, e := range v.Edges {
 		if i > 0 {
-			b.WriteByte(' ')
+			b = append(b, ' ')
 		}
+		b = strconv.AppendUint(b, uint64(e.Dest), 10)
 		if f, ok := e.Value.(*Float); ok && f != nil {
-			fmt.Fprintf(&b, "%d:%g", uint64(e.Dest), float64(*f))
-		} else {
-			fmt.Fprintf(&b, "%d", uint64(e.Dest))
+			b = strconv.AppendFloat(append(b, ':'), float64(*f), 'g', -1, 64)
 		}
 	}
-	return b.String()
+	return string(b)
 }
 
 // ValueString renders a Value for human-readable output.
 func ValueString(v Value) string {
+	var stack [64]byte
+	return string(appendValue(stack[:0], v))
+}
+
+// appendValue appends ValueString(v) to dst.
+func appendValue(dst []byte, v Value) []byte {
 	switch x := v.(type) {
 	case nil:
-		return ""
+		return dst
 	case *Double:
-		return strconv.FormatFloat(float64(*x), 'g', -1, 64)
+		return strconv.AppendFloat(dst, float64(*x), 'g', -1, 64)
 	case *Float:
-		return strconv.FormatFloat(float64(*x), 'g', -1, 32)
+		return strconv.AppendFloat(dst, float64(*x), 'g', -1, 32)
 	case *Int64:
-		return strconv.FormatInt(int64(*x), 10)
+		return strconv.AppendInt(dst, int64(*x), 10)
 	case *Bool:
-		return strconv.FormatBool(bool(*x))
+		return strconv.AppendBool(dst, bool(*x))
 	case *Bytes:
-		return fmt.Sprintf("%x", []byte(*x))
+		return hex.AppendEncode(dst, *x)
 	case *VIDList:
-		parts := make([]string, len(*x))
 		for i, id := range *x {
-			parts[i] = strconv.FormatUint(id, 10)
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendUint(dst, id, 10)
 		}
-		return strings.Join(parts, ",")
+		return dst
 	default:
-		return fmt.Sprintf("%v", v)
+		return fmt.Appendf(dst, "%v", v)
 	}
 }
