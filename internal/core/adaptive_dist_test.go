@@ -90,7 +90,7 @@ func sealedSplits(t *testing.T, coord *Coordinator, version string) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return len(res.splits)
+	return len(res.Splits)
 }
 
 // TestAdaptiveSplitParityPageRank forces a mid-job hot-partition split

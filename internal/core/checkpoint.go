@@ -48,17 +48,23 @@ import (
 // index.
 //
 // The manifest is the unit of atomicity. It records the superstep, the
-// partition count, the global state, and per partition: the restored
-// statistics counters plus the DFS paths of its vertex/msg images (the
-// partition→file map). In cluster mode the same manifest format lives
-// in the coordinator's replicated checkpoint store.
+// partition table (count, base count, splits), the global state, and
+// per partition: the restored statistics counters plus the DFS paths of
+// its vertex/msg images (the partition→file map).
 //
 // # Commit protocol
 //
-// A checkpoint is committed by writing every partition image first and
-// the manifest last — staged as manifest.json.tmp and renamed into
-// place only when all data is durable (in cluster mode: only after
-// every worker has acked its snapshot RPC). Recovery scans for the
+// Both engines checkpoint through one writer (writeCheckpoint) into a
+// dfs.FileSystem — the runtime's own, or the coordinator's replicated
+// checkpoint store — and restore through one reader (restoreCheckpoint).
+// An engine supplies only how images reach the writer (a runtime streams
+// its partitions' snapshots; the coordinator forwards the images every
+// worker returned for partition.send {all}) and how the reader's streams
+// reach the partitions (reloadPartitionFrom in process; partition.recv
+// {reset} on a cluster). The writer writes every partition image first
+// and the manifest last, staged as manifest.json.tmp and renamed into
+// place (dfsStore.Put) only when all data is durable — on a cluster,
+// only after every worker has answered. The reader takes the valid
 // manifest with the highest superstep; data files without a manifest
 // are invisible garbage, so a crash anywhere before the rename leaves
 // the previous committed checkpoint (and therefore recoverability)
@@ -73,8 +79,8 @@ type checkpointManifest struct {
 	// BaseParts/Splits journal the hot-partition split table committed
 	// by the superstep the checkpoint covers (split.go): recovery — and
 	// a durable coordinator's restart — must rebuild the same partition
-	// table and routing function. Zero/nil on unsplit checkpoints, where
-	// Partitions is the whole table.
+	// table and routing function. Splits is nil on unsplit checkpoints;
+	// BaseParts may be zero on one, which Partitions then describes.
 	BaseParts int        `json:"baseParts,omitempty"`
 	Splits    []splitRec `json:"splits,omitempty"`
 }
@@ -107,13 +113,6 @@ func ckptRoot(job string) string { return "/pregelix/" + job + "/ckpt/" }
 
 func ckptPath(job string, ss int64) string {
 	return fmt.Sprintf("%sss%d", ckptRoot(job), ss)
-}
-
-// nameFiles fills in the manifest's partition→file map entry: the paths
-// of partition part's two images within checkpoint directory dir.
-func (st *partStat) nameFiles(dir string, part int) {
-	st.VertexFile = fmt.Sprintf("%s/vertex-p%d", dir, part)
-	st.MsgFile = fmt.Sprintf("%s/msg-p%d", dir, part)
 }
 
 // addVertex recounts one encoded vertex record: the edge count straight
@@ -286,69 +285,54 @@ func (rs *runState) installImage(ps *partitionState, pd *ckptPartData) error {
 	return rs.reloadPartitionFrom(ps, pd.Stats, bytes.NewReader(pd.Vertex), bytes.NewReader(pd.Msg))
 }
 
-// checkpoint writes the superstep's Vertex and Msg state to the DFS and
-// commits the manifest, which carries the driver's global state gs (see
-// the commit protocol above).
-func (rs *runState) checkpoint(ctx context.Context, ss int64, gs globalState) error {
-	dir := ckptPath(rs.job.Name, ss)
-	m := checkpointManifest{Superstep: ss, Partitions: len(rs.parts), GS: gs}
-	for _, ps := range rs.parts {
+// writeCheckpoint is the one checkpoint writer, for both engines. It
+// streams every partition of table into run's checkpoint of superstep ss
+// in fs — image writes partition p's vertex and msg images and returns
+// its counters — and then commits the manifest carrying run.gs, the
+// table and the partition→file map (see the commit protocol above). A
+// runtime's image scans its own partitions; the coordinator's forwards
+// what partition.send {all} brought back.
+func writeCheckpoint(ctx context.Context, fs *dfs.FileSystem, run *jobRun, ss int64, table partTable,
+	image func(p int, vertex, msg io.Writer) (partStat, error)) error {
+	dir := ckptPath(run.name, ss)
+	m := checkpointManifest{Superstep: ss, Partitions: table.NumParts, GS: run.gs,
+		BaseParts: table.BaseParts, Splits: table.Splits, PartStats: make([]partStat, table.NumParts)}
+	for p := range m.PartStats {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		st := partStatOf(ps)
-		st.nameFiles(dir, ps.idx)
-
-		w, err := rs.rt.DFS.Create(st.VertexFile)
+		vf, mf := fmt.Sprintf("%s/vertex-p%d", dir, p), fmt.Sprintf("%s/msg-p%d", dir, p)
+		vw, err := fs.Create(vf)
 		if err != nil {
 			return err
 		}
-		bw := bufio.NewWriterSize(w, 1<<16)
-		if _, err := writeVertexSnapshot(bw, ps.vertexIdx, rs.rt.opts.Compress); err != nil {
-			return err
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		if err := w.Close(); err != nil {
-			return err
-		}
-
-		mw, err := rs.rt.DFS.Create(st.MsgFile)
+		mw, err := fs.Create(mf)
 		if err != nil {
 			return err
 		}
-		if err := writeMsgSnapshot(mw, ps, rs.rt.opts.Compress); err != nil {
-			return err
+		st, err := image(p, vw, mw)
+		if err == nil {
+			err = errors.Join(vw.Close(), mw.Close())
 		}
-		if err := mw.Close(); err != nil {
-			return err
+		if err != nil {
+			return fmt.Errorf("partition %d: %w", p, err)
 		}
-		m.PartStats = append(m.PartStats, st)
+		st.VertexFile, st.MsgFile = vf, mf
+		m.PartStats[p] = st
 	}
-	return commitManifest(rs.rt.DFS, dir, &m)
+	return commitManifest(fs, dir, &m)
 }
 
-// manifestWriter is the slice of dfs.FileSystem the commit needs; the
-// coordinator's checkpoint store satisfies it too.
-type manifestWriter interface {
-	WriteFile(path string, data []byte) error
-	Rename(oldPath, newPath string) error
-}
-
-// commitManifest atomically publishes a checkpoint: the manifest is
-// staged under a temporary name and renamed into place, so a crash
-// before the rename leaves the previous checkpoint untouched.
-func commitManifest(fs manifestWriter, dir string, m *checkpointManifest) error {
+// commitManifest atomically publishes a checkpoint through the DFS's
+// staged write: the manifest lands under a temporary name and is renamed
+// into place, so a crash before the rename leaves the previous
+// checkpoint untouched.
+func commitManifest(fs *dfs.FileSystem, dir string, m *checkpointManifest) error {
 	data, err := json.Marshal(m)
 	if err != nil {
 		return err
 	}
-	staged := dir + "/manifest.json.tmp"
-	if err := fs.WriteFile(staged, data); err != nil {
-		return err
-	}
-	return fs.Rename(staged, dir+"/manifest.json")
+	return dfsStore{fs: fs}.Put(dir+"/manifest.json", data)
 }
 
 // removeJobFiles reclaims everything a finished job left under its DFS
@@ -359,27 +343,16 @@ func removeJobFiles(fs *dfs.FileSystem, job string) {
 	}
 }
 
-// manifestReader is the slice of dfs.FileSystem manifest discovery
-// needs.
-type manifestReader interface {
-	List(prefix string) []string
-	ReadFile(path string) ([]byte, error)
-}
-
 // valid reports whether the manifest describes a partition table
 // recovery can rebuild: a statistics entry per partition, and a split
-// list that grows the base table (BaseParts, or Partitions when unsplit)
-// to exactly Partitions, every split appending at least two children
-// past a parent of the table as it stood — which is what makes
-// routeVertex terminate.
+// list that grows the base table to exactly Partitions, every split
+// appending at least two children past a parent of the table as it
+// stood — which is what makes routeVertex terminate.
 func (m *checkpointManifest) valid() bool {
 	if m.Partitions <= 0 || len(m.PartStats) != m.Partitions {
 		return false
 	}
-	size := m.BaseParts
-	if size == 0 {
-		size = m.Partitions
-	}
+	size := partTable{NumParts: m.Partitions, BaseParts: m.BaseParts}.base()
 	for _, s := range m.Splits {
 		if s.Children < 2 || s.Parent < 0 || s.Parent >= s.First || s.First != size {
 			return false
@@ -394,7 +367,7 @@ func (m *checkpointManifest) valid() bool {
 // checkpoints that never committed — are not manifests, and unreadable
 // or invalid manifests are skipped, so recovery falls back to an older
 // intact checkpoint.
-func latestManifest(fs manifestReader, prefix string) *checkpointManifest {
+func latestManifest(fs *dfs.FileSystem, prefix string) *checkpointManifest {
 	var best *checkpointManifest
 	for _, path := range fs.List(prefix) {
 		if filepath.Base(path) != "manifest.json" {
@@ -415,39 +388,68 @@ func latestManifest(fs manifestReader, prefix string) *checkpointManifest {
 	return best
 }
 
-// recover handles a node failure (Section 5.5): blacklist the machine,
-// select a failure-free placement for its partitions, and reload Vertex,
-// Msg, and (when needed) Vid from the latest checkpoint, whose manifest
-// it returns for the driver to rewind to.
-func (rs *runState) recover(ctx context.Context, nf *hyracks.NodeFailure) (*checkpointManifest, error) {
-	rs.rt.Cluster.Blacklist(nf.Node)
-	rs.rt.DFS.SetNodeDown(string(nf.Node), true)
-	if len(rs.rt.Cluster.LiveNodes()) == 0 {
-		return nil, fmt.Errorf("core: no live nodes remain")
+// errNoCheckpoint is the one refusal of a restore, a failed run's and a
+// resumed one's alike.
+var errNoCheckpoint = errors.New("job has no usable checkpoint")
+
+// restoreCheckpoint is the one checkpoint reader, for both engines. It
+// finds run's latest usable checkpoint in fs; with none — or when the job
+// takes none, so whatever its name holds is an earlier run's — it
+// refuses before repair touches anything. Otherwise it runs repair, if
+// any, and hands install each partition's two image streams and
+// counters, in partition order. The caller rewinds the run to the
+// manifest it returns.
+func restoreCheckpoint(ctx context.Context, fs *dfs.FileSystem, run *jobRun, repair func(*checkpointManifest) error,
+	install func(p int, st partStat, vertex, msg io.Reader) error) (*checkpointManifest, error) {
+	var m *checkpointManifest
+	if run.job.CheckpointEvery > 0 {
+		m = latestManifest(fs, ckptRoot(run.name))
 	}
-	m := latestManifest(rs.rt.DFS, ckptRoot(rs.job.Name))
 	if m == nil {
-		return nil, fmt.Errorf("core: no usable checkpoint for job %s", rs.job.Name)
+		return nil, fmt.Errorf("core: %s: %w", run.name, errNoCheckpoint)
 	}
-
-	// Drop current partition state (files on the failed machine are
-	// unreachable; files on live machines are stale), and the superstep
-	// plan placed on the old machines.
-	rs.closePlan()
-	rs.dropPartitionState()
-
-	// Reassign all partitions over the surviving machines and reload.
-	nodes := rs.assignPartitions(len(rs.parts))
-	for i, ps := range rs.parts {
+	if repair != nil {
+		if err := repair(m); err != nil {
+			return nil, err
+		}
+	}
+	for p, st := range m.PartStats {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ps.node = nodes[i]
-		if err := rs.reloadPartition(ps, m); err != nil {
+		vr, err := fs.Open(st.VertexFile)
+		if err != nil {
 			return nil, err
+		}
+		mr, err := fs.Open(st.MsgFile)
+		if err != nil {
+			return nil, err
+		}
+		if err := install(p, st, vr, mr); err != nil {
+			return nil, fmt.Errorf("core: restoring partition %d: %w", p, err)
 		}
 	}
 	return m, nil
+}
+
+// reassign is the in-process repair ahead of a restore of nparts
+// partitions: blacklist the failed machine, forget every partition's
+// state and the superstep plan placed on the old machines, and place the
+// partitions over the survivors.
+func (rs *runState) reassign(failed hyracks.NodeID, nparts int) error {
+	if nparts != len(rs.parts) {
+		return fmt.Errorf("core: the checkpoint has %d partitions, the run %d", nparts, len(rs.parts))
+	}
+	rs.rt.Cluster.Blacklist(failed)
+	if len(rs.rt.Cluster.LiveNodes()) == 0 {
+		return fmt.Errorf("core: no live nodes remain")
+	}
+	rs.closePlan()
+	rs.dropPartitionState()
+	for i, node := range rs.assignPartitions(len(rs.parts)) {
+		rs.parts[i].node = node
+	}
+	return nil
 }
 
 // dropPartitionState forgets every partition's live state ahead of a
@@ -488,27 +490,6 @@ func (rs *runState) isBlacklisted(id hyracks.NodeID) bool {
 		}
 	}
 	return true
-}
-
-// reloadPartition rebuilds one partition from the manifest's snapshot
-// files in the local DFS (the single-process recovery path; cluster
-// workers receive the images over the control plane instead and call
-// reloadPartitionFrom directly).
-func (rs *runState) reloadPartition(ps *partitionState, m *checkpointManifest) error {
-	if ps.idx >= len(m.PartStats) {
-		return fmt.Errorf("core: manifest has no partition %d", ps.idx)
-	}
-	st := m.PartStats[ps.idx]
-	vr, err := rs.rt.DFS.Open(st.VertexFile)
-	if err != nil {
-		return err
-	}
-	mr, err := rs.rt.DFS.Open(st.MsgFile)
-	if err != nil {
-		return err
-	}
-	return rs.reloadPartitionFrom(ps, st,
-		bufio.NewReaderSize(vr, 1<<16), bufio.NewReaderSize(mr, 1<<16))
 }
 
 // reloadPartitionFrom rebuilds one partition's Vertex index, Msg run

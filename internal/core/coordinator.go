@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -1023,16 +1025,17 @@ func (c *Coordinator) RunJob(ctx context.Context, sub DistSubmission) (*JobStats
 	// No manifest (the crash predated the first commit) rolls back to
 	// an ordinary fresh load.
 	resumed := false
-	if sub.Resume && sub.Job.CheckpointEvery > 0 {
-		if m := latestManifest(c.ckpt, ckptRoot(sub.Name)); m != nil {
-			if err := c.restoreCluster(ctx, sub.Name, m, run.attempt); err != nil {
-				return stats, nil, fmt.Errorf("core: resuming %s from checkpoint: %w", sub.Name, err)
-			}
+	if sub.Resume {
+		m, err := c.restoreRun(ctx, run, run.attempt, nil)
+		switch {
+		case err == nil:
 			run.rewindTo(m)
 			resumed = true
 			c.cfg.logf("coordinator: %s resumed from committed checkpoint at superstep %d", sub.Name, m.Superstep)
-		} else {
+		case errors.Is(err, errNoCheckpoint):
 			c.cfg.logf("coordinator: %s has no committed checkpoint — rolling back to a fresh load", sub.Name)
+		default:
+			return stats, nil, fmt.Errorf("core: resuming %s from checkpoint: %w", sub.Name, err)
 		}
 	}
 
@@ -1203,20 +1206,60 @@ func (p *clusterPhases) observe(ctx context.Context, run *jobRun) (bool, error) 
 	return false, nil
 }
 
-// checkpoint: every worker snapshots its partitions into the
-// controller's replicated store; the manifest commits only after all
-// acks.
+// checkpoint: every worker images the partitions it owns
+// (partition.send {all}) and the checkpoint writer puts the images into
+// the controller's replicated store, committing the manifest only after
+// every worker answered.
 func (p *clusterPhases) checkpoint(ctx context.Context, run *jobRun, ss int64) error {
-	if err := p.c.checkpointCluster(ctx, run, ss); err != nil {
+	c := p.c
+	from := make(map[*ccWorker]partSendMsg)
+	for _, w := range c.members() {
+		from[w] = partSendMsg{Name: run.name, All: true}
+	}
+	imgs, err := c.imageParts(ctx, run.name, from)
+	if err == nil {
+		base := c.baseParts()
+		table := partTable{NumParts: totalParts(base, run.splits), BaseParts: base, Splits: run.splits}
+		err = writeCheckpoint(ctx, c.ckpt, run, ss, table, func(p int, vertex, msg io.Writer) (partStat, error) {
+			pd := imgs[p]
+			if pd == nil {
+				return partStat{}, fmt.Errorf("no worker imaged it")
+			}
+			if _, err := vertex.Write(pd.Vertex); err != nil {
+				return partStat{}, err
+			}
+			_, err := msg.Write(pd.Msg)
+			return pd.Stats, err
+		})
+	}
+	if err != nil {
 		return fmt.Errorf("core: checkpoint at superstep %d of %s: %w", ss, run.name, err)
 	}
+	c.cfg.logf("coordinator: %s checkpointed at superstep %d (%d partitions)", run.name, ss, len(imgs))
 	return nil
 }
 
+// restore is the distributed failure manager: a phase failure with no
+// dead worker behind it is forwarded as an application error. Otherwise,
+// unless the job has no usable checkpoint, the in-flight phase is
+// aborted on every survivor (their tasks drained, so topology and
+// partition state can change safely), the topology repaired — a standby
+// adopted, or the orphaned nodes spread over the survivors — and every
+// worker restored under the next epoch.
 func (p *clusterPhases) restore(ctx context.Context, run *jobRun, _ error) (*checkpointManifest, error) {
-	m, err := p.c.recoverJob(ctx, run)
+	c := p.c
+	if len(c.reapDead()) == 0 {
+		return nil, errNotRecoverable
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	m, err := c.restoreRun(ctx, run, run.attempt+1, func(*checkpointManifest) error {
+		phaseCall[struct{}](ctx, c, "", rpcJobAbort, jobNameMsg{Name: run.name})
+		return c.repairTopology(ctx, run.begin)
+	})
 	if err == nil {
-		p.c.cfg.logf("coordinator: %s recovered — resuming from superstep %d (attempt %d)",
+		c.cfg.logf("coordinator: %s recovered — resuming from superstep %d (attempt %d)",
 			run.name, m.Superstep, run.attempt+1)
 	}
 	return m, err
@@ -1262,42 +1305,4 @@ func (c *Coordinator) removeCheckpoints(name string) {
 		return
 	}
 	removeJobFiles(c.ckpt, name)
-}
-
-// recoverJob is the distributed failure manager (the cluster analog of
-// runState.recover): called when a phase fails, it verifies the failure
-// is a worker loss (anything else is forwarded as an application
-// error), aborts the in-flight phase everywhere, repairs the topology,
-// and restores every worker from the latest committed checkpoint under
-// the next epoch, returning the manifest for the driver to rewind to.
-func (c *Coordinator) recoverJob(ctx context.Context, run *jobRun) (*checkpointManifest, error) {
-	dead := c.reapDead()
-	if len(dead) == 0 {
-		return nil, errNotRecoverable
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if run.job.CheckpointEvery <= 0 {
-		return nil, fmt.Errorf("core: worker lost and job has no checkpoints (set CheckpointEvery)")
-	}
-	m := latestManifest(c.ckpt, ckptRoot(run.name))
-	if m == nil {
-		return nil, fmt.Errorf("core: worker lost before the first checkpoint committed")
-	}
-
-	// 1. Quiesce: abort the in-flight phase on every survivor and wait
-	// for their tasks to drain, so topology and partition state can be
-	// mutated safely.
-	phaseCall[struct{}](ctx, c, "", rpcJobAbort, jobNameMsg{Name: run.name})
-	// 2. Repair: adopt a standby worker (joining the open job session)
-	// or redistribute the orphaned nodes over the survivors.
-	if err := c.repairTopology(ctx, run.begin); err != nil {
-		return nil, err
-	}
-	// 3. Restore: rewind every worker to the checkpoint.
-	if err := c.restoreCluster(ctx, run.name, m, run.attempt+1); err != nil {
-		return nil, err
-	}
-	return m, nil
 }

@@ -24,23 +24,10 @@ import (
 
 // clusterResult is the coordinator's record of one sealed version.
 type clusterResult struct {
-	version  string
-	numParts int
-	// baseParts/splits carry the sealed run's split-aware routing
-	// function (split.go); baseParts falls back to numParts when the
-	// run committed no splits.
-	baseParts int
-	splits    []splitRec
-	owners    map[int]*ccWorker
-}
-
-// routeVid routes a vid through the sealed version's routing function.
-func (res *clusterResult) routeVid(vid uint64) int {
-	base := res.baseParts
-	if base == 0 {
-		base = res.numParts
-	}
-	return routeVertex(vid, base, res.splits)
+	version string
+	// partTable is the sealed run's partition table: its routing.
+	partTable
+	owners map[int]*ccWorker
 }
 
 // qflight is one in-flight point read other callers can coalesce onto.
@@ -76,20 +63,12 @@ func (c *Coordinator) endJobSessions(ctx context.Context, name string, retain bo
 		if errs[i] != nil || replies[i].Version != name {
 			continue
 		}
-		if replies[i].NumParts > res.numParts {
-			res.numParts = replies[i].NumParts
-		}
-		if replies[i].BaseParts > 0 {
-			res.baseParts = replies[i].BaseParts
-		}
-		if len(replies[i].Splits) > len(res.splits) {
-			res.splits = replies[i].Splits
-		}
+		res.merge(replies[i].partTable)
 		for _, p := range replies[i].Parts {
 			res.owners[p] = w
 		}
 	}
-	if res.numParts == 0 || len(res.owners) == 0 {
+	if res.NumParts == 0 || len(res.owners) == 0 {
 		return // nothing sealed (the job never loaded partitions)
 	}
 	c.qmu.Lock()
@@ -97,7 +76,7 @@ func (c *Coordinator) endJobSessions(ctx context.Context, name string, retain bo
 	c.qmu.Unlock()
 	c.saveCatalog()
 	c.cfg.logf("coordinator: %s sealed for queries — %d/%d partitions across %d workers",
-		name, len(res.owners), res.numParts, len(workers))
+		name, len(res.owners), res.NumParts, len(workers))
 }
 
 // LatestVersion reports the exact sealed version currently serving the

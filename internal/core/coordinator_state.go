@@ -133,15 +133,7 @@ func (c *Coordinator) adoptSealed(w *ccWorker, reports []sealedReport) {
 			cur = &clusterResult{version: rep.Version, owners: make(map[int]*ccWorker)}
 			c.queries[base] = cur
 		}
-		if rep.NumParts > cur.numParts {
-			cur.numParts = rep.NumParts
-		}
-		if rep.BaseParts > 0 {
-			cur.baseParts = rep.BaseParts
-		}
-		if len(rep.Splits) > len(cur.splits) {
-			cur.splits = rep.Splits
-		}
+		cur.merge(rep.partTable)
 		for _, p := range rep.Parts {
 			cur.owners[p] = w
 		}

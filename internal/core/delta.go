@@ -47,8 +47,8 @@ func (d deltaDirty) total() (n int64) {
 // The caller keeps src acquired. The dirty sets go to armDelta.
 func (rs *runState) ingestDelta(ctx context.Context, src *retainedResult, shipped []ckptPartData, muts map[int][]delta.Mutation) (deltaDirty, error) {
 	rs.initParts()
-	if src != nil && len(rs.parts) != src.numParts {
-		return nil, fmt.Errorf("cluster has %d partitions, sealed result has %d", len(rs.parts), src.numParts)
+	if src != nil && len(rs.parts) != src.NumParts {
+		return nil, fmt.Errorf("cluster has %d partitions, sealed result has %d", len(rs.parts), src.NumParts)
 	}
 	byPart := make(map[int]*ckptPartData, len(shipped))
 	for i := range shipped {

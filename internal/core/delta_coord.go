@@ -25,7 +25,8 @@ import (
 // dfsStore adapts a DFS into the delta journal's durable byte store.
 // Put stages under a .tmp name and renames into place — the rename
 // swaps only namespace metadata, so a batch is either fully present or
-// invisible (parseBatchName rejects .tmp leftovers by construction).
+// invisible (parseBatchName rejects .tmp leftovers by construction). A
+// checkpoint's manifest commits through the same Put.
 type dfsStore struct{ fs *dfs.FileSystem }
 
 func (s dfsStore) Put(name string, data []byte) error {
@@ -96,7 +97,7 @@ func (c *Coordinator) DeltaRefresh(ctx context.Context, sub DeltaSubmission) (*J
 	if err != nil {
 		return nil, err
 	}
-	if len(res.splits) > 0 {
+	if len(res.Splits) > 0 {
 		// A split-adapted run's delta session would need the two-level
 		// split router threaded through mutation routing and the cloned
 		// partition table; until then, refresh by re-submission.
@@ -111,8 +112,7 @@ func (c *Coordinator) DeltaRefresh(ctx context.Context, sub DeltaSubmission) (*J
 	// sealed it. Where the two disagree — the topology moved since the
 	// seal — the sealed holder ships a partition image for the current
 	// owner to clone from.
-	numParts := res.numParts
-	owners, err := c.partitionOwners(numParts)
+	owners, err := c.partitionOwners(res.NumParts)
 	if err != nil {
 		return nil, fmt.Errorf("core: delta refresh of %s: %w", sub.Version, err)
 	}
@@ -136,7 +136,7 @@ func (c *Coordinator) DeltaRefresh(ctx context.Context, sub DeltaSubmission) (*J
 			ship[holder] = msg
 		}
 	}
-	for p, ms := range delta.Route(sub.Muts, numParts) {
+	for p, ms := range delta.Route(sub.Muts, res.NumParts) {
 		ingest[owners[p]].Muts[p] = ms
 	}
 	imgs, err := c.imageParts(ctx, "", ship)

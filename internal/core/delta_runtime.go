@@ -49,7 +49,7 @@ func (r *Runtime) deltaRefresh(ctx context.Context, job *pregel.Job, fromVersion
 	// armed dirty set (plus any vertices the sealed run left live)
 	// computes.
 	ingestStart := time.Now()
-	dirty, err := rs.ingestDelta(ctx, src, nil, delta.Route(muts, src.numParts))
+	dirty, err := rs.ingestDelta(ctx, src, nil, delta.Route(muts, src.NumParts))
 	if err == nil {
 		err = rs.armDelta(ctx, dirty)
 	}

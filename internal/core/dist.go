@@ -98,14 +98,9 @@ type registerMsg struct {
 // and the partition indexes hosted by the reporting worker. It is the
 // re-registration form of jobEndReply.
 type sealedReport struct {
-	Version  string `json:"version"`
-	NumParts int    `json:"numParts"`
-	Parts    []int  `json:"parts"`
-	// BaseParts/Splits carry the sealed run's split-aware routing
-	// function (zero/nil for unsplit runs, where NumParts is the
-	// modulus).
-	BaseParts int        `json:"baseParts,omitempty"`
-	Splits    []splitRec `json:"splits,omitempty"`
+	Version string `json:"version"`
+	Parts   []int  `json:"parts"`
+	partTable
 }
 
 // startMsg completes the handshake once the expected workers have
@@ -230,16 +225,11 @@ type jobEndMsg struct {
 
 // jobEndReply reports what the worker sealed: the result version (the
 // execution name), the partitions retained on this worker, and the
-// run's full partition count (the query router's modulus).
+// run's partition table, which the query tier routes reads with.
 type jobEndReply struct {
-	Version  string `json:"version,omitempty"`
-	Parts    []int  `json:"parts,omitempty"`
-	NumParts int    `json:"numParts,omitempty"`
-	// BaseParts/Splits reproduce the run's two-level routing function
-	// when the job committed hot-partition splits; the query tier must
-	// route reads with the same split map the run ended with.
-	BaseParts int        `json:"baseParts,omitempty"`
-	Splits    []splitRec `json:"splits,omitempty"`
+	Version string `json:"version,omitempty"`
+	Parts   []int  `json:"parts,omitempty"`
+	partTable
 }
 
 // queryPointMsg evaluates a batch of point lookups against an exact

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -499,6 +502,88 @@ func TestManifestCommitAtomicity(t *testing.T) {
 	fs.SetNodeDown("d1", true)
 	if m := latestManifest(fs, prefix); m == nil || m.Superstep != 4 {
 		t.Fatalf("manifest unreadable with one datanode down: %+v", m)
+	}
+}
+
+// TestEnginesWriteTheSameCheckpoint runs connected components under one
+// job name in process (2 nodes) and on a 2-worker cluster (a node each),
+// and copies each run's superstep-2 checkpoint out while the run is live
+// (both reclaim theirs at the end): the one writer must have written the
+// same manifest — superstep, table, GS, every partition's counters and
+// files — and the same vertex and msg images, byte for byte.
+func TestEnginesWriteTheSameCheckpoint(t *testing.T) {
+	g := graphgen.BTC(260, 3, 7)
+	const name = "cc-ckpt@j1"
+	dir := ckptPath(name, 2)
+	grab := func(fs *dfs.FileSystem) (map[string][]byte, error) {
+		files := make(map[string][]byte)
+		for _, path := range fs.List(dir + "/") {
+			data, err := fs.ReadFile(path)
+			if err != nil {
+				return nil, err
+			}
+			files[path] = data
+		}
+		return files, nil
+	}
+
+	rt, err := NewRuntime(Options{BaseDir: t.TempDir(), Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	putGraph(t, rt, "/in/g", g)
+	job := algorithms.NewConnectedComponentsJob(name, "/in/g", "/out/cc")
+	job.CheckpointEvery = 2
+	var local map[string][]byte
+	var grabErr error
+	var once sync.Once
+	inner := job.Program
+	job.Program = pregel.ProgramFunc(func(ctx pregel.Context, v *pregel.Vertex, msgs []pregel.Value) error {
+		if ctx.Superstep() == 3 {
+			once.Do(func() { local, grabErr = grab(rt.DFS) })
+		}
+		return inner.Compute(ctx, v, msgs)
+	})
+	if _, err := rt.Run(context.Background(), job); err != nil || grabErr != nil {
+		t.Fatalf("in process: %v, %v", err, grabErr)
+	}
+
+	coord := startDistCluster(t, 2, 1)
+	spec, _ := json.Marshal(distTestSpec{Algorithm: "cc", Input: "/in/g"})
+	cjob, err := distTestBuilder(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cjob.CheckpointEvery = 2
+	var cluster map[string][]byte
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	if _, _, err := coord.RunJob(ctx, DistSubmission{
+		Name: name, Spec: spec, Job: cjob, InputPath: "/in/g", InputData: graphText(t, g),
+		Progress: func(ss int64) {
+			if ss == 3 {
+				cluster, grabErr = grab(coord.ckpt)
+			}
+		},
+	}); err != nil || grabErr != nil {
+		t.Fatalf("on the cluster: %v, %v", err, grabErr)
+	}
+
+	var lm, cm checkpointManifest
+	if err := errors.Join(json.Unmarshal(local[dir+"/manifest.json"], &lm), json.Unmarshal(cluster[dir+"/manifest.json"], &cm)); err != nil {
+		t.Fatalf("no superstep-2 manifest: %v", err)
+	}
+	if !reflect.DeepEqual(lm, cm) || lm.BaseParts != 2 {
+		t.Fatalf("manifests differ:\n in process %+v\n cluster    %+v", lm, cm)
+	}
+	if len(local) != len(cluster) || len(local) != 1+2*lm.Partitions {
+		t.Fatalf("checkpoint files: %d in process, %d on the cluster, want %d", len(local), len(cluster), 1+2*lm.Partitions)
+	}
+	for path, data := range local {
+		if !bytes.Equal(data, cluster[path]) {
+			t.Fatalf("%s: %d bytes in process, %d on the cluster, and they differ", path, len(data), len(cluster[path]))
+		}
 	}
 }
 

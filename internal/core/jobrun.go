@@ -38,12 +38,17 @@ type phases interface {
 	// (cluster: the runtime advisor's split and straggler actuators). It
 	// reports whether this boundary must be checkpointed off cadence.
 	observe(ctx context.Context, run *jobRun) (forceCheckpoint bool, err error)
-	// checkpoint commits a checkpoint of superstep ss carrying run.gs.
+	// checkpoint commits a checkpoint of superstep ss carrying run.gs
+	// through the one writer, writeCheckpoint; the engine only feeds it
+	// the partitions' images.
 	checkpoint(ctx context.Context, run *jobRun, ss int64) error
 	// restore handles a failed verb: errNotRecoverable when cause is not
-	// a machine loss; otherwise every partition is rewound to the last
-	// committed manifest, ready to run under epoch run.attempt+1, and the
-	// manifest is returned.
+	// a machine loss. Otherwise the one reader, restoreCheckpoint, refuses
+	// a job with no usable checkpoint before anything is repaired, or
+	// repairs the engine (blacklist and reassign; abort and repair the
+	// topology) and rewinds every partition to the last committed
+	// manifest, ready to run under epoch run.attempt+1, and the manifest
+	// is returned.
 	restore(ctx context.Context, run *jobRun, cause error) (*checkpointManifest, error)
 	// dump writes the result out. It is a verb of the loop so that a
 	// loss during it rewinds too.

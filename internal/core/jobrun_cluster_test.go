@@ -96,12 +96,15 @@ func TestRunOwnsSplitState(t *testing.T) {
 		}
 		return msg
 	}
-	// manifestOf commits a checkpoint and reads its manifest back. The
-	// scripted peers image no partitions, so recovery's discovery would
-	// rightly skip it as unrestorable: read the committed file itself.
+	// manifestOf commits the run's table through the checkpoint writer
+	// and reads its manifest back. The scripted peers image no
+	// partitions, so the table is committed with none, and recovery's
+	// discovery would rightly skip it as unrestorable: read the committed
+	// file itself.
 	manifestOf := func(run *jobRun) *checkpointManifest {
 		t.Helper()
-		if err := coord.checkpointCluster(ctx, run, run.gs.Superstep); err != nil {
+		table := partTable{BaseParts: coord.baseParts(), Splits: run.splits}
+		if err := writeCheckpoint(ctx, coord.ckpt, run, run.gs.Superstep, table, nil); err != nil {
 			t.Fatal(err)
 		}
 		var m checkpointManifest

@@ -17,11 +17,14 @@ package core
 // installParts (partition.recv) and dropParts (partition.drop). The
 // migrations additionally share moveNodes — image → install → commit →
 // reconfigure → drop, with one set of abort, reclaim, escalate and epoch
-// rules — and keep only their planning on top of it (rebalance.go).
+// rules — and keep only their planning on top of it (rebalance.go). The
+// store side of checkpoint and restore is the checkpoint writer and
+// reader the single-process runtime uses too (checkpoint.go).
 
 import (
 	"context"
 	"fmt"
+	"io"
 	"maps"
 	"slices"
 )
@@ -115,80 +118,40 @@ func (c *Coordinator) dropParts(ctx context.Context, job string, at map[*ccWorke
 	}
 }
 
-// checkpointCluster drives one distributed checkpoint: every worker
-// images its owned partitions (vertex relation + pending messages as
-// packed frame images) over the control plane, the controller writes
-// them into its replicated checkpoint store, and — only after every
-// worker has acked and every image is durable — commits the manifest
-// (superstep, global state, partition→file map) atomically. A crash or
-// failure anywhere before the commit leaves the previous checkpoint
-// intact.
-func (c *Coordinator) checkpointCluster(ctx context.Context, run *jobRun, ss int64) error {
-	name := run.name
-	from := make(map[*ccWorker]partSendMsg)
-	for _, w := range c.members() {
-		from[w] = partSendMsg{Name: name, All: true}
-	}
-	imgs, err := c.imageParts(ctx, name, from)
+// restoreRun rewinds every worker to run's last checkpoint under epoch
+// attempt: the checkpoint reader reads the images from the store (after
+// repair, if any), then partition.recv {reset} ships each owner its
+// partitions' images at the manifest's split level — and resets a worker
+// that owns none too. The run adopts the manifest in rewindTo.
+func (c *Coordinator) restoreRun(ctx context.Context, run *jobRun, attempt int64, repair func(*checkpointManifest) error) (*checkpointManifest, error) {
+	imgs := make(map[int]*ckptPartData)
+	m, err := restoreCheckpoint(ctx, c.ckpt, run, repair, func(p int, st partStat, vertex, msg io.Reader) error {
+		pd := &ckptPartData{Part: p, Stats: st}
+		var err error
+		if pd.Vertex, err = io.ReadAll(vertex); err == nil {
+			pd.Msg, err = io.ReadAll(msg)
+		}
+		imgs[p] = pd
+		return err
+	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	dir := ckptPath(name, ss)
-	m := checkpointManifest{Superstep: ss, Partitions: len(imgs), GS: run.gs,
-		BaseParts: c.baseParts(), Splits: run.splits}
-	m.PartStats = make([]partStat, len(imgs))
-	for i := range m.PartStats {
-		pd := imgs[i]
-		if pd == nil {
-			return fmt.Errorf("core: checkpoint of %s: no worker imaged partition %d", name, i)
-		}
-		st := pd.Stats
-		st.nameFiles(dir, i)
-		if err := c.ckpt.WriteFile(st.VertexFile, pd.Vertex); err != nil {
-			return err
-		}
-		if err := c.ckpt.WriteFile(st.MsgFile, pd.Msg); err != nil {
-			return err
-		}
-		m.PartStats[i] = st
-	}
-	if err := commitManifest(c.ckpt, dir, &m); err != nil {
-		return err
-	}
-	c.cfg.logf("coordinator: %s checkpointed at superstep %d (%d partitions)", name, ss, len(imgs))
-	return nil
-}
-
-// restoreCluster rewinds all sessions to a committed manifest, one
-// latestManifest found valid: every worker resets its session at the
-// manifest's split level and installs the checkpoint images of the
-// partitions it now owns, under the given epoch. (The run adopts the
-// manifest itself in rewindTo.)
-func (c *Coordinator) restoreCluster(ctx context.Context, name string, m *checkpointManifest, attempt int64) error {
 	owners, err := c.partitionOwners(m.Partitions)
+	if err == nil {
+		to := make(map[*ccWorker][]int)
+		for _, w := range c.members() {
+			to[w] = nil
+		}
+		for p, w := range owners {
+			to[w] = append(to[w], p)
+		}
+		err = c.installParts(ctx, partRecvMsg{Name: run.name, Attempt: attempt, Splits: m.Splits, Reset: true}, to, imgs)
+	}
 	if err != nil {
-		return fmt.Errorf("core: restore of %s: %w", name, err)
+		return nil, fmt.Errorf("core: restore of %s: %w", run.name, err)
 	}
-	to := make(map[*ccWorker][]int)
-	for _, w := range c.members() {
-		to[w] = nil // a worker that owns nothing resets too
-	}
-	imgs := make(map[int]*ckptPartData, m.Partitions)
-	for i, st := range m.PartStats {
-		pd := &ckptPartData{Part: i, Stats: st}
-		if pd.Vertex, err = c.ckpt.ReadFile(st.VertexFile); err == nil {
-			pd.Msg, err = c.ckpt.ReadFile(st.MsgFile)
-		}
-		if err != nil {
-			return fmt.Errorf("core: restore of %s partition %d: %w", name, i, err)
-		}
-		imgs[i] = pd
-		to[owners[i]] = append(to[owners[i]], i)
-	}
-	if err := c.installParts(ctx, partRecvMsg{Name: name, Attempt: attempt, Splits: m.Splits, Reset: true}, to, imgs); err != nil {
-		return fmt.Errorf("core: restore of %s: %w", name, err)
-	}
-	return nil
+	return m, nil
 }
 
 // nodeMove is one node changing hands in a migration: its partitions'

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 
@@ -264,8 +263,8 @@ func TestMoverFailures(t *testing.T) {
 						t.Fatalf("attempt=%d rebalances=%d after a failed %s", run.attempt, run.stats.Rebalances, mc.kind)
 					}
 					_, rerr := (&clusterPhases{c: coord}).restore(context.Background(), run, err)
-					if rerr == nil || errors.Is(rerr, errNotRecoverable) || !strings.Contains(rerr.Error(), "worker lost") {
-						t.Fatalf("restore took %v for %v, want a worker loss", err, rerr)
+					if !errors.Is(rerr, errNoCheckpoint) {
+						t.Fatalf("restore took %v for %v, want a worker loss refused for want of a checkpoint", err, rerr)
 					}
 					return
 				}

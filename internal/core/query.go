@@ -85,14 +85,10 @@ type KHopResult struct {
 
 // retainedResult is one sealed version of a job's partition indexes.
 type retainedResult struct {
-	version  string // tenant-qualified execution name
-	numParts int    // the run's full partition count (routing modulus)
-	// baseParts/splits reproduce the sealed run's two-level routing
-	// when it committed hot-partition splits (split.go); baseParts
-	// falls back to numParts for unsplit runs.
-	baseParts int
-	splits    []splitRec
-	codec     *pregel.Codec
+	version string // tenant-qualified execution name
+	// partTable is the sealed run's partition table: its routing.
+	partTable
+	codec *pregel.Codec
 	// parts holds the partitions sealed here — all of them in a
 	// single-process runtime, only the owned subset on a cluster worker.
 	parts map[int]storage.Index
@@ -177,16 +173,6 @@ func lookupVertex(idx storage.Index, dec *pregel.VertexDecoder, vid uint64) (Ver
 		res.Edges = append(res.Edges, uint64(e.Dest))
 	}
 	return res, nil
-}
-
-// routeVid routes a vid through the sealed run's routing function —
-// split-aware when the run committed splits, the plain hash otherwise.
-func (r *retainedResult) routeVid(vid uint64) int {
-	base := r.baseParts
-	if base == 0 {
-		base = r.numParts
-	}
-	return routeVertex(vid, base, r.splits)
 }
 
 // point evaluates a batch of point reads against the partitions sealed
@@ -437,10 +423,7 @@ func (s *QueryStore) sealedReports() []sealedReport {
 	defer s.mu.Unlock()
 	var out []sealedReport
 	for _, r := range s.m {
-		rep := sealedReport{
-			Version: r.version, NumParts: r.numParts,
-			BaseParts: r.baseParts, Splits: append([]splitRec(nil), r.splits...),
-		}
+		rep := sealedReport{Version: r.version, partTable: r.partTable}
 		for p := range r.parts {
 			rep.Parts = append(rep.Parts, p)
 		}

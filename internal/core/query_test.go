@@ -78,7 +78,7 @@ func TestQueryStoreVersionDrain(t *testing.T) {
 	idx1 := &fakeQueryIndex{}
 	var cleaned1, cleaned2 atomic.Bool
 	s.seal(&retainedResult{
-		version: "job@j1", numParts: 1,
+		version: "job@j1", partTable: partTable{NumParts: 1},
 		parts:   map[int]storage.Index{0: idx1},
 		cleanup: func() { cleaned1.Store(true) },
 	})
@@ -103,7 +103,7 @@ func TestQueryStoreVersionDrain(t *testing.T) {
 	}
 	idx2 := &fakeQueryIndex{}
 	s.seal(&retainedResult{
-		version: "job@j2", numParts: 1,
+		version: "job@j2", partTable: partTable{NumParts: 1},
 		parts:   map[int]storage.Index{0: idx2},
 		cleanup: func() { cleaned2.Store(true) },
 	})

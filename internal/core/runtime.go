@@ -11,6 +11,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -456,19 +457,39 @@ func (l *localPhases) superstep(ctx context.Context, run *jobRun, ss int64, join
 
 func (l *localPhases) observe(context.Context, *jobRun) (bool, error) { return false, nil }
 
+// checkpoint streams every partition's snapshot straight from its
+// indexes and runs into the checkpoint writer.
 func (l *localPhases) checkpoint(ctx context.Context, run *jobRun, ss int64) error {
-	if err := l.rs.checkpoint(ctx, ss, run.gs); err != nil {
+	rs, mode := l.rs, l.rs.rt.opts.Compress
+	if err := writeCheckpoint(ctx, rs.rt.DFS, run, ss, rs.table(), func(p int, vertex, msg io.Writer) (partStat, error) {
+		ps := rs.parts[p]
+		if _, err := writeVertexSnapshot(vertex, ps.vertexIdx, mode); err != nil {
+			return partStat{}, err
+		}
+		return partStatOf(ps), writeMsgSnapshot(msg, ps, mode)
+	}); err != nil {
 		return fmt.Errorf("core: checkpoint at superstep %d: %w", ss, err)
 	}
 	return nil
 }
 
-func (l *localPhases) restore(ctx context.Context, _ *jobRun, cause error) (*checkpointManifest, error) {
+// restore handles a node failure (Section 5.5): the machine's disks are
+// gone for every reader, the checkpoint's included; then, unless the job
+// has no usable checkpoint, the machine is blacklisted, the partitions
+// are placed over the survivors, and each is rebuilt there from the
+// checkpoint reader's streams.
+func (l *localPhases) restore(ctx context.Context, run *jobRun, cause error) (*checkpointManifest, error) {
 	nf, ok := failureOf(cause)
 	if !ok {
 		return nil, errNotRecoverable
 	}
-	return l.rs.recover(ctx, nf)
+	rs := l.rs
+	rs.rt.DFS.SetNodeDown(string(nf.Node), true)
+	return restoreCheckpoint(ctx, rs.rt.DFS, run, func(m *checkpointManifest) error {
+		return rs.reassign(nf.Node, m.Partitions)
+	}, func(p int, st partStat, vertex, msg io.Reader) error {
+		return rs.reloadPartitionFrom(rs.parts[p], st, vertex, msg)
+	})
 }
 
 func (l *localPhases) dump(ctx context.Context, run *jobRun) error {
@@ -639,9 +660,7 @@ func (rs *runState) seal(store *QueryStore) *retainedResult {
 	rt, runDir := rs.rt, rs.runDir
 	r := &retainedResult{
 		version:   rs.job.Name,
-		numParts:  len(rs.parts),
-		baseParts: rs.baseParts,
-		splits:    append([]splitRec(nil), rs.splits...),
+		partTable: rs.table(),
 		codec:     rs.codec,
 		parts:     parts,
 		cleanup: func() {
@@ -664,6 +683,12 @@ func (rs *runState) cleanup() {
 		dropRelations(ps.nextMsg, ps.nextVid)
 	}
 	rs.parts = nil
+}
+
+// table is the run's partition table, as a seal and a checkpoint
+// record it.
+func (rs *runState) table() partTable {
+	return partTable{NumParts: len(rs.parts), BaseParts: rs.baseParts, Splits: slices.Clone(rs.splits)}
 }
 
 // numPartitions returns the job parallelism.

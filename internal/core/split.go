@@ -96,6 +96,37 @@ func routeVertex(vid uint64, baseParts int, splits []splitRec) int {
 	return p
 }
 
+// partTable is a finished or checkpointed run's partition table, as
+// sealed results and their reports carry it: NumParts partitions grown
+// from BaseParts by Splits. BaseParts is zero on an unsplit table, which
+// is then its own base.
+type partTable struct {
+	NumParts  int        `json:"numParts,omitempty"`
+	BaseParts int        `json:"baseParts,omitempty"`
+	Splits    []splitRec `json:"splits,omitempty"`
+}
+
+func (t partTable) base() int {
+	if t.BaseParts > 0 {
+		return t.BaseParts
+	}
+	return t.NumParts
+}
+
+// routeVid routes a vid through the table's routing function.
+func (t partTable) routeVid(vid uint64) int { return routeVertex(vid, t.base(), t.Splits) }
+
+// merge folds in one worker's report of the same sealed table.
+func (t *partTable) merge(o partTable) {
+	t.NumParts = max(t.NumParts, o.NumParts)
+	if o.BaseParts > 0 {
+		t.BaseParts = o.BaseParts
+	}
+	if len(o.Splits) > len(t.Splits) {
+		t.Splits = o.Splits
+	}
+}
+
 // vidPartitioner returns the connector partitioner for vid-routed
 // superstep flows: the plain field-0 FNV hash while no split exists
 // (bit-identical to the historical plan), else the two-level split

@@ -62,7 +62,7 @@ func fullSortTopK(vs []*pregel.Vertex, k int) []TopKEntry {
 func sealedTestResult(t *testing.T, codec *pregel.Codec, parts int, vs []*pregel.Vertex) *retainedResult {
 	t.Helper()
 	bc := storage.NewBufferCache(0, nil)
-	r := &retainedResult{version: "topk@j1", numParts: parts, codec: codec, parts: map[int]storage.Index{}}
+	r := &retainedResult{version: "topk@j1", partTable: partTable{NumParts: parts}, codec: codec, parts: map[int]storage.Index{}}
 	for p := 0; p < parts; p++ {
 		bt, err := storage.CreateBTree(bc, filepath.Join(t.TempDir(), fmt.Sprintf("vertex-%d", p)))
 		if err != nil {
@@ -160,7 +160,7 @@ func TestTopKMatchesFullSort(t *testing.T) {
 			// Two workers: each holds every other partition.
 			workers := [2]*retainedResult{}
 			for w := range workers {
-				workers[w] = &retainedResult{version: r.version, numParts: parts, codec: codec, parts: map[int]storage.Index{}}
+				workers[w] = &retainedResult{version: r.version, partTable: partTable{NumParts: parts}, codec: codec, parts: map[int]storage.Index{}}
 				for p, idx := range r.parts {
 					if p%2 == w {
 						workers[w].parts[p] = idx

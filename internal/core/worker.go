@@ -458,10 +458,7 @@ func (w *distWorker) endJob(name string, retain bool) *jobEndReply {
 		if r := dj.rs.seal(w.queries); r != nil {
 			w.cfg.logf("worker: job %s sealed %d partitions for queries", name, len(r.parts))
 			retained = true
-			reply.Version = name
-			reply.NumParts = r.numParts
-			reply.BaseParts = r.baseParts
-			reply.Splits = append([]splitRec(nil), r.splits...)
+			reply.Version, reply.partTable = name, r.partTable
 			for p := range r.parts {
 				reply.Parts = append(reply.Parts, p)
 			}

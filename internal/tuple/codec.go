@@ -88,6 +88,11 @@ const (
 // image bound is the stream bound too.
 const MaxEncodedFrameBytes = 8 + MaxFrameDataBytes + 4*MaxFrameTuples
 
+// maxFlateExpansion is DEFLATE's largest inflation ratio: a 258-byte
+// match costs at least two bits, so no body inflates past 1032 times its
+// length.
+const maxFlateExpansion = 1032
+
 // FrameEncoder encodes frames for one stream or file. Not safe for
 // concurrent use; the returned payload is valid until the next
 // EncodeFrame call.
@@ -275,10 +280,18 @@ func (d *FrameDecoder) DecodeInto(enc byte, r io.Reader, length int, f *Frame) e
 		} else if err := d.fr.(flate.Resetter).Reset(lr, nil); err != nil {
 			return err
 		}
-		if err := ReadFrameInto(d.fr, f); err != nil {
-			if err == io.EOF {
-				return io.ErrUnexpectedEOF
+		// The inflated header is checked before the frame grows to it: no
+		// DEFLATE body inflates past maxFlateExpansion times its length.
+		var hdr [8]byte
+		err := readFull(d.fr, hdr[:])
+		if err == nil {
+			claim := 8 + uint64(binary.LittleEndian.Uint32(hdr[0:])) + 4*uint64(binary.LittleEndian.Uint32(hdr[4:]))
+			if claim > maxFlateExpansion*uint64(length) {
+				return fmt.Errorf("tuple: a %d-byte compressed frame claims a %d-byte image", length, claim)
 			}
+			err = readFrameBody(d.fr, hdr, f, -1)
+		}
+		if err != nil {
 			return fmt.Errorf("tuple: corrupt compressed frame: %w", err)
 		}
 		// The DEFLATE stream must end exactly with the image and must

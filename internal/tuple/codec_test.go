@@ -2,6 +2,7 @@ package tuple
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -359,6 +360,46 @@ func TestDecodeRefusesClaimsBeyondBody(t *testing.T) {
 		}
 		if f.Cap() > DefaultFrameSize {
 			t.Fatalf("enc %d: the frame grew to %d bytes for a %d-byte body", enc, f.Cap(), len(body))
+		}
+	}
+}
+
+// TestFlateRefusesClaimsBeyondExpansion deflates a lone header claiming
+// a 64 MiB payload into a few dozen bytes: the claim is past anything the
+// body can inflate to, so it is refused before the frame grows to it.
+func TestFlateRefusesClaimsBeyondExpansion(t *testing.T) {
+	var hdr [8]byte
+	binary.LittleEndian.PutUint32(hdr[0:], MaxFrameDataBytes)
+	var body bytes.Buffer
+	fw, _ := flate.NewWriter(&body, flate.BestCompression)
+	fw.Write(hdr[:])
+	fw.Close()
+	if body.Len() >= 64 {
+		t.Fatalf("the deflated header takes %d bytes, want under 64", body.Len())
+	}
+	var d FrameDecoder
+	f := GetFrame()
+	defer PutFrame(f)
+	if err := d.DecodeInto(EncFlate, bytes.NewReader(body.Bytes()), body.Len(), f); err == nil {
+		t.Fatal("a 64 MiB claim in a tiny flate body decoded")
+	}
+	if f.Cap() >= 1<<20 {
+		t.Fatalf("the frame grew to %d bytes for a %d-byte body", f.Cap(), body.Len())
+	}
+}
+
+// TestFlateExpansionBound pins maxFlateExpansion against the most
+// compressible input there is: all zeros inflate by less than it at
+// every level, so the bound never refuses a real body.
+func TestFlateExpansionBound(t *testing.T) {
+	zeros := make([]byte, 8<<20)
+	for _, level := range []int{flate.BestSpeed, flate.DefaultCompression, flate.BestCompression} {
+		var body bytes.Buffer
+		fw, _ := flate.NewWriter(&body, level)
+		fw.Write(zeros)
+		fw.Close()
+		if ratio := len(zeros) / body.Len(); ratio > maxFlateExpansion {
+			t.Fatalf("level %d: %d zero bytes deflate to %d, a %d:1 expansion past the bound", level, len(zeros), body.Len(), ratio)
 		}
 	}
 }
