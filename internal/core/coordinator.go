@@ -92,9 +92,10 @@ type ccWorker struct {
 	draining atomic.Bool
 	// inflight counts outstanding non-heartbeat RPCs. While it is
 	// non-zero the heartbeat monitor does not count misses: a checkpoint
-	// or restore ships whole partition images as single JSON envelopes
-	// on this same connection, and a probe parked behind one is latency,
-	// not death (a real crash still fails the connection instantly).
+	// or restore ships whole partition images as the attachments of one
+	// frame on this same connection, and a probe parked behind one is
+	// latency, not death (a real crash still fails the connection
+	// instantly).
 	inflight atomic.Int64
 	// lostRecorded dedups the worker-lost recovery event between the
 	// heartbeat monitor and reapDead.
@@ -594,7 +595,7 @@ func (c *Coordinator) monitor(w *ccWorker) {
 		}
 		if w.inflight.Load() > 0 {
 			// A phase RPC is outstanding on this connection. Checkpoint
-			// and restore envelopes carry whole partition images, so a
+			// and restore frames carry whole partition images, so a
 			// heartbeat queued behind one can legitimately exceed the
 			// miss budget; don't convert a slow bulk transfer into a
 			// declared death (a genuine crash mid-transfer still breaks
@@ -911,7 +912,7 @@ func (c *Coordinator) Ping(ctx context.Context) error {
 // PutFile replicates a DFS file onto every worker (inputs are uploaded
 // to the controller and shipped to the cluster before the load phase).
 func (c *Coordinator) PutFile(ctx context.Context, path string, data []byte) error {
-	_, err := phaseCall[struct{}](ctx, c, "", rpcPutFile, putFileMsg{Path: path, Data: data})
+	_, err := phaseCall[struct{}](ctx, c, "", rpcPutFile, &putFileMsg{Path: path, Data: data})
 	return err
 }
 
@@ -1274,22 +1275,16 @@ func (p *clusterPhases) dump(ctx context.Context, run *jobRun) error {
 	if err != nil {
 		return fmt.Errorf("core: dump of %s: %w", run.name, err)
 	}
-	var sb strings.Builder
 	owners := 0
 	for _, rep := range dumps {
-		if !rep.Owner {
-			continue
-		}
-		owners++
-		for _, line := range rep.Lines {
-			sb.WriteString(line)
-			sb.WriteByte('\n')
+		if rep.Owner {
+			owners++
+			p.output = rep.Rows
 		}
 	}
 	if owners != 1 {
 		return fmt.Errorf("core: dump of %s: %d workers returned rows, want exactly one", run.name, owners)
 	}
-	p.output = []byte(sb.String())
 	return nil
 }
 

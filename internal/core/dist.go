@@ -121,11 +121,14 @@ type startMsg struct {
 	PageSize          int   `json:"pageSize"`
 }
 
-// putFileMsg ships a DFS file (typically the input graph) to a worker.
+// putFileMsg ships a DFS file (typically the input graph) to a worker;
+// its bytes are the frame's attachment.
 type putFileMsg struct {
 	Path string `json:"path"`
-	Data []byte `json:"data"`
+	Data []byte `json:"-"`
 }
+
+func (m *putFileMsg) Attachments() []*[]byte { return []*[]byte{&m.Data} }
 
 // jobBeginMsg opens a job session on a worker.
 type jobBeginMsg struct {
@@ -255,22 +258,36 @@ type queryTopKReply struct {
 	Entries []TopKEntry `json:"entries"`
 }
 
-// dumpReply carries the output rows from the worker that hosted the
-// single write task.
+// dumpReply carries the output from the worker that hosted the single
+// write task: Rows, the attachment, is the output file's bytes, one
+// newline-terminated row per vertex.
 type dumpReply struct {
-	Owner bool     `json:"owner"`
-	Lines []string `json:"lines,omitempty"`
+	Owner bool   `json:"owner"`
+	Rows  []byte `json:"-"`
 }
+
+func (r *dumpReply) Attachments() []*[]byte { return []*[]byte{&r.Rows} }
 
 // ckptPartData is one partition image — the unit every movement of
 // partition state carries: the vertex relation and the pending
 // combined-message file as packed frame-image byte streams, plus the
-// statistics needed to restore the partition counters.
+// statistics needed to restore the partition counters. On the control
+// plane the two streams are attachments (imageFields), not JSON.
 type ckptPartData struct {
 	Part   int      `json:"part"`
-	Vertex []byte   `json:"vertex"`
-	Msg    []byte   `json:"msg,omitempty"`
+	Vertex []byte   `json:"-"`
+	Msg    []byte   `json:"-"`
 	Stats  partStat `json:"stats"`
+}
+
+// imageFields lists images' streams as a frame's attachments: each
+// one's vertex stream, then its msg stream.
+func imageFields(parts []ckptPartData) []*[]byte {
+	out := make([]*[]byte, 0, 2*len(parts))
+	for i := range parts {
+		out = append(out, &parts[i].Vertex, &parts[i].Msg)
+	}
+	return out
 }
 
 // reconfigureMsg reassigns cluster topology after a worker failure or
@@ -305,6 +322,8 @@ type partSendReply struct {
 	Parts []ckptPartData `json:"parts"`
 }
 
+func (r *partSendReply) Attachments() []*[]byte { return imageFields(r.Parts) }
+
 // partRecvMsg installs partition images on a worker. The session must
 // already be open (job.begin); a worker that never loaded builds the
 // deterministic partition table first. Before anything is installed the
@@ -322,6 +341,8 @@ type partRecvMsg struct {
 	Splits  []splitRec     `json:"splits,omitempty"`
 	Reset   bool           `json:"reset,omitempty"`
 }
+
+func (m *partRecvMsg) Attachments() []*[]byte { return imageFields(m.Parts) }
 
 // partDropMsg reclaims partition copies: the worker drops their indexes
 // and message files. Sent to the old owner only after the new owner
@@ -349,6 +370,8 @@ type deltaIngestMsg struct {
 	Ship        []ckptPartData           `json:"ship,omitempty"`
 	Muts        map[int][]delta.Mutation `json:"muts,omitempty"`
 }
+
+func (m *deltaIngestMsg) Attachments() []*[]byte { return imageFields(m.Ship) }
 
 // deltaIngestReply reports the post-application partition counters and
 // the accumulated dirty-set size on this worker.

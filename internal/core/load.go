@@ -202,7 +202,7 @@ type dumpRow struct {
 // dump scans every partition's vertex index, formats the rows as text,
 // and writes the result back to the DFS (Section 5.2).
 func (rs *runState) dump(ctx context.Context) error {
-	rows, owner, err := rs.dumpRows(ctx)
+	out, owner, err := rs.dumpRows(ctx)
 	if err != nil {
 		return err
 	}
@@ -216,19 +216,18 @@ func (rs *runState) dump(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintln(w, r.line); err != nil {
-			return err
-		}
+	if _, err := w.Write(out); err != nil {
+		return err
 	}
 	return w.Close()
 }
 
-// dumpRows runs the dump plan and returns the vid-sorted rows collected
-// by the single write task, plus whether this process hosted that task
-// (on a distributed run only the owner's row set is populated; the other
-// participants feed it over the wire and return owner=false).
-func (rs *runState) dumpRows(ctx context.Context) ([]dumpRow, bool, error) {
+// dumpRows runs the dump plan and returns the output file's bytes — the
+// rows the single write task collected, one newline-terminated line each
+// in vid order — plus whether this process hosted that task (on a
+// distributed run only the owner has rows; the other participants feed
+// it over the wire and return owner=false).
+func (rs *runState) dumpRows(ctx context.Context) ([]byte, bool, error) {
 	p := len(rs.parts)
 	var mu sync.Mutex
 	rows := make([]dumpRow, 0, 1024)
@@ -285,5 +284,9 @@ func (rs *runState) dumpRows(ctx context.Context) ([]dumpRow, bool, error) {
 	}
 	owner := rs.exec.Local(res.Assignment["write"][0])
 	sort.Slice(rows, func(i, j int) bool { return rows[i].vid < rows[j].vid })
-	return rows, owner, nil
+	var out []byte
+	for _, r := range rows {
+		out = append(append(out, r.line...), '\n')
+	}
+	return out, owner, nil
 }

@@ -91,7 +91,7 @@ func (c *Coordinator) imageParts(ctx context.Context, job string, from map[*ccWo
 // first, whether to reset — and a worker listed with no partitions is
 // told only that.
 func (c *Coordinator) installParts(ctx context.Context, msg partRecvMsg, to map[*ccWorker][]int, imgs map[int]*ckptPartData) error {
-	msgs := make(map[*ccWorker]partRecvMsg, len(to))
+	msgs := make(map[*ccWorker]*partRecvMsg, len(to))
 	for w, parts := range to {
 		m := msg
 		for _, p := range parts {
@@ -100,7 +100,7 @@ func (c *Coordinator) installParts(ctx context.Context, msg partRecvMsg, to map[
 			}
 			m.Parts = append(m.Parts, *imgs[p])
 		}
-		msgs[w] = m
+		msgs[w] = &m
 	}
 	_, err := phaseCallTo[struct{}](ctx, c, slices.Collect(maps.Keys(msgs)), msg.Name, rpcPartRecv,
 		func(w *ccWorker) any { return msgs[w] })

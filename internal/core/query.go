@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"container/list"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -13,6 +12,7 @@ import (
 
 	"pregelix/internal/storage"
 	"pregelix/internal/tuple"
+	"pregelix/internal/wire"
 	"pregelix/pregel"
 )
 
@@ -35,7 +35,7 @@ import (
 
 // ErrNoResult reports that no retained (or still-current) result exists
 // for the requested job version.
-var ErrNoResult = errors.New("core: no retained result for job")
+var ErrNoResult = wire.Sentinel(1, "core: no retained result for job")
 
 // baseJobName strips the tenant-qualification suffix the JobManager and
 // cluster server append ("name@jN" → "name"), yielding the key under

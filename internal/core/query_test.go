@@ -418,6 +418,36 @@ func TestDistributedQueryParity(t *testing.T) {
 	}
 }
 
+// TestWorkerRefusalKeepsErrNoResult: a worker that refuses a read of a
+// version the coordinator still routes (the seal gap) answers with
+// ErrNoResult, and the coordinator's caller must get ErrNoResult itself,
+// not its text, so serve answers 404 rather than 500.
+func TestWorkerRefusalKeepsErrNoResult(t *testing.T) {
+	coord, err := NewCoordinator(CoordinatorConfig{ListenAddr: "127.0.0.1:0", Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	peer := registerScriptedPeer(t, coord, registerMsg{DataAddr: "a", Nodes: 1, Sealed: []sealedReport{
+		{Version: "pr@j1", Parts: []int{0}, partTable: partTable{NumParts: 1}},
+	}}, &peerLog{})
+	peer.mu.Lock()
+	peer.fail[rpcQueryPoint] = fmt.Errorf("%w: pr@j1", ErrNoResult)
+	peer.mu.Unlock()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := coord.WaitReady(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := coord.LatestVersion("pr@j1"); !ok || v != "pr@j1" {
+		t.Fatalf("the registration's sealed version was not adopted: %q %v", v, ok)
+	}
+	_, err = coord.QueryVertex(ctx, "pr@j1", 7)
+	if !errors.Is(err, ErrNoResult) {
+		t.Fatalf("worker refusal arrived as %v (%T), want ErrNoResult", err, err)
+	}
+}
+
 // TestDistributedQueryVersionIsolation re-submits a job under the same
 // base name on a live cluster and requires: mid-run queries against the
 // previous version keep serving the previous values, completion swaps

@@ -58,13 +58,21 @@ type scriptedPeer struct {
 // gets them in that order (node IDs are assigned in it).
 func startScriptedPeer(t *testing.T, coord *Coordinator, name string, nodes int, elastic bool, log *peerLog) *scriptedPeer {
 	t.Helper()
+	return registerScriptedPeer(t, coord, registerMsg{DataAddr: name, Nodes: nodes, Elastic: elastic}, log)
+}
+
+// registerScriptedPeer is startScriptedPeer with the whole registration
+// given; its data address names the peer.
+func registerScriptedPeer(t *testing.T, coord *Coordinator, regMsg registerMsg, log *peerLog) *scriptedPeer {
+	t.Helper()
+	name := regMsg.DataAddr
 	ctrl, err := wire.DialControl(coord.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ctrl.Close() })
 	p := &scriptedPeer{name: name, ctrl: ctrl, log: log, reply: map[string]any{}, fail: map[string]error{}, die: map[string]bool{}}
-	reg, _ := json.Marshal(registerMsg{DataAddr: name, Nodes: nodes, Elastic: elastic})
+	reg, _ := json.Marshal(regMsg)
 	if err := ctrl.Send(wire.Envelope{ID: 1, Method: "register", Data: reg}); err != nil {
 		t.Fatal(err)
 	}

@@ -210,7 +210,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		queries:   queries,
 	}
 	cfg.logf("worker: cluster up — %d nodes total, hosting %v", start.TotalNodes, start.Owned)
-	err = wire.ServeControl(ctrl, w.handle)
+	err = wire.Serve(ctrl, w.handle)
 	// The controller driving the open job sessions is gone (crashed, or
 	// this connection broke). Their in-flight state is dead weight — a
 	// restarted controller re-opens sessions from scratch and restores
@@ -323,10 +323,11 @@ func (w *distWorker) job(name string) (*distJob, error) {
 	return dj, nil
 }
 
-// decoded unmarshals one verb's parameters and runs the verb on them.
-func decoded[M any](data json.RawMessage, verb func(msg *M) (any, error)) (any, error) {
+// decoded decodes one verb's parameters — JSON header and attachments —
+// and runs the verb on them.
+func decoded[M any](req *wire.Envelope, verb func(msg *M) (any, error)) (any, error) {
 	var msg M
-	if err := json.Unmarshal(data, &msg); err != nil {
+	if err := req.Decode(&msg); err != nil {
 		return nil, err
 	}
 	return verb(&msg)
@@ -336,8 +337,8 @@ func decoded[M any](data json.RawMessage, verb func(msg *M) (any, error)) (any, 
 func inSession[M any, P interface {
 	*M
 	jobName() string
-}](w *distWorker, data json.RawMessage, verb func(dj *distJob, msg *M) (any, error)) (any, error) {
-	return decoded(data, func(msg *M) (any, error) {
+}](w *distWorker, req *wire.Envelope, verb func(dj *distJob, msg *M) (any, error)) (any, error) {
+	return decoded(req, func(msg *M) (any, error) {
 		dj, err := w.job(P(msg).jobName())
 		if err != nil {
 			return nil, err
@@ -347,27 +348,27 @@ func inSession[M any, P interface {
 }
 
 // handle dispatches one controller RPC.
-func (w *distWorker) handle(method string, data json.RawMessage) (any, error) {
-	switch method {
+func (w *distWorker) handle(req *wire.Envelope) (any, error) {
+	switch req.Method {
 	case rpcPing, rpcHeartbeat:
 		// A heartbeat's information is its reply arriving at all; the
 		// coordinator discards the payload.
 		return map[string]string{"status": "ok"}, nil
 	case rpcPutFile:
-		return decoded(data, func(msg *putFileMsg) (any, error) {
+		return decoded(req, func(msg *putFileMsg) (any, error) {
 			return nil, w.rt.DFS.WriteFile(msg.Path, msg.Data)
 		})
 	case rpcJobBegin:
-		return decoded(data, func(msg *jobBeginMsg) (any, error) {
+		return decoded(req, func(msg *jobBeginMsg) (any, error) {
 			_, err := w.beginJob(msg)
 			return nil, err
 		})
 	case rpcJobLoad:
-		return inSession(w, data, func(dj *distJob, _ *jobNameMsg) (any, error) { return dj.load() })
+		return inSession(w, req, func(dj *distJob, _ *jobNameMsg) (any, error) { return dj.load() })
 	case rpcSuperstep:
-		return inSession(w, data, func(dj *distJob, msg *superstepMsg) (any, error) { return dj.superstep(msg) })
+		return inSession(w, req, func(dj *distJob, msg *superstepMsg) (any, error) { return dj.superstep(msg) })
 	case rpcJobDump:
-		return inSession(w, data, func(dj *distJob, _ *jobNameMsg) (any, error) { return dj.dump() })
+		return inSession(w, req, func(dj *distJob, _ *jobNameMsg) (any, error) { return dj.dump() })
 	case rpcJobCancel, rpcJobAbort:
 		// Both verbs stop the in-flight phase and leave the session (and
 		// its partition state) intact; they differ only in intent — a
@@ -375,43 +376,43 @@ func (w *distWorker) handle(method string, data json.RawMessage) (any, error) {
 		// with a resetting partition.recv. The reply is sent only after
 		// the phase's tasks have drained, so the controller can sequence
 		// repairs. A session that is not open has nothing to stop.
-		return decoded(data, func(msg *jobNameMsg) (any, error) {
+		return decoded(req, func(msg *jobNameMsg) (any, error) {
 			if dj, err := w.job(msg.Name); err == nil {
 				dj.abort()
 			}
 			return nil, nil
 		})
 	case rpcReconfigure:
-		return decoded(data, func(msg *reconfigureMsg) (any, error) { return nil, w.reconfigure(msg) })
+		return decoded(req, func(msg *reconfigureMsg) (any, error) { return nil, w.reconfigure(msg) })
 	case rpcPartSend:
-		return decoded(data, func(msg *partSendMsg) (any, error) { return w.partitionSend(msg) })
+		return decoded(req, func(msg *partSendMsg) (any, error) { return w.partitionSend(msg) })
 	case rpcPartRecv:
-		return inSession(w, data, func(dj *distJob, msg *partRecvMsg) (any, error) { return nil, w.partitionRecv(dj, msg) })
+		return inSession(w, req, func(dj *distJob, msg *partRecvMsg) (any, error) { return nil, w.partitionRecv(dj, msg) })
 	case rpcPartDrop:
-		return inSession(w, data, func(dj *distJob, msg *partDropMsg) (any, error) { return nil, dj.partitionDrop(msg) })
+		return inSession(w, req, func(dj *distJob, msg *partDropMsg) (any, error) { return nil, dj.partitionDrop(msg) })
 	case rpcRelease:
 		// End of a drain: everything this worker hosted has migrated
 		// away; the connection closing next is a clean exit.
 		w.released.Store(true)
 		return map[string]string{"status": "released"}, nil
 	case rpcJobEnd:
-		return decoded(data, func(msg *jobEndMsg) (any, error) { return w.endJob(msg.Name, msg.Retain), nil })
+		return decoded(req, func(msg *jobEndMsg) (any, error) { return w.endJob(msg.Name, msg.Retain), nil })
 	case rpcDeltaIngest:
-		return decoded(data, func(msg *deltaIngestMsg) (any, error) { return w.deltaIngest(msg) })
+		return decoded(req, func(msg *deltaIngestMsg) (any, error) { return w.deltaIngest(msg) })
 	case rpcDeltaRun:
-		return inSession(w, data, func(dj *distJob, _ *deltaRunMsg) (any, error) { return dj.deltaRun() })
+		return inSession(w, req, func(dj *distJob, _ *deltaRunMsg) (any, error) { return dj.deltaRun() })
 	case rpcQueryPoint:
-		return decoded(data, func(msg *queryPointMsg) (any, error) {
+		return decoded(req, func(msg *queryPointMsg) (any, error) {
 			results, err := w.queries.Point(msg.Version, msg.Vids)
 			return &queryPointReply{Results: results}, err
 		})
 	case rpcQueryTopK:
-		return decoded(data, func(msg *queryTopKMsg) (any, error) {
+		return decoded(req, func(msg *queryTopKMsg) (any, error) {
 			entries, err := w.queries.TopK(msg.Version, msg.K)
 			return &queryTopKReply{Entries: entries}, err
 		})
 	default:
-		return nil, fmt.Errorf("core: unknown control method %q", method)
+		return nil, fmt.Errorf("core: unknown control method %q", req.Method)
 	}
 }
 
@@ -754,16 +755,9 @@ func (dj *distJob) dump() (*dumpReply, error) {
 		return nil, err
 	}
 	defer end()
-	rows, owner, err := dj.rs.dumpRows(ctx)
+	out, owner, err := dj.rs.dumpRows(ctx)
 	if err != nil {
 		return nil, err
 	}
-	reply := &dumpReply{Owner: owner}
-	if owner {
-		reply.Lines = make([]string, len(rows))
-		for i, r := range rows {
-			reply.Lines[i] = r.line
-		}
-	}
-	return reply, nil
+	return &dumpReply{Owner: owner, Rows: out}, nil
 }

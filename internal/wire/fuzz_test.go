@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
@@ -278,5 +279,52 @@ func FuzzDataPlane(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzDemux(t, data, sentinel)
 		fuzzCredits(t, data)
+	})
+}
+
+// FuzzControlPlane feeds arbitrary bytes to the control-frame reader.
+// Every frame it decodes must re-encode to exactly the bytes it was read
+// from, so the frames it accepted are a prefix of the input; it stops at
+// the first error, which is a clean io.EOF only when the whole input
+// was consumed at a frame boundary.
+func FuzzControlPlane(f *testing.F) {
+	frame := func(env Envelope) []byte {
+		b, err := frameOf(env)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	req := frame(Envelope{ID: 1, Method: "register", Data: json.RawMessage(`{"dataAddr":"a","nodes":2}`)})
+	imgs := frame(Envelope{ID: 7, Data: json.RawMessage(`{"parts":[{"part":0},{"part":1}]}`),
+		Blobs: [][]byte{[]byte("vertex0"), nil, []byte("vertex1"), []byte("msg1")}})
+	fail := frame(Envelope{ID: 9, Error: "core: no retained result for job: pr@j1", Code: 1})
+	f.Add([]byte{})
+	f.Add(bytes.Join([][]byte{req, imgs, fail}, nil))
+	f.Add(imgs[:len(imgs)-2])
+	f.Add(append(req[:len(req):len(req)], 0xff, 0xff, 0xff, 0x7f))
+	flagged := append([]byte(nil), fail...)
+	flagged[12] |= 2 // an unknown flag bit
+	f.Add(flagged)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bufio.NewReader(bytes.NewReader(data))
+		var again bytes.Buffer
+		for {
+			env, err := readFrame(r)
+			if err != nil {
+				if err == io.EOF && again.Len() != len(data) {
+					t.Fatalf("clean EOF after %d of %d bytes", again.Len(), len(data))
+				}
+				break
+			}
+			b, err := frameOf(env)
+			if err != nil {
+				t.Fatalf("decoded frame %+v does not re-encode: %v", env, err)
+			}
+			again.Write(b)
+			if !bytes.HasPrefix(data, again.Bytes()) {
+				t.Fatalf("frame %+v re-encodes to other bytes than it was read from", env)
+			}
+		}
 	})
 }

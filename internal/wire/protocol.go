@@ -47,13 +47,15 @@
 // blocks on credits.
 //
 // Control plane. The cluster controller and its workers exchange
-// newline-delimited JSON envelopes over a separate connection (see
-// control.go): one envelope is {id, method?, error?, data?}, where a
-// non-empty method marks a request and anything else answers the
-// request with the same id. The worker dials, sends a single "register"
-// request, and once the controller answers it with the assembled
-// topology the connection flips direction — the controller calls, the
-// worker answers:
+// length-prefixed frames over a separate connection (see control.go for
+// the layout): one frame is an id, a method, a JSON header or an error
+// (text plus a code that keeps a Sentinel's identity) and raw byte
+// attachments, where a non-empty method marks a request and anything
+// else answers the request with the same id. Partition images, input
+// files and dump rows ride as attachments. The worker dials, sends a
+// single "register" request, and once the controller answers it with
+// the assembled topology the connection flips direction — the
+// controller calls, the worker answers:
 //
 //	+-----------------------+---------------------------------------------+
 //	| method                | payload / meaning                           |
@@ -173,8 +175,10 @@ const (
 // version 1 (untagged or negotiated DATA) is refused at the preamble.
 const dataMagic = "PGXW2\n"
 
-// ctrlMagic is the preamble of control-plane connections.
-const ctrlMagic = "PGXC1\n"
+// ctrlMagic is the preamble of control-plane connections. Version 2
+// frames messages by length with raw attachments; a peer speaking
+// version 1 (newline-delimited JSON) is refused at the preamble.
+const ctrlMagic = "PGXC2\n"
 
 // maxCtrlPayload bounds non-frame payloads (OPEN JSON, error text) so a
 // corrupt header cannot drive a huge allocation.
