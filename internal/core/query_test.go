@@ -65,6 +65,7 @@ type emptyQueryCursor struct{}
 
 func (emptyQueryCursor) Next() ([]byte, []byte, bool)     { return nil, nil, false }
 func (emptyQueryCursor) NextView() ([]byte, []byte, bool) { return nil, nil, false }
+func (emptyQueryCursor) Seek([]byte) ([]byte, bool)       { return nil, false }
 func (emptyQueryCursor) Update([]byte) bool               { return false }
 func (emptyQueryCursor) Err() error                       { return nil }
 func (emptyQueryCursor) Close()                           {}

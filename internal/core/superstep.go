@@ -110,10 +110,10 @@ func (b *vidBuilder) abort() {
 }
 
 // lojSelectivityThreshold is the fraction of the vertex relation below
-// which the planner prefers probing over scanning: index point lookups
-// cost several page accesses each, so the probe side must be a small
-// minority of the relation to beat one sequential pass (the trade-off
-// Figure 14 measures).
+// which the planner prefers probing over scanning: a probe that leaves
+// the cursor's leaf costs a descent of several page accesses, so the
+// probe side must be a small minority of the relation to beat one
+// sequential pass (the trade-off Figure 14 measures).
 const lojSelectivityThreshold = 0.25
 
 // chooseJoinFor is the join planner, the only one: under AutoJoin it
@@ -557,8 +557,9 @@ type computeSource struct {
 	msgVals []pregel.Value
 	enc     []byte
 
-	// cur is the scan a full-outer-join task reads its vertices from, nil
-	// under the left-outer-join plan.
+	// cur is the cursor the task reads its vertices from: the full-outer
+	// join's scan or the left-outer join's probe. A computed vertex that
+	// lies under it is written back there (processVertex).
 	cur storage.IndexCursor
 }
 
@@ -578,10 +579,9 @@ func (c *computeSource) Run(ctx context.Context) error {
 func (c *computeSource) run(ctx context.Context) error {
 	rs, ps := c.rs, c.rs.parts[c.tc.Partition]
 
-	// Open the combined-message stream of the previous superstep: as views
-	// of the reader's frame for the full-outer merge, which is done with a
-	// message before it asks for the next, and boxed for the left-outer
-	// plan, whose ChooseMerge returns a tuple after advancing its source.
+	// Open the combined-message stream of the previous superstep as views
+	// of the reader's frame: both joins are done with a message before
+	// they ask for the next.
 	var msgs operators.TupleSource = emptySource{}
 	if ps.msg != nil {
 		rr, err := ps.msg.Reader()
@@ -589,15 +589,13 @@ func (c *computeSource) run(ctx context.Context) error {
 			return err
 		}
 		defer rr.Close()
-		if msgs = rr; c.join != pregel.LeftOuterJoin {
-			msgs = operators.NewRunSource(rr)
-		}
+		msgs = operators.NewRunSource(rr)
 	}
 
-	// Vertex updates (flow D2) the scan's cursor does not take in place
-	// (processVertex) are spooled and applied after the scan: the same-task
-	// deferral keeps the update mini-operator from moving records in pages
-	// the cursor has pinned.
+	// Vertex updates (flow D2) the cursor does not take in place
+	// (processVertex) are spooled and applied after the join: the
+	// same-task deferral keeps the update mini-operator from moving
+	// records in pages the cursor has pinned.
 	updates := storage.NewRunFile(c.tc.TempPath("updates"))
 	defer updates.Delete()
 
@@ -620,26 +618,22 @@ func (c *computeSource) run(ctx context.Context) error {
 		return c.processVertex(cc, ps, updates, vids, vid, msgPayload, vertexBytes)
 	}
 
+	var err error
+	if c.cur, err = ps.vertexIdx.ScanFrom(nil); err != nil {
+		return err
+	}
 	if c.join == pregel.LeftOuterJoin {
-		vidScan, err := newVidSource(ps)
-		if err != nil {
-			return err
-		}
-		defer vidScan.close()
-		merged := operators.NewChooseMerge(msgs, vidScan)
-		if err := operators.ProbeJoinLeftOuter(merged, ps.vertexIdx, emit); err != nil {
-			return err
+		var vidScan *vidSource
+		if vidScan, err = newVidSource(ps); err == nil {
+			err = operators.ProbeMerge(operators.NewChooseMerge(msgs, vidScan), c.cur, emit)
+			vidScan.close()
 		}
 	} else {
-		var err error
-		if c.cur, err = ps.vertexIdx.ScanFrom(nil); err != nil {
-			return err
-		}
 		err = operators.FullOuterMerge(msgs, c.cur, emit)
-		c.cur.Close() // before applyUpdates writes to the tree
-		if err != nil {
-			return err
-		}
+	}
+	c.cur.Close() // before applyUpdates writes to the tree
+	if err != nil {
+		return err
 	}
 
 	// Apply the deferred vertex updates (flow D2).
@@ -650,7 +644,6 @@ func (c *computeSource) run(ctx context.Context) error {
 	if err := applyUpdates(ps.vertexIdx, updates); err != nil {
 		return err
 	}
-	var err error
 	if ps.nextVid, err = vids.finish(); err != nil {
 		return err
 	}
@@ -757,9 +750,10 @@ func (c *computeSource) processVertex(cc *computeCtx, ps *partitionState,
 
 	// Persist the (possibly updated) vertex, D2: at the cursor if the
 	// record lies under it (a created vertex has none: the scan has read
-	// ahead to a later one) and the cursor takes it, else deferred.
+	// ahead to a later one, the probe found nothing) and the cursor takes
+	// it, else deferred.
 	c.enc = rs.codec.AppendVertex(c.enc[:0], v)
-	if created || c.cur == nil || !c.cur.Update(c.enc) {
+	if created || !c.cur.Update(c.enc) {
 		if err := updates.AppendFields(vid, c.enc); err != nil {
 			return err
 		}
@@ -860,9 +854,11 @@ type emptySource struct{}
 func (emptySource) Next() (tuple.Tuple, error) { return nil, io.EOF }
 
 // vidSource scans the Vid index as (vid, NULL) tuples — the NullMsg
-// function of Figure 8.
+// function of Figure 8. A tuple is a view of the scan's leaf, valid until
+// the following Next.
 type vidSource struct {
 	cur storage.IndexCursor
+	hdr tuple.Tuple
 }
 
 func newVidSource(ps *partitionState) (*vidSource, error) {
@@ -880,14 +876,15 @@ func (s *vidSource) Next() (tuple.Tuple, error) {
 	if s.cur == nil {
 		return nil, io.EOF
 	}
-	k, _, ok := s.cur.Next()
+	k, _, ok := s.cur.NextView()
 	if !ok {
 		if err := s.cur.Err(); err != nil {
 			return nil, err
 		}
 		return nil, io.EOF
 	}
-	return tuple.Tuple{k, nil}, nil
+	s.hdr = append(s.hdr[:0], k, nil)
+	return s.hdr, nil
 }
 
 func (s *vidSource) close() {

@@ -61,6 +61,59 @@ func BenchmarkVertexPass(b *testing.B) {
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(passed), "allocs/vertex")
 }
 
+// BenchmarkProbePass is the per-vertex cost of a sparse superstep, the
+// left-outer-join sibling of BenchmarkVertexPass: SSSP on a 2-node
+// runtime, where past superstep 1 (which always scans) every superstep
+// probes the vertex index for its few live or addressed vertices. Time
+// and allocations are per probed vertex; the time is the probing
+// supersteps', the allocations the whole job's.
+func BenchmarkProbePass(b *testing.B) {
+	const vertices = 20000
+	rt, err := NewRuntime(Options{BaseDir: b.TempDir(), Nodes: 2, PartitionsPerNode: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rt.Close()
+	var buf bytes.Buffer
+	if _, err := graphgen.WriteText(&buf, graphgen.BTC(vertices, 4, 1)); err != nil {
+		b.Fatal(err)
+	}
+	if err := rt.DFS.WriteFile("/in/g", buf.Bytes()); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	var probed, probing int64 // vertices through Compute past superstep 1; those supersteps' time
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		job := algorithms.NewSSSPJob("bench", "/in/g", "", 1)
+		var computed atomic.Int64
+		watched(job, func(ss int64) {
+			if ss > 1 {
+				computed.Add(1)
+			}
+		})
+		stats, err := rt.Run(context.Background(), job)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, ss := range stats.SuperstepStats {
+			if ss.Superstep > 1 {
+				if ss.Plan != pregel.LeftOuterJoin.String() {
+					b.Fatalf("superstep %d ran the %s plan", ss.Superstep, ss.Plan)
+				}
+				probing += ss.Duration.Nanoseconds()
+			}
+		}
+		probed += computed.Load()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(probing)/float64(probed), "ns/probe")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(probed), "allocs/probe")
+}
+
 // reshapeSupersteps is how long the reshape programs run.
 const reshapeSupersteps = 6
 
@@ -177,14 +230,16 @@ func sameLines(t *testing.T, got, want []string, label string) {
 	}
 }
 
-// TestVertexUpdateParity: under the full-outer-join plan a vertex update
-// is written at the scan's cursor when it fits and deferred when it does
-// not (always, on the LSM tree). Programs that leave records the same
-// size, shrink them, grow them and create vertices by message, all in
-// one superstep, give the oracle's dump byte for byte on both trees, on
-// the single-process runtime and on a 2-worker cluster — also when they
-// replace v.Value and edge Values with Values of their own, which the
-// engine's reused vertex must not carry into the next record.
+// TestVertexUpdateParity: under either join plan a vertex update is
+// written at the cursor (the full-outer scan's, the left-outer probe's)
+// when it fits and deferred when it does not (always, on the LSM tree).
+// Programs that leave records the same size, shrink them, grow them and
+// create vertices by message, all in one superstep, give the oracle's
+// dump byte for byte on both trees, under the full-outer, left-outer and
+// planner-chosen joins, on the single-process runtime and on a 2-worker
+// cluster — also when they replace v.Value and edge Values with Values of
+// their own, which the engine's reused vertex must not carry into the
+// next record.
 func TestVertexUpdateParity(t *testing.T) {
 	const n = 600
 	g := graphgen.Webmap(n, 4, 3)
@@ -192,12 +247,20 @@ func TestVertexUpdateParity(t *testing.T) {
 		name      string
 		misbehave bool
 		storage   pregel.StorageKind
+		join      pregel.JoinKind
 	}
 	var variants []variant
-	for _, misbehave := range []bool{false, true} {
-		for _, st := range []pregel.StorageKind{pregel.BTreeStorage, pregel.LSMStorage} {
-			variants = append(variants, variant{fmt.Sprintf("misbehave=%v/%v", misbehave, st), misbehave, st})
+	for _, join := range []pregel.JoinKind{pregel.FullOuterJoin, pregel.LeftOuterJoin, pregel.AutoJoin} {
+		for _, misbehave := range []bool{false, true} {
+			for _, st := range []pregel.StorageKind{pregel.BTreeStorage, pregel.LSMStorage} {
+				variants = append(variants, variant{fmt.Sprintf("%v/misbehave=%v/%v", join, misbehave, st), misbehave, st, join})
+			}
 		}
+	}
+	reshapeJob := func(output string, v variant) *pregel.Job {
+		job := newReshapeJob("reshape", "/in/g", output, n, v.misbehave, v.storage)
+		job.Join = v.join
+		return job
 	}
 	want := map[bool][]string{}
 	for _, misbehave := range []bool{false, true} {
@@ -213,7 +276,7 @@ func TestVertexUpdateParity(t *testing.T) {
 		putGraph(t, rt, "/in/g", g)
 		for _, v := range variants {
 			out := "/out/" + v.name
-			stats, err := rt.Run(context.Background(), newReshapeJob("reshape", "/in/g", out, n, v.misbehave, v.storage))
+			stats, err := rt.Run(context.Background(), reshapeJob(out, v))
 			if err != nil {
 				t.Fatalf("%s: %v", v.name, err)
 			}
@@ -239,7 +302,7 @@ func TestVertexUpdateParity(t *testing.T) {
 			if err := json.Unmarshal(raw, &i); err != nil {
 				return nil, err
 			}
-			return newReshapeJob("reshape", "/in/g", "", n, variants[i].misbehave, variants[i].storage), nil
+			return reshapeJob("", variants[i]), nil
 		}
 		kc := startSparseCluster(t, 2, 1, tuple.CompressOff, func(int) func(json.RawMessage) (*pregel.Job, error) { return build })
 		for i, v := range variants {
@@ -260,11 +323,12 @@ func TestVertexUpdateParity(t *testing.T) {
 }
 
 // TestVertexUpdateIOBytes: IOBytes counts payload through the run layer,
-// and an update written at the cursor never goes there. PageRank's
-// records keep their size, so on the B-tree a superstep's IOBytes are its
-// Msg relation's and nothing else (the graph is too small for the
-// group-by to spill); on the LSM tree every update is deferred, written
-// to the spool and read back, on top of that.
+// and an update written at the cursor never goes there, whether the
+// full-outer scan or the left-outer probe put the cursor on the record.
+// PageRank's records keep their size, so on the B-tree a superstep's
+// IOBytes are its Msg relation's and nothing else (the graph is too small
+// for the group-by to spill); on the LSM tree every update is deferred,
+// written to the spool and read back, on top of that.
 func TestVertexUpdateIOBytes(t *testing.T) {
 	const iterations = 4
 	g := graphgen.Webmap(500, 5, 9)
@@ -282,28 +346,34 @@ func TestVertexUpdateIOBytes(t *testing.T) {
 	rt := newTestRuntime(t, 2)
 	defer rt.Close()
 	putGraph(t, rt, "/in/g", g)
-	io := map[pregel.StorageKind][]int64{}
-	for _, st := range []pregel.StorageKind{pregel.BTreeStorage, pregel.LSMStorage} {
-		job := algorithms.NewPageRankJob("pr-"+st.String(), "/in/g", "", iterations)
-		job.Storage = st
-		stats, err := rt.Run(context.Background(), job)
-		if err != nil {
-			t.Fatal(err)
+	for _, join := range []pregel.JoinKind{pregel.FullOuterJoin, pregel.LeftOuterJoin} {
+		io := map[pregel.StorageKind][]int64{}
+		for _, st := range []pregel.StorageKind{pregel.BTreeStorage, pregel.LSMStorage} {
+			job := algorithms.NewPageRankJob("pr-"+st.String(), "/in/g", "", iterations)
+			job.Storage = st
+			job.Join = join
+			stats, err := rt.Run(context.Background(), job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ss := range stats.SuperstepStats {
+				if ss.Superstep > 1 && ss.Plan != join.String() { // superstep 1 always scans
+					t.Fatalf("superstep %d ran the %s plan, want %v", ss.Superstep, ss.Plan, join)
+				}
+				io[st] = append(io[st], ss.IOBytes)
+			}
 		}
-		for _, ss := range stats.SuperstepStats {
-			io[st] = append(io[st], ss.IOBytes)
-		}
-	}
-	for i := 0; i < iterations; i++ {
-		msgBytes := receivers * msgTuple
-		if i == iterations-1 {
-			msgBytes = 0 // the last iteration sends nothing
-		}
-		if got := io[pregel.BTreeStorage][i]; got != msgBytes {
-			t.Errorf("B-tree, superstep %d: IOBytes = %d, want the Msg relation's %d (nothing deferred)", i+1, got, msgBytes)
-		}
-		if got, want := io[pregel.LSMStorage][i], msgBytes+2*updateBytes; got != want {
-			t.Errorf("LSM, superstep %d: IOBytes = %d, want %d (every update spooled and read back)", i+1, got, want)
+		for i := 0; i < iterations; i++ {
+			msgBytes := receivers * msgTuple
+			if i == iterations-1 {
+				msgBytes = 0 // the last iteration sends nothing
+			}
+			if got := io[pregel.BTreeStorage][i]; got != msgBytes {
+				t.Errorf("%v, B-tree, superstep %d: IOBytes = %d, want the Msg relation's %d (nothing deferred)", join, i+1, got, msgBytes)
+			}
+			if got, want := io[pregel.LSMStorage][i], msgBytes+2*updateBytes; got != want {
+				t.Errorf("%v, LSM, superstep %d: IOBytes = %d, want %d (every update spooled and read back)", join, i+1, got, want)
+			}
 		}
 	}
 }
@@ -376,6 +446,108 @@ func TestVertexPassAllocations(t *testing.T) {
 	t.Logf("%.0f allocations for %d vertices + %d messages: %.3f each, %.4f each without PageRank's own", allocs, n, n, per, own)
 	if per >= 0.5 || own >= 0.05 {
 		t.Fatalf("%.3f allocations per vertex + message (%.4f without PageRank's own %d), want under 0.5 (0.05)", per, own, senders)
+	}
+}
+
+// TestProbePassAllocations: the compute task of a sparse superstep under
+// the left-outer-join plan — message and Vid reads, the choose-merge, the
+// probe, decode, Compute, encode, write-back and the next Vid index —
+// allocates nothing per probed vertex or message of its own. PageRank
+// stands in for the program: every probed vertex computes and sends, and
+// what is left is its one escaping share per vertex that sends.
+func TestProbePassAllocations(t *testing.T) {
+	const n = 6000 // a few hundred leaves; the Msg run is read from its file
+	node, err := hyracks.NewNodeController("n0", t.TempDir(), hyracks.NodeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := algorithms.NewPageRankJob("allocs", "", "", 10)
+	job.Join = pregel.LeftOuterJoin
+	bt, err := storage.CreateBTree(node.BufferCache, filepath.Join(t.TempDir(), "vertex"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bt.Drop()
+	vid, err := storage.CreateBTree(node.BufferCache, filepath.Join(t.TempDir(), "vid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vid.Drop()
+	loader, _ := bt.NewBulkLoader(0.9)
+	vidLoader, _ := vid.NewBulkLoader(1.0)
+	msg := storage.NewRunFile(filepath.Join(t.TempDir(), "msg"))
+	defer msg.Delete()
+	rank := pregel.Double(1.0 / n)
+	probed, messages, senders := 0, 0, 0
+	for i := uint64(0); i < n; i++ {
+		v := &pregel.Vertex{Value: &rank}
+		if i%5 != 0 { // every fifth page is dangling
+			for e := uint64(1); e <= 6; e++ {
+				v.AddEdge(pregel.VertexID((i+e*e)%n), nil)
+			}
+		}
+		key := tuple.EncodeUint64(i)
+		if err := loader.Add(key, job.Codec.EncodeVertex(v)); err != nil {
+			t.Fatal(err)
+		}
+		live, addressed := i%4 == 0, i%3 == 0
+		if live {
+			if err := vidLoader.Add(key, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if addressed {
+			messages++
+			if err := msg.AppendFields(key, pregel.EncodeMsgList(&rank)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if live || addressed {
+			probed++
+			if len(v.Edges) > 0 {
+				senders++
+			}
+		}
+	}
+	if err := loader.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if err := vidLoader.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if err := msg.CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	ps := &partitionState{node: node, vertexIdx: storage.AsIndex(bt), vid: vid, msg: msg, msgs: int64(messages), numVertices: n}
+	rs := &runState{job: job, codec: &job.Codec, parts: []*partitionState{ps},
+		gs: globalState{Superstep: 1, NumVertices: n, LiveVertices: n / 4, Messages: int64(messages)}}
+	tc := &hyracks.TaskContext{Node: node, JobName: "allocs", OperatorID: "compute"}
+	// No output is connected: what Compute sends is encoded and dropped.
+	allocs := testing.AllocsPerRun(5, func() {
+		c := &computeSource{rs: rs, ss: 2, tc: tc, join: pregel.LeftOuterJoin}
+		if err := c.run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if ps.liveVertices != int64(probed) || ps.nextVid == nil {
+			t.Fatalf("%d of %d probed vertices computed", ps.liveVertices, probed)
+		}
+		ps.nextVid.Drop() // the next superstep's live set: not this test's
+		ps.nextVid = nil
+	})
+	if v, err := bt.Search(tuple.EncodeUint64(3)); err != nil || v[0] != 0 || bytes.Equal(v[5:13], rank.Marshal(nil)) {
+		t.Fatalf("vertex 3 was not updated in the tree: %x, %v", v, err)
+	}
+	if v, err := bt.Search(tuple.EncodeUint64(1)); err != nil || !bytes.Equal(v[5:13], rank.Marshal(nil)) {
+		t.Fatalf("vertex 1, neither live nor addressed, was written: %x, %v", v, err)
+	}
+	if pins := node.BufferCache.PinnedFrames(); pins != 0 {
+		t.Fatalf("%d frames pinned", pins)
+	}
+	per := allocs / float64(probed+messages)
+	own := (allocs - float64(senders)) / float64(probed+messages)
+	t.Logf("%.0f allocations for %d probed vertices + %d messages: %.3f each, %.4f each without PageRank's own", allocs, probed, messages, per, own)
+	if own >= 0.05 {
+		t.Fatalf("%.3f allocations per probed vertex + message, %.4f without PageRank's own %d: want under 0.05", per, own, senders)
 	}
 }
 

@@ -15,7 +15,11 @@ import (
 //   - left-outer:  msg != nil, vertex == nil (message to missing vertex)
 //   - right-outer: msg == nil, vertex != nil (vertex without messages)
 //
-// vid is always set. The emitter must not retain msg/vertex slices.
+// vid is always set. All three may be views (of a run reader's frame, of
+// the leaf a cursor has pinned), valid for the call only: the emitter
+// must not retain them. When the join runs over a cursor (FullOuterMerge,
+// ProbeMerge), a row's vertex is the record the cursor stands on, and the
+// emitter may write it back with the cursor's Update.
 type JoinEmitter func(vid, msg, vertex []byte) error
 
 // FullOuterIndexJoin merges the sorted combined-message stream (tuples of
@@ -87,8 +91,26 @@ func FullOuterMerge(msgs TupleSource, cur storage.IndexCursor, emit JoinEmitter)
 // is the NullMsg marker (nil) represent live vertices from the Vid index
 // rather than real messages. This is the right plan of Figure 8: it
 // avoids scanning vertices that are neither live nor addressed, suited to
-// message-sparse algorithms (e.g. SSSP).
+// message-sparse algorithms (e.g. SSSP). It opens one cursor on idx,
+// probes it with ProbeMerge and closes it.
 func ProbeJoinLeftOuter(in TupleSource, idx storage.Index, emit JoinEmitter) error {
+	cur, err := idx.ScanFrom(nil)
+	if err != nil {
+		return err
+	}
+	defer cur.Close()
+	return ProbeMerge(in, cur, emit)
+}
+
+// ProbeMerge is the probe loop of ProbeJoinLeftOuter over a cursor the
+// caller opened (and closes): it Seeks each input vid on cur, so a
+// sorted input walks the index leaf by leaf rather than descending once
+// per vid. An input tuple need only stay valid until the following
+// in.Next, and the vertex is read as a view. During an inner emit the
+// row's vertex is the record the cursor found, so the emitter may write
+// it back with cur.Update. A probe that fails on an I/O error ends the
+// join with that error instead of emitting a left-outer row.
+func ProbeMerge(in TupleSource, cur storage.IndexCursor, emit JoinEmitter) error {
 	for {
 		t, err := in.Next()
 		if err == io.EOF {
@@ -97,15 +119,11 @@ func ProbeJoinLeftOuter(in TupleSource, idx storage.Index, emit JoinEmitter) err
 		if err != nil {
 			return err
 		}
-		v, err := idx.Search(t[0])
-		if err == storage.ErrNotFound {
-			if err := emit(t[0], t[1], nil); err != nil {
+		v, ok := cur.Seek(t[0])
+		if !ok {
+			if err := cur.Err(); err != nil {
 				return err
 			}
-			continue
-		}
-		if err != nil {
-			return err
 		}
 		if err := emit(t[0], t[1], v); err != nil {
 			return err
@@ -117,27 +135,32 @@ func ProbeJoinLeftOuter(in TupleSource, idx storage.Index, emit JoinEmitter) err
 // the same key, the tuple from a wins and b's is discarded. It implements
 // the Merge(choose()) operator of the left-outer-join plan: a is the
 // combined Msg stream, b the Vid null-message stream, so a vertex that is
-// both live and addressed is processed once with its real messages.
+// both live and addressed is processed once with its real messages. It
+// advances a source past the tuple it returned only at the following
+// Next, so the sources may return views (RunSource) and so may it.
 type ChooseMerge struct {
 	a, b       TupleSource
 	at, bt     tuple.Tuple
 	aerr, berr error
-	started    bool
+	// advA and advB name the sources whose tuples were taken last.
+	advA, advB bool
 }
 
 // NewChooseMerge returns the merge of a and b as a TupleSource.
 func NewChooseMerge(a, b TupleSource) *ChooseMerge {
-	return &ChooseMerge{a: a, b: b}
+	return &ChooseMerge{a: a, b: b, advA: true, advB: true}
 }
 
-// Next returns the next tuple of the merged stream, or io.EOF once both
-// inputs have ended.
+// Next returns the next tuple of the merged stream, valid until the
+// following Next, or io.EOF once both inputs have ended.
 func (m *ChooseMerge) Next() (tuple.Tuple, error) {
-	if !m.started {
+	if m.advA {
 		m.at, m.aerr = m.a.Next()
-		m.bt, m.berr = m.b.Next()
-		m.started = true
 	}
+	if m.advB {
+		m.bt, m.berr = m.b.Next()
+	}
+	m.advA, m.advB = false, false
 	// An input that failed ends the merge with its error; one that has
 	// ended lets the other through.
 	if m.aerr != nil && m.aerr != io.EOF {
@@ -156,13 +179,9 @@ func (m *ChooseMerge) Next() (tuple.Tuple, error) {
 		c := bytes.Compare(m.at[0], m.bt[0])
 		takeA, takeB = c <= 0, c >= 0
 	}
-	t := m.bt
+	m.advA, m.advB = takeA, takeB
 	if takeA {
-		t = m.at
-		m.at, m.aerr = m.a.Next()
+		return m.at, nil
 	}
-	if takeB {
-		m.bt, m.berr = m.b.Next()
-	}
-	return t, nil
+	return m.bt, nil
 }

@@ -219,3 +219,90 @@ func TestFOJAndLOJAgreeOnLiveSet(t *testing.T) {
 		}
 	}
 }
+
+// viewSource returns its tuples as views of one buffer it overwrites at
+// every Next, as RunSource and the Vid scan do.
+type viewSource struct {
+	vids []uint64
+	buf  [8]byte
+	hdr  tuple.Tuple
+	msg  bool
+}
+
+func (s *viewSource) Next() (tuple.Tuple, error) {
+	if len(s.vids) == 0 {
+		return nil, io.EOF
+	}
+	copy(s.buf[:], tuple.EncodeUint64(s.vids[0]))
+	s.vids = s.vids[1:]
+	var payload []byte
+	if s.msg {
+		payload = []byte("msg")
+	}
+	s.hdr = append(s.hdr[:0], s.buf[:], payload)
+	return s.hdr, nil
+}
+
+// TestChooseMergeOverViews: the merge reads a tuple only until its
+// following Next, so sources that reuse their memory merge correctly.
+func TestChooseMergeOverViews(t *testing.T) {
+	m := NewChooseMerge(&viewSource{vids: []uint64{2, 4, 5, 9}, msg: true}, &viewSource{vids: []uint64{1, 2, 5, 6, 10}})
+	var got []string
+	for {
+		tp, err := m.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, fmt.Sprintf("%d:%s", tuple.DecodeUint64(tp[0]), tp[1]))
+	}
+	want := fmt.Sprint([]string{"1:", "2:msg", "4:msg", "5:msg", "6:", "9:msg", "10:"})
+	if fmt.Sprint(got) != want {
+		t.Fatalf("merged %v, want %v", got, want)
+	}
+}
+
+// TestProbeMergeUpdatesUnderCursor: during an inner emit the probe's
+// cursor stands on the row's vertex, so the emitter can write it back
+// there; a vid the index lacks comes out as a left-outer row, and the
+// records no probe reached keep their values.
+func TestProbeMergeUpdatesUnderCursor(t *testing.T) {
+	idx := buildVertexIndex(t, []uint64{1, 2, 4, 6})
+	defer idx.Close()
+	cur, err := idx.ScanFrom(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []joinRow
+	err = ProbeMerge(msgsFor(2, 3, 6, 7), cur, func(vid, msg, vertex []byte) error {
+		v := tuple.DecodeUint64(vid)
+		rows = append(rows, joinRow{v, msg != nil, vertex != nil})
+		if vertex == nil {
+			if cur.Update([]byte("v")) {
+				t.Errorf("update after probing the absent %d went through", v)
+			}
+			return nil
+		}
+		if want := fmt.Sprintf("vertex-%d", v); string(vertex) != want {
+			t.Errorf("vertex %d = %q, want %q", v, vertex, want)
+		}
+		if !cur.Update([]byte(fmt.Sprintf("v-%d", v))) {
+			t.Errorf("update of vertex %d declined", v)
+		}
+		return nil
+	})
+	cur.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprint([]joinRow{{2, true, true}, {3, true, false}, {6, true, true}, {7, true, false}}); fmt.Sprint(rows) != want {
+		t.Fatalf("rows %v, want %v", rows, want)
+	}
+	for vid, want := range map[uint64]string{1: "vertex-1", 2: "v-2", 4: "vertex-4", 6: "v-6"} {
+		if got, err := idx.Search(tuple.EncodeUint64(vid)); err != nil || string(got) != want {
+			t.Fatalf("vertex %d = %q, %v, want %q", vid, got, err, want)
+		}
+	}
+}

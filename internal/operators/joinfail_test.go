@@ -45,6 +45,23 @@ func (c *failingCursor) Update([]byte) bool                     { c.updates++; r
 func (c *failingCursor) Err() error                             { return c.err }
 func (c *failingCursor) Close()                                 {}
 
+// Seek finds vids in ascending order until good of them were sought.
+func (c *failingCursor) Seek(key []byte) ([]byte, bool) {
+	if c.i == c.f.good {
+		c.err = errPageRead
+	}
+	if c.err != nil {
+		return nil, false
+	}
+	c.i++
+	for _, vid := range c.f.vids {
+		if vid == tuple.DecodeUint64(key) {
+			return []byte("vertex"), true
+		}
+	}
+	return nil, false
+}
+
 // TestFullOuterJoinStopsOnScanError: a vertex scan that stops on an I/O
 // error is not the end of the vertices. The join must return the error
 // before it emits another row: a message to a vertex the failed scan did
@@ -100,5 +117,24 @@ func TestFullOuterMergeUpdatesUnderCursor(t *testing.T) {
 		if want := "v-" + string(rune('0'+vid)); err != nil || string(got) != want {
 			t.Fatalf("vertex %d = %q, %v, want %q", vid, got, err, want)
 		}
+	}
+}
+
+// TestProbeJoinStopsOnProbeError: a probe that fails on an I/O error is
+// not an absent vertex, so the join returns the error rather than emit a
+// left-outer row (which would create the vertex).
+func TestProbeJoinStopsOnProbeError(t *testing.T) {
+	idx := &failingIndex{vids: []uint64{1, 2, 3, 4, 5}, good: 2}
+	var rows []joinRow
+	err := ProbeJoinLeftOuter(msgsFor(1, 3, 4), idx, func(vid, msg, vertex []byte) error {
+		rows = append(rows, joinRow{tuple.DecodeUint64(vid), msg != nil, vertex != nil})
+		return nil
+	})
+	if !errors.Is(err, errPageRead) {
+		t.Fatalf("err = %v, want the probe's error", err)
+	}
+	want := []joinRow{{1, true, true}, {3, true, true}}
+	if len(rows) != len(want) || rows[0] != want[0] || rows[1] != want[1] {
+		t.Fatalf("rows %+v, want %+v", rows, want)
 	}
 }

@@ -409,8 +409,9 @@ type Cursor struct {
 	start   []byte // original scan start, for a re-seek before any record
 	lastKey []byte // last key returned
 	done    bool
-	// onRec says that slot-1 of fr is the record returned last, wrote that
-	// an Update has written into fr since it was pinned.
+	// onRec says that slot-1 of fr is the record returned (or found by
+	// Seek) last, wrote that an Update has written into fr since it was
+	// pinned.
 	onRec, wrote bool
 }
 
@@ -483,6 +484,52 @@ func (c *Cursor) NextView() (key, value []byte, ok bool) {
 	return c.nextLocked()
 }
 
+// Seek finds key and returns its value as a view of the pinned leaf, on
+// NextView's terms, or ok=false if key is absent (Err reports a failed
+// read). Found, the record is the one Update writes; absent, Update
+// declines. A key on the leaf the cursor holds is found there without
+// pinning another page; any other key costs one descent, and so does
+// every key after the tree changed. The cursor stays where the key is:
+// a NextView after Seek returns the first key above it.
+func (c *Cursor) Seek(key []byte) (value []byte, ok bool) {
+	c.t.mu.RLock()
+	defer c.t.mu.RUnlock()
+	c.onRec = false
+	if c.err != nil {
+		return nil, false
+	}
+	if v := c.t.ver.Load(); v != c.ver || !c.holds(key) {
+		c.unpin()
+		fr, _, err := c.t.seekLocked(key)
+		if err != nil {
+			c.err = err
+			return nil, false
+		}
+		c.fr, c.ver = fr, v
+	}
+	p := nodePage{c.fr.Data}
+	i, found := p.search(key)
+	c.slot, c.done = i, false
+	c.lastKey = append(c.lastKey[:0], key...)
+	if !found {
+		return nil, false
+	}
+	c.slot++
+	c.onRec = true
+	return p.value(i), true
+}
+
+// holds reports whether key lies between the first and the last key of
+// the pinned leaf, which is where a descent for it would end.
+func (c *Cursor) holds(key []byte) bool {
+	if c.fr == nil {
+		return false
+	}
+	p := nodePage{c.fr.Data}
+	n := p.count()
+	return n > 0 && bytes.Compare(key, p.key(0)) >= 0 && bytes.Compare(key, p.key(n-1)) <= 0
+}
+
 func (c *Cursor) nextLocked() (key, value []byte, ok bool) {
 	c.onRec = false
 	if c.err != nil || c.done {
@@ -525,8 +572,9 @@ func (c *Cursor) nextLocked() (key, value []byte, ok bool) {
 }
 
 // Update overwrites, in the leaf the cursor has pinned, the value of the
-// record it returned last, and reports whether it did. It declines when
-// there is no such record (before the first read, after the last), when
+// record it returned or found last, and reports whether it did. It
+// declines when there is no such record (before the first read, after
+// the last, after a Seek of an absent key), when
 // the new value is longer than the old one, and when the tree changed
 // since that read (the slot may have moved): the caller then goes
 // through Insert. It takes the tree's write lock, so readers see the old

@@ -211,7 +211,25 @@ func TestCursorUpdateAfterInsert(t *testing.T) {
 // page written through a cursor reaches the file — by eviction while the
 // scan runs, by FlushFile for the leaf still pinned, by CloseFile for
 // the rest.
-func TestCursorUpdatePersists(t *testing.T) {
+func TestCursorUpdatePersists(t *testing.T) { cursorUpdatePersists(t, nextRecord) }
+
+// TestCursorSeekUpdatePersists is TestCursorUpdatePersists with the
+// records reached by Seek instead of NextView.
+func TestCursorSeekUpdatePersists(t *testing.T) { cursorUpdatePersists(t, seekRecord) }
+
+// nextRecord and seekRecord put the cursor on record i of a tree whose
+// keys are 0..n-1, read in order: by scanning and by probing.
+func nextRecord(c *Cursor, i int) bool {
+	k, _, ok := c.NextView()
+	return ok && tuple.DecodeUint64(k) == uint64(i)
+}
+
+func seekRecord(c *Cursor, i int) bool {
+	_, ok := c.Seek(tuple.EncodeUint64(uint64(i)))
+	return ok
+}
+
+func cursorUpdatePersists(t *testing.T, reach func(c *Cursor, i int) bool) {
 	const n, pages = 11000, 500 // 1 KiB pages of 21 records of 8 + 32 bytes
 	bc := newTestCache(t, 16)
 	path := filepath.Join(t.TempDir(), "t")
@@ -226,8 +244,8 @@ func TestCursorUpdatePersists(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if _, _, ok := c.NextView(); !ok {
-			t.Fatalf("scan ended at %d: %v", i, c.Err())
+		if !reach(c, i) {
+			t.Fatalf("record %d not reached: %v", i, c.Err())
 		}
 		if !c.Update(newVal(i)) {
 			t.Fatalf("same-size update of record %d declined", i)
@@ -275,7 +293,13 @@ func TestCursorUpdatePersists(t *testing.T) {
 // TestCursorUpdateVsReaders (run with -race): while one cursor rewrites
 // every value, Search and scans through Next see, for every record, the
 // old value or the new one and never a mix of the two.
-func TestCursorUpdateVsReaders(t *testing.T) {
+func TestCursorUpdateVsReaders(t *testing.T) { cursorUpdateVsReaders(t, nextRecord) }
+
+// TestCursorSeekVsReaders is TestCursorUpdateVsReaders with the writer
+// reaching each record by Seek.
+func TestCursorSeekVsReaders(t *testing.T) { cursorUpdateVsReaders(t, seekRecord) }
+
+func cursorUpdateVsReaders(t *testing.T, reach func(c *Cursor, i int) bool) {
 	const n, rounds = 400, 20
 	bc := newTestCache(t, 0)
 	bt := loadTree(t, bc, filepath.Join(t.TempDir(), "t"), n, func(i int) []byte { return bytes.Repeat([]byte{0}, 64) })
@@ -339,8 +363,8 @@ func TestCursorUpdateVsReaders(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
-			if _, _, ok := c.NextView(); !ok {
-				t.Fatalf("writer's scan ended at %d", i)
+			if !reach(c, i) {
+				t.Fatalf("writer's cursor did not reach record %d", i)
 			}
 			if !c.Update(bytes.Repeat([]byte{byte(round)}, 64)) {
 				t.Fatalf("update %d of round %d declined", i, round)
@@ -352,6 +376,163 @@ func TestCursorUpdateVsReaders(t *testing.T) {
 	wg.Wait()
 	if got := bc.PinnedFrames(); got != 0 {
 		t.Fatalf("%d frames pinned", got)
+	}
+}
+
+// pins counts the pages bc has pinned so far, cached or read.
+func pins(bc *BufferCache) int64 { return bc.Hits + bc.Misses }
+
+// TestCursorSeek: a seek finds its key on the leaf the cursor holds
+// without pinning a page, descends once for a key on another leaf and
+// for any key after the tree changed, and arms Update only for a key it
+// found; the cursor then stands where the key is.
+func TestCursorSeek(t *testing.T) {
+	const n = 200 // even keys 0..398: several 1 KiB leaves of 16-byte values
+	val := func(i uint64) []byte { return []byte(fmt.Sprintf("old-value-%06d", i)) }
+	bc := newTestCache(t, 0)
+	bt, err := CreateBTree(bc, filepath.Join(t.TempDir(), "t"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bt.Close()
+	l, _ := bt.NewBulkLoader(1.0)
+	for i := uint64(0); i < n; i++ {
+		if err := l.Add(tuple.EncodeUint64(2*i), val(2*i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := bt.ScanFrom(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	seek := func(key uint64, wantFound bool, wantPins bool) {
+		t.Helper()
+		before := pins(bc)
+		v, ok := c.Seek(tuple.EncodeUint64(key))
+		if ok != wantFound || (ok && !bytes.Equal(v, val(key))) {
+			t.Fatalf("Seek(%d) = %q, %v, want found=%v", key, v, ok, wantFound)
+		}
+		if got := pins(bc) - before; (got > 0) != wantPins {
+			t.Fatalf("Seek(%d) pinned %d pages, want a descent: %v", key, got, wantPins)
+		}
+	}
+
+	// ScanFrom(nil) holds the first leaf: seeks on it pin nothing, and
+	// an absent key between two of its keys is found absent there too.
+	seek(0, true, false)
+	seek(2, true, false)
+	seek(5, false, false)
+	if c.Update([]byte("x")) {
+		t.Fatal("Update went through after a seek of an absent key")
+	}
+	seek(6, true, false)
+	if !c.Update([]byte("NEW-value-000006")) {
+		t.Fatal("same-size update after a seek declined")
+	}
+	if v, err := bt.Search(tuple.EncodeUint64(6)); err != nil || string(v) != "NEW-value-000006" {
+		t.Fatalf("record 6 = %q, %v", v, err)
+	}
+	// The cursor stands on 6: a scan goes on from 8.
+	if k, _, ok := c.NextView(); !ok || tuple.DecodeUint64(k) != 8 {
+		t.Fatalf("NextView after Seek(6) = %x, %v, want 8", k, ok)
+	}
+
+	// Across leaves: one descent, then the new leaf is the cheap one.
+	lastOfFirst := uint64(0)
+	for {
+		k, _, ok := c.NextView()
+		if !ok || c.slot == 1 { // the scan stepped onto the second leaf
+			break
+		}
+		lastOfFirst = tuple.DecodeUint64(k)
+	}
+	seek(lastOfFirst+2, true, false) // the second leaf's first key
+	seek(lastOfFirst, true, true)    // backwards works, at the price of a descent
+	if !c.Update([]byte("NEW-value-leaf-1")) {
+		t.Fatal("update after a backward seek declined")
+	}
+	seek(lastOfFirst+2, true, true)
+	seek(lastOfFirst+4, true, false)
+
+	// Past the end: absent, Update declines, the scan is over.
+	seek(2*n+3, false, true)
+	if c.Update([]byte("x")) {
+		t.Fatal("Update went through after a seek past the end")
+	}
+	if _, _, ok := c.NextView(); ok {
+		t.Fatal("NextView after a seek past the end returned a record")
+	}
+
+	// After the tree changed the cursor descends again, even to its leaf:
+	// for an insert on another leaf, and for one that splits its own.
+	seek(100, true, true)
+	if err := bt.Insert(tuple.EncodeUint64(2*n+1), []byte("inserted")); err != nil {
+		t.Fatal(err)
+	}
+	seek(102, true, true)
+	if !c.Update([]byte("NEW-value-000102")) {
+		t.Fatal("update after the re-descent declined")
+	}
+	seek(104, true, false)
+	if err := bt.Insert(tuple.EncodeUint64(105), []byte("inserted")); err != nil {
+		t.Fatal(err)
+	}
+	seek(106, true, true)
+	seek(108, true, false)
+
+	for _, k := range []uint64{6, lastOfFirst, 102} {
+		v, err := bt.Search(tuple.EncodeUint64(k))
+		if err != nil || bytes.Equal(v, val(k)) {
+			t.Fatalf("record %d = %q, %v: the update was lost", k, v, err)
+		}
+	}
+	c.Close()
+	if got := bc.PinnedFrames(); got != 0 {
+		t.Fatalf("%d frames pinned", got)
+	}
+}
+
+// TestLSMCursorSeek: the LSM cursor's Seek is Search, returning a copy
+// that later inserts do not change, and Update keeps declining.
+func TestLSMCursorSeek(t *testing.T) {
+	bc := newTestCache(t, 8)
+	lsm, err := CreateLSMBTree(bc, t.TempDir(), LSMOptions{MemLimit: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lsm.Drop()
+	for i := 0; i < 300; i++ { // several components and a memory one
+		if err := lsm.Insert(tuple.EncodeUint64(uint64(2*i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := AsLSMIndex(lsm).ScanFrom(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 300; i++ {
+		v, ok := c.Seek(tuple.EncodeUint64(uint64(2 * i)))
+		if !ok || string(v) != fmt.Sprintf("v%d", i) {
+			t.Fatalf("Seek(%d) = %q, %v", 2*i, v, ok)
+		}
+		if c.Update(v) {
+			t.Fatal("the LSM cursor took an update")
+		}
+		if _, ok := c.Seek(tuple.EncodeUint64(uint64(2*i + 1))); ok {
+			t.Fatalf("Seek(%d) found an absent key", 2*i+1)
+		}
+	}
+	v, _ := c.Seek(tuple.EncodeUint64(0))
+	if err := lsm.Insert(tuple.EncodeUint64(0), []byte("changed")); err != nil {
+		t.Fatal(err)
+	}
+	if string(v) != "v0" || c.Err() != nil {
+		t.Fatalf("a sought value changed to %q under an insert (err %v)", v, c.Err())
 	}
 }
 

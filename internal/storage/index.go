@@ -25,8 +25,15 @@ type IndexCursor interface {
 	// NextView is Next for a caller done with the record before its next
 	// call on the cursor: key and value may be views (Cursor.NextView).
 	NextView() (key, value []byte, ok bool)
-	// Update overwrites the record returned last where it lies, if the
-	// index can do that now; declined, the caller Inserts after the scan.
+	// Seek returns the value under key, ok=false if it is absent (Err
+	// tells a failed read from an absent key). It is the probe of the
+	// left-outer-join plan: keys sought in ascending order cost least. A
+	// cursor is either scanned (Next, NextView) or probed (Seek), not both.
+	// The value may be a view, on NextView's terms.
+	Seek(key []byte) (value []byte, ok bool)
+	// Update overwrites the record returned or found last where it lies,
+	// if the index can do that now; declined, the caller Inserts after
+	// the scan.
 	Update(value []byte) bool
 	// Err reports any I/O error hit during iteration.
 	Err() error

@@ -207,8 +207,13 @@ func (l *LSMBTree) mergeAll() error {
 }
 
 // LSMCursor iterates live records in ascending key order across all
-// components, newest value winning.
+// components, newest value winning. It opens its sources at its first
+// read, so a cursor that only probes (Seek) sorts and pins nothing.
 type LSMCursor struct {
+	l       *LSMBTree
+	start   []byte
+	skipMem bool
+	opened  bool
 	sources []lsmSource
 	err     error
 }
@@ -251,8 +256,14 @@ func (l *LSMBTree) mergedIterator(includeMem bool) (*LSMCursor, error) {
 }
 
 func (l *LSMBTree) scanFrom(start []byte, skipMem bool) (*LSMCursor, error) {
-	c := &LSMCursor{}
-	if !skipMem {
+	return &LSMCursor{l: l, start: bytes.Clone(start), skipMem: skipMem}, nil
+}
+
+// open snapshots the in-memory component's keys >= start and positions a
+// cursor on every disk component.
+func (c *LSMCursor) open() error {
+	l, start := c.l, c.start
+	if !c.skipMem {
 		keys := make([]string, 0, len(l.mem))
 		for k := range l.mem {
 			if start == nil || bytes.Compare([]byte(k), start) >= 0 {
@@ -267,19 +278,24 @@ func (l *LSMBTree) scanFrom(start []byte, skipMem bool) (*LSMCursor, error) {
 	for _, comp := range l.comps {
 		cur, err := comp.ScanFrom(start)
 		if err != nil {
-			c.Close()
-			return nil, err
+			return err
 		}
 		s := lsmSource{cur: cur}
 		s.advance()
 		c.sources = append(c.sources, s)
 	}
-	return c, nil
+	return nil
 }
 
 // nextRaw returns the next key with its raw (prefix-tagged) record,
 // resolving duplicate keys in favor of the newest source.
 func (c *LSMCursor) nextRaw() ([]byte, []byte, bool) {
+	if !c.opened {
+		c.opened, c.err = true, c.open()
+	}
+	if c.err != nil {
+		return nil, nil, false
+	}
 	var bestIdx = -1
 	for i := range c.sources {
 		s := &c.sources[i]
@@ -327,6 +343,19 @@ func (c *LSMCursor) Next() (key, value []byte, ok bool) {
 // NextView is Next: what an LSM cursor returns is already a copy, or an
 // in-memory record no Insert writes into.
 func (c *LSMCursor) NextView() (key, value []byte, ok bool) { return c.Next() }
+
+// Seek is Search: the value it returns is a copy, and the sources a scan
+// reads stay closed.
+func (c *LSMCursor) Seek(key []byte) ([]byte, bool) {
+	v, err := c.l.Search(key)
+	if err != nil {
+		if err != ErrNotFound {
+			c.err = err
+		}
+		return nil, false
+	}
+	return v, true
+}
 
 // Update always declines: a write under an LSM cursor may flush or merge
 // the components the cursor reads.

@@ -2,10 +2,12 @@ package algorithms
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"pregelix/internal/graphgen"
+	"pregelix/internal/reference"
 	"pregelix/pregel"
 )
 
@@ -33,6 +35,25 @@ func TestDeltaPageRankMassConserved(t *testing.T) {
 	}
 	if math.Abs(sum-1.0) > 1e-6 {
 		t.Fatalf("rank mass %f, want 1.0", sum)
+	}
+}
+
+// TestDeltaPageRankEpsilonConfig: the epsilon the job's configuration
+// names is the one the run stops at, and a malformed one fails the job
+// with the key's name.
+func TestDeltaPageRankEpsilonConfig(t *testing.T) {
+	g := graphgen.BTC(200, 6, 3)
+	coarse := NewDeltaPageRankJob("dpr", "", "", 1e-12)
+	coarse.Config[DeltaPageRankEpsilonKey] = "1e-3"
+	fine, loose := runRef(t, NewDeltaPageRankJob("dpr", "", "", 1e-12), g), runRef(t, coarse, g)
+	if loose.Supersteps() >= fine.Supersteps() {
+		t.Fatalf("epsilon 1e-3 ran %d supersteps, 1e-12 ran %d", loose.Supersteps(), fine.Supersteps())
+	}
+	bad := NewDeltaPageRankJob("dpr", "", "", 0)
+	bad.Config[DeltaPageRankEpsilonKey] = "one-in-a-billion"
+	_, err := reference.NewFromGraph(bad, g).Run(0)
+	if err == nil || !strings.Contains(err.Error(), "algorithms: bad "+DeltaPageRankEpsilonKey) {
+		t.Fatalf("a malformed epsilon ran: %v", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"sync"
 
 	"pregelix/pregel"
 )
@@ -34,16 +35,33 @@ const DeltaPageRankEpsilonKey = "deltapagerank.epsilon"
 //
 // Inputs must be unweighted adjacency lines: the edge value slot is
 // owned by the algorithm (cumulative pushed mass), not the input.
-type deltaPageRank struct{}
+//
+// Each job gets a program of its own (NewDeltaPageRankJob), which reads
+// its epsilon from the job's configuration once, at its first Compute.
+type deltaPageRank struct {
+	once sync.Once
+	eps  float64
+	err  error
+}
 
-func (deltaPageRank) Compute(ctx pregel.Context, v *pregel.Vertex, msgs []pregel.Value) error {
-	eps := 1e-9
-	if s := ctx.Config(DeltaPageRankEpsilonKey); s != "" {
-		f, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return fmt.Errorf("algorithms: bad %s: %w", DeltaPageRankEpsilonKey, err)
+// epsilon returns the job's residual threshold, parsed at the first call.
+func (p *deltaPageRank) epsilon(ctx pregel.Context) (float64, error) {
+	p.once.Do(func() {
+		p.eps = 1e-9
+		if s := ctx.Config(DeltaPageRankEpsilonKey); s != "" {
+			p.eps, p.err = strconv.ParseFloat(s, 64)
+			if p.err != nil {
+				p.err = fmt.Errorf("algorithms: bad %s: %w", DeltaPageRankEpsilonKey, p.err)
+			}
 		}
-		eps = f
+	})
+	return p.eps, p.err
+}
+
+func (p *deltaPageRank) Compute(ctx pregel.Context, v *pregel.Vertex, msgs []pregel.Value) error {
+	eps, err := p.epsilon(ctx)
+	if err != nil {
+		return err
 	}
 	val := v.Value.(*pregel.Double)
 	if ctx.Superstep() == 1 {
@@ -90,7 +108,7 @@ func NewDeltaPageRankJob(name, input, output string, epsilon float64) *pregel.Jo
 	}
 	return &pregel.Job{
 		Name:    name,
-		Program: deltaPageRank{},
+		Program: &deltaPageRank{},
 		Codec: pregel.Codec{
 			NewVertexValue: pregel.NewDouble,
 			NewEdgeValue:   pregel.NewDouble,

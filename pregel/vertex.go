@@ -244,6 +244,8 @@ func (c *Codec) DecodeMsgList(data []byte) ([]Value, error) {
 // Values dst already holds (up to its capacity) and creates only the
 // missing ones, so a caller that keeps dst between calls decodes
 // without allocating. The Values of an earlier call are overwritten.
+// A payload is empty (no messages) or exactly what AppendMsgList wrote:
+// bytes past the last message are an error.
 func (c *Codec) DecodeMsgListInto(dst []Value, data []byte) ([]Value, error) {
 	have := dst[:cap(dst)]
 	dst = dst[:0]
@@ -281,6 +283,9 @@ func (c *Codec) DecodeMsgListInto(dst []Value, data []byte) ([]Value, error) {
 		}
 		off += l
 		dst = append(dst, m)
+	}
+	if off != len(data) {
+		return nil, fmt.Errorf("pregel: message list has %d bytes after its %d messages", len(data)-off, n)
 	}
 	return dst, nil
 }

@@ -203,3 +203,58 @@ func FuzzDecodeVertex(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeMsgList: every message payload either fails to decode or
+// decodes to Values that AppendMsgList encodes back to the same bytes,
+// the same whether decoded fresh or into a list a previous payload left
+// (as the compute task does), and without allocating by a claimed count.
+// The empty payload is the NULL message list and decodes to no Values.
+func FuzzDecodeMsgList(f *testing.F) {
+	a, b, c := Double(0.5), Double(-1e300), Double(0)
+	for _, list := range [][]byte{
+		EncodeMsgList(&a),
+		EncodeMsgList(&a, &b, &c),
+		AppendMsgLists(EncodeMsgList(&a, &b), EncodeMsgList(&c)),
+		EncodeMsgList(),
+	} {
+		f.Add(list)
+		f.Add(list[:len(list)-1])
+		f.Add(append(append([]byte(nil), list...), 0))
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // claims 2^32-1 messages
+	reused, err := pageRankCodec.DecodeMsgListInto(nil, EncodeMsgList(&a, &b, &c, &a, &b))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fresh, ferr := pageRankCodec.DecodeMsgList(data)
+		runtime.ReadMemStats(&after)
+		// A message is 16 bytes of interface plus 8 of Double for at least
+		// 12 in the payload; leave room for the fuzzing engine's own.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(4*len(data))+1<<20 {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
+		again, rerr := pageRankCodec.DecodeMsgListInto(reused, data)
+		if (ferr == nil) != (rerr == nil) {
+			t.Fatalf("DecodeMsgList: %v, DecodeMsgListInto: %v", ferr, rerr)
+		}
+		if ferr != nil {
+			return
+		}
+		if len(data) == 0 {
+			if len(fresh) != 0 || len(again) != 0 {
+				t.Fatalf("the empty payload decoded to %d and %d messages", len(fresh), len(again))
+			}
+			return
+		}
+		if enc := AppendMsgList(nil, fresh...); !bytes.Equal(enc, data) {
+			t.Fatalf("%x decodes to %d messages that encode to %x", data, len(fresh), enc)
+		}
+		if enc := AppendMsgList(nil, again...); !bytes.Equal(enc, data) {
+			t.Fatalf("%x decoded into a reused list encodes to %x", data, enc)
+		}
+	})
+}
