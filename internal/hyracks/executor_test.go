@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"pregelix/internal/tuple"
 )
@@ -450,7 +451,13 @@ func TestPlanRunsRounds(t *testing.T) {
 	}
 	p.Close()
 	p.Close()
-	if now := runtime.NumGoroutine(); now > goroutines {
+	// A parked goroutine marks itself done just before it returns, so the
+	// count may lag Close by a moment: wait for it, within a bound.
+	now := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); now > goroutines && time.Now().Before(deadline); now = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if now > goroutines {
 		t.Fatalf("%d goroutines after Close, %d before Prepare", now, goroutines)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"io"
+	"math"
 	"math/bits"
 	"slices"
 	"strconv"
@@ -81,7 +82,7 @@ const (
 func NewGroupByRuntime(tc *hyracks.TaskContext, kind GroupByKind, combiner Combiner) hyracks.PushRuntime {
 	switch kind {
 	case PreclusteredGroupBy:
-		return &preclusteredGroupBy{combiner: combiner}
+		return newPreclusteredGroupBy(combiner)
 	case HashSortGroupBy:
 		return &spillingGroupBy{tc: tc, combiner: combiner, table: combiner != nil}
 	default:
@@ -94,62 +95,67 @@ func NewExternalSortRuntime(tc *hyracks.TaskContext) hyracks.PushRuntime {
 	return &spillingGroupBy{tc: tc}
 }
 
-// preclusteredGroupBy streams clustered input, folding adjacent tuples
-// with equal keys.
-type preclusteredGroupBy struct {
-	hyracks.BaseRuntime
-	combiner Combiner
-	acc      tuple.Tuple
-	scratch  tuple.Tuple
-	failed   bool
+// newPreclusteredGroupBy streams clustered input, folding adjacent tuples
+// with equal keys: the fold of the merge, over one stream sorted already.
+func newPreclusteredGroupBy(combiner Combiner) hyracks.PushRuntime {
+	out := &folder{combiner: combiner}
+	return &hyracks.FuncRuntime{
+		OnOpen: func(b *hyracks.BaseRuntime) error {
+			out.emitRef = func(r tuple.TupleRef) error { return b.EmitRef(0, r) }
+			out.emit = func(t tuple.Tuple) error { return b.Emit(0, t) }
+			return nil
+		},
+		OnRef: func(_ *hyracks.BaseRuntime, r tuple.TupleRef) error {
+			k := r.Field(0)
+			return out.add(r, keyPrefix(k), len(k) != 8)
+		},
+		OnClose: func(*hyracks.BaseRuntime) error { return out.flush() },
+	}
 }
 
-func (g *preclusteredGroupBy) Open() error { return g.OpenOutputs() }
+// folder folds a key-ordered stream of tuples: it hands every tuple on to
+// emitRef when there is no combiner, else folds each run of equal keys
+// through the combiner and hands its accumulator to emit once the run
+// ends. Neither callback may keep its argument.
+type folder struct {
+	combiner       Combiner
+	emitRef        func(tuple.TupleRef) error
+	emit           func(tuple.Tuple) error
+	acc, hdr, head tuple.Tuple
+	own            []byte // the bytes of head
+	key            uint64 // the accumulator's normalized key
+}
 
-func (g *preclusteredGroupBy) NextFrame(f *tuple.Frame) error {
-	for i := 0; i < f.Len(); i++ {
-		r := f.Tuple(i)
-		if g.combiner == nil {
-			if err := g.EmitRef(0, r); err != nil {
-				return err
-			}
-			continue
-		}
-		if g.acc == nil {
-			// The accumulator outlives this frame: own its bytes.
-			g.acc = g.combiner.First(r.Materialize())
-			continue
-		}
-		if bytes.Equal(g.acc[0], r.Field(0)) {
-			g.scratch = r.AppendFieldsTo(g.scratch[:0])
-			g.acc = g.combiner.Add(g.acc, g.scratch)
-			continue
-		}
-		if err := g.Emit(0, g.acc); err != nil {
-			return err
-		}
-		g.acc = g.combiner.First(r.Materialize())
+// add takes the next tuple, r, whose normalized key is key; wide says
+// that its key is not exactly 8 bytes, so that an equal normalized key
+// need not mean an equal key.
+func (f *folder) add(r tuple.TupleRef, key uint64, wide bool) error {
+	if f.combiner == nil {
+		return f.emitRef(r)
 	}
+	f.hdr = r.AppendFieldsTo(f.hdr[:0])
+	if f.acc != nil && key == f.key && (!wide && len(f.acc[0]) == 8 || bytes.Equal(f.acc[0], f.hdr[0])) {
+		f.acc = f.combiner.Add(f.acc, f.hdr)
+		return nil
+	}
+	if err := f.flush(); err != nil {
+		return err
+	}
+	// The accumulator may be First's argument, and outlives r: give it a
+	// copy.
+	f.own, f.head = copyInto(f.own, f.head, f.hdr)
+	f.acc, f.key = f.combiner.First(f.head), key
 	return nil
 }
 
-func (g *preclusteredGroupBy) Fail(err error) {
-	g.failed = true
-	g.FailOutputs(err)
-}
-
-func (g *preclusteredGroupBy) Close() error {
-	if g.failed {
+// flush emits the accumulator, if there is one.
+func (f *folder) flush() error {
+	acc := f.acc
+	if acc == nil {
 		return nil
 	}
-	if g.acc != nil {
-		if err := g.Emit(0, g.acc); err != nil {
-			g.FailOutputs(err)
-			return err
-		}
-		g.acc = nil
-	}
-	return g.CloseOutputs()
+	f.acc = nil
+	return f.emit(acc)
 }
 
 // spillingGroupBy implements both the sort-based and HashSort group-bys
@@ -426,7 +432,7 @@ func (g *spillingGroupBy) sortBuffered() {
 	if g.table {
 		g.sorter.compact()
 	}
-	g.sorter.sort(g.entryKey)
+	g.sorter.sort(func(e sortEntry) []byte { return g.ref(e).Field(0) })
 }
 
 // ref returns the buffered record an entry stands for.
@@ -434,44 +440,24 @@ func (g *spillingGroupBy) ref(e sortEntry) tuple.TupleRef {
 	return g.frames[e.frame-1].TupleAt(int(e.rec))
 }
 
-func (g *spillingGroupBy) entryKey(e sortEntry) []byte { return g.ref(e).Field(0) }
-
-// drain emits the sorted buffer: every record by reference (one memmove)
-// when there is no combiner or the table has folded them already, else
-// adjacent equal keys folded through the combiner. Neither callback may
-// keep its argument.
-func (g *spillingGroupBy) drain(emitRef func(tuple.TupleRef) error, emitTuple func(tuple.Tuple) error) error {
-	if g.combiner == nil || g.table {
-		for _, e := range g.sorter.entries {
-			if err := emitRef(g.ref(e)); err != nil {
-				return err
-			}
-		}
-		return nil
+// drain merges the runs srcs, if any, with the sorted buffer, and emits
+// the result: every record by reference when there is nothing to fold —
+// no combiner, or the table's records alone — else equal keys folded
+// through the combiner. Neither callback may keep its argument.
+func (g *spillingGroupBy) drain(srcs []refSource, emitRef func(tuple.TupleRef) error, emit func(tuple.Tuple) error) error {
+	combiner := g.combiner
+	if g.table && len(srcs) == 0 {
+		combiner = nil
 	}
-	var acc tuple.Tuple
-	var accKey uint64
-	for _, e := range g.sorter.entries {
-		g.scratch = g.ref(e).AppendFieldsTo(g.scratch[:0])
-		if acc != nil && e.key == accKey && bytes.Equal(acc[0], g.scratch[0]) {
-			acc = g.combiner.Add(acc, g.scratch)
-			continue
+	i := 0
+	buffered := func() (tuple.TupleRef, error) {
+		if i == len(g.sorter.entries) {
+			return tuple.TupleRef{}, io.EOF
 		}
-		if acc != nil {
-			if err := emitTuple(acc); err != nil {
-				return err
-			}
-		}
-		// First may keep its argument, header included, while the group
-		// lasts: head is rewritten only once the group has been emitted.
-		// The fields alias frames that live until releaseMem.
-		g.head = append(g.head[:0], g.scratch...)
-		acc, accKey = g.combiner.First(g.head), e.key
+		i++
+		return g.ref(g.sorter.entries[i-1]), nil
 	}
-	if acc != nil {
-		return emitTuple(acc)
-	}
-	return nil
+	return mergeRuns(append(srcs, buffered), &folder{combiner: combiner, emitRef: emitRef, emit: emit})
 }
 
 // releaseMem drops the buffered tuples: frames go back to the pool and
@@ -502,7 +488,7 @@ func (g *spillingGroupBy) spill() error {
 		if g.file == nil {
 			g.file = storage.NewRunFile(g.tc.TempPath("runs"))
 		}
-		if err := g.drain(g.file.AppendRef, g.file.Append); err != nil {
+		if err := g.drain(nil, g.file.AppendRef, g.file.Append); err != nil {
 			return err
 		}
 		run, err := g.file.Cut()
@@ -549,42 +535,16 @@ func (g *spillingGroupBy) Close() error {
 
 func (g *spillingGroupBy) finish() error {
 	g.sortBuffered()
-	emit := func(t tuple.Tuple) error { return g.Emit(0, t) }
-	if len(g.runs) == 0 {
-		// Fully in-memory: emit straight out of the buffer.
-		return g.drain(func(r tuple.TupleRef) error { return g.EmitRef(0, r) }, emit)
-	}
-	// Merge the spilled runs, oldest first, then the in-memory remainder:
-	// MergeSources keeps equal keys in source order, which is arrival order.
-	// Every run is read through the file's one descriptor.
-	srcs := make([]TupleSource, 0, len(g.runs)+1)
+	// The spilled runs, oldest first, then the in-memory remainder: the
+	// merge keeps equal keys in source order, which is arrival order. Every
+	// run is read through the file's one descriptor.
+	srcs := make([]refSource, 0, len(g.runs)+1)
 	for _, r := range g.runs {
 		rr := g.file.ReadRun(r)
 		defer rr.Close()
-		srcs = append(srcs, NewRunSource(rr))
+		srcs = append(srcs, rr.NextRef)
 	}
-	if len(g.sorter.entries) > 0 {
-		srcs = append(srcs, &bufferedSource{g: g})
-	}
-	return MergeSources(srcs, g.combiner, emit)
-}
-
-// bufferedSource replays the operator's sorted buffer, as it lies there,
-// for the final merge. A tuple it returns is a view of the buffer, valid
-// until the following Next.
-type bufferedSource struct {
-	g   *spillingGroupBy
-	i   int
-	hdr tuple.Tuple
-}
-
-func (s *bufferedSource) Next() (tuple.Tuple, error) {
-	if s.i >= len(s.g.sorter.entries) {
-		return nil, io.EOF
-	}
-	s.hdr = s.g.ref(s.g.sorter.entries[s.i]).AppendFieldsTo(s.hdr[:0])
-	s.i++
-	return s.hdr, nil
+	return g.drain(srcs, func(r tuple.TupleRef) error { return g.EmitRef(0, r) }, func(t tuple.Tuple) error { return g.Emit(0, t) })
 }
 
 // sortEntry is what the sort moves instead of a tuple: the tuple's
@@ -714,53 +674,80 @@ func (s *keySorter) compact() {
 	s.entries = s.entries[:n]
 }
 
-// bucketMin is the number of entries from which splitting them into
-// buckets first, at the price of 256 counters, makes the sort cheaper.
-const bucketMin = 1024
+// radixLeaf is the number of entries up to which a bucket of the radix
+// partition is finished by the total order instead of partitioned again
+// (BenchmarkGroupBy* at the 64 KiB carve).
+const radixLeaf = 32
 
 // sort orders the entries by normalized key, then, if some key is wide,
 // by the full key, which keyOf reads, then by arrival: a total order, so
 // the sort need not be stable to give the result of a stable one. It
-// first splits many entries, in place, into up to 256 buckets by the top
-// 8 bits in which their normalized keys differ, and sorts each bucket.
+// partitions the entries in place by their normalized keys, 8 of the
+// varying bits at a time from the top, until a bucket holds one
+// normalized key or at most radixLeaf entries, and finishes each bucket
+// by the total order.
 func (s *keySorter) sort(keyOf func(sortEntry) []byte) {
-	wide := s.wide
-	order := func(a, b sortEntry) int {
-		if a.key != b.key {
-			return cmp.Compare(a.key, b.key)
-		}
-		if wide {
-			if c := bytes.Compare(keyOf(a), keyOf(b)); c != 0 {
-				return c
-			}
-		}
-		if a.frame != b.frame {
-			return cmp.Compare(a.frame, b.frame)
-		}
-		return cmp.Compare(a.rec, b.rec)
+	if !s.wide {
+		keyOf = nil
 	}
-	if len(s.entries) < bucketMin || s.varying == 0 {
-		slices.SortFunc(s.entries, order)
-		return
-	}
-	bucketSort(s.entries, max(bits.Len64(s.varying)-8, 0), order)
+	sortBucket(s.entries, s.varying, keyOf)
 }
 
-// bucketSort splits es in place into up to 256 buckets by the 8 bits of
-// their normalized keys from shift up, and sorts each bucket by order.
-// It is a function of its own so that its 4 KiB of counters are not in
-// the frame of every sort: a sort of a few entries on a fresh goroutine
-// would otherwise grow that goroutine's stack.
-func bucketSort(es []sortEntry, shift int, order func(a, b sortEntry) int) {
-	var count, next [256]int // per bucket: entries, and where the next one goes
+// entryBefore is the sort's total order: normalized key, then the full
+// key if keyOf is given, then arrival.
+func entryBefore(a, b sortEntry, keyOf func(sortEntry) []byte) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	if keyOf != nil {
+		if c := bytes.Compare(keyOf(a), keyOf(b)); c != 0 {
+			return c < 0
+		}
+	}
+	return a.frame < b.frame || a.frame == b.frame && a.rec < b.rec
+}
+
+// sortBucket sorts entries whose normalized keys differ only in the bits
+// of varying: by partitioning them if there are many and they differ,
+// else by the total order, a few by insertion, more of one normalized key
+// by pdqsort (no two entries are equal under the order).
+func sortBucket(es []sortEntry, varying uint64, keyOf func(sortEntry) []byte) {
+	switch {
+	case len(es) > radixLeaf && varying != 0:
+		radixPartition(es, varying, keyOf)
+	case len(es) > radixLeaf:
+		slices.SortFunc(es, func(a, b sortEntry) int {
+			if entryBefore(a, b, keyOf) {
+				return -1
+			}
+			return 1
+		})
+	default:
+		for i := 1; i < len(es); i++ {
+			e, j := es[i], i
+			for ; j > 0 && entryBefore(e, es[j-1], keyOf); j-- {
+				es[j] = es[j-1]
+			}
+			es[j] = e
+		}
+	}
+}
+
+// radixPartition splits es in place into up to 256 buckets by the top 8
+// bits of varying and sorts each bucket on the varying bits below those.
+// Its counters are in a frame of its own, so that a sort of a few entries
+// on a fresh goroutine does not grow that goroutine's stack.
+func radixPartition(es []sortEntry, varying uint64, keyOf func(sortEntry) []byte) {
+	shift := max(bits.Len64(varying)-8, 0)
+	var count, next [256]uint32 // per bucket: entries, and where the next one goes
 	for _, e := range es {
 		count[byte(e.key>>shift)]++
 	}
-	at := 0
+	at := uint32(0)
 	for b, n := range count {
 		next[b], at = at, at+n
 	}
-	end := 0
+	end := uint32(0)
 	for b, n := range count {
 		// Whatever is in bucket b's place and belongs elsewhere is swapped
 		// to where its own bucket has room, until b holds only its own.
@@ -773,7 +760,7 @@ func bucketSort(es []sortEntry, shift int, order func(a, b sortEntry) int) {
 				next[b]++
 			}
 		}
-		slices.SortFunc(es[end-n:end], order)
+		sortBucket(es[end-n:end], varying&(1<<shift-1), keyOf)
 	}
 }
 
@@ -785,7 +772,7 @@ type TupleSource interface {
 
 // RunSource reads a run back as views of the reader's frame, each valid
 // until the following Next: for consumers that are done with a tuple
-// before they ask for the next one (MergeSources, FullOuterMerge), where
+// before they ask for the next one (the joins' Msg input), where
 // RunReader.Next would box every tuple.
 type RunSource struct {
 	rr  *storage.RunReader
@@ -824,104 +811,147 @@ func (s *SliceSource) Next() (tuple.Tuple, error) {
 	return t, nil
 }
 
-// mergeCursor is one source of a merge with its current tuple.
-type mergeCursor struct {
-	src TupleSource
-	ord int // position among the sources
-	t   tuple.Tuple
-	key uint64 // keyPrefix(t[0]), compared before the bytes
+// refSource yields one sorted input of a merge as views: a ref need stay
+// valid only until the source's next call. A RunReader's NextRef is one.
+type refSource func() (tuple.TupleRef, error)
+
+// mergeNode is a player of the merge's loser tree: a source's current
+// normalized key and which source it is, with doneBit set once the source
+// is done (its key then the largest), so that it loses to every source
+// that is not.
+type mergeNode struct {
+	key uint64
+	src uint32
 }
 
-func (c *mergeCursor) advance() error {
-	t, err := c.src.Next()
+const doneBit = 1 << 31
+
+// loserTree merges sorted sources: with k of them, nodes[1:k] hold the
+// loser of each match of a tournament whose leaves, k to 2k-1, are the
+// sources in order, and nodes[0] the winner. Advancing the winner replays
+// only its path to the root: log2(k) comparisons of normalized keys.
+type loserTree struct {
+	srcs  []refSource
+	cur   []tuple.TupleRef // each source's current tuple
+	wide  []bool           // whether that tuple's key is wide: not exactly 8 bytes
+	nodes []mergeNode
+}
+
+// before says whether player a goes before player b: by normalized key,
+// then by the keys' bytes, which are read only if one of them is wide,
+// then by source, so that equal keys leave the merge in source order.
+func (t *loserTree) before(a, b mergeNode) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	if (a.src|b.src)&doneBit == 0 && (t.wide[a.src] || t.wide[b.src]) {
+		if c := bytes.Compare(t.cur[a.src].Field(0), t.cur[b.src].Field(0)); c != 0 {
+			return c < 0
+		}
+	}
+	return a.src < b.src
+}
+
+// read moves source s on and returns its player.
+func (t *loserTree) read(s uint32) (mergeNode, error) {
+	r, err := t.srcs[s]()
 	if err != nil {
-		return err
+		if err == io.EOF {
+			err = nil
+		}
+		return mergeNode{math.MaxUint64, s | doneBit}, err
 	}
-	c.t, c.key = t, keyPrefix(t[0])
-	return nil
+	k := r.Field(0)
+	t.cur[s], t.wide[s] = r, len(k) != 8
+	return mergeNode{keyPrefix(k), s}, nil
 }
 
-func (c *mergeCursor) less(o *mergeCursor) bool {
-	if c.key != o.key {
-		return c.key < o.key
+// build reads the first tuple of every source below node i, plays the
+// matches there, keeps each loser and returns the winner.
+func (t *loserTree) build(i int) (mergeNode, error) {
+	if k := len(t.nodes); i >= k {
+		return t.read(uint32(i - k))
 	}
-	if d := bytes.Compare(c.t[0], o.t[0]); d != 0 {
-		return d < 0
+	a, errA := t.build(2 * i)
+	b, errB := t.build(2*i + 1)
+	if t.before(b, a) {
+		a, b = b, a
 	}
-	return c.ord < o.ord
+	t.nodes[i] = b
+	return a, cmp.Or(errA, errB)
 }
 
-// siftDown restores the min-heap order of h below position i.
-func siftDown(h []mergeCursor, i int) {
-	for {
-		least := 2*i + 1
-		if least >= len(h) {
-			return
+// advance moves the winner's source on and replays its path. A match is
+// decided by selects, not by a branch, which a merge of random keys would
+// mispredict at every other level; only a tie of normalized keys branches.
+func (t *loserTree) advance() error {
+	s := t.nodes[0].src
+	n, err := t.read(s)
+	for i := (int(s) + len(t.nodes)) / 2; i > 0; i /= 2 {
+		o := t.nodes[i]
+		first := o.key < n.key
+		if o.key == n.key {
+			first = t.before(o, n)
 		}
-		if r := least + 1; r < len(h) && h[r].less(&h[least]) {
-			least = r
+		w, l := n, o
+		if first {
+			w, l = o, n
 		}
-		if !h[least].less(&h[i]) {
-			return
-		}
-		h[i], h[least] = h[least], h[i]
-		i = least
+		t.nodes[i], n = l, w
 	}
+	t.nodes[0] = n
+	return err
+}
+
+// mergeRuns k-way merges sorted sources into out in ascending key order.
+// Tuples with equal keys are taken in the order of srcs, so merging the
+// runs of a stable sort in the order they were written is again stable.
+func mergeRuns(srcs []refSource, out *folder) error {
+	k := len(srcs)
+	if k == 0 {
+		return nil
+	}
+	t := &loserTree{srcs: srcs, cur: make([]tuple.TupleRef, k), wide: make([]bool, k), nodes: make([]mergeNode, k)}
+	w, err := t.build(1)
+	for t.nodes[0] = w; err == nil && w.src&doneBit == 0; w = t.nodes[0] {
+		if err = out.add(t.cur[w.src], w.key, t.wide[w.src]); err == nil {
+			err = t.advance()
+		}
+	}
+	if err == nil {
+		err = out.flush()
+	}
+	return err
 }
 
 // MergeSources k-way merges sorted sources, folding equal keys through
 // the combiner (when non-nil), and emits in ascending key order; tuples
 // with equal keys are taken in the order of srcs, so merging the runs of
-// a stable sort in the order they were written is again stable.
+// a stable sort in the order they were written is again stable. It is
+// the operators' merge over boxed tuples.
 //
 // A tuple need only stay valid until its source's next Next, and emit
 // must not keep its argument.
 func MergeSources(srcs []TupleSource, combiner Combiner, emit func(tuple.Tuple) error) error {
-	h := make([]mergeCursor, 0, len(srcs))
+	refs := make([]refSource, len(srcs))
 	for i, s := range srcs {
-		c := mergeCursor{src: s, ord: i}
-		if err := c.advance(); err == io.EOF {
-			continue
-		} else if err != nil {
-			return err
-		}
-		h = append(h, c)
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
-	}
-	var acc, head tuple.Tuple
-	var own []byte // the bytes of head
-	for len(h) > 0 {
-		cur := h[0].t
-		switch {
-		case combiner == nil:
-			if err := emit(cur); err != nil {
-				return err
+		// Each tuple is packed alone into a frame of its source's.
+		fr := tuple.GetFrame()
+		defer tuple.PutFrame(fr)
+		refs[i] = func() (tuple.TupleRef, error) {
+			t, err := s.Next()
+			if err != nil {
+				return tuple.TupleRef{}, err
 			}
-		case acc != nil && bytes.Equal(acc[0], cur[0]):
-			acc = combiner.Add(acc, cur)
-		default:
-			if acc != nil {
-				if err := emit(acc); err != nil {
-					return err
-				}
-			}
-			// The accumulator may be First's argument, and outlives cur:
-			// give it a copy.
-			own, head = copyInto(own, head, cur)
-			acc = combiner.First(head)
+			fr.Reset()
+			tuple.NewFrameAppender(fr).Append(t...) // an empty frame takes any tuple
+			return fr.Tuple(0), nil
 		}
-		if err := h[0].advance(); err == io.EOF {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		} else if err != nil {
-			return err
-		}
-		siftDown(h, 0)
 	}
-	if acc != nil {
-		return emit(acc)
+	out := &folder{combiner: combiner, emit: emit}
+	out.emitRef = func(r tuple.TupleRef) error {
+		out.hdr = r.AppendFieldsTo(out.hdr[:0])
+		return emit(out.hdr)
 	}
-	return nil
+	return mergeRuns(refs, out)
 }

@@ -120,35 +120,53 @@ func stableOrder(keys [][]byte) []int {
 	return order
 }
 
+// TestKeySorterMatchesStableSort: on keys of every shape — varying in
+// their low bits only, in their high bits only, not at all, or of mixed
+// lengths — and at sizes on both sides of the radix leaf cutoff and of
+// 1024, the sort gives what a stable sort by bytes.Compare gives.
 func TestKeySorterMatchesStableSort(t *testing.T) {
-	for seed := int64(1); seed <= 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		var keys [][]byte
-		switch seed % 4 {
-		case 0: // 8-byte keys only: the prefix is the whole key
-			for i := 0; i < 2000; i++ {
-				keys = append(keys, tuple.EncodeUint64(uint64(rng.Intn(50))))
-			}
-		case 1: // one length above 8: every tie needs the full key
-			for i := 0; i < 2000; i++ {
-				keys = append(keys, append(tuple.EncodeUint64(7), byte(rng.Intn(4)), byte(rng.Intn(2))))
-			}
-		case 2: // too few to be split into buckets
-			keys = trickyKeys(rng, 1+rng.Intn(bucketMin-1))
-		default:
-			keys = trickyKeys(rng, bucketMin+rng.Intn(3000))
-		}
-		var s keySorter
-		s.grow(len(keys))
-		const perFrame = 100 // arrival order is (frame, rec)
-		for i, k := range keys {
-			s.add(k, uint32(i/perFrame), uint32(i%perFrame))
-		}
-		s.sort(func(e sortEntry) []byte { return keys[int(e.frame)*perFrame+int(e.rec)] })
-		for i, want := range stableOrder(keys) {
-			if got := int(s.entries[i].frame)*perFrame + int(s.entries[i].rec); got != want {
-				t.Fatalf("seed %d: position %d holds input %d (key %x), want input %d (key %x)",
-					seed, i, got, keys[got], want, keys[want])
+	u64 := func(v uint64) []byte { return tuple.EncodeUint64(v) }
+	shapes := []struct {
+		name string
+		key  func(rng *rand.Rand) []byte
+	}{
+		{"8-byte, few distinct", func(rng *rand.Rand) []byte { return u64(uint64(rng.Intn(50))) }},
+		{"8-byte, random", func(rng *rand.Rand) []byte { return u64(rng.Uint64()) }},
+		{"low bits only", func(rng *rand.Rand) []byte { return u64(0xabcd<<48 | uint64(rng.Intn(4))) }},
+		{"high bits only", func(rng *rand.Rand) []byte { return u64(uint64(rng.Intn(8))<<61 | 0x1234) }},
+		{"bits far apart", func(rng *rand.Rand) []byte {
+			return u64(uint64(rng.Intn(4))<<60 | uint64(rng.Intn(4))<<30 | uint64(rng.Intn(4)))
+		}},
+		{"constant", func(*rand.Rand) []byte { return u64(42) }},
+		// One length above 8: every tie needs the full key.
+		{"9 and 10 bytes", func(rng *rand.Rand) []byte {
+			return append(u64(7), byte(rng.Intn(4)), byte(rng.Intn(2)))[:9+rng.Intn(2)]
+		}},
+		{"7 and 8 bytes", func(rng *rand.Rand) []byte { return u64(uint64(rng.Intn(3)) << 8)[:7+rng.Intn(2)] }},
+		{"mixed lengths", func(rng *rand.Rand) []byte { return trickyKeys(rng, 1)[0] }},
+	}
+	sizes := []int{0, 1, 2, radixLeaf - 1, radixLeaf, radixLeaf + 1, 3*radixLeaf + 5, 1023, 1024, 1025, 4000}
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, shape := range shapes {
+			for _, n := range sizes {
+				rng := rand.New(rand.NewSource(seed))
+				keys := make([][]byte, n)
+				for i := range keys {
+					keys[i] = shape.key(rng)
+				}
+				var s keySorter
+				s.grow(len(keys))
+				const perFrame = 100 // arrival order is (frame, rec)
+				for i, k := range keys {
+					s.add(k, uint32(i/perFrame), uint32(i%perFrame))
+				}
+				s.sort(func(e sortEntry) []byte { return keys[int(e.frame)*perFrame+int(e.rec)] })
+				for i, want := range stableOrder(keys) {
+					if got := int(s.entries[i].frame)*perFrame + int(s.entries[i].rec); got != want {
+						t.Fatalf("%s, %d keys, seed %d: position %d holds input %d (key %x), want input %d (key %x)",
+							shape.name, n, seed, i, got, keys[got], want, keys[want])
+					}
+				}
 			}
 		}
 	}
