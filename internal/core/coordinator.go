@@ -837,16 +837,20 @@ func phaseCall[T any](ctx context.Context, c *Coordinator, jobName, method strin
 // phaseCallTo issues one RPC to each listed worker in parallel, each
 // with its own parameters, and collects the typed replies in the list's
 // order. The first failure cancels the job's in-flight phase on every
-// worker (so peers blocked in the same phase unwind) and is returned,
-// naming its worker, once every call — and the cancellation wave itself
-// — has come back, so no stale abort can race a later retry of the
-// phase. An empty jobName means there is no phase to cancel.
+// worker (so peers blocked in the same phase unwind). Once every call —
+// and the cancellation wave itself — has come back, so no stale abort
+// can race a later retry of the phase, the cause is returned, naming its
+// worker: the first failure in time that is not a cancellation, else the
+// first failure. A survivor whose phase was canceled under it (its peer
+// died mid-shuffle) may answer before the dead worker's connection
+// error arrives, and is not the cause. An empty jobName means there is
+// no phase to cancel.
 func phaseCallTo[T any](ctx context.Context, c *Coordinator, workers []*ccWorker, jobName, method string, params func(*ccWorker) any) ([]T, error) {
 	results := make([]T, len(workers))
 	errs := make([]error, len(workers))
-	// first is the call that failed first in time: the cause, where the
-	// calls the cancellation then fails only report "canceled".
-	first := -1
+	// failed lists the failed calls in the order their failures came.
+	var mu sync.Mutex
+	var failed []int
 	var once sync.Once
 	var wg, cancelWG sync.WaitGroup
 	for i, w := range workers {
@@ -854,27 +858,43 @@ func phaseCallTo[T any](ctx context.Context, c *Coordinator, workers []*ccWorker
 		go func(i int, w *ccWorker) {
 			defer wg.Done()
 			errs[i] = w.call(ctx, method, params(w), &results[i])
-			if errs[i] != nil {
-				once.Do(func() {
-					first = i
-					if jobName == "" {
-						return
-					}
-					cancelWG.Add(1)
-					go func() {
-						defer cancelWG.Done()
-						c.cancelJob(jobName)
-					}()
-				})
+			if errs[i] == nil {
+				return
 			}
+			mu.Lock()
+			failed = append(failed, i)
+			mu.Unlock()
+			once.Do(func() {
+				if jobName == "" {
+					return
+				}
+				cancelWG.Add(1)
+				go func() {
+					defer cancelWG.Done()
+					c.cancelJob(jobName)
+				}()
+			})
 		}(i, w)
 	}
 	wg.Wait()
 	cancelWG.Wait()
-	if first >= 0 {
-		return results, fmt.Errorf("worker %s: %w", workers[first].ctrl.RemoteAddr(), errs[first])
+	if len(failed) == 0 {
+		return results, nil
 	}
-	return results, nil
+	cause := failed[0]
+	for _, i := range failed {
+		if !isCancellation(errs[i]) {
+			cause = i
+			break
+		}
+	}
+	return results, fmt.Errorf("worker %s: %w", workers[cause].ctrl.RemoteAddr(), errs[cause])
+}
+
+// isCancellation says whether a call failed only because its phase was
+// canceled: here, or on the worker, whose reply carries the error's text.
+func isCancellation(err error) bool {
+	return errors.Is(err, context.Canceled) || strings.HasSuffix(err.Error(), context.Canceled.Error())
 }
 
 // cancelJob aborts a job's in-flight phase on every worker (best

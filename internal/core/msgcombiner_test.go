@@ -2,10 +2,17 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
+	"pregelix/internal/hyracks"
+	"pregelix/internal/operators"
 	"pregelix/internal/tuple"
 	"pregelix/pregel"
+	"pregelix/pregel/algorithms"
 )
 
 func doubleJob(c pregel.Combiner) *pregel.Job {
@@ -136,4 +143,153 @@ func BenchmarkMsgCombinerAdd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		acc = c.Add(acc, in)
 	}
+}
+
+// TestMsgCombinerOneMessageFold folds random message streams of the
+// algorithms' combiners through Add, under both group-by policies, in
+// memory and spilling, and compares every destination's message with a
+// fold of the decoded messages in arrival order: PageRank's sum (of
+// whole numbers, so that the order of the additions cannot show), SSSP's
+// and CC's minimum, FirstCombiner, and k-core's concatenation, whose
+// result outgrows its record. A list of other than one message is
+// corrupt under a combiner and must still panic.
+func TestMsgCombinerOneMessageFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	cases := []struct {
+		name string
+		job  *pregel.Job
+		msg  func() pregel.Value
+	}{
+		{"pagerank sum", doubleJob(algorithms.SumCombiner()), func() pregel.Value {
+			d := pregel.Double(rng.Intn(1000))
+			return &d
+		}},
+		{"sssp min", doubleJob(algorithms.MinDoubleCombiner()), func() pregel.Value {
+			d := pregel.Double(rng.Float64())
+			return &d
+		}},
+		{"cc min", &pregel.Job{Codec: pregel.Codec{NewMessage: pregel.NewInt64}, Combiner: algorithms.MinInt64Combiner()}, func() pregel.Value {
+			v := pregel.Int64(rng.Int63())
+			return &v
+		}},
+		{"first", &pregel.Job{Codec: pregel.Codec{NewMessage: pregel.NewInt64}, Combiner: algorithms.FirstCombiner()}, func() pregel.Value {
+			v := pregel.Int64(rng.Int63())
+			return &v
+		}},
+		{"kcore concat", &pregel.Job{Codec: pregel.Codec{NewMessage: pregel.NewVIDList}, Combiner: algorithms.VIDListConcatCombiner()}, func() pregel.Value {
+			l := make(pregel.VIDList, rng.Intn(3))
+			for i := range l {
+				l[i] = rng.Uint64()
+			}
+			return &l
+		}},
+	}
+	const n, vids = 20000, 3000
+	for _, c := range cases {
+		// The stream, and the reference: each destination's messages
+		// decoded and folded in arrival order.
+		frames := []*tuple.Frame{tuple.GetFrame()}
+		app := tuple.NewFrameAppender(frames[0])
+		want := map[uint64]pregel.Value{}
+		for i := 0; i < n; i++ {
+			vid, m := uint64(rng.Intn(vids)), c.msg()
+			payload := pregel.EncodeMsgList(m)
+			for !app.Append(tuple.EncodeUint64(vid), payload) {
+				frames = append(frames, tuple.GetFrame())
+				app.Reset(frames[len(frames)-1])
+			}
+			ms, err := c.job.Codec.DecodeMsgList(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if acc, ok := want[vid]; ok {
+				want[vid] = c.job.Combiner.Combine(acc, ms[0])
+			} else {
+				want[vid] = ms[0]
+			}
+		}
+		for _, kind := range []operators.GroupByKind{operators.HashSortGroupBy, operators.SortGroupBy} {
+			for _, opMem := range []int64{64 << 20, 64 << 10} {
+				what := fmt.Sprintf("%s, policy %d, %d bytes", c.name, kind, opMem)
+				got := foldMessages(t, c.job, kind, opMem, frames)
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d destinations, want %d", what, len(got), len(want))
+				}
+				for vid, m := range want {
+					if w := pregel.EncodeMsgList(m); !bytes.Equal(got[vid], w) {
+						t.Fatalf("%s: vid %d combined to %x, want %x", what, vid, got[vid], w)
+					}
+				}
+			}
+		}
+		for _, f := range frames {
+			tuple.PutFrame(f)
+		}
+	}
+
+	job := doubleJob(algorithms.SumCombiner())
+	one := func() []byte {
+		d := pregel.Double(1)
+		return pregel.EncodeMsgList(&d)
+	}
+	a, b := pregel.Double(1), pregel.Double(2)
+	two := pregel.EncodeMsgList(&a, &b)
+	overrun := one()
+	overrun[4]++ // the message claims a byte more than the list holds
+	trailing := append(one(), 0)
+	for name, bad := range map[string][]byte{"two messages": two, "length overrun": overrun, "trailing bytes": trailing, "empty list": pregel.EncodeMsgList()} {
+		for _, side := range []string{"accumulator", "tuple"} {
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "corrupt message list") {
+						t.Errorf("%s as the %s: Add panicked with %v, want a corrupt message list", name, side, r)
+					}
+				}()
+				key := tuple.EncodeUint64(1)
+				acc, in := tuple.Tuple{key, one()}, tuple.Tuple{key, bad}
+				if side == "accumulator" {
+					acc, in = tuple.Tuple{key, bad}, tuple.Tuple{key, one()}
+				}
+				newMsgCombiner(job).Add(acc, in)
+			}()
+		}
+	}
+}
+
+// foldMessages runs the message frames through a group-by of the given
+// policy and operator memory with the job's msgCombiner, and returns
+// each destination's combined payload.
+func foldMessages(t *testing.T, job *pregel.Job, kind operators.GroupByKind, opMem int64, frames []*tuple.Frame) map[uint64][]byte {
+	t.Helper()
+	node, err := hyracks.NewNodeController("n", t.TempDir(), hyracks.NodeConfig{PageSize: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := &hyracks.TaskContext{
+		Ctx: context.Background(), Node: node, JobName: "fold", OperatorID: "gb-local",
+		NumPartitions: 1, OperatorMem: opMem,
+	}
+	got := map[uint64][]byte{}
+	sink := &hyracks.FuncRuntime{OnRef: func(_ *hyracks.BaseRuntime, r tuple.TupleRef) error {
+		vid := tuple.DecodeUint64(r.Field(0))
+		if _, dup := got[vid]; dup {
+			return fmt.Errorf("vid %d emitted twice", vid)
+		}
+		got[vid] = append([]byte(nil), r.Field(1)...)
+		return nil
+	}}
+	gb := operators.NewGroupByRuntime(tc, kind, newMsgCombiner(job))
+	gb.SetOutputs([]hyracks.FrameWriter{sink})
+	if err := gb.Open(); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range frames {
+		if err := gb.NextFrame(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := gb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return got
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -41,7 +44,8 @@ func (l *peerLog) snapshot() []peerCall {
 // partition and everything else succeeds with no reply; reply gives a
 // verb something to answer with, fail makes a verb answer with an error
 // and die makes it drop the connection instead of answering, the way a
-// crashed worker does.
+// crashed worker does; hold makes a verb wait until its channel closes
+// before it does any of that.
 type scriptedPeer struct {
 	name string // also its data address, which is how tests find its ccWorker
 	ctrl *wire.ControlConn
@@ -51,6 +55,7 @@ type scriptedPeer struct {
 	reply map[string]any
 	fail  map[string]error
 	die   map[string]bool
+	hold  map[string]chan struct{}
 }
 
 // startScriptedPeer registers one scripted peer and waits until the
@@ -71,7 +76,7 @@ func registerScriptedPeer(t *testing.T, coord *Coordinator, regMsg registerMsg, 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ctrl.Close() })
-	p := &scriptedPeer{name: name, ctrl: ctrl, log: log, reply: map[string]any{}, fail: map[string]error{}, die: map[string]bool{}}
+	p := &scriptedPeer{name: name, ctrl: ctrl, log: log, reply: map[string]any{}, fail: map[string]error{}, die: map[string]bool{}, hold: map[string]chan struct{}{}}
 	reg, _ := json.Marshal(regMsg)
 	if err := ctrl.Send(wire.Envelope{ID: 1, Method: "register", Data: reg}); err != nil {
 		t.Fatal(err)
@@ -97,6 +102,12 @@ func registerScriptedPeer(t *testing.T, coord *Coordinator, regMsg registerMsg, 
 func (p *scriptedPeer) handle(method string, data json.RawMessage) (any, error) {
 	if method != rpcHeartbeat && method != rpcPing {
 		p.log.add(peerCall{peer: p.name, method: method, data: data})
+	}
+	p.mu.Lock()
+	hold := p.hold[method]
+	p.mu.Unlock()
+	if hold != nil {
+		<-hold
 	}
 	p.mu.Lock()
 	reply, err, die := p.reply[method], p.fail[method], p.die[method]
@@ -136,4 +147,51 @@ func (c *Coordinator) workerAt(dataAddr string) *ccWorker {
 		}
 	}
 	return nil
+}
+
+// TestPhaseCallNamesTheDeadWorker: a worker dies in the middle of a
+// phase, and the survivor, whose phase the death canceled under it,
+// answers "context canceled" before the dead worker's connection error
+// comes in. The phase's failure must name the dead worker, not the
+// survivor that answered first.
+func TestPhaseCallNamesTheDeadWorker(t *testing.T) {
+	coord, err := NewCoordinator(CoordinatorConfig{ListenAddr: "127.0.0.1:0", Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+	log := &peerLog{}
+	survivor := startScriptedPeer(t, coord, "a", 1, false, log)
+	dying := startScriptedPeer(t, coord, "b", 1, false, log)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := coord.WaitReady(ctx); err != nil {
+		t.Fatal(err)
+	}
+	want := "worker " + coord.workerAt("b").ctrl.RemoteAddr() + ": "
+
+	survivor.mu.Lock()
+	survivor.fail[rpcSuperstep] = errors.New("core: pr@j1 superstep 4: context canceled")
+	survivor.mu.Unlock()
+	release := make(chan struct{})
+	dying.mu.Lock()
+	dying.hold[rpcSuperstep], dying.die[rpcSuperstep] = release, true
+	dying.mu.Unlock()
+	// The dying worker drops its connection once the survivor's failure
+	// is in, which the cancellation wave it starts shows.
+	go func() {
+		defer close(release)
+		for ctx.Err() == nil {
+			for _, c := range log.snapshot() {
+				if c.method == rpcJobCancel {
+					return
+				}
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	_, err = phaseCall[struct{}](ctx, coord, "pr@j1", rpcSuperstep, struct{}{})
+	if err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("the phase failed with %v, want the dead worker's failure (%q...)", err, want)
+	}
 }

@@ -267,22 +267,27 @@ func groupByKind(job *pregel.Job) operators.GroupByKind {
 // the same destination are concatenated (the default "gather into a
 // list" combine of the paper's footnote 4).
 //
-// One msgCombiner serves one group-by task: it decodes into message
-// Values it keeps, and an accumulator's payload is the accumulator's to
-// write, so that a combine is Unmarshal, Combine and Marshal over the old
-// payload, in place, with no allocation. The group-bys hand First the
-// bytes that stay with the group, each field cut at its length: their own
-// record under the hash policy, which is where the fold then happens.
+// With a combiner every list holds exactly one message: SendMessage
+// writes one, and Add returns one. One msgCombiner serves one group-by
+// task: it decodes the two messages of a fold into two Values it keeps,
+// and an accumulator's payload is the accumulator's to write, so that a
+// combine is Unmarshal, Combine and Marshal over the old message, in
+// place, with no allocation. The group-bys hand First the bytes that stay
+// with the group, each field cut at its length: their own record under
+// the hash policy, which is where the fold then happens.
 type msgCombiner struct {
-	codec   *pregel.Codec
 	combine pregel.Combiner
-	// av and bv are the decoded lists of the accumulator and of the
-	// tuple folded into it, reused from Add to Add.
-	av, bv []pregel.Value
+	// a and b are the messages of the accumulator and of the tuple
+	// folded into it, reused from Add to Add.
+	a, b pregel.Value
 }
 
 func newMsgCombiner(job *pregel.Job) *msgCombiner {
-	return &msgCombiner{codec: &job.Codec, combine: job.Combiner}
+	c := &msgCombiner{combine: job.Combiner}
+	if c.combine != nil {
+		c.a, c.b = job.Codec.NewMessage(), job.Codec.NewMessage()
+	}
+	return c
 }
 
 // First returns its argument. Only a payload with spare capacity, which
@@ -300,26 +305,31 @@ func (c *msgCombiner) Add(acc, t tuple.Tuple) tuple.Tuple {
 		acc[1] = pregel.AppendMsgLists(acc[1], t[1])
 		return acc
 	}
-	var err error
-	if c.av, err = c.codec.DecodeMsgListInto(c.av, acc[1]); err == nil {
-		c.bv, err = c.codec.DecodeMsgListInto(c.bv, t[1])
-	}
-	if err != nil {
+	if err := c.a.Unmarshal(oneMessage(acc[1])); err != nil {
 		panic(fmt.Sprintf("pregelix: corrupt message list: %v", err))
 	}
-	var m pregel.Value
-	for _, list := range [2][]pregel.Value{c.av, c.bv} {
-		for _, x := range list {
-			if m == nil {
-				m = x
-			} else {
-				m = c.combine.Combine(m, x)
-			}
-		}
+	if err := c.b.Unmarshal(oneMessage(t[1])); err != nil {
+		panic(fmt.Sprintf("pregelix: corrupt message list: %v", err))
 	}
-	// Everything was decoded above, so the old payload can be overwritten.
-	acc[1] = pregel.AppendMsgList(acc[1][:0], m)
+	// Both messages are decoded, so the old one can be overwritten: a
+	// result of its size lands in place, a longer one in a new payload
+	// (the capacity is cut at the length, for the accumulator owns its
+	// payload's bytes only), a shorter one in front. The list keeps its
+	// count of one; its length is the result's.
+	l := c.combine.Combine(c.a, c.b).Marshal(acc[1][:8:len(acc[1])])
+	binary.LittleEndian.PutUint32(l[4:], uint32(len(l)-8))
+	acc[1] = l
 	return acc
+}
+
+// oneMessage returns the bytes of the one message of list l (u32 count
+// of 1, u32 length, the bytes: pregel.AppendMsgList of one message).
+// Under a combiner any other list is corrupt.
+func oneMessage(l []byte) []byte {
+	if len(l) < 8 || binary.LittleEndian.Uint32(l) != 1 || uint64(binary.LittleEndian.Uint32(l[4:])) != uint64(len(l)-8) {
+		panic(fmt.Sprintf("pregelix: corrupt message list: %d bytes are not a list of one message", len(l)))
+	}
+	return l[8:]
 }
 
 // newMsgSink writes the combined, vid-sorted message stream to the

@@ -60,8 +60,9 @@ func RunJobWith(ctx context.Context, cluster *Cluster, spec *JobSpec, opts ExecO
 //
 // A round builds its runtimes afresh from the operator descriptors, so
 // no state passes from one round to the next but what the operators
-// keep themselves. Rounds run one at a time, and Close must not overlap
-// one. A failed round leaves the plan ready for another.
+// keep themselves, or leave in their TaskContext's Carry. Rounds run one
+// at a time, and Close must not overlap one. A failed round leaves the
+// plan ready for another.
 type Plan struct {
 	spec   *JobSpec
 	opts   ExecOptions

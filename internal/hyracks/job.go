@@ -52,6 +52,11 @@ type TaskContext struct {
 	RunDir string
 	// ioCounter attributes temp-file I/O to the owning job (may be nil).
 	ioCounter *atomic.Int64
+	// Carry is what a runtime leaves for the same operator instance's
+	// next round: a Plan keeps each instance's TaskContext from round to
+	// round, and only that instance's task touches it. It is nil on a
+	// fresh plan.
+	Carry any
 }
 
 // AddIOBytes records temp-file I/O against both the machine (cluster

@@ -190,6 +190,8 @@ type spillingGroupBy struct {
 	sorter     keySorter
 	entryBytes int64
 	live       int
+	// peak is the most groups the table held at once this round.
+	peak int
 
 	// Fold headers: the accumulator's fields and the folded tuple's.
 	head, scratch tuple.Tuple
@@ -219,7 +221,62 @@ const minSortEntries = 16
 func (g *spillingGroupBy) Open() error {
 	cap := g.tc.OperatorMem
 	g.budget = g.tc.Node.RAM.Child("groupby-"+g.tc.OperatorID+"-p"+strconv.Itoa(g.tc.Partition), cap)
+	if g.table {
+		g.takeTable()
+	}
 	return g.OpenOutputs()
+}
+
+// carriedTable is the table a hash group-by hands, emptied, to the same
+// task's next round through its TaskContext's Carry, so that a round of
+// as many groups as the last does not grow its table again from
+// minSortEntries slots.
+type carriedTable struct {
+	entries []sortEntry // nil when no table is handed on
+	// need is how many slots the handing round's most groups at once
+	// needed: the fewest, at least minSortEntries, of which they take at
+	// most 3/4.
+	need int
+}
+
+// takeTable starts the table with the one the task's last round left, if
+// the budget takes it; else the first insert takes minSortEntries slots,
+// as on a fresh plan.
+func (g *spillingGroupBy) takeTable() {
+	c, _ := g.tc.Carry.(*carriedTable)
+	if c == nil {
+		return
+	}
+	es := c.entries
+	c.entries = nil
+	if n := int64(cap(es)) * sortEntryBytes; n > 0 && g.budget.TryAllocate(n) {
+		g.sorter.entries, g.entryBytes = es, n
+		g.sorter.free()
+	}
+}
+
+// handOn leaves the table for the task's next round if this round or the
+// one before it needed as many slots: one round of few groups between
+// rounds of many keeps it, and a run of such rounds drops it at its
+// second, so that they do not go on clearing a table they do not fill.
+func (g *spillingGroupBy) handOn() {
+	es := g.sorter.entries
+	if !g.table || cap(es) == 0 {
+		return
+	}
+	c, _ := g.tc.Carry.(*carriedTable)
+	if c == nil {
+		c = &carriedTable{}
+		g.tc.Carry = c
+	}
+	need := minSortEntries
+	for 4*g.peak > 3*need {
+		need *= 2
+	}
+	if cap(es) <= max(need, c.need) {
+		c.entries = es
+	}
+	c.need = need
 }
 
 func (g *spillingGroupBy) NextFrame(f *tuple.Frame) error {
@@ -344,6 +401,10 @@ func (g *spillingGroupBy) fold(r tuple.TupleRef) error {
 	g.scratch = r.AppendFieldsTo(g.scratch[:0])
 	key := g.scratch[0]
 	k := keyPrefix(key)
+	// While every key in the table is 8 bytes, as a vid is, an 8-byte key
+	// whose normalized key a slot holds is that slot's key: the entry
+	// decides, and the record's key is not read.
+	exact := len(key) == 8 && !g.sorter.wide && g.sorter.keyLen == 8
 	es := g.sorter.entries
 	for i := slotOf(k, len(es)); len(es) > 0 && es[i].frame != 0; i = (i + 1) & (len(es) - 1) {
 		if es[i].key != k {
@@ -351,7 +412,7 @@ func (g *spillingGroupBy) fold(r tuple.TupleRef) error {
 		}
 		rec := g.ref(es[i])
 		g.head = rec.AppendFieldsTo(g.head[:0])
-		if bytes.Equal(g.head[0], key) {
+		if exact || bytes.Equal(g.head[0], key) {
 			return g.keep(i, rec, g.combiner.Add(g.head, g.scratch))
 		}
 	}
@@ -381,6 +442,7 @@ func (g *spillingGroupBy) insert(k uint64, keyLen int, r tuple.TupleRef, t tuple
 	g.sorter.entries[i] = sortEntry{k, uint32(len(g.frames)), off}
 	g.sorter.observe(k, keyLen)
 	g.live++
+	g.peak = max(g.peak, g.live)
 	return i, nil
 }
 
@@ -515,6 +577,7 @@ func (g *spillingGroupBy) cleanup() {
 		g.file = nil
 	}
 	g.runs = nil
+	g.handOn()
 	g.sorter = keySorter{}
 	g.entryBytes = 0
 	g.releaseMem()

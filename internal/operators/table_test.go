@@ -379,3 +379,166 @@ func TestHashGroupByFailureReturnsEverything(t *testing.T) {
 		}
 	}
 }
+
+// sumHere sums 8-byte payloads into the accumulator's payload, which is
+// First's argument: under the hash policy the group's own record, so
+// that a fold allocates nothing.
+type sumHere struct{}
+
+func (sumHere) First(t tuple.Tuple) tuple.Tuple { return t }
+
+func (sumHere) Add(acc, t tuple.Tuple) tuple.Tuple {
+	binary.BigEndian.PutUint64(acc[1], binary.BigEndian.Uint64(acc[1])+binary.BigEndian.Uint64(t[1]))
+	return acc
+}
+
+// sumFrames packs n (8-byte vid, 8-byte count) tuples over the given
+// number of distinct vids, in random order.
+func sumFrames(tb testing.TB, seed int64, n, vids int) []*tuple.Frame {
+	rng := rand.New(rand.NewSource(seed))
+	ts := make([]tuple.Tuple, n)
+	for i := range ts {
+		ts[i] = tuple.Tuple{tuple.EncodeUint64(uint64(rng.Intn(vids))), tuple.EncodeUint64(uint64(rng.Intn(1000)))}
+	}
+	return packFrames(tb, ts)
+}
+
+// TestHashGroupByCarriesTable runs one task's hash group-by for three
+// rounds over one TaskContext, as a Plan runs an operator instance from
+// superstep to superstep: many groups, then few, then many. Every round
+// must emit what the sort policy emits and leave nothing on its budget,
+// and the third must not grow its table again. At the 64 KiB carve the
+// node has no room left for the table the first round hands on, and the
+// second, which must drop it and start small, must still group exactly.
+func TestHashGroupByCarriesTable(t *testing.T) {
+	rounds := [][]*tuple.Frame{
+		sumFrames(t, 1, 60000, 20000), // 20000 groups: a table of 32768 slots
+		sumFrames(t, 2, 300, 100),
+		sumFrames(t, 3, 60000, 20000),
+	}
+	defer func() {
+		for _, in := range rounds {
+			putFrames(in)
+		}
+	}()
+	var want [3][]tuple.Tuple
+	for i, in := range rounds {
+		ref := NewGroupByRuntime(testContext(t, 64<<20), SortGroupBy, sumHere{})
+		sink := &collectWriter{}
+		ref.SetOutputs([]hyracks.FrameWriter{sink})
+		if err := ref.Open(); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range in {
+			if err := ref.NextFrame(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ref.Close(); err != nil {
+			t.Fatal(err)
+		}
+		want[i] = sink.out
+	}
+
+	// round runs the group-by once over in; opened, if given, sees it
+	// right after Open.
+	round := func(tc *hyracks.TaskContext, in []*tuple.Frame, sink *collectWriter, opened func(*spillingGroupBy)) *spillingGroupBy {
+		t.Helper()
+		g := NewGroupByRuntime(tc, HashSortGroupBy, sumHere{}).(*spillingGroupBy)
+		g.SetOutputs([]hyracks.FrameWriter{sink})
+		if err := g.Open(); err != nil {
+			t.Fatal(err)
+		}
+		if opened != nil {
+			opened(g)
+		}
+		for _, f := range in {
+			if err := g.NextFrame(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := g.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if used := g.budget.Used(); used != 0 {
+			t.Fatalf("%d bytes still on the budget after the round", used)
+		}
+		return g
+	}
+
+	// handedOn is the slots of the table the last round left for the next.
+	handedOn := func(tc *hyracks.TaskContext) int {
+		c, _ := tc.Carry.(*carriedTable)
+		if c == nil {
+			return 0
+		}
+		return cap(c.entries)
+	}
+
+	t.Run("carve=64MiB", func(t *testing.T) {
+		tc := testContext(t, 64<<20)
+		tables := []int{32768, 32768, 32768} // the sparse round keeps the dense one's table
+		for i, in := range rounds {
+			sink := &collectWriter{}
+			round(tc, in, sink, nil)
+			checkSame(t, fmt.Sprintf("round %d", i+1), sink.out, want[i])
+			if got := handedOn(tc); got != tables[i] {
+				t.Fatalf("round %d hands on a table of %d slots, want %d", i+1, got, tables[i])
+			}
+		}
+		// Two sparse rounds in a row: the second drops the table.
+		round(tc, rounds[1], &collectWriter{discard: true}, nil)
+		round(tc, rounds[1], &collectWriter{discard: true}, nil)
+		if got := handedOn(tc); got != 0 {
+			t.Fatalf("the second sparse round hands on a table of %d slots", got)
+		}
+		if raceEnabled {
+			return // the race detector's frame pool drops frames
+		}
+		round(tc, rounds[0], &collectWriter{discard: true}, nil)
+		sink := &collectWriter{discard: true}
+		// After a dense round: a sparse round and a dense one. They take
+		// 43 allocations, the frame slice's doublings and the fold headers
+		// among them; starting their tables at 16 slots again would take
+		// 4 + 12 more, the first table and each doubling (59 to 62 in all).
+		allocs := testing.AllocsPerRun(3, func() {
+			round(tc, rounds[1], sink, nil)
+			round(tc, rounds[2], sink, nil)
+		})
+		if allocs >= 52 {
+			t.Fatalf("a sparse round and a dense one after a dense one allocate %.0f times, want under 52", allocs)
+		}
+		t.Logf("a sparse round and a dense one: %.0f allocations", allocs)
+	})
+
+	t.Run("carve=64KiB", func(t *testing.T) {
+		node, err := hyracks.NewNodeController("n", t.TempDir(), hyracks.NodeConfig{PageSize: 1024, RAMBytes: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc := &hyracks.TaskContext{
+			Ctx: context.Background(), Node: node, JobName: "test", OperatorID: "gb", RunDir: "job",
+			NumPartitions: 1, OperatorMem: 64 << 10,
+		}
+		sink := &collectWriter{}
+		round(tc, rounds[0], sink, nil)
+		checkSame(t, "round 1", sink.out, want[0])
+		carried := handedOn(tc)
+		// Everything of the node's RAM but 24 KiB is taken: less than the
+		// table handed on.
+		hold := node.RAM.Remaining() - 24<<10
+		if int64(carried)*sortEntryBytes <= 24<<10 || !node.RAM.TryAllocate(hold) {
+			t.Fatalf("cannot hold back a table of %d slots", carried)
+		}
+		defer node.RAM.Release(hold)
+		for i, in := range rounds[1:] {
+			sink := &collectWriter{}
+			round(tc, in, sink, func(g *spillingGroupBy) {
+				if n := cap(g.sorter.entries); i == 0 && n != 0 {
+					t.Fatalf("round 2 opened with a table of %d slots the budget cannot hold", n)
+				}
+			})
+			checkSame(t, fmt.Sprintf("round %d", i+2), sink.out, want[i+1])
+		}
+	})
+}

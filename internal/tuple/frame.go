@@ -225,7 +225,8 @@ func (r TupleRef) AppendFieldsTo(dst Tuple) Tuple {
 // Overwrite copies t's fields over the record's if t has as many fields
 // as the record and each is as long as the record's, and reports whether
 // it did: the one write in place open to the owner of a frame. t's fields
-// may be the record's own.
+// may be the record's own: a field that is the record's own bytes, which
+// a fold that wrote its result in place hands back, is not copied.
 func (r TupleRef) Overwrite(t Tuple) bool {
 	buf := r.f.buf
 	n := r.FieldCount()
@@ -241,7 +242,10 @@ func (r TupleRef) Overwrite(t Tuple) bool {
 		return false
 	}
 	for _, f := range t {
-		at += copy(buf[at:], f)
+		if len(f) > 0 && &f[0] != &buf[at] {
+			copy(buf[at:], f)
+		}
+		at += len(f)
 	}
 	return true
 }

@@ -413,6 +413,17 @@ func TestTupleAtAndOverwrite(t *testing.T) {
 		t.Fatal("Overwrite refused a tuple of the record's shape")
 	}
 	tuples[0] = Tuple{EncodeUint64(1), []byte("HELLO")}
+	// Every field the record's own view, as a fold that wrote its result
+	// in place hands it back: taken, and the bytes written stay.
+	own := Tuple{r.Field(0), r.Field(1)}
+	copy(own[1], "JELLO")
+	if !r.Overwrite(own) {
+		t.Fatal("Overwrite refused the record's own fields")
+	}
+	checkTuple(t, r, Tuple{EncodeUint64(1), []byte("JELLO")})
+	if !r.Overwrite(Tuple{r.Field(0), []byte("HELLO")}) {
+		t.Fatal("Overwrite refused a tuple of the record's shape")
+	}
 	if !f.TupleAt(offs[1]).Overwrite(Tuple{}) {
 		t.Fatal("Overwrite refused the empty tuple over the empty record")
 	}
