@@ -69,6 +69,16 @@ func parityGraph() *graphgen.Graph { return graphgen.Webmap(4000, 6, 5) }
 // the dump and the bytes its supersteps moved to and from disk.
 func parityRuntime(t *testing.T, g *graphgen.Graph, s paritySpec, opMem int64) ([]byte, *JobStats) {
 	t.Helper()
+	job, err := buildParityJob("parity", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runParityJob(t, g, job, opMem)
+}
+
+// runParityJob is parityRuntime for a job already built.
+func runParityJob(t *testing.T, g *graphgen.Graph, job *pregel.Job, opMem int64) ([]byte, *JobStats) {
+	t.Helper()
 	rt, err := NewRuntime(Options{
 		BaseDir: t.TempDir(), Nodes: 2, PartitionsPerNode: 2,
 		NodeConfig: hyracks.NodeConfig{OperatorMemBytes: opMem},
@@ -78,13 +88,9 @@ func parityRuntime(t *testing.T, g *graphgen.Graph, s paritySpec, opMem int64) (
 	}
 	defer rt.Close()
 	putGraph(t, rt, "/in/g", g)
-	job, err := buildParityJob("parity", s)
-	if err != nil {
-		t.Fatal(err)
-	}
 	stats, err := rt.Run(context.Background(), job)
 	if err != nil {
-		t.Fatalf("%+v at %d bytes: %v", s, opMem, err)
+		t.Fatalf("%s under %v/%v at %d bytes: %v", job.Name, job.GroupBy, job.Connector, opMem, err)
 	}
 	out, err := rt.DFS.ReadFile(job.OutputPath)
 	if err != nil {
@@ -239,9 +245,10 @@ func TestGroupByHintsAgreeExactly(t *testing.T) {
 
 // BenchmarkMsgCombineSender is one sender's superstep of PageRank on the
 // 30k-vertex Webmap on two partitions, from SendMessage to what leaves
-// gb-local: 120k messages to 30k destinations, combined under the job's
-// own group-by hint at the 4 MiB of operator memory the benchmark's
-// workloads have (RAM/16).
+// gb-local: 120k messages to 30k destinations, handed to gb-local as
+// computeSource.run hands them and combined under the sender policy the
+// superstep plan gives the job, at the 4 MiB of operator memory the
+// benchmark's workloads have (RAM/16).
 func BenchmarkMsgCombineSender(b *testing.B) {
 	const vertices, degree, parts = 30000, 8, 2
 	g := graphgen.Webmap(vertices, degree, 1)
@@ -254,7 +261,7 @@ func BenchmarkMsgCombineSender(b *testing.B) {
 		}
 	}
 	job := algorithms.NewPageRankJob("bench", "", "", 1)
-	kind := groupByKind(job)
+	kind := senderKind(job)
 	node, err := hyracks.NewNodeController("n", b.TempDir(), hyracks.NodeConfig{PageSize: 4096})
 	if err != nil {
 		b.Fatal(err)
@@ -274,7 +281,10 @@ func BenchmarkMsgCombineSender(b *testing.B) {
 		if err := src.OpenOutputs(); err != nil {
 			b.Fatal(err)
 		}
-		ctx := &computeCtx{src: src}
+		ctx, err := src.newComputeCtx()
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, d := range dests {
 			ctx.SendMessage(d, &rank)
 		}

@@ -172,16 +172,16 @@ func (rs *runState) buildSuperstepJob() *hyracks.JobSpec {
 		},
 	})
 
-	// Message combination: sender-side group-by fused with compute,
-	// then redistribution, then receiver-side group-by fused into the
-	// per-partition Msg file writer.
-	gbKind := groupByKind(rs.job)
+	// Message combination: sender-side group-by fused with compute (its
+	// messages are handed to it one by one), then redistribution, then
+	// receiver-side group-by fused into the per-partition Msg file writer.
+	gbKind, sendKind := groupByKind(rs.job), senderKind(rs.job)
 	spec.AddOp(&hyracks.OperatorDesc{
 		ID:         "gb-local",
 		Partitions: p,
 		Locations:  locs,
 		NewRuntime: func(tc *hyracks.TaskContext) (hyracks.PushRuntime, error) {
-			return operators.NewGroupByRuntime(tc, gbKind, newMsgCombiner(rs.job)), nil
+			return operators.NewGroupByRuntime(tc, sendKind, newMsgCombiner(rs.job)), nil
 		},
 	})
 	spec.Connect(&hyracks.ConnectorDesc{From: "compute", FromPort: portMsgs, To: "gb-local", Type: hyracks.OneToOne})
@@ -260,6 +260,19 @@ func groupByKind(job *pregel.Job) operators.GroupByKind {
 		return operators.HashSortGroupBy
 	}
 	return operators.SortGroupBy
+}
+
+// senderKind is the group-by policy of gb-local: groupByKind's, except
+// that a table whose output goes through the partitioning connector,
+// which does not keep its order, to a receiver that groups again is
+// drained unsorted. The merging connector needs its senders' output in
+// key order.
+func senderKind(job *pregel.Job) operators.GroupByKind {
+	kind := groupByKind(job)
+	if kind == operators.HashSortGroupBy && job.Connector == pregel.UnmergeConnector {
+		return operators.UnorderedHashGroupBy
+	}
+	return kind
 }
 
 // msgCombiner adapts the job's message combiner to the tuple level.
@@ -617,9 +630,11 @@ func (c *computeSource) run(ctx context.Context) error {
 	defer vids.abort()
 
 	c.dec = rs.codec.NewVertexDecoder()
-	cc := &computeCtx{rs: rs, src: c, ss: c.ss}
+	cc, err := c.newComputeCtx()
+	if err != nil {
+		return err
+	}
 	ps.liveVertices = 0
-	cc.haltAll = true
 
 	emit := func(vid, msgPayload, vertexBytes []byte) error {
 		if err := ctx.Err(); err != nil {
@@ -628,7 +643,6 @@ func (c *computeSource) run(ctx context.Context) error {
 		return c.processVertex(cc, ps, updates, vids, vid, msgPayload, vertexBytes)
 	}
 
-	var err error
 	if c.cur, err = ps.vertexIdx.ScanFrom(nil); err != nil {
 		return err
 	}
@@ -784,6 +798,13 @@ func (c *computeSource) processVertex(cc *computeCtx, ps *partitionState,
 	return nil
 }
 
+// messageTable is the sender-side group-by as SendMessage sees it: it
+// takes one (vid, message list) tuple at a time and keeps none of its
+// bytes.
+type messageTable interface {
+	AddFields(t tuple.Tuple) error
+}
+
 // computeCtx implements pregel.Context for one partition task.
 type computeCtx struct {
 	rs  *runState
@@ -795,7 +816,29 @@ type computeCtx struct {
 	vertexSent int
 	err        error
 
-	msgBuf []byte // SendMessage's encoding buffer; EmitFields copies out of it
+	// msgs is the group-by on the message port, nil when that port is
+	// unconnected. SendMessage encodes into vid and msgBuf and hands msg, a
+	// header over the two, straight to it.
+	msgs   messageTable
+	vid    [8]byte
+	msgBuf []byte
+	msg    tuple.Tuple
+}
+
+// newComputeCtx is the context the task's Compute calls run under. Its
+// messages go to the runtime on the message port, which is the sender's
+// group-by; with no port connected they are dropped.
+func (c *computeSource) newComputeCtx() (*computeCtx, error) {
+	cc := &computeCtx{rs: c.rs, src: c, ss: c.ss, haltAll: true}
+	cc.msg = tuple.Tuple{cc.vid[:], nil}
+	if portMsgs < len(c.Outs) {
+		gb, ok := c.Outs[portMsgs].(messageTable)
+		if !ok {
+			return nil, fmt.Errorf("pregelix: the message port feeds %T, not a group-by", c.Outs[portMsgs])
+		}
+		cc.msgs = gb
+	}
+	return cc, nil
 }
 
 func (c *computeCtx) Superstep() int64   { return c.ss }
@@ -817,13 +860,16 @@ func (c *computeCtx) GlobalAggregate() pregel.Value {
 func (c *computeCtx) Config(key string) string { return c.rs.job.Config[key] }
 
 func (c *computeCtx) SendMessage(to pregel.VertexID, m pregel.Value) {
-	var vid [8]byte
-	binary.BigEndian.PutUint64(vid[:], uint64(to))
+	binary.BigEndian.PutUint64(c.vid[:], uint64(to))
 	c.msgBuf = pregel.AppendMsgList(c.msgBuf[:0], m)
-	if err := c.src.EmitFields(portMsgs, vid[:], c.msgBuf); err != nil && c.err == nil {
+	c.vertexSent++
+	if c.msgs == nil {
+		return
+	}
+	c.msg[1] = c.msgBuf
+	if err := c.msgs.AddFields(c.msg); err != nil && c.err == nil {
 		c.err = err
 	}
-	c.vertexSent++
 }
 
 func (c *computeCtx) Aggregate(v pregel.Value) {

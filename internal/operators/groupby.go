@@ -1,8 +1,12 @@
 // Package operators provides the data-parallel relational operators
 // Pregelix composes into physical plans: an external sort, the three
 // group-by implementations of Section 4 (sort-based, HashSort, and
-// preclustered), index-based outer joins, and helpers for two-stage
-// global aggregation.
+// preclustered) plus HashSort's table drained in no particular order for
+// a consumer that hashes its input again, index-based outer joins, and
+// helpers for two-stage global aggregation. The sort, the sort-based
+// group-by and HashSort emit in key order; the preclustered group-by in
+// input order; the unordered table in the order of its buffer unless it
+// spilled, and then in key order.
 //
 // All operators are out-of-core capable: they meter their buffers against
 // the task's operator-memory budget and spill sorted runs, when it is
@@ -72,19 +76,29 @@ const (
 	// PreclusteredGroupBy assumes input already clustered by key and
 	// aggregates in a single streaming pass with O(1) state.
 	PreclusteredGroupBy
+	// UnorderedHashGroupBy is HashSortGroupBy for a consumer that does not
+	// need key order, such as a partitioning connector into a hashing
+	// receiver: when nothing spilled, its records leave unsorted.
+	UnorderedHashGroupBy
 )
 
 // NewGroupByRuntime builds a group-by PushRuntime of the given kind.
 // combiner may be nil, in which case the operator degenerates to an
-// external sort (SortGroupBy/HashSortGroupBy) or a no-op pass-through
-// (PreclusteredGroupBy). Output is emitted on port 0 in ascending key
-// order for the sorting kinds, and in input order for preclustered.
+// external sort (SortGroupBy, HashSortGroupBy, UnorderedHashGroupBy) or a
+// no-op pass-through (PreclusteredGroupBy). Output is emitted on port 0:
+// in ascending key order by SortGroupBy and HashSortGroupBy (and by
+// UnorderedHashGroupBy without a combiner, or once it has spilled), in
+// input order by PreclusteredGroupBy, and otherwise by
+// UnorderedHashGroupBy in no order the caller may rely on, each key once.
+//
+// The runtime of every kind but PreclusteredGroupBy also takes tuples one
+// at a time from their fields, with no frame between (AddFields).
 func NewGroupByRuntime(tc *hyracks.TaskContext, kind GroupByKind, combiner Combiner) hyracks.PushRuntime {
 	switch kind {
 	case PreclusteredGroupBy:
 		return newPreclusteredGroupBy(combiner)
-	case HashSortGroupBy:
-		return &spillingGroupBy{tc: tc, combiner: combiner, table: combiner != nil}
+	case HashSortGroupBy, UnorderedHashGroupBy:
+		return &spillingGroupBy{tc: tc, combiner: combiner, table: combiner != nil, unordered: kind == UnorderedHashGroupBy}
 	default:
 		return &spillingGroupBy{tc: tc, combiner: combiner}
 	}
@@ -169,20 +183,25 @@ func (f *folder) flush() error {
 // distinct key: the entry slice, at full length, is an open-addressing
 // table (linear probing, a power of two of slots, at most 3/4 of them
 // taken), a tuple whose key has a slot is folded into that group's record
-// at once, and what is drained is folded already.
+// at once, and what is drained is folded already. An unordered table that
+// never spilled drains without sorting.
 type spillingGroupBy struct {
 	hyracks.BaseRuntime
 	tc       *hyracks.TaskContext
 	combiner Combiner
 	table    bool
+	// unordered says that the table's output need not be in key order.
+	unordered bool
 
 	budget *memory.Budget
 
 	// The buffer: owned packed frames; the sorter's entries say where each
 	// record is. Under the hash policy a record whose accumulator changed
-	// length stays behind as garbage until the buffer is released.
-	frames []*tuple.Frame
-	app    tuple.FrameAppender
+	// length stays behind as garbage until the buffer is released, and
+	// superseded says that one did.
+	frames     []*tuple.Frame
+	app        tuple.FrameAppender
+	superseded bool
 
 	// sorter holds one entry per buffered tuple, or the table, live of
 	// whose slots are taken. Its slice is kept from spill to spill and is
@@ -281,16 +300,24 @@ func (g *spillingGroupBy) handOn() {
 
 func (g *spillingGroupBy) NextFrame(f *tuple.Frame) error {
 	for i := 0; i < f.Len(); i++ {
-		if err := g.add(f.Tuple(i)); err != nil {
+		if err := g.add(f.Tuple(i), nil); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (g *spillingGroupBy) add(r tuple.TupleRef) error {
+// AddFields takes one tuple from its fields, as NextFrame takes each
+// tuple of a frame: it is folded into its group's record or buffered, so
+// the caller may reuse the fields once it returns.
+func (g *spillingGroupBy) AddFields(t tuple.Tuple) error {
+	return g.add(tuple.TupleRef{}, t)
+}
+
+// add takes the next tuple: r, or the fields t if t is not nil.
+func (g *spillingGroupBy) add(r tuple.TupleRef, t tuple.Tuple) error {
 	if g.table {
-		return g.fold(r)
+		return g.fold(r, t)
 	}
 	// An entry slot first (making room may spill, which also empties the
 	// frames), then the packed record into the operator's own frames.
@@ -303,11 +330,17 @@ func (g *spillingGroupBy) add(r tuple.TupleRef) error {
 			}
 		}
 	}
-	off, err := g.buffer(r, nil)
+	var key []byte
+	if t != nil {
+		key = t[0]
+	} else {
+		key = r.Field(0)
+	}
+	off, err := g.buffer(r, t)
 	if err != nil {
 		return err
 	}
-	g.sorter.add(r.Field(0), uint32(len(g.frames)), off)
+	g.sorter.add(key, uint32(len(g.frames)), off)
 	return nil
 }
 
@@ -338,7 +371,7 @@ func (g *spillingGroupBy) growEntries(n int, must bool) bool {
 		return false
 	}
 	if g.table {
-		g.sorter.rehash(n)
+		g.sorter.rehash(n, g.keyOf)
 	} else {
 		g.sorter.grow(n)
 	}
@@ -395,28 +428,34 @@ func (g *spillingGroupBy) buffer(r tuple.TupleRef, t tuple.Tuple) (uint32, error
 	return off, nil
 }
 
-// fold is add under the hash policy: r is folded into the record of its
-// key's group, or starts that group.
-func (g *spillingGroupBy) fold(r tuple.TupleRef) error {
-	g.scratch = r.AppendFieldsTo(g.scratch[:0])
-	key := g.scratch[0]
+// fold is add under the hash policy: the tuple (r, or the fields t) is
+// folded into the record of its key's group, or starts that group.
+func (g *spillingGroupBy) fold(r tuple.TupleRef, t tuple.Tuple) error {
+	in := t
+	if in == nil {
+		g.scratch = r.AppendFieldsTo(g.scratch[:0])
+		in = g.scratch
+	}
+	key := in[0]
 	k := keyPrefix(key)
 	// While every key in the table is 8 bytes, as a vid is, an 8-byte key
 	// whose normalized key a slot holds is that slot's key: the entry
 	// decides, and the record's key is not read.
 	exact := len(key) == 8 && !g.sorter.wide && g.sorter.keyLen == 8
 	es := g.sorter.entries
-	for i := slotOf(k, len(es)); len(es) > 0 && es[i].frame != 0; i = (i + 1) & (len(es) - 1) {
-		if es[i].key != k {
-			continue
-		}
-		rec := g.ref(es[i])
-		g.head = rec.AppendFieldsTo(g.head[:0])
-		if exact || bytes.Equal(g.head[0], key) {
-			return g.keep(i, rec, g.combiner.Add(g.head, g.scratch))
+	if len(es) > 0 {
+		for i := g.sorter.slotOf(k, key); es[i].frame != 0; i = (i + 1) & (len(es) - 1) {
+			if es[i].key != k {
+				continue
+			}
+			rec := g.ref(es[i])
+			g.head = rec.AppendFieldsTo(g.head[:0])
+			if exact || bytes.Equal(g.head[0], key) {
+				return g.keep(i, rec, g.combiner.Add(g.head, in))
+			}
 		}
 	}
-	i, err := g.insert(k, len(key), r, nil)
+	i, err := g.insert(k, key, r, t)
 	if err != nil {
 		return err
 	}
@@ -426,8 +465,9 @@ func (g *spillingGroupBy) fold(r tuple.TupleRef) error {
 }
 
 // insert buffers the record of a group the table does not hold (r, or
-// the fields t) and gives it a slot, whose index it returns.
-func (g *spillingGroupBy) insert(k uint64, keyLen int, r tuple.TupleRef, t tuple.Tuple) (int, error) {
+// the fields t; its key is key, whose normalized form is k) and gives it
+// a slot, whose index it returns.
+func (g *spillingGroupBy) insert(k uint64, key []byte, r tuple.TupleRef, t tuple.Tuple) (int, error) {
 	// Room in the table first: the spill that makes it empties the frames.
 	if n := len(g.sorter.entries); 4*(g.live+1) > 3*n && !g.growEntries(max(2*n, minSortEntries), n == 0) {
 		if err := g.spill(); err != nil {
@@ -438,9 +478,13 @@ func (g *spillingGroupBy) insert(k uint64, keyLen int, r tuple.TupleRef, t tuple
 	if err != nil {
 		return 0, err
 	}
-	i := g.sorter.freeSlot(k)
+	// The first wide key moves the table's groups to where their whole
+	// keys hash.
+	if wide := g.sorter.wide; g.sorter.observe(k, len(key)) && !wide && g.live > 0 {
+		g.sorter.rehash(len(g.sorter.entries), g.keyOf)
+	}
+	i := g.sorter.freeSlot(g.sorter.slotOf(k, key))
 	g.sorter.entries[i] = sortEntry{k, uint32(len(g.frames)), off}
-	g.sorter.observe(k, keyLen)
 	g.live++
 	g.peak = max(g.peak, g.live)
 	return i, nil
@@ -456,6 +500,7 @@ func (g *spillingGroupBy) keep(i int, rec tuple.TupleRef, res tuple.Tuple) error
 	e := &g.sorter.entries[i]
 	if off, ok := g.put(tuple.TupleRef{}, res, false); ok {
 		e.frame, e.rec = uint32(len(g.frames)), off
+		g.superseded = true
 		return nil
 	}
 	// No frame for it: the group leaves the table ahead of the spill that
@@ -468,7 +513,7 @@ func (g *spillingGroupBy) keep(i int, rec tuple.TupleRef, res tuple.Tuple) error
 	if err := g.spill(); err != nil {
 		return err
 	}
-	_, err := g.insert(k, len(g.scratch[0]), tuple.TupleRef{}, g.scratch)
+	_, err := g.insert(k, g.scratch[0], tuple.TupleRef{}, g.scratch)
 	return err
 }
 
@@ -494,13 +539,16 @@ func (g *spillingGroupBy) sortBuffered() {
 	if g.table {
 		g.sorter.compact()
 	}
-	g.sorter.sort(func(e sortEntry) []byte { return g.ref(e).Field(0) })
+	g.sorter.sort(g.keyOf)
 }
 
 // ref returns the buffered record an entry stands for.
 func (g *spillingGroupBy) ref(e sortEntry) tuple.TupleRef {
 	return g.frames[e.frame-1].TupleAt(int(e.rec))
 }
+
+// keyOf returns the key of the buffered record an entry stands for.
+func (g *spillingGroupBy) keyOf(e sortEntry) []byte { return g.ref(e).Field(0) }
 
 // drain merges the runs srcs, if any, with the sorted buffer, and emits
 // the result: every record by reference when there is nothing to fold —
@@ -531,6 +579,7 @@ func (g *spillingGroupBy) releaseMem() {
 	}
 	g.frames = nil
 	g.app.Reset(nil)
+	g.superseded = false
 	g.sorter.reset()
 	if g.table {
 		g.sorter.free()
@@ -597,6 +646,9 @@ func (g *spillingGroupBy) Close() error {
 }
 
 func (g *spillingGroupBy) finish() error {
+	if g.unordered && g.table && len(g.runs) == 0 {
+		return g.emitTable()
+	}
 	g.sortBuffered()
 	// The spilled runs, oldest first, then the in-memory remainder: the
 	// merge keeps equal keys in source order, which is arrival order. Every
@@ -608,6 +660,28 @@ func (g *spillingGroupBy) finish() error {
 		srcs = append(srcs, rr.NextRef)
 	}
 	return g.drain(srcs, func(r tuple.TupleRef) error { return g.EmitRef(0, r) }, func(t tuple.Tuple) error { return g.Emit(0, t) })
+}
+
+// emitTable emits the groups of a table that never spilled as they lie:
+// the frames whole when every record in them is a group's, else each
+// taken slot's record.
+func (g *spillingGroupBy) emitTable() error {
+	if !g.superseded {
+		for _, f := range g.frames {
+			if err := g.EmitFrame(0, f); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, e := range g.sorter.entries {
+		if e.frame != 0 {
+			if err := g.EmitRef(0, g.ref(e)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // sortEntry is what the sort moves instead of a tuple: the tuple's
@@ -672,8 +746,9 @@ func (s *keySorter) add(key []byte, frame, rec uint32) {
 }
 
 // observe notes the normalized form and the length of a key some entry
-// holds, which is what sort goes by.
-func (s *keySorter) observe(k uint64, keyLen int) {
+// holds, which is what sort goes by, and returns whether the sorter is
+// wide.
+func (s *keySorter) observe(k uint64, keyLen int) bool {
 	if !s.seen {
 		s.first, s.keyLen, s.seen = k, keyLen, true
 	}
@@ -681,39 +756,65 @@ func (s *keySorter) observe(k uint64, keyLen int) {
 	if keyLen > 8 || keyLen != s.keyLen {
 		s.wide = true
 	}
+	return s.wide
 }
 
 // The entries as a table: the slice at full length, a power of two, a
 // key's slot the first free one (frame 0) at or after slotOf.
 
-// slotOf is where the probe for normalized key k starts in a table of n
-// slots: the low bits of a 64-bit mix (the finalizer of MurmurHash3), so
-// that keys apart by a stride, or alike in their low bytes, spread out.
-func slotOf(k uint64, n int) int {
+// mix64 is the finalizer of MurmurHash3: every bit of its result depends
+// on every bit of k, so that keys apart by a stride, or alike in their
+// low bytes, spread out.
+func mix64(k uint64) uint64 {
 	k ^= k >> 33
 	k *= 0xff51afd7ed558ccd
 	k ^= k >> 33
 	k *= 0xc4ceb9fe1a85ec53
 	k ^= k >> 33
-	return int(k) & (n - 1)
+	return k
 }
 
-func (s *keySorter) freeSlot(k uint64) int {
-	i := slotOf(k, len(s.entries))
+// hashKey folds a whole key, 8 bytes at a time, into 64 bits for mix64.
+func hashKey(key []byte) uint64 {
+	h := uint64(len(key))
+	for ; len(key) > 8; key = key[8:] {
+		h = mix64(h ^ binary.BigEndian.Uint64(key))
+	}
+	return h ^ keyPrefix(key)
+}
+
+// slotOf is where the probe for key, whose normalized form is k, starts:
+// the low bits of a mix of k while the table is not wide, and of the
+// whole key once it is, so that keys alike in their first 8 bytes do not
+// all probe from one slot. key is read only when the table is wide.
+func (s *keySorter) slotOf(k uint64, key []byte) int {
+	if s.wide {
+		k = hashKey(key)
+	}
+	return int(mix64(k)) & (len(s.entries) - 1)
+}
+
+// freeSlot returns the first free slot at or after slot i.
+func (s *keySorter) freeSlot(i int) int {
 	for s.entries[i].frame != 0 {
 		i = (i + 1) & (len(s.entries) - 1)
 	}
 	return i
 }
 
-// rehash makes the table n slots, moving the taken ones by their
-// normalized keys alone: they are of distinct keys already.
-func (s *keySorter) rehash(n int) {
+// rehash makes the table n slots, moving the taken ones by where their
+// keys probe from, which keyOf reads only when the table is wide: they
+// are of distinct keys already, so none is compared.
+func (s *keySorter) rehash(n int, keyOf func(sortEntry) []byte) {
 	old := s.entries
 	s.entries = make([]sortEntry, n)
 	for _, e := range old {
 		if e.frame != 0 {
-			s.entries[s.freeSlot(e.key)] = e
+			var key []byte
+			if s.wide {
+				key = keyOf(e)
+			}
+			s.entries[s.freeSlot(s.slotOf(e.key, key))] = e
 		}
 	}
 }

@@ -1,0 +1,174 @@
+package operators
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"pregelix/internal/hyracks"
+	"pregelix/internal/tuple"
+)
+
+// driveFields is drive with the input handed to the runtime tuple by
+// tuple through AddFields, from one buffer that is overwritten once each
+// call returns: what the runtime keeps of a tuple must be its own copy.
+func driveFields(tb testing.TB, opMem int64, kind GroupByKind, c Combiner, in []tuple.Tuple) (out []tuple.Tuple, spills int) {
+	tb.Helper()
+	g := NewGroupByRuntime(testContext(tb, opMem), kind, c).(*spillingGroupBy)
+	sink := &collectWriter{}
+	g.SetOutputs([]hyracks.FrameWriter{sink})
+	if err := g.Open(); err != nil {
+		tb.Fatal(err)
+	}
+	var buf []byte
+	var hdr tuple.Tuple
+	for _, t := range in {
+		buf, hdr = copyInto(buf, hdr, t)
+		if err := g.AddFields(hdr); err != nil {
+			tb.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] = 0xee
+		}
+	}
+	spills = len(g.runs)
+	if err := g.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return sink.out, spills
+}
+
+func keyOrdered(ts []tuple.Tuple) bool {
+	return slices.IsSortedFunc(ts, func(a, b tuple.Tuple) int { return bytes.Compare(a[0], b[0]) })
+}
+
+// TestUnorderedTableMatchesHashSort: the unordered table emits what
+// HashSort emits, as a multiset, each key once: in memory, where it
+// emits its frames whole (a size-keeping sum) or slot by slot (a
+// concatenation, whose groups outgrow their records), and after spills,
+// where it sorts and merges as HashSort does. HashSort's output is in key
+// order throughout, and the tuples a runtime of any table or sort kind is
+// handed by AddFields come out as those it reads from frames.
+func TestUnorderedTableMatchesHashSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	const n, vids = 20000, 5000
+	combiners := []struct {
+		name    string
+		c       Combiner
+		payload func(i int) []byte
+	}{
+		{"sum in place", sumHere{}, func(i int) []byte { return tuple.EncodeUint64(uint64(i)) }},
+		{"concat (grows)", concatCombiner{}, func(i int) []byte { return []byte(fmt.Sprintf("%04x", i%0x10000)) }},
+	}
+	for _, cb := range combiners {
+		in := make([]tuple.Tuple, n)
+		for i := range in {
+			in[i] = tuple.Tuple{tuple.EncodeUint64(uint64(rng.Intn(vids))), cb.payload(i)}
+		}
+		frames := packFrames(t, in)
+		for _, mem := range []int64{64 << 20, 64 << 10} {
+			what := fmt.Sprintf("%s at %d bytes", cb.name, mem)
+			build := func(kind GroupByKind) func(tc *hyracks.TaskContext) hyracks.PushRuntime {
+				return func(tc *hyracks.TaskContext) hyracks.PushRuntime { return NewGroupByRuntime(tc, kind, cb.c) }
+			}
+			hs, hsSpills := drive(t, mem, build(HashSortGroupBy), frames)
+			if !keyOrdered(hs) {
+				t.Fatalf("%s: HashSort's output is not in key order", what)
+			}
+			un, unSpills := drive(t, mem, build(UnorderedHashGroupBy), frames)
+			if unSpills != hsSpills || (mem == 64<<20) != (unSpills == 0) {
+				t.Fatalf("%s: %d spills unordered, %d under HashSort", what, unSpills, hsSpills)
+			}
+			// Unsorted when it fits (the first arrivals of random vids are not
+			// in order), merged in key order when it spilled.
+			if keyOrdered(un) != (unSpills > 0) {
+				t.Fatalf("%s: after %d spills the unordered output is in key order: %v", what, unSpills, keyOrdered(un))
+			}
+			sorted := slices.Clone(un)
+			slices.SortStableFunc(sorted, func(a, b tuple.Tuple) int { return bytes.Compare(a[0], b[0]) })
+			checkSame(t, what+", unordered as a multiset", sorted, hs)
+
+			for _, c := range []struct {
+				kind GroupByKind
+				want []tuple.Tuple
+			}{{UnorderedHashGroupBy, un}, {HashSortGroupBy, hs}} {
+				got, _ := driveFields(t, mem, c.kind, cb.c, in)
+				checkSame(t, fmt.Sprintf("%s, kind %d, by AddFields", what, c.kind), got, c.want)
+			}
+		}
+		// The sort policy, where AddFields buffers each tuple and an entry.
+		sorted, _ := drive(t, 64<<10, func(tc *hyracks.TaskContext) hyracks.PushRuntime {
+			return NewGroupByRuntime(tc, SortGroupBy, cb.c)
+		}, frames)
+		got, _ := driveFields(t, 64<<10, SortGroupBy, cb.c, in)
+		checkSame(t, cb.name+", sort, by AddFields", got, sorted)
+		putFrames(frames)
+	}
+}
+
+// TestWideKeysProbeByWholeKey: 20k distinct 16-byte keys that share their
+// first 8 bytes share their normalized key, which a table that hashed it
+// alone would probe as one run of 20k slots. Hashing the whole key, a
+// lookup passes a few slots on average and no run is long; the table's
+// output is the sort policy's, whichever key arrives first.
+func TestWideKeysProbeByWholeKey(t *testing.T) {
+	const n = 20000
+	prefix := []byte("vertex::")
+	rng := rand.New(rand.NewSource(31))
+	for _, first := range []string{"wide", "narrow"} {
+		var in []tuple.Tuple
+		if first == "narrow" {
+			// A few 8-byte keys first: the table turns wide at the first
+			// 16-byte key, with groups in it already.
+			for i := 0; i < 100; i++ {
+				in = append(in, tuple.Tuple{tuple.EncodeUint64(uint64(i)), tuple.EncodeUint64(1)})
+			}
+		}
+		for _, i := range rng.Perm(n) {
+			k := append(slices.Clone(prefix), tuple.EncodeUint64(uint64(i))...)
+			in = append(in, tuple.Tuple{k, tuple.EncodeUint64(uint64(i))}, tuple.Tuple{k, tuple.EncodeUint64(1)})
+		}
+		frames := packFrames(t, in)
+		want, _ := drive(t, 64<<20, func(tc *hyracks.TaskContext) hyracks.PushRuntime {
+			return NewGroupByRuntime(tc, SortGroupBy, sumHere{})
+		}, frames)
+
+		g := NewGroupByRuntime(testContext(t, 64<<20), HashSortGroupBy, sumHere{}).(*spillingGroupBy)
+		sink := &collectWriter{}
+		g.SetOutputs([]hyracks.FrameWriter{sink})
+		if err := g.Open(); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range frames {
+			if err := g.NextFrame(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// A lookup of the group in slot i passes the slots from where its
+		// key's probe starts to i.
+		es := g.sorter.entries
+		probes, longest := 0, 0
+		for i, e := range es {
+			if e.frame == 0 {
+				continue
+			}
+			d := (i-g.sorter.slotOf(e.key, g.keyOf(e)))&(len(es)-1) + 1
+			probes += d
+			longest = max(longest, d)
+		}
+		if g.live != len(want) || len(g.runs) != 0 {
+			t.Fatalf("%s first: %d groups in the table and %d runs, want %d and none", first, g.live, len(g.runs), len(want))
+		}
+		if mean := float64(probes) / float64(g.live); mean > 4 || longest > 200 {
+			t.Fatalf("%s first: a lookup passes %.1f slots on average and up to %d", first, mean, longest)
+		}
+		t.Logf("%s first: %d groups in %d slots, %.2f slots a lookup, %d at most", first, g.live, len(es), float64(probes)/float64(g.live), longest)
+		if err := g.Close(); err != nil {
+			t.Fatal(err)
+		}
+		checkSame(t, first+" first", sink.out, want)
+		putFrames(frames)
+	}
+}
