@@ -77,9 +77,8 @@ func BenchmarkFig15LOJVsOthers(b *testing.B) { runExperiment(b, "fig15") }
 
 func BenchmarkSec76LinesOfCode(b *testing.B) { runExperiment(b, "sec76") }
 
-func BenchmarkAblationGroupBy(b *testing.B)       { runExperiment(b, "ablate-gb") }
-func BenchmarkAblationConnector(b *testing.B)     { runExperiment(b, "ablate-conn") }
-func BenchmarkAblationVertexStorage(b *testing.B) { runExperiment(b, "ablate-store") }
+func BenchmarkAblationGroupBy(b *testing.B)   { runExperiment(b, "ablate-gb") }
+func BenchmarkAblationConnector(b *testing.B) { runExperiment(b, "ablate-conn") }
 
 // ---- substrate micro-benchmarks ----
 

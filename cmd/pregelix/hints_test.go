@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"testing"
 	"time"
 
@@ -56,5 +57,29 @@ func TestPlanHintSpellings(t *testing.T) {
 	}
 	if got := getFile(t, ts.URL, "/out/auto"); !bytes.Equal(got, scanned) {
 		t.Fatalf(`{"join":"auto"} dumped %q, the CLI %q`, got, scanned)
+	}
+}
+
+// TestServeIgnoresStorageField: a POST /jobs body that still carries the
+// retired "storage" hint, as job specs saved before vertex storage became
+// B-tree only do, is accepted and runs the job it would run without it.
+func TestServeIgnoresStorageField(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := graphgen.WriteText(&buf, graphgen.Chain(300, 10, 3)); err != nil {
+		t.Fatal(err)
+	}
+	ts, _ := newTestServer(t, 1, nil)
+	putFile(t, ts.URL, "/in/g", buf.Bytes())
+	var dumps [][]byte
+	for _, storage := range []string{``, `,"storage":"lsm"`} {
+		out := "/out/pm" + strconv.Itoa(len(dumps))
+		id := submitJob(t, ts.URL, `{"algorithm":"pathmerge","input":"/in/g","output":"`+out+`","iterations":4`+storage+`}`)
+		if v := waitJobDone(t, ts.URL, id, 30*time.Second); v.State != "done" {
+			t.Fatalf("body with %q: job ended %s: %s", storage, v.State, v.Error)
+		}
+		dumps = append(dumps, getFile(t, ts.URL, out))
+	}
+	if len(dumps[0]) == 0 || !bytes.Equal(dumps[0], dumps[1]) {
+		t.Fatalf(`with "storage":"lsm" the job dumped %q, without it %q`, dumps[1], dumps[0])
 	}
 }

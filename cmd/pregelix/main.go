@@ -6,8 +6,7 @@
 // Usage:
 //
 //	pregelix -algorithm pagerank -input graph.txt -output ranks.txt \
-//	         -nodes 4 -join fullouter -groupby sort -connector unmerge \
-//	         -storage btree
+//	         -nodes 4 -join fullouter -groupby sort -connector unmerge
 //
 //	pregelix serve -listen 127.0.0.1:8080 -nodes 4 -max-concurrent 2
 //
@@ -61,7 +60,6 @@ func main() {
 		join       = flag.String("join", "", pregel.HintValues("join")+" (default: per-algorithm)")
 		groupby    = flag.String("groupby", "", pregel.HintValues("groupby"))
 		connector  = flag.String("connector", "", pregel.HintValues("connector"))
-		storage    = flag.String("storage", "", pregel.HintValues("storage"))
 		checkpoint = flag.Int("checkpoint-every", 0, "checkpoint every N supersteps (0 = off)")
 		verbose    = flag.Bool("v", false, "print per-superstep statistics")
 	)
@@ -76,7 +74,7 @@ func main() {
 	job, err := buildServeJob(&jobRequest{
 		Algorithm: *algorithm, Input: "/in/graph", Output: "/out/result",
 		Source: source, Iterations: *iterations,
-		Join: *join, GroupBy: *groupby, Connector: *connector, Storage: *storage,
+		Join: *join, GroupBy: *groupby, Connector: *connector,
 		CheckpointEvery: *checkpoint,
 	})
 	if err != nil {

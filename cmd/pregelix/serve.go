@@ -301,12 +301,13 @@ type jobRequest struct {
 	Source *uint64 `json:"source"`
 	// Iterations configures pagerank/pathmerge rounds.
 	Iterations int `json:"iterations"`
-	// Join/GroupBy/Connector/Storage are the plan hints of Section 5.3
-	// (same values as the CLI flags); empty = per-algorithm default.
+	// Join/GroupBy/Connector are the plan hints of Section 5.3 (same
+	// values as the CLI flags); empty = per-algorithm default. A
+	// "storage" field, from specs saved when LSM vertex storage was a
+	// hint, is ignored like any unknown field.
 	Join      string `json:"join"`
 	GroupBy   string `json:"groupby"`
 	Connector string `json:"connector"`
-	Storage   string `json:"storage"`
 	// CheckpointEvery snapshots the Vertex and Msg relations every N
 	// supersteps (Section 5.5); 0 disables checkpointing. In cluster
 	// mode this is what makes a job survive a worker crash: recovery
@@ -1046,7 +1047,7 @@ func buildServeJob(req *jobRequest) (*pregel.Job, error) {
 	}
 	job.InputPath = req.Input
 	job.OutputPath = req.Output
-	if err := job.ApplyHints(req.Join, req.GroupBy, req.Connector, req.Storage); err != nil {
+	if err := job.ApplyHints(req.Join, req.GroupBy, req.Connector); err != nil {
 		return nil, err
 	}
 	if req.CheckpointEvery < 0 {

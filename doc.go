@@ -113,7 +113,7 @@
 //     and partition.drop, which carry checkpoint, restore, migration,
 //     split and delta clone alike; worker.release; query.point,
 //     query.topk; delta.ingest, delta.run)
-//   - internal/storage  — B-tree, LSM B-tree, buffer cache, run files
+//   - internal/storage  — B-tree, buffer cache, run files
 //   - internal/operators— external sort, three group-bys, index joins
 //   - internal/core     — the Pregelix runtime (plan generator, the
 //     superstep driver, checkpoint/recovery, job pipelining), job

@@ -1,7 +1,9 @@
 // Genome: the Genomix use case of the paper's Section 6 — iterative De
 // Bruijn path merging with heavy vertex addition/removal, run as a
-// pipelined job array (Section 5.6) over LSM vertex storage, the
-// combination the paper recommends for this workload.
+// pipelined job array (Section 5.6). The paper recommends LSM vertex
+// storage for this workload; vertices live in a B-tree here, which
+// measured faster on every rung (ARCHITECTURE.md, "Section 5.2: one
+// vertex store").
 //
 //	go run ./examples/genome
 package main
@@ -46,14 +48,12 @@ func main() {
 		g.NumVertices(), g.NumEdges())
 
 	// Chain one job per merge round, pipelined: intermediate state
-	// never round-trips through the DFS and the LSM vertex indexes are
+	// never round-trips through the DFS and the vertex indexes are
 	// reused across jobs.
 	const rounds = 8
 	var jobs []*pregel.Job
 	for r := 0; r < rounds; r++ {
-		j := algorithms.NewPathMergeRoundJob("genome-merge", "/genome/debruijn", "/genome/contigs", r)
-		j.Storage = pregel.LSMStorage
-		jobs = append(jobs, j)
+		jobs = append(jobs, algorithms.NewPathMergeRoundJob("genome-merge", "/genome/debruijn", "/genome/contigs", r))
 	}
 	all, err := rt.RunPipeline(context.Background(), jobs)
 	if err != nil {

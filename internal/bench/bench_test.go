@@ -26,7 +26,7 @@ func TestExperimentRegistryComplete(t *testing.T) {
 		"fig13",
 		"fig14a", "fig14b", "fig14c",
 		"fig15", "sec76",
-		"ablate-gb", "ablate-conn", "ablate-store",
+		"ablate-gb", "ablate-conn",
 		"compress",
 	}
 	for _, id := range want {
@@ -125,21 +125,5 @@ func TestBuildDatasetHitsRatio(t *testing.T) {
 		if got < want*0.5 || got > want*2.0 {
 			t.Fatalf("ratio %f produced %f", want, got)
 		}
-	}
-}
-
-func TestAblationStorageSmoke(t *testing.T) {
-	var buf strings.Builder
-	o := tinyOptions(t, &buf)
-	if err := RunAblateStorage(context.Background(), o); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "btree") || !strings.Contains(out, "lsm") ||
-		!strings.Contains(out, "path merge") {
-		t.Fatalf("ablation output:\n%s", out)
-	}
-	if strings.Contains(out, "FAIL") {
-		t.Fatalf("storage ablation failed:\n%s", out)
 	}
 }

@@ -51,7 +51,6 @@ func Experiments() []Experiment {
 		{"sec76", "Section 7.6: core lines of code", RunSec76},
 		{"ablate-gb", "Ablation: the four group-by strategies (Fig 7)", RunAblateGroupBy},
 		{"ablate-conn", "Ablation: merging vs non-merging connector vs cluster size", RunAblateConnector},
-		{"ablate-store", "Ablation: B-tree vs LSM vertex storage (Sec 5.2)", RunAblateStorage},
 		{"ablate-pipe", "Ablation: job pipelining vs DFS round-trips (Sec 5.6)", RunAblatePipelining},
 	}
 }
@@ -533,35 +532,6 @@ func RunAblateConnector(ctx context.Context, o Options) error {
 		ures := per.runPregelix(ctx, unmerge, g, m)
 		o.printf("%-10d %14s %14s\n", m, mres.IterCell(), ures.IterCell())
 	}
-	return nil
-}
-
-// RunAblateStorage compares B-tree and LSM vertex storage on an
-// in-place-update workload (PageRank) and a mutation-heavy workload
-// (path merging), per Section 5.2's guidance.
-func RunAblateStorage(ctx context.Context, o Options) error {
-	o.defaults()
-	o.printf("Ablation (Sec 5.2): vertex storage\n")
-	o.printf("%-28s %12v %12v\n", "workload", pregel.BTreeStorage, pregel.LSMStorage)
-
-	g, _ := o.buildDataset(WebmapData, 0.10, 95)
-	row := make(map[pregel.StorageKind]RunResult)
-	for _, st := range []pregel.StorageKind{pregel.BTreeStorage, pregel.LSMStorage} {
-		job := o.jobFor(PageRank, fmt.Sprintf("abls-pr-%v", st))
-		job.Storage = st
-		row[st] = o.runPregelix(ctx, job, g, o.Nodes)
-	}
-	o.printf("%-28s %12s %12s\n", "pagerank (in-place updates)",
-		row[pregel.BTreeStorage].Cell(), row[pregel.LSMStorage].Cell())
-
-	chain := graphgen.Chain(6000, 400, 3)
-	for _, st := range []pregel.StorageKind{pregel.BTreeStorage, pregel.LSMStorage} {
-		job := algorithms.NewPathMergeJob(fmt.Sprintf("abls-pm-%v", st), "/in/abls", "", 6)
-		job.Storage = st
-		row[st] = o.runPregelix(ctx, job, chain, o.Nodes)
-	}
-	o.printf("%-28s %12s %12s\n", "path merge (mutations)",
-		row[pregel.BTreeStorage].Cell(), row[pregel.LSMStorage].Cell())
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pregelix/internal/graphgen"
+	"pregelix/internal/hyracks"
 	"pregelix/pregel"
 	"pregelix/pregel/algorithms"
 )
@@ -60,9 +61,10 @@ func TestConnectedComponentsMatchesReference(t *testing.T) {
 }
 
 // TestAllSixteenPhysicalPlansAgree runs SSSP under every combination of
-// the plan hints (2 joins x 2 group-bys x 2 connectors x 2 storages —
-// the sixteen tailored executions of Section 5.8 — and the planner's
-// AutoJoin with each of the other eight) and requires identical results.
+// the plan hints (2 joins x 2 group-bys x 2 connectors — the B-tree half
+// of the sixteen tailored executions of Section 5.8 — and the planner's
+// AutoJoin with each of the other four) and requires identical results.
+// Subtest names end in the vertex store they run on.
 func TestAllSixteenPhysicalPlansAgree(t *testing.T) {
 	g := graphgen.BTC(150, 5, 3)
 	want := referenceValues(t, algorithms.NewSSSPJob("sssp", "", "", 1), g)
@@ -70,21 +72,19 @@ func TestAllSixteenPhysicalPlansAgree(t *testing.T) {
 	for _, join := range []pregel.JoinKind{pregel.FullOuterJoin, pregel.LeftOuterJoin, pregel.AutoJoin} {
 		for _, gb := range []pregel.GroupByKind{pregel.SortGroupBy, pregel.HashSortGroupBy} {
 			for _, conn := range []pregel.ConnectorKind{pregel.UnmergeConnector, pregel.MergeConnector} {
-				for _, st := range []pregel.StorageKind{pregel.BTreeStorage, pregel.LSMStorage} {
-					name := fmt.Sprintf("%v-%v-%v-%v", join, gb, conn, st)
-					t.Run(name, func(t *testing.T) {
-						rt := newTestRuntime(t, 2)
-						defer rt.Close()
-						putGraph(t, rt, "/in/g", g)
-						job := algorithms.NewSSSPJob("sssp-"+name, "/in/g", "/out/"+name, 1)
-						job.Join, job.GroupBy, job.Connector, job.Storage = join, gb, conn, st
-						if _, err := rt.Run(context.Background(), job); err != nil {
-							t.Fatal(err)
-						}
-						got := readOutputValues(t, rt, "/out/"+name)
-						compareValues(t, got, want, name)
-					})
-				}
+				name := fmt.Sprintf("%v-%v-%v-btree", join, gb, conn)
+				t.Run(name, func(t *testing.T) {
+					rt := newTestRuntime(t, 2)
+					defer rt.Close()
+					putGraph(t, rt, "/in/g", g)
+					job := algorithms.NewSSSPJob("sssp-"+name, "/in/g", "/out/"+name, 1)
+					job.Join, job.GroupBy, job.Connector = join, gb, conn
+					if _, err := rt.Run(context.Background(), job); err != nil {
+						t.Fatal(err)
+					}
+					got := readOutputValues(t, rt, "/out/"+name)
+					compareValues(t, got, want, name)
+				})
 			}
 		}
 	}
@@ -185,6 +185,86 @@ func TestPathMergeCollapsesChains(t *testing.T) {
 	if stats.FinalState.NumVertices != eng {
 		t.Fatalf("vertex count %d, reference %d", stats.FinalState.NumVertices, eng)
 	}
+}
+
+// TestPathMergeMatchesReferenceLines: path merge, the mutation-heavy
+// job Section 5.2 would give an LSM tree, dumps the oracle's lines byte
+// for byte on the B-tree: with unlimited RAM, under a RAM budget that
+// makes its group-by spill, and when a machine dies mid-job and the
+// partitions are restored from a checkpoint of a graph that has already
+// lost vertices.
+func TestPathMergeMatchesReferenceLines(t *testing.T) {
+	const rounds = 6
+	g := graphgen.Chain(20000, 400, 5)
+	want := referenceLines(t, algorithms.NewPathMergeJob("pm", "", "", rounds), g)
+	if len(want) >= g.NumVertices() {
+		t.Fatalf("the oracle merged nothing: %d of %d vertices left", len(want), g.NumVertices())
+	}
+
+	run := func(t *testing.T, ram int64, prepare func(*Runtime, *pregel.Job)) *JobStats {
+		t.Helper()
+		rt, err := NewRuntime(Options{
+			BaseDir: t.TempDir(), Nodes: 2, PartitionsPerNode: 2,
+			NodeConfig: hyracks.NodeConfig{RAMBytes: ram},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		putGraph(t, rt, "/in/chain", g)
+		job := algorithms.NewPathMergeJob("pm", "/in/chain", "/out/pm", rounds)
+		if prepare != nil {
+			prepare(rt, job)
+		}
+		stats, err := rt.Run(context.Background(), job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := rt.DFS.ReadFile("/out/pm")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameLines(t, dumpLines(data), want, "path merge vs oracle")
+		return stats
+	}
+
+	var unlimited *JobStats
+	t.Run("unlimited", func(t *testing.T) { unlimited = run(t, 0, nil) })
+	t.Run("spilling", func(t *testing.T) {
+		// 256 KiB a machine leaves each group-by 16 KiB. The Msg relation
+		// and the deferred updates are the same bytes as with unlimited
+		// RAM, so what IOBytes adds is spilled runs.
+		if unlimited == nil { // -run picked this subtest alone
+			unlimited = run(t, 0, nil)
+		}
+		stats := run(t, 256<<10, nil)
+		spilled := superstepIO(stats) - superstepIO(unlimited)
+		if spilled <= 0 {
+			t.Fatalf("IOBytes %d at 256 KiB against %d unlimited: the group-by did not spill",
+				superstepIO(stats), superstepIO(unlimited))
+		}
+		t.Logf("%d bytes of spilled runs", spilled)
+	})
+	t.Run("recovery", func(t *testing.T) {
+		triggered := false
+		stats := run(t, 0, func(rt *Runtime, job *pregel.Job) {
+			job.CheckpointEvery = 3
+			job.Program = &failAfterProgram{
+				inner:     job.Program,
+				node:      rt.Cluster.Nodes()[1],
+				atStep:    8, // after the checkpoint of superstep 6
+				triggered: &triggered,
+			}
+		})
+		if !triggered || stats.Recoveries == 0 {
+			t.Fatalf("triggered=%v recoveries=%d", triggered, stats.Recoveries)
+		}
+		for _, ss := range stats.SuperstepStats {
+			if ss.Superstep == 6 && ss.NumVertices >= int64(g.NumVertices()) {
+				t.Fatalf("the restored checkpoint holds %d of %d vertices: nothing had merged", ss.NumVertices, g.NumVertices())
+			}
+		}
+	})
 }
 
 func TestRandomWalkSampleMarksSubset(t *testing.T) {

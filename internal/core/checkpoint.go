@@ -15,7 +15,6 @@ import (
 	"pregelix/internal/hyracks"
 	"pregelix/internal/storage"
 	"pregelix/internal/tuple"
-	"pregelix/pregel"
 )
 
 // Checkpointing (Section 5.5): at user-selected superstep boundaries the
@@ -506,40 +505,23 @@ func (rs *runState) reloadPartitionFrom(ps *partitionState, st partStat, vertexR
 	vids := &vidBuilder{rs: rs, ps: ps}
 	defer vids.abort()
 
-	// add routes one checkpoint record into the vertex index (bulk load
-	// for the B-tree, upsert for the LSM tree) and the Vid rebuild.
-	var add func(k, v []byte) error
-	var btLoader *storage.BulkLoader
-	if rs.job.Storage == pregel.LSMStorage {
-		lsmDir := rs.localDir(node, fmt.Sprintf("vertex-lsm-rec-p%d-%d", ps.idx, rs.nextSeq()))
-		if err := mkdir(lsmDir); err != nil {
-			return err
-		}
-		lsm, err := storage.CreateLSMBTree(node.BufferCache, lsmDir, storage.LSMOptions{MemLimit: rs.operatorMem(node)})
-		if err != nil {
-			return err
-		}
-		ps.vertexIdx = storage.AsLSMIndex(lsm)
-		add = ps.vertexIdx.Insert
-	} else {
-		bt, err := storage.CreateBTree(node.BufferCache,
-			rs.tempPath(node, fmt.Sprintf("vertex-rec-p%d", ps.idx)))
-		if err != nil {
-			return err
-		}
-		if btLoader, err = bt.NewBulkLoader(0.9); err != nil {
-			return err
-		}
-		ps.vertexIdx = storage.AsIndex(bt)
-		add = btLoader.Add
+	bt, err := storage.CreateBTree(node.BufferCache,
+		rs.tempPath(node, fmt.Sprintf("vertex-rec-p%d", ps.idx)))
+	if err != nil {
+		return err
 	}
+	loader, err := bt.NewBulkLoader(0.9)
+	if err != nil {
+		return err
+	}
+	ps.vertexIdx = storage.AsIndex(bt)
 
 	// Vertex snapshot: a frame stream (raw or compressed), vid-sorted.
 	if err := eachImageFrame(vertexR, func(fr *tuple.Frame) error {
 		for i := 0; i < fr.Len(); i++ {
 			t := fr.Tuple(i)
 			k, v := t.Field(0), t.Field(1)
-			if err := add(k, v); err != nil {
+			if err := loader.Add(k, v); err != nil {
 				return err
 			}
 			if isLiveVertexRecord(v) {
@@ -552,12 +534,9 @@ func (rs *runState) reloadPartitionFrom(ps *partitionState, st partStat, vertexR
 	}); err != nil {
 		return err
 	}
-	if btLoader != nil {
-		if err := btLoader.Finish(); err != nil {
-			return err
-		}
+	if err := loader.Finish(); err != nil {
+		return err
 	}
-	var err error
 	if ps.vid, err = vids.finish(); err != nil {
 		return err
 	}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -108,68 +107,36 @@ func (rs *runState) scanInput(ctx context.Context, b *hyracks.BaseSource) error 
 }
 
 // newBulkLoadSink bulk loads the sorted vertex stream into the
-// partition's index (B-tree or LSM per the job's storage hint). No Vid
-// index is built: every vertex is active in superstep 1, which therefore
-// scans (chooseJoinFor) and builds the first one.
+// partition's B-tree. No Vid index is built: every vertex is active in
+// superstep 1, which therefore scans (chooseJoinFor) and builds the
+// first one.
 func newBulkLoadSink(rs *runState, tc *hyracks.TaskContext) (hyracks.PushRuntime, error) {
 	ps := rs.parts[tc.Partition]
 	node := tc.Node
 
-	var bt *storage.BTree
-	var btLoader *storage.BulkLoader
-	var lsm *storage.LSMBTree
-
+	var loader *storage.BulkLoader
 	return &hyracks.FuncRuntime{
 		OnOpen: func(_ *hyracks.BaseRuntime) error {
-			var err error
-			if rs.job.Storage == pregel.LSMStorage {
-				dir := rs.localDir(node, fmt.Sprintf("vertex-lsm-p%d-%d", ps.idx, rs.nextSeq()))
-				if err := mkdir(dir); err != nil {
-					return err
-				}
-				lsm, err = storage.CreateLSMBTree(node.BufferCache, dir, storage.LSMOptions{
-					MemLimit: tc.OperatorMem,
-				})
-				if err != nil {
-					return err
-				}
-				ps.vertexIdx = storage.AsLSMIndex(lsm)
-			} else {
-				bt, err = storage.CreateBTree(node.BufferCache,
-					rs.tempPath(node, fmt.Sprintf("vertex-p%d", ps.idx)))
-				if err != nil {
-					return err
-				}
-				if btLoader, err = bt.NewBulkLoader(0.9); err != nil {
-					return err
-				}
-				ps.vertexIdx = storage.AsIndex(bt)
+			bt, err := storage.CreateBTree(node.BufferCache,
+				rs.tempPath(node, fmt.Sprintf("vertex-p%d", ps.idx)))
+			if err != nil {
+				return err
 			}
+			if loader, err = bt.NewBulkLoader(0.9); err != nil {
+				return err
+			}
+			ps.vertexIdx = storage.AsIndex(bt)
 			return nil
 		},
 		OnTuple: func(_ *hyracks.BaseRuntime, t tuple.Tuple) error {
-			if btLoader != nil {
-				if err := btLoader.Add(t[0], t[1]); err != nil {
-					return err
-				}
-			} else if err := lsm.Insert(t[0], t[1]); err != nil {
+			if err := loader.Add(t[0], t[1]); err != nil {
 				return err
 			}
 			ps.numVertices++
 			ps.numEdges += int64(edgeCountOf(t[1]))
 			return nil
 		},
-		OnClose: func(_ *hyracks.BaseRuntime) error {
-			if btLoader != nil {
-				if err := btLoader.Finish(); err != nil {
-					return err
-				}
-			}
-			if lsm != nil {
-				return lsm.Flush()
-			}
-			return nil
-		},
+		OnClose: func(_ *hyracks.BaseRuntime) error { return loader.Finish() },
 	}, nil
 }
 
@@ -190,8 +157,6 @@ func edgeCountOf(rec []byte) uint32 {
 func u32At(b []byte, off int) uint32 {
 	return uint32(b[off]) | uint32(b[off+1])<<8 | uint32(b[off+2])<<16 | uint32(b[off+3])<<24
 }
-
-func mkdir(dir string) error { return os.MkdirAll(dir, 0o755) }
 
 // dumpRow is one formatted output line keyed by vid for ordering.
 type dumpRow struct {

@@ -108,7 +108,7 @@ func TestPipelineLeftOuterJoinSecondJob(t *testing.T) {
 			InputPath: "/in/g",
 		}
 		cc := algorithms.NewConnectedComponentsJob("cc-"+plan, "/in/g", "/out/cc")
-		if err := cc.ApplyHints(plan, "", "", ""); err != nil {
+		if err := cc.ApplyHints(plan, "", ""); err != nil {
 			t.Fatal(err)
 		}
 		all, err := rt.RunPipeline(context.Background(), []*pregel.Job{label, cc})

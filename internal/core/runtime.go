@@ -758,20 +758,6 @@ func (rs *runState) tempPath(node *hyracks.NodeController, prefix string) string
 	return node.TempPathIn(rs.runDir, prefix)
 }
 
-// localDir returns a job-scoped node-local directory path (for LSM
-// component trees), under the run's scratch directory when set.
-func (rs *runState) localDir(node *hyracks.NodeController, name string) string {
-	return filepath.Join(node.JobDir(rs.runDir), name)
-}
-
-// operatorMem returns the effective per-operator budget on a node.
-func (rs *runState) operatorMem(node *hyracks.NodeController) int64 {
-	if rs.opMem > 0 {
-		return rs.opMem
-	}
-	return node.OperatorMem
-}
-
 // failureOf unwraps a recoverable node failure, distinguishing it from
 // application errors which are forwarded to the user (the failure
 // manager contract of Section 5.7).

@@ -165,7 +165,7 @@ func sparseBuilder(wrap func(*pregel.Job)) func(json.RawMessage) (*pregel.Job, e
 		if err != nil {
 			return nil, err
 		}
-		if err := job.ApplyHints(s.Join, "", "", ""); err != nil {
+		if err := job.ApplyHints(s.Join, "", ""); err != nil {
 			return nil, err
 		}
 		if wrap != nil {
@@ -240,7 +240,7 @@ func TestFrameBoundaryParity(t *testing.T) {
 		putGraph(t, rt, "/in/g", g)
 		for _, plan := range sparsePlans {
 			job := algorithms.NewSSSPJob("boundary-"+plan, "/in/g", "/out/"+plan, 1)
-			if err := job.ApplyHints(plan, "", "", ""); err != nil {
+			if err := job.ApplyHints(plan, "", ""); err != nil {
 				t.Fatal(err)
 			}
 			watch(job)

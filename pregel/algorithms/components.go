@@ -72,7 +72,6 @@ func NewConnectedComponentsJob(name, input, output string) *pregel.Job {
 		Join:       pregel.FullOuterJoin,
 		GroupBy:    pregel.HashSortGroupBy,
 		Connector:  pregel.UnmergeConnector,
-		Storage:    pregel.BTreeStorage,
 		InputPath:  input,
 		OutputPath: output,
 	}
@@ -126,7 +125,6 @@ func NewReachabilityJob(name, input, output string, sourceID uint64) *pregel.Job
 		Join:       pregel.LeftOuterJoin,
 		GroupBy:    pregel.HashSortGroupBy,
 		Connector:  pregel.UnmergeConnector,
-		Storage:    pregel.BTreeStorage,
 		InputPath:  input,
 		OutputPath: output,
 		Config: map[string]string{
@@ -185,7 +183,6 @@ func NewBFSTreeJob(name, input, output string, sourceID uint64) *pregel.Job {
 		Join:       pregel.LeftOuterJoin,
 		GroupBy:    pregel.HashSortGroupBy,
 		Connector:  pregel.UnmergeConnector,
-		Storage:    pregel.BTreeStorage,
 		InputPath:  input,
 		OutputPath: output,
 		Config: map[string]string{

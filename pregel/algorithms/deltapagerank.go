@@ -120,7 +120,6 @@ func NewDeltaPageRankJob(name, input, output string, epsilon float64) *pregel.Jo
 		Join:          pregel.AutoJoin,
 		GroupBy:       pregel.HashSortGroupBy,
 		Connector:     pregel.UnmergeConnector,
-		Storage:       pregel.BTreeStorage,
 		InputPath:     input,
 		OutputPath:    output,
 		MaxSupersteps: 500, // backstop; convergence halts far earlier

@@ -95,7 +95,6 @@ func NewKCoreJob(name, input, output string, k int) *pregel.Job {
 		Join:       pregel.AutoJoin,
 		GroupBy:    pregel.HashSortGroupBy,
 		Connector:  pregel.UnmergeConnector,
-		Storage:    pregel.BTreeStorage,
 		InputPath:  input,
 		OutputPath: output,
 		Config: map[string]string{

@@ -82,7 +82,6 @@ func NewPageRankJob(name, input, output string, iterations int) *pregel.Job {
 		Join:       pregel.FullOuterJoin,
 		GroupBy:    pregel.HashSortGroupBy,
 		Connector:  pregel.UnmergeConnector,
-		Storage:    pregel.BTreeStorage,
 		InputPath:  input,
 		OutputPath: output,
 		Config: map[string]string{

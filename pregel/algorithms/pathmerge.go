@@ -12,8 +12,10 @@ import (
 // assembler built on Pregelix (Section 6): single paths in a De Bruijn
 // graph are iteratively merged into their predecessor vertices until
 // every mergeable chain is collapsed. It exercises Pregelix's vertex
-// addition/removal support heavily, which is why the paper recommends
-// LSM vertex storage for it.
+// addition/removal support heavily; the paper recommends LSM vertex
+// storage for it, but here it runs on the B-tree like every job, which
+// measured faster on every rung (ARCHITECTURE.md, "Section 5.2: one
+// vertex store").
 //
 // The algorithm proceeds in rounds of three supersteps:
 //
@@ -135,8 +137,7 @@ func (pathMerge) Compute(ctx pregel.Context, v *pregel.Vertex, msgs []pregel.Val
 }
 
 // NewPathMergeJob builds a standalone path-merging job running the given
-// number of 3-superstep rounds, with the mutation-friendly LSM storage
-// the paper recommends for this workload.
+// number of 3-superstep rounds.
 func NewPathMergeJob(name, input, output string, rounds int) *pregel.Job {
 	return &pregel.Job{
 		Name:    name,
@@ -148,7 +149,6 @@ func NewPathMergeJob(name, input, output string, rounds int) *pregel.Job {
 		Join:          pregel.FullOuterJoin,
 		GroupBy:       pregel.SortGroupBy,
 		Connector:     pregel.UnmergeConnector,
-		Storage:       pregel.LSMStorage,
 		InputPath:     input,
 		OutputPath:    output,
 		MaxSupersteps: rounds * 3,

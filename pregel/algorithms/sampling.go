@@ -101,7 +101,6 @@ func NewRandomWalkSampleJob(name, input, output string, walkers, steps int) *pre
 		Join:       pregel.LeftOuterJoin,
 		GroupBy:    pregel.HashSortGroupBy,
 		Connector:  pregel.UnmergeConnector,
-		Storage:    pregel.BTreeStorage,
 		InputPath:  input,
 		OutputPath: output,
 		Config: map[string]string{

@@ -80,7 +80,6 @@ func NewSSSPJob(name, input, output string, sourceID uint64) *pregel.Job {
 		Join:       pregel.LeftOuterJoin,
 		GroupBy:    pregel.HashSortGroupBy,
 		Connector:  pregel.UnmergeConnector,
-		Storage:    pregel.BTreeStorage,
 		InputPath:  input,
 		OutputPath: output,
 		Config: map[string]string{

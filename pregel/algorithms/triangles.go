@@ -80,7 +80,6 @@ func NewTriangleCountJob(name, input, output string) *pregel.Job {
 		Join:       pregel.FullOuterJoin,
 		GroupBy:    pregel.SortGroupBy,
 		Connector:  pregel.UnmergeConnector,
-		Storage:    pregel.BTreeStorage,
 		InputPath:  input,
 		OutputPath: output,
 	}
@@ -204,7 +203,6 @@ func NewMaximalCliquesJob(name, input, output string) *pregel.Job {
 		Join:       pregel.FullOuterJoin,
 		GroupBy:    pregel.SortGroupBy,
 		Connector:  pregel.UnmergeConnector,
-		Storage:    pregel.BTreeStorage,
 		InputPath:  input,
 		OutputPath: output,
 	}

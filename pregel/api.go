@@ -180,17 +180,6 @@ const (
 	MergeConnector
 )
 
-// StorageKind selects the vertex access method (Section 5.2).
-type StorageKind int
-
-const (
-	// BTreeStorage favors in-place updates (PageRank).
-	BTreeStorage StorageKind = iota
-	// LSMStorage favors drastic size changes and frequent mutations
-	// (path merging in genome assembly).
-	LSMStorage
-)
-
 // hintNames spells each plan hint's values, indexed by value: what
 // String prints and ApplyHints reads, the one spelling of the CLI flags
 // and the serve API's fields.
@@ -198,7 +187,6 @@ var hintNames = map[string][]string{
 	"join":      {FullOuterJoin: "fullouter", LeftOuterJoin: "leftouter", AutoJoin: "auto"},
 	"groupby":   {SortGroupBy: "sort", HashSortGroupBy: "hashsort"},
 	"connector": {UnmergeConnector: "unmerge", MergeConnector: "merge"},
-	"storage":   {BTreeStorage: "btree", LSMStorage: "lsm"},
 }
 
 func hintName(hint string, v int) string {
@@ -211,21 +199,19 @@ func hintName(hint string, v int) string {
 func (k JoinKind) String() string      { return hintName("join", int(k)) }
 func (k GroupByKind) String() string   { return hintName("groupby", int(k)) }
 func (k ConnectorKind) String() string { return hintName("connector", int(k)) }
-func (k StorageKind) String() string   { return hintName("storage", int(k)) }
 
-// HintValues lists the spellings of one plan hint ("join", "groupby",
-// "connector" or "storage") for a usage line: "sort | hashsort".
+// HintValues lists the spellings of one plan hint ("join", "groupby" or
+// "connector") for a usage line: "sort | hashsort".
 func HintValues(hint string) string { return strings.Join(hintNames[hint], " | ") }
 
 // ApplyHints sets the plan hints given by their String spellings. An
 // empty name leaves that hint as the job has it; an unknown one is an
 // error, and the job is then not to be run.
-func (j *Job) ApplyHints(join, groupBy, connector, storage string) error {
+func (j *Job) ApplyHints(join, groupBy, connector string) error {
 	return errors.Join(
 		parseHint(&j.Join, "join", join),
 		parseHint(&j.GroupBy, "groupby", groupBy),
-		parseHint(&j.Connector, "connector", connector),
-		parseHint(&j.Storage, "storage", storage))
+		parseHint(&j.Connector, "connector", connector))
 }
 
 func parseHint[K ~int](dst *K, hint, name string) error {
@@ -240,9 +226,11 @@ func parseHint[K ~int](dst *K, hint, name string) error {
 }
 
 // Job configures one Pregelix job: the program, its UDFs, value codecs,
-// I/O paths, and the physical plan hints (2 joins x 2 group-bys x 2
-// connectors x 2 storages = the 16 tailored executions of Section 5.8;
-// AutoJoin lets the planner pick the join per superstep).
+// I/O paths, and the physical plan hints: 2 joins x 2 group-bys x 2
+// connectors, the B-tree half of the 16 tailored executions of Section
+// 5.8 (vertices always live in a B-tree: ARCHITECTURE.md, "Section 5.2:
+// one vertex store"). AutoJoin lets the planner pick the join per
+// superstep.
 type Job struct {
 	Name    string
 	Program Program
@@ -259,7 +247,6 @@ type Job struct {
 	Join      JoinKind
 	GroupBy   GroupByKind
 	Connector ConnectorKind
-	Storage   StorageKind
 
 	// InputPath/OutputPath are DFS paths; Input is read unless the job
 	// is pipelined after a compatible predecessor, and Output is

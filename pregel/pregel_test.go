@@ -351,19 +351,19 @@ func TestDefaultResolver(t *testing.T) {
 }
 
 func TestHintStrings(t *testing.T) {
-	pairs := map[string]string{
-		FullOuterJoin.String():    "fullouter",
-		LeftOuterJoin.String():    "leftouter",
-		SortGroupBy.String():      "sort",
-		HashSortGroupBy.String():  "hashsort",
-		UnmergeConnector.String(): "unmerge",
-		MergeConnector.String():   "merge",
-		BTreeStorage.String():     "btree",
-		LSMStorage.String():       "lsm",
-	}
-	for got, want := range pairs {
-		if got != want {
-			t.Fatalf("hint string %q want %q", got, want)
+	// A slice, not a map keyed by the value under test: two hints that
+	// print the same wrong spelling would collapse into one map key.
+	for _, c := range []struct{ got, want string }{
+		{FullOuterJoin.String(), "fullouter"},
+		{LeftOuterJoin.String(), "leftouter"},
+		{AutoJoin.String(), "auto"},
+		{SortGroupBy.String(), "sort"},
+		{HashSortGroupBy.String(), "hashsort"},
+		{UnmergeConnector.String(), "unmerge"},
+		{MergeConnector.String(), "merge"},
+	} {
+		if c.got != c.want {
+			t.Errorf("hint string %q want %q", c.got, c.want)
 		}
 	}
 }
