@@ -53,15 +53,23 @@ func TestScaleEndpoint(t *testing.T) {
 	if coord.Workers() != 3 {
 		t.Fatalf("elastic worker never absorbed: %d workers", coord.Workers())
 	}
-	getJSON(t, ts.URL+"/scale", &sv)
+	// The coordinator commits the third worker before it records the
+	// scale-out event: wait for the event on the same deadline.
+	sawScaleOut := false
+	for {
+		getJSON(t, ts.URL+"/scale", &sv)
+		for _, ev := range sv.Events {
+			if ev.Kind == "scale-out" {
+				sawScaleOut = true
+			}
+		}
+		if sawScaleOut || !time.Now().Before(deadline) {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 	if len(sv.Workers) != 3 {
 		t.Fatalf("topology after scale-out: %+v", sv.Workers)
-	}
-	sawScaleOut := false
-	for _, ev := range sv.Events {
-		if ev.Kind == "scale-out" {
-			sawScaleOut = true
-		}
 	}
 	if !sawScaleOut {
 		t.Fatalf("no scale-out event: %+v", sv.Events)

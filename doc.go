@@ -5,7 +5,9 @@
 // Pregelix implements the Pregel vertex-centric programming model as an
 // iterative dataflow of relational operators: message passing is a join
 // between the Msg and Vertex relations, message combination is a
-// group-by, and global state maintenance is a two-stage aggregation.
+// group-by, and global state maintenance is a two-stage aggregation:
+// each compute task pre-aggregates its partition, and the superstep
+// driver folds the partitions' votes from the superstep replies.
 // Because every operator and access method is out-of-core capable, the
 // same plans run in-memory and disk-based workloads transparently.
 //

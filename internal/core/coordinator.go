@@ -49,10 +49,6 @@ type CoordinatorConfig struct {
 	// (DistSubmission.Resume). Overrides BaseDir; never removed on
 	// Close.
 	StateDir string
-	// CheckpointReplication is the checkpoint store's block replication
-	// factor (default 2, so a checkpoint also survives losing one of the
-	// store's datanode directories).
-	CheckpointReplication int
 	// HeartbeatInterval is the liveness-probe period (default 2s); a
 	// worker that misses HeartbeatMisses consecutive probes (default 3)
 	// is declared dead even if its TCP connection still looks open.
@@ -191,9 +187,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.PartitionsPerNode <= 0 {
 		cfg.PartitionsPerNode = 1
 	}
-	if cfg.CheckpointReplication <= 0 {
-		cfg.CheckpointReplication = 2
-	}
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = 2 * time.Second
 	}
@@ -224,7 +217,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 			Dir:  filepath.Join(dir, "ckpt", fmt.Sprintf("cc%d", i)),
 		})
 	}
-	ckpt, err := dfs.New(datanodes, dfs.Options{Replication: cfg.CheckpointReplication, MetaDir: metaDir})
+	ckpt, err := dfs.New(datanodes, dfs.Options{Replication: dfsReplication, MetaDir: metaDir})
 	if err != nil {
 		if ownsDir {
 			os.RemoveAll(dir)
@@ -951,11 +944,11 @@ type DistSubmission struct {
 // RunJob executes one Pregel job across the registered workers and
 // blocks until it finishes: load (or resume), then the superstep driver
 // (jobrun.go) over the cluster's phase RPCs — the controller owns the
-// global state, chooses each superstep's join plan centrally, merges the
-// workers' partition counters, decides the halt, and drives a
+// global state, chooses each superstep's join plan centrally, folds the
+// workers' partition counters and votes, decides the halt, and drives a
 // distributed checkpoint every Job.CheckpointEvery supersteps — and
-// optionally the dump, whose rows come back from the worker that hosted
-// the write task. Sticky vertex-partition placement holds across
+// optionally the dump, whose rows every worker returns and the
+// controller merges. Sticky vertex-partition placement holds across
 // processes because every worker compiles the same deterministic
 // schedule for every phase.
 //
@@ -1163,7 +1156,7 @@ func (p *clusterPhases) superstep(ctx context.Context, run *jobRun, ss int64, jo
 			run.partLoad[pc.Part] = pc.Vertices + pc.Msgs
 		}
 	}
-	out, err := foldStep(reps)
+	out, err := foldStep(run.job, reps)
 	if err != nil {
 		return stepOutcome{}, fmt.Errorf("core: superstep %d of %s: %w", ss, run.name, err)
 	}
@@ -1272,7 +1265,8 @@ func (p *clusterPhases) restore(ctx context.Context, run *jobRun, cause error) (
 	return m, err
 }
 
-// dump: the write task's host returns the ordered rows.
+// dump: every worker returns its partitions' rows in vid order, and the
+// coordinator merges them.
 func (p *clusterPhases) dump(ctx context.Context, run *jobRun) error {
 	if !p.wantOutput {
 		return nil
@@ -1281,15 +1275,12 @@ func (p *clusterPhases) dump(ctx context.Context, run *jobRun) error {
 	if err != nil {
 		return fmt.Errorf("core: dump of %s: %w", run.name, err)
 	}
-	owners := 0
-	for _, rep := range dumps {
-		if rep.Owner {
-			owners++
-			p.output = rep.Rows
-		}
+	shares := make([][]byte, len(dumps))
+	for i := range dumps {
+		shares[i] = dumps[i].Rows
 	}
-	if owners != 1 {
-		return fmt.Errorf("core: dump of %s: %d workers returned rows, want exactly one", run.name, owners)
+	if p.output, err = mergeDumps(shares); err != nil {
+		return fmt.Errorf("core: dump of %s: %w", run.name, err)
 	}
 	return nil
 }

@@ -153,6 +153,13 @@ type partCount struct {
 	Edges    int64 `json:"edges"`
 	Msgs     int64 `json:"msgs"`
 	Live     int64 `json:"live"`
+	// The partition's global-state vote, read from superstep replies:
+	// Halt when every vertex it computed voted to halt, and Agg its
+	// partial aggregate when HasAgg. Presence is a bit of its own because
+	// an aggregate may marshal to no bytes.
+	Halt   bool   `json:"halt,omitempty"`
+	HasAgg bool   `json:"hasAgg,omitempty"`
+	Agg    []byte `json:"agg,omitempty"`
 }
 
 // loadReply reports the loaded partitions of one worker.
@@ -182,12 +189,6 @@ type superstepMsg struct {
 // superstepReply reports one worker's share of a superstep.
 type superstepReply struct {
 	Parts []partCount `json:"parts"`
-	// GSOwner marks the worker that hosted the global-state aggregation
-	// task; only its halt/aggregate fields are meaningful.
-	GSOwner   bool   `json:"gsOwner"`
-	HaltAll   bool   `json:"haltAll"`
-	HasAgg    bool   `json:"hasAgg"`
-	Aggregate []byte `json:"aggregate,omitempty"`
 	// Traffic and I/O attributed to this worker's tasks. NetBytes counts
 	// payload frame bytes; NetWireBytes counts what actually hit the
 	// network sockets (post-compression, headers included) and
@@ -258,12 +259,12 @@ type queryTopKReply struct {
 	Entries []TopKEntry `json:"entries"`
 }
 
-// dumpReply carries the output from the worker that hosted the single
-// write task: Rows, the attachment, is the output file's bytes, one
-// newline-terminated row per vertex.
+// dumpReply carries one worker's share of the output: Rows, the
+// attachment, holds a newline-terminated row per vertex of the worker's
+// partitions, in vid order. The coordinator merges every worker's rows
+// (mergeDumps).
 type dumpReply struct {
-	Owner bool   `json:"owner"`
-	Rows  []byte `json:"-"`
+	Rows []byte `json:"-"`
 }
 
 func (r *dumpReply) Attachments() []*[]byte { return []*[]byte{&r.Rows} }

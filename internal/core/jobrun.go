@@ -62,42 +62,59 @@ var errNotRecoverable = errors.New("core: failure is not a machine loss")
 
 // stepOutcome is one superstep folded over every participant: stat
 // carries the summed partition counters and traffic (the driver fills
-// in Superstep, Duration and Plan), haltAll and aggregate come from the
-// single global-state task.
+// in Superstep, Duration and Plan), haltAll and aggregate the global
+// state the partitions voted.
 type stepOutcome struct {
 	stat      SuperstepStat
 	haltAll   bool
 	aggregate []byte
 }
 
-// foldStep merges the participants' superstep replies. Exactly one of
-// them hosted the global-state aggregation task.
-func foldStep(reps []superstepReply) (stepOutcome, error) {
-	var out stepOutcome
-	st, owners := &out.stat, 0
+// foldStep merges the participants' superstep replies. It is stage two
+// of the two-stage global-state aggregation (Section 5.3.3): the halt
+// votes are ANDed and the partial aggregates merged with the job's
+// Aggregator, in reply order, then partition order. A partition reported
+// twice is an error.
+func foldStep(job *pregel.Job, reps []superstepReply) (stepOutcome, error) {
+	out := stepOutcome{haltAll: true}
+	st := &out.stat
+	var agg pregel.Value
+	seen := make(map[int]bool)
 	for i := range reps {
 		rep := &reps[i]
 		for _, p := range rep.Parts {
+			if seen[p.Part] {
+				return out, fmt.Errorf("core: partition %d reported twice", p.Part)
+			}
+			seen[p.Part] = true
 			st.Messages += p.Msgs
 			st.LiveVertices += p.Live
 			st.NumVertices += p.Vertices
 			st.NumEdges += p.Edges
+			out.haltAll = out.haltAll && p.Halt
+			if !p.HasAgg {
+				continue
+			}
+			if job.Aggregator == nil {
+				return out, fmt.Errorf("core: partition %d reported an aggregate without Aggregator", p.Part)
+			}
+			v, err := decodeAggValue(job, p.Agg)
+			if err != nil {
+				return out, err
+			}
+			if agg != nil {
+				v = job.Aggregator.Merge(agg, v)
+			}
+			agg = v
 		}
 		st.IOBytes += rep.IOBytes
 		st.NetworkTuples += rep.NetTuples
 		st.NetworkBytes += rep.NetBytes
 		st.NetworkWireBytes += rep.NetWireBytes
 		st.NetworkWireRawBytes += rep.NetWireRawBytes
-		if rep.GSOwner {
-			owners++
-			out.haltAll = rep.HaltAll
-			if rep.HasAgg {
-				out.aggregate = rep.Aggregate
-			}
-		}
 	}
-	if owners != 1 {
-		return out, fmt.Errorf("core: %d participants reported the global-state task, want exactly one", owners)
+	if agg != nil {
+		out.aggregate = pregel.MarshalValue(agg)
 	}
 	return out, nil
 }

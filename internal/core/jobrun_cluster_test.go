@@ -82,7 +82,7 @@ func TestRunOwnsSplitState(t *testing.T) {
 	coord, peers, log, first := startMoverCluster(t, moverCase{kind: "split", founding: []int{2, 2}})
 	ctx := context.Background()
 	// Partition p lives on node p%4: a's nc2 is heavy, b's nc4 is hot.
-	peers["a"].reply[rpcSuperstep] = &superstepReply{GSOwner: true,
+	peers["a"].reply[rpcSuperstep] = &superstepReply{
 		Parts: []partCount{{Part: 0, Vertices: 10}, {Part: 1, Vertices: 800}}}
 	peers["b"].reply[rpcSuperstep] = &superstepReply{
 		Parts: []partCount{{Part: 2, Vertices: 10}, {Part: 3, Vertices: 500, Msgs: 500}}}

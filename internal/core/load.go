@@ -2,11 +2,11 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
-	"sort"
+	"strconv"
 	"strings"
-	"sync"
 
 	"pregelix/internal/hyracks"
 	"pregelix/internal/operators"
@@ -65,8 +65,7 @@ func (rs *runState) load(ctx context.Context) error {
 	})
 	spec.Connect(&hyracks.ConnectorDesc{From: "sort", To: "bulkload", Type: hyracks.OneToOne})
 
-	_, err := rs.runHyracks(ctx, spec)
-	return err
+	return rs.runHyracks(ctx, spec)
 }
 
 // scanInput parses the DFS text input into (vid, vertexBytes) tuples.
@@ -158,100 +157,121 @@ func u32At(b []byte, off int) uint32 {
 	return uint32(b[off]) | uint32(b[off+1])<<8 | uint32(b[off+2])<<16 | uint32(b[off+3])<<24
 }
 
-// dumpRow is one formatted output line keyed by vid for ordering.
-type dumpRow struct {
-	vid  uint64
-	line string
-}
-
 // dump scans every partition's vertex index, formats the rows as text,
 // and writes the result back to the DFS (Section 5.2).
 func (rs *runState) dump(ctx context.Context) error {
-	out, owner, err := rs.dumpRows(ctx)
+	out, err := rs.dumpRows(ctx)
 	if err != nil {
 		return err
 	}
-	if !owner {
-		// Only the process hosting the write task has the rows; writing
-		// here would silently produce an empty output file. Partial
-		// executions dump through the distributed driver's phase RPCs.
-		return fmt.Errorf("core: dump %s: this process does not host the write task (partial execution must dump via the cluster coordinator)", rs.job.Name)
-	}
-	w, err := rs.rt.DFS.Create(rs.job.OutputPath)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(out); err != nil {
-		return err
-	}
-	return w.Close()
+	return rs.rt.DFS.WriteFile(rs.job.OutputPath, out)
 }
 
-// dumpRows runs the dump plan and returns the output file's bytes — the
-// rows the single write task collected, one newline-terminated line each
-// in vid order — plus whether this process hosted that task (on a
-// distributed run only the owner has rows; the other participants feed
-// it over the wire and return owner=false).
-func (rs *runState) dumpRows(ctx context.Context) ([]byte, bool, error) {
-	p := len(rs.parts)
-	var mu sync.Mutex
-	rows := make([]dumpRow, 0, 1024)
-
+// dumpRows runs the dump plan, one scan task per partition that decodes
+// and formats its own rows, and returns the rows this process holds as
+// newline-terminated lines in vid order: the whole output in a
+// single-process run, a worker's share of it on a cluster, where the
+// coordinator merges the shares.
+func (rs *runState) dumpRows(ctx context.Context) ([]byte, error) {
+	parts := make([][]byte, len(rs.parts))
 	spec := rs.newSpec(rs.job.Name + "-dump")
 	spec.AddOp(&hyracks.OperatorDesc{
 		ID:         "scan-vertex",
-		Partitions: p,
+		Partitions: len(rs.parts),
 		Locations:  rs.locations(),
 		NewSource: func(tc *hyracks.TaskContext) (hyracks.SourceRuntime, error) {
 			ps := rs.parts[tc.Partition]
-			return &hyracks.FuncSource{F: func(ctx context.Context, b *hyracks.BaseSource) error {
+			return &hyracks.FuncSource{F: func(ctx context.Context, _ *hyracks.BaseSource) error {
 				cur, err := ps.vertexIdx.ScanFrom(nil)
 				if err != nil {
 					return err
 				}
 				defer cur.Close()
+				dec := rs.codec.NewVertexDecoder() // a row is formatted before the next is decoded
 				for {
-					k, v, ok := cur.NextView() // EmitFields copies into the frame at once
+					k, val, ok := cur.NextView()
 					if !ok {
 						return cur.Err()
 					}
-					if err := b.EmitFields(0, k, v); err != nil {
+					if err := ctx.Err(); err != nil {
 						return err
 					}
+					v, err := dec.Decode(pregel.VertexID(tuple.DecodeUint64(k)), val)
+					if err != nil {
+						return err
+					}
+					parts[tc.Partition] = append(append(parts[tc.Partition], pregel.FormatVertexLine(v)...), '\n')
 				}
 			}}, nil
 		},
 	})
-	spec.AddOp(&hyracks.OperatorDesc{
-		ID:         "write",
-		Partitions: 1,
-		NewRuntime: func(tc *hyracks.TaskContext) (hyracks.PushRuntime, error) {
-			dec := rs.codec.NewVertexDecoder() // a row is formatted before the next is decoded
-			return &hyracks.FuncRuntime{
-				OnRef: func(_ *hyracks.BaseRuntime, t tuple.TupleRef) error {
-					v, err := dec.Decode(pregel.VertexID(tuple.DecodeUint64(t.Field(0))), t.Field(1))
-					if err != nil {
-						return err
-					}
-					mu.Lock()
-					rows = append(rows, dumpRow{uint64(v.ID), pregel.FormatVertexLine(v)})
-					mu.Unlock()
-					return nil
-				},
-			}, nil
-		},
-	})
-	spec.Connect(&hyracks.ConnectorDesc{From: "scan-vertex", To: "write", Type: hyracks.ReduceToOne})
+	if err := rs.runHyracks(ctx, spec); err != nil {
+		return nil, err
+	}
+	// A partition scans its vertices in vid order.
+	return mergeDumps(parts)
+}
 
-	res, err := rs.runHyracks(ctx, spec)
-	if err != nil {
-		return nil, false, err
+// mergeDumps merges shares of dump rows, each in vid order, into one
+// output in vid order, on the vid that starts each row
+// (pregel.FormatVertexLine): a process's partitions, and on a cluster
+// the workers' shares. Those come from other processes, so a row that
+// does not start with a vid, an unterminated row, rows out of order and
+// a vid in two rows are errors.
+func mergeDumps(shares [][]byte) ([]byte, error) {
+	type head struct {
+		rest, line []byte // line is nil once the share is used up
+		vid        uint64
 	}
-	owner := rs.exec.Local(res.Assignment["write"][0])
-	sort.Slice(rows, func(i, j int) bool { return rows[i].vid < rows[j].vid })
-	var out []byte
-	for _, r := range rows {
-		out = append(append(out, r.line...), '\n')
+	heads := make([]head, len(shares))
+	next := func(h *head) error {
+		if len(h.rest) == 0 {
+			h.line = nil
+			return nil
+		}
+		end := bytes.IndexByte(h.rest, '\n')
+		if end < 0 {
+			return fmt.Errorf("dump row %.40q has no newline", h.rest)
+		}
+		field, _, _ := bytes.Cut(h.rest[:end], []byte{'\t'})
+		vid, err := strconv.ParseUint(string(field), 10, 64)
+		if err != nil {
+			return fmt.Errorf("dump row %.40q does not start with a vid", h.rest[:end])
+		}
+		if h.line != nil && vid <= h.vid {
+			return fmt.Errorf("dump rows out of vid order: %d after %d", vid, h.vid)
+		}
+		h.rest, h.line, h.vid = h.rest[end+1:], h.rest[:end+1], vid
+		return nil
 	}
-	return out, owner, nil
+	size := 0
+	for i, share := range shares {
+		size += len(share)
+		heads[i].rest = share
+		if err := next(&heads[i]); err != nil {
+			return nil, err
+		}
+	}
+	out := make([]byte, 0, size)
+	for {
+		// Few shares, one per partition or worker: a scan finds the least
+		// head, and meets a vid held twice once it is the least.
+		m := -1
+		for i, h := range heads {
+			switch {
+			case h.line == nil:
+			case m < 0 || h.vid < heads[m].vid:
+				m = i
+			case h.vid == heads[m].vid:
+				return nil, fmt.Errorf("vid %d is dumped twice", h.vid)
+			}
+		}
+		if m < 0 {
+			return out, nil
+		}
+		out = append(out, heads[m].line...)
+		if err := next(&heads[m]); err != nil {
+			return nil, err
+		}
+	}
 }

@@ -306,8 +306,7 @@ func TestOutOfCoreExecution(t *testing.T) {
 		Nodes:             2,
 		PartitionsPerNode: 2,
 		NodeConfig: hyracks.NodeConfig{
-			RAMBytes:         256 << 10, // 256 KiB per "machine"
-			BufferCacheBytes: 64 << 10,
+			RAMBytes:         256 << 10, // 256 KiB per "machine", a quarter of it buffer cache
 			OperatorMemBytes: 16 << 10,
 			PageSize:         2048,
 		},

@@ -31,18 +31,13 @@ type Options struct {
 	BaseDir string
 	// Nodes is the simulated cluster size (default 4).
 	Nodes int
-	// NodeConfig configures each simulated machine (RAM budget, buffer
-	// cache share, operator memory, page size).
+	// NodeConfig configures each simulated machine (RAM budget, operator
+	// memory, page size).
 	NodeConfig hyracks.NodeConfig
 	// PartitionsPerNode controls parallelism; the paper's scheduler
 	// assigns as many partitions per machine as cores (default 1 here,
 	// since machines are simulated by goroutines).
 	PartitionsPerNode int
-	// DFSReplication is the checkpoint/input replication factor
-	// (default 2, capped at the node count).
-	DFSReplication int
-	// DFSBlockSize is the simulated HDFS block size.
-	DFSBlockSize int64
 	// Exec selects the connector transport and this process's share of
 	// the cluster's nodes. The zero value (in-process channels, all
 	// nodes local) is the single-process mode; distributed workers run
@@ -55,6 +50,11 @@ type Options struct {
 	// of compressing and non-compressing processes interoperates.
 	Compress tuple.CompressMode
 }
+
+// dfsReplication is the block replication factor of the DFS that holds
+// inputs, checkpoints and outputs (capped at the node count), and of the
+// coordinator's checkpoint store: a block survives losing one datanode.
+const dfsReplication = 2
 
 // Runtime is a Pregelix instance bound to a simulated cluster plus a
 // distributed file system whose datanodes are co-located with the
@@ -80,9 +80,6 @@ func NewRuntime(opts Options) (*Runtime, error) {
 	if opts.PartitionsPerNode <= 0 {
 		opts.PartitionsPerNode = 1
 	}
-	if opts.DFSReplication <= 0 {
-		opts.DFSReplication = 2
-	}
 	cluster, err := hyracks.NewCluster(filepath.Join(opts.BaseDir, "cluster"), opts.Nodes, opts.NodeConfig)
 	if err != nil {
 		return nil, err
@@ -94,10 +91,7 @@ func NewRuntime(opts Options) (*Runtime, error) {
 			Dir:  filepath.Join(opts.BaseDir, "dfs", string(n.ID)),
 		})
 	}
-	fsys, err := dfs.New(datanodes, dfs.Options{
-		BlockSize:   opts.DFSBlockSize,
-		Replication: opts.DFSReplication,
-	})
+	fsys, err := dfs.New(datanodes, dfs.Options{Replication: dfsReplication})
 	if err != nil {
 		return nil, err
 	}
@@ -152,6 +146,13 @@ type partitionState struct {
 
 	// Partition-local statistics.
 	numVertices, numEdges, liveVertices int64
+
+	// The partition's global-state vote in the superstep just computed:
+	// whether every vertex it computed voted to halt, and its partial
+	// aggregate if hasAgg (an aggregate may marshal to no bytes).
+	halted bool
+	hasAgg bool
+	agg    []byte
 }
 
 // runState is the per-job execution state shared by the plan generator's
@@ -201,23 +202,11 @@ type runState struct {
 	ss   int64
 	join pregel.JoinKind
 
-	// pendingGS holds the superstep's global aggregation result, written
-	// by the single-partition gs operator and read by runSuperstep.
-	pendingGS gsVote
-
 	seq atomic.Int64 // local file version counter
 	// ioBytes accumulates the job's own run-layer I/O (per-tenant, so
 	// concurrent jobs on the shared cluster don't pollute each other's
 	// superstep statistics).
 	ioBytes atomic.Int64
-}
-
-// gsVote is what the global-state aggregation task of one superstep
-// produced: the conjunction of the halt votes and the merged aggregate.
-type gsVote struct {
-	haltAll   bool
-	aggregate []byte
-	hasAgg    bool
 }
 
 // SuperstepStat records the statistics collector's view of one superstep.
@@ -453,7 +442,7 @@ func (l *localPhases) superstep(ctx context.Context, run *jobRun, ss int64, join
 	if err != nil {
 		return stepOutcome{}, err
 	}
-	return foldStep([]superstepReply{*rep})
+	return foldStep(l.rs.job, []superstepReply{*rep})
 }
 
 func (l *localPhases) observe(context.Context, *jobRun) (bool, error) { return false, nil }
@@ -507,9 +496,9 @@ func (l *localPhases) dump(ctx context.Context, run *jobRun) error {
 // for one superstep, whether it hosts every partition or a worker's
 // share: adopt the driver's global state, epoch and split table, run one
 // round of the superstep plan with the join the driver chose (compiling
-// the plan only when the partition table changed), collect the
-// global-state task's vote if it ran here, swap in the next-superstep
-// partition state, and report the hosted partitions' counters.
+// the plan only when the partition table changed), swap in the
+// next-superstep partition state, and report the hosted partitions'
+// counters and global-state votes.
 func (rs *runState) runSuperstep(ctx context.Context, msg *superstepMsg) (*superstepReply, error) {
 	if msg.Join != pregel.FullOuterJoin && msg.Join != pregel.LeftOuterJoin {
 		// The driver resolves AutoJoin before it sends the verb; the verb
@@ -528,8 +517,6 @@ func (rs *runState) runSuperstep(ctx context.Context, msg *superstepMsg) (*super
 	// before compiling, so every participant's spec (partition count,
 	// sticky locations, vid router) agrees.
 	rs.adoptSplits(msg.Splits)
-	// A vote left by an aborted attempt must not outlive it.
-	rs.pendingGS = gsVote{}
 	rs.ss, rs.join = msg.SS, msg.Join
 	plan, err := rs.superstepPlanFor()
 	if err != nil {
@@ -544,15 +531,8 @@ func (rs *runState) runSuperstep(ctx context.Context, msg *superstepMsg) (*super
 		rs.closePlan()
 		return nil, err
 	}
-	reply := &superstepReply{}
-	if gsNodes := res.Assignment["gs"]; len(gsNodes) == 1 && rs.exec.Local(gsNodes[0]) {
-		reply.GSOwner = true
-		reply.HaltAll = rs.pendingGS.haltAll
-		reply.HasAgg = rs.pendingGS.hasAgg
-		reply.Aggregate = rs.pendingGS.aggregate
-	}
 	rs.swapPartitions()
-	reply.Parts = rs.partCounts()
+	reply := &superstepReply{Parts: rs.partCounts()}
 	for _, cs := range res.ConnStats {
 		reply.NetTuples += cs.Tuples()
 		reply.NetBytes += cs.Bytes()
@@ -635,6 +615,7 @@ func (rs *runState) partCounts() []partCount {
 		out[i] = partCount{
 			Part: ps.idx, Vertices: ps.numVertices, Edges: ps.numEdges,
 			Msgs: ps.msgs, Live: ps.liveVertices,
+			Halt: ps.halted, HasAgg: ps.hasAgg, Agg: ps.agg,
 		}
 	}
 	return out
@@ -748,8 +729,9 @@ func (rs *runState) newSpec(name string) *hyracks.JobSpec {
 
 // runHyracks executes one compiled physical job with the run's
 // transport and local-node selection.
-func (rs *runState) runHyracks(ctx context.Context, spec *hyracks.JobSpec) (*hyracks.JobResult, error) {
-	return hyracks.RunJobWith(ctx, rs.rt.Cluster, spec, rs.exec)
+func (rs *runState) runHyracks(ctx context.Context, spec *hyracks.JobSpec) error {
+	_, err := hyracks.RunJobWith(ctx, rs.rt.Cluster, spec, rs.exec)
+	return err
 }
 
 // tempPath returns a job-scoped temp file path on the given node, under

@@ -18,11 +18,11 @@ import (
 // Output ports of the compute operator; the filter, compute UDF call,
 // Vertex update, and field extraction are fused into the join operator
 // as "mini-operators" (Section 5.3.2), so the join/compute task feeds
-// all downstream flows of Figures 3-5 directly.
+// the message and mutation flows of Figures 3-5 directly; its
+// global-state vote rides the superstep reply to foldStep.
 const (
 	portMsgs      = 0 // D3: outgoing messages
 	portMutations = 1 // D6: vertex additions/removals
-	portGS        = 2 // D4+D5: pre-aggregated global state contribution
 )
 
 // asErr wraps errors.As for the failure manager.
@@ -154,9 +154,9 @@ func (rs *runState) roundName(ss int64) string {
 
 // buildSuperstepJob compiles the physical superstep plan (Figure 8) for
 // the current partition table from the job's plan hints: group-by
-// strategy (Figure 7), connector policy, and vertex storage. It holds
-// nothing of one superstep: its tasks read the superstep, its join and
-// the global state from the runState when a round is armed.
+// strategy (Figure 7) and connector policy. It holds nothing of one
+// superstep: its tasks read the superstep, its join and the global
+// state from the runState when a round is armed.
 func (rs *runState) buildSuperstepJob() *hyracks.JobSpec {
 	p := len(rs.parts)
 	locs := rs.locations()
@@ -235,18 +235,6 @@ func (rs *runState) buildSuperstepJob() *hyracks.JobSpec {
 		Type:        hyracks.MToNPartitioning,
 		Partitioner: rs.vidPartitioner(),
 	})
-
-	// Global state: two-stage aggregation; stage one (per-partition
-	// pre-aggregation) is fused inside the compute task, stage two is
-	// the single global aggregator below (Section 5.3.3).
-	spec.AddOp(&hyracks.OperatorDesc{
-		ID:         "gs",
-		Partitions: 1,
-		NewRuntime: func(tc *hyracks.TaskContext) (hyracks.PushRuntime, error) {
-			return newGSSink(rs), nil
-		},
-	})
-	spec.Connect(&hyracks.ConnectorDesc{From: "compute", FromPort: portGS, To: "gs", Type: hyracks.ReduceToOne})
 
 	return spec
 }
@@ -499,59 +487,6 @@ func (r *resolveSink) Close() error {
 	return nil
 }
 
-// gsSink is stage two of the global aggregation: it folds the
-// per-partition contribution tuples into the pending global state.
-// Contribution tuple layout: (haltAll u8, hasAgg u8, aggBytes).
-type gsSink struct {
-	hyracks.BaseRuntime
-	rs      *runState
-	haltAll bool
-	agg     pregel.Value
-	failed  bool
-}
-
-func newGSSink(rs *runState) *gsSink {
-	return &gsSink{rs: rs, haltAll: true}
-}
-
-func (g *gsSink) Open() error { return nil }
-
-func (g *gsSink) NextFrame(f *tuple.Frame) error {
-	for i := 0; i < f.Len(); i++ {
-		t := f.Tuple(i)
-		g.haltAll = g.haltAll && tuple.DecodeBool(t.Field(0))
-		if tuple.DecodeBool(t.Field(1)) {
-			if g.rs.job.Aggregator == nil {
-				return fmt.Errorf("pregelix: aggregate contribution without Aggregator")
-			}
-			contrib, err := decodeAggValue(g.rs.job, t.Field(2))
-			if err != nil {
-				return err
-			}
-			if g.agg == nil {
-				g.agg = contrib
-			} else {
-				g.agg = g.rs.job.Aggregator.Merge(g.agg, contrib)
-			}
-		}
-	}
-	return nil
-}
-
-func (g *gsSink) Fail(err error) { g.failed = true }
-
-func (g *gsSink) Close() error {
-	if g.failed {
-		return nil
-	}
-	g.rs.pendingGS.haltAll = g.haltAll
-	if g.agg != nil {
-		g.rs.pendingGS.aggregate = pregel.MarshalValue(g.agg)
-		g.rs.pendingGS.hasAgg = true
-	}
-	return nil
-}
-
 // decodeAggValue decodes a global-aggregate value with the aggregator's
 // zero as the type witness.
 func decodeAggValue(job *pregel.Job, data []byte) (pregel.Value, error) {
@@ -672,14 +607,10 @@ func (c *computeSource) run(ctx context.Context) error {
 		return err
 	}
 
-	// Emit the pre-aggregated global-state contribution (stage one of
-	// the two-stage aggregation).
-	gsTuple := tuple.Tuple{
-		tuple.EncodeBool(cc.haltAll),
-		tuple.EncodeBool(cc.agg != nil),
-		pregel.MarshalValue(cc.agg),
-	}
-	return c.Emit(portGS, gsTuple)
+	// Leave the partition's global-state vote, stage one of the
+	// two-stage aggregation (Section 5.3.3); foldStep is stage two.
+	ps.halted, ps.hasAgg, ps.agg = cc.haltAll, cc.agg != nil, pregel.MarshalValue(cc.agg)
+	return nil
 }
 
 // applyUpdates replays the spooled (vid, vertex) updates into the vertex

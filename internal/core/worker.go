@@ -755,9 +755,9 @@ func (dj *distJob) dump() (*dumpReply, error) {
 		return nil, err
 	}
 	defer end()
-	out, owner, err := dj.rs.dumpRows(ctx)
+	out, err := dj.rs.dumpRows(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return &dumpReply{Owner: owner, Rows: out}, nil
+	return &dumpReply{Rows: out}, nil
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-
-	"pregelix/internal/tuple"
 )
 
 // JobResult carries post-run information for the statistics collector.
@@ -16,11 +14,6 @@ type JobResult struct {
 	// a multi-process run the cluster-wide totals are the sum over
 	// participants. Every round of a Plan counts into fresh ones.
 	ConnStats map[string]*ConnStats
-	// Assignment is the schedule the job ran with: operator ID to the
-	// node of each partition. Identical on every participant of a
-	// multi-process execution (the schedule is deterministic), and shared
-	// by every round of a Plan: read it, do not change it.
-	Assignment map[string][]NodeID
 }
 
 // RunJob executes the job DAG on the cluster in-process and blocks until
@@ -64,11 +57,10 @@ func RunJobWith(ctx context.Context, cluster *Cluster, spec *JobSpec, opts ExecO
 // at a time, and Close must not overlap one. A failed round leaves the
 // plan ready for another.
 type Plan struct {
-	spec   *JobSpec
-	opts   ExecOptions
-	assign map[string][]NodeID
-	conns  []*connState // every connector, in spec order
-	tasks  []*task
+	spec  *JobSpec
+	opts  ExecOptions
+	conns []*connState // every connector, in spec order
+	tasks []*task
 	// once marks a plan run for a single round (RunJobWith): its tasks'
 	// goroutines end with the round instead of parking. Parking them
 	// would cost the one-shot empty job (2-partition source → 2-partition
@@ -140,14 +132,7 @@ func Prepare(cluster *Cluster, spec *JobSpec, opts ExecOptions) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{spec: spec, opts: opts, assign: make(map[string][]NodeID, len(assign))}
-	for op, nodes := range assign {
-		ids := make([]NodeID, len(nodes))
-		for i, n := range nodes {
-			ids[i] = n.ID
-		}
-		p.assign[op] = ids
-	}
+	p := &Plan{spec: spec, opts: opts}
 
 	// Index connectors.
 	outbound := make(map[string]map[int]*connState) // opID -> port -> conn
@@ -170,7 +155,7 @@ func Prepare(cluster *Cluster, spec *JobSpec, opts ExecOptions) (*Plan, error) {
 			}
 			fused[cd.To] = true
 			continue
-		case MToNPartitioning, MToNPartitioningMerging, ReduceToOne:
+		case MToNPartitioning, MToNPartitioningMerging:
 		default:
 			return nil, fmt.Errorf("job %s: unknown connector type %v", spec.Name, cd.Type)
 		}
@@ -189,8 +174,8 @@ func Prepare(cluster *Cluster, spec *JobSpec, opts ExecOptions) (*Plan, error) {
 			Receivers:     to.Partitions,
 			BufferFrames:  buf,
 			Merging:       cd.Type == MToNPartitioningMerging,
-			SenderNodes:   p.assign[from.ID],
-			ReceiverNodes: p.assign[to.ID],
+			SenderNodes:   nodeIDs(assign[from.ID]),
+			ReceiverNodes: nodeIDs(assign[to.ID]),
 		}
 	}
 
@@ -217,6 +202,15 @@ func Prepare(cluster *Cluster, spec *JobSpec, opts ExecOptions) (*Plan, error) {
 		}
 	}
 	return p, nil
+}
+
+// nodeIDs names the nodes of a schedule entry.
+func nodeIDs(nodes []*NodeController) []NodeID {
+	ids := make([]NodeID, len(nodes))
+	for i, n := range nodes {
+		ids[i] = n.ID
+	}
+	return ids
 }
 
 // build makes s op's instance for one partition with its outputs
@@ -262,11 +256,7 @@ func (p *Plan) build(s *stage, op *OperatorDesc, part int, node *NodeController,
 			}
 			s.outs[port].fused = child
 		default:
-			route := cs.desc.Partitioner
-			if cs.desc.Type == ReduceToOne {
-				route = toZero
-			}
-			s.outs[port] = outlet{conn: cs, snd: &partitionSender{ports: make([]SendPort, cs.place.Receivers), part: route}}
+			s.outs[port] = outlet{conn: cs, snd: &partitionSender{ports: make([]SendPort, cs.place.Receivers), part: cs.desc.Partitioner}}
 		}
 	}
 	return nil
@@ -319,7 +309,7 @@ func (s *stage) drop() {
 // on it) and its temp files, and returns the round's own statistics.
 // The first task error cancels the round and is returned.
 func (p *Plan) Run(ctx context.Context, name string) (*JobResult, error) {
-	res := &JobResult{ConnStats: make(map[string]*ConnStats, len(p.conns)), Assignment: p.assign}
+	res := &JobResult{ConnStats: make(map[string]*ConnStats, len(p.conns))}
 	for _, cs := range p.conns {
 		cs.stats = &ConnStats{}
 		res.ConnStats[cs.label] = cs.stats
@@ -455,9 +445,6 @@ func (p *Plan) outputs(s *stage) ([]FrameWriter, error) {
 	}
 	return s.writers, nil
 }
-
-// toZero routes every tuple to consumer partition 0 (reduce-to-one).
-func toZero(tuple.TupleRef, int) int { return 0 }
 
 // sender aims an outlet's sender endpoint at the round's streams of its
 // connector, for one producer task.

@@ -137,20 +137,9 @@ func TestOneToOneFusion(t *testing.T) {
 	}
 }
 
-func TestReduceToOne(t *testing.T) {
-	cluster := testCluster(t, 3)
-	col := newCollector()
-	spec := &JobSpec{Name: "reduce"}
-	spec.AddOp(rangeSource("src", 3, 300, false))
-	spec.AddOp(col.sinkOp("sink", 1))
-	spec.Connect(&ConnectorDesc{From: "src", To: "sink", Type: ReduceToOne})
-	if _, err := RunJob(context.Background(), cluster, spec); err != nil {
-		t.Fatal(err)
-	}
-	if len(col.tuples) != 300 || len(col.byPart) != 1 {
-		t.Fatalf("tuples=%d partitions=%d", len(col.tuples), len(col.byPart))
-	}
-}
+// toOne routes every tuple to consumer partition 0: a one-partition
+// sink fed by a partitioning connector.
+func toOne(tuple.TupleRef, int) int { return 0 }
 
 // sortedRangeSource emits each partition's share in ascending vid order,
 // as required by merging connectors.
@@ -199,8 +188,8 @@ func TestMergingConnectorProducesSortedStream(t *testing.T) {
 }
 
 // TestMaterializedConnector checks which connectors take the
-// sender-side materializing policy: a merging one always does, a
-// reduce-to-one never.
+// sender-side materializing policy: a merging one always does, a plain
+// partitioning one into a single partition never.
 func TestMaterializedConnector(t *testing.T) {
 	cluster := testCluster(t, 2)
 	col := newCollector()
@@ -229,19 +218,19 @@ func TestMaterializedConnector(t *testing.T) {
 
 	cluster = testCluster(t, 2)
 	col = newCollector()
-	spec = &JobSpec{Name: "mat-reduce"}
+	spec = &JobSpec{Name: "mat-to-one"}
 	spec.AddOp(rangeSource("src", 2, 500, false))
 	spec.AddOp(col.sinkOp("sink", 1))
-	spec.Connect(&ConnectorDesc{From: "src", To: "sink", Type: ReduceToOne})
+	spec.Connect(&ConnectorDesc{From: "src", To: "sink", Type: MToNPartitioning, Partitioner: toOne})
 	if _, err := RunJob(context.Background(), cluster, spec); err != nil {
 		t.Fatal(err)
 	}
 	if len(col.tuples) != 500 {
-		t.Fatalf("reduce-to-one: got %d tuples", len(col.tuples))
+		t.Fatalf("to one partition: got %d tuples", len(col.tuples))
 	}
 	for _, n := range cluster.Nodes() {
 		if n.IOBytes() != 0 {
-			t.Fatalf("reduce-to-one materialized: node %s did %d bytes of temp-file I/O", n.ID, n.IOBytes())
+			t.Fatalf("pipelined connector materialized: node %s did %d bytes of temp-file I/O", n.ID, n.IOBytes())
 		}
 	}
 }
@@ -284,7 +273,7 @@ func TestNodeFailureSurfaces(t *testing.T) {
 	src.Locations = []NodeID{"nc1", "nc2", "nc3"}
 	spec.AddOp(src)
 	spec.AddOp(col.sinkOp("sink", 1))
-	spec.Connect(&ConnectorDesc{From: "src", To: "sink", Type: ReduceToOne})
+	spec.Connect(&ConnectorDesc{From: "src", To: "sink", Type: MToNPartitioning, Partitioner: toOne})
 	_, err := RunJob(context.Background(), cluster, spec)
 	var nf *NodeFailure
 	if !errors.As(err, &nf) || nf.Node != "nc2" {
@@ -373,8 +362,8 @@ func TestMultiPortOutputs(t *testing.T) {
 	})
 	spec.AddOp(evens.sinkOp("evens", 1))
 	spec.AddOp(odds.sinkOp("odds", 1))
-	spec.Connect(&ConnectorDesc{From: "split", FromPort: 0, To: "evens", Type: ReduceToOne})
-	spec.Connect(&ConnectorDesc{From: "split", FromPort: 1, To: "odds", Type: ReduceToOne})
+	spec.Connect(&ConnectorDesc{From: "split", FromPort: 0, To: "evens", Type: MToNPartitioning, Partitioner: toOne})
+	spec.Connect(&ConnectorDesc{From: "split", FromPort: 1, To: "odds", Type: MToNPartitioning, Partitioner: toOne})
 	if _, err := RunJob(context.Background(), cluster, spec); err != nil {
 		t.Fatal(err)
 	}

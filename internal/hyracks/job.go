@@ -105,9 +105,6 @@ const (
 	// materializing-pipelined policy to avoid the scheduling deadlocks
 	// noted in Section 5.3.1.
 	MToNPartitioningMerging
-	// ReduceToOne funnels all sender partitions into consumer partition
-	// 0 (the aggregator connector used for global state).
-	ReduceToOne
 )
 
 func (t ConnectorType) String() string {
@@ -118,8 +115,6 @@ func (t ConnectorType) String() string {
 		return "m-to-n-partitioning"
 	case MToNPartitioningMerging:
 		return "m-to-n-partitioning-merging"
-	case ReduceToOne:
-		return "reduce-to-one"
 	default:
 		return fmt.Sprintf("connector(%d)", int(t))
 	}
@@ -239,10 +234,6 @@ func (j *JobSpec) Validate() error {
 			}
 			if c.Type == MToNPartitioningMerging && c.Comparator == nil {
 				return fmt.Errorf("job %s: merging connector %s->%s needs a comparator", j.Name, c.From, c.To)
-			}
-		case ReduceToOne:
-			if to.Partitions != 1 {
-				return fmt.Errorf("job %s: reduce-to-one %s->%s requires 1 consumer partition", j.Name, c.From, c.To)
 			}
 		}
 	}

@@ -63,12 +63,14 @@ type NodeController struct {
 	madeDirs sync.Map
 }
 
+// bufferCacheShare divides a node's RAM for the access methods' buffer
+// cache: it takes a quarter, and is unlimited when the RAM is.
+const bufferCacheShare = 4
+
 // NodeConfig configures a simulated machine.
 type NodeConfig struct {
 	// RAMBytes is the simulated physical memory (0 = unlimited).
 	RAMBytes int64
-	// BufferCacheBytes for access methods; defaults to RAMBytes/4.
-	BufferCacheBytes int64
 	// OperatorMemBytes per group-by/sort operator instance; defaults to
 	// RAMBytes/16 (or 64 MiB when RAM is unlimited).
 	OperatorMemBytes int64
@@ -82,10 +84,7 @@ func NewNodeController(id NodeID, dir string, cfg NodeConfig) (*NodeController, 
 		return nil, fmt.Errorf("node %s: %w", id, err)
 	}
 	ram := memory.NewBudget(fmt.Sprintf("node-%s-ram", id), cfg.RAMBytes)
-	bcBytes := cfg.BufferCacheBytes
-	if bcBytes == 0 && cfg.RAMBytes > 0 {
-		bcBytes = cfg.RAMBytes / 4
-	}
+	bcBytes := cfg.RAMBytes / bufferCacheShare
 	opMem := cfg.OperatorMemBytes
 	if opMem == 0 {
 		if cfg.RAMBytes > 0 {

@@ -72,7 +72,7 @@ func TestCancelledContextStopsJob(t *testing.T) {
 		},
 	}
 	spec.AddOp(slow)
-	spec.Connect(&ConnectorDesc{From: "src", To: "sink", Type: ReduceToOne, BufferFrames: 1})
+	spec.Connect(&ConnectorDesc{From: "src", To: "sink", Type: MToNPartitioning, Partitioner: toOne, BufferFrames: 1})
 
 	done := make(chan error, 1)
 	go func() {

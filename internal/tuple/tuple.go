@@ -87,19 +87,6 @@ func DecodeUint64(b []byte) uint64 {
 	return binary.BigEndian.Uint64(b)
 }
 
-// EncodeBool encodes a boolean as a single byte.
-func EncodeBool(v bool) []byte {
-	if v {
-		return []byte{1}
-	}
-	return []byte{0}
-}
-
-// DecodeBool decodes a single-byte boolean; empty slices decode to false.
-func DecodeBool(b []byte) bool {
-	return len(b) > 0 && b[0] != 0
-}
-
 // EncodeFloat64 encodes a float64 in IEEE-754 bits (little-endian). This
 // encoding is NOT order-preserving; it is used only for payloads, never for
 // sort keys.

@@ -43,15 +43,6 @@ func TestFloat64RoundTrip(t *testing.T) {
 	}
 }
 
-func TestBoolEncoding(t *testing.T) {
-	if !DecodeBool(EncodeBool(true)) || DecodeBool(EncodeBool(false)) {
-		t.Fatal("bool encoding broken")
-	}
-	if DecodeBool(nil) {
-		t.Fatal("nil should decode to false")
-	}
-}
-
 func TestTupleCloneIndependence(t *testing.T) {
 	orig := Tuple{[]byte{1, 2}, []byte{3}}
 	c := orig.Clone()
