@@ -129,10 +129,12 @@ func TestGroupByHintsAgreeOnFloats(t *testing.T) {
 			if alg != "pagerank" {
 				continue
 			}
-			// Four runs of 800 combined messages (an 8-byte vid and a 16-byte
-			// list each) from each of 4 senders in each superstep that sends.
+			// Four runs of 800 combined messages (an 8-byte vid and the
+			// message's own bytes each) from each of 4 senders in each
+			// superstep that sends.
+			perMsg := int64(8 + len(appendPayload(ref, nil, ref.Codec.NewMessage())))
 			spilled := superstepIO(smallStats) - superstepIO(fitStats)
-			if least := int64(parityIterations-1) * 4 * 4 * 800 * 24; spilled < least {
+			if least := int64(parityIterations-1) * 4 * 4 * 800 * perMsg; spilled < least {
 				t.Errorf("%+v: %d bytes of runs at %d bytes of operator memory, want %d or more", s, spilled, paritySmall, least)
 			}
 		}
@@ -276,7 +278,7 @@ func BenchmarkMsgCombineSender(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		gb := operators.NewGroupByRuntime(tc, kind, newMsgCombiner(job))
 		gb.SetOutputs(nil)
-		src := &computeSource{}
+		src := &computeSource{rs: &runState{job: job}} // the job's combiner sets the payload layout
 		src.SetOutputs([]hyracks.FrameWriter{gb})
 		if err := src.OpenOutputs(); err != nil {
 			b.Fatal(err)

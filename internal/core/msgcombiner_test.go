@@ -3,11 +3,14 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
+	"pregelix/internal/graphgen"
 	"pregelix/internal/hyracks"
 	"pregelix/internal/operators"
 	"pregelix/internal/tuple"
@@ -19,26 +22,24 @@ func doubleJob(c pregel.Combiner) *pregel.Job {
 	return &pregel.Job{Codec: pregel.Codec{NewMessage: pregel.NewDouble}, Combiner: c}
 }
 
-// msgTuple builds a (vid, one-message list) tuple inside a buffer with
-// spare capacity after every field, as a frame has: a combiner that
-// appended to a field in place would show in the buffer.
-func msgTuple(vid uint64, v float64) (t tuple.Tuple, buf []byte) {
+// msgTuple builds a (vid, message) tuple of the job's payload layout
+// inside a buffer with spare capacity after every field, as a frame has:
+// a combiner that appended to a field in place would show in the buffer.
+func msgTuple(job *pregel.Job, vid uint64, v float64) (t tuple.Tuple, buf []byte) {
 	d := pregel.Double(v)
 	buf = tuple.AppendUint64(make([]byte, 0, 64), vid)
-	buf = pregel.AppendMsgList(buf, &d)
+	buf = appendPayload(job, buf, &d)
 	return tuple.Tuple{buf[:8], buf[8:]}, buf[:cap(buf)]
 }
 
-func decodeSum(t *testing.T, job *pregel.Job, payload []byte) float64 {
+// decodeSum decodes a combined payload, which is one Double's bytes.
+func decodeSum(t *testing.T, payload []byte) float64 {
 	t.Helper()
-	ms, err := job.Codec.DecodeMsgList(payload)
-	if err != nil {
-		t.Fatal(err)
+	var d pregel.Double
+	if err := d.Unmarshal(payload); err != nil {
+		t.Fatalf("combined payload %x: %v", payload, err)
 	}
-	if len(ms) != 1 {
-		t.Fatalf("combined list holds %d messages, want 1", len(ms))
-	}
-	return float64(*ms[0].(*pregel.Double))
+	return float64(d)
 }
 
 // TestMsgCombinerKeepsAccumulatorsApart folds two groups alternately, as
@@ -66,7 +67,7 @@ func TestMsgCombinerKeepsAccumulatorsApart(t *testing.T) {
 		var inputs []tuple.Tuple
 		var bufs, images [][]byte
 		next := func(vid uint64, v float64) tuple.Tuple {
-			in, buf := msgTuple(vid, v)
+			in, buf := msgTuple(job, vid, v)
 			inputs = append(inputs, in)
 			bufs = append(bufs, buf)
 			images = append(images, append([]byte(nil), buf...))
@@ -81,10 +82,10 @@ func TestMsgCombinerKeepsAccumulatorsApart(t *testing.T) {
 			acc1 = c.Add(acc1, next(1, float64(i)))
 			acc2 = c.Add(acc2, next(2, 10*float64(i)))
 		}
-		if got := decodeSum(t, job, acc1[1]); got != 1275 {
+		if got := decodeSum(t, acc1[1]); got != 1275 {
 			t.Errorf("%s: group 1 sums to %v, want 1275", name, got)
 		}
-		if got := decodeSum(t, job, acc2[1]); got != 12750 {
+		if got := decodeSum(t, acc2[1]); got != 12750 {
 			t.Errorf("%s: group 2 sums to %v, want 12750", name, got)
 		}
 		for i := range bufs {
@@ -105,11 +106,11 @@ func TestMsgCombinerKeepsAccumulatorsApart(t *testing.T) {
 func TestMsgCombinerGathersWithoutCombiner(t *testing.T) {
 	job := doubleJob(nil)
 	c := newMsgCombiner(job)
-	first, buf := msgTuple(1, 0)
+	first, buf := msgTuple(job, 1, 0)
 	image := append([]byte(nil), buf...)
 	acc := c.First(tuple.Tuple{first[0], first[1]})
 	for i := 1; i < 100; i++ {
-		in, _ := msgTuple(1, float64(i))
+		in, _ := msgTuple(job, 1, float64(i))
 		acc = c.Add(acc, in)
 	}
 	ms, err := job.Codec.DecodeMsgList(acc[1])
@@ -135,8 +136,8 @@ func BenchmarkMsgCombinerAdd(b *testing.B) {
 		return a
 	}))
 	c := newMsgCombiner(job)
-	first, _ := msgTuple(1, 1)
-	in, _ := msgTuple(1, 2)
+	first, _ := msgTuple(job, 1, 1)
+	in, _ := msgTuple(job, 1, 2)
 	acc := c.First(first)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -151,8 +152,9 @@ func BenchmarkMsgCombinerAdd(b *testing.B) {
 // fold of the decoded messages in arrival order: PageRank's sum (of
 // whole numbers, so that the order of the additions cannot show), SSSP's
 // and CC's minimum, FirstCombiner, and k-core's concatenation, whose
-// result outgrows its record. A list of other than one message is
-// corrupt under a combiner and must still panic.
+// result outgrows its record. A payload that is not one message's bytes
+// (a list around it, or a length the message type rejects) is corrupt
+// under a combiner and must still panic.
 func TestMsgCombinerOneMessageFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	cases := []struct {
@@ -193,19 +195,19 @@ func TestMsgCombinerOneMessageFold(t *testing.T) {
 		want := map[uint64]pregel.Value{}
 		for i := 0; i < n; i++ {
 			vid, m := uint64(rng.Intn(vids)), c.msg()
-			payload := pregel.EncodeMsgList(m)
+			payload := appendPayload(c.job, nil, m)
 			for !app.Append(tuple.EncodeUint64(vid), payload) {
 				frames = append(frames, tuple.GetFrame())
 				app.Reset(frames[len(frames)-1])
 			}
-			ms, err := c.job.Codec.DecodeMsgList(payload)
-			if err != nil {
+			d := c.job.Codec.NewMessage()
+			if err := d.Unmarshal(payload); err != nil {
 				t.Fatal(err)
 			}
 			if acc, ok := want[vid]; ok {
-				want[vid] = c.job.Combiner.Combine(acc, ms[0])
+				want[vid] = c.job.Combiner.Combine(acc, d)
 			} else {
-				want[vid] = ms[0]
+				want[vid] = d
 			}
 		}
 		for _, kind := range []operators.GroupByKind{operators.HashSortGroupBy, operators.SortGroupBy} {
@@ -216,7 +218,7 @@ func TestMsgCombinerOneMessageFold(t *testing.T) {
 					t.Fatalf("%s: %d destinations, want %d", what, len(got), len(want))
 				}
 				for vid, m := range want {
-					if w := pregel.EncodeMsgList(m); !bytes.Equal(got[vid], w) {
+					if w := m.Marshal(nil); !bytes.Equal(got[vid], w) {
 						t.Fatalf("%s: vid %d combined to %x, want %x", what, vid, got[vid], w)
 					}
 				}
@@ -228,21 +230,20 @@ func TestMsgCombinerOneMessageFold(t *testing.T) {
 	}
 
 	job := doubleJob(algorithms.SumCombiner())
-	one := func() []byte {
-		d := pregel.Double(1)
-		return pregel.EncodeMsgList(&d)
-	}
+	one := func() []byte { return pregel.Double(1).Marshal(nil) }
 	a, b := pregel.Double(1), pregel.Double(2)
-	two := pregel.EncodeMsgList(&a, &b)
-	overrun := one()
-	overrun[4]++ // the message claims a byte more than the list holds
-	trailing := append(one(), 0)
-	for name, bad := range map[string][]byte{"two messages": two, "length overrun": overrun, "trailing bytes": trailing, "empty list": pregel.EncodeMsgList()} {
+	for name, bad := range map[string][]byte{
+		"list of one":    pregel.EncodeMsgList(&a),
+		"list of two":    pregel.EncodeMsgList(&a, &b),
+		"short":          one()[:7],
+		"trailing bytes": append(one(), 0),
+		"empty":          {},
+	} {
 		for _, side := range []string{"accumulator", "tuple"} {
 			func() {
 				defer func() {
-					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "corrupt message list") {
-						t.Errorf("%s as the %s: Add panicked with %v, want a corrupt message list", name, side, r)
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "corrupt message") {
+						t.Errorf("%s as the %s: Add panicked with %v, want a corrupt message", name, side, r)
 					}
 				}()
 				key := tuple.EncodeUint64(1)
@@ -292,4 +293,85 @@ func foldMessages(t *testing.T, job *pregel.Job, kind operators.GroupByKind, opM
 		t.Fatal(err)
 	}
 	return got
+}
+
+// payloadJob is PageRank for 4 iterations, with its combiner or, when
+// lists is set, without one, so that each receiver gathers a list.
+func payloadJob(raw json.RawMessage) (*pregel.Job, error) {
+	var s struct{ Lists bool }
+	if err := json.Unmarshal(raw, &s); err != nil {
+		return nil, err
+	}
+	job := algorithms.NewPageRankJob("payload", "/in/g", "", 4)
+	if s.Lists {
+		job.Combiner = nil
+	}
+	return job, nil
+}
+
+// TestMsgTupleBytes: under a combiner a Msg tuple is an 8-byte vid and
+// exactly the message's Marshal bytes, so a superstep's IOBytes, which
+// are its Msg relation's on a graph this small, are receivers × (8 +
+// len(Marshal)). Without a combiner each receiver's payload is a list:
+// a u32 count and, per message, a u32 length and its bytes. The same
+// holds on the runtime and on a 2-worker cluster.
+func TestMsgTupleBytes(t *testing.T) {
+	g := graphgen.Webmap(500, 5, 9)
+	indeg := map[uint64]int64{}
+	var edges int64
+	for _, dests := range g.Adj {
+		for _, d := range dests {
+			indeg[d]++
+			edges++
+		}
+	}
+	receivers := int64(len(indeg))
+	msgLen := int64(len(pregel.Double(0).Marshal(nil)))
+	want := func(lists bool) int64 {
+		if lists {
+			return receivers*(8+4) + edges*(4+msgLen)
+		}
+		return receivers * (8 + msgLen)
+	}
+	check := func(t *testing.T, what string, lists bool, stats *JobStats) {
+		t.Helper()
+		if len(stats.SuperstepStats) != 4 {
+			t.Fatalf("%s: %d supersteps, want 4", what, len(stats.SuperstepStats))
+		}
+		for _, ss := range stats.SuperstepStats[:3] { // the last sends nothing
+			if ss.IOBytes != want(lists) {
+				t.Errorf("%s, superstep %d: IOBytes = %d, want %d", what, ss.Superstep, ss.IOBytes, want(lists))
+			}
+		}
+	}
+
+	rt := newTestRuntime(t, 2)
+	defer rt.Close()
+	putGraph(t, rt, "/in/g", g)
+	kc := startSparseCluster(t, 2, 1, tuple.CompressOff, func(int) func(json.RawMessage) (*pregel.Job, error) {
+		return payloadJob
+	})
+	for _, lists := range []bool{false, true} {
+		spec, _ := json.Marshal(struct{ Lists bool }{lists})
+		job, err := payloadJob(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		what := fmt.Sprintf("lists %v", lists)
+		stats, err := rt.Run(context.Background(), job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, what+", runtime", lists, stats)
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		stats, _, err = kc.coord.RunJob(ctx, DistSubmission{
+			Name: fmt.Sprintf("payload-%v", lists), Spec: spec, Job: job,
+			InputPath: "/in/g", InputData: graphText(t, g),
+		})
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, what+", cluster", lists, stats)
+	}
 }

@@ -62,7 +62,7 @@ func TestSenderHandOffAllocations(t *testing.T) {
 		if err := loader.Add(key, job.Codec.EncodeVertex(v)); err != nil {
 			t.Fatal(err)
 		}
-		if err := msg.AppendFields(key, pregel.EncodeMsgList(&rank)); err != nil {
+		if err := msg.AppendFields(key, appendPayload(job, nil, &rank)); err != nil {
 			t.Fatal(err)
 		}
 	}

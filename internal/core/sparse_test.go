@@ -205,7 +205,7 @@ func runSparseDist(t *testing.T, coord *Coordinator, name, plan string, g *graph
 // msg-* files seen from inside Compute show the boundary was crossed.
 func TestFrameBoundaryParity(t *testing.T) {
 	// The leaves compute, their Msg past a frame, in superstep head+2.
-	const head, hubs, fan, tail = 6, 40, 100, 6
+	const head, hubs, fan, tail = 6, 40, 150, 6
 	g := boundaryGraph(head, hubs, fan, tail)
 	want := referenceValues(t, algorithms.NewSSSPJob("sssp", "", "", 1), g)
 	var root string // each subtest's testRoot, set before it runs a job

@@ -264,18 +264,18 @@ func senderKind(job *pregel.Job) operators.GroupByKind {
 }
 
 // msgCombiner adapts the job's message combiner to the tuple level.
-// Message payloads are encoded lists; without a user combiner, lists for
-// the same destination are concatenated (the default "gather into a
+// Without a user combiner, message payloads are encoded lists, and lists
+// for the same destination are concatenated (the default "gather into a
 // list" combine of the paper's footnote 4).
 //
-// With a combiner every list holds exactly one message: SendMessage
-// writes one, and Add returns one. One msgCombiner serves one group-by
-// task: it decodes the two messages of a fold into two Values it keeps,
-// and an accumulator's payload is the accumulator's to write, so that a
-// combine is Unmarshal, Combine and Marshal over the old message, in
-// place, with no allocation. The group-bys hand First the bytes that stay
-// with the group, each field cut at its length: their own record under
-// the hash policy, which is where the fold then happens.
+// With a combiner a payload is one message's Marshal bytes and nothing
+// else: SendMessage writes one, and Add returns one. One msgCombiner
+// serves one group-by task: it decodes the two messages of a fold into
+// two Values it keeps, and an accumulator's payload is the accumulator's
+// to write, so that a combine is Unmarshal, Combine and Marshal over the
+// old message, in place, with no allocation. The group-bys hand First the
+// bytes that stay with the group, each field cut at its length: their own
+// record under the hash policy, which is where the fold then happens.
 type msgCombiner struct {
 	combine pregel.Combiner
 	// a and b are the messages of the accumulator and of the tuple
@@ -306,31 +306,18 @@ func (c *msgCombiner) Add(acc, t tuple.Tuple) tuple.Tuple {
 		acc[1] = pregel.AppendMsgLists(acc[1], t[1])
 		return acc
 	}
-	if err := c.a.Unmarshal(oneMessage(acc[1])); err != nil {
-		panic(fmt.Sprintf("pregelix: corrupt message list: %v", err))
+	if err := c.a.Unmarshal(acc[1]); err != nil {
+		panic(fmt.Sprintf("pregelix: corrupt message: %v", err))
 	}
-	if err := c.b.Unmarshal(oneMessage(t[1])); err != nil {
-		panic(fmt.Sprintf("pregelix: corrupt message list: %v", err))
+	if err := c.b.Unmarshal(t[1]); err != nil {
+		panic(fmt.Sprintf("pregelix: corrupt message: %v", err))
 	}
 	// Both messages are decoded, so the old one can be overwritten: a
 	// result of its size lands in place, a longer one in a new payload
 	// (the capacity is cut at the length, for the accumulator owns its
-	// payload's bytes only), a shorter one in front. The list keeps its
-	// count of one; its length is the result's.
-	l := c.combine.Combine(c.a, c.b).Marshal(acc[1][:8:len(acc[1])])
-	binary.LittleEndian.PutUint32(l[4:], uint32(len(l)-8))
-	acc[1] = l
+	// payload's bytes only), a shorter one in front.
+	acc[1] = c.combine.Combine(c.a, c.b).Marshal(acc[1][:0:len(acc[1])])
 	return acc
-}
-
-// oneMessage returns the bytes of the one message of list l (u32 count
-// of 1, u32 length, the bytes: pregel.AppendMsgList of one message).
-// Under a combiner any other list is corrupt.
-func oneMessage(l []byte) []byte {
-	if len(l) < 8 || binary.LittleEndian.Uint32(l) != 1 || uint64(binary.LittleEndian.Uint32(l[4:])) != uint64(len(l)-8) {
-		panic(fmt.Sprintf("pregelix: corrupt message list: %d bytes are not a list of one message", len(l)))
-	}
-	return l[8:]
 }
 
 // newMsgSink writes the combined, vid-sorted message stream to the
@@ -508,10 +495,12 @@ type computeSource struct {
 	tc   *hyracks.TaskContext
 	join pregel.JoinKind
 
-	// The task's own vertex, message list and record buffer: every row is
-	// decoded into the first two and encoded into the third, so a vertex
-	// passes through Compute without an allocation of the engine's.
+	// The task's own vertex, messages and record buffer: every row is
+	// decoded into the first three (msg is the one message of a job with
+	// a combiner) and encoded into the fourth, so a vertex passes through
+	// Compute without an allocation of the engine's.
 	dec     *pregel.VertexDecoder
+	msg     pregel.Value
 	msgVals []pregel.Value
 	enc     []byte
 
@@ -689,7 +678,17 @@ func (c *computeSource) processVertex(cc *computeCtx, ps *partitionState,
 	var msgVals []pregel.Value
 	if hasMsg {
 		var err error
-		if c.msgVals, err = rs.codec.DecodeMsgListInto(c.msgVals, msgPayload); err != nil {
+		if rs.job.Combiner != nil {
+			// A combined message is its own bytes (msgCombiner).
+			if c.msg == nil {
+				c.msg = rs.codec.NewMessage()
+			}
+			err = c.msg.Unmarshal(msgPayload)
+			c.msgVals = append(c.msgVals[:0], c.msg)
+		} else {
+			c.msgVals, err = rs.codec.DecodeMsgListInto(c.msgVals, msgPayload)
+		}
+		if err != nil {
 			return err
 		}
 		msgVals = c.msgVals
@@ -730,7 +729,7 @@ func (c *computeSource) processVertex(cc *computeCtx, ps *partitionState,
 }
 
 // messageTable is the sender-side group-by as SendMessage sees it: it
-// takes one (vid, message list) tuple at a time and keeps none of its
+// takes one (vid, message payload) tuple at a time and keeps none of its
 // bytes.
 type messageTable interface {
 	AddFields(t tuple.Tuple) error
@@ -792,7 +791,7 @@ func (c *computeCtx) Config(key string) string { return c.rs.job.Config[key] }
 
 func (c *computeCtx) SendMessage(to pregel.VertexID, m pregel.Value) {
 	binary.BigEndian.PutUint64(c.vid[:], uint64(to))
-	c.msgBuf = pregel.AppendMsgList(c.msgBuf[:0], m)
+	c.msgBuf = appendPayload(c.rs.job, c.msgBuf[:0], m)
 	c.vertexSent++
 	if c.msgs == nil {
 		return
@@ -801,6 +800,15 @@ func (c *computeCtx) SendMessage(to pregel.VertexID, m pregel.Value) {
 	if err := c.msgs.AddFields(c.msg); err != nil && c.err == nil {
 		c.err = err
 	}
+}
+
+// appendPayload appends m as a Msg tuple carries it: under a combiner
+// its own bytes, else a list of one message.
+func appendPayload(job *pregel.Job, dst []byte, m pregel.Value) []byte {
+	if job.Combiner != nil {
+		return m.Marshal(dst)
+	}
+	return pregel.AppendMsgList(dst, m)
 }
 
 func (c *computeCtx) Aggregate(v pregel.Value) {

@@ -338,7 +338,10 @@ func TestVertexUpdateIOBytes(t *testing.T) {
 		}
 	}
 	receivers := int64(len(indeg)) // vertices with an in-edge
-	const msgTuple = 8 + 4 + 4 + 8 // vid, a list of one Double
+	// A Msg tuple is a vid and the job's payload of one message.
+	msgTuple := func(job *pregel.Job) int64 {
+		return 8 + int64(len(appendPayload(job, nil, job.Codec.NewMessage())))
+	}
 
 	// grow sends what PageRank sends, one Double an edge until the last
 	// superstep, and appends the superstep to its Bytes value.
@@ -392,7 +395,7 @@ func TestVertexUpdateIOBytes(t *testing.T) {
 				if ss.Superstep > 1 && ss.Plan != join.String() { // superstep 1 always scans
 					t.Fatalf("superstep %d ran the %s plan, want %v", ss.Superstep, ss.Plan, join)
 				}
-				want := receivers * msgTuple
+				want := receivers * msgTuple(job)
 				if i == iterations-1 {
 					want = 0 // the last iteration sends nothing
 				}
@@ -441,7 +444,7 @@ func TestVertexPassAllocations(t *testing.T) {
 		if err := loader.Add(key, job.Codec.EncodeVertex(v)); err != nil {
 			t.Fatal(err)
 		}
-		if err := msg.AppendFields(key, pregel.EncodeMsgList(&rank)); err != nil {
+		if err := msg.AppendFields(key, appendPayload(job, nil, &rank)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -528,7 +531,7 @@ func TestProbePassAllocations(t *testing.T) {
 		}
 		if addressed {
 			messages++
-			if err := msg.AppendFields(key, pregel.EncodeMsgList(&rank)); err != nil {
+			if err := msg.AppendFields(key, appendPayload(job, nil, &rank)); err != nil {
 				t.Fatal(err)
 			}
 		}

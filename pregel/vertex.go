@@ -58,7 +58,9 @@ type Codec struct {
 	// NewVertexValue creates a zero vertex value; required.
 	NewVertexValue func() Value
 	// NewEdgeValue creates a zero edge value; nil means edges carry no
-	// value.
+	// value. It also decides the vertex record's layout: without it an
+	// edge is stored as its destination alone, and an edge Value given
+	// to the codec is dropped when the record is encoded.
 	NewEdgeValue func() Value
 	// NewMessage creates a zero message; required for jobs that send
 	// messages.
@@ -70,6 +72,9 @@ type Codec struct {
 //	u8  halt
 //	u32 valueLen | value bytes
 //	u32 edgeCount | per edge: u64 dest, u32 evLen, ev bytes
+//
+// A codec without NewEdgeValue stores each edge as its u64 dest alone,
+// so its record is exactly 8 bytes per edge after the edge count.
 
 // EncodeVertex serializes v (without its ID, which is the index key)
 // into a buffer of exactly the record's size.
@@ -93,10 +98,12 @@ func (c *Codec) AppendVertex(dst []byte, v *Vertex) []byte {
 		dst = append(dst, 0)
 	}
 	dst = appendSized(dst, v.Value)
-	dst = appendU32(dst, uint32(len(v.Edges)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v.Edges)))
 	for _, e := range v.Edges {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(e.Dest))
-		dst = appendSized(dst, e.Value)
+		if c.NewEdgeValue != nil {
+			dst = appendSized(dst, e.Value)
+		}
 	}
 	return dst
 }
@@ -104,7 +111,7 @@ func (c *Codec) AppendVertex(dst []byte, v *Vertex) []byte {
 // appendSized appends v's encoding behind its u32 length (0 for nil).
 func appendSized(dst []byte, v Value) []byte {
 	at := len(dst)
-	dst = appendU32(dst, 0)
+	dst = binary.LittleEndian.AppendUint32(dst, 0)
 	if v != nil {
 		dst = v.Marshal(dst)
 	}
@@ -142,6 +149,9 @@ func (d *VertexDecoder) Decode(id VertexID, data []byte) (*Vertex, error) {
 	if len(data) < 9 {
 		return nil, fmt.Errorf("pregel: vertex record too short (%d bytes)", len(data))
 	}
+	if data[0] > 1 {
+		return nil, fmt.Errorf("pregel: vertex record has halt byte %d", data[0])
+	}
 	off := 1
 	vlen := int(binary.LittleEndian.Uint32(data[off:]))
 	off += 4
@@ -166,15 +176,27 @@ func (d *VertexDecoder) Decode(id VertexID, data []byte) (*Vertex, error) {
 	}
 	ec := int(binary.LittleEndian.Uint32(data[off:]))
 	off += 4
-	// The count is read from the record: bound it by the bytes left (12
-	// per edge at least) before sizing anything by it.
-	if ec > (len(data)-off)/12 {
+	// The count is read from the record: check it against the bytes left
+	// (at least 12 an edge with edge values, exactly 8 without them)
+	// before sizing anything by it.
+	per, left := 12, len(data)-off
+	if d.c.NewEdgeValue == nil {
+		per = 8
+	}
+	if ec > left/per || d.c.NewEdgeValue == nil && ec*per != left {
 		return nil, fmt.Errorf("pregel: vertex record of %d bytes claims %d edges", len(data), ec)
 	}
 	if ec > cap(d.edges) {
 		d.edges = make([]Edge, 0, ec)
 	}
 	edges := d.edges[:0]
+	if d.c.NewEdgeValue == nil {
+		for ; off < len(data); off += 8 {
+			edges = append(edges, Edge{Dest: VertexID(binary.LittleEndian.Uint64(data[off:]))})
+		}
+		d.v = Vertex{ID: id, Halted: data[0] != 0, Value: d.value, Edges: edges}
+		return &d.v, nil
+	}
 	for i := 0; i < ec; i++ {
 		if off+12 > len(data) {
 			return nil, fmt.Errorf("pregel: edge %d overruns record", i)
@@ -187,7 +209,7 @@ func (d *VertexDecoder) Decode(id VertexID, data []byte) (*Vertex, error) {
 			return nil, fmt.Errorf("pregel: edge %d value overruns record", i)
 		}
 		var ev Value
-		if evLen > 0 && d.c.NewEdgeValue != nil {
+		if evLen > 0 {
 			for len(d.evs) <= i {
 				d.evs = append(d.evs, nil)
 			}
@@ -207,17 +229,18 @@ func (d *VertexDecoder) Decode(id VertexID, data []byte) (*Vertex, error) {
 }
 
 // Message-list layout: u32 count | per message: u32 len, bytes.
-// The Msg relation's payload field always holds such a list; a combined
-// message is a one-element list.
+// The Msg relation's payload field holds such a list for a job without a
+// combiner. Under a combiner it holds one message's Marshal bytes and
+// nothing else: a combined message is its own bytes.
 
 // EncodeMsgList serializes messages into one payload.
 func EncodeMsgList(msgs ...Value) []byte { return AppendMsgList(nil, msgs...) }
 
 // AppendMsgList appends the encoded list of msgs to dst and returns the
-// result; with a reused dst the hot paths (one send, one combine) encode
+// result; with a reused dst a send of a job without a combiner encodes
 // without allocating.
 func AppendMsgList(dst []byte, msgs ...Value) []byte {
-	dst = appendU32(dst, uint32(len(msgs)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(msgs)))
 	for _, m := range msgs {
 		dst = appendSized(dst, m)
 	}
@@ -288,10 +311,4 @@ func (c *Codec) DecodeMsgListInto(dst []Value, data []byte) ([]Value, error) {
 		return nil, fmt.Errorf("pregel: message list has %d bytes after its %d messages", len(data)-off, n)
 	}
 	return dst, nil
-}
-
-func appendU32(dst []byte, v uint32) []byte {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return append(dst, b[:]...)
 }

@@ -146,6 +146,75 @@ func TestVertexDecoderAllocations(t *testing.T) {
 	}
 }
 
+// TestVertexRecordLayouts: a codec with edge values stores each edge as
+// its dest, a u32 value length and the value; one without stores the
+// dest alone, 4 bytes an edge fewer, drops an edge Value it is given,
+// and takes no record whose length is not 8 bytes an edge past the
+// count, a record in the other layout included.
+func TestVertexRecordLayouts(t *testing.T) {
+	val, w := Double(0.25), Double(3)
+	v := &Vertex{Value: &val}
+	for d := VertexID(1); d <= 8; d++ {
+		v.AddEdge(d<<33|d, nil)
+	}
+	bare, valued := pageRankCodec.EncodeVertex(v), deltaCodec.EncodeVertex(v)
+	if len(bare) != 81 || len(valued) != 113 {
+		t.Fatalf("a vertex of 8 out-edges takes %d bytes without edge values and %d with them, want 81 and 113", len(bare), len(valued))
+	}
+	for _, tc := range []struct {
+		c   *Codec
+		rec []byte
+	}{{pageRankCodec, bare}, {deltaCodec, valued}} {
+		got, err := tc.c.DecodeVertex(5, tc.rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.ID != 5 || got.Halted || *got.Value.(*Double) != val || len(got.Edges) != len(v.Edges) {
+			t.Fatalf("decoded %+v", got)
+		}
+		for i, e := range got.Edges {
+			if e.Dest != v.Edges[i].Dest || e.Value != nil {
+				t.Fatalf("edge %d decoded as %+v, want %+v", i, e, v.Edges[i])
+			}
+		}
+		if enc := tc.c.EncodeVertex(got); !bytes.Equal(enc, tc.rec) {
+			t.Fatalf("re-encoded to %x, want %x", enc, tc.rec)
+		}
+	}
+
+	weighted := &Vertex{Halted: true, Value: &val, Edges: []Edge{{Dest: 7, Value: &w}, {Dest: 9, Value: &w}}}
+	plain := &Vertex{Halted: true, Value: &val, Edges: []Edge{{Dest: 7}, {Dest: 9}}}
+	rec := pageRankCodec.EncodeVertex(weighted)
+	if !bytes.Equal(rec, pageRankCodec.EncodeVertex(plain)) {
+		t.Fatalf("edge Values reached a record without them: %x", rec)
+	}
+	if got, err := pageRankCodec.DecodeVertex(1, rec); err != nil || got.Edges[0].Value != nil || got.Edges[1].Dest != 9 {
+		t.Fatalf("decoded %+v, %v", got, err)
+	}
+
+	edgeCount := func(rec []byte, n uint32) []byte {
+		rec = append([]byte(nil), rec...)
+		binary.LittleEndian.PutUint32(rec[13:], n)
+		return rec
+	}
+	for name, rec := range map[string][]byte{
+		"old layout":      valued,
+		"short":           bare[:len(bare)-1],
+		"trailing bytes":  append(append([]byte(nil), bare...), 0),
+		"one edge more":   edgeCount(bare, 9),
+		"one edge fewer":  edgeCount(bare, 7),
+		"weighted layout": deltaCodec.EncodeVertex(weighted),
+		"halt byte 2":     append([]byte{2}, bare[1:]...),
+	} {
+		if _, err := pageRankCodec.DecodeVertex(1, rec); err == nil {
+			t.Errorf("%s: DecodeVertex took %x", name, rec)
+		}
+		if _, err := pageRankCodec.NewVertexDecoder().Decode(1, rec); err == nil {
+			t.Errorf("%s: VertexDecoder took %x", name, rec)
+		}
+	}
+}
+
 func TestDecodeVertexBoundsEdgeCount(t *testing.T) {
 	rec := hugeEdgeCount()
 	if len(rec) != 21 {
@@ -159,47 +228,79 @@ func TestDecodeVertexBoundsEdgeCount(t *testing.T) {
 	}
 }
 
-// FuzzDecodeVertex: on any bytes, DecodeVertex and a VertexDecoder that
-// has decoded other records before agree — the same error-or-not, the
-// same vertex — neither panics, and neither allocates more than a small
-// multiple of the input (the edge count is read from the record).
+// FuzzDecodeVertex: on any bytes, under both record layouts (deltaCodec
+// has edge values, pageRankCodec has none), DecodeVertex and a
+// VertexDecoder that has decoded other records before agree — the same
+// error-or-not, the same vertex — neither panics, and neither allocates
+// more than a small multiple of the input (the edge count is read from
+// the record). A record the edge-value-free decoder accepts encodes back
+// to the same bytes.
 func FuzzDecodeVertex(f *testing.F) {
 	pr, sssp, delta := sampleRecords()
-	for _, rec := range [][]byte{pr, sssp, delta, hugeEdgeCount()} {
+	val := Double(0.15)
+	oldPR := deltaCodec.EncodeVertex(&Vertex{Value: &val, Edges: []Edge{{Dest: 7}, {Dest: 9}}}) // PageRank's old layout
+	for _, rec := range [][]byte{pr, sssp, delta, oldPR, hugeEdgeCount()} {
 		f.Add(rec)
 		f.Add(rec[:len(rec)-1])
 		f.Add(rec[:len(rec)/2])
 	}
 	f.Add([]byte{})
-	reused := deltaCodec.NewVertexDecoder()
+	layouts := []struct {
+		c      *Codec
+		prime  []byte // a record whose state a stale Value could leak from
+		reused *VertexDecoder
+		// per bounds the bytes a decode allocates per record byte. An
+		// Edge is 24 bytes in memory. With edge values it stands for at
+		// least 12 in the record, and a Double edge value adds 8 more for
+		// 8: under 4x. Without them it stands for exactly 8: 3x.
+		per int
+	}{
+		{c: deltaCodec, prime: delta, per: 4},
+		{c: pageRankCodec, prime: pr, per: 3},
+	}
+	for i := range layouts {
+		layouts[i].reused = layouts[i].c.NewVertexDecoder()
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, err := reused.Decode(9, delta); err != nil { // state a stale Value could leak from
-			t.Fatal(err)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		fresh, ferr := deltaCodec.DecodeVertex(3, data)
-		runtime.ReadMemStats(&after)
-		// An Edge is 24 bytes in memory for at least 12 in the record, and a
-		// Double edge value 8 more for 8: under 4x. The counter is the
-		// process's, so leave room for what the fuzzing engine allocates
-		// meanwhile; a count taken on trust costs 24 bytes per claimed edge.
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(4*len(data))+1<<20 {
-			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
-		}
-		again, rerr := reused.Decode(3, data)
-		if (ferr == nil) != (rerr == nil) {
-			t.Fatalf("DecodeVertex: %v, VertexDecoder: %v", ferr, rerr)
-		}
-		if ferr != nil {
-			return
-		}
-		a, b := deltaCodec.EncodeVertex(fresh), deltaCodec.EncodeVertex(again)
-		if !bytes.Equal(a, b) {
-			t.Fatalf("DecodeVertex gives %x, the reused decoder %x", a, b)
-		}
-		if fresh.ID != again.ID || fresh.Halted != again.Halted || len(fresh.Edges) != len(again.Edges) {
-			t.Fatalf("DecodeVertex gives %+v, the reused decoder %+v", fresh, again)
+		for _, l := range layouts {
+			if _, err := l.reused.Decode(9, l.prime); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			fresh, ferr := l.c.DecodeVertex(3, data)
+			runtime.ReadMemStats(&after)
+			// The counter is the process's, so leave room for what the
+			// fuzzing engine allocates meanwhile; a count taken on trust
+			// costs 24 bytes per claimed edge.
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(l.per*len(data))+1<<20 {
+				t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+			}
+			again, rerr := l.reused.Decode(3, data)
+			if (ferr == nil) != (rerr == nil) {
+				t.Fatalf("DecodeVertex: %v, VertexDecoder: %v", ferr, rerr)
+			}
+			if ferr != nil {
+				continue
+			}
+			a, b := l.c.EncodeVertex(fresh), l.c.EncodeVertex(again)
+			if !bytes.Equal(a, b) {
+				t.Fatalf("DecodeVertex gives %x, the reused decoder %x", a, b)
+			}
+			if fresh.ID != again.ID || fresh.Halted != again.Halted || len(fresh.Edges) != len(again.Edges) {
+				t.Fatalf("DecodeVertex gives %+v, the reused decoder %+v", fresh, again)
+			}
+			if l.c.NewEdgeValue != nil {
+				continue
+			}
+			if binary.LittleEndian.Uint32(data[1:]) == 0 {
+				// A zero-length value is the NULL value, which decodes to the
+				// factory zero: encode it back as NULL.
+				fresh.Value = nil
+			}
+			if enc := l.c.EncodeVertex(fresh); !bytes.Equal(enc, data) {
+				t.Fatalf("%x decodes to a vertex that encodes to %x", data, enc)
+			}
 		}
 	})
 }

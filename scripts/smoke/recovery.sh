@@ -28,7 +28,10 @@ for i in $(seq 1 60); do
   sleep 1
 done
 curl -sf -X PUT --data-binary @graph.txt http://127.0.0.1:18081/files/in/g
-curl -sf -X POST -d '{"algorithm":"pagerank","input":"/in/g","output":"/out/pr","iterations":30,"checkpointEvery":2}' \
+# 200 iterations keep the job running for several seconds (a superstep
+# with its checkpoint share takes tens of milliseconds on 2 vCPUs), far
+# longer than one poll below, so the kill lands while it runs.
+curl -sf -X POST -d '{"algorithm":"pagerank","input":"/in/g","output":"/out/pr","iterations":200,"checkpointEvery":2}' \
      http://127.0.0.1:18081/jobs
 # SIGKILL worker 2 once superstep >= 3 (the superstep-2
 # checkpoint has committed); the job must still complete.
