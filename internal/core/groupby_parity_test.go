@@ -14,6 +14,7 @@ import (
 	"pregelix/internal/graphgen"
 	"pregelix/internal/hyracks"
 	"pregelix/internal/operators"
+	"pregelix/internal/tuple"
 	"pregelix/pregel"
 	"pregelix/pregel/algorithms"
 )
@@ -245,60 +246,150 @@ func TestGroupByHintsAgreeExactly(t *testing.T) {
 	}
 }
 
-// BenchmarkMsgCombineSender is one sender's superstep of PageRank on the
-// 30k-vertex Webmap on two partitions, from SendMessage to what leaves
-// gb-local: 120k messages to 30k destinations, handed to gb-local as
-// computeSource.run hands them and combined under the sender policy the
-// superstep plan gives the job, at the 4 MiB of operator memory the
-// benchmark's workloads have (RAM/16).
-func BenchmarkMsgCombineSender(b *testing.B) {
-	const vertices, degree, parts = 30000, 8, 2
-	g := graphgen.Webmap(vertices, degree, 1)
+// The per-layer benchmarks of message combination run one PageRank
+// superstep on the 30k-vertex Webmap on two partitions: 240k messages to
+// 30k destinations, 120k from each sender, at the 4 MiB of operator
+// memory the benchmark's workloads have (RAM/16).
+const combineVertices, combineParts = 30000, 2
+
+// combineSetup is the superstep's job, its sender s's destinations, one
+// for each message it sends, and a task context on a node of its own for
+// group-bys of the given operator.
+func combineSetup(b *testing.B, s int, op string) (*pregel.Job, []pregel.VertexID, *hyracks.TaskContext) {
+	g := graphgen.Webmap(combineVertices, 8, 1)
 	var dests []pregel.VertexID
 	for _, src := range g.VertexIDs() {
-		if src%parts == 0 {
+		if int(src%combineParts) == s {
 			for _, d := range g.Adj[src] {
 				dests = append(dests, pregel.VertexID(d))
 			}
 		}
 	}
-	job := algorithms.NewPageRankJob("bench", "", "", 1)
-	kind := senderKind(job)
 	node, err := hyracks.NewNodeController("n", b.TempDir(), hyracks.NodeConfig{PageSize: 4096})
 	if err != nil {
 		b.Fatal(err)
 	}
 	tc := &hyracks.TaskContext{
-		Ctx: context.Background(), Node: node, JobName: "bench", OperatorID: "gb-local",
-		NumPartitions: parts, OperatorMem: 4 << 20,
+		Ctx: context.Background(), Node: node, JobName: "bench", OperatorID: op,
+		NumPartitions: combineParts, OperatorMem: 4 << 20,
 	}
-	rank := pregel.Double(1.0 / vertices)
+	return algorithms.NewPageRankJob("bench", "", "", 1), dests, tc
+}
+
+// sendSuperstep sends one PageRank message to each of dests into gb, the
+// sender's group-by, as computeSource.run hands them to it, and closes it.
+func sendSuperstep(b *testing.B, job *pregel.Job, gb hyracks.PushRuntime, dests []pregel.VertexID) {
+	src := &computeSource{rs: &runState{job: job}} // the job's combiner sets the payload layout
+	src.SetOutputs([]hyracks.FrameWriter{gb})
+	if err := src.OpenOutputs(); err != nil {
+		b.Fatal(err)
+	}
+	ctx, err := src.newComputeCtx()
+	if err != nil {
+		b.Fatal(err)
+	}
+	rank := pregel.Double(1.0 / combineVertices)
+	for _, d := range dests {
+		ctx.SendMessage(d, &rank)
+	}
+	if ctx.err != nil {
+		b.Fatal(ctx.err)
+	}
+	if err := src.CloseOutputs(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkMsgCombineSender is one sender's share of the superstep, from
+// SendMessage to what leaves gb-local, combined under the sender policy
+// the superstep plan gives the job.
+func BenchmarkMsgCombineSender(b *testing.B) {
+	job, dests, tc := combineSetup(b, 0, "gb-local")
+	kind := senderKind(job)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		gb := operators.NewGroupByRuntime(tc, kind, newMsgCombiner(job))
 		gb.SetOutputs(nil)
-		src := &computeSource{rs: &runState{job: job}} // the job's combiner sets the payload layout
-		src.SetOutputs([]hyracks.FrameWriter{gb})
-		if err := src.OpenOutputs(); err != nil {
+		sendSuperstep(b, job, gb, dests)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(dests)), "ns/msg")
+	b.ReportMetric(float64(tc.Node.IOBytes())/float64(b.N)/1e6, "spillMB/op")
+}
+
+// receivedFrames packs the tuples of the frames it is lent that part
+// keeps into frames of its own, as a partitioning connector packs what it
+// sends one receiver.
+type receivedFrames struct {
+	part   func(tuple.TupleRef) bool
+	frames []*tuple.Frame
+	app    tuple.FrameAppender
+	tuples int
+}
+
+func (w *receivedFrames) Open() error { return nil }
+func (w *receivedFrames) NextFrame(f *tuple.Frame) error {
+	for i := 0; i < f.Len(); i++ {
+		r := f.Tuple(i)
+		if !w.part(r) {
+			continue
+		}
+		if len(w.frames) == 0 || !w.app.AppendRef(r) {
+			w.frames = append(w.frames, tuple.GetFrame())
+			w.app.Reset(w.frames[len(w.frames)-1])
+			w.app.AppendRef(r)
+		}
+		w.tuples++
+	}
+	return nil
+}
+func (w *receivedFrames) Fail(error)   {}
+func (w *receivedFrames) Close() error { return nil }
+
+// BenchmarkMsgCombineReceiver is one receiver's share of the superstep:
+// gb-final of partition 0 under the policy the superstep plan gives the
+// job, fed the frames both senders' tables hand on for that partition,
+// and drained in key order into a counting sink. ns/msg is over the
+// messages it receives.
+func BenchmarkMsgCombineReceiver(b *testing.B) {
+	job, _, tc := combineSetup(b, 0, "gb-final")
+	partition := (&runState{}).vidPartitioner()
+	in := &receivedFrames{part: func(r tuple.TupleRef) bool { return partition(r, combineParts) == 0 }}
+	defer func() {
+		for _, f := range in.frames {
+			tuple.PutFrame(f)
+		}
+	}()
+	for s := 0; s < combineParts; s++ {
+		_, dests, stc := combineSetup(b, s, "gb-local")
+		gb := operators.NewGroupByRuntime(stc, senderKind(job), newMsgCombiner(job))
+		gb.SetOutputs([]hyracks.FrameWriter{in})
+		sendSuperstep(b, job, gb, dests)
+	}
+	kind := groupByKind(job)
+	sink := &countingWriter{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gb := operators.NewGroupByRuntime(tc, kind, newMsgCombiner(job))
+		gb.SetOutputs([]hyracks.FrameWriter{sink})
+		if err := gb.Open(); err != nil {
 			b.Fatal(err)
 		}
-		ctx, err := src.newComputeCtx()
-		if err != nil {
-			b.Fatal(err)
+		for _, f := range in.frames {
+			if err := gb.NextFrame(f); err != nil {
+				b.Fatal(err)
+			}
 		}
-		for _, d := range dests {
-			ctx.SendMessage(d, &rank)
-		}
-		if ctx.err != nil {
-			b.Fatal(ctx.err)
-		}
-		if err := src.CloseOutputs(); err != nil {
+		if err := gb.Close(); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(dests)), "ns/msg")
-	b.ReportMetric(float64(node.IOBytes())/float64(b.N)/1e6, "spillMB/op")
+	if sink.tuples == 0 {
+		b.Fatal("the receiver emitted nothing")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(in.tuples), "ns/msg")
+	b.ReportMetric(float64(tc.Node.IOBytes())/float64(b.N)/1e6, "spillMB/op")
 }
 
 // BenchmarkSpillSuperstep is the out-of-core superstep: PageRank's first

@@ -78,8 +78,9 @@ func (rs *runState) scanInput(ctx context.Context, b *hyracks.BaseSource) error 
 	sc.Buffer(make([]byte, 1<<20), 16<<20)
 	withWeights := rs.codec.NewEdgeValue != nil
 	line := 0
+	done := ctx.Done()
 	for sc.Scan() {
-		if err := ctx.Err(); err != nil {
+		if err := canceled(ctx, done); err != nil {
 			return err
 		}
 		line++
@@ -188,12 +189,13 @@ func (rs *runState) dumpRows(ctx context.Context) ([]byte, error) {
 				}
 				defer cur.Close()
 				dec := rs.codec.NewVertexDecoder() // a row is formatted before the next is decoded
+				done := ctx.Done()
 				for {
 					k, val, ok := cur.NextView()
 					if !ok {
 						return cur.Err()
 					}
-					if err := ctx.Err(); err != nil {
+					if err := canceled(ctx, done); err != nil {
 						return err
 					}
 					v, err := dec.Decode(pregel.VertexID(tuple.DecodeUint64(k)), val)

@@ -269,18 +269,23 @@ func senderKind(job *pregel.Job) operators.GroupByKind {
 // list" combine of the paper's footnote 4).
 //
 // With a combiner a payload is one message's Marshal bytes and nothing
-// else: SendMessage writes one, and Add returns one. One msgCombiner
+// else: SendMessage writes one, and a fold leaves one. One msgCombiner
 // serves one group-by task: it decodes the two messages of a fold into
 // two Values it keeps, and an accumulator's payload is the accumulator's
 // to write, so that a combine is Unmarshal, Combine and Marshal over the
-// old message, in place, with no allocation. The group-bys hand First the
-// bytes that stay with the group, each field cut at its length: their own
-// record under the hash policy, which is where the fold then happens.
+// old message (Add), or into a kept buffer copied over the old message
+// once it is known to fit (FoldPayload), with no allocation. It is an
+// operators.PayloadFolder: the group-bys fold a message into their own
+// record of the group (the hash policy) or their copy of its first tuple
+// (the merge) through FoldPayload, and through Add only when the result
+// changes length, as k-core's concatenation does.
 type msgCombiner struct {
 	combine pregel.Combiner
 	// a and b are the messages of the accumulator and of the tuple
-	// folded into it, reused from Add to Add.
+	// folded into it, reused from fold to fold; buf holds FoldPayload's
+	// result until it is known to fit.
 	a, b pregel.Value
+	buf  []byte
 }
 
 func newMsgCombiner(job *pregel.Job) *msgCombiner {
@@ -306,18 +311,42 @@ func (c *msgCombiner) Add(acc, t tuple.Tuple) tuple.Tuple {
 		acc[1] = pregel.AppendMsgLists(acc[1], t[1])
 		return acc
 	}
-	if err := c.a.Unmarshal(acc[1]); err != nil {
-		panic(fmt.Sprintf("pregelix: corrupt message: %v", err))
-	}
-	if err := c.b.Unmarshal(t[1]); err != nil {
-		panic(fmt.Sprintf("pregelix: corrupt message: %v", err))
-	}
+	c.decode(acc[1], t[1])
 	// Both messages are decoded, so the old one can be overwritten: a
 	// result of its size lands in place, a longer one in a new payload
 	// (the capacity is cut at the length, for the accumulator owns its
 	// payload's bytes only), a shorter one in front.
 	acc[1] = c.combine.Combine(c.a, c.b).Marshal(acc[1][:0:len(acc[1])])
 	return acc
+}
+
+// FoldPayload combines the message in into the message acc, in place,
+// unless the result is not acc's length (or the job gathers lists): then
+// acc is left as it was, and Add does the fold. A payload the message
+// type does not take is corrupt and panics, as in Add.
+func (c *msgCombiner) FoldPayload(acc, in []byte) bool {
+	if c.combine == nil {
+		return false
+	}
+	c.decode(acc, in)
+	c.buf = c.combine.Combine(c.a, c.b).Marshal(c.buf[:0])
+	if len(c.buf) != len(acc) {
+		return false
+	}
+	copy(acc, c.buf)
+	return true
+}
+
+// decode unmarshals the accumulator's message into a and the incoming
+// one into b. A payload the message type does not take is corrupt and
+// panics.
+func (c *msgCombiner) decode(acc, in []byte) {
+	if err := c.a.Unmarshal(acc); err != nil {
+		panic(fmt.Sprintf("pregelix: corrupt message: %v", err))
+	}
+	if err := c.b.Unmarshal(in); err != nil {
+		panic(fmt.Sprintf("pregelix: corrupt message: %v", err))
+	}
 }
 
 // newMsgSink writes the combined, vid-sorted message stream to the
@@ -560,8 +589,9 @@ func (c *computeSource) run(ctx context.Context) error {
 	}
 	ps.liveVertices = 0
 
+	done := ctx.Done()
 	emit := func(vid, msgPayload, vertexBytes []byte) error {
-		if err := ctx.Err(); err != nil {
+		if err := canceled(ctx, done); err != nil {
 			return err
 		}
 		return c.processVertex(cc, ps, updates, vids, vid, msgPayload, vertexBytes)
@@ -840,6 +870,18 @@ func (c *computeCtx) RemoveVertex(id pregel.VertexID) {
 	t := tuple.Tuple{tuple.EncodeUint64(uint64(id)), {mutRemove}, nil}
 	if err := c.src.Emit(portMutations, t); err != nil && c.err == nil {
 		c.err = err
+	}
+}
+
+// canceled is ctx.Err for a check per row, given done, ctx.Done() taken
+// once: nil while done is open, which it tells without a lock, where
+// ctx.Err takes the context's mutex at every call.
+func canceled(ctx context.Context, done <-chan struct{}) error {
+	select {
+	case <-done:
+		return ctx.Err()
+	default:
+		return nil
 	}
 }
 

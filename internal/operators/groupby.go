@@ -15,7 +15,10 @@
 // Buffered input is held as packed frames (one pooled byte buffer per
 // frame) and sorted through 16-byte entries holding each tuple's
 // normalized key and position, so the hot path moves no tuple bytes while
-// sorting and performs no per-tuple or per-group heap allocation.
+// sorting and performs no per-tuple or per-group heap allocation. A
+// combiner that is also a PayloadFolder folds a (key, payload) tuple as
+// bytes, into the payload of its group's record where that record lies:
+// no header is built for it and no combiner result copied back.
 package operators
 
 import (
@@ -53,6 +56,9 @@ import (
 // nor write into their bytes; it may only fold t's data into the
 // accumulator, because t is typically a borrowed view into a transport
 // frame that will be recycled.
+//
+// A Combiner may also be a PayloadFolder, which the group-bys prefer for
+// a (key, payload) tuple whenever the accumulator is one too.
 type Combiner interface {
 	// First starts an accumulator from the first tuple of a group. The
 	// returned tuple may alias t, or be t.
@@ -60,6 +66,21 @@ type Combiner interface {
 	// Add folds t into acc, which is what First or the previous Add
 	// returned or a view of the same fields, returning the new accumulator.
 	Add(acc, t tuple.Tuple) tuple.Tuple
+}
+
+// PayloadFolder is the byte-level fold a Combiner may also implement, for
+// groups of (key, payload) tuples. FoldPayload folds the payload in into
+// the accumulator's payload acc in place and reports true; or, when the
+// result would not be acc's length, it reports false and leaves acc byte
+// for byte as it was, and the group-by folds the two tuples through Add
+// instead. in is borrowed as Add's t is.
+//
+// A PayloadFolder's First is the identity: the accumulator of one tuple
+// is that tuple's bytes, so the group-bys start a group without calling
+// First, and fold into the group's record (the hash group-by) or their
+// own copy of its first tuple (the merge).
+type PayloadFolder interface {
+	FoldPayload(acc, in []byte) bool
 }
 
 // GroupByKind selects a group-by implementation.
@@ -94,13 +115,14 @@ const (
 // The runtime of every kind but PreclusteredGroupBy also takes tuples one
 // at a time from their fields, with no frame between (AddFields).
 func NewGroupByRuntime(tc *hyracks.TaskContext, kind GroupByKind, combiner Combiner) hyracks.PushRuntime {
+	pf, _ := combiner.(PayloadFolder)
 	switch kind {
 	case PreclusteredGroupBy:
-		return newPreclusteredGroupBy(combiner)
+		return newPreclusteredGroupBy(combiner, pf)
 	case HashSortGroupBy, UnorderedHashGroupBy:
-		return &spillingGroupBy{tc: tc, combiner: combiner, table: combiner != nil, unordered: kind == UnorderedHashGroupBy}
+		return &spillingGroupBy{tc: tc, combiner: combiner, pf: pf, table: combiner != nil, unordered: kind == UnorderedHashGroupBy}
 	default:
-		return &spillingGroupBy{tc: tc, combiner: combiner}
+		return &spillingGroupBy{tc: tc, combiner: combiner, pf: pf}
 	}
 }
 
@@ -111,8 +133,8 @@ func NewExternalSortRuntime(tc *hyracks.TaskContext) hyracks.PushRuntime {
 
 // newPreclusteredGroupBy streams clustered input, folding adjacent tuples
 // with equal keys: the fold of the merge, over one stream sorted already.
-func newPreclusteredGroupBy(combiner Combiner) hyracks.PushRuntime {
-	out := &folder{combiner: combiner}
+func newPreclusteredGroupBy(combiner Combiner, pf PayloadFolder) hyracks.PushRuntime {
+	out := &folder{combiner: combiner, pf: pf}
 	return &hyracks.FuncRuntime{
 		OnOpen: func(b *hyracks.BaseRuntime) error {
 			out.emitRef = func(r tuple.TupleRef) error { return b.EmitRef(0, r) }
@@ -132,7 +154,9 @@ func newPreclusteredGroupBy(combiner Combiner) hyracks.PushRuntime {
 // through the combiner and hands its accumulator to emit once the run
 // ends. Neither callback may keep its argument.
 type folder struct {
-	combiner       Combiner
+	combiner Combiner
+	// pf is the combiner as a PayloadFolder, nil if it is not one.
+	pf             PayloadFolder
 	emitRef        func(tuple.TupleRef) error
 	emit           func(tuple.Tuple) error
 	acc, hdr, head tuple.Tuple
@@ -147,8 +171,13 @@ func (f *folder) add(r tuple.TupleRef, key uint64, wide bool) error {
 	if f.combiner == nil {
 		return f.emitRef(r)
 	}
-	f.hdr = r.AppendFieldsTo(f.hdr[:0])
-	if f.acc != nil && key == f.key && (!wide && len(f.acc[0]) == 8 || bytes.Equal(f.acc[0], f.hdr[0])) {
+	if f.acc != nil && key == f.key && (!wide && len(f.acc[0]) == 8 || bytes.Equal(f.acc[0], r.Field(0))) {
+		if f.pf != nil && len(f.acc) == 2 {
+			if _, in, ok := r.Pair(); ok && f.pf.FoldPayload(f.acc[1], in) {
+				return nil
+			}
+		}
+		f.hdr = r.AppendFieldsTo(f.hdr[:0])
 		f.acc = f.combiner.Add(f.acc, f.hdr)
 		return nil
 	}
@@ -157,8 +186,12 @@ func (f *folder) add(r tuple.TupleRef, key uint64, wide bool) error {
 	}
 	// The accumulator may be First's argument, and outlives r: give it a
 	// copy.
+	f.hdr = r.AppendFieldsTo(f.hdr[:0])
 	f.own, f.head = copyInto(f.own, f.head, f.hdr)
-	f.acc, f.key = f.combiner.First(f.head), key
+	f.acc, f.key = f.head, key
+	if f.pf == nil {
+		f.acc = f.combiner.First(f.head)
+	}
 	return nil
 }
 
@@ -189,7 +222,9 @@ type spillingGroupBy struct {
 	hyracks.BaseRuntime
 	tc       *hyracks.TaskContext
 	combiner Combiner
-	table    bool
+	// pf is the combiner as a PayloadFolder, nil if it is not one.
+	pf    PayloadFolder
+	table bool
 	// unordered says that the table's output need not be in key order.
 	unordered bool
 
@@ -336,7 +371,7 @@ func (g *spillingGroupBy) add(r tuple.TupleRef, t tuple.Tuple) error {
 	} else {
 		key = r.Field(0)
 	}
-	off, err := g.buffer(r, t)
+	off, _, err := g.buffer(r, t)
 	if err != nil {
 		return err
 	}
@@ -415,48 +450,66 @@ func (g *spillingGroupBy) put(r tuple.TupleRef, t tuple.Tuple, must bool) (uint3
 	return 0, true
 }
 
-// buffer is put that spills when the budget has no frame left; t, if
-// given, must not be a view of the buffer, which the spill releases.
-func (g *spillingGroupBy) buffer(r tuple.TupleRef, t tuple.Tuple) (uint32, error) {
+// buffer is put that spills when the budget has no frame left, and says
+// whether it did; t, if given, must not be a view of the buffer, which
+// the spill releases.
+func (g *spillingGroupBy) buffer(r tuple.TupleRef, t tuple.Tuple) (uint32, bool, error) {
 	off, ok := g.put(r, t, false)
 	if !ok {
 		if err := g.spill(); err != nil {
-			return 0, err
+			return 0, true, err
 		}
 		off, _ = g.put(r, t, true)
 	}
-	return off, nil
+	return off, !ok, nil
 }
 
 // fold is add under the hash policy: the tuple (r, or the fields t) is
-// folded into the record of its key's group, or starts that group.
+// folded into the record of its key's group, or starts that group. A
+// (key, payload) tuple is folded as bytes when the combiner is a
+// PayloadFolder, else, and when the fold refuses, through Add.
 func (g *spillingGroupBy) fold(r tuple.TupleRef, t tuple.Tuple) error {
-	in := t
-	if in == nil {
-		g.scratch = r.AppendFieldsTo(g.scratch[:0])
-		in = g.scratch
+	var key, in []byte
+	var pair bool
+	if t != nil {
+		key = t[0]
+		if pair = len(t) == 2; pair {
+			in = t[1]
+		}
+	} else if key, in, pair = r.Pair(); !pair {
+		key = r.Field(0)
 	}
-	key := in[0]
+	bytewise := pair && g.pf != nil
 	k := keyPrefix(key)
 	// While every key in the table is 8 bytes, as a vid is, an 8-byte key
 	// whose normalized key a slot holds is that slot's key: the entry
 	// decides, and the record's key is not read.
 	exact := len(key) == 8 && !g.sorter.wide && g.sorter.keyLen == 8
 	es := g.sorter.entries
+	slot := -1
 	if len(es) > 0 {
-		for i := g.sorter.slotOf(k, key); es[i].frame != 0; i = (i + 1) & (len(es) - 1) {
+		i := g.sorter.slotOf(k, key)
+		for ; es[i].frame != 0; i = (i + 1) & (len(es) - 1) {
 			if es[i].key != k {
 				continue
 			}
 			rec := g.ref(es[i])
-			g.head = rec.AppendFieldsTo(g.head[:0])
-			if exact || bytes.Equal(g.head[0], key) {
-				return g.keep(i, rec, g.combiner.Add(g.head, in))
+			if !exact && !bytes.Equal(rec.Field(0), key) {
+				continue
 			}
+			if bytewise {
+				if _, acc, ok := rec.Pair(); ok && g.pf.FoldPayload(acc, in) {
+					return nil
+				}
+			}
+			return g.addTo(i, r, t)
 		}
+		slot = i
 	}
-	i, err := g.insert(k, key, r, t)
-	if err != nil {
+	i, err := g.insert(k, key, r, t, slot)
+	if err != nil || g.pf != nil {
+		// A PayloadFolder's First is the identity: the record is the
+		// group's accumulator already.
 		return err
 	}
 	rec := g.ref(g.sorter.entries[i])
@@ -464,30 +517,54 @@ func (g *spillingGroupBy) fold(r tuple.TupleRef, t tuple.Tuple) error {
 	return g.keep(i, rec, g.combiner.First(g.head))
 }
 
+// addTo folds the tuple (r, or the fields t) into the record of the group
+// in slot i through the combiner's Add.
+func (g *spillingGroupBy) addTo(i int, r tuple.TupleRef, t tuple.Tuple) error {
+	if t == nil {
+		g.scratch = r.AppendFieldsTo(g.scratch[:0])
+		t = g.scratch
+	}
+	rec := g.ref(g.sorter.entries[i])
+	g.head = rec.AppendFieldsTo(g.head[:0])
+	return g.keep(i, rec, g.combiner.Add(g.head, t))
+}
+
 // insert buffers the record of a group the table does not hold (r, or
 // the fields t; its key is key, whose normalized form is k) and gives it
-// a slot, whose index it returns.
-func (g *spillingGroupBy) insert(k uint64, key []byte, r tuple.TupleRef, t tuple.Tuple) (int, error) {
+// a slot, whose index it returns: slot, the free slot the probe for key
+// ended on, if the table has not changed since, else -1.
+func (g *spillingGroupBy) insert(k uint64, key []byte, r tuple.TupleRef, t tuple.Tuple, slot int) (int, error) {
 	// Room in the table first: the spill that makes it empties the frames.
-	if n := len(g.sorter.entries); 4*(g.live+1) > 3*n && !g.growEntries(max(2*n, minSortEntries), n == 0) {
-		if err := g.spill(); err != nil {
-			return 0, err
+	if n := len(g.sorter.entries); 4*(g.live+1) > 3*n {
+		slot = -1
+		if !g.growEntries(max(2*n, minSortEntries), n == 0) {
+			if err := g.spill(); err != nil {
+				return 0, err
+			}
 		}
 	}
-	off, err := g.buffer(r, t)
+	off, spilled, err := g.buffer(r, t)
 	if err != nil {
 		return 0, err
 	}
+	if spilled {
+		slot = -1
+	}
 	// The first wide key moves the table's groups to where their whole
 	// keys hash.
-	if wide := g.sorter.wide; g.sorter.observe(k, len(key)) && !wide && g.live > 0 {
-		g.sorter.rehash(len(g.sorter.entries), g.keyOf)
+	if wide := g.sorter.wide; g.sorter.observe(k, len(key)) && !wide {
+		slot = -1
+		if g.live > 0 {
+			g.sorter.rehash(len(g.sorter.entries), g.keyOf)
+		}
 	}
-	i := g.sorter.freeSlot(g.sorter.slotOf(k, key))
-	g.sorter.entries[i] = sortEntry{k, uint32(len(g.frames)), off}
+	if slot < 0 {
+		slot = g.sorter.freeSlot(g.sorter.slotOf(k, key))
+	}
+	g.sorter.entries[slot] = sortEntry{k, uint32(len(g.frames)), off}
 	g.live++
 	g.peak = max(g.peak, g.live)
-	return i, nil
+	return slot, nil
 }
 
 // keep makes res, the combiner's result for the group in slot i, that
@@ -513,7 +590,7 @@ func (g *spillingGroupBy) keep(i int, rec tuple.TupleRef, res tuple.Tuple) error
 	if err := g.spill(); err != nil {
 		return err
 	}
-	_, err := g.insert(k, g.scratch[0], tuple.TupleRef{}, g.scratch)
+	_, err := g.insert(k, g.scratch[0], tuple.TupleRef{}, g.scratch, -1)
 	return err
 }
 
@@ -567,7 +644,7 @@ func (g *spillingGroupBy) drain(srcs []refSource, emitRef func(tuple.TupleRef) e
 		i++
 		return g.ref(g.sorter.entries[i-1]), nil
 	}
-	return mergeRuns(append(srcs, buffered), &folder{combiner: combiner, emitRef: emitRef, emit: emit})
+	return mergeRuns(append(srcs, buffered), &folder{combiner: combiner, pf: g.pf, emitRef: emitRef, emit: emit})
 }
 
 // releaseMem drops the buffered tuples: frames go back to the pool and
@@ -1112,7 +1189,8 @@ func MergeSources(srcs []TupleSource, combiner Combiner, emit func(tuple.Tuple) 
 			return fr.Tuple(0), nil
 		}
 	}
-	out := &folder{combiner: combiner, emit: emit}
+	pf, _ := combiner.(PayloadFolder)
+	out := &folder{combiner: combiner, pf: pf, emit: emit}
 	out.emitRef = func(r tuple.TupleRef) error {
 		out.hdr = r.AppendFieldsTo(out.hdr[:0])
 		return emit(out.hdr)

@@ -222,6 +222,20 @@ func (r TupleRef) AppendFieldsTo(dst Tuple) Tuple {
 	return dst
 }
 
+// Pair returns the fields of a two-field record, such as a (key, payload)
+// tuple, as AppendFieldsTo would, and false for a record of any other
+// field count.
+func (r TupleRef) Pair() (key, val []byte, ok bool) {
+	buf := r.f.buf
+	if binary.LittleEndian.Uint32(buf[r.start:]) != 2 {
+		return nil, nil, false
+	}
+	base := r.start + 12
+	mid := base + int(binary.LittleEndian.Uint32(buf[r.start+4:]))
+	end := base + int(binary.LittleEndian.Uint32(buf[r.start+8:]))
+	return buf[base:mid:mid], buf[mid:end:end], true
+}
+
 // Overwrite copies t's fields over the record's if t has as many fields
 // as the record and each is as long as the record's, and reports whether
 // it did: the one write in place open to the owner of a frame. t's fields

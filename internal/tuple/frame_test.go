@@ -434,3 +434,39 @@ func TestTupleAtAndOverwrite(t *testing.T) {
 		t.Fatalf("frame no longer valid: %v", err)
 	}
 }
+
+// TestPairViews: Pair gives a two-field record's fields as
+// AppendFieldsTo does, each cut at its length, and refuses a record of
+// any other field count.
+func TestPairViews(t *testing.T) {
+	f := NewFrame()
+	defer PutFrame(f)
+	app := NewFrameAppender(f)
+	tuples := []Tuple{
+		{EncodeUint64(1), []byte("payload")},
+		{EncodeUint64(2)},
+		{[]byte("k"), nil},
+		{EncodeUint64(3), []byte("a"), []byte("b")},
+		{EncodeUint64(4), EncodeFloat64(0.5)},
+	}
+	offs := make([]int, len(tuples))
+	for i, tp := range tuples {
+		offs[i] = f.DataBytes()
+		if !app.AppendTuple(tp) {
+			t.Fatal("frame full")
+		}
+	}
+	for i, tp := range tuples {
+		r := f.TupleAt(offs[i])
+		key, val, ok := r.Pair()
+		if ok != (len(tp) == 2) {
+			t.Fatalf("tuple %d of %d fields: Pair says %v", i, len(tp), ok)
+		}
+		if !ok {
+			continue
+		}
+		if !bytes.Equal(key, tp[0]) || !bytes.Equal(val, tp[1]) || cap(key) != len(key) || cap(val) != len(val) {
+			t.Fatalf("tuple %d: Pair gives %x (cap %d), %x (cap %d), want %x, %x", i, key, cap(key), val, cap(val), tp[0], tp[1])
+		}
+	}
+}
