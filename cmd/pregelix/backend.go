@@ -103,6 +103,13 @@ func (b localBackend) admit(j *job, pj *pregel.Job, resume bool) (func() (*core.
 		case <-h.Admitted():
 			j.begin(h.OperatorMem())
 		case <-h.Done():
+			// A job can be admitted and done before this goroutine
+			// selects; then both are ready, and either may be picked.
+			select {
+			case <-h.Admitted():
+				j.begin(h.OperatorMem())
+			default: // canceled in the queue
+			}
 		}
 		return h.Wait(context.Background())
 	}, nil

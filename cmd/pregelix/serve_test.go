@@ -486,6 +486,33 @@ func TestServeJobTableRetention(t *testing.T) {
 // case: three jobs through two admission slots overlap but never
 // exceed the bound, and /stats reports the scheduler and the simulated
 // machines.
+// TestServeDoneJobsBegan: a tiny job can be admitted and finish before
+// the goroutine that carries it looks at its handle. Its done view must
+// still show the operator memory it was admitted with and a run time.
+// 200 two-vertex jobs go through two slots, four at a time.
+func TestServeDoneJobsBegan(t *testing.T) {
+	ts, _ := newTestServer(t, 2, nil)
+	putFile(t, ts.URL, "/in/tiny", []byte("1\t2\n2\t1\n"))
+	for wave := 0; wave < 50; wave++ {
+		var ids []int64
+		for i := 0; i < 4; i++ {
+			var v jobView
+			doJSON(t, http.MethodPost, ts.URL+"/jobs", jobRequest{
+				Algorithm: "cc",
+				Name:      fmt.Sprintf("tiny-%d-%d", wave, i),
+				Input:     "/in/tiny",
+				Output:    fmt.Sprintf("/out/tiny-%d-%d", wave, i),
+			}, http.StatusAccepted, &v)
+			ids = append(ids, v.ID)
+		}
+		for _, id := range ids {
+			if v := waitJobState(t, ts.URL, id, "done"); v.OperatorMem <= 0 || v.RunTimeMS <= 0 {
+				t.Fatalf("job %d: done view %+v, want operator memory and a run time", id, v)
+			}
+		}
+	}
+}
+
 func TestServeMaxConcurrentOverlap(t *testing.T) {
 	ts, _ := newTestServer(t, 2, nil)
 	uploadGraph(t, ts.URL, "/in/web")

@@ -56,14 +56,16 @@ func buildParityJob(name string, s paritySpec) (*pregel.Job, error) {
 }
 
 // Operator memories of the parity runs: everything fits, and a carve of
-// which a sender's superstep on parityGraph needs at least four.
+// which a sender's superstep on parityGraph needs at least four. A
+// PageRank sender's word table holds a group in a 16-byte slot, so the
+// carve is 16 KiB: 1024 slots, 768 groups.
 const (
 	parityFits  = 0 // the default
-	paritySmall = 64 << 10
+	paritySmall = 16 << 10
 )
 
 // parityGraph is dense enough that each of four senders holds a few
-// thousand destinations a superstep: with paritySmall, 800 to a run.
+// thousand destinations a superstep: with paritySmall, about 800 to a run.
 func parityGraph() *graphgen.Graph { return graphgen.Webmap(4000, 6, 5) }
 
 // parityRuntime runs the job on a 2-node, 4-partition runtime and returns

@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -468,5 +470,104 @@ func TestFoldPayloadAgreesWithAdd(t *testing.T) {
 				}
 			}()
 		}
+	}
+}
+
+// TestWordFoldAgreesWithCombine: the built-in combiners give the job's
+// msgCombiner a word fold for their message types, and for no other.
+// Over 2000 pairs of payloads of each, random bits and NaN, ±0, ±Inf,
+// MinInt64 and MaxInt64 among them, the word fold leaves the bytes of
+// Marshal(Combine(a, b)). A hash group-by over such a combiner is a word
+// table, which panics on a payload of the wrong width with a corrupt
+// message.
+func TestWordFoldAgreesWithCombine(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	bits := func(specials ...uint64) func() []byte {
+		return func() []byte {
+			w := rng.Uint64()
+			if rng.Intn(3) == 0 {
+				w = specials[rng.Intn(len(specials))]
+			}
+			return binary.LittleEndian.AppendUint64(nil, w)
+		}
+	}
+	floats := bits(math.Float64bits(math.NaN()), 0x7ff0000000000001, math.Float64bits(math.Copysign(0, -1)), 0,
+		math.Float64bits(math.Inf(1)), math.Float64bits(math.Inf(-1)), math.Float64bits(1), math.Float64bits(-1))
+	ints := bits(1<<63, 1<<63-1, 0, 1, math.MaxUint64)
+	bools := func() []byte { return []byte{[]byte{0, 1, 2, 0xff}[rng.Intn(4)]} }
+	int64Job := func(c pregel.Combiner) *pregel.Job {
+		return &pregel.Job{Codec: pregel.Codec{NewMessage: pregel.NewInt64}, Combiner: c}
+	}
+	cases := []struct {
+		name    string
+		job     *pregel.Job
+		payload func() []byte
+	}{
+		{"pagerank sum", doubleJob(algorithms.SumCombiner()), floats},
+		{"sssp min", doubleJob(algorithms.MinDoubleCombiner()), floats},
+		{"cc min", int64Job(algorithms.MinInt64Combiner()), ints},
+		{"first bool", &pregel.Job{Codec: pregel.Codec{NewMessage: pregel.NewBool}, Combiner: algorithms.FirstCombiner()}, bools},
+		{"first int64", int64Job(algorithms.FirstCombiner()), ints},
+	}
+	for _, c := range cases {
+		fold, width := newMsgCombiner(c.job).WordFold()
+		if fold == nil || width != len(c.payload()) {
+			t.Fatalf("%s: word fold %v of width %d", c.name, fold != nil, width)
+		}
+		for i := 0; i < 2000; i++ {
+			a, b := c.payload(), c.payload()
+			ma, mb := c.job.Codec.NewMessage(), c.job.Codec.NewMessage()
+			if ma.Unmarshal(a) != nil || mb.Unmarshal(b) != nil {
+				t.Fatalf("%s: %x or %x does not decode", c.name, a, b)
+			}
+			want := c.job.Combiner.Combine(ma, mb).Marshal(nil)
+			word := func(p []byte) uint64 {
+				var w [8]byte
+				copy(w[:], p)
+				return binary.LittleEndian.Uint64(w[:])
+			}
+			got := binary.LittleEndian.AppendUint64(nil, fold(word(a), word(b)))[:width]
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: %x folded with %x as words gives %x, Combine gives %x", c.name, a, b, got, want)
+			}
+		}
+	}
+
+	concat := algorithms.VIDListConcatCombiner()
+	for name, job := range map[string]*pregel.Job{
+		"first double": doubleJob(algorithms.FirstCombiner()),
+		"sum of int64": int64Job(algorithms.SumCombiner()),
+		"kcore concat": {Codec: pregel.Codec{NewMessage: pregel.NewVIDList}, Combiner: concat},
+		"user first":   doubleJob(pregel.CombinerFunc(func(a, b pregel.Value) pregel.Value { return a })),
+		"no combiner":  doubleJob(nil),
+	} {
+		if fold, _ := newMsgCombiner(job).WordFold(); fold != nil {
+			t.Errorf("%s: a word fold", name)
+		}
+	}
+
+	job := doubleJob(algorithms.SumCombiner())
+	key := tuple.EncodeUint64(1)
+	node, err := hyracks.NewNodeController("n", t.TempDir(), hyracks.NodeConfig{PageSize: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := &hyracks.TaskContext{Ctx: context.Background(), Node: node, JobName: "words", OperatorID: "gb-local", NumPartitions: 1}
+	for _, payload := range [][]byte{make([]byte, 7), make([]byte, 9), nil} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "corrupt message") {
+					t.Errorf("a %d-byte Double into a word table: panicked with %v, want a corrupt message", len(payload), r)
+				}
+			}()
+			gb := operators.NewGroupByRuntime(tc, operators.HashSortGroupBy, newMsgCombiner(job))
+			gb.SetOutputs(nil)
+			if err := gb.Open(); err != nil {
+				t.Fatal(err)
+			}
+			defer gb.Close()
+			gb.(messageTable).AddFields(tuple.Tuple{key, pregel.Double(1).Marshal(nil)})
+			gb.(messageTable).AddFields(tuple.Tuple{key, payload})
+		}()
 	}
 }

@@ -279,6 +279,10 @@ func senderKind(job *pregel.Job) operators.GroupByKind {
 // record of the group (the hash policy) or their copy of its first tuple
 // (the merge) through FoldPayload, and through Add only when the result
 // changes length, as k-core's concatenation does.
+//
+// When the job's combiner is a built-in one with a word fold for the
+// job's message type, the msgCombiner is also an operators.WordFolder,
+// and the hash group-bys keep each group's accumulator in its slot.
 type msgCombiner struct {
 	combine pregel.Combiner
 	// a and b are the messages of the accumulator and of the tuple
@@ -286,15 +290,39 @@ type msgCombiner struct {
 	// result until it is known to fit.
 	a, b pregel.Value
 	buf  []byte
+	// fold is the combiner's word fold for messages width bytes long, nil
+	// if it has none for the job's message type.
+	fold  func(acc, in uint64) uint64
+	width int
+}
+
+// wordCombiner is a combiner that also folds two messages as words, each
+// its Marshal bytes read as a little-endian integer: the built-in ones
+// of pregel/algorithms. WordFold returns the fold for messages of msg's
+// type, or nil if it has none for that type.
+type wordCombiner interface {
+	WordFold(msg pregel.Value) func(acc, in uint64) uint64
 }
 
 func newMsgCombiner(job *pregel.Job) *msgCombiner {
 	c := &msgCombiner{combine: job.Combiner}
-	if c.combine != nil {
-		c.a, c.b = job.Codec.NewMessage(), job.Codec.NewMessage()
+	if c.combine == nil {
+		return c
+	}
+	c.a, c.b = job.Codec.NewMessage(), job.Codec.NewMessage()
+	if wc, ok := c.combine.(wordCombiner); ok {
+		if c.fold = wc.WordFold(c.a); c.fold != nil {
+			// The type's width is its zero message's.
+			c.buf = c.a.Marshal(c.buf[:0])
+			c.width = len(c.buf)
+		}
 	}
 	return c
 }
+
+// WordFold returns the job's word fold and the width of its messages, or
+// a nil fold.
+func (c *msgCombiner) WordFold() (func(acc, in uint64) uint64, int) { return c.fold, c.width }
 
 // First returns its argument. Only a payload with spare capacity, which
 // is a view of a buffer that goes on behind it and so not the

@@ -51,13 +51,15 @@ func admitted(t *testing.T, g *core.Gate) *core.Ticket {
 }
 
 // TestSchedulerBoundsConcurrency hammers the gate with many short jobs
-// and asserts the in-flight bound is never violated.
+// and asserts the in-flight bound is never violated. No job ends before
+// every ticket is in, so that all but the first three queue.
 func TestSchedulerBoundsConcurrency(t *testing.T) {
 	g := core.NewGate(schedCluster(t, 2, hyracks.NodeConfig{}), 3)
 
 	const jobs = 40
 	var running, peak atomic.Int64
 	var wg sync.WaitGroup
+	allIn := make(chan struct{})
 	for i := 0; i < jobs; i++ {
 		tk := enter(t, g)
 		wg.Add(1)
@@ -74,11 +76,13 @@ func TestSchedulerBoundsConcurrency(t *testing.T) {
 					break
 				}
 			}
+			<-allIn
 			time.Sleep(time.Millisecond)
 			running.Add(-1)
 			tk.Release(nil)
 		}()
 	}
+	close(allIn)
 	wg.Wait()
 	if p := peak.Load(); p > 3 {
 		t.Fatalf("observed %d concurrent jobs, bound is 3", p)

@@ -140,7 +140,7 @@ func checkProbes(t *testing.T, g *spillingGroupBy) {
 	t.Helper()
 	es := g.sorter.entries
 	for i, e := range es {
-		if e.frame == 0 {
+		if !g.sorter.taken(e) {
 			continue
 		}
 		var key []byte
@@ -148,7 +148,7 @@ func checkProbes(t *testing.T, g *spillingGroupBy) {
 			key = g.keyOf(e)
 		}
 		j := g.sorter.slotOf(e.key, key)
-		for j != i && es[j].frame != 0 {
+		for j != i && g.sorter.taken(es[j]) {
 			j = (j + 1) & (len(es) - 1)
 		}
 		if j != i {
@@ -236,6 +236,8 @@ func TestPayloadFoldMatchesReference(t *testing.T) {
 			return append(tuple.EncodeUint64(uint64(rng.Intn(1000))), make([]byte, 120)...)
 		}},
 		{"widening sum", growingSum{&folds, &refused}, func() []byte { return minimalBytes(nil, uint64(1+rng.Intn(200))) }},
+		// A word table under the hash kinds: its keys must be 8 bytes.
+		{"8-byte word sum", wordSum{&folds, 8}, func() []byte { return binary.LittleEndian.AppendUint64(nil, uint64(rng.Intn(1000))) }},
 	}
 	kinds := []struct {
 		name string
@@ -247,6 +249,11 @@ func TestPayloadFoldMatchesReference(t *testing.T) {
 	}
 	for _, ks := range keySets {
 		for _, cb := range combiners {
+			// A word table holds 1536 groups at 40 KiB: of the key sets of
+			// vids, only the one of 4000 makes it spill 4 times.
+			if _, words := cb.c.(WordFolder); words && ks.name != "vids" {
+				continue
+			}
 			in := make([]tuple.Tuple, n)
 			for i, k := range ks.keys {
 				in[i] = tuple.Tuple{k, cb.payload()}

@@ -18,7 +18,11 @@
 // sorting and performs no per-tuple or per-group heap allocation. A
 // combiner that is also a PayloadFolder folds a (key, payload) tuple as
 // bytes, into the payload of its group's record where that record lies:
-// no header is built for it and no combiner result copied back.
+// no header is built for it and no combiner result copied back. A hash
+// group-by whose combiner is a WordFolder buffers no records at all: its
+// table is a word table, whose 16-byte slot holds a group's key and its
+// accumulator, and a group's record is written only when it leaves the
+// table, for a spill, the merge or the output.
 package operators
 
 import (
@@ -78,9 +82,24 @@ type Combiner interface {
 // A PayloadFolder's First is the identity: the accumulator of one tuple
 // is that tuple's bytes, so the group-bys start a group without calling
 // First, and fold into the group's record (the hash group-by) or their
-// own copy of its first tuple (the merge).
+// own copy of its first tuple (the merge). A PayloadFolder that is also
+// a WordFolder with a fold is folded under the hash policy as words, in
+// its table's slots, and through FoldPayload only in the merge.
 type PayloadFolder interface {
 	FoldPayload(acc, in []byte) bool
+}
+
+// WordFolder is a PayloadFolder whose payloads are all one width of 1 to
+// 8 bytes that fold as words: a payload's bytes read as a little-endian
+// integer. WordFold returns the fold of two such words and the width, or
+// a nil fold when the combiner has none. Under a hash group-by, the fold
+// runs on the accumulator in the group's slot of a word table. Every key
+// must then be 8 bytes and every payload width bytes, or the group-by
+// panics with a corrupt message. A word fold's result must be the bytes
+// FoldPayload leaves.
+type WordFolder interface {
+	PayloadFolder
+	WordFold() (fold func(acc, in uint64) uint64, width int)
 }
 
 // GroupByKind selects a group-by implementation.
@@ -120,7 +139,12 @@ func NewGroupByRuntime(tc *hyracks.TaskContext, kind GroupByKind, combiner Combi
 	case PreclusteredGroupBy:
 		return newPreclusteredGroupBy(combiner, pf)
 	case HashSortGroupBy, UnorderedHashGroupBy:
-		return &spillingGroupBy{tc: tc, combiner: combiner, pf: pf, table: combiner != nil, unordered: kind == UnorderedHashGroupBy}
+		g := &spillingGroupBy{tc: tc, combiner: combiner, pf: pf, table: combiner != nil, unordered: kind == UnorderedHashGroupBy}
+		if wf, ok := combiner.(WordFolder); ok {
+			g.wf, g.width = wf.WordFold()
+			g.word = tuple.Tuple{g.buf[:8], g.buf[8 : 8+g.width]}
+		}
+		return g
 	default:
 		return &spillingGroupBy{tc: tc, combiner: combiner, pf: pf}
 	}
@@ -227,6 +251,10 @@ type spillingGroupBy struct {
 	table bool
 	// unordered says that the table's output need not be in key order.
 	unordered bool
+	// wf is the fold of a word table's accumulators, whose payloads are
+	// width bytes; nil for a table of records.
+	wf    func(acc, in uint64) uint64
+	width int
 
 	budget *memory.Budget
 
@@ -251,6 +279,10 @@ type spillingGroupBy struct {
 	head, scratch tuple.Tuple
 	// carried owns the bytes of an accumulator taken out of the table.
 	carried []byte
+	// word holds the fields of a word table's group as it leaves the
+	// table, over the bytes of buf: its key, then its payload.
+	word tuple.Tuple
+	buf  [16]byte
 
 	// file holds every run spilled, one after the other, from the first
 	// spill on; runs are their extents in it, oldest first.
@@ -275,6 +307,7 @@ const minSortEntries = 16
 func (g *spillingGroupBy) Open() error {
 	cap := g.tc.OperatorMem
 	g.budget = g.tc.Node.RAM.Child("groupby-"+g.tc.OperatorID+"-p"+strconv.Itoa(g.tc.Partition), cap)
+	g.sorter.words = g.wf != nil
 	if g.table {
 		g.takeTable()
 	}
@@ -479,6 +512,9 @@ func (g *spillingGroupBy) fold(r tuple.TupleRef, t tuple.Tuple) error {
 	} else if key, in, pair = r.Pair(); !pair {
 		key = r.Field(0)
 	}
+	if g.wf != nil {
+		return g.foldWord(key, in)
+	}
 	bytewise := pair && g.pf != nil
 	k := keyPrefix(key)
 	// While every key in the table is 8 bytes, as a vid is, an 8-byte key
@@ -535,13 +571,10 @@ func (g *spillingGroupBy) addTo(i int, r tuple.TupleRef, t tuple.Tuple) error {
 // ended on, if the table has not changed since, else -1.
 func (g *spillingGroupBy) insert(k uint64, key []byte, r tuple.TupleRef, t tuple.Tuple, slot int) (int, error) {
 	// Room in the table first: the spill that makes it empties the frames.
-	if n := len(g.sorter.entries); 4*(g.live+1) > 3*n {
+	if moved, err := g.makeRoom(); err != nil {
+		return 0, err
+	} else if moved {
 		slot = -1
-		if !g.growEntries(max(2*n, minSortEntries), n == 0) {
-			if err := g.spill(); err != nil {
-				return 0, err
-			}
-		}
 	}
 	off, spilled, err := g.buffer(r, t)
 	if err != nil {
@@ -565,6 +598,53 @@ func (g *spillingGroupBy) insert(k uint64, key []byte, r tuple.TupleRef, t tuple
 	g.live++
 	g.peak = max(g.peak, g.live)
 	return slot, nil
+}
+
+// makeRoom makes room in the table for one more group, by growing it or,
+// if the budget refuses, by spilling, and says whether the slots moved.
+func (g *spillingGroupBy) makeRoom() (bool, error) {
+	n := len(g.sorter.entries)
+	if 4*(g.live+1) <= 3*n {
+		return false, nil
+	}
+	if g.growEntries(max(2*n, minSortEntries), n == 0) {
+		return true, nil
+	}
+	return true, g.spill()
+}
+
+// foldWord is fold in a word table: the payload in, read as a word, is
+// folded into the accumulator of key's group, or starts that group.
+func (g *spillingGroupBy) foldWord(key, in []byte) error {
+	if len(key) != 8 || len(in) != g.width {
+		panic("groupby: corrupt message: a " + strconv.Itoa(len(key)) + "-byte key and a " + strconv.Itoa(len(in)) + "-byte payload in a table of " + strconv.Itoa(g.width) + "-byte words")
+	}
+	var w uint64
+	if len(in) == 8 {
+		w = binary.LittleEndian.Uint64(in)
+	} else {
+		for i, b := range in {
+			w |= uint64(b) << (8 * i)
+		}
+	}
+	k := binary.BigEndian.Uint64(key)
+	e, ok := g.sorter.wordSlot(k)
+	if ok {
+		e.setAcc(g.wf(e.acc(), w))
+		return nil
+	}
+	if moved, err := g.makeRoom(); err != nil {
+		return err
+	} else if moved || e == nil {
+		e, _ = g.sorter.wordSlot(k)
+	}
+	*e = sortEntry{key: k}
+	e.setAcc(w)
+	g.sorter.hasZero = g.sorter.hasZero || k == 0
+	g.sorter.observe(k, 8)
+	g.live++
+	g.peak = max(g.peak, g.live)
+	return nil
 }
 
 // keep makes res, the combiner's result for the group in slot i, that
@@ -619,9 +699,29 @@ func (g *spillingGroupBy) sortBuffered() {
 	g.sorter.sort(g.keyOf)
 }
 
-// ref returns the buffered record an entry stands for.
+// ref returns the buffered record an entry stands for. A word table's
+// group is written as a record when it is read, into the one frame the
+// table takes, and is valid until the next call.
 func (g *spillingGroupBy) ref(e sortEntry) tuple.TupleRef {
-	return g.frames[e.frame-1].TupleAt(int(e.rec))
+	if !g.sorter.words {
+		return g.frames[e.frame-1].TupleAt(int(e.rec))
+	}
+	if len(g.frames) == 0 {
+		g.frames = append(g.frames, tuple.GetFrame())
+	}
+	f := g.frames[0]
+	f.Reset()
+	g.app.Reset(f)
+	g.app.Append(g.record(e)...)
+	return f.Tuple(0)
+}
+
+// record returns the fields of a word table's group, valid until the
+// next call.
+func (g *spillingGroupBy) record(e sortEntry) tuple.Tuple {
+	binary.BigEndian.PutUint64(g.buf[:8], e.key)
+	binary.LittleEndian.PutUint64(g.buf[8:], e.acc())
+	return g.word
 }
 
 // keyOf returns the key of the buffered record an entry stands for.
@@ -632,6 +732,15 @@ func (g *spillingGroupBy) keyOf(e sortEntry) []byte { return g.ref(e).Field(0) }
 // no combiner, or the table's records alone — else equal keys folded
 // through the combiner. Neither callback may keep its argument.
 func (g *spillingGroupBy) drain(srcs []refSource, emitRef func(tuple.TupleRef) error, emit func(tuple.Tuple) error) error {
+	if g.sorter.words && len(srcs) == 0 {
+		// The groups leave a word table as records here, with no merge.
+		for _, e := range g.sorter.entries {
+			if err := emit(g.record(e)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	combiner := g.combiner
 	if g.table && len(srcs) == 0 {
 		combiner = nil
@@ -741,9 +850,9 @@ func (g *spillingGroupBy) finish() error {
 
 // emitTable emits the groups of a table that never spilled as they lie:
 // the frames whole when every record in them is a group's, else each
-// taken slot's record.
+// group's record in slot order.
 func (g *spillingGroupBy) emitTable() error {
-	if !g.superseded {
+	if !g.superseded && !g.sorter.words {
 		for _, f := range g.frames {
 			if err := g.EmitFrame(0, f); err != nil {
 				return err
@@ -751,14 +860,8 @@ func (g *spillingGroupBy) emitTable() error {
 		}
 		return nil
 	}
-	for _, e := range g.sorter.entries {
-		if e.frame != 0 {
-			if err := g.EmitRef(0, g.ref(e)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	g.sorter.compact()
+	return g.drain(nil, func(r tuple.TupleRef) error { return g.EmitRef(0, r) }, func(t tuple.Tuple) error { return g.Emit(0, t) })
 }
 
 // sortEntry is what the sort moves instead of a tuple: the tuple's
@@ -766,6 +869,9 @@ func (g *spillingGroupBy) emitTable() error {
 // first 8 bytes of field 0 read as a big-endian integer (shorter keys
 // zero-padded), so integer order on it agrees with byte order on the
 // keys as far as 8 bytes can tell.
+//
+// In a word table the entry is a group's slot, and frame and rec hold
+// the group's accumulator instead, its low and its high half.
 type sortEntry struct {
 	key   uint64
 	frame uint32 // which of the frames holds the tuple, counted from 1: 0 is a free slot of the table
@@ -773,6 +879,10 @@ type sortEntry struct {
 }
 
 const sortEntryBytes = int64(unsafe.Sizeof(sortEntry{}))
+
+// acc and setAcc read and write a word table's accumulator, as one word.
+func (e *sortEntry) acc() uint64     { return uint64(e.frame) | uint64(e.rec)<<32 }
+func (e *sortEntry) setAcc(w uint64) { e.frame, e.rec = uint32(w), uint32(w>>32) }
 
 func keyPrefix(k []byte) uint64 {
 	if len(k) >= 8 {
@@ -802,6 +912,12 @@ type keySorter struct {
 	wide bool
 	// seen says that there is a first key.
 	seen bool
+	// words says that the table is a word table: a slot is free when its
+	// key is 0, and the group of key 0 is zero, if hasZero says there is
+	// one.
+	words   bool
+	zero    sortEntry
+	hasZero bool
 }
 
 func (s *keySorter) reset() {
@@ -837,7 +953,33 @@ func (s *keySorter) observe(k uint64, keyLen int) bool {
 }
 
 // The entries as a table: the slice at full length, a power of two, a
-// key's slot the first free one (frame 0) at or after slotOf.
+// key's slot the first free one at or after slotOf.
+
+// taken says whether a slot of the table holds a group. A free slot of a
+// word table is all zeros, and its groups' keys are not 0.
+func (s *keySorter) taken(e sortEntry) bool { return e.frame != 0 || s.words && e.key != 0 }
+
+// wordSlot returns the slot of the group of key k in a word table and
+// true, or, if there is no such group, the free slot the probe for k
+// ended on (nil if the table has no slots) and false.
+func (s *keySorter) wordSlot(k uint64) (*sortEntry, bool) {
+	if k == 0 {
+		return &s.zero, s.hasZero
+	}
+	if len(s.entries) == 0 {
+		return nil, false
+	}
+	mask := len(s.entries) - 1
+	for i := int(mix64(k)) & mask; ; i = (i + 1) & mask {
+		e := &s.entries[i]
+		if e.key == k {
+			return e, true
+		}
+		if e.key == 0 {
+			return e, false
+		}
+	}
+}
 
 // mix64 is the finalizer of MurmurHash3: every bit of its result depends
 // on every bit of k, so that keys apart by a stride, or alike in their
@@ -873,7 +1015,7 @@ func (s *keySorter) slotOf(k uint64, key []byte) int {
 
 // freeSlot returns the first free slot at or after slot i.
 func (s *keySorter) freeSlot(i int) int {
-	for s.entries[i].frame != 0 {
+	for s.taken(s.entries[i]) {
 		i = (i + 1) & (len(s.entries) - 1)
 	}
 	return i
@@ -886,7 +1028,7 @@ func (s *keySorter) rehash(n int, keyOf func(sortEntry) []byte) {
 	old := s.entries
 	s.entries = make([]sortEntry, n)
 	for _, e := range old {
-		if e.frame != 0 {
+		if s.taken(e) {
 			var key []byte
 			if s.wide {
 				key = keyOf(e)
@@ -900,19 +1042,23 @@ func (s *keySorter) rehash(n int, keyOf func(sortEntry) []byte) {
 func (s *keySorter) free() {
 	s.entries = s.entries[:cap(s.entries)]
 	clear(s.entries)
+	s.hasZero = false
 }
 
-// compact ends the table: the taken slots move to the front and are the
-// entries.
+// compact ends the table: the groups move to the front and are the
+// entries, the group of key 0 of a word table last.
 func (s *keySorter) compact() {
 	n := 0
 	for _, e := range s.entries {
-		if e.frame != 0 {
+		if s.taken(e) {
 			s.entries[n] = e
 			n++
 		}
 	}
 	s.entries = s.entries[:n]
+	if s.hasZero {
+		s.entries = append(s.entries, s.zero)
+	}
 }
 
 // radixLeaf is the number of entries up to which a bucket of the radix

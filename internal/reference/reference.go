@@ -6,7 +6,7 @@ package reference
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"pregelix/internal/graphgen"
 	"pregelix/pregel"
@@ -102,6 +102,10 @@ func (e *Engine) Run(maxSupersteps int) (int64, error) {
 	if maxSupersteps == 0 {
 		maxSupersteps = e.job.MaxSupersteps
 	}
+	// ids is every vertex id in order, sorted again only after a
+	// superstep that added or removed a vertex.
+	var ids []uint64
+	resort := true
 	for {
 		e.step++
 		if maxSupersteps > 0 && e.step > int64(maxSupersteps) {
@@ -111,11 +115,14 @@ func (e *Engine) Run(maxSupersteps int) (int64, error) {
 		ctx := &refCtx{e: e, outbox: map[uint64][][]byte{}}
 		haltAll := true
 
-		ids := make([]uint64, 0, len(e.vertices))
-		for id := range e.vertices {
-			ids = append(ids, id)
+		if resort {
+			ids = ids[:0]
+			for id := range e.vertices {
+				ids = append(ids, id)
+			}
+			slices.Sort(ids)
+			resort = false
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
 		for _, id := range ids {
 			v := e.vertices[id]
@@ -191,8 +198,10 @@ func (e *Engine) Run(maxSupersteps int) (int64, error) {
 				delete(e.vertices, id)
 				e.nv--
 				e.ne -= hadEdges
+				resort = true
 			case final != nil:
 				if existing == nil {
+					resort = true
 					e.nv++
 					e.ne += int64(len(final.Edges))
 				} else {
@@ -212,6 +221,7 @@ func (e *Engine) Run(maxSupersteps int) (int64, error) {
 					Value: e.job.Codec.NewVertexValue(),
 				}
 				e.nv++
+				resort = true
 			}
 			e.inbox[dest] = raw
 			totalMsgs += len(raw)

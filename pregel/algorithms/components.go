@@ -48,13 +48,29 @@ func (connectedComponents) Compute(ctx pregel.Context, v *pregel.Vertex, msgs []
 }
 
 // MinInt64Combiner keeps the minimum Int64 message.
-func MinInt64Combiner() pregel.Combiner {
-	return pregel.CombinerFunc(func(a, b pregel.Value) pregel.Value {
-		if *b.(*pregel.Int64) < *a.(*pregel.Int64) {
-			return b
+func MinInt64Combiner() pregel.Combiner { return minInt64Combiner{} }
+
+type minInt64Combiner struct{}
+
+func (minInt64Combiner) Combine(a, b pregel.Value) pregel.Value {
+	if *b.(*pregel.Int64) < *a.(*pregel.Int64) {
+		return b
+	}
+	return a
+}
+
+// WordFold keeps the smaller of two Int64s held as words (SumCombiner's
+// WordFold says how), which are their two's-complement bits.
+func (minInt64Combiner) WordFold(msg pregel.Value) func(acc, in uint64) uint64 {
+	if _, ok := msg.(*pregel.Int64); !ok {
+		return nil
+	}
+	return func(acc, in uint64) uint64 {
+		if int64(in) < int64(acc) {
+			return in
 		}
-		return a
-	})
+		return acc
+	}
 }
 
 // NewConnectedComponentsJob builds a CC job. CC starts message-intensive
@@ -107,8 +123,23 @@ func (reachability) Compute(ctx pregel.Context, v *pregel.Vertex, msgs []pregel.
 
 // FirstCombiner keeps an arbitrary single message; used when any one
 // message carries all the information (reachability, BFS parent).
-func FirstCombiner() pregel.Combiner {
-	return pregel.CombinerFunc(func(a, b pregel.Value) pregel.Value { return a })
+func FirstCombiner() pregel.Combiner { return firstCombiner{} }
+
+type firstCombiner struct{}
+
+func (firstCombiner) Combine(a, b pregel.Value) pregel.Value { return a }
+
+// WordFold keeps the accumulator of an Int64 or a Bool held as a word
+// (SumCombiner's WordFold says how). A Bool's is its Marshal byte: any
+// byte but 0 decodes as true, which marshals as 1.
+func (firstCombiner) WordFold(msg pregel.Value) func(acc, in uint64) uint64 {
+	switch msg.(type) {
+	case *pregel.Int64:
+		return func(acc, _ uint64) uint64 { return acc }
+	case *pregel.Bool:
+		return func(acc, _ uint64) uint64 { return min(acc, 1) }
+	}
+	return nil
 }
 
 // NewReachabilityJob builds a reachability query job from the given

@@ -11,6 +11,7 @@ package algorithms
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"pregelix/pregel"
@@ -59,11 +60,25 @@ func (pageRank) Compute(ctx pregel.Context, v *pregel.Vertex, msgs []pregel.Valu
 }
 
 // SumCombiner adds Double messages, the PageRank combiner.
-func SumCombiner() pregel.Combiner {
-	return pregel.CombinerFunc(func(a, b pregel.Value) pregel.Value {
-		*a.(*pregel.Double) += *b.(*pregel.Double)
-		return a
-	})
+func SumCombiner() pregel.Combiner { return sumCombiner{} }
+
+type sumCombiner struct{}
+
+func (sumCombiner) Combine(a, b pregel.Value) pregel.Value {
+	*a.(*pregel.Double) += *b.(*pregel.Double)
+	return a
+}
+
+// WordFold adds two Doubles as the engine's message tables hold them: a
+// message's Marshal bytes read as a little-endian word, which for a
+// Double is its IEEE 754 bits.
+func (sumCombiner) WordFold(msg pregel.Value) func(acc, in uint64) uint64 {
+	if _, ok := msg.(*pregel.Double); !ok {
+		return nil
+	}
+	return func(acc, in uint64) uint64 {
+		return math.Float64bits(math.Float64frombits(acc) + math.Float64frombits(in))
+	}
 }
 
 // NewPageRankJob builds a PageRank job with the paper's default plan

@@ -55,13 +55,29 @@ func (shortestPaths) Compute(ctx pregel.Context, v *pregel.Vertex, msgs []pregel
 
 // MinDoubleCombiner keeps the minimum Double message (the
 // DoubleMinCombiner of Figure 9).
-func MinDoubleCombiner() pregel.Combiner {
-	return pregel.CombinerFunc(func(a, b pregel.Value) pregel.Value {
-		if *b.(*pregel.Double) < *a.(*pregel.Double) {
-			return b
+func MinDoubleCombiner() pregel.Combiner { return minDoubleCombiner{} }
+
+type minDoubleCombiner struct{}
+
+func (minDoubleCombiner) Combine(a, b pregel.Value) pregel.Value {
+	if *b.(*pregel.Double) < *a.(*pregel.Double) {
+		return b
+	}
+	return a
+}
+
+// WordFold keeps the smaller of two Doubles held as words (SumCombiner's
+// WordFold says how), the accumulator unless the other is less.
+func (minDoubleCombiner) WordFold(msg pregel.Value) func(acc, in uint64) uint64 {
+	if _, ok := msg.(*pregel.Double); !ok {
+		return nil
+	}
+	return func(acc, in uint64) uint64 {
+		if math.Float64frombits(in) < math.Float64frombits(acc) {
+			return in
 		}
-		return a
-	})
+		return acc
+	}
 }
 
 // NewSSSPJob builds a single source shortest paths job with the plan
