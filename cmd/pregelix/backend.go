@@ -18,37 +18,34 @@ import (
 
 // backend is the engine behind the server: it stores files, runs jobs
 // and delta refreshes, and reads sealed results. There are two — the
-// single-process runtime under its JobManager (localBackend) and the
-// coordinator of a worker cluster (clusterBackend, which embeds
-// *core.Coordinator, so the exported methods below are the
-// coordinator's own) — and both admit jobs and refreshes through a
-// core.Gate. What only one engine can do answers as absent on the
-// other: scale returns nil, LatestVersion finds nothing.
+// single-process runtime (localBackend) and the coordinator of a worker
+// cluster (clusterBackend, which embeds *core.Coordinator, so the
+// exported methods below are the coordinator's own). Each hands the
+// server its core.Gate; the server takes every job's and refresh's
+// ticket there, waits, and only then asks the engine to run it. What
+// only one engine can do answers as absent on the other: scale returns
+// nil, LatestVersion finds nothing.
 type backend interface {
 	// health is nil once the engine can run jobs; WaitReady blocks
 	// until then.
 	health() error
 	WaitReady(ctx context.Context) error
 
-	// putFile and getFile move graph inputs and job outputs.
+	// putFile and getFile move graph inputs and job outputs; hasFile
+	// reports whether a path holds a file.
 	putFile(path string, body io.Reader) error
 	getFile(path string) ([]byte, error)
+	hasFile(path string) bool
 
-	// slots is how many jobs the engine's gate lets run at once.
-	slots() int
-	// admit takes j's place in the engine's run queue, naming it unless
-	// it is a restored job that has its name already, and returns the
-	// function that runs it there: run blocks until the job ends and
-	// calls j.begin when the job leaves the queue. Jobs leave the queue
-	// in the order admit was called. resume continues a restored job
-	// from its last committed checkpoint. An error wrapping errNoInput
-	// rejects the submission itself; any other means the engine takes no
-	// more jobs now.
-	admit(j *job, pj *pregel.Job, resume bool) (run func() (*core.JobStats, error), err error)
-	// refresh runs one delta refresh to its seal, queued like a job:
-	// clone fromVersion, apply muts, run delta supersteps, seal as name
-	// ("fromVersion@d<seq>").
-	refresh(spec []byte, pj *pregel.Job, fromVersion, name string, seq uint64, muts []delta.Mutation) error
+	// gate is the engine's admission queue, one per engine.
+	gate() *core.Gate
+	// run runs one admitted job, named pj.Name, to its end under the
+	// operator-memory carve opMem. resume continues a restored job from
+	// its last committed checkpoint.
+	run(j *job, pj *pregel.Job, opMem int64, resume bool) (*core.JobStats, error)
+	// refresh runs one admitted delta refresh to its seal: clone
+	// fromVersion, apply muts, run delta supersteps, seal as pj.Name.
+	refresh(ctx context.Context, spec []byte, pj *pregel.Job, fromVersion string, muts []delta.Mutation, opMem int64) error
 
 	// The query tier over one sealed version.
 	QueryVertex(ctx context.Context, version string, vid uint64) (core.VertexQueryResult, error)
@@ -69,16 +66,22 @@ type backend interface {
 }
 
 // localBackend serves from the single-process runtime: files live in
-// its DFS, jobs and refreshes share the JobManager's admission queue.
-type localBackend struct{ m *core.JobManager }
+// its DFS, and its gate carves the simulated machines' operator memory
+// among the jobs and refreshes it admits.
+type localBackend struct {
+	rt *core.Runtime
+	g  *core.Gate
+}
 
-func (b localBackend) slots() int { return b.m.Gate().Slots() }
+func newLocalBackend(rt *core.Runtime, slots int) localBackend {
+	return localBackend{rt: rt, g: core.NewGate(rt.Cluster, slots)}
+}
 
 func (b localBackend) health() error                   { return nil }
 func (b localBackend) WaitReady(context.Context) error { return nil }
 
 func (b localBackend) putFile(path string, body io.Reader) error {
-	w, err := b.m.Runtime().DFS.Create(path)
+	w, err := b.rt.DFS.Create(path)
 	if err != nil {
 		return err
 	}
@@ -88,44 +91,23 @@ func (b localBackend) putFile(path string, body io.Reader) error {
 	return w.Close()
 }
 
-func (b localBackend) getFile(path string) ([]byte, error) {
-	return b.m.Runtime().DFS.ReadFile(path)
+func (b localBackend) getFile(path string) ([]byte, error) { return b.rt.DFS.ReadFile(path) }
+
+func (b localBackend) hasFile(path string) bool { return b.rt.DFS.Exists(path) }
+
+func (b localBackend) gate() *core.Gate { return b.g }
+
+func (b localBackend) run(j *job, pj *pregel.Job, opMem int64, _ bool) (*core.JobStats, error) {
+	return b.rt.RunAdmitted(j.ctx, pj, opMem)
 }
 
-func (b localBackend) admit(j *job, pj *pregel.Job, resume bool) (func() (*core.JobStats, error), error) {
-	h, err := b.m.Submit(j.ctx, pj)
-	if err != nil {
-		return nil, err
-	}
-	j.name = h.Name()
-	return func() (*core.JobStats, error) {
-		select {
-		case <-h.Admitted():
-			j.begin(h.OperatorMem())
-		case <-h.Done():
-			// A job can be admitted and done before this goroutine
-			// selects; then both are ready, and either may be picked.
-			select {
-			case <-h.Admitted():
-				j.begin(h.OperatorMem())
-			default: // canceled in the queue
-			}
-		}
-		return h.Wait(context.Background())
-	}, nil
-}
-
-func (b localBackend) refresh(spec []byte, pj *pregel.Job, fromVersion, name string, seq uint64, muts []delta.Mutation) error {
-	h, err := b.m.SubmitDelta(context.Background(), pj, fromVersion, seq, muts)
-	if err != nil {
-		return err
-	}
-	_, err = h.Wait(context.Background())
+func (b localBackend) refresh(ctx context.Context, _ []byte, pj *pregel.Job, fromVersion string, muts []delta.Mutation, opMem int64) error {
+	_, err := b.rt.DeltaRefresh(ctx, pj, fromVersion, muts, opMem)
 	return err
 }
 
 func (b localBackend) QueryVertex(ctx context.Context, version string, vid uint64) (core.VertexQueryResult, error) {
-	out, err := b.m.Runtime().Queries().Point(version, []uint64{vid})
+	out, err := b.rt.Queries().Point(version, []uint64{vid})
 	if err != nil {
 		return core.VertexQueryResult{}, err
 	}
@@ -133,24 +115,24 @@ func (b localBackend) QueryVertex(ctx context.Context, version string, vid uint6
 }
 
 func (b localBackend) QueryTopK(ctx context.Context, version string, k int) ([]core.TopKEntry, error) {
-	return b.m.Runtime().Queries().TopK(version, k)
+	return b.rt.Queries().TopK(version, k)
 }
 
 func (b localBackend) QueryKHop(ctx context.Context, version string, source uint64, hops int) (*core.KHopResult, error) {
-	return b.m.Runtime().Queries().KHop(version, source, hops)
+	return b.rt.Queries().KHop(version, source, hops)
 }
 
-func (b localBackend) DeltaStore() delta.Store { return core.DFSStore(b.m.Runtime().DFS) }
+func (b localBackend) DeltaStore() delta.Store { return core.DFSStore(b.rt.DFS) }
 
 func (b localBackend) LatestVersion(string) (string, bool) { return "", false }
 
 func (b localBackend) engineStats(v *statsView) {
-	st, queued, running := b.m.Gate().Stats()
+	st, queued, running := b.g.Stats()
 	v.localStats = &localStats{
 		Scheduler: st,
 		Queued:    queued,
 		Running:   running,
-		Cluster:   b.m.Runtime().CollectStats(),
+		Cluster:   b.rt.CollectStats(),
 	}
 }
 
@@ -166,9 +148,9 @@ func (b localBackend) Drain(string) error { return errors.New("no workers to dra
 type clusterBackend struct {
 	*core.Coordinator
 	stateDir string
-	// gate admits one job or refresh at a time: the coordinator drives
-	// a single run across the whole cluster (clusterSlots).
-	gate *core.Gate
+	// g admits one job or refresh at a time: the coordinator drives a
+	// single run across the whole cluster (clusterSlots).
+	g *core.Gate
 
 	mu    sync.Mutex
 	files map[string][]byte
@@ -183,7 +165,7 @@ func newClusterBackend(coord *core.Coordinator, stateDir string) *clusterBackend
 	b := &clusterBackend{
 		Coordinator: coord,
 		stateDir:    stateDir,
-		gate:        core.NewGate(nil, clusterSlots),
+		g:           core.NewGate(nil, clusterSlots),
 		files:       make(map[string][]byte),
 	}
 	if stateDir == "" {
@@ -206,7 +188,7 @@ func newClusterBackend(coord *core.Coordinator, stateDir string) *clusterBackend
 	return b
 }
 
-func (b *clusterBackend) slots() int { return b.gate.Slots() }
+func (b *clusterBackend) gate() *core.Gate { return b.g }
 
 func (b *clusterBackend) health() error {
 	if !b.Ready() {
@@ -253,58 +235,42 @@ func (b *clusterBackend) getFile(path string) ([]byte, error) {
 	return data, nil
 }
 
-func (b *clusterBackend) admit(j *job, pj *pregel.Job, resume bool) (func() (*core.JobStats, error), error) {
+func (b *clusterBackend) hasFile(path string) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	_, ok := b.files[path]
+	return ok
+}
+
+func (b *clusterBackend) run(j *job, pj *pregel.Job, _ int64, resume bool) (*core.JobStats, error) {
 	input, err := b.getFile(j.req.Input)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v (PUT /files%s first)", errNoInput, err, j.req.Input)
-	}
-	if j.name == "" {
-		j.name = fmt.Sprintf("%s@j%d", pj.Name, j.id)
-	}
-	ticket, err := b.gate.Enter()
 	if err != nil {
 		return nil, err
 	}
-	return func() (*core.JobStats, error) {
-		if err := ticket.Wait(j.ctx); err != nil {
-			return nil, err
-		}
-		j.begin(ticket.OperatorMem())
-		stats, output, err := b.RunJob(j.ctx, core.DistSubmission{
-			Name:       j.name,
-			Spec:       j.spec,
-			Job:        pj,
-			InputPath:  j.req.Input,
-			InputData:  input,
-			WantOutput: j.req.Output != "",
-			Progress:   j.progress,
-			Resume:     resume,
-		})
-		ticket.Release(err)
-		if err == nil && j.req.Output != "" {
-			b.storeFile(j.req.Output, output)
-		}
-		return stats, err
-	}, nil
+	stats, output, err := b.RunJob(j.ctx, core.DistSubmission{
+		Name:       pj.Name,
+		Spec:       j.spec,
+		Job:        pj,
+		InputPath:  j.req.Input,
+		InputData:  input,
+		WantOutput: j.req.Output != "",
+		Progress:   j.progress,
+		Resume:     resume,
+	})
+	if err == nil && j.req.Output != "" {
+		b.storeFile(j.req.Output, output)
+	}
+	return stats, err
 }
 
-func (b *clusterBackend) refresh(spec []byte, pj *pregel.Job, fromVersion, name string, seq uint64, muts []delta.Mutation) error {
-	ctx := context.Background()
-	ticket, err := b.gate.Enter()
-	if err != nil {
-		return err
-	}
-	if err := ticket.Wait(ctx); err != nil {
-		return err
-	}
-	_, err = b.DeltaRefresh(ctx, core.DeltaSubmission{
+func (b *clusterBackend) refresh(ctx context.Context, spec []byte, pj *pregel.Job, fromVersion string, muts []delta.Mutation, _ int64) error {
+	_, err := b.DeltaRefresh(ctx, core.DeltaSubmission{
 		Version: fromVersion,
-		Name:    name,
+		Name:    pj.Name,
 		Spec:    spec,
 		Job:     pj,
 		Muts:    muts,
 	})
-	ticket.Release(err)
 	return err
 }
 

@@ -281,8 +281,8 @@ var serveBackends = []struct {
 }
 
 // newTestServer boots the single-process serve stack (simulated
-// runtime + JobManager) behind an httptest server.
-func newTestServer(t *testing.T, maxConcurrent int, tune func(*server)) (*httptest.Server, *core.JobManager) {
+// runtime, maxConcurrent admission slots) behind an httptest server.
+func newTestServer(t *testing.T, maxConcurrent int, tune func(*server)) (*httptest.Server, *server) {
 	t.Helper()
 	rt, err := core.NewRuntime(core.Options{
 		BaseDir: t.TempDir(),
@@ -291,8 +291,7 @@ func newTestServer(t *testing.T, maxConcurrent int, tune func(*server)) (*httpte
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := core.NewJobManager(rt, core.JobManagerOptions{MaxConcurrentJobs: maxConcurrent})
-	s := newServer(localBackend{m})
+	s := newServer(newLocalBackend(rt, maxConcurrent))
 	if tune != nil {
 		tune(s)
 	}
@@ -300,14 +299,14 @@ func newTestServer(t *testing.T, maxConcurrent int, tune func(*server)) (*httpte
 	t.Cleanup(func() {
 		ts.Close()
 		cancelAllJobs(s)
-		m.Close()
+		s.close()
 		rt.Close()
 	})
-	return ts, m
+	return ts, s
 }
 
 // cancelAllJobs cancels whatever a test left queued or running and
-// waits for it to end, so closing the engine does not wait for a
+// waits for it to end, so closing the server does not wait for a
 // 100000-iteration job and no job outlives (and logs into) its test.
 func cancelAllJobs(s *server) {
 	jobs := s.snapshot()
@@ -337,13 +336,12 @@ func startTestCluster(t *testing.T, workers int, tune func(*server)) (*httptest.
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(func() {
-		coord.Close()
-		cancel()
-	})
+	var running sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		dir := t.TempDir()
+		running.Add(1)
 		go func() {
+			defer running.Done()
 			core.RunWorker(ctx, core.WorkerConfig{
 				CCAddr:   coord.Addr(),
 				BaseDir:  dir,
@@ -352,6 +350,14 @@ func startTestCluster(t *testing.T, workers int, tune func(*server)) (*httptest.
 			})
 		}()
 	}
+	// Registered after the workers' dirs, so it runs before they are
+	// removed: a worker still tearing down a canceled job's files would
+	// otherwise race the removal.
+	t.Cleanup(func() {
+		coord.Close()
+		cancel()
+		running.Wait()
+	})
 	readyCtx, done := context.WithTimeout(context.Background(), 30*time.Second)
 	defer done()
 	if err := coord.WaitReady(readyCtx); err != nil {
@@ -365,6 +371,7 @@ func startTestCluster(t *testing.T, workers int, tune func(*server)) (*httptest.
 	t.Cleanup(func() {
 		ts.Close()
 		cancelAllJobs(s)
+		s.close()
 	})
 	return ts, coord
 }

@@ -136,9 +136,7 @@ func serveMain(args []string) {
 			fatal(err)
 		}
 		defer rt.Close()
-		m := core.NewJobManager(rt, core.JobManagerOptions{MaxConcurrentJobs: *maxConcurrent})
-		defer m.Close()
-		be = localBackend{m}
+		be = newLocalBackend(rt, *maxConcurrent)
 		banner = fmt.Sprintf("%d machines, %d concurrent jobs", *nodes, *maxConcurrent)
 	}
 
@@ -173,11 +171,17 @@ func serveMain(args []string) {
 				if err := lease.Renew(); err != nil {
 					fmt.Fprintf(os.Stderr, "pregelix serve: coordinator lease lost (%v) — stepping down\n", err)
 					srv.Close()
+					// A fenced controller drives no more runs, and the
+					// registry is the new leader's now.
+					s.handOff()
 					return
 				}
 			}
 		}()
 	}
+	// Deferred after the engine's Close and the lease's renewal stop,
+	// so admitted runs end while both are still up.
+	defer s.close()
 	if *stateDir != "" {
 		go s.resumeRestored(resume)
 	}
@@ -185,6 +189,12 @@ func serveMain(args []string) {
 	fmt.Fprintf(os.Stderr, "pregelix serve: %s, HTTP on %s\n", banner, ln.Addr())
 	if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 		fatal(err)
+	}
+	if *workers > 0 {
+		// A cluster controller interrupts its runs rather than draining
+		// them: with a state dir the next controller resumes them from
+		// their checkpoints, which a canceled run keeps.
+		s.handOff()
 	}
 }
 
@@ -230,7 +240,8 @@ func holdLease(stateDir string, standby bool, interval time.Duration, shutdown <
 const maxRetainedJobs = 1024
 
 // server is the HTTP API and the job table. Everything that runs,
-// stores or reads a graph sits behind its backend.
+// stores or reads a graph sits behind its backend; every run waits its
+// turn at the backend's gate (enterLocked, admit).
 type server struct {
 	be  backend
 	mux *http.ServeMux
@@ -240,14 +251,24 @@ type server struct {
 	// retain is maxRetainedJobs, lowered by tests.
 	retain int
 	// stateDir, when set, backs the table with disk (serve_state.go) so
-	// a controller restart resumes it; saveMu serializes the writes.
-	stateDir string
-	saveMu   sync.Mutex
+	// a controller restart resumes it; saveMu serializes the writes, and
+	// guards handedOff, after which there are none.
+	stateDir  string
+	saveMu    sync.Mutex
+	handedOff bool
+	// runs is the parent context of every job and refresh; handOff
+	// cancels it.
+	runs    context.Context
+	endRuns context.CancelFunc
 
+	// mu guards the table, and orders every ticket taken at the gate
+	// (and the wg.Add that goes with it) against close.
 	mu     sync.Mutex
 	jobs   map[int64]*job
 	order  []int64
 	nextID int64
+	// wg counts the tickets taken whose admit has not yet returned.
+	wg sync.WaitGroup
 
 	// trackerMu serializes opening a job's ingest tracker.
 	trackerMu sync.Mutex
@@ -260,6 +281,7 @@ func newServer(be backend) *server {
 		retain: maxRetainedJobs,
 		jobs:   make(map[int64]*job),
 	}
+	s.runs, s.endRuns = context.WithCancel(context.Background())
 	s.mux.HandleFunc("/jobs", s.handleJobs)
 	s.mux.HandleFunc("/jobs/", s.handleJob)
 	s.mux.HandleFunc("/files/", s.handleFiles)
@@ -332,7 +354,7 @@ type job struct {
 	// job is queued, running or waiting to be resumed.
 	ctx    context.Context
 	cancel context.CancelFunc
-	// name is the execution name the backend assigned at admission; the
+	// name is the execution name, "<name>@j<id>" on either engine; the
 	// first sealed result version carries it.
 	name string
 
@@ -478,17 +500,18 @@ func (j *job) view() jobView {
 		OperatorMem: j.opMem,
 		Supersteps:  j.liveSupersteps,
 	}
-	// Whatever clock has not stopped yet runs to now; a job restored
-	// from a previous controller's registry has no clocks at all.
+	// Whatever clock has not stopped yet runs to now. A job restored
+	// from a previous controller's registry has no submission clock, so
+	// it reports no queue wait.
 	end := j.finished
 	if end.IsZero() {
 		end = time.Now()
 	}
-	switch {
-	case !j.started.IsZero():
-		v.QueueWaitMS = float64(j.started.Sub(j.submitted)) / float64(time.Millisecond)
+	if !j.started.IsZero() {
 		v.RunTimeMS = float64(end.Sub(j.started)) / float64(time.Millisecond)
-	case !j.submitted.IsZero():
+		end = j.started
+	}
+	if !j.submitted.IsZero() {
 		v.QueueWaitMS = float64(end.Sub(j.submitted)) / float64(time.Millisecond)
 	}
 	if j.stats != nil {
@@ -521,11 +544,6 @@ func (s *server) snapshot() []*job {
 	return jobs
 }
 
-// errNoInput marks a submission the engine refuses because its input
-// was never uploaded: the client's mistake (400), unlike a full or
-// closing engine (503).
-var errNoInput = errors.New("input not uploaded")
-
 func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
@@ -550,13 +568,17 @@ func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
+		if !s.be.hasFile(req.Input) {
+			httpError(w, http.StatusBadRequest, "no input file %s (PUT /files%s first)", req.Input, req.Input)
+			return
+		}
 		// The job outlives the HTTP request, so it must not run under
 		// the request context.
-		ctx, cancel := context.WithCancel(context.Background())
+		ctx, cancel := context.WithCancel(s.runs)
 		j := &job{spec: body, req: req, ctx: ctx, cancel: cancel, state: "queued", submitted: time.Now()}
 		s.mu.Lock()
 		if s.maxQueued > 0 {
-			if live := s.liveLocked(); live >= s.maxQueued+s.be.slots() {
+			if live := s.liveLocked(); live >= s.maxQueued+s.be.gate().Slots() {
 				s.mu.Unlock()
 				cancel()
 				httpError(w, http.StatusServiceUnavailable, "job queue full: %d jobs in flight", live)
@@ -564,15 +586,10 @@ func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		j.id = s.nextID + 1
-		run, err := s.be.admit(j, pj, false)
-		if err != nil {
+		if err := s.submitLocked(j, pj, false); err != nil {
 			s.mu.Unlock()
 			cancel()
-			code := http.StatusServiceUnavailable
-			if errors.Is(err, errNoInput) {
-				code = http.StatusBadRequest
-			}
-			httpError(w, code, "%v", err)
+			httpError(w, http.StatusServiceUnavailable, "%v", err)
 			return
 		}
 		s.nextID = j.id
@@ -580,8 +597,6 @@ func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		s.order = append(s.order, j.id)
 		s.mu.Unlock()
 		s.saveState()
-
-		go s.run(j, run)
 		writeJSON(w, http.StatusAccepted, j.view())
 	default:
 		httpError(w, http.StatusMethodNotAllowed, "GET or POST /jobs")
@@ -599,11 +614,76 @@ func (s *server) liveLocked() int {
 	return live
 }
 
-// run carries an admitted job to its terminal state, then trims the
-// table: only the newest s.retain finished jobs stay listed, queryable
-// and persisted.
-func (s *server) run(j *job, run func() (*core.JobStats, error)) {
-	j.finish(run())
+// enterLocked takes a ticket at the gate for a job, a restored job or
+// a delta refresh, on either engine. The caller holds s.mu, so tickets
+// are taken in table order; it then passes the ticket to admit.
+func (s *server) enterLocked() (*core.Ticket, error) {
+	t, err := s.be.gate().Enter()
+	if err == nil {
+		s.wg.Add(1)
+	}
+	return t, err
+}
+
+// admit is the rest of the one admission sequence: it waits for t's
+// slot (or for ctx to end), runs under the slot's operator-memory
+// carve, releases the slot, and hands the outcome to end — all of
+// which close waits for.
+func (s *server) admit(ctx context.Context, t *core.Ticket, run func(opMem int64) (*core.JobStats, error), end func(*core.JobStats, error)) {
+	defer s.wg.Done()
+	var stats *core.JobStats
+	err := t.Wait(ctx)
+	if err == nil {
+		stats, err = run(t.OperatorMem())
+		t.Release(err)
+	}
+	end(stats, err)
+}
+
+// submitLocked admits a new or restored (resume) job under its
+// execution name; the caller holds s.mu.
+func (s *server) submitLocked(j *job, pj *pregel.Job, resume bool) error {
+	if j.name == "" {
+		j.name = fmt.Sprintf("%s@j%d", pj.Name, j.id)
+	}
+	pj.Name = j.name
+	t, err := s.enterLocked()
+	if err != nil {
+		return err
+	}
+	go s.admit(j.ctx, t, func(opMem int64) (*core.JobStats, error) {
+		j.begin(opMem)
+		return s.be.run(j, pj, opMem, resume)
+	}, func(stats *core.JobStats, err error) { s.finish(j, stats, err) })
+	return nil
+}
+
+// close stops admission — queued runs fail, new ones are refused — and
+// waits for the admitted runs to end. It runs before the engine closes.
+func (s *server) close() {
+	s.mu.Lock()
+	s.be.gate().Close()
+	s.mu.Unlock()
+	s.wg.Wait()
+}
+
+// handOff gives the jobs in flight up to the next controller: one that
+// lost its lease, or a cluster controller shutting down. The registry
+// stops changing first, so they stay queued or running there for the
+// next controller to resume; then every job and refresh is canceled,
+// which ends a cluster run with its checkpoints kept for that resume.
+func (s *server) handOff() {
+	s.saveMu.Lock()
+	s.handedOff = true
+	s.saveMu.Unlock()
+	s.endRuns()
+}
+
+// finish records a job's terminal state, then trims the table: only
+// the newest s.retain finished jobs stay listed, queryable and
+// persisted.
+func (s *server) finish(j *job, stats *core.JobStats, err error) {
+	j.finish(stats, err)
 	j.cancel()
 	s.mu.Lock()
 	finished := 0
@@ -796,13 +876,23 @@ func (s *server) trackerFor(j *job) (*deltaTracker, error) {
 	if v, ok := s.be.LatestVersion(j.name); ok && (v == j.name || strings.HasPrefix(v, j.name+"@d")) {
 		ver = v
 	}
-	refresh := func(fromVersion, name string, seq uint64, muts []delta.Mutation) error {
+	refresh := func(fromVersion, name string, muts []delta.Mutation) error {
 		req := j.req
 		pj, err := buildServeJob(&req)
 		if err != nil {
 			return err
 		}
-		return s.be.refresh(j.spec, pj, fromVersion, name, seq, muts)
+		pj.Name = name
+		s.mu.Lock()
+		t, err := s.enterLocked()
+		s.mu.Unlock()
+		if err != nil {
+			return err
+		}
+		s.admit(s.runs, t, func(opMem int64) (*core.JobStats, error) {
+			return nil, s.be.refresh(s.runs, j.spec, pj, fromVersion, muts, opMem)
+		}, func(_ *core.JobStats, e error) { err = e })
+		return err
 	}
 	d, err := newDeltaTracker(s.be.DeltaStore(), fmt.Sprintf("/delta/j%d", j.id), ver, refresh)
 	if err != nil {

@@ -18,9 +18,9 @@ import (
 type deltaTracker struct {
 	journal *delta.Journal
 	// refresh runs one delta refresh: clone fromVersion, apply muts, run
-	// delta supersteps, seal as name. It is the backend's refresh, which
-	// queues at the same gate as the engine's jobs.
-	refresh func(fromVersion, name string, seq uint64, muts []delta.Mutation) error
+	// delta supersteps, seal as name. It queues at the same gate as the
+	// engine's jobs.
+	refresh func(fromVersion, name string, muts []delta.Mutation) error
 	// onSeal, when set, is notified after each successful seal with the
 	// new version name. Cluster mode persists it to the controller's job
 	// registry so a restarted controller resumes the version chain.
@@ -35,7 +35,7 @@ type deltaTracker struct {
 }
 
 func newDeltaTracker(store delta.Store, prefix, version string,
-	refresh func(fromVersion, name string, seq uint64, muts []delta.Mutation) error) (*deltaTracker, error) {
+	refresh func(fromVersion, name string, muts []delta.Mutation) error) (*deltaTracker, error) {
 	j, err := delta.OpenJournal(store, prefix)
 	if err != nil {
 		return nil, err
@@ -125,7 +125,7 @@ func (d *deltaTracker) drainOnce() {
 			seq = b.Seq
 		}
 		name := fmt.Sprintf("%s@d%d", from, seq)
-		if err := d.refresh(from, name, seq, muts); err != nil {
+		if err := d.refresh(from, name, muts); err != nil {
 			d.fail(err)
 			return
 		}

@@ -26,8 +26,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"pregelix/internal/core"
 )
 
 // persistedJob is one table row: everything needed to re-run, resume or
@@ -63,7 +61,8 @@ func writeFileAtomic(path string, data []byte) {
 // table transition (submission, completion and the eviction it may
 // bring, delta seal); best-effort, like the coordinator's catalog — a
 // lost write costs a re-run of the affected job after the next restart,
-// not correctness.
+// not correctness. A server that has handed its jobs off (handOff)
+// writes nothing more.
 func (s *server) saveState() {
 	if s.stateDir == "" {
 		return
@@ -73,6 +72,9 @@ func (s *server) saveState() {
 	// the one left on disk.
 	s.saveMu.Lock()
 	defer s.saveMu.Unlock()
+	if s.handedOff {
+		return
+	}
 	s.mu.Lock()
 	reg := persistedRegistry{NextID: s.nextID, Jobs: make([]persistedJob, 0, len(s.order))}
 	for _, id := range s.order {
@@ -131,7 +133,7 @@ func (s *server) loadState() []*job {
 			// resumed run (from the last checkpoint manifest when the job
 			// checkpoints, from scratch otherwise).
 			j.state, j.errText = "queued", ""
-			j.ctx, j.cancel = context.WithCancel(context.Background())
+			j.ctx, j.cancel = context.WithCancel(s.runs)
 			resume = append(resume, j)
 		}
 		s.jobs[j.id] = j
@@ -148,23 +150,27 @@ func (s *server) loadState() []*job {
 // so a checkpointed run continues from its last committed manifest) and
 // re-opens delta trackers whose journals may hold unapplied batches.
 func (s *server) resumeRestored(resume []*job) {
-	if err := s.be.WaitReady(context.Background()); err != nil {
+	if err := s.be.WaitReady(s.runs); err != nil {
 		return
 	}
+	// All tickets at once, in table order: restored jobs re-run in their
+	// original submission order, ahead of anything submitted since.
+	failed := map[*job]error{}
+	s.mu.Lock()
 	for _, j := range resume {
 		req := j.req
-		var run func() (*core.JobStats, error)
 		pj, err := buildServeJob(&req)
-		if err == nil {
-			run, err = s.be.admit(j, pj, true)
-		}
 		if err != nil {
-			failed := err
-			run = func() (*core.JobStats, error) { return nil, failed }
+			failed[j] = err
+			continue
 		}
-		// Synchronous: restored jobs re-run in their original submission
-		// order before contending with new submissions at the gate.
-		s.run(j, run)
+		// Refused only once the server is closing: the job then stays
+		// queued in the registry, for the next controller to resume.
+		_ = s.submitLocked(j, pj, true)
+	}
+	s.mu.Unlock()
+	for j, err := range failed {
+		s.finish(j, nil, err)
 	}
 	// Re-open the ingest tracker of every done job that has a delta
 	// journal, then kick each so batches journaled but not yet applied

@@ -164,6 +164,7 @@ func conformValidation(t *testing.T, base string) {
 		{http.MethodPost, "/jobs", jobRequest{Algorithm: "pagerank"}, http.StatusBadRequest},
 		{http.MethodPost, "/jobs", jobRequest{Algorithm: "pagerank", Input: "/in/x", Join: "sideways"}, http.StatusBadRequest},
 		{http.MethodPost, "/jobs", jobRequest{Algorithm: "pagerank", Input: "/in/x", CheckpointEvery: -1}, http.StatusBadRequest},
+		{http.MethodPost, "/jobs", jobRequest{Algorithm: "cc", Input: "/in/never"}, http.StatusBadRequest},
 		{http.MethodPut, "/jobs", nil, http.StatusMethodNotAllowed},
 		{http.MethodGet, "/jobs/999", nil, http.StatusNotFound},
 		{http.MethodGet, "/jobs/abc", nil, http.StatusBadRequest},
@@ -479,6 +480,143 @@ func TestServeJobTableRetention(t *testing.T) {
 				t.Fatalf("persisted table holds jobs %v next id %d, want %v and %d", saved, reg.NextID, want, live.ID)
 			}
 		})
+	}
+}
+
+// TestServeRunClockCoversRun: on either engine a job's run clock starts
+// before its engine run and stops after it, so every done job's
+// finished − started is at least its engine's own TotalDuration, however
+// fast the job. 200 two-vertex jobs go through the engine's slot, four
+// at a time.
+func TestServeRunClockCoversRun(t *testing.T) {
+	for _, be := range serveBackends {
+		t.Run(be.name, func(t *testing.T) {
+			var srv *server
+			base := be.start(t, func(s *server) { srv = s })
+			putFile(t, base, "/in/tiny", []byte("1\t2\n2\t1\n"))
+			short, first := 0, ""
+			for wave := 0; wave < 50; wave++ {
+				var ids []int64
+				for i := 0; i < 4; i++ {
+					var v jobView
+					doJSON(t, http.MethodPost, base+"/jobs", jobRequest{
+						Algorithm: "cc", Name: fmt.Sprintf("tiny-%d-%d", wave, i), Input: "/in/tiny",
+					}, http.StatusAccepted, &v)
+					ids = append(ids, v.ID)
+				}
+				for _, id := range ids {
+					waitJobState(t, base, id, "done")
+					srv.mu.Lock()
+					j := srv.jobs[id]
+					srv.mu.Unlock()
+					j.mu.Lock()
+					clock, engine := j.finished.Sub(j.started), j.stats.TotalDuration
+					j.mu.Unlock()
+					if clock < engine {
+						if short++; first == "" {
+							first = fmt.Sprintf("job %d ran %v by its clock, %v in its engine", id, clock, engine)
+						}
+					}
+				}
+			}
+			if short > 0 {
+				t.Fatalf("%d of 200 jobs have a run clock shorter than their engine run (%s)", short, first)
+			}
+		})
+	}
+}
+
+// TestServeCloseRejectsSubmit: once the server has closed its gate and
+// drained, on either engine, a submission is refused with 503 and
+// leaves no row in the table.
+func TestServeCloseRejectsSubmit(t *testing.T) {
+	for _, be := range serveBackends {
+		t.Run(be.name, func(t *testing.T) {
+			var srv *server
+			base := be.start(t, func(s *server) { srv = s })
+			putFile(t, base, "/in/tiny", []byte("1\t2\n2\t1\n"))
+			var v jobView
+			doJSON(t, http.MethodPost, base+"/jobs", jobRequest{Algorithm: "cc", Input: "/in/tiny"}, http.StatusAccepted, &v)
+			waitJobState(t, base, v.ID, "done")
+			srv.close()
+			var refused map[string]string
+			doJSON(t, http.MethodPost, base+"/jobs", jobRequest{Algorithm: "cc", Input: "/in/tiny"}, http.StatusServiceUnavailable, &refused)
+			if !strings.Contains(refused["error"], core.ErrGateClosed.Error()) {
+				t.Fatalf("submission after close answered %q, want %q", refused["error"], core.ErrGateClosed)
+			}
+			var list []jobView
+			getJSON(t, base+"/jobs", &list)
+			if len(list) != 1 || list[0].ID != v.ID {
+				t.Fatalf("job list after a refused submission: %+v", list)
+			}
+		})
+	}
+}
+
+// TestServeHandOffKeepsRegistry: a server that hands its jobs off — a
+// controller that lost its lease, or a cluster controller shutting
+// down — cancels a running job and the one queued behind it, closes,
+// and leaves the persisted registry as it was, so the next controller
+// loads both as in flight and resumes them.
+func TestServeHandOffKeepsRegistry(t *testing.T) {
+	for _, be := range serveBackends {
+		t.Run(be.name, func(t *testing.T) {
+			stateDir := t.TempDir()
+			var srv *server
+			base := be.start(t, func(s *server) { srv, s.stateDir = s, stateDir })
+			uploadGraph(t, base, "/in/web")
+			var ids []int64
+			for i := 0; i <= srv.be.gate().Slots(); i++ {
+				var v jobView
+				doJSON(t, http.MethodPost, base+"/jobs", longJob, http.StatusAccepted, &v)
+				ids = append(ids, v.ID)
+			}
+			waitJobState(t, base, ids[0], "running")
+			if v := pollJob(t, base, ids[len(ids)-1]); v.State != "queued" {
+				t.Fatalf("job %d is %s behind %d slots, want queued", v.ID, v.State, len(ids)-1)
+			}
+			path := filepath.Join(stateDir, "jobs.json")
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			srv.handOff()
+			srv.close()
+			for _, j := range srv.snapshot() {
+				if !j.terminal() {
+					t.Fatalf("job %d still %s after the hand-off", j.id, j.view().State)
+				}
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(after) != string(before) {
+				t.Fatalf("hand-off rewrote the registry:\nbefore %s\nafter  %s", before, after)
+			}
+			next := newServer(srv.be)
+			next.stateDir = stateDir
+			var resumed []int64
+			for _, j := range next.loadState() {
+				resumed = append(resumed, j.id)
+			}
+			if fmt.Sprint(resumed) != fmt.Sprint(ids) {
+				t.Fatalf("next controller resumes jobs %v, want %v", resumed, ids)
+			}
+		})
+	}
+}
+
+// TestServeRestoredJobClock: a job restored from a registry has no
+// submission clock, so once it runs it reports a run time and no queue
+// wait.
+func TestServeRestoredJobClock(t *testing.T) {
+	j := &job{state: "queued"}
+	j.begin(0)
+	time.Sleep(time.Millisecond)
+	if v := j.view(); v.QueueWaitMS != 0 || v.RunTimeMS <= 0 {
+		t.Fatalf("restored job reports queue wait %v ms, run time %v ms", v.QueueWaitMS, v.RunTimeMS)
 	}
 }
 

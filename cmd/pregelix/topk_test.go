@@ -43,17 +43,13 @@ func TestServeTopKNonFinite(t *testing.T) {
 	j := &job{ctx: ctx, cancel: cancel, state: "queued", submitted: time.Now()}
 	srv.mu.Lock()
 	j.id = srv.nextID + 1
-	run, err := srv.be.admit(j, pj, false)
-	if err != nil {
+	if err := srv.submitLocked(j, pj, false); err != nil {
 		srv.mu.Unlock()
 		t.Fatal(err)
 	}
 	srv.nextID, srv.jobs[j.id], srv.order = j.id, j, append(srv.order, j.id)
 	srv.mu.Unlock()
-	srv.run(j, run)
-	if v := pollJob(t, ts.URL, j.id); v.State != "done" {
-		t.Fatalf("job ended %s: %s", v.State, v.Error)
-	}
+	waitJobState(t, ts.URL, j.id, "done")
 
 	lines := map[uint64]string{}
 	for _, line := range strings.Split(strings.TrimRight(string(getFile(t, ts.URL, "/out/nf")), "\n"), "\n") {

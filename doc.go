@@ -121,12 +121,11 @@
 //     superstep driver, checkpoint/recovery, job pipelining), job
 //     admission (Gate: FIFO queue, bounded in-flight jobs, per-job
 //     operator-memory carves; a queued job is canceled through its
-//     context), the JobManager that runs many concurrent jobs on one
-//     shared cluster through one,
-//     and the cluster Coordinator/worker pair that runs jobs across
-//     separate node-controller OS processes, with the partition-image
-//     mover under checkpoint, restore, split and the elastic rebalancer
-//     (live scale-out and graceful drain)
+//     context) with Runtime.RunAdmitted, the entry of a job that
+//     holds one of its slots, and the cluster Coordinator/worker pair
+//     that runs jobs across separate node-controller OS processes,
+//     with the partition-image mover under checkpoint, restore, split
+//     and the elastic rebalancer (live scale-out and graceful drain)
 //   - internal/dfs      — a small replicated distributed file system
 //   - internal/baselines— simulations of Giraph/Hama/GraphLab/GraphX
 //   - internal/bench    — the Section 7 experiment harness plus the
@@ -148,12 +147,17 @@
 //	go run ./cmd/pregelix serve -listen 127.0.0.1:8080 -workers 2 -cluster-listen 127.0.0.1:9090
 //	go run ./cmd/pregelix worker -cc 127.0.0.1:9090 -nodes 2   # twice
 //
-// Programmatically, submit concurrent jobs through core.JobManager:
+// Programmatically, run concurrent jobs through one core.Gate: take a
+// ticket per job, then wait for a slot, run under its memory carve and
+// release it (job.Name unique per submission):
 //
 //	rt, _ := core.NewRuntime(core.Options{BaseDir: dir, Nodes: 4})
-//	m := core.NewJobManager(rt, core.JobManagerOptions{MaxConcurrentJobs: 2})
-//	h, _ := m.Submit(ctx, job) // queued, then admitted FIFO
-//	stats, err := h.Wait(ctx)
+//	gate := core.NewGate(rt.Cluster, 2)
+//	t, _ := gate.Enter() // queued; admitted FIFO
+//	if err := t.Wait(ctx); err == nil {
+//		stats, err := rt.RunAdmitted(ctx, job, t.OperatorMem())
+//		t.Release(err)
+//	}
 //
 // Every table and figure of the paper's evaluation is regenerable via
 //
@@ -161,6 +165,6 @@
 //
 // which with -json <path> also writes a machine-readable report
 // (including the packed message path's allocations per tuple from the
-// framepath experiment); see README.md for the Gate/JobManager API tour
+// framepath experiment); see README.md for the Gate API tour
 // and the frame memory layout.
 package pregelix

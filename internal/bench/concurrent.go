@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"time"
 
 	"pregelix/internal/core"
@@ -13,8 +14,9 @@ import (
 )
 
 // RunConcJobs measures the multi-tenant job scheduler: N concurrent
-// PageRank jobs submitted to one shared cluster through the
-// admission-controlled JobManager, across a concurrency ladder. It
+// PageRank jobs submitted to one shared cluster through one admission
+// gate (core.Gate, each admitted job a Runtime.RunAdmitted under the
+// gate's memory carve), across a concurrency ladder. It
 // extends Figure 13 beyond concurrency 3 and reports what the
 // admission controller adds over unbounded submission: makespan,
 // jobs/hour, and mean queue wait per rung.
@@ -83,44 +85,52 @@ func (o *Options) runConcRung(ctx context.Context, g *graphgen.Graph, conc, slot
 		return out, err
 	}
 
-	m := core.NewJobManager(rt, core.JobManagerOptions{MaxConcurrentJobs: slots})
-	defer m.Close()
+	gate := core.NewGate(rt.Cluster, slots)
+	defer gate.Close()
+	type result struct {
+		stats *core.JobStats
+		wait  time.Duration // from submission until the ticket's Wait returned
+		err   error
+	}
+	results := make([]result, conc)
+	var wg sync.WaitGroup
 	start := time.Now()
-	var handles []*core.JobHandle
-	var submitted []time.Time
 	for j := 0; j < conc; j++ {
 		job := o.jobFor(PageRank, fmt.Sprintf("conc-c%d-j%d", conc, j))
 		job.InputPath, job.OutputPath = "/in/conc", ""
-		h, err := m.Submit(ctx, job)
+		ticket, err := gate.Enter()
 		if err != nil {
+			wg.Wait()
 			return out, err
 		}
-		handles, submitted = append(handles, h), append(submitted, time.Now())
+		submitted := time.Now()
+		wg.Add(1)
+		go func(r *result) {
+			defer wg.Done()
+			if r.err = ticket.Wait(ctx); r.err != nil {
+				return
+			}
+			r.wait = time.Since(submitted)
+			r.stats, r.err = rt.RunAdmitted(ctx, job, ticket.OperatorMem())
+			ticket.Release(r.err)
+		}(&results[j])
 	}
-	// Admission is FIFO, so watching the handles in submission order sees
-	// each one leave the queue as it happens.
+	wg.Wait()
+	out.makespan = time.Since(start)
 	var totalWait time.Duration
-	for i, h := range handles {
-		select {
-		case <-h.Admitted():
-			totalWait += time.Since(submitted[i])
-		case <-h.Done():
+	for j, r := range results {
+		if r.err != nil {
+			return out, fmt.Errorf("job conc-c%d-j%d: %w", conc, j, r.err)
 		}
-	}
-	for _, h := range handles {
-		js, err := h.Wait(ctx)
-		if err != nil {
-			return out, fmt.Errorf("job %s: %w", h.Name(), err)
-		}
-		out.supersteps += js.Supersteps
-		for _, ss := range js.SuperstepStats {
+		totalWait += r.wait
+		out.supersteps += r.stats.Supersteps
+		for _, ss := range r.stats.SuperstepStats {
 			out.ioBytes += ss.IOBytes
 		}
 	}
-	out.makespan = time.Since(start)
 	out.jobsPerHour = float64(conc) / out.makespan.Hours()
 	out.avgQueueWait = totalWait / time.Duration(conc)
-	st, _, _ := m.Gate().Stats()
+	st, _, _ := gate.Stats()
 	out.peakRunning = st.PeakRunning
 	return out, nil
 }

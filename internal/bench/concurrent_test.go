@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// TestConcJobsSmoke runs the JobManager throughput experiment at tiny
+// TestConcJobsSmoke runs the admission-gate throughput experiment at tiny
 // scale and checks both the printed table and the machine-readable
 // metrics the bench CLI aggregates into BENCH_PR1.json.
 func TestConcJobsSmoke(t *testing.T) {

@@ -36,7 +36,7 @@ func Experiments() []Experiment {
 		{"fig12b", "Fig 12(b): PageRank speedup on X-Small, all systems", RunFig12b},
 		{"fig12c", "Fig 12(c): Pregelix scaleup (PR, SSSP, CC)", RunFig12c},
 		{"fig13", "Fig 13: throughput (jobs/hour) vs concurrency, 4 sizes", RunFig13},
-		{"conc-jobs", "Throughput: concurrent jobs under the admission-controlled JobManager", RunConcJobs},
+		{"conc-jobs", "Throughput: concurrent jobs through one admission gate (FIFO, slots, memory carve)", RunConcJobs},
 		{"framepath", "PR2: packed message-path allocations per tuple", RunFramePath},
 		{"wirepath", "PR3: shuffle over TCP loopback vs in-process channels", RunWirePath},
 		{"elastic", "PR5: live scale-out 2→4 workers mid-PageRank (time-to-rebalance)", RunElastic},

@@ -15,10 +15,13 @@ import (
 // jobs hold a slot at once, and each admitted job is handed an
 // operator-memory carve out of the shared per-machine budget, so
 // concurrent tenants divide RAM instead of overcommitting it
-// (out-of-core operators spill within their carve). JobManager admits
-// through one above the single-process runtime, the serve tier through
-// a one-slot one above the coordinator; jobs and delta refreshes queue
-// in the same line. All methods are safe for concurrent use.
+// (out-of-core operators spill within their carve). The serve tier
+// admits through one per engine — over the single-process runtime's
+// cluster, or a one-slot one with nothing to carve above the
+// coordinator — with one sequence: Enter at submission, then Wait, the
+// run (Runtime.RunAdmitted, Runtime.DeltaRefresh or the coordinator's),
+// Release. Jobs and delta refreshes queue in the same line. All methods
+// are safe for concurrent use.
 type Gate struct {
 	cluster *hyracks.Cluster // nil: nothing to carve (the machines are remote)
 	slots   int

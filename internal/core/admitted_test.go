@@ -4,15 +4,96 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"pregelix/internal/delta"
 	"pregelix/internal/graphgen"
 	"pregelix/internal/hyracks"
 	"pregelix/pregel"
 	"pregelix/pregel/algorithms"
 )
+
+// admittedRun is one run carried through the serve tier's admission
+// sequence in miniature: a ticket taken at submission, then in the
+// background Wait, the run under the ticket's carve, and Release.
+type admittedRun struct {
+	name   string
+	ticket *Ticket
+	cancel context.CancelFunc
+	// began is closed once the ticket holds its slot; done once the run
+	// has ended, stats and err written.
+	began chan struct{}
+	done  chan struct{}
+	stats *JobStats
+	err   error
+}
+
+// admit enters job at g and, once admitted, runs it through
+// Runtime.RunAdmitted named "<job.Name>@j<ticket id>", as the serve
+// tier names a job.
+func admit(g *Gate, rt *Runtime, job *pregel.Job) (*admittedRun, error) {
+	return admitAs(g, func(id int64) string { return fmt.Sprintf("%s@j%d", job.Name, id) },
+		func(ctx context.Context, name string, opMem int64) (*JobStats, error) {
+			named := *job
+			named.Name = name
+			return rt.RunAdmitted(ctx, &named, opMem)
+		})
+}
+
+// admitRefresh enters a delta refresh of the sealed version
+// fromVersion at g and, once admitted, runs it through
+// Runtime.DeltaRefresh named "<fromVersion>@d<seq>".
+func admitRefresh(g *Gate, rt *Runtime, job *pregel.Job, fromVersion string, seq uint64, muts []delta.Mutation) (*admittedRun, error) {
+	return admitAs(g, func(int64) string { return fmt.Sprintf("%s@d%d", fromVersion, seq) },
+		func(ctx context.Context, name string, opMem int64) (*JobStats, error) {
+			named := *job
+			named.Name = name
+			return rt.DeltaRefresh(ctx, &named, fromVersion, muts, opMem)
+		})
+}
+
+// admitAs takes a ticket at g now and, once it holds a slot, runs run
+// under the ticket's carve as name(ticket id), then releases the slot.
+func admitAs(g *Gate, name func(id int64) string, run func(ctx context.Context, name string, opMem int64) (*JobStats, error)) (*admittedRun, error) {
+	ticket, err := g.Enter()
+	if err != nil {
+		return nil, err
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	a := &admittedRun{name: name(ticket.ID()), ticket: ticket, cancel: cancel,
+		began: make(chan struct{}), done: make(chan struct{})}
+	go func() {
+		defer close(a.done)
+		defer cancel()
+		if a.err = ticket.Wait(ctx); a.err != nil {
+			return
+		}
+		close(a.began)
+		a.stats, a.err = run(ctx, a.name, ticket.OperatorMem())
+		ticket.Release(a.err)
+	}()
+	return a, nil
+}
+
+// Name is the run's execution name, the version its seal carries.
+func (a *admittedRun) Name() string { return a.name }
+
+// Cancel ends the run's context, queued or running.
+func (a *admittedRun) Cancel() { a.cancel() }
+
+// Wait blocks until the run has ended (or ctx has).
+func (a *admittedRun) Wait(ctx context.Context) (*JobStats, error) {
+	select {
+	case <-a.done:
+		return a.stats, a.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
 
 // gatedProgram blocks every vertex computation of superstep 1 until the
 // gate closes, after signalling once per job that the job has reached
@@ -44,9 +125,9 @@ func newGatedJob(name string, arrived func(), gate <-chan struct{}) *pregel.Job 
 	}
 }
 
-// waitAll blocks until every handle's job has finished and fails the
-// test on the first job error.
-func waitAll(t *testing.T, handles []*JobHandle) {
+// waitAll blocks until every run has finished and fails the test on
+// the first error.
+func waitAll(t *testing.T, handles []*admittedRun) {
 	t.Helper()
 	for _, h := range handles {
 		if _, err := h.Wait(context.Background()); err != nil {
@@ -55,26 +136,26 @@ func waitAll(t *testing.T, handles []*JobHandle) {
 	}
 }
 
-// TestJobManagerFourJobsRunConcurrently is the acceptance scenario: six
+// TestAdmittedFourJobsRunConcurrently is the acceptance scenario: six
 // jobs submitted against one shared cluster with a 4-slot admission
 // bound; four run concurrently (all provably mid-superstep at the same
 // instant) while the other two wait in the queue, then everything
 // drains.
-func TestJobManagerFourJobsRunConcurrently(t *testing.T) {
+func TestAdmittedFourJobsRunConcurrently(t *testing.T) {
 	rt := newTestRuntime(t, 2)
 	defer rt.Close()
 	putGraph(t, rt, "/in/shared", graphgen.Webmap(60, 3, 7))
 
-	m := NewJobManager(rt, JobManagerOptions{MaxConcurrentJobs: 4})
-	defer m.Close()
+	adm := NewGate(rt.Cluster, 4)
+	defer adm.Close()
 
 	const jobs = 6
 	arrivals := make(chan string, jobs)
 	gate := make(chan struct{})
-	var handles []*JobHandle
+	var handles []*admittedRun
 	for i := 0; i < jobs; i++ {
 		name := fmt.Sprintf("gated-%d", i)
-		h, err := m.Submit(context.Background(), newGatedJob(name, func() { arrivals <- name }, gate))
+		h, err := admit(adm, rt, newGatedJob(name, func() { arrivals <- name }, gate))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,13 +178,13 @@ func TestJobManagerFourJobsRunConcurrently(t *testing.T) {
 		t.Fatalf("fifth job %s admitted past the 4-job bound", name)
 	case <-time.After(100 * time.Millisecond):
 	}
-	if _, queued, running := m.Gate().Stats(); queued != 2 || running != 4 {
+	if _, queued, running := adm.Stats(); queued != 2 || running != 4 {
 		t.Fatalf("gate reports %d queued and %d running, want 2 and 4", queued, running)
 	}
 
 	close(gate)
 	waitAll(t, handles)
-	stats, _, _ := m.Gate().Stats()
+	stats, _, _ := adm.Stats()
 	if stats.Completed != jobs {
 		t.Fatalf("completed %d jobs, want %d", stats.Completed, jobs)
 	}
@@ -112,10 +193,10 @@ func TestJobManagerFourJobsRunConcurrently(t *testing.T) {
 	}
 }
 
-// TestJobManagerResultsMatchSequential checks the isolation contract:
+// TestAdmittedResultsMatchSequential checks the isolation contract:
 // jobs crammed through a 2-slot admission bound on one shared cluster
 // must produce byte-identical results to sequential oracle execution.
-func TestJobManagerResultsMatchSequential(t *testing.T) {
+func TestAdmittedResultsMatchSequential(t *testing.T) {
 	rt := newTestRuntime(t, 2)
 	defer rt.Close()
 	g := graphgen.Webmap(300, 4, 11)
@@ -133,11 +214,11 @@ func TestJobManagerResultsMatchSequential(t *testing.T) {
 		{"sssp", func(n, o string) *pregel.Job { return algorithms.NewSSSPJob(n, "/in/shared", o, 1) }},
 	}
 
-	m := NewJobManager(rt, JobManagerOptions{MaxConcurrentJobs: 2})
-	defer m.Close()
-	var handles []*JobHandle
+	adm := NewGate(rt.Cluster, 2)
+	defer adm.Close()
+	var handles []*admittedRun
 	for _, w := range workloads {
-		h, err := m.Submit(context.Background(), w.mk(w.name, "/out/"+w.name))
+		h, err := admit(adm, rt, w.mk(w.name, "/out/"+w.name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +231,7 @@ func TestJobManagerResultsMatchSequential(t *testing.T) {
 		got := readOutputValues(t, rt, "/out/"+w.name)
 		compareValues(t, got, want, w.name)
 	}
-	stats, _, _ := m.Gate().Stats()
+	stats, _, _ := adm.Stats()
 	if stats.PeakRunning > 2 {
 		t.Fatalf("admission bound violated: peak running %d > 2", stats.PeakRunning)
 	}
@@ -159,25 +240,25 @@ func TestJobManagerResultsMatchSequential(t *testing.T) {
 	}
 }
 
-// TestJobManagerCancelMidSuperstep cancels a long-running job between
+// TestAdmittedCancelMidSuperstep cancels a long-running job between
 // supersteps and checks the cancellation is clean: the victim reports
 // canceled, the shared cluster stays healthy, and a concurrent job
 // finishes normally.
-func TestJobManagerCancelMidSuperstep(t *testing.T) {
+func TestAdmittedCancelMidSuperstep(t *testing.T) {
 	rt := newTestRuntime(t, 2)
 	defer rt.Close()
 	g := graphgen.Webmap(200, 4, 13)
 	putGraph(t, rt, "/in/shared", g)
 
-	m := NewJobManager(rt, JobManagerOptions{MaxConcurrentJobs: 2})
-	defer m.Close()
+	adm := NewGate(rt.Cluster, 2)
+	defer adm.Close()
 
-	victim, err := m.Submit(context.Background(),
+	victim, err := admit(adm, rt,
 		algorithms.NewPageRankJob("long-pr", "/in/shared", "/out/long", 10000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bystander, err := m.Submit(context.Background(),
+	bystander, err := admit(adm, rt,
 		algorithms.NewConnectedComponentsJob("cc", "/in/shared", "/out/cc"))
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +267,7 @@ func TestJobManagerCancelMidSuperstep(t *testing.T) {
 	// Let the victim run a little so the cancel lands mid-run, not
 	// pre-admission.
 	select {
-	case <-victim.Admitted():
+	case <-victim.began:
 	case <-time.After(30 * time.Second):
 		t.Fatal("victim never started running")
 	}
@@ -202,36 +283,36 @@ func TestJobManagerCancelMidSuperstep(t *testing.T) {
 	want := referenceValues(t, algorithms.NewConnectedComponentsJob("cc", "", ""), g)
 	compareValues(t, readOutputValues(t, rt, "/out/cc"), want, "bystander-cc")
 
-	stats, _, _ := m.Gate().Stats()
+	stats, _, _ := adm.Stats()
 	if stats.Canceled != 1 || stats.Completed != 1 {
 		t.Fatalf("gate stats %+v, want 1 canceled + 1 completed", stats)
 	}
 }
 
-// TestJobManagerCancelQueued cancels a job that never left the queue.
-func TestJobManagerCancelQueued(t *testing.T) {
+// TestAdmittedCancelQueued cancels a job that never left the queue.
+func TestAdmittedCancelQueued(t *testing.T) {
 	rt := newTestRuntime(t, 2)
 	defer rt.Close()
 	putGraph(t, rt, "/in/shared", graphgen.Webmap(50, 3, 5))
 
-	m := NewJobManager(rt, JobManagerOptions{MaxConcurrentJobs: 1})
-	defer m.Close()
+	adm := NewGate(rt.Cluster, 1)
+	defer adm.Close()
 
 	gate := make(chan struct{})
 	arrived := make(chan struct{}, 1)
-	blocker, err := m.Submit(context.Background(),
+	blocker, err := admit(adm, rt,
 		newGatedJob("blocker", func() { arrived <- struct{}{} }, gate))
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-arrived // blocker holds the only slot mid-superstep
 
-	queued, err := m.Submit(context.Background(),
+	queued, err := admit(adm, rt,
 		algorithms.NewConnectedComponentsJob("queued-cc", "/in/shared", "/out/qcc"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, queued, _ := m.Gate().Stats(); queued != 1 {
+	if _, queued, _ := adm.Stats(); queued != 1 {
 		t.Fatalf("%d jobs queued behind the blocker, want 1", queued)
 	}
 	queued.Cancel()
@@ -239,11 +320,11 @@ func TestJobManagerCancelQueued(t *testing.T) {
 		t.Fatalf("canceled queued job returned %v, want context.Canceled", err)
 	}
 	select {
-	case <-queued.Admitted():
+	case <-queued.began:
 		t.Fatal("the canceled job was admitted")
 	default:
 	}
-	if st, queued, running := m.Gate().Stats(); st.Canceled != 1 || queued != 0 || running != 1 {
+	if st, queued, running := adm.Stats(); st.Canceled != 1 || queued != 0 || running != 1 {
 		t.Fatalf("gate after the cancel: %+v, %d queued, %d running", st, queued, running)
 	}
 
@@ -253,16 +334,16 @@ func TestJobManagerCancelQueued(t *testing.T) {
 	}
 }
 
-// TestJobManagerFairnessFIFO submits a burst of jobs through one slot
+// TestAdmittedFairnessFIFO submits a burst of jobs through one slot
 // and asserts admission follows submission order exactly — no job
 // starves behind later arrivals.
-func TestJobManagerFairnessFIFO(t *testing.T) {
+func TestAdmittedFairnessFIFO(t *testing.T) {
 	rt := newTestRuntime(t, 2)
 	defer rt.Close()
 	putGraph(t, rt, "/in/shared", graphgen.Webmap(80, 3, 19))
 
-	m := NewJobManager(rt, JobManagerOptions{MaxConcurrentJobs: 1})
-	defer m.Close()
+	adm := NewGate(rt.Cluster, 1)
+	defer adm.Close()
 
 	// Each job reports in from its first superstep; with one slot the
 	// reports come strictly one after another.
@@ -271,9 +352,9 @@ func TestJobManagerFairnessFIFO(t *testing.T) {
 	close(open)
 	var mu sync.Mutex
 	var order []int
-	var handles []*JobHandle
+	var handles []*admittedRun
 	for i := 0; i < jobs; i++ {
-		h, err := m.Submit(context.Background(), newGatedJob(fmt.Sprintf("fifo-%d", i), func() {
+		h, err := admit(adm, rt, newGatedJob(fmt.Sprintf("fifo-%d", i), func() {
 			mu.Lock()
 			order = append(order, i)
 			mu.Unlock()
@@ -294,20 +375,20 @@ func TestJobManagerFairnessFIFO(t *testing.T) {
 	}
 }
 
-// TestJobManagerStress is the N jobs x M partitions race stress: many
+// TestAdmittedStress is the N jobs x M partitions race stress: many
 // small jobs with mixed outcomes (completed and canceled) contending for
 // two admission slots on a 2-node x 2-partition cluster.
-func TestJobManagerStress(t *testing.T) {
+func TestAdmittedStress(t *testing.T) {
 	rt := newTestRuntime(t, 2) // 2 nodes x 2 partitions/node = 4 partitions
 	defer rt.Close()
 	g := graphgen.Webmap(150, 3, 23)
 	putGraph(t, rt, "/in/shared", g)
 
-	m := NewJobManager(rt, JobManagerOptions{MaxConcurrentJobs: 2})
-	defer m.Close()
+	adm := NewGate(rt.Cluster, 2)
+	defer adm.Close()
 
 	const jobs = 10
-	var handles []*JobHandle
+	var handles []*admittedRun
 	for i := 0; i < jobs; i++ {
 		var job *pregel.Job
 		if i%2 == 0 {
@@ -315,7 +396,7 @@ func TestJobManagerStress(t *testing.T) {
 		} else {
 			job = algorithms.NewPageRankJob(fmt.Sprintf("s-pr-%d", i), "/in/shared", fmt.Sprintf("/out/s%d", i), 2)
 		}
-		h, err := m.Submit(context.Background(), job)
+		h, err := admit(adm, rt, job)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,9 +430,9 @@ func TestJobManagerStress(t *testing.T) {
 	}
 }
 
-// TestJobManagerOperatorMemCarve checks that admitted jobs observe the
+// TestAdmittedOperatorMemCarve checks that admitted jobs observe the
 // per-tenant operator-memory carve rather than the full node budget.
-func TestJobManagerOperatorMemCarve(t *testing.T) {
+func TestAdmittedOperatorMemCarve(t *testing.T) {
 	rt, err := NewRuntime(Options{
 		BaseDir:           t.TempDir(),
 		Nodes:             2,
@@ -365,9 +446,9 @@ func TestJobManagerOperatorMemCarve(t *testing.T) {
 	g := graphgen.Webmap(300, 4, 29)
 	putGraph(t, rt, "/in/shared", g)
 
-	m := NewJobManager(rt, JobManagerOptions{MaxConcurrentJobs: 4})
-	defer m.Close()
-	h, err := m.Submit(context.Background(),
+	adm := NewGate(rt.Cluster, 4)
+	defer adm.Close()
+	h, err := admit(adm, rt,
 		algorithms.NewPageRankJob("carved", "/in/shared", "/out/carved", 2))
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +457,7 @@ func TestJobManagerOperatorMemCarve(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodeMem := rt.Cluster.Nodes()[0].OperatorMem
-	carve := h.OperatorMem()
+	carve := h.ticket.OperatorMem()
 	if carve <= 0 || carve > nodeMem/4 {
 		t.Fatalf("operator-memory carve %d, want in (0, %d]", carve, nodeMem/4)
 	}
@@ -384,24 +465,29 @@ func TestJobManagerOperatorMemCarve(t *testing.T) {
 	compareValues(t, readOutputValues(t, rt, "/out/carved"), want, "carved-pr")
 }
 
-// TestJobManagerCloseRejectsSubmit checks Close drains and rejects.
-func TestJobManagerCloseRejectsSubmit(t *testing.T) {
+// TestRunAdmittedSweepsOnlyItsOwnDir: a failed admitted run reclaims
+// its scratch directory on every node and nothing beside it, whatever
+// its name holds.
+func TestRunAdmittedSweepsOnlyItsOwnDir(t *testing.T) {
 	rt := newTestRuntime(t, 2)
 	defer rt.Close()
-	putGraph(t, rt, "/in/shared", graphgen.Webmap(40, 3, 3))
-
-	m := NewJobManager(rt, JobManagerOptions{MaxConcurrentJobs: 2})
-	h, err := m.Submit(context.Background(),
-		algorithms.NewConnectedComponentsJob("pre-close", "/in/shared", ""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Wait(context.Background()); err != nil {
-		t.Fatalf("pre-close job: %v", err)
-	}
-	m.Close()
-	if _, err := m.Submit(context.Background(),
-		algorithms.NewConnectedComponentsJob("post-close", "/in/shared", "")); !errors.Is(err, ErrGateClosed) {
-		t.Fatalf("submit after close: %v, want ErrGateClosed", err)
+	for _, name := range []string{"", ".", "..", "a/../.."} {
+		var keep []string
+		for _, n := range rt.Cluster.Nodes() {
+			path := filepath.Join(n.Dir, "keep")
+			if err := os.WriteFile(path, nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			keep = append(keep, path)
+		}
+		job := algorithms.NewConnectedComponentsJob(name, "/in/missing", "")
+		if _, err := rt.RunAdmitted(context.Background(), job, 0); err == nil {
+			t.Fatalf("job %q on a missing input succeeded", name)
+		}
+		for _, path := range keep {
+			if _, err := os.Stat(path); err != nil {
+				t.Fatalf("the sweep of job %q removed %s: %v", name, path, err)
+			}
+		}
 	}
 }

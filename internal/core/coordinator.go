@@ -1090,7 +1090,7 @@ func (c *Coordinator) newRun(name string, spec json.RawMessage, job *pregel.Job,
 		Name:     name,
 		Spec:     spec,
 		ScanNode: string(c.nodes[0]),
-		RunDir:   "jobs/" + strings.ReplaceAll(name, "/", "_"),
+		RunDir:   jobRunDir(name),
 	}
 	return run
 }

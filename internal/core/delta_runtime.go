@@ -5,7 +5,8 @@ package core
 // arms the dirty frontier and hands the run to the ordinary superstep
 // driver (with its checkpoint/recovery machinery) until convergence,
 // then seals the refreshed clone as the base job's new query version.
-// JobManager.SubmitDelta puts that under admission control.
+// A refresh holds a Gate slot like a job: the serve tier queues it at
+// the same gate.
 
 import (
 	"context"
@@ -18,15 +19,13 @@ import (
 
 // DeltaRefresh incrementally refreshes the sealed result version
 // fromVersion by applying muts (in order) and running delta supersteps
-// until convergence. job must be the same program the sealed run
-// executed, with job.Name set to the NEW version name — it must share
-// the source's base job name, so sealing the refreshed result retires
-// the source. The source version keeps serving queries until the seal.
-func (r *Runtime) DeltaRefresh(ctx context.Context, job *pregel.Job, fromVersion string, muts []delta.Mutation) (*JobStats, error) {
-	return r.deltaRefresh(ctx, job, fromVersion, muts, tenancy{})
-}
-
-func (r *Runtime) deltaRefresh(ctx context.Context, job *pregel.Job, fromVersion string, muts []delta.Mutation, ten tenancy) (*JobStats, error) {
+// until convergence, as an admitted run: under the operator-memory
+// carve opMem, in scratch of its own (see RunAdmitted). job must be the
+// same program the sealed run executed, with job.Name set to the NEW
+// version name — it must share the source's base job name, so sealing
+// the refreshed result retires the source. The source version keeps
+// serving queries until the seal.
+func (r *Runtime) DeltaRefresh(ctx context.Context, job *pregel.Job, fromVersion string, muts []delta.Mutation, opMem int64) (*JobStats, error) {
 	if err := job.Validate(); err != nil {
 		return nil, err
 	}
@@ -41,7 +40,8 @@ func (r *Runtime) deltaRefresh(ctx context.Context, job *pregel.Job, fromVersion
 	defer removeJobFiles(r.DFS, job.Name)
 
 	run := newJobRun(job.Name, job)
-	rs := r.newRunState(job, r.opts.Exec, ten)
+	defer r.sweepRunDir(job.Name)
+	rs := r.newRunState(job, r.opts.Exec, tenancy{opMem: opMem, runDir: jobRunDir(job.Name)})
 	defer rs.cleanup()
 
 	// Clone, mutate, arm. Superstep 1 makes the first delta superstep run

@@ -176,7 +176,7 @@ func inKCore(vid uint64, value string) bool {
 }
 
 // TestRuntimeDeltaRefreshPageRankAdditions seals a residual-PageRank
-// fixed point, streams 2% edge additions through SubmitDelta, and
+// fixed point, streams 2% edge additions through an admitted DeltaRefresh, and
 // requires the refreshed version to match a from-scratch run on the
 // mutated graph — value-identical within the convergence tolerance —
 // while touching far fewer vertex computations.
@@ -185,12 +185,12 @@ func TestRuntimeDeltaRefreshPageRankAdditions(t *testing.T) {
 	rt := newTestRuntime(t, 2)
 	defer rt.Close()
 	putGraph(t, rt, "/in/g", g)
-	m := NewJobManager(rt, JobManagerOptions{MaxConcurrentJobs: 1})
-	defer m.Close()
+	adm := NewGate(rt.Cluster, 1)
+	defer adm.Close()
 	ctx := context.Background()
 	const eps = 1e-10
 
-	h, err := m.Submit(ctx, algorithms.NewDeltaPageRankJob("dpr", "/in/g", "/out/base", eps))
+	h, err := admit(adm, rt, algorithms.NewDeltaPageRankJob("dpr", "/in/g", "/out/base", eps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestRuntimeDeltaRefreshPageRankAdditions(t *testing.T) {
 	v1 := h.Name()
 
 	mg, muts := addEdgeChurn(g, 0.02, 23)
-	hd, err := m.SubmitDelta(ctx, algorithms.NewDeltaPageRankJob("dpr", "/in/g", "", eps), v1, 1, muts)
+	hd, err := admitRefresh(adm, rt, algorithms.NewDeltaPageRankJob("dpr", "/in/g", "", eps), v1, 1, muts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestRuntimeDeltaRefreshPageRankAdditions(t *testing.T) {
 
 	// From-scratch on the mutated graph, same program.
 	putGraph(t, rt, "/in/g2", mg)
-	h2, err := m.Submit(ctx, algorithms.NewDeltaPageRankJob("dprfull", "/in/g2", "/out/full", eps))
+	h2, err := admit(adm, rt, algorithms.NewDeltaPageRankJob("dprfull", "/in/g2", "/out/full", eps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,12 +254,12 @@ func TestRuntimeDeltaRefreshKCoreRemovals(t *testing.T) {
 	rt := newTestRuntime(t, 2)
 	defer rt.Close()
 	putGraph(t, rt, "/in/g", g)
-	m := NewJobManager(rt, JobManagerOptions{MaxConcurrentJobs: 1})
-	defer m.Close()
+	adm := NewGate(rt.Cluster, 1)
+	defer adm.Close()
 	ctx := context.Background()
 	const k = 3
 
-	h, err := m.Submit(ctx, algorithms.NewKCoreJob("kcore", "/in/g", "/out/base", k))
+	h, err := admit(adm, rt, algorithms.NewKCoreJob("kcore", "/in/g", "/out/base", k))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestRuntimeDeltaRefreshKCoreRemovals(t *testing.T) {
 	v1 := h.Name()
 
 	mg, muts := removeEdgeChurn(g, 0.05, 31)
-	hd, err := m.SubmitDelta(ctx, algorithms.NewKCoreJob("kcore", "/in/g", "", k), v1, 1, muts)
+	hd, err := admitRefresh(adm, rt, algorithms.NewKCoreJob("kcore", "/in/g", "", k), v1, 1, muts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestRuntimeDeltaRefreshKCoreRemovals(t *testing.T) {
 	}
 
 	putGraph(t, rt, "/in/g2", mg)
-	h2, err := m.Submit(ctx, algorithms.NewKCoreJob("kcorefull", "/in/g2", "/out/full", k))
+	h2, err := admit(adm, rt, algorithms.NewKCoreJob("kcorefull", "/in/g2", "/out/full", k))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,11 +311,11 @@ func TestRuntimeDeltaVertexChurn(t *testing.T) {
 	rt := newTestRuntime(t, 2)
 	defer rt.Close()
 	putGraph(t, rt, "/in/g", g)
-	m := NewJobManager(rt, JobManagerOptions{MaxConcurrentJobs: 1})
-	defer m.Close()
+	adm := NewGate(rt.Cluster, 1)
+	defer adm.Close()
 	ctx := context.Background()
 
-	h, err := m.Submit(ctx, algorithms.NewDeltaPageRankJob("dpr", "/in/g", "", 1e-8))
+	h, err := admit(adm, rt, algorithms.NewDeltaPageRankJob("dpr", "/in/g", "", 1e-8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestRuntimeDeltaVertexChurn(t *testing.T) {
 		delta.Mutation{Op: delta.OpAddEdge, ID: newID, Dst: 1},
 		delta.Mutation{Op: delta.OpAddEdge, ID: 1, Dst: newID})
 
-	hd, err := m.SubmitDelta(ctx, algorithms.NewDeltaPageRankJob("dpr", "/in/g", "", 1e-8), v1, 1, muts)
+	hd, err := admitRefresh(adm, rt, algorithms.NewDeltaPageRankJob("dpr", "/in/g", "", 1e-8), v1, 1, muts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,11 +377,11 @@ func TestRuntimeDeltaQueryVersionSwap(t *testing.T) {
 	rt := newTestRuntime(t, 2)
 	defer rt.Close()
 	putGraph(t, rt, "/in/g", g)
-	m := NewJobManager(rt, JobManagerOptions{MaxConcurrentJobs: 1})
-	defer m.Close()
+	adm := NewGate(rt.Cluster, 1)
+	defer adm.Close()
 	ctx := context.Background()
 
-	h, err := m.Submit(ctx, algorithms.NewDeltaPageRankJob("dpr", "/in/g", "", 1e-10))
+	h, err := admit(adm, rt, algorithms.NewDeltaPageRankJob("dpr", "/in/g", "", 1e-10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestRuntimeDeltaQueryVersionSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hd, err := m.SubmitDelta(ctx, algorithms.NewDeltaPageRankJob("dpr", "/in/g", "", 1e-10), v1, 1, muts)
+	hd, err := admitRefresh(adm, rt, algorithms.NewDeltaPageRankJob("dpr", "/in/g", "", 1e-10), v1, 1, muts)
 	if err != nil {
 		t.Fatal(err)
 	}

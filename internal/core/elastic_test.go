@@ -337,8 +337,11 @@ func TestIdleScaleOutAndDrain(t *testing.T) {
 
 	kc := startKillableCluster(t, CoordinatorConfig{}, 2, 2, nil)
 	third := addElasticWorker(t, kc.coord, 2, true)
+	// The scale-out's event is recorded after its commit, which is when
+	// the joiner starts to count as a live worker: wait for both.
 	settleRecovery(t, "idle scale-out", func() (bool, string) {
-		return kc.coord.Workers() == 3, fmt.Sprintf("%d workers, events %+v", kc.coord.Workers(), kc.coord.Events())
+		n, _ := countEvents(kc.coord, "scale-out")
+		return kc.coord.Workers() == 3 && n > 0, fmt.Sprintf("%d workers, events %+v", kc.coord.Workers(), kc.coord.Events())
 	})
 	if n, _ := countEvents(kc.coord, "scale-out"); n != 1 {
 		t.Fatalf("scale-out events: %+v", kc.coord.Events())

@@ -37,9 +37,9 @@ import (
 // for the requested job version.
 var ErrNoResult = wire.Sentinel(1, "core: no retained result for job")
 
-// baseJobName strips the tenant-qualification suffix the JobManager and
-// cluster server append ("name@jN" → "name"), yielding the key under
-// which result versions of re-submissions supersede each other.
+// baseJobName strips the tenant-qualification suffix the serve tier
+// appends on either engine ("name@jN" → "name"), yielding the key
+// under which result versions of re-submissions supersede each other.
 func baseJobName(name string) string {
 	if i := strings.LastIndex(name, "@j"); i >= 0 {
 		return name[:i]

@@ -232,19 +232,19 @@ func checkKHop(t *testing.T, got *KHopResult, wantLayers [][]uint64, label strin
 	}
 }
 
-// TestJobManagerQueryParity runs a managed single-process PageRank and
+// TestAdmittedQueryParity runs an admitted single-process PageRank and
 // requires every query answer — point, top-k, k-hop — to match the
 // dumped output byte-for-byte, served from the retained partition
 // B-trees without reading the dump.
-func TestJobManagerQueryParity(t *testing.T) {
+func TestAdmittedQueryParity(t *testing.T) {
 	g := graphgen.Webmap(200, 4, 7)
 	rt := newTestRuntime(t, 2)
 	defer rt.Close()
 	putGraph(t, rt, "/in/g", g)
-	m := NewJobManager(rt, JobManagerOptions{MaxConcurrentJobs: 1})
-	defer m.Close()
+	adm := NewGate(rt.Cluster, 1)
+	defer adm.Close()
 
-	h, err := m.Submit(context.Background(), algorithms.NewPageRankJob("pr", "/in/g", "/out/pr", 4))
+	h, err := admit(adm, rt, algorithms.NewPageRankJob("pr", "/in/g", "/out/pr", 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,20 +294,20 @@ func TestJobManagerQueryParity(t *testing.T) {
 	checkKHop(t, kh, bfsLayers(g, source, 2), "single-process")
 }
 
-// TestJobManagerQueryVersionIsolation re-submits a job under the same
+// TestAdmittedQueryVersionIsolation re-submits a job under the same
 // name and requires: a reader that started against the old version
 // finishes against it (old values), new queries see only the new
 // version, and the old version is destroyed only after that reader
 // releases.
-func TestJobManagerQueryVersionIsolation(t *testing.T) {
+func TestAdmittedQueryVersionIsolation(t *testing.T) {
 	g := graphgen.Webmap(150, 3, 9)
 	rt := newTestRuntime(t, 2)
 	defer rt.Close()
 	putGraph(t, rt, "/in/g", g)
-	m := NewJobManager(rt, JobManagerOptions{MaxConcurrentJobs: 1})
-	defer m.Close()
+	adm := NewGate(rt.Cluster, 1)
+	defer adm.Close()
 
-	h1, err := m.Submit(context.Background(), algorithms.NewPageRankJob("pr", "/in/g", "/out/pr1", 2))
+	h1, err := admit(adm, rt, algorithms.NewPageRankJob("pr", "/in/g", "/out/pr1", 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestJobManagerQueryVersionIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	h2, err := m.Submit(context.Background(), algorithms.NewPageRankJob("pr", "/in/g", "/out/pr2", 5))
+	h2, err := admit(adm, rt, algorithms.NewPageRankJob("pr", "/in/g", "/out/pr2", 5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -320,8 +321,42 @@ func (r *Runtime) Run(ctx context.Context, job *pregel.Job) (*JobStats, error) {
 	return stats, err
 }
 
-// tenancy carries the multi-tenant isolation parameters the JobManager
-// assigns to a managed job.
+// RunAdmitted executes one job that holds a Gate slot: under the
+// ticket's operator-memory carve opMem (0 = each node's whole budget),
+// in node-local scratch of its own, with its partition indexes sealed
+// into the query tier rather than dropped. job.Name must be unique per
+// submission (the serve tier's "<name>@j<id>"): it names the scratch
+// directory and the sealed version.
+func (r *Runtime) RunAdmitted(ctx context.Context, job *pregel.Job, opMem int64) (*JobStats, error) {
+	defer r.sweepRunDir(job.Name)
+	stats, _, err := r.run(ctx, job, nil, true, tenancy{opMem: opMem, runDir: jobRunDir(job.Name), retain: true})
+	return stats, err
+}
+
+// jobRunDir is the node-relative scratch directory of the job run
+// named name, in either engine. The prefix keeps it one directory
+// below jobs/ whatever the name holds ("", ".", "..").
+func jobRunDir(name string) string {
+	return "jobs/run-" + strings.ReplaceAll(name, "/", "_")
+}
+
+// sweepRunDir reclaims an admitted run's scratch directory on every
+// node — unless the run sealed its indexes into the query tier, in
+// which case the retained version owns the directory and reclaims it
+// when it retires. A run drops its own live state (run files), so this
+// only sweeps stragglers from failure paths.
+func (r *Runtime) sweepRunDir(name string) {
+	if r.queries.Retained(name) {
+		return
+	}
+	for _, n := range r.Cluster.Nodes() {
+		n.RemoveJobDir(jobRunDir(name))
+	}
+}
+
+// tenancy carries the isolation parameters of a run that shares its
+// cluster: RunAdmitted's and DeltaRefresh's, and a worker's session.
+// Run and RunPipeline run without (tenancy{}).
 type tenancy struct {
 	// opMem is the per-job operator-memory carve (0 = node default).
 	opMem int64

@@ -344,9 +344,9 @@ func BenchmarkTopK(b *testing.B) {
 	if err := rt.DFS.WriteFile("/in/g", graphText(b, graphgen.Webmap(30000, 8, 1))); err != nil {
 		b.Fatal(err)
 	}
-	m := NewJobManager(rt, JobManagerOptions{MaxConcurrentJobs: 1})
-	defer m.Close()
-	h, err := m.Submit(context.Background(), algorithms.NewDeltaPageRankJob("dpr", "/in/g", "", 0))
+	adm := NewGate(rt.Cluster, 1)
+	defer adm.Close()
+	h, err := admit(adm, rt, algorithms.NewDeltaPageRankJob("dpr", "/in/g", "", 0))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,11 +1,11 @@
 package hyracks_test
 
 // Job admission over a hyracks cluster. The gate itself is core.Gate —
-// it belongs to whoever runs jobs (core.JobManager, the serve tier), not
-// to the dataflow engine — but what it divides is this package's: the
-// operator memory of the cluster's live node controllers. The tests stay
-// here, under the names they have always had, and drive the gate against
-// a real Cluster.
+// it belongs to whoever runs jobs (the serve tier, the conc-jobs
+// experiment), not to the dataflow engine — but what it divides is this
+// package's: the operator memory of the cluster's live node
+// controllers. The tests stay here, under the names they have always
+// had, and drive the gate against a real Cluster.
 
 import (
 	"context"

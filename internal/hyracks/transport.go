@@ -33,8 +33,9 @@ type RecvPort interface {
 }
 
 // ConnID names one connector instance of one job execution. Job names
-// are unique per execution (the JobManager tenant-qualifies them), so
-// the pair is a cluster-wide stream-group key for wire transports.
+// are unique per execution (the serve tier qualifies each with its
+// table id, "<name>@j<id>"), so the pair is a cluster-wide stream-group
+// key for wire transports.
 type ConnID struct {
 	Job  string
 	Conn string // connector label "from->to"

@@ -172,13 +172,18 @@ func dialData(t *testing.T, addr string) net.Conn {
 // writeMsgTo writes one data-plane message by hand.
 func writeMsgTo(t *testing.T, conn net.Conn, typ byte, stream uint32, payload []byte) {
 	t.Helper()
+	if _, err := conn.Write(appendMsg(nil, typ, stream, payload)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// appendMsg appends one data-plane message, header and payload, to dst.
+func appendMsg(dst []byte, typ byte, stream uint32, payload []byte) []byte {
 	var hdr [9]byte
 	hdr[0] = typ
 	binary.LittleEndian.PutUint32(hdr[1:], stream)
 	binary.LittleEndian.PutUint32(hdr[5:], uint32(len(payload)))
-	if _, err := conn.Write(append(hdr[:], payload...)); err != nil {
-		t.Fatal(err)
-	}
+	return append(append(dst, hdr[:]...), payload...)
 }
 
 // TestCorruptCompressedFrameDropsConn opens a stream by hand, sends a
@@ -248,11 +253,14 @@ func TestOldProtocolMagicRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write([]byte("PGXW1\n")); err != nil {
+	// The preamble and the OPEN go in one write, so the receiver's first
+	// read takes both. Sent apart, the OPEN can land after that read,
+	// unread when the receiver closes or after it has: the kernel then
+	// answers with a reset instead of the clean close pinned here.
+	open, _ := json.Marshal(openInfo{Job: "old-job", Conn: "a->b", Buffer: 2})
+	if _, err := conn.Write(appendMsg([]byte("PGXW1\n"), msgOpen, 1, open)); err != nil {
 		t.Fatal(err)
 	}
-	open, _ := json.Marshal(openInfo{Job: "old-job", Conn: "a->b", Buffer: 2})
-	writeMsgTo(t, conn, msgOpen, 1, open)
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
 		t.Fatalf("read after an old-magic OPEN: %v, want the connection closed (io.EOF)", err)
