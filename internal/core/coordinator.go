@@ -340,6 +340,11 @@ func (c *Coordinator) Nodes() []hyracks.NodeID {
 func (c *Coordinator) Workers() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.liveWorkersLocked()
+}
+
+// liveWorkersLocked is Workers for a caller that holds c.mu.
+func (c *Coordinator) liveWorkersLocked() int {
 	n := 0
 	for _, w := range c.workers {
 		if !w.dead() {

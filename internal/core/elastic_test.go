@@ -385,6 +385,43 @@ func TestIdleScaleOutAndDrain(t *testing.T) {
 	compareValues(t, parseOutput(t, out), want, "after-idle-elasticity")
 }
 
+// TestScaleOutEventAtCommit: an idle scale-out records its event in the
+// same hold of the coordinator's lock as the membership flip, so that a
+// poller that sees the joiner counted among the workers sees the
+// joiner's scale-out event too, with the partitions it took (none,
+// between jobs) and the worker count in its detail.
+func TestScaleOutEventAtCommit(t *testing.T) {
+	kc := startKillableCluster(t, CoordinatorConfig{}, 2, 2, nil)
+	third := addElasticWorker(t, kc.coord, 2, true)
+	deadline := time.Now().Add(10 * time.Second)
+	for kc.coord.Workers() < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the joiner never counted: %d workers", kc.coord.Workers())
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	var got []Event
+	for _, ev := range kc.coord.Events() {
+		if ev.Kind == EventScaleOut {
+			got = append(got, ev)
+		}
+	}
+	if len(got) != 1 || !strings.HasSuffix(got[0].Detail, "now 3 workers") {
+		t.Fatalf("3 workers, and scale-out events %+v", got)
+	}
+
+	// Drain the joiner, so that it is gone before its directory is.
+	close(third.drain)
+	select {
+	case werr := <-third.result:
+		if werr != nil {
+			t.Fatalf("drained worker exited with error: %v", werr)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("drained worker never exited")
+	}
+}
+
 // TestDrainRefusals pins the refusal paths: draining an unknown worker
 // and draining the last live worker both fail synchronously, and a
 // migration RPC arriving while a superstep is in flight is refused

@@ -71,7 +71,8 @@ type Event struct {
 	// loads against their thresholds, phase times against the median,
 	// the counters the join planner weighed.
 	Inputs map[string]float64 `json:"inputs,omitempty"`
-	// Duration is the wall-clock cost of the action.
+	// Duration is the wall-clock cost of the action; a committed
+	// movement's (scale-out, drain, relief) ends at its commit.
 	Duration time.Duration `json:"duration,omitempty"`
 	// Detail is a human-readable summary.
 	Detail string `json:"detail,omitempty"`
@@ -92,16 +93,23 @@ func (c *Coordinator) Events() []Event {
 // record stamps an event, appends it to the log and writes it to the
 // coordinator's log output.
 func (c *Coordinator) record(ev Event) {
-	ev.Time = time.Now()
 	c.mu.Lock()
+	ev = c.recordLocked(ev)
+	c.mu.Unlock()
+	c.cfg.logf("coordinator: %s", ev)
+}
+
+// recordLocked stamps an event and appends it to the log (caller holds
+// c.mu, and writes it to the log output), returning it stamped.
+func (c *Coordinator) recordLocked(ev Event) Event {
+	ev.Time = time.Now()
 	c.eventSeq++
 	ev.Seq = c.eventSeq
 	if len(c.events) == maxEvents {
 		c.events = slices.Delete(c.events, 0, 1)
 	}
 	c.events = append(c.events, ev)
-	c.mu.Unlock()
-	c.cfg.logf("coordinator: %s", ev)
+	return ev
 }
 
 // String renders the event as one log line, leaving out empty fields.

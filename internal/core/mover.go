@@ -27,6 +27,7 @@ import (
 	"io"
 	"maps"
 	"slices"
+	"time"
 )
 
 // members snapshots the active worker set.
@@ -165,8 +166,8 @@ type nodeMove struct {
 // moves at a safe boundary (caller holds jobMu; no phase is in flight).
 // run is the open job the moves are carried across (nil between jobs,
 // when there is no partition state and only ownership moves); ev names
-// the movement in the event log; leaving, if set, is a member the
-// moves empty, which leaves the membership at the commit.
+// the movement in the event log, begun at start; leaving, if set, is a
+// member the moves empty, which leaves the membership at the commit.
 //
 //  1. image the moving nodes' partitions at their donors;
 //  2. install the images at their receivers, under epoch attempt+1 and
@@ -175,18 +176,20 @@ type nodeMove struct {
 //     with an error, a receiver that is not yet a member dying — aborts
 //     with the cluster unchanged: every receiver that was sent an
 //     install is sent a drop for it, ev.failed is recorded, and
-//     (0, false, nil) returned. A member's death instead returns the
+//     (false, nil) returned. A member's death instead returns the
 //     error, for the driver's checkpoint recovery;
 //  3. commit: owned sets and peer routing flip under c.mu, a receiver
-//     that is not yet a member becomes one, leaving stops being one;
+//     that is not yet a member becomes one, leaving stops being one,
+//     and ev is recorded in the same hold, with the partitions migrated,
+//     its duration up to here and "; now N workers" after its detail, so
+//     that no reader sees the new membership without its event;
 //  4. broadcast the topology, purging the job's parked wire streams;
 //  5. drop the migrated originals on the donors that remain members;
 //  6. open the next epoch (attempt++), so resumed supersteps compile
 //     fresh spec names and cannot meet stragglers of the old topology.
 //
-// It returns the number of partitions migrated and whether the commit
-// happened; the caller records the committed movement's own event.
-func (c *Coordinator) moveNodes(ctx context.Context, run *jobRun, ev Event, moves []nodeMove, leaving *ccWorker) (int, bool, error) {
+// It returns whether the commit happened.
+func (c *Coordinator) moveNodes(ctx context.Context, run *jobRun, ev Event, start time.Time, moves []nodeMove, leaving *ccWorker) (bool, error) {
 	var donated map[*ccWorker][]int
 	migrated := 0
 	if run != nil && len(moves) > 0 {
@@ -214,10 +217,10 @@ func (c *Coordinator) moveNodes(ctx context.Context, run *jobRun, ev Event, move
 		}
 		if err != nil {
 			if c.anyWorkerDead() {
-				return 0, false, fmt.Errorf("core: worker died during %s migration (%s): %w", ev.Kind, stage, err)
+				return false, fmt.Errorf("core: worker died during %s migration (%s): %w", ev.Kind, stage, err)
 			}
 			c.record(ev.failed(stage, err))
-			return 0, false, nil
+			return false, nil
 		}
 	}
 
@@ -234,17 +237,21 @@ func (c *Coordinator) moveNodes(ctx context.Context, run *jobRun, ev Event, move
 		c.workers = slices.DeleteFunc(c.workers, func(w *ccWorker) bool { return w == leaving })
 		delete(donated, leaving)
 	}
+	ev.Partitions, ev.Duration = migrated, time.Since(start)
+	ev.Detail += fmt.Sprintf("; now %d workers", c.liveWorkersLocked())
+	ev = c.recordLocked(ev)
 	c.mu.Unlock()
+	c.cfg.logf("coordinator: %s", ev)
 
 	if err := c.broadcastTopology(ctx, run.purgeNames()); err != nil {
-		return migrated, true, err
+		return true, err
 	}
 	if run != nil {
 		c.dropParts(ctx, run.name, donated)
 		run.attempt++
 		run.stats.Rebalances++
 	}
-	return migrated, true, nil
+	return true, nil
 }
 
 // admitLocked makes a started spare a member (caller holds jobMu and

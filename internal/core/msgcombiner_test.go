@@ -378,101 +378,6 @@ func TestMsgTupleBytes(t *testing.T) {
 	}
 }
 
-// TestFoldPayloadAgreesWithAdd: for every combiner the engine runs, over
-// random payloads, FoldPayload leaves in the accumulator exactly the bytes
-// Add returns, which are the Marshal of the Combine of the two messages,
-// and writes nothing into its input. Where the result changes width (a
-// concatenation of Bytes) it refuses, and leaves the accumulator byte for
-// byte as it was. A 7-byte Double is corrupt through both calls.
-func TestFoldPayloadAgreesWithAdd(t *testing.T) {
-	rng := rand.New(rand.NewSource(40))
-	raw := func(n int) func() []byte {
-		return func() []byte {
-			b := make([]byte, n)
-			rng.Read(b)
-			return b
-		}
-	}
-	concat := pregel.CombinerFunc(func(a, b pregel.Value) pregel.Value {
-		*a.(*pregel.Bytes) = append(*a.(*pregel.Bytes), *b.(*pregel.Bytes)...)
-		return a
-	})
-	cases := []struct {
-		name    string
-		job     *pregel.Job
-		payload func() []byte
-		widens  bool
-	}{
-		{"pagerank sum", doubleJob(algorithms.SumCombiner()), raw(8), false},
-		{"sssp min", doubleJob(algorithms.MinDoubleCombiner()), raw(8), false},
-		{"cc min", &pregel.Job{Codec: pregel.Codec{NewMessage: pregel.NewInt64}, Combiner: algorithms.MinInt64Combiner()}, raw(8), false},
-		{"first bool", &pregel.Job{Codec: pregel.Codec{NewMessage: pregel.NewBool}, Combiner: algorithms.FirstCombiner()}, raw(1), false},
-		{"first int64", &pregel.Job{Codec: pregel.Codec{NewMessage: pregel.NewInt64}, Combiner: algorithms.FirstCombiner()}, raw(8), false},
-		{"bytes concat", &pregel.Job{Codec: pregel.Codec{NewMessage: pregel.NewBytes}, Combiner: concat}, func() []byte { return raw(rng.Intn(3))() }, true},
-	}
-	key := tuple.EncodeUint64(1)
-	for _, c := range cases {
-		mc := newMsgCombiner(c.job)
-		folded, refused := 0, 0
-		for i := 0; i < 2000; i++ {
-			a, b := c.payload(), c.payload()
-			ma, mb := c.job.Codec.NewMessage(), c.job.Codec.NewMessage()
-			if ma.Unmarshal(a) != nil || mb.Unmarshal(b) != nil {
-				t.Fatalf("%s: %x or %x does not decode", c.name, a, b)
-			}
-			want := c.job.Combiner.Combine(ma, mb).Marshal(nil)
-			if got := mc.Add(tuple.Tuple{key, bytes.Clone(a)}, tuple.Tuple{key, bytes.Clone(b)})[1]; !bytes.Equal(got, want) {
-				t.Fatalf("%s: %x added to %x gives %x, want %x", c.name, b, a, got, want)
-			}
-			acc, in := bytes.Clone(a), bytes.Clone(b)
-			if mc.FoldPayload(acc, in) {
-				folded++
-				if !bytes.Equal(acc, want) {
-					t.Fatalf("%s: %x folded with %x gives %x, Add gives %x", c.name, a, b, acc, want)
-				}
-			} else {
-				refused++
-				if len(want) == len(a) {
-					t.Fatalf("%s: %x folded with %x refused, though Add gives %x", c.name, a, b, want)
-				}
-				if !bytes.Equal(acc, a) {
-					t.Fatalf("%s: a refused fold left %x in the accumulator, was %x", c.name, acc, a)
-				}
-			}
-			if !bytes.Equal(in, b) {
-				t.Fatalf("%s: the fold wrote %x into its input %x", c.name, in, b)
-			}
-		}
-		if refused > 0 != c.widens || folded == 0 {
-			t.Fatalf("%s: %d folds, %d refused", c.name, folded, refused)
-		}
-	}
-
-	job := doubleJob(algorithms.SumCombiner())
-	one := pregel.Double(1).Marshal(nil)
-	short := one[:7]
-	folds := map[string]func(acc, in []byte){
-		"Add":         func(acc, in []byte) { newMsgCombiner(job).Add(tuple.Tuple{key, acc}, tuple.Tuple{key, in}) },
-		"FoldPayload": func(acc, in []byte) { newMsgCombiner(job).FoldPayload(acc, in) },
-	}
-	for name, fold := range folds {
-		for _, side := range []string{"accumulator", "input"} {
-			func() {
-				defer func() {
-					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "corrupt message") {
-						t.Errorf("%s, a 7-byte Double as the %s: panicked with %v, want a corrupt message", name, side, r)
-					}
-				}()
-				if side == "accumulator" {
-					fold(bytes.Clone(short), bytes.Clone(one))
-				} else {
-					fold(bytes.Clone(one), bytes.Clone(short))
-				}
-			}()
-		}
-	}
-}
-
 // TestWordFoldAgreesWithCombine: the built-in combiners give the job's
 // msgCombiner a word fold for their message types, and for no other.
 // Over 2000 pairs of payloads of each, random bits and NaN, ±0, ±Inf,

@@ -489,17 +489,12 @@ func (c *Coordinator) scaleOut(ctx context.Context, sp *ccWorker, run *jobRun) e
 		c.record(ev.failed("handshake", err))
 		return nil
 	}
-	migrated, committed, err := c.moveNodes(ctx, run, ev, moves, nil)
+	ev.Detail = "joined"
+	committed, err := c.moveNodes(ctx, run, ev, start, moves, nil)
 	if !committed {
 		sp.ctrl.Close() // it hosts nothing and has left the spare list
 	}
-	if err != nil || !committed {
-		return err
-	}
-	ev.Partitions, ev.Duration = migrated, time.Since(start)
-	ev.Detail = fmt.Sprintf("joined; now %d workers", c.Workers())
-	c.record(ev)
-	return nil
+	return err
 }
 
 // drainWorker empties one draining worker: its nodes move to the
@@ -524,7 +519,8 @@ func (c *Coordinator) drainWorker(ctx context.Context, d *ccWorker, run *jobRun)
 	}
 	moves := c.planDrain(d, targets, run)
 	ev := c.movement(EventDrain, addr, moves, run)
-	migrated, committed, err := c.moveNodes(ctx, run, ev, moves, d)
+	ev.Detail = "released"
+	committed, err := c.moveNodes(ctx, run, ev, start, moves, d)
 	if !committed && err == nil {
 		d.draining.Store(false) // refused: re-request the drain to retry
 	}
@@ -541,9 +537,6 @@ func (c *Coordinator) drainWorker(ctx context.Context, d *ccWorker, run *jobRun)
 	}
 	cancel()
 	d.ctrl.Close()
-	ev.Partitions, ev.Duration = migrated, time.Since(start)
-	ev.Detail = fmt.Sprintf("released; now %d workers", c.Workers())
-	c.record(ev)
 	return nil
 }
 
@@ -592,12 +585,7 @@ func (c *Coordinator) relieveWorker(ctx context.Context, run *jobRun, d ReliefDe
 	moves := []nodeMove{{node: pick, from: slow, to: tgt}}
 	ev := c.movement(EventRelief, addr, moves, run)
 	maps.Copy(ev.Inputs, d.Inputs)
-	migrated, committed, err := c.moveNodes(ctx, run, ev, moves, nil)
-	if err != nil || !committed {
-		return err
-	}
-	ev.Partitions, ev.Duration = migrated, time.Since(start)
-	ev.Detail = fmt.Sprintf("heaviest node moved to %s", tgt.ctrl.RemoteAddr())
-	c.record(ev)
-	return nil
+	ev.Detail = "heaviest node moved to " + tgt.ctrl.RemoteAddr()
+	_, err := c.moveNodes(ctx, run, ev, start, moves, nil)
+	return err
 }

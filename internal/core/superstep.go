@@ -239,12 +239,11 @@ func (rs *runState) buildSuperstepJob() *hyracks.JobSpec {
 	return spec
 }
 
-// groupByKind is the group-by policy of the job's senders: the table
-// under the HashSort hint when the job has a combiner to fold into it,
-// else the sort. Without a combiner every fold appends to a growing
-// message list, which the table would re-append whole at each message.
+// groupByKind is the group-by policy of the job's senders, the hint's:
+// the operators build a word table under HashSort when the job's
+// combiner folds words, and the sort group-by otherwise.
 func groupByKind(job *pregel.Job) operators.GroupByKind {
-	if job.GroupBy == pregel.HashSortGroupBy && job.Combiner != nil {
+	if job.GroupBy == pregel.HashSortGroupBy {
 		return operators.HashSortGroupBy
 	}
 	return operators.SortGroupBy
@@ -272,24 +271,21 @@ func senderKind(job *pregel.Job) operators.GroupByKind {
 // else: SendMessage writes one, and a fold leaves one. One msgCombiner
 // serves one group-by task: it decodes the two messages of a fold into
 // two Values it keeps, and an accumulator's payload is the accumulator's
-// to write, so that a combine is Unmarshal, Combine and Marshal over the
-// old message (Add), or into a kept buffer copied over the old message
-// once it is known to fit (FoldPayload), with no allocation. It is an
-// operators.PayloadFolder: the group-bys fold a message into their own
-// record of the group (the hash policy) or their copy of its first tuple
-// (the merge) through FoldPayload, and through Add only when the result
-// changes length, as k-core's concatenation does.
+// to write, so that a combine (Add) is Unmarshal, Combine and Marshal
+// over the old message, with no allocation while the result keeps its
+// size.
 //
 // When the job's combiner is a built-in one with a word fold for the
-// job's message type, the msgCombiner is also an operators.WordFolder,
-// and the hash group-bys keep each group's accumulator in its slot.
+// job's message type, the msgCombiner is also an operators.WordFolder
+// with a fold: the group-bys then fold its messages as words, in a word
+// table's slots and in the merge, and never call First or Add. Any other
+// combiner, k-core's concatenation among them, folds through Add in the
+// sort group-by's merge.
 type msgCombiner struct {
 	combine pregel.Combiner
 	// a and b are the messages of the accumulator and of the tuple
-	// folded into it, reused from fold to fold; buf holds FoldPayload's
-	// result until it is known to fit.
+	// folded into it, reused from fold to fold.
 	a, b pregel.Value
-	buf  []byte
 	// fold is the combiner's word fold for messages width bytes long, nil
 	// if it has none for the job's message type.
 	fold  func(acc, in uint64) uint64
@@ -313,8 +309,7 @@ func newMsgCombiner(job *pregel.Job) *msgCombiner {
 	if wc, ok := c.combine.(wordCombiner); ok {
 		if c.fold = wc.WordFold(c.a); c.fold != nil {
 			// The type's width is its zero message's.
-			c.buf = c.a.Marshal(c.buf[:0])
-			c.width = len(c.buf)
+			c.width = len(c.a.Marshal(nil))
 		}
 	}
 	return c
@@ -334,47 +329,25 @@ func (c *msgCombiner) First(t tuple.Tuple) tuple.Tuple {
 	return t
 }
 
+// Add folds t's message into acc's. A payload the message type does not
+// take is corrupt and panics.
 func (c *msgCombiner) Add(acc, t tuple.Tuple) tuple.Tuple {
 	if c.combine == nil {
 		acc[1] = pregel.AppendMsgLists(acc[1], t[1])
 		return acc
 	}
-	c.decode(acc[1], t[1])
+	if err := c.a.Unmarshal(acc[1]); err != nil {
+		panic(fmt.Sprintf("pregelix: corrupt message: %v", err))
+	}
+	if err := c.b.Unmarshal(t[1]); err != nil {
+		panic(fmt.Sprintf("pregelix: corrupt message: %v", err))
+	}
 	// Both messages are decoded, so the old one can be overwritten: a
 	// result of its size lands in place, a longer one in a new payload
 	// (the capacity is cut at the length, for the accumulator owns its
 	// payload's bytes only), a shorter one in front.
 	acc[1] = c.combine.Combine(c.a, c.b).Marshal(acc[1][:0:len(acc[1])])
 	return acc
-}
-
-// FoldPayload combines the message in into the message acc, in place,
-// unless the result is not acc's length (or the job gathers lists): then
-// acc is left as it was, and Add does the fold. A payload the message
-// type does not take is corrupt and panics, as in Add.
-func (c *msgCombiner) FoldPayload(acc, in []byte) bool {
-	if c.combine == nil {
-		return false
-	}
-	c.decode(acc, in)
-	c.buf = c.combine.Combine(c.a, c.b).Marshal(c.buf[:0])
-	if len(c.buf) != len(acc) {
-		return false
-	}
-	copy(acc, c.buf)
-	return true
-}
-
-// decode unmarshals the accumulator's message into a and the incoming
-// one into b. A payload the message type does not take is corrupt and
-// panics.
-func (c *msgCombiner) decode(acc, in []byte) {
-	if err := c.a.Unmarshal(acc); err != nil {
-		panic(fmt.Sprintf("pregelix: corrupt message: %v", err))
-	}
-	if err := c.b.Unmarshal(in); err != nil {
-		panic(fmt.Sprintf("pregelix: corrupt message: %v", err))
-	}
 }
 
 // newMsgSink writes the combined, vid-sorted message stream to the

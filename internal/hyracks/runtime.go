@@ -93,19 +93,6 @@ func (b *BaseRuntime) EmitRef(port int, r tuple.TupleRef) error {
 	return nil
 }
 
-// EmitFrame hands a whole packed frame on to an output port, after what
-// the port holds already: the frame is lent, as NextFrame lends it, and
-// its records are not copied.
-func (b *BaseRuntime) EmitFrame(port int, f *tuple.Frame) error {
-	if port >= len(b.Outs) {
-		return nil
-	}
-	if err := b.FlushPort(port); err != nil {
-		return err
-	}
-	return b.Outs[port].NextFrame(f)
-}
-
 // FlushPort pushes the buffered frame of one port downstream and resets
 // it for refilling (NextFrame borrows the frame; it does not keep it).
 func (b *BaseRuntime) FlushPort(port int) error {

@@ -5,7 +5,7 @@
 // a consumer that hashes its input again, index-based outer joins, and
 // helpers for two-stage global aggregation. The sort, the sort-based
 // group-by and HashSort emit in key order; the preclustered group-by in
-// input order; the unordered table in the order of its buffer unless it
+// input order; the unordered table in the order of its slots unless it
 // spilled, and then in key order.
 //
 // All operators are out-of-core capable: they meter their buffers against
@@ -15,14 +15,16 @@
 // Buffered input is held as packed frames (one pooled byte buffer per
 // frame) and sorted through 16-byte entries holding each tuple's
 // normalized key and position, so the hot path moves no tuple bytes while
-// sorting and performs no per-tuple or per-group heap allocation. A
-// combiner that is also a PayloadFolder folds a (key, payload) tuple as
-// bytes, into the payload of its group's record where that record lies:
-// no header is built for it and no combiner result copied back. A hash
-// group-by whose combiner is a WordFolder buffers no records at all: its
-// table is a word table, whose 16-byte slot holds a group's key and its
-// accumulator, and a group's record is written only when it leaves the
-// table, for a spill, the merge or the output.
+// sorting and performs no per-tuple or per-group heap allocation.
+//
+// One rule picks how groups fold, from the combiner alone: a combiner
+// that is a WordFolder with a fold is folded as words, everywhere. A hash
+// group-by over one is a word table, whose 16-byte slot holds a group's
+// key and its accumulator, and buffers no records at all: a group's
+// record is written only when it leaves the table, for a spill, the merge
+// or the output. The merge folds such groups as two words, the key and
+// the accumulator. A hash group-by over any other combiner, or none, is
+// the sort group-by, and its merge folds through First and Add.
 package operators
 
 import (
@@ -50,19 +52,17 @@ import (
 //
 // Aliasing contract: First may retain (alias) its argument, the header
 // and the fields both, and may return it. What it is handed is the
-// group's from then on: bytes the caller leaves alone for as long as it
-// uses the accumulator, which under the hash group-by are the operator's
-// own record of the group (every field cut at its length). The
-// accumulator's fields are the combiner's to overwrite up to their
-// length, or to replace; the hash group-by copies a replaced field back
-// into its record, and keeps nothing else of what First or Add returned
-// past the call. Add must NOT retain t or its field slices past the call,
-// nor write into their bytes; it may only fold t's data into the
-// accumulator, because t is typically a borrowed view into a transport
-// frame that will be recycled.
+// group's from then on: the merge's own copy of the group's first tuple
+// (every field cut at its length), which the merge leaves alone for as
+// long as it uses the accumulator. The accumulator's fields are the
+// combiner's to overwrite up to their length, or to replace. Add must
+// NOT retain t or its field slices past the call, nor write into their
+// bytes; it may only fold t's data into the accumulator, because t is
+// typically a borrowed view into a transport frame that will be
+// recycled.
 //
-// A Combiner may also be a PayloadFolder, which the group-bys prefer for
-// a (key, payload) tuple whenever the accumulator is one too.
+// A Combiner that is also a WordFolder with a fold is folded as words,
+// and neither First nor Add is called.
 type Combiner interface {
 	// First starts an accumulator from the first tuple of a group. The
 	// returned tuple may alias t, or be t.
@@ -72,34 +72,70 @@ type Combiner interface {
 	Add(acc, t tuple.Tuple) tuple.Tuple
 }
 
-// PayloadFolder is the byte-level fold a Combiner may also implement, for
-// groups of (key, payload) tuples. FoldPayload folds the payload in into
-// the accumulator's payload acc in place and reports true; or, when the
-// result would not be acc's length, it reports false and leaves acc byte
-// for byte as it was, and the group-by folds the two tuples through Add
-// instead. in is borrowed as Add's t is.
-//
-// A PayloadFolder's First is the identity: the accumulator of one tuple
-// is that tuple's bytes, so the group-bys start a group without calling
-// First, and fold into the group's record (the hash group-by) or their
-// own copy of its first tuple (the merge). A PayloadFolder that is also
-// a WordFolder with a fold is folded under the hash policy as words, in
-// its table's slots, and through FoldPayload only in the merge.
-type PayloadFolder interface {
-	FoldPayload(acc, in []byte) bool
+// WordFolder is a Combiner whose payloads are all one width of 1 to 8
+// bytes that fold as words: a payload's bytes read as a little-endian
+// integer. WordFold returns the fold of two such words and the width, or
+// a nil fold when the combiner has none. Every group-by folds a combiner
+// with a fold as words: a hash group-by in the slots of a word table, the
+// merge (of runs, of a sorted buffer, of a preclustered stream, and
+// MergeSources) in two words it keeps for the group at hand. Every key
+// must then be 8 bytes and every payload width bytes, or the group-by
+// panics with a corrupt message. A group of one tuple is that tuple, and
+// the fold's result, written back as width little-endian bytes, must be
+// the payload Add would leave.
+type WordFolder interface {
+	WordFold() (fold func(acc, in uint64) uint64, width int)
 }
 
-// WordFolder is a PayloadFolder whose payloads are all one width of 1 to
-// 8 bytes that fold as words: a payload's bytes read as a little-endian
-// integer. WordFold returns the fold of two such words and the width, or
-// a nil fold when the combiner has none. Under a hash group-by, the fold
-// runs on the accumulator in the group's slot of a word table. Every key
-// must then be 8 bytes and every payload width bytes, or the group-by
-// panics with a corrupt message. A word fold's result must be the bytes
-// FoldPayload leaves.
-type WordFolder interface {
-	PayloadFolder
-	WordFold() (fold func(acc, in uint64) uint64, width int)
+// words is a combiner's word fold, the width of the payloads it folds,
+// and the buffer a group's record is written into as it leaves.
+type words struct {
+	fold  func(acc, in uint64) uint64
+	width int
+	buf   [16]byte
+	rec   tuple.Tuple // the record over buf: its key, then its payload
+}
+
+// wordsOf returns the combiner's word fold, or nil if it has none.
+func wordsOf(c Combiner) *words {
+	wf, ok := c.(WordFolder)
+	if !ok {
+		return nil
+	}
+	fold, width := wf.WordFold()
+	if fold == nil {
+		return nil
+	}
+	w := &words{fold: fold, width: width}
+	w.rec = tuple.Tuple{w.buf[:8], w.buf[8 : 8+width]}
+	return w
+}
+
+// read returns a tuple's 8-byte key and its payload as words.
+func (w *words) read(key, in []byte) (k, v uint64) {
+	if len(key) != 8 || len(in) != w.width {
+		w.corrupt(key, in)
+	}
+	if len(in) == 8 {
+		v = binary.LittleEndian.Uint64(in)
+	} else {
+		for i, b := range in {
+			v |= uint64(b) << (8 * i)
+		}
+	}
+	return binary.BigEndian.Uint64(key), v
+}
+
+func (w *words) corrupt(key, in []byte) {
+	panic("groupby: corrupt message: a " + strconv.Itoa(len(key)) + "-byte key and a " + strconv.Itoa(len(in)) + "-byte payload among " + strconv.Itoa(w.width) + "-byte words")
+}
+
+// record returns the record of the group of key k whose accumulator is
+// acc, valid until the next call.
+func (w *words) record(k, acc uint64) tuple.Tuple {
+	binary.BigEndian.PutUint64(w.buf[:8], k)
+	binary.LittleEndian.PutUint64(w.buf[8:], acc)
+	return w.rec
 }
 
 // GroupByKind selects a group-by implementation.
@@ -109,45 +145,41 @@ const (
 	// SortGroupBy pushes aggregation into both the in-memory sort phase
 	// and the run-merge phase of an external sort.
 	SortGroupBy GroupByKind = iota
-	// HashSortGroupBy aggregates eagerly in a packed table, one record
-	// per distinct key, sorting only on spill/emit; it wins when the
-	// combiner's result keeps its size.
+	// HashSortGroupBy aggregates eagerly in a word table, one slot per
+	// distinct key, sorting only on spill/emit. Without a combiner that
+	// folds words it is SortGroupBy.
 	HashSortGroupBy
 	// PreclusteredGroupBy assumes input already clustered by key and
 	// aggregates in a single streaming pass with O(1) state.
 	PreclusteredGroupBy
 	// UnorderedHashGroupBy is HashSortGroupBy for a consumer that does not
 	// need key order, such as a partitioning connector into a hashing
-	// receiver: when nothing spilled, its records leave unsorted.
+	// receiver: when nothing spilled, its groups leave unsorted.
 	UnorderedHashGroupBy
 )
 
 // NewGroupByRuntime builds a group-by PushRuntime of the given kind.
 // combiner may be nil, in which case the operator degenerates to an
 // external sort (SortGroupBy, HashSortGroupBy, UnorderedHashGroupBy) or a
-// no-op pass-through (PreclusteredGroupBy). Output is emitted on port 0:
-// in ascending key order by SortGroupBy and HashSortGroupBy (and by
-// UnorderedHashGroupBy without a combiner, or once it has spilled), in
-// input order by PreclusteredGroupBy, and otherwise by
-// UnorderedHashGroupBy in no order the caller may rely on, each key once.
+// no-op pass-through (PreclusteredGroupBy). A hash kind is a word table
+// when the combiner is a WordFolder with a fold, and otherwise the sort
+// group-by. Output is emitted on port 0: in ascending key order by
+// SortGroupBy and HashSortGroupBy (and by UnorderedHashGroupBy unless it
+// is a word table that never spilled), in input order by
+// PreclusteredGroupBy, and otherwise by UnorderedHashGroupBy in no order
+// the caller may rely on, each key once.
 //
 // The runtime of every kind but PreclusteredGroupBy also takes tuples one
 // at a time from their fields, with no frame between (AddFields).
 func NewGroupByRuntime(tc *hyracks.TaskContext, kind GroupByKind, combiner Combiner) hyracks.PushRuntime {
-	pf, _ := combiner.(PayloadFolder)
-	switch kind {
-	case PreclusteredGroupBy:
-		return newPreclusteredGroupBy(combiner, pf)
-	case HashSortGroupBy, UnorderedHashGroupBy:
-		g := &spillingGroupBy{tc: tc, combiner: combiner, pf: pf, table: combiner != nil, unordered: kind == UnorderedHashGroupBy}
-		if wf, ok := combiner.(WordFolder); ok {
-			g.wf, g.width = wf.WordFold()
-			g.word = tuple.Tuple{g.buf[:8], g.buf[8 : 8+g.width]}
-		}
-		return g
-	default:
-		return &spillingGroupBy{tc: tc, combiner: combiner, pf: pf}
+	w := wordsOf(combiner)
+	switch {
+	case kind == PreclusteredGroupBy:
+		return newPreclusteredGroupBy(combiner, w)
+	case w != nil && (kind == HashSortGroupBy || kind == UnorderedHashGroupBy):
+		return &spillingGroupBy{tc: tc, combiner: combiner, words: w, table: true, unordered: kind == UnorderedHashGroupBy}
 	}
+	return &spillingGroupBy{tc: tc, combiner: combiner, words: w}
 }
 
 // NewExternalSortRuntime builds an external sort on field 0.
@@ -157,8 +189,8 @@ func NewExternalSortRuntime(tc *hyracks.TaskContext) hyracks.PushRuntime {
 
 // newPreclusteredGroupBy streams clustered input, folding adjacent tuples
 // with equal keys: the fold of the merge, over one stream sorted already.
-func newPreclusteredGroupBy(combiner Combiner, pf PayloadFolder) hyracks.PushRuntime {
-	out := &folder{combiner: combiner, pf: pf}
+func newPreclusteredGroupBy(combiner Combiner, w *words) hyracks.PushRuntime {
+	out := &folder{combiner: combiner, words: w}
 	return &hyracks.FuncRuntime{
 		OnOpen: func(b *hyracks.BaseRuntime) error {
 			out.emitRef = func(r tuple.TupleRef) error { return b.EmitRef(0, r) }
@@ -175,17 +207,22 @@ func newPreclusteredGroupBy(combiner Combiner, pf PayloadFolder) hyracks.PushRun
 
 // folder folds a key-ordered stream of tuples: it hands every tuple on to
 // emitRef when there is no combiner, else folds each run of equal keys
-// through the combiner and hands its accumulator to emit once the run
-// ends. Neither callback may keep its argument.
+// and hands the group's record to emit once the run ends. Neither
+// callback may keep its argument.
 type folder struct {
 	combiner Combiner
-	// pf is the combiner as a PayloadFolder, nil if it is not one.
-	pf             PayloadFolder
-	emitRef        func(tuple.TupleRef) error
-	emit           func(tuple.Tuple) error
+	// words, if not nil, folds the groups as words: word is the
+	// accumulator of the group of key.
+	words   *words
+	word    uint64
+	emitRef func(tuple.TupleRef) error
+	emit    func(tuple.Tuple) error
+	// Otherwise acc is the accumulator, First's or Add's, head the copy of
+	// the group's first tuple First was handed, over the bytes own.
 	acc, hdr, head tuple.Tuple
-	own            []byte // the bytes of head
-	key            uint64 // the accumulator's normalized key
+	own            []byte
+	key            uint64 // the group's normalized key
+	open           bool   // there is a group
 }
 
 // add takes the next tuple, r, whose normalized key is key; wide says
@@ -195,12 +232,20 @@ func (f *folder) add(r tuple.TupleRef, key uint64, wide bool) error {
 	if f.combiner == nil {
 		return f.emitRef(r)
 	}
-	if f.acc != nil && key == f.key && (!wide && len(f.acc[0]) == 8 || bytes.Equal(f.acc[0], r.Field(0))) {
-		if f.pf != nil && len(f.acc) == 2 {
-			if _, in, ok := r.Pair(); ok && f.pf.FoldPayload(f.acc[1], in) {
-				return nil
-			}
+	if f.words != nil {
+		k, in, _ := r.Pair()
+		vid, w := f.words.read(k, in)
+		if f.open && vid == f.key {
+			f.word = f.words.fold(f.word, w)
+			return nil
 		}
+		if err := f.flush(); err != nil {
+			return err
+		}
+		f.key, f.word, f.open = vid, w, true
+		return nil
+	}
+	if f.open && key == f.key && (!wide && len(f.acc[0]) == 8 || bytes.Equal(f.acc[0], r.Field(0))) {
 		f.hdr = r.AppendFieldsTo(f.hdr[:0])
 		f.acc = f.combiner.Add(f.acc, f.hdr)
 		return nil
@@ -212,59 +257,53 @@ func (f *folder) add(r tuple.TupleRef, key uint64, wide bool) error {
 	// copy.
 	f.hdr = r.AppendFieldsTo(f.hdr[:0])
 	f.own, f.head = copyInto(f.own, f.head, f.hdr)
-	f.acc, f.key = f.head, key
-	if f.pf == nil {
-		f.acc = f.combiner.First(f.head)
-	}
+	f.acc, f.key, f.open = f.combiner.First(f.head), key, true
 	return nil
 }
 
-// flush emits the accumulator, if there is one.
+// flush emits the group's record, if there is a group.
 func (f *folder) flush() error {
-	acc := f.acc
-	if acc == nil {
+	if !f.open {
 		return nil
 	}
-	f.acc = nil
-	return f.emit(acc)
+	f.open = false
+	if f.words != nil {
+		return f.emit(f.words.record(f.key, f.word))
+	}
+	return f.emit(f.acc)
 }
 
 // spillingGroupBy implements both the sort-based and HashSort group-bys
-// (and, with a nil combiner, a plain external sort): one buffer of packed
-// frames metered whole-buffer-at-a-time against the task's
-// operator-memory budget, one slice of 16-byte entries saying where each
-// buffered record lies, one spill of the sorted buffer as a run and one
-// merge of the runs on close. The policies differ in what they buffer.
-// Sort appends every tuple and an entry for it, and folds equal keys when
-// the sorted buffer is drained. Hash (table) keeps one record per
-// distinct key: the entry slice, at full length, is an open-addressing
+// (and, with a nil combiner, a plain external sort): one slice of 16-byte
+// entries metered against the task's operator-memory budget, one spill of
+// the sorted entries as a run and one merge of the runs on close. The
+// policies differ in what they buffer. Sort appends every tuple to packed
+// frames, metered whole-buffer-at-a-time, and an entry saying where it
+// lies, and folds equal keys when the sorted buffer is drained. Hash (a
+// word table) keeps one slot per distinct key, the key and the group's
+// accumulator: the entry slice, at full length, is an open-addressing
 // table (linear probing, a power of two of slots, at most 3/4 of them
-// taken), a tuple whose key has a slot is folded into that group's record
-// at once, and what is drained is folded already. An unordered table that
-// never spilled drains without sorting.
+// taken), a tuple whose key has a slot is folded into it at once, and
+// what is drained is folded already. An unordered table that never
+// spilled drains without sorting.
 type spillingGroupBy struct {
 	hyracks.BaseRuntime
 	tc       *hyracks.TaskContext
 	combiner Combiner
-	// pf is the combiner as a PayloadFolder, nil if it is not one.
-	pf    PayloadFolder
+	// words is the combiner's word fold, nil if it has none; table says
+	// that the group-by is a word table over it.
+	words *words
 	table bool
 	// unordered says that the table's output need not be in key order.
 	unordered bool
-	// wf is the fold of a word table's accumulators, whose payloads are
-	// width bytes; nil for a table of records.
-	wf    func(acc, in uint64) uint64
-	width int
 
 	budget *memory.Budget
 
-	// The buffer: owned packed frames; the sorter's entries say where each
-	// record is. Under the hash policy a record whose accumulator changed
-	// length stays behind as garbage until the buffer is released, and
-	// superseded says that one did.
-	frames     []*tuple.Frame
-	app        tuple.FrameAppender
-	superseded bool
+	// The buffer of the sort policy: owned packed frames; the sorter's
+	// entries say where each record is. A word table takes one frame, to
+	// read its groups through as records in the merge.
+	frames []*tuple.Frame
+	app    tuple.FrameAppender
 
 	// sorter holds one entry per buffered tuple, or the table, live of
 	// whose slots are taken. Its slice is kept from spill to spill and is
@@ -274,15 +313,6 @@ type spillingGroupBy struct {
 	live       int
 	// peak is the most groups the table held at once this round.
 	peak int
-
-	// Fold headers: the accumulator's fields and the folded tuple's.
-	head, scratch tuple.Tuple
-	// carried owns the bytes of an accumulator taken out of the table.
-	carried []byte
-	// word holds the fields of a word table's group as it leaves the
-	// table, over the bytes of buf: its key, then its payload.
-	word tuple.Tuple
-	buf  [16]byte
 
 	// file holds every run spilled, one after the other, from the first
 	// spill on; runs are their extents in it, oldest first.
@@ -307,7 +337,6 @@ const minSortEntries = 16
 func (g *spillingGroupBy) Open() error {
 	cap := g.tc.OperatorMem
 	g.budget = g.tc.Node.RAM.Child("groupby-"+g.tc.OperatorID+"-p"+strconv.Itoa(g.tc.Partition), cap)
-	g.sorter.words = g.wf != nil
 	if g.table {
 		g.takeTable()
 	}
@@ -376,7 +405,7 @@ func (g *spillingGroupBy) NextFrame(f *tuple.Frame) error {
 }
 
 // AddFields takes one tuple from its fields, as NextFrame takes each
-// tuple of a frame: it is folded into its group's record or buffered, so
+// tuple of a frame: it is folded into its group's slot or buffered, so
 // the caller may reuse the fields once it returns.
 func (g *spillingGroupBy) AddFields(t tuple.Tuple) error {
 	return g.add(tuple.TupleRef{}, t)
@@ -404,7 +433,7 @@ func (g *spillingGroupBy) add(r tuple.TupleRef, t tuple.Tuple) error {
 	} else {
 		key = r.Field(0)
 	}
-	off, _, err := g.buffer(r, t)
+	off, err := g.buffer(r, t)
 	if err != nil {
 		return err
 	}
@@ -439,7 +468,7 @@ func (g *spillingGroupBy) growEntries(n int, must bool) bool {
 		return false
 	}
 	if g.table {
-		g.sorter.rehash(n, g.keyOf)
+		g.sorter.rehash(n)
 	} else {
 		g.sorter.grow(n)
 	}
@@ -483,154 +512,33 @@ func (g *spillingGroupBy) put(r tuple.TupleRef, t tuple.Tuple, must bool) (uint3
 	return 0, true
 }
 
-// buffer is put that spills when the budget has no frame left, and says
-// whether it did; t, if given, must not be a view of the buffer, which
-// the spill releases.
-func (g *spillingGroupBy) buffer(r tuple.TupleRef, t tuple.Tuple) (uint32, bool, error) {
+// buffer is put that spills when the budget has no frame left; t, if
+// given, must not be a view of the buffer, which the spill releases.
+func (g *spillingGroupBy) buffer(r tuple.TupleRef, t tuple.Tuple) (uint32, error) {
 	off, ok := g.put(r, t, false)
 	if !ok {
 		if err := g.spill(); err != nil {
-			return 0, true, err
+			return 0, err
 		}
 		off, _ = g.put(r, t, true)
 	}
-	return off, !ok, nil
+	return off, nil
 }
 
-// fold is add under the hash policy: the tuple (r, or the fields t) is
-// folded into the record of its key's group, or starts that group. A
-// (key, payload) tuple is folded as bytes when the combiner is a
-// PayloadFolder, else, and when the fold refuses, through Add.
+// fold is add in a word table: the tuple's (r's, or the fields t's)
+// payload, read as a word, is folded into the accumulator of its key's
+// group, or starts that group.
 func (g *spillingGroupBy) fold(r tuple.TupleRef, t tuple.Tuple) error {
 	var key, in []byte
-	var pair bool
-	if t != nil {
-		key = t[0]
-		if pair = len(t) == 2; pair {
-			in = t[1]
-		}
-	} else if key, in, pair = r.Pair(); !pair {
-		key = r.Field(0)
-	}
-	if g.wf != nil {
-		return g.foldWord(key, in)
-	}
-	bytewise := pair && g.pf != nil
-	k := keyPrefix(key)
-	// While every key in the table is 8 bytes, as a vid is, an 8-byte key
-	// whose normalized key a slot holds is that slot's key: the entry
-	// decides, and the record's key is not read.
-	exact := len(key) == 8 && !g.sorter.wide && g.sorter.keyLen == 8
-	es := g.sorter.entries
-	slot := -1
-	if len(es) > 0 {
-		i := g.sorter.slotOf(k, key)
-		for ; es[i].frame != 0; i = (i + 1) & (len(es) - 1) {
-			if es[i].key != k {
-				continue
-			}
-			rec := g.ref(es[i])
-			if !exact && !bytes.Equal(rec.Field(0), key) {
-				continue
-			}
-			if bytewise {
-				if _, acc, ok := rec.Pair(); ok && g.pf.FoldPayload(acc, in) {
-					return nil
-				}
-			}
-			return g.addTo(i, r, t)
-		}
-		slot = i
-	}
-	i, err := g.insert(k, key, r, t, slot)
-	if err != nil || g.pf != nil {
-		// A PayloadFolder's First is the identity: the record is the
-		// group's accumulator already.
-		return err
-	}
-	rec := g.ref(g.sorter.entries[i])
-	g.head = rec.AppendFieldsTo(g.head[:0])
-	return g.keep(i, rec, g.combiner.First(g.head))
-}
-
-// addTo folds the tuple (r, or the fields t) into the record of the group
-// in slot i through the combiner's Add.
-func (g *spillingGroupBy) addTo(i int, r tuple.TupleRef, t tuple.Tuple) error {
 	if t == nil {
-		g.scratch = r.AppendFieldsTo(g.scratch[:0])
-		t = g.scratch
+		key, in, _ = r.Pair()
+	} else if len(t) == 2 {
+		key, in = t[0], t[1]
 	}
-	rec := g.ref(g.sorter.entries[i])
-	g.head = rec.AppendFieldsTo(g.head[:0])
-	return g.keep(i, rec, g.combiner.Add(g.head, t))
-}
-
-// insert buffers the record of a group the table does not hold (r, or
-// the fields t; its key is key, whose normalized form is k) and gives it
-// a slot, whose index it returns: slot, the free slot the probe for key
-// ended on, if the table has not changed since, else -1.
-func (g *spillingGroupBy) insert(k uint64, key []byte, r tuple.TupleRef, t tuple.Tuple, slot int) (int, error) {
-	// Room in the table first: the spill that makes it empties the frames.
-	if moved, err := g.makeRoom(); err != nil {
-		return 0, err
-	} else if moved {
-		slot = -1
-	}
-	off, spilled, err := g.buffer(r, t)
-	if err != nil {
-		return 0, err
-	}
-	if spilled {
-		slot = -1
-	}
-	// The first wide key moves the table's groups to where their whole
-	// keys hash.
-	if wide := g.sorter.wide; g.sorter.observe(k, len(key)) && !wide {
-		slot = -1
-		if g.live > 0 {
-			g.sorter.rehash(len(g.sorter.entries), g.keyOf)
-		}
-	}
-	if slot < 0 {
-		slot = g.sorter.freeSlot(g.sorter.slotOf(k, key))
-	}
-	g.sorter.entries[slot] = sortEntry{k, uint32(len(g.frames)), off}
-	g.live++
-	g.peak = max(g.peak, g.live)
-	return slot, nil
-}
-
-// makeRoom makes room in the table for one more group, by growing it or,
-// if the budget refuses, by spilling, and says whether the slots moved.
-func (g *spillingGroupBy) makeRoom() (bool, error) {
-	n := len(g.sorter.entries)
-	if 4*(g.live+1) <= 3*n {
-		return false, nil
-	}
-	if g.growEntries(max(2*n, minSortEntries), n == 0) {
-		return true, nil
-	}
-	return true, g.spill()
-}
-
-// foldWord is fold in a word table: the payload in, read as a word, is
-// folded into the accumulator of key's group, or starts that group.
-func (g *spillingGroupBy) foldWord(key, in []byte) error {
-	if len(key) != 8 || len(in) != g.width {
-		panic("groupby: corrupt message: a " + strconv.Itoa(len(key)) + "-byte key and a " + strconv.Itoa(len(in)) + "-byte payload in a table of " + strconv.Itoa(g.width) + "-byte words")
-	}
-	var w uint64
-	if len(in) == 8 {
-		w = binary.LittleEndian.Uint64(in)
-	} else {
-		for i, b := range in {
-			w |= uint64(b) << (8 * i)
-		}
-	}
-	k := binary.BigEndian.Uint64(key)
+	k, w := g.words.read(key, in)
 	e, ok := g.sorter.wordSlot(k)
 	if ok {
-		e.setAcc(g.wf(e.acc(), w))
+		e.setAcc(g.words.fold(e.acc(), w))
 		return nil
 	}
 	if moved, err := g.makeRoom(); err != nil {
@@ -647,31 +555,17 @@ func (g *spillingGroupBy) foldWord(key, in []byte) error {
 	return nil
 }
 
-// keep makes res, the combiner's result for the group in slot i, that
-// group's record rec: in place if no field changed length, else as a new
-// record, the old one staying behind as garbage.
-func (g *spillingGroupBy) keep(i int, rec tuple.TupleRef, res tuple.Tuple) error {
-	if rec.Overwrite(res) {
-		return nil
+// makeRoom makes room in the table for one more group, by growing it or,
+// if the budget refuses, by spilling, and says whether the slots moved.
+func (g *spillingGroupBy) makeRoom() (bool, error) {
+	n := len(g.sorter.entries)
+	if 4*(g.live+1) <= 3*n {
+		return false, nil
 	}
-	e := &g.sorter.entries[i]
-	if off, ok := g.put(tuple.TupleRef{}, res, false); ok {
-		e.frame, e.rec = uint32(len(g.frames)), off
-		g.superseded = true
-		return nil
+	if g.growEntries(max(2*n, minSortEntries), n == 0) {
+		return true, nil
 	}
-	// No frame for it: the group leaves the table ahead of the spill that
-	// makes room, so that no run holds it twice, and is the first of the
-	// next buffer. Copied out, because res may be a view of this one.
-	k := e.key
-	e.frame = 0
-	g.live--
-	g.carried, g.scratch = copyInto(g.carried, g.scratch, res)
-	if err := g.spill(); err != nil {
-		return err
-	}
-	_, err := g.insert(k, g.scratch[0], tuple.TupleRef{}, g.scratch, -1)
-	return err
+	return true, g.spill()
 }
 
 // copyInto copies t's fields into buf[:0] and returns it, and over
@@ -703,7 +597,7 @@ func (g *spillingGroupBy) sortBuffered() {
 // group is written as a record when it is read, into the one frame the
 // table takes, and is valid until the next call.
 func (g *spillingGroupBy) ref(e sortEntry) tuple.TupleRef {
-	if !g.sorter.words {
+	if !g.table {
 		return g.frames[e.frame-1].TupleAt(int(e.rec))
 	}
 	if len(g.frames) == 0 {
@@ -712,38 +606,26 @@ func (g *spillingGroupBy) ref(e sortEntry) tuple.TupleRef {
 	f := g.frames[0]
 	f.Reset()
 	g.app.Reset(f)
-	g.app.Append(g.record(e)...)
+	g.app.Append(g.words.record(e.key, e.acc())...)
 	return f.Tuple(0)
-}
-
-// record returns the fields of a word table's group, valid until the
-// next call.
-func (g *spillingGroupBy) record(e sortEntry) tuple.Tuple {
-	binary.BigEndian.PutUint64(g.buf[:8], e.key)
-	binary.LittleEndian.PutUint64(g.buf[8:], e.acc())
-	return g.word
 }
 
 // keyOf returns the key of the buffered record an entry stands for.
 func (g *spillingGroupBy) keyOf(e sortEntry) []byte { return g.ref(e).Field(0) }
 
 // drain merges the runs srcs, if any, with the sorted buffer, and emits
-// the result: every record by reference when there is nothing to fold —
-// no combiner, or the table's records alone — else equal keys folded
-// through the combiner. Neither callback may keep its argument.
+// the result: every record by reference when there is no combiner, else
+// equal keys folded. A word table's groups with no runs to merge are
+// folded already, and leave as records. Neither callback may keep its
+// argument.
 func (g *spillingGroupBy) drain(srcs []refSource, emitRef func(tuple.TupleRef) error, emit func(tuple.Tuple) error) error {
-	if g.sorter.words && len(srcs) == 0 {
-		// The groups leave a word table as records here, with no merge.
+	if g.table && len(srcs) == 0 {
 		for _, e := range g.sorter.entries {
-			if err := emit(g.record(e)); err != nil {
+			if err := emit(g.words.record(e.key, e.acc())); err != nil {
 				return err
 			}
 		}
 		return nil
-	}
-	combiner := g.combiner
-	if g.table && len(srcs) == 0 {
-		combiner = nil
 	}
 	i := 0
 	buffered := func() (tuple.TupleRef, error) {
@@ -753,7 +635,7 @@ func (g *spillingGroupBy) drain(srcs []refSource, emitRef func(tuple.TupleRef) e
 		i++
 		return g.ref(g.sorter.entries[i-1]), nil
 	}
-	return mergeRuns(append(srcs, buffered), &folder{combiner: combiner, pf: g.pf, emitRef: emitRef, emit: emit})
+	return mergeRuns(append(srcs, buffered), &folder{combiner: g.combiner, words: g.words, emitRef: emitRef, emit: emit})
 }
 
 // releaseMem drops the buffered tuples: frames go back to the pool and
@@ -765,7 +647,6 @@ func (g *spillingGroupBy) releaseMem() {
 	}
 	g.frames = nil
 	g.app.Reset(nil)
-	g.superseded = false
 	g.sorter.reset()
 	if g.table {
 		g.sorter.free()
@@ -832,10 +713,12 @@ func (g *spillingGroupBy) Close() error {
 }
 
 func (g *spillingGroupBy) finish() error {
-	if g.unordered && g.table && len(g.runs) == 0 {
-		return g.emitTable()
+	if g.unordered && len(g.runs) == 0 {
+		// An unordered table that never spilled leaves in slot order.
+		g.sorter.compact()
+	} else {
+		g.sortBuffered()
 	}
-	g.sortBuffered()
 	// The spilled runs, oldest first, then the in-memory remainder: the
 	// merge keeps equal keys in source order, which is arrival order. Every
 	// run is read through the file's one descriptor.
@@ -848,22 +731,6 @@ func (g *spillingGroupBy) finish() error {
 	return g.drain(srcs, func(r tuple.TupleRef) error { return g.EmitRef(0, r) }, func(t tuple.Tuple) error { return g.Emit(0, t) })
 }
 
-// emitTable emits the groups of a table that never spilled as they lie:
-// the frames whole when every record in them is a group's, else each
-// group's record in slot order.
-func (g *spillingGroupBy) emitTable() error {
-	if !g.superseded && !g.sorter.words {
-		for _, f := range g.frames {
-			if err := g.EmitFrame(0, f); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	g.sorter.compact()
-	return g.drain(nil, func(r tuple.TupleRef) error { return g.EmitRef(0, r) }, func(t tuple.Tuple) error { return g.Emit(0, t) })
-}
-
 // sortEntry is what the sort moves instead of a tuple: the tuple's
 // normalized key, and where the tuple is. The normalized key is the
 // first 8 bytes of field 0 read as a big-endian integer (shorter keys
@@ -874,7 +741,7 @@ func (g *spillingGroupBy) emitTable() error {
 // the group's accumulator instead, its low and its high half.
 type sortEntry struct {
 	key   uint64
-	frame uint32 // which of the frames holds the tuple, counted from 1: 0 is a free slot of the table
+	frame uint32 // which of the frames holds the tuple, counted from 1
 	rec   uint32 // the byte offset of the tuple's record in its frame
 }
 
@@ -897,7 +764,7 @@ func keyPrefix(k []byte) uint64 {
 
 // keySorter collects one entry per tuple, in arrival order, and sorts
 // them into the order a stable sort of the tuples by bytes.Compare on
-// field 0 would give.
+// field 0 would give. It is also a word table's slots.
 type keySorter struct {
 	entries []sortEntry
 	// Of the first key: its normalized form and its length.
@@ -912,10 +779,8 @@ type keySorter struct {
 	wide bool
 	// seen says that there is a first key.
 	seen bool
-	// words says that the table is a word table: a slot is free when its
-	// key is 0, and the group of key 0 is zero, if hasZero says there is
-	// one.
-	words   bool
+	// In a word table a slot is free when its key is 0, and the group of
+	// key 0 is zero, if hasZero says there is one.
 	zero    sortEntry
 	hasZero bool
 }
@@ -939,9 +804,8 @@ func (s *keySorter) add(key []byte, frame, rec uint32) {
 }
 
 // observe notes the normalized form and the length of a key some entry
-// holds, which is what sort goes by, and returns whether the sorter is
-// wide.
-func (s *keySorter) observe(k uint64, keyLen int) bool {
+// holds, which is what sort goes by.
+func (s *keySorter) observe(k uint64, keyLen int) {
 	if !s.seen {
 		s.first, s.keyLen, s.seen = k, keyLen, true
 	}
@@ -949,19 +813,15 @@ func (s *keySorter) observe(k uint64, keyLen int) bool {
 	if keyLen > 8 || keyLen != s.keyLen {
 		s.wide = true
 	}
-	return s.wide
 }
 
-// The entries as a table: the slice at full length, a power of two, a
-// key's slot the first free one at or after slotOf.
+// The entries as a word table: the slice at full length, a power of two,
+// a key's slot the first free one at or after slotOf. A free slot is all
+// zeros, and the table's keys are not 0.
 
-// taken says whether a slot of the table holds a group. A free slot of a
-// word table is all zeros, and its groups' keys are not 0.
-func (s *keySorter) taken(e sortEntry) bool { return e.frame != 0 || s.words && e.key != 0 }
-
-// wordSlot returns the slot of the group of key k in a word table and
-// true, or, if there is no such group, the free slot the probe for k
-// ended on (nil if the table has no slots) and false.
+// wordSlot returns the slot of the group of key k and true, or, if there
+// is no such group, the free slot the probe for k ended on (nil if the
+// table has no slots) and false.
 func (s *keySorter) wordSlot(k uint64) (*sortEntry, bool) {
 	if k == 0 {
 		return &s.zero, s.hasZero
@@ -970,7 +830,7 @@ func (s *keySorter) wordSlot(k uint64) (*sortEntry, bool) {
 		return nil, false
 	}
 	mask := len(s.entries) - 1
-	for i := int(mix64(k)) & mask; ; i = (i + 1) & mask {
+	for i := s.slotOf(k); ; i = (i + 1) & mask {
 		e := &s.entries[i]
 		if e.key == k {
 			return e, true
@@ -993,48 +853,27 @@ func mix64(k uint64) uint64 {
 	return k
 }
 
-// hashKey folds a whole key, 8 bytes at a time, into 64 bits for mix64.
-func hashKey(key []byte) uint64 {
-	h := uint64(len(key))
-	for ; len(key) > 8; key = key[8:] {
-		h = mix64(h ^ binary.BigEndian.Uint64(key))
-	}
-	return h ^ keyPrefix(key)
-}
-
-// slotOf is where the probe for key, whose normalized form is k, starts:
-// the low bits of a mix of k while the table is not wide, and of the
-// whole key once it is, so that keys alike in their first 8 bytes do not
-// all probe from one slot. key is read only when the table is wide.
-func (s *keySorter) slotOf(k uint64, key []byte) int {
-	if s.wide {
-		k = hashKey(key)
-	}
+// slotOf is where the probe for key k starts: the low bits of a mix of k.
+func (s *keySorter) slotOf(k uint64) int {
 	return int(mix64(k)) & (len(s.entries) - 1)
 }
 
-// freeSlot returns the first free slot at or after slot i.
-func (s *keySorter) freeSlot(i int) int {
-	for s.taken(s.entries[i]) {
-		i = (i + 1) & (len(s.entries) - 1)
-	}
-	return i
-}
-
 // rehash makes the table n slots, moving the taken ones by where their
-// keys probe from, which keyOf reads only when the table is wide: they
-// are of distinct keys already, so none is compared.
-func (s *keySorter) rehash(n int, keyOf func(sortEntry) []byte) {
+// keys probe from: they are of distinct keys already, so none is
+// compared.
+func (s *keySorter) rehash(n int) {
 	old := s.entries
 	s.entries = make([]sortEntry, n)
+	mask := n - 1
 	for _, e := range old {
-		if s.taken(e) {
-			var key []byte
-			if s.wide {
-				key = keyOf(e)
-			}
-			s.entries[s.freeSlot(s.slotOf(e.key, key))] = e
+		if e.key == 0 {
+			continue
 		}
+		i := s.slotOf(e.key)
+		for s.entries[i].key != 0 {
+			i = (i + 1) & mask
+		}
+		s.entries[i] = e
 	}
 }
 
@@ -1046,11 +885,11 @@ func (s *keySorter) free() {
 }
 
 // compact ends the table: the groups move to the front and are the
-// entries, the group of key 0 of a word table last.
+// entries, the group of key 0 last.
 func (s *keySorter) compact() {
 	n := 0
 	for _, e := range s.entries {
-		if s.taken(e) {
+		if e.key != 0 {
 			s.entries[n] = e
 			n++
 		}
@@ -1312,7 +1151,8 @@ func mergeRuns(srcs []refSource, out *folder) error {
 }
 
 // MergeSources k-way merges sorted sources, folding equal keys through
-// the combiner (when non-nil), and emits in ascending key order; tuples
+// the combiner (when non-nil; as words, if it folds words), and emits in
+// ascending key order; tuples
 // with equal keys are taken in the order of srcs, so merging the runs of
 // a stable sort in the order they were written is again stable. It is
 // the operators' merge over boxed tuples.
@@ -1335,8 +1175,7 @@ func MergeSources(srcs []TupleSource, combiner Combiner, emit func(tuple.Tuple) 
 			return fr.Tuple(0), nil
 		}
 	}
-	pf, _ := combiner.(PayloadFolder)
-	out := &folder{combiner: combiner, pf: pf, emit: emit}
+	out := &folder{combiner: combiner, words: wordsOf(combiner), emit: emit}
 	out.emitRef = func(r tuple.TupleRef) error {
 		out.hdr = r.AppendFieldsTo(out.hdr[:0])
 		return emit(out.hdr)

@@ -117,36 +117,19 @@ func TestMergeKeepsSourceOrder(t *testing.T) {
 	}
 }
 
-// sumMsgs folds PageRank-shaped payloads, a one-message list whose last
-// 8 bytes are a float64, into the accumulator's own bytes, as the
-// engine's message combiner does: it allocates nothing.
-type sumMsgs struct{}
-
-func (sumMsgs) First(t tuple.Tuple) tuple.Tuple { return t }
-
-func (sumMsgs) Add(acc, t tuple.Tuple) tuple.Tuple {
-	a, b := acc[1][8:], t[1][8:]
-	binary.LittleEndian.PutUint64(a, math.Float64bits(tuple.DecodeFloat64(a)+tuple.DecodeFloat64(b)))
-	return acc
-}
-
 // BenchmarkSpillMerge is one PageRank sender group-by of the pr_spill
-// workload: a hash group-by with a summing combiner at the 64 KiB carve,
-// 190k messages (an 8-byte vid and a 16-byte one-message list, as
-// PageRank sends) over ≈45k destinations, which its
-// table barely folds, so that it spills ≈230 runs and merges them on
-// Close. It reports the merge's nanoseconds per merged tuple (every
-// tuple of every run and of the in-memory remainder) and the runs per
-// operation.
+// workload: a word table at the 64 KiB carve, 190k messages (an 8-byte
+// vid and an 8-byte word, as PageRank sends a Double) over ≈45k
+// destinations, which its table barely folds, so that it spills many
+// runs and merges them, as words, on Close. It reports the merge's
+// nanoseconds per merged tuple (every tuple of every run and of the
+// in-memory remainder) and the runs per operation.
 func BenchmarkSpillMerge(b *testing.B) {
 	const n, vids = 190000, 46000
 	rng := rand.New(rand.NewSource(1))
 	ts := make([]tuple.Tuple, n)
 	for i := range ts {
-		msg := make([]byte, 16)
-		binary.LittleEndian.PutUint32(msg, 1)
-		binary.LittleEndian.PutUint32(msg[4:], 8)
-		binary.LittleEndian.PutUint64(msg[8:], math.Float64bits(rng.Float64()))
+		msg := binary.LittleEndian.AppendUint64(nil, math.Float64bits(rng.Float64()))
 		ts[i] = tuple.Tuple{tuple.EncodeUint64(uint64(rng.Intn(vids))), msg}
 	}
 	frames := packFrames(b, ts)
@@ -155,10 +138,11 @@ func BenchmarkSpillMerge(b *testing.B) {
 	sink := &collectWriter{discard: true}
 	var merging time.Duration
 	var runs, merged int64
+	var folds int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g := NewGroupByRuntime(tc, HashSortGroupBy, sumMsgs{}).(*spillingGroupBy)
+		g := NewGroupByRuntime(tc, HashSortGroupBy, wordSum{&folds, 8}).(*spillingGroupBy)
 		g.SetOutputs([]hyracks.FrameWriter{sink})
 		if err := g.Open(); err != nil {
 			b.Fatal(err)

@@ -3,7 +3,6 @@ package operators
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -14,34 +13,6 @@ import (
 	"pregelix/internal/hyracks"
 	"pregelix/internal/tuple"
 )
-
-// The combiners the table is tested with are associative, so that the
-// fold of a group's partial folds (what a spill and the merge make of it)
-// is the fold of its tuples in arrival order, which is the reference.
-
-// prefixMin keeps the first payload of the group, cut to the length of
-// the shortest: the accumulator is First's argument and shrinks in place.
-type prefixMin struct{}
-
-func (prefixMin) First(t tuple.Tuple) tuple.Tuple { return t }
-
-func (prefixMin) Add(acc, t tuple.Tuple) tuple.Tuple {
-	acc[1] = acc[1][:min(len(acc[1]), len(t[1]))]
-	return acc
-}
-
-// sumOwned is the shape of the benchmark's combiner: First returns a new
-// tuple with a payload of its own, Add sums into acc's payload in place.
-type sumOwned struct{}
-
-func (sumOwned) First(t tuple.Tuple) tuple.Tuple {
-	return tuple.Tuple{t[0], append([]byte(nil), t[1]...)}
-}
-
-func (sumOwned) Add(acc, t tuple.Tuple) tuple.Tuple {
-	binary.BigEndian.PutUint64(acc[1], binary.BigEndian.Uint64(acc[1])+binary.BigEndian.Uint64(t[1]))
-	return acc
-}
 
 // testContext is a task context on a node of its own, with opMem bytes of
 // operator memory and its temporary files in the node's "job" directory.
@@ -57,8 +28,11 @@ func testContext(tb testing.TB, opMem int64) *hyracks.TaskContext {
 	}
 }
 
-// referenceFold folds every group in arrival order, on copies, and
-// returns the groups in key order.
+// referenceFold folds every group in arrival order through First and
+// Add, on copies, and returns the groups in key order. The combiners the
+// group-bys are tested with are associative, so that the fold of a
+// group's partial folds (what a spill and the merge make of it) is the
+// fold of its tuples in arrival order.
 func referenceFold(in []tuple.Tuple, c Combiner) []tuple.Tuple {
 	var out []tuple.Tuple
 	at := map[string]int{}
@@ -74,7 +48,7 @@ func referenceFold(in []tuple.Tuple, c Combiner) []tuple.Tuple {
 	return out
 }
 
-// tableRun is what driveTable saw of one run of the hash group-by.
+// tableRun is what driveTable saw of one run of the word table.
 type tableRun struct {
 	out     []tuple.Tuple
 	spills  int
@@ -85,6 +59,9 @@ type tableRun struct {
 func driveTable(t *testing.T, opMem int64, c Combiner, in []*tuple.Frame) tableRun {
 	t.Helper()
 	g := NewGroupByRuntime(testContext(t, opMem), HashSortGroupBy, c).(*spillingGroupBy)
+	if !g.table {
+		t.Fatal("not a word table")
+	}
 	sink := &collectWriter{}
 	g.SetOutputs([]hyracks.FrameWriter{sink})
 	if err := g.Open(); err != nil {
@@ -99,7 +76,7 @@ func driveTable(t *testing.T, opMem int64, c Combiner, in []*tuple.Frame) tableR
 	taken, at := 0, 0
 	es := g.sorter.entries
 	for i := 0; i < 2*len(es); i++ { // twice around: a run may wrap
-		if es[i%len(es)].frame == 0 {
+		if es[i%len(es)].key == 0 {
 			at = 0
 			continue
 		}
@@ -110,8 +87,13 @@ func driveTable(t *testing.T, opMem int64, c Combiner, in []*tuple.Frame) tableR
 			taken++
 		}
 	}
-	if taken != g.live || 4*taken > 3*len(es) {
-		t.Fatalf("table of %d slots: %d taken, live says %d", len(es), taken, g.live)
+	// The group of key 0 is held beside the slots.
+	groups := taken
+	if g.sorter.hasZero {
+		groups++
+	}
+	if groups != g.live || 4*taken > 3*len(es) {
+		t.Fatalf("table of %d slots: %d taken (and the group of key 0: %v), live says %d", len(es), taken, g.sorter.hasZero, g.live)
 	}
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
@@ -123,10 +105,12 @@ func driveTable(t *testing.T, opMem int64, c Combiner, in []*tuple.Frame) tableR
 	return res
 }
 
-// TestCombineTableMatchesReference: whatever the keys look like, whatever
-// the combiner does with its accumulator and however often the budget
-// makes the table spill, the hash group-by emits what folding every
-// group in arrival order gives, in key order.
+// TestCombineTableMatchesReference: whatever the stride of the vids, and
+// however often the budget makes the table spill, the word table emits
+// what folding every group in arrival order gives, in key order, for
+// 8-byte and 1-byte payloads; it holds at most 3/4 of its slots, live
+// counts its groups, no probe passes a long run of taken slots, and the
+// budget holds nothing after Close.
 func TestCombineTableMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const n = 12000
@@ -141,40 +125,31 @@ func TestCombineTableMatchesReference(t *testing.T) {
 		name string
 		keys [][]byte
 	}{
-		{"tricky", trickyKeys(rng, n)},
 		{"stride 1", vids(func(i int) uint64 { return uint64(i) })},
 		{"stride 2^20", vids(func(i int) uint64 { return uint64(i) << 20 })},
 		{"stride 2^40", vids(func(i int) uint64 { return uint64(i) << 40 })},
 		{"3 mod 4", vids(func(i int) uint64 { return 4*uint64(i) + 3 })},
 		{"5 mod 7", vids(func(i int) uint64 { return 7*uint64(i) + 5 })},
 	}
-	combiners := []struct {
-		name    string
-		c       Combiner
-		payload func(i int) []byte
-	}{
-		{"concat (grows, shows the order)", concatCombiner{}, func(i int) []byte { return []byte(fmt.Sprintf("%04x", i)) }},
-		{"prefix (shrinks, is First's argument)", prefixMin{}, func(i int) []byte { return []byte(fmt.Sprintf("%04x-----------", i))[:4+rng.Intn(12)] }},
-		{"sum in place (First returns a new tuple)", sumOwned{}, func(i int) []byte { return tuple.EncodeUint64(uint64(i)) }},
-		{"sum (every result a new payload)", sumCombiner{}, func(i int) []byte { return tuple.EncodeFloat64(float64(i)) }},
-	}
+	var folds int
 	for _, ks := range keySets {
-		for _, cb := range combiners {
+		for _, width := range []int{8, 1} {
+			c := wordSum{&folds, width}
 			in := make([]tuple.Tuple, n)
 			for i, k := range ks.keys {
-				in[i] = tuple.Tuple{k, cb.payload(i)}
+				p := make([]byte, width)
+				rng.Read(p)
+				in[i] = tuple.Tuple{k, p}
 			}
-			want := referenceFold(in, cb.c)
+			want := referenceFold(in, c)
 			frames := packFrames(t, in)
-			what := ks.name + ", " + cb.name
-			fits := driveTable(t, 64<<20, cb.c, frames)
+			what := fmt.Sprintf("%s, %d-byte words", ks.name, width)
+			fits := driveTable(t, 64<<20, c, frames)
 			checkSame(t, what+", in memory", fits.out, want)
 			if fits.spills != 0 {
 				t.Fatalf("%s: %d spills at 64 MiB", what, fits.spills)
 			}
-			// A good hash at 3/4 full leaves runs of a few dozen slots, also
-			// of the tricky keys, many of which share their first 8 bytes:
-			// once a key is wide the whole key is hashed.
+			// A good hash at 3/4 full leaves runs of a few dozen slots.
 			if fits.longest > 200 {
 				t.Fatalf("%s: %d groups, and a probe may have to pass %d slots", what, len(want), fits.longest)
 			}
@@ -183,10 +158,10 @@ func TestCombineTableMatchesReference(t *testing.T) {
 				minSpills int
 			}{
 				{fits.peak * 3 / 4, 1},
-				{40 << 10, 4},                   // a frame and a small table
+				{40 << 10, 4},                   // a small table
 				{tuple.DefaultFrameSize / 2, 1}, // less than a frame
 			} {
-				got := driveTable(t, b.opMem, cb.c, frames)
+				got := driveTable(t, b.opMem, c, frames)
 				checkSame(t, fmt.Sprintf("%s, at %d bytes", what, b.opMem), got.out, want)
 				if got.spills < b.minSpills {
 					t.Fatalf("%s, at %d bytes: %d spills, want %d or more", what, b.opMem, got.spills, b.minSpills)
@@ -194,34 +169,6 @@ func TestCombineTableMatchesReference(t *testing.T) {
 			}
 			putFrames(frames)
 		}
-	}
-}
-
-// TestGrownAccumulatorSurvivesSpill: an accumulator that outgrows its
-// record when the frame is full and the budget has no other must be in
-// the output once, whole: not in the run written to make room and again
-// in the next buffer, and not in neither.
-func TestGrownAccumulatorSurvivesSpill(t *testing.T) {
-	big := func(c byte) []byte { return bytes.Repeat([]byte{c}, 10<<10) }
-	key := tuple.EncodeUint64
-	in := []tuple.Tuple{
-		{key(5), []byte("a")},
-		{key(1), big('b')}, {key(9), big('c')}, {key(3), big('d')}, // the frame is full now
-		{key(5), []byte("e")}, // group 5 grows: no room, no frame
-		{key(9), []byte("f")}, // group 9 is in the run; this starts it again
-		{key(5), []byte("g")},
-		{key(1), big('h')}, {key(7), big('i')},
-		{key(5), big('j')}, // and once more, with a second run
-		{key(5), []byte("k")},
-	}
-	want := referenceFold(in, concatCombiner{})
-	frames := packFrames(t, in)
-	defer putFrames(frames)
-	// The table's first slots, one frame, and not a second.
-	got := driveTable(t, minSortEntries*sortEntryBytes+tuple.DefaultFrameSize+1024, concatCombiner{}, frames)
-	checkSame(t, "grown accumulator", got.out, want)
-	if got.spills != 2 {
-		t.Fatalf("%d spills, want 2", got.spills)
 	}
 }
 
@@ -269,38 +216,6 @@ func TestSortGroupBySpillsWhenFull(t *testing.T) {
 	}
 }
 
-// TestHashGroupByAllocations guards the hot path: folding 50k tuples into
-// a table in memory allocates by the frame and by the doubling of the
-// table, not by the tuple or the group.
-func TestHashGroupByAllocations(t *testing.T) {
-	const n = 50000
-	frames := messageFrames(t, n, n/4)
-	defer putFrames(frames)
-	tc := testContext(t, 64<<20)
-	sink := &collectWriter{discard: true}
-	allocs := testing.AllocsPerRun(5, func() {
-		rt := NewGroupByRuntime(tc, HashSortGroupBy, keepFirst{})
-		rt.SetOutputs([]hyracks.FrameWriter{sink})
-		if err := rt.Open(); err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range frames {
-			if err := rt.NextFrame(f); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := rt.Close(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if sink.n == 0 {
-		t.Fatal("group-by emitted nothing")
-	}
-	if perTuple := allocs / n; perTuple >= 0.1 {
-		t.Fatalf("in-memory hash group-by: %.0f allocations for %d tuples (%.3f per tuple), want under 0.1", allocs, n, perTuple)
-	}
-}
-
 // refusingWriter takes frames until it has taken the given number, then
 // refuses every other.
 type refusingWriter struct {
@@ -321,13 +236,14 @@ func (w *refusingWriter) NextFrame(f *tuple.Frame) error {
 // merge whose output is refused after some of it went out, each leave no
 // frame leased, nothing on the budget and no run file behind.
 func TestHashGroupByFailureReturnsEverything(t *testing.T) {
-	frames := messageFrames(t, 20000, 5000)
+	frames := sumFrames(t, 5, 20000, 5000)
 	defer putFrames(frames)
+	var folds int
 	for _, fail := range []string{"downstream", "write", "merge"} {
-		tc := testContext(t, 128<<10)
+		tc := testContext(t, 32<<10)
 		scratch := tc.Node.JobDir(tc.RunDir)
 		leased := tuple.LeasedFrames()
-		g := NewGroupByRuntime(tc, HashSortGroupBy, sumInPlace{}).(*spillingGroupBy)
+		g := NewGroupByRuntime(tc, HashSortGroupBy, wordSum{&folds, 8}).(*spillingGroupBy)
 		sink := &refusingWriter{collectWriter: collectWriter{discard: true}, frames: 2}
 		g.SetOutputs([]hyracks.FrameWriter{sink})
 		if err := g.Open(); err != nil {
@@ -379,18 +295,6 @@ func TestHashGroupByFailureReturnsEverything(t *testing.T) {
 	}
 }
 
-// sumHere sums 8-byte payloads into the accumulator's payload, which is
-// First's argument: under the hash policy the group's own record, so
-// that a fold allocates nothing.
-type sumHere struct{}
-
-func (sumHere) First(t tuple.Tuple) tuple.Tuple { return t }
-
-func (sumHere) Add(acc, t tuple.Tuple) tuple.Tuple {
-	binary.BigEndian.PutUint64(acc[1], binary.BigEndian.Uint64(acc[1])+binary.BigEndian.Uint64(t[1]))
-	return acc
-}
-
 // sumFrames packs n (8-byte vid, 8-byte count) tuples over the given
 // number of distinct vids, in random order.
 func sumFrames(tb testing.TB, seed int64, n, vids int) []*tuple.Frame {
@@ -420,9 +324,10 @@ func TestHashGroupByCarriesTable(t *testing.T) {
 			putFrames(in)
 		}
 	}()
+	var folds int
 	var want [3][]tuple.Tuple
 	for i, in := range rounds {
-		ref := NewGroupByRuntime(testContext(t, 64<<20), SortGroupBy, sumHere{})
+		ref := NewGroupByRuntime(testContext(t, 64<<20), SortGroupBy, wordSum{&folds, 8})
 		sink := &collectWriter{}
 		ref.SetOutputs([]hyracks.FrameWriter{sink})
 		if err := ref.Open(); err != nil {
@@ -443,7 +348,7 @@ func TestHashGroupByCarriesTable(t *testing.T) {
 	// right after Open.
 	round := func(tc *hyracks.TaskContext, in []*tuple.Frame, sink *collectWriter, opened func(*spillingGroupBy)) *spillingGroupBy {
 		t.Helper()
-		g := NewGroupByRuntime(tc, HashSortGroupBy, sumHere{}).(*spillingGroupBy)
+		g := NewGroupByRuntime(tc, HashSortGroupBy, wordSum{&folds, 8}).(*spillingGroupBy)
 		g.SetOutputs([]hyracks.FrameWriter{sink})
 		if err := g.Open(); err != nil {
 			t.Fatal(err)
@@ -497,15 +402,15 @@ func TestHashGroupByCarriesTable(t *testing.T) {
 		round(tc, rounds[0], &collectWriter{discard: true}, nil)
 		sink := &collectWriter{discard: true}
 		// After a dense round: a sparse round and a dense one. They take
-		// 43 allocations, the frame slice's doublings and the fold headers
-		// among them; starting their tables at 16 slots again would take
-		// 4 + 12 more, the first table and each doubling (59 to 62 in all).
+		// 26 allocations, the runtimes and their budgets among them;
+		// starting their tables at 16 slots again would take 4 + 12 more,
+		// the first table and each doubling (42 in all).
 		allocs := testing.AllocsPerRun(3, func() {
 			round(tc, rounds[1], sink, nil)
 			round(tc, rounds[2], sink, nil)
 		})
-		if allocs >= 52 {
-			t.Fatalf("a sparse round and a dense one after a dense one allocate %.0f times, want under 52", allocs)
+		if allocs >= 34 {
+			t.Fatalf("a sparse round and a dense one after a dense one allocate %.0f times, want under 34", allocs)
 		}
 		t.Logf("a sparse round and a dense one: %.0f allocations", allocs)
 	})

@@ -45,21 +45,23 @@ func keyOrdered(ts []tuple.Tuple) bool {
 }
 
 // TestUnorderedTableMatchesHashSort: the unordered table emits what
-// HashSort emits, as a multiset, each key once: in memory, where it
-// emits its frames whole (a size-keeping sum) or slot by slot (a
-// concatenation, whose groups outgrow their records), and after spills,
-// where it sorts and merges as HashSort does. HashSort's output is in key
-// order throughout, and the tuples a runtime of any table or sort kind is
-// handed by AddFields come out as those it reads from frames.
+// HashSort emits, as a multiset, each key once: in memory, where a word
+// table emits its groups in slot order (a word sum) and the sort
+// group-by in key order (a concatenation, which folds no words), and
+// after spills, where it sorts and merges as HashSort does. HashSort's
+// output is in key order throughout, and the tuples a runtime of any
+// table or sort kind is handed by AddFields come out as those it reads
+// from frames.
 func TestUnorderedTableMatchesHashSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	const n, vids = 20000, 5000
+	var folds int
 	combiners := []struct {
 		name    string
 		c       Combiner
 		payload func(i int) []byte
 	}{
-		{"sum in place", sumHere{}, func(i int) []byte { return tuple.EncodeUint64(uint64(i)) }},
+		{"word sum", wordSum{&folds, 8}, func(i int) []byte { return tuple.EncodeUint64(uint64(i)) }},
 		{"concat (grows)", concatCombiner{}, func(i int) []byte { return []byte(fmt.Sprintf("%04x", i%0x10000)) }},
 	}
 	for _, cb := range combiners {
@@ -81,9 +83,11 @@ func TestUnorderedTableMatchesHashSort(t *testing.T) {
 			if unSpills != hsSpills || (mem == 64<<20) != (unSpills == 0) {
 				t.Fatalf("%s: %d spills unordered, %d under HashSort", what, unSpills, hsSpills)
 			}
-			// Unsorted when it fits (the first arrivals of random vids are not
-			// in order), merged in key order when it spilled.
-			if keyOrdered(un) != (unSpills > 0) {
+			// A word table that fits is unsorted (the first arrivals of
+			// random vids are not in order); merged, or the sort group-by's,
+			// the output is in key order.
+			_, words := cb.c.(WordFolder)
+			if keyOrdered(un) != (unSpills > 0 || !words) {
 				t.Fatalf("%s: after %d spills the unordered output is in key order: %v", what, unSpills, keyOrdered(un))
 			}
 			sorted := slices.Clone(un)
@@ -104,71 +108,6 @@ func TestUnorderedTableMatchesHashSort(t *testing.T) {
 		}, frames)
 		got, _ := driveFields(t, 64<<10, SortGroupBy, cb.c, in)
 		checkSame(t, cb.name+", sort, by AddFields", got, sorted)
-		putFrames(frames)
-	}
-}
-
-// TestWideKeysProbeByWholeKey: 20k distinct 16-byte keys that share their
-// first 8 bytes share their normalized key, which a table that hashed it
-// alone would probe as one run of 20k slots. Hashing the whole key, a
-// lookup passes a few slots on average and no run is long; the table's
-// output is the sort policy's, whichever key arrives first.
-func TestWideKeysProbeByWholeKey(t *testing.T) {
-	const n = 20000
-	prefix := []byte("vertex::")
-	rng := rand.New(rand.NewSource(31))
-	for _, first := range []string{"wide", "narrow"} {
-		var in []tuple.Tuple
-		if first == "narrow" {
-			// A few 8-byte keys first: the table turns wide at the first
-			// 16-byte key, with groups in it already.
-			for i := 0; i < 100; i++ {
-				in = append(in, tuple.Tuple{tuple.EncodeUint64(uint64(i)), tuple.EncodeUint64(1)})
-			}
-		}
-		for _, i := range rng.Perm(n) {
-			k := append(slices.Clone(prefix), tuple.EncodeUint64(uint64(i))...)
-			in = append(in, tuple.Tuple{k, tuple.EncodeUint64(uint64(i))}, tuple.Tuple{k, tuple.EncodeUint64(1)})
-		}
-		frames := packFrames(t, in)
-		want, _ := drive(t, 64<<20, func(tc *hyracks.TaskContext) hyracks.PushRuntime {
-			return NewGroupByRuntime(tc, SortGroupBy, sumHere{})
-		}, frames)
-
-		g := NewGroupByRuntime(testContext(t, 64<<20), HashSortGroupBy, sumHere{}).(*spillingGroupBy)
-		sink := &collectWriter{}
-		g.SetOutputs([]hyracks.FrameWriter{sink})
-		if err := g.Open(); err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range frames {
-			if err := g.NextFrame(f); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// A lookup of the group in slot i passes the slots from where its
-		// key's probe starts to i.
-		es := g.sorter.entries
-		probes, longest := 0, 0
-		for i, e := range es {
-			if e.frame == 0 {
-				continue
-			}
-			d := (i-g.sorter.slotOf(e.key, g.keyOf(e)))&(len(es)-1) + 1
-			probes += d
-			longest = max(longest, d)
-		}
-		if g.live != len(want) || len(g.runs) != 0 {
-			t.Fatalf("%s first: %d groups in the table and %d runs, want %d and none", first, g.live, len(g.runs), len(want))
-		}
-		if mean := float64(probes) / float64(g.live); mean > 4 || longest > 200 {
-			t.Fatalf("%s first: a lookup passes %.1f slots on average and up to %d", first, mean, longest)
-		}
-		t.Logf("%s first: %d groups in %d slots, %.2f slots a lookup, %d at most", first, g.live, len(es), float64(probes)/float64(g.live), longest)
-		if err := g.Close(); err != nil {
-			t.Fatal(err)
-		}
-		checkSame(t, first+" first", sink.out, want)
 		putFrames(frames)
 	}
 }

@@ -236,34 +236,6 @@ func (r TupleRef) Pair() (key, val []byte, ok bool) {
 	return buf[base:mid:mid], buf[mid:end:end], true
 }
 
-// Overwrite copies t's fields over the record's if t has as many fields
-// as the record and each is as long as the record's, and reports whether
-// it did: the one write in place open to the owner of a frame. t's fields
-// may be the record's own: a field that is the record's own bytes, which
-// a fold that wrote its result in place hands back, is not copied.
-func (r TupleRef) Overwrite(t Tuple) bool {
-	buf := r.f.buf
-	n := r.FieldCount()
-	at := r.start + 4 + 4*n
-	size := 0
-	for i, f := range t {
-		size += len(f)
-		if i >= n || size != int(binary.LittleEndian.Uint32(buf[r.start+4+4*i:])) {
-			return false
-		}
-	}
-	if len(t) != n {
-		return false
-	}
-	for _, f := range t {
-		if len(f) > 0 && &f[0] != &buf[at] {
-			copy(buf[at:], f)
-		}
-		at += len(f)
-	}
-	return true
-}
-
 // String renders the referenced tuple for debugging.
 func (r TupleRef) String() string { return r.Materialize().String() }
 

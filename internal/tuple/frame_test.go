@@ -369,10 +369,9 @@ func TestFieldViewsAreCutAtTheirLength(t *testing.T) {
 	}
 }
 
-// TestTupleAtAndOverwrite: a record is reached by the offset it was
-// appended at as it is by its position, and Overwrite writes exactly the
-// record it is called on, and only a tuple of that record's shape.
-func TestTupleAtAndOverwrite(t *testing.T) {
+// TestTupleAt: a record is reached by the offset it was appended at as
+// it is by its position.
+func TestTupleAt(t *testing.T) {
 	f := NewFrame()
 	defer PutFrame(f)
 	app := NewFrameAppender(f)
@@ -395,40 +394,6 @@ func TestTupleAtAndOverwrite(t *testing.T) {
 		if r != f.Tuple(i) {
 			t.Fatalf("TupleAt(%d) = %+v, Tuple(%d) = %+v", offs[i], r, i, f.Tuple(i))
 		}
-	}
-	r := f.TupleAt(offs[0])
-	for _, bad := range []Tuple{
-		{EncodeUint64(1)},                       // a field short
-		{EncodeUint64(1), []byte("hello"), nil}, // a field more
-		{EncodeUint64(1), []byte("hell")},       // shorter
-		{EncodeUint64(1), []byte("hello!")},     // longer
-		{[]byte("1234567"), []byte("hello!")},   // same size, other fields
-	} {
-		if r.Overwrite(bad) {
-			t.Fatalf("Overwrite took %v over %v", bad, tuples[0])
-		}
-	}
-	checkTuple(t, r, tuples[0])
-	if !r.Overwrite(Tuple{r.Field(0), []byte("HELLO")}) { // the key is the record's own
-		t.Fatal("Overwrite refused a tuple of the record's shape")
-	}
-	tuples[0] = Tuple{EncodeUint64(1), []byte("HELLO")}
-	// Every field the record's own view, as a fold that wrote its result
-	// in place hands it back: taken, and the bytes written stay.
-	own := Tuple{r.Field(0), r.Field(1)}
-	copy(own[1], "JELLO")
-	if !r.Overwrite(own) {
-		t.Fatal("Overwrite refused the record's own fields")
-	}
-	checkTuple(t, r, Tuple{EncodeUint64(1), []byte("JELLO")})
-	if !r.Overwrite(Tuple{r.Field(0), []byte("HELLO")}) {
-		t.Fatal("Overwrite refused a tuple of the record's shape")
-	}
-	if !f.TupleAt(offs[1]).Overwrite(Tuple{}) {
-		t.Fatal("Overwrite refused the empty tuple over the empty record")
-	}
-	for i, tp := range tuples {
-		checkTuple(t, f.Tuple(i), tp)
 	}
 	if err := f.validate(); err != nil {
 		t.Fatalf("frame no longer valid: %v", err)

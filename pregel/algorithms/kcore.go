@@ -83,6 +83,8 @@ func VIDListConcatCombiner() pregel.Combiner {
 
 // NewKCoreJob builds a k-core peeling job. Peeling is message-sparse
 // after the first wave, the left-outer-join territory of Section 5.3.2.
+// Its concatenating combiner folds no words, so under its HashSort hint
+// the message group-bys are the sort group-by.
 func NewKCoreJob(name, input, output string, k int) *pregel.Job {
 	return &pregel.Job{
 		Name:    name,

@@ -69,7 +69,7 @@ func (sumCombiner) Combine(a, b pregel.Value) pregel.Value {
 	return a
 }
 
-// WordFold adds two Doubles as the engine's message tables hold them: a
+// WordFold adds two Doubles as the engine's message group-bys hold them: a
 // message's Marshal bytes read as a little-endian word, which for a
 // Double is its IEEE 754 bits.
 func (sumCombiner) WordFold(msg pregel.Value) func(acc, in uint64) uint64 {

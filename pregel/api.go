@@ -160,10 +160,12 @@ const (
 	// list): nothing is rewritten as a group grows.
 	SortGroupBy GroupByKind = iota
 	// HashSortGroupBy keeps one accumulator per distinct destination in a
-	// packed table, folds each message into it on arrival, and sorts only
-	// what it spills or emits. It wins with a combiner whose result keeps
-	// its size (a sum, a minimum): the state is a record per destination,
-	// not per message. Without a combiner it is SortGroupBy.
+	// table of words, folds each message into it on arrival, and sorts
+	// only what it spills or emits. It wins with a combiner whose result
+	// keeps its size (a sum, a minimum): the state is a 16-byte slot per
+	// destination, not a record per message. Without a combiner that
+	// folds words (the built-in Sum, MinDouble, MinInt64 and First over a
+	// fixed-width message) it is SortGroupBy.
 	HashSortGroupBy
 )
 
