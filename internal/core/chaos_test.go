@@ -207,11 +207,12 @@ func runChaosJob(t *testing.T, coord *Coordinator, name, algorithm string, g *gr
 	})
 }
 
-// sessionStore exposes a session's query store to assertions.
+// sessionStore exposes a session's query store — its runtime's — to
+// assertions.
 func sessionStore(s *WorkerSession) *QueryStore {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.queries
+	return s.rt.queries
 }
 
 // TestChaosCoordinatorKillRestartResumesExactOutput is the tentpole

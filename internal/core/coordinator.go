@@ -169,12 +169,11 @@ type Coordinator struct {
 	shipped map[string]uint64
 
 	// Query tier (coordinator_query.go): the latest sealed result
-	// version per base job name with its partition→worker owner map, the
-	// hot-vertex LRU, and the in-flight point reads being coalesced.
-	qmu      sync.Mutex
-	queries  map[string]*clusterResult
-	qcache   *vertexCache
-	qflights map[string]*qflight
+	// version per base job name with its partition→worker owner map, and
+	// the hot-vertex LRU.
+	qmu     sync.Mutex
+	queries map[string]*clusterResult
+	qcache  *vertexCache
 }
 
 // NewCoordinator starts the control-plane listener and begins accepting
@@ -232,20 +231,19 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		return nil, err
 	}
 	c := &Coordinator{
-		cfg:      cfg,
-		ln:       ln,
-		ckpt:     ckpt,
-		ckptDir:  dir,
-		ownsDir:  ownsDir,
-		peers:    make(map[string]string),
-		ready:    make(chan struct{}),
-		stop:     make(chan struct{}),
-		spareCh:  make(chan struct{}, 1),
-		scaleCh:  make(chan struct{}, 1),
-		shipped:  make(map[string]uint64),
-		queries:  make(map[string]*clusterResult),
-		qcache:   newVertexCache(0),
-		qflights: make(map[string]*qflight),
+		cfg:     cfg,
+		ln:      ln,
+		ckpt:    ckpt,
+		ckptDir: dir,
+		ownsDir: ownsDir,
+		peers:   make(map[string]string),
+		ready:   make(chan struct{}),
+		stop:    make(chan struct{}),
+		spareCh: make(chan struct{}, 1),
+		scaleCh: make(chan struct{}, 1),
+		shipped: make(map[string]uint64),
+		queries: make(map[string]*clusterResult),
+		qcache:  newVertexCache(),
 	}
 	go c.acceptLoop()
 	go c.idleRebalanceLoop()

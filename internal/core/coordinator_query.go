@@ -3,7 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
+	"maps"
+	"slices"
 )
 
 // The coordinator half of the always-on query tier. When a distributed
@@ -12,9 +13,8 @@ import (
 // version and reports which partitions it now serves. The coordinator
 // records that partition→worker owner map and answers reads by fanning
 // query.point / query.topk out to the owning workers — with a
-// hot-vertex LRU in front and per-vertex coalescing plus per-worker
-// batching behind it, so repeated and concurrent small reads don't
-// become per-vertex RPCs.
+// hot-vertex LRU in front and per-worker batching behind it, so
+// repeated small reads don't become per-vertex RPCs.
 //
 // Ownership is fixed at seal time: retained results never migrate, so
 // a rebalance or failure repair during a LATER job cannot move a sealed
@@ -30,13 +30,6 @@ type clusterResult struct {
 	owners map[int]*ccWorker
 }
 
-// qflight is one in-flight point read other callers can coalesce onto.
-type qflight struct {
-	done chan struct{}
-	res  VertexQueryResult
-	err  error
-}
-
 // endJobSessions closes the job's session on every worker. With retain
 // set the workers seal their partitions for the query tier and the
 // replies are folded into the coordinator's owner map; a worker that
@@ -44,24 +37,16 @@ type qflight struct {
 // contributes no partitions.
 func (c *Coordinator) endJobSessions(ctx context.Context, name string, retain bool) {
 	workers := c.members()
-	replies := make([]jobEndReply, len(workers))
-	errs := make([]error, len(workers))
-	var wg sync.WaitGroup
-	for i, w := range workers {
-		wg.Add(1)
-		go func(i int, w *ccWorker) {
-			defer wg.Done()
-			errs[i] = w.call(ctx, rpcJobEnd, jobEndMsg{Name: name, Retain: retain}, &replies[i])
-		}(i, w)
-	}
-	wg.Wait()
+	replies, _ := phaseCallTo[jobEndReply](ctx, c, workers, "", rpcJobEnd, func(*ccWorker) any {
+		return jobEndMsg{Name: name, Retain: retain}
+	})
 	if !retain {
 		return
 	}
 	res := &clusterResult{version: name, owners: make(map[int]*ccWorker)}
 	for i, w := range workers {
-		if errs[i] != nil || replies[i].Version != name {
-			continue
+		if replies[i].Version != name {
+			continue // the call failed, or the worker sealed nothing
 		}
 		res.merge(replies[i].partTable)
 		for _, p := range replies[i].Parts {
@@ -116,129 +101,54 @@ func (c *Coordinator) QueryVertex(ctx context.Context, version string, vid uint6
 	return out[0], nil
 }
 
-// QueryVertices serves a batch of point reads. Cache hits are answered
-// locally; for the rest, one caller per vertex leads the fetch (others
-// coalesce onto its in-flight read) and the led vertices are grouped
-// into one query.point RPC per owning worker.
+// QueryVertices serves a batch of point reads, one answer per
+// position. Cache hits are answered locally; the rest are grouped into
+// one query.point RPC per owning worker.
 func (c *Coordinator) QueryVertices(ctx context.Context, version string, vids []uint64) ([]VertexQueryResult, error) {
 	res, err := c.queryResult(version)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]VertexQueryResult, len(vids))
-	var mine []uint64                 // vids this caller leads
-	mineIdx := make(map[uint64][]int) // vid → result positions
-	mineFlights := make(map[uint64]*qflight)
-	var joined []*qflight // in-flight reads led by other callers
-	var joinedIdx []int
+	var miss []int // positions the cache did not answer
 	for i, vid := range vids {
-		key := vcKey(version, vid)
-		if r, ok := c.qcache.get(key); ok {
+		if r, ok := c.qcache.get(vcKey{version, vid}); ok {
 			out[i] = r
-			continue
-		}
-		if idxs, dup := mineIdx[vid]; dup {
-			mineIdx[vid] = append(idxs, i)
-			continue
-		}
-		c.qmu.Lock()
-		if f, ok := c.qflights[key]; ok {
-			c.qmu.Unlock()
-			joined = append(joined, f)
-			joinedIdx = append(joinedIdx, i)
-			continue
-		}
-		f := &qflight{done: make(chan struct{})}
-		c.qflights[key] = f
-		c.qmu.Unlock()
-		mine = append(mine, vid)
-		mineIdx[vid] = []int{i}
-		mineFlights[vid] = f
-	}
-
-	if len(mine) > 0 {
-		results, ferr := c.fanPointReads(ctx, res, mine)
-		for _, vid := range mine {
-			key := vcKey(version, vid)
-			f := mineFlights[vid]
-			if ferr != nil {
-				f.err = ferr
-			} else {
-				f.res = results[vid]
-				c.qcache.put(key, f.res)
-			}
-			c.qmu.Lock()
-			delete(c.qflights, key)
-			c.qmu.Unlock()
-			close(f.done)
-		}
-		if ferr != nil {
-			return nil, ferr
-		}
-		for _, vid := range mine {
-			for _, i := range mineIdx[vid] {
-				out[i] = mineFlights[vid].res
-			}
+		} else {
+			miss = append(miss, i)
 		}
 	}
-	for k, f := range joined {
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		if f.err != nil {
-			return nil, f.err
-		}
-		out[joinedIdx[k]] = f.res
+	if len(miss) == 0 {
+		return out, nil
 	}
-	return out, nil
-}
-
-// fanPointReads groups vids by owning worker and issues one batched
-// query.point RPC per worker, in parallel.
-func (c *Coordinator) fanPointReads(ctx context.Context, res *clusterResult, vids []uint64) (map[uint64]VertexQueryResult, error) {
 	byWorker := make(map[*ccWorker][]uint64)
-	for _, vid := range vids {
-		p := res.routeVid(vid)
+	for _, i := range miss {
+		p := res.routeVid(vids[i])
 		w := res.owners[p]
 		if w == nil {
 			return nil, fmt.Errorf("core: partition %d of %s has no serving worker", p, res.version)
 		}
-		byWorker[w] = append(byWorker[w], vid)
+		byWorker[w] = append(byWorker[w], vids[i])
 	}
-	out := make(map[uint64]VertexQueryResult, len(vids))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var firstErr error
-	for w, batch := range byWorker {
-		wg.Add(1)
-		go func(w *ccWorker, batch []uint64) {
-			defer wg.Done()
-			var reply queryPointReply
-			err := w.call(ctx, rpcQueryPoint, queryPointMsg{Version: res.version, Vids: batch}, &reply)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			if len(reply.Results) != len(batch) {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("core: query.point returned %d results for %d vids", len(reply.Results), len(batch))
-				}
-				return
-			}
-			for _, r := range reply.Results {
-				out[r.Vid] = r
-			}
-		}(w, batch)
+	workers := slices.Collect(maps.Keys(byWorker))
+	replies, err := phaseCallTo[queryPointReply](ctx, c, workers, "", rpcQueryPoint, func(w *ccWorker) any {
+		return queryPointMsg{Version: version, Vids: byWorker[w]}
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	fetched := make(map[uint64]VertexQueryResult, len(miss))
+	for i, w := range workers {
+		if len(replies[i].Results) != len(byWorker[w]) {
+			return nil, fmt.Errorf("core: query.point returned %d results for %d vids", len(replies[i].Results), len(byWorker[w]))
+		}
+		for _, r := range replies[i].Results {
+			fetched[r.Vid] = r
+			c.qcache.put(vcKey{version, r.Vid}, r)
+		}
+	}
+	for _, i := range miss {
+		out[i] = fetched[vids[i]]
 	}
 	return out, nil
 }
@@ -254,37 +164,22 @@ func (c *Coordinator) QueryTopK(ctx context.Context, version string, k int) ([]T
 	for _, w := range res.owners {
 		distinct[w] = true
 	}
-	lists := make([][]TopKEntry, 0, len(distinct))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var firstErr error
-	for w := range distinct {
-		wg.Add(1)
-		go func(w *ccWorker) {
-			defer wg.Done()
-			var reply queryTopKReply
-			err := w.call(ctx, rpcQueryTopK, queryTopKMsg{Version: version, K: k}, &reply)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			lists = append(lists, reply.Entries)
-		}(w)
+	replies, err := phaseCallTo[queryTopKReply](ctx, c, slices.Collect(maps.Keys(distinct)), "", rpcQueryTopK, func(*ccWorker) any {
+		return queryTopKMsg{Version: version, K: k}
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	lists := make([][]TopKEntry, len(replies))
+	for i, r := range replies {
+		lists[i] = r.Entries
 	}
 	return mergeTopK(lists, k), nil
 }
 
 // QueryKHop expands the k-hop neighborhood of source in the named
 // result version, batching each BFS frontier through the cached,
-// coalesced, per-worker-batched point-read path.
+// per-worker-batched point-read path.
 func (c *Coordinator) QueryKHop(ctx context.Context, version string, source uint64, hops int) (*KHopResult, error) {
 	if _, err := c.queryResult(version); err != nil {
 		return nil, err

@@ -35,7 +35,7 @@ func (w *distWorker) deltaIngest(msg *deltaIngestMsg) (*deltaIngestReply, error)
 	// The sealed version stays acquired (query-readable, retirement-safe)
 	// while its partitions are imaged; a worker whose every owned
 	// partition was shipped need not hold it at all.
-	sealed, err := w.queries.acquire(msg.FromVersion)
+	sealed, err := w.rt.queries.acquire(msg.FromVersion)
 	if err == nil {
 		defer sealed.release()
 	}

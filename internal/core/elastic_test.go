@@ -25,14 +25,24 @@ type elasticWorker struct {
 
 // addElasticWorker joins one elastic (or standby) worker to a running
 // cluster and returns handles for draining it and reading RunWorker's
-// return.
+// return. The test's end cancels the worker and waits for its return
+// before its directory is removed.
 func addElasticWorker(t *testing.T, coord *Coordinator, nodes int, elastic bool) *elasticWorker {
 	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
 	ew := &elasticWorker{drain: make(chan struct{}), result: make(chan error, 1)}
 	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	returned := make(chan struct{})
+	t.Cleanup(func() {
+		cancel()
+		select {
+		case <-returned:
+		case <-time.After(30 * time.Second):
+			t.Error("elastic worker did not return after cancellation")
+		}
+	})
 	go func() {
+		defer close(returned)
 		ew.result <- RunWorker(ctx, WorkerConfig{
 			CCAddr:   coord.Addr(),
 			BaseDir:  dir,

@@ -490,35 +490,35 @@ func (s *QueryStore) closeAll() {
 }
 
 // vertexCache is the coordinator's hot-vertex LRU: point-read answers
-// keyed by "version/vid". Versions never mutate after sealing, so
+// keyed by version and vid. Versions never mutate after sealing, so
 // entries need no invalidation — a superseded version's entries simply
 // age out.
 type vertexCache struct {
 	mu    sync.Mutex
-	max   int
 	lru   *list.List // front = most recent
-	items map[string]*list.Element
+	items map[vcKey]*list.Element
 
 	hits, misses int64
 }
 
+// vertexCacheSize is the number of answers the cache holds.
+const vertexCacheSize = 4096
+
+type vcKey struct {
+	version string
+	vid     uint64
+}
+
 type vcEntry struct {
-	key string
+	key vcKey
 	res VertexQueryResult
 }
 
-func newVertexCache(max int) *vertexCache {
-	if max <= 0 {
-		max = 4096
-	}
-	return &vertexCache{max: max, lru: list.New(), items: make(map[string]*list.Element)}
+func newVertexCache() *vertexCache {
+	return &vertexCache{lru: list.New(), items: make(map[vcKey]*list.Element)}
 }
 
-func vcKey(version string, vid uint64) string {
-	return version + "/" + strconv.FormatUint(vid, 10)
-}
-
-func (c *vertexCache) get(key string) (VertexQueryResult, bool) {
+func (c *vertexCache) get(key vcKey) (VertexQueryResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.items[key]; ok {
@@ -530,7 +530,7 @@ func (c *vertexCache) get(key string) (VertexQueryResult, bool) {
 	return VertexQueryResult{}, false
 }
 
-func (c *vertexCache) put(key string, res VertexQueryResult) {
+func (c *vertexCache) put(key vcKey, res VertexQueryResult) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.items[key]; ok {
@@ -539,7 +539,7 @@ func (c *vertexCache) put(key string, res VertexQueryResult) {
 		return
 	}
 	c.items[key] = c.lru.PushFront(&vcEntry{key: key, res: res})
-	for c.lru.Len() > c.max {
+	for c.lru.Len() > vertexCacheSize {
 		e := c.lru.Back()
 		c.lru.Remove(e)
 		delete(c.items, e.Value.(*vcEntry).key)

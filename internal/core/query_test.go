@@ -6,8 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -416,6 +419,84 @@ func TestDistributedQueryParity(t *testing.T) {
 	}
 	if _, err := coord.QueryVertex(ctx, "pr@j9", vids[0]); !errors.Is(err, ErrNoResult) {
 		t.Fatalf("unknown version: %v", err)
+	}
+}
+
+// TestDistributedQuerySessionlessWorker runs a 2-worker cluster whose
+// workers have no WorkerSession through a sealed job. A batch that
+// repeats vids gets one answer per position, from the workers and then
+// from the cache. Once the workers return, their private sessions have
+// retired the sealed version: no file under either BaseDir is still
+// open in this process.
+func TestDistributedQuerySessionlessWorker(t *testing.T) {
+	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd to read open files from")
+	}
+	coord, err := NewCoordinator(CoordinatorConfig{ListenAddr: "127.0.0.1:0", Workers: 2, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	workerCtx, stopWorkers := context.WithCancel(ctx)
+	defer stopWorkers()
+	dirs := []string{t.TempDir(), t.TempDir()}
+	returned := make(chan error, len(dirs))
+	for _, dir := range dirs {
+		go func() {
+			returned <- RunWorker(workerCtx, WorkerConfig{CCAddr: coord.Addr(), BaseDir: dir, Nodes: 2, BuildJob: distTestBuilder})
+		}()
+	}
+	if err := coord.WaitReady(ctx); err != nil {
+		t.Fatal(err)
+	}
+	g := graphgen.Webmap(120, 3, 9)
+	_, out, err := runDistJob(t, coord, "pr@j1", "pagerank", g, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dumped := parseOutput(t, out)
+	vids := g.VertexIDs()
+	batch := []uint64{vids[0], vids[1], vids[0], 1 << 40, vids[1], vids[0], 1 << 40}
+	for round := range 2 {
+		res, err := coord.QueryVertices(ctx, "pr@j1", batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != len(batch) {
+			t.Fatalf("round %d: %d answers for %d positions", round, len(res), len(batch))
+		}
+		for i, vid := range batch {
+			want, found := dumped[vid]
+			if res[i].Vid != vid || res[i].Found != found || res[i].Value != want {
+				t.Fatalf("round %d position %d: %+v, want vertex %d found %v value %q", round, i, res[i], vid, found, want)
+			}
+		}
+	}
+
+	stopWorkers()
+	for range dirs {
+		select {
+		case <-returned:
+		case <-time.After(30 * time.Second):
+			t.Fatal("a worker did not return after cancellation")
+		}
+	}
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fd := range fds {
+		target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
+		if err != nil {
+			continue // closed since the listing
+		}
+		for _, dir := range dirs {
+			if strings.HasPrefix(target, dir+string(filepath.Separator)) {
+				t.Errorf("file still open after the worker returned: %s", target)
+			}
+		}
 	}
 }
 

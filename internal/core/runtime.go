@@ -64,9 +64,9 @@ type Runtime struct {
 	opts    Options
 	Cluster *hyracks.Cluster
 	DFS     *dfs.FileSystem
-	// queries retains finished managed jobs' partition indexes so the
-	// serving layer answers point/top-k/k-hop reads without re-reading a
-	// dump (the single-process half of the always-on query tier).
+	// queries retains sealed partition indexes so point/top-k/k-hop
+	// reads need no dump: a finished managed job's in one process, a
+	// worker's share of a cluster job's on a worker.
 	queries *QueryStore
 }
 
@@ -103,7 +103,8 @@ func NewRuntime(opts Options) (*Runtime, error) {
 // and k-hop reads against finished managed jobs.
 func (r *Runtime) Queries() *QueryStore { return r.queries }
 
-// Close removes node-local temporary state.
+// Close retires every sealed version and removes node-local temporary
+// state.
 func (r *Runtime) Close() error {
 	r.queries.closeAll()
 	return os.RemoveAll(filepath.Join(r.opts.BaseDir, "cluster"))

@@ -1,14 +1,15 @@
 package core
 
-// WorkerSession carries a worker's runtime and query store across
-// control-connection losses. Without it, each RunWorker call builds a
-// fresh runtime and an empty QueryStore, so a coordinator restart —
-// which drops every control connection — would destroy the sealed
-// result versions the workers were serving. A rejoin loop that passes
-// the same session into every RunWorker call instead keeps the
-// B-trees open: the re-registration handshake reports the sealed
-// versions, the restarted coordinator rebuilds its catalog from the
-// reports, and queries resume without re-running anything.
+// WorkerSession carries a worker's runtime — and with it the runtime's
+// query store — across control-connection losses. Without a shared
+// one, each RunWorker call builds a fresh runtime with an empty store
+// and tears it down on return, so a coordinator restart — which drops
+// every control connection — would destroy the sealed result versions
+// the workers were serving. A rejoin loop that passes the same session
+// into every RunWorker call instead keeps the B-trees open: the
+// re-registration handshake reports the sealed versions, the restarted
+// coordinator rebuilds its catalog from the reports, and queries resume
+// without re-running anything.
 
 import (
 	"sync"
@@ -21,10 +22,9 @@ import (
 // individual control connections. Create one with NewWorkerSession,
 // set it on WorkerConfig.Session, and Close it when the process exits.
 type WorkerSession struct {
-	mu      sync.Mutex
-	rt      *Runtime
-	queries *QueryStore
-	shape   sessionShape
+	mu    sync.Mutex
+	rt    *Runtime
+	shape sessionShape
 }
 
 // sessionShape is the runtime geometry a reconnect must match to reuse
@@ -50,16 +50,16 @@ func NewWorkerSession() *WorkerSession {
 func (s *WorkerSession) sealed() []sealedReport {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.queries == nil {
+	if s.rt == nil {
 		return nil
 	}
-	return s.queries.sealedReports()
+	return s.rt.queries.sealedReports()
 }
 
-// attach returns the session's runtime and query store for a new
-// control connection, building or rebuilding them as needed to match
-// the start message's cluster geometry.
-func (s *WorkerSession) attach(cfg *WorkerConfig, start *startMsg) (*Runtime, *QueryStore, error) {
+// attach returns the session's runtime for a new control connection,
+// building or rebuilding it as needed to match the start message's
+// cluster geometry.
+func (s *WorkerSession) attach(cfg *WorkerConfig, start *startMsg) (*Runtime, error) {
 	shape := sessionShape{
 		baseDir:           cfg.BaseDir,
 		totalNodes:        start.TotalNodes,
@@ -71,12 +71,11 @@ func (s *WorkerSession) attach(cfg *WorkerConfig, start *startMsg) (*Runtime, *Q
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.rt != nil && s.shape == shape {
-		return s.rt, s.queries, nil
+		return s.rt, nil
 	}
 	if s.rt != nil {
-		s.queries.closeAll()
 		s.rt.Close()
-		s.rt, s.queries = nil, nil
+		s.rt = nil
 	}
 	rt, err := NewRuntime(Options{
 		BaseDir:           cfg.BaseDir,
@@ -86,12 +85,10 @@ func (s *WorkerSession) attach(cfg *WorkerConfig, start *startMsg) (*Runtime, *Q
 		Compress:          cfg.Compress,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	s.rt = rt
-	s.queries = newQueryStore()
-	s.shape = shape
-	return s.rt, s.queries, nil
+	s.rt, s.shape = rt, shape
+	return s.rt, nil
 }
 
 // Close tears the session down: retained query versions are retired and
@@ -99,10 +96,6 @@ func (s *WorkerSession) attach(cfg *WorkerConfig, start *startMsg) (*Runtime, *Q
 func (s *WorkerSession) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.queries != nil {
-		s.queries.closeAll()
-		s.queries = nil
-	}
 	if s.rt != nil {
 		s.rt.Close()
 		s.rt = nil

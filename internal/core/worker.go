@@ -62,8 +62,8 @@ type WorkerConfig struct {
 	// query versions across RunWorker calls: a rejoin loop that passes
 	// the same session keeps serving its retained results after a
 	// coordinator restart, and the registration handshake reports them
-	// so the new coordinator can rebuild its catalog. Without a session
-	// every call builds (and tears down) a fresh runtime.
+	// so the new coordinator can rebuild its catalog. Without one the
+	// call runs on a private session it closes on return.
 	Session *WorkerSession
 	// Logf receives progress lines (nil = silent).
 	Logf func(format string, args ...any)
@@ -99,6 +99,10 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	if cfg.BuildJob == nil {
 		return fmt.Errorf("core: WorkerConfig.BuildJob is required")
 	}
+	if cfg.Session == nil {
+		cfg.Session = NewWorkerSession()
+		defer cfg.Session.Close()
+	}
 
 	transport, err := wire.NewTCPTransport(wire.Config{ListenAddr: cfg.DataListen, Compress: cfg.Compress})
 	if err != nil {
@@ -117,11 +121,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	// Handshake: register, then wait for the assembled-cluster response
 	// (or, for a standby/elastic joiner, for adoption or rebalance into
 	// a running cluster).
-	regMsg := registerMsg{DataAddr: transport.Addr(), Nodes: cfg.Nodes, Elastic: cfg.Elastic}
-	if cfg.Session != nil {
-		regMsg.Sealed = cfg.Session.sealed()
-	}
-	reg, err := json.Marshal(regMsg)
+	reg, err := json.Marshal(registerMsg{DataAddr: transport.Addr(), Nodes: cfg.Nodes, Elastic: cfg.Elastic, Sealed: cfg.Session.sealed()})
 	if err != nil {
 		return err
 	}
@@ -164,30 +164,12 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	}
 
 	// Every process constructs the same full cluster topology locally;
-	// only the owned nodes' storage is ever touched. With a session the
-	// runtime and query store outlive this connection (reused on rejoin
-	// when the cluster geometry matches); without one they are built
-	// fresh and torn down on return.
-	var rt *Runtime
-	var queries *QueryStore
-	if cfg.Session != nil {
-		rt, queries, err = cfg.Session.attach(&cfg, &start)
-		if err != nil {
-			return err
-		}
-	} else {
-		rt, err = NewRuntime(Options{
-			BaseDir:           cfg.BaseDir,
-			Nodes:             start.TotalNodes,
-			PartitionsPerNode: start.PartitionsPerNode,
-			NodeConfig:        hyracks.NodeConfig{RAMBytes: start.RAMBytes, PageSize: start.PageSize},
-			Compress:          cfg.Compress,
-		})
-		if err != nil {
-			return err
-		}
-		defer rt.Close()
-		queries = newQueryStore()
+	// only the owned nodes' storage is ever touched. The runtime and its
+	// query store belong to the session: reused on rejoin when the
+	// cluster geometry matches.
+	rt, err := cfg.Session.attach(&cfg, &start)
+	if err != nil {
+		return err
 	}
 
 	local := make(map[hyracks.NodeID]bool, len(start.Owned))
@@ -207,7 +189,6 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		exec:      hyracks.ExecOptions{Transport: transport, LocalNodes: local},
 		ctx:       ctx,
 		jobs:      make(map[string]*distJob),
-		queries:   queries,
 	}
 	cfg.logf("worker: cluster up — %d nodes total, hosting %v", start.TotalNodes, start.Owned)
 	err = wire.Serve(ctrl, w.handle)
@@ -244,10 +225,6 @@ type distWorker struct {
 	mu   sync.Mutex
 	exec hyracks.ExecOptions
 	jobs map[string]*distJob
-
-	// queries holds the sealed result versions this worker keeps serving
-	// after job.end — the worker half of the always-on query tier.
-	queries *QueryStore
 }
 
 // distJob is one open job session: the worker's runState whose partition
@@ -403,12 +380,12 @@ func (w *distWorker) handle(req *wire.Envelope) (any, error) {
 		return inSession(w, req, func(dj *distJob, _ *deltaRunMsg) (any, error) { return dj.deltaRun() })
 	case rpcQueryPoint:
 		return decoded(req, func(msg *queryPointMsg) (any, error) {
-			results, err := w.queries.Point(msg.Version, msg.Vids)
+			results, err := w.rt.queries.Point(msg.Version, msg.Vids)
 			return &queryPointReply{Results: results}, err
 		})
 	case rpcQueryTopK:
 		return decoded(req, func(msg *queryTopKMsg) (any, error) {
-			entries, err := w.queries.TopK(msg.Version, msg.K)
+			entries, err := w.rt.queries.TopK(msg.Version, msg.K)
 			return &queryTopKReply{Entries: entries}, err
 		})
 	default:
@@ -483,7 +460,7 @@ func (w *distWorker) closeSession(name string, dj *distJob, retain bool) *jobEnd
 	reply := &jobEndReply{}
 	var r *retainedResult
 	if retain {
-		r = dj.rs.seal(w.queries)
+		r = dj.rs.seal(w.rt.queries)
 	}
 	if r != nil {
 		w.cfg.logf("worker: job %s sealed %d partitions for queries", name, len(r.parts))
@@ -609,7 +586,7 @@ func (w *distWorker) partitionSend(msg *partSendMsg) (*partSendReply, error) {
 	mode := w.rt.opts.Compress
 	reply := &partSendReply{Parts: []ckptPartData{}}
 	if msg.FromVersion != "" {
-		r, err := w.queries.acquire(msg.FromVersion)
+		r, err := w.rt.queries.acquire(msg.FromVersion)
 		if err != nil {
 			return nil, err
 		}

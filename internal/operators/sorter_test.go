@@ -14,18 +14,11 @@ import (
 	"pregelix/internal/tuple"
 )
 
-// drive pushes frames through rt on a node of its own and returns what
+// drive pushes frames through rt, built on tc, and returns what
 // rt emitted, plus how many runs it had spilled when the input ended.
-func drive(tb testing.TB, opMem int64, build func(tc *hyracks.TaskContext) hyracks.PushRuntime, in []*tuple.Frame) (out []tuple.Tuple, spills int) {
+func drive(tb testing.TB, tc *hyracks.TaskContext, build func(tc *hyracks.TaskContext) hyracks.PushRuntime, in []*tuple.Frame) (out []tuple.Tuple, spills int) {
 	tb.Helper()
-	node, err := hyracks.NewNodeController("n", tb.TempDir(), hyracks.NodeConfig{PageSize: 1024})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	rt := build(&hyracks.TaskContext{
-		Ctx: context.Background(), Node: node, JobName: "drive", OperatorID: "gb",
-		NumPartitions: 1, OperatorMem: opMem,
-	})
+	rt := build(tc)
 	sink := &collectWriter{}
 	rt.SetOutputs([]hyracks.FrameWriter{sink})
 	if err := rt.Open(); err != nil {
@@ -217,14 +210,14 @@ func TestSortAndGroupByMatchReferenceAcrossSpills(t *testing.T) {
 		{int64(len(frames))*tuple.DefaultFrameSize + 64<<10, 1, 1}, // room for the frames, not for the entries too
 		{8 << 10, 4, 1 << 20},
 	} {
-		out, spills := drive(t, c.opMem, func(tc *hyracks.TaskContext) hyracks.PushRuntime {
+		out, spills := drive(t, testContext(t, c.opMem), func(tc *hyracks.TaskContext) hyracks.PushRuntime {
 			return NewExternalSortRuntime(tc)
 		}, frames)
 		checkSame(t, fmt.Sprintf("external sort at %d bytes", c.opMem), out, sorted)
 		if spills < c.minSpills || spills > c.maxSpills {
 			t.Fatalf("external sort at %d bytes spilled %d runs, want %d to %d", c.opMem, spills, c.minSpills, c.maxSpills)
 		}
-		out, spills = drive(t, c.opMem, func(tc *hyracks.TaskContext) hyracks.PushRuntime {
+		out, spills = drive(t, testContext(t, c.opMem), func(tc *hyracks.TaskContext) hyracks.PushRuntime {
 			return NewGroupByRuntime(tc, SortGroupBy, concatCombiner{})
 		}, frames)
 		checkSame(t, fmt.Sprintf("sort group-by at %d bytes", c.opMem), out, grouped)
@@ -375,7 +368,7 @@ func BenchmarkGroupByHashSort(b *testing.B) {
 
 func BenchmarkGroupByPreclustered(b *testing.B) {
 	unsorted := messageFrames(b, benchTuples, 30000)
-	sorted, _ := drive(b, 64<<20, func(tc *hyracks.TaskContext) hyracks.PushRuntime { return NewExternalSortRuntime(tc) }, unsorted)
+	sorted, _ := drive(b, testContext(b, 64<<20), func(tc *hyracks.TaskContext) hyracks.PushRuntime { return NewExternalSortRuntime(tc) }, unsorted)
 	putFrames(unsorted)
 	benchGroupBy(b, packFrames(b, sorted), func(tc *hyracks.TaskContext) hyracks.PushRuntime {
 		return NewGroupByRuntime(tc, PreclusteredGroupBy, sumInPlace{})

@@ -75,11 +75,11 @@ func TestUnorderedTableMatchesHashSort(t *testing.T) {
 			build := func(kind GroupByKind) func(tc *hyracks.TaskContext) hyracks.PushRuntime {
 				return func(tc *hyracks.TaskContext) hyracks.PushRuntime { return NewGroupByRuntime(tc, kind, cb.c) }
 			}
-			hs, hsSpills := drive(t, mem, build(HashSortGroupBy), frames)
+			hs, hsSpills := drive(t, testContext(t, mem), build(HashSortGroupBy), frames)
 			if !keyOrdered(hs) {
 				t.Fatalf("%s: HashSort's output is not in key order", what)
 			}
-			un, unSpills := drive(t, mem, build(UnorderedHashGroupBy), frames)
+			un, unSpills := drive(t, testContext(t, mem), build(UnorderedHashGroupBy), frames)
 			if unSpills != hsSpills || (mem == 64<<20) != (unSpills == 0) {
 				t.Fatalf("%s: %d spills unordered, %d under HashSort", what, unSpills, hsSpills)
 			}
@@ -103,7 +103,7 @@ func TestUnorderedTableMatchesHashSort(t *testing.T) {
 			}
 		}
 		// The sort policy, where AddFields buffers each tuple and an entry.
-		sorted, _ := drive(t, 64<<10, func(tc *hyracks.TaskContext) hyracks.PushRuntime {
+		sorted, _ := drive(t, testContext(t, 64<<10), func(tc *hyracks.TaskContext) hyracks.PushRuntime {
 			return NewGroupByRuntime(tc, SortGroupBy, cb.c)
 		}, frames)
 		got, _ := driveFields(t, 64<<10, SortGroupBy, cb.c, in)

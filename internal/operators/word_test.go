@@ -231,7 +231,11 @@ func FuzzWordTable(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, 100), uint16(0), uint8(4))
 	f.Add([]byte{0, 0, 0, 0, 255, 255, 1, 0, 0, 0, 7, 7, 255, 255, 0, 0}, uint16(300), uint8(7))
 	f.Add(bytes.Repeat([]byte{9, 0, 8, 0, 7, 0, 6, 0}, 300), uint16(2000), uint8(12))
+	// One node and directory serve every input: driveFolder checks that
+	// each leaves nothing behind.
+	tc := testContext(f, 0)
 	f.Fuzz(func(t *testing.T, data []byte, budget uint16, mode uint8) {
+		tc.OperatorMem = int64(budget)
 		width := []int{8, 1}[mode&1]
 		kind := []GroupByKind{HashSortGroupBy, UnorderedHashGroupBy, SortGroupBy, PreclusteredGroupBy}[mode>>1&3]
 		fields := mode&8 != 0
@@ -250,13 +254,13 @@ func FuzzWordTable(f *testing.F) {
 			slices.SortStableFunc(in, func(a, b tuple.Tuple) int { return bytes.Compare(a[0], b[0]) })
 			frames := packFrames(t, in)
 			defer putFrames(frames)
-			got, _ = drive(t, int64(budget), func(tc *hyracks.TaskContext) hyracks.PushRuntime {
+			got, _ = drive(t, tc, func(tc *hyracks.TaskContext) hyracks.PushRuntime {
 				return NewGroupByRuntime(tc, kind, c)
 			}, frames)
 		} else {
 			frames := packFrames(t, in)
 			defer putFrames(frames)
-			got, _ = driveFolder(t, kind, int64(budget), c, in, frames, fields)
+			got, _ = driveFolder(t, tc, kind, c, in, frames, fields)
 		}
 		if kind == UnorderedHashGroupBy {
 			slices.SortFunc(got, func(a, b tuple.Tuple) int { return bytes.Compare(a[0], b[0]) })
@@ -269,9 +273,8 @@ func FuzzWordTable(f *testing.F) {
 // fields is set, tuple by tuple through AddFields from one buffer that is
 // overwritten after each call. It checks that the runtime gives back
 // everything it took: no frame leased, nothing on its budget, no file left.
-func driveFolder(t *testing.T, kind GroupByKind, opMem int64, c Combiner, in []tuple.Tuple, frames []*tuple.Frame, fields bool) (out []tuple.Tuple, spills int) {
+func driveFolder(t *testing.T, tc *hyracks.TaskContext, kind GroupByKind, c Combiner, in []tuple.Tuple, frames []*tuple.Frame, fields bool) (out []tuple.Tuple, spills int) {
 	t.Helper()
-	tc := testContext(t, opMem)
 	leased := tuple.LeasedFrames()
 	g := NewGroupByRuntime(tc, kind, c).(*spillingGroupBy)
 	sink := &collectWriter{}
@@ -406,14 +409,14 @@ func TestWordMergeMatchesReference(t *testing.T) {
 			for _, fields := range []bool{false, true} {
 				what := fmt.Sprintf("width %d, kind %d, at %d bytes, fields %v", width, r.kind, r.opMem, fields)
 				folds = 0
-				got, spills := driveFolder(t, r.kind, r.opMem, c, in, frames, fields)
+				got, spills := driveFolder(t, testContext(t, r.opMem), r.kind, c, in, frames, fields)
 				checkSame(t, what, got, want)
 				if spills < r.minSpills || folds == 0 {
 					t.Fatalf("%s: %d spills, want %d or more, and %d word folds", what, spills, r.minSpills, folds)
 				}
 			}
 		}
-		got, _ := drive(t, 64<<10, func(tc *hyracks.TaskContext) hyracks.PushRuntime {
+		got, _ := drive(t, testContext(t, 64<<10), func(tc *hyracks.TaskContext) hyracks.PushRuntime {
 			return NewGroupByRuntime(tc, PreclusteredGroupBy, c)
 		}, sortedFrames)
 		checkSame(t, fmt.Sprintf("width %d, preclustered", width), got, want)
